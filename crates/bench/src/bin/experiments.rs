@@ -2,19 +2,18 @@
 //! paper's evaluation section.
 //!
 //! ```text
-//! experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--json FILE] [IDS...]
+//! experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [IDS...]
 //!
 //!   IDS:  all (default) | exp1 | exp2 | exp3 |
 //!         fig6a..fig6p (a pair id runs its sweep once) |
-//!         table1 | imp-rt | imp-ds | tree | abl-push | abl-incr | serving
+//!         table1 | imp-rt | imp-ds | tree | abl-push | abl-incr |
+//!         abl-scc | abl-straggler | abl-faults | abl-compress
 //! ```
 //!
 //! Results print as paper-style tables and are also written as CSVs
-//! under `--out` (default `results/`). The `serving` id runs the
-//! in-process serving benchmark (batch parallelism + warm cache) and,
-//! with `--json FILE`, writes its cold-stream latency/throughput as a
-//! versioned `ServingSnapshot` (the `BENCH_serving.json` artifact
-//! format also emitted by `dgsload --json`).
+//! under `--out` (default `results/`). Everything here is virtual
+//! time under the paper's cost model; wall-clock measurement is
+//! `perf/`'s job (`perf/README.md`).
 
 use dgs_bench::figures::{self, Sweep};
 use dgs_bench::{print_sweep, write_csv, Workloads};
@@ -27,7 +26,6 @@ struct Args {
     out: PathBuf,
     ids: BTreeSet<String>,
     plots: bool,
-    json: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
@@ -35,7 +33,6 @@ fn parse_args() -> Args {
     let mut out = PathBuf::from("results");
     let mut ids = BTreeSet::new();
     let mut plots = false;
-    let mut json = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -63,14 +60,11 @@ fn parse_args() -> Args {
             "--plots" => {
                 plots = true;
             }
-            "--json" => {
-                json = Some(PathBuf::from(args.next().expect("--json requires a path")));
-            }
             "--help" | "-h" => {
                 println!(
-                    "experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [--json FILE] [IDS...]\n\
+                    "experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [IDS...]\n\
                      ids: all exp1 exp2 exp3 fig6a..fig6p table1 imp-rt imp-ds tree\n\
-                          abl-push abl-incr abl-scc abl-straggler abl-faults abl-compress serving"
+                          abl-push abl-incr abl-scc abl-straggler abl-faults abl-compress"
                 );
                 std::process::exit(0);
             }
@@ -88,7 +82,6 @@ fn parse_args() -> Args {
         out,
         ids,
         plots,
-        json,
     }
 }
 
@@ -176,52 +169,6 @@ fn run_table1(w: &Workloads) {
     println!();
 }
 
-/// The `serving` id: the in-process serving benchmark, with the cold
-/// per-query stream exported as a `ServingSnapshot` when `--json` is
-/// given.
-fn run_serving_bench(args: &Args) {
-    use dgs_bench::serving::{run_serving, ServingConfig};
-    use dgs_net::ServingSnapshot;
-
-    let report = run_serving(&ServingConfig::default());
-    let us = |ns: u64| ns as f64 / 1_000.0;
-    println!("## serving (in-process batch + cache)\n");
-    println!(
-        "batch {} over {} workers: sequential {:.1} ms, parallel {:.1} ms (x{:.2}), \
-         warm cache {:.2} ms ({} hits, {} messages shipped)",
-        report.batch,
-        report.workers,
-        report.sequential_ms,
-        report.parallel_ms,
-        report.speedup,
-        report.cached_ms,
-        report.cache_hits,
-        report.cached_messages
-    );
-    println!(
-        "cold per-query latency: p50 {:.1} us  p95 {:.1} us  p99 {:.1} us   \
-         warm: p50 {:.1} us  p99 {:.1} us",
-        us(report.latency.p50()),
-        us(report.latency.p95()),
-        us(report.latency.p99()),
-        us(report.cached_latency.p50()),
-        us(report.cached_latency.p99())
-    );
-    println!();
-    if let Some(path) = &args.json {
-        // Single-stream throughput: the cold pass is one thread, so
-        // elapsed is the sum of per-query latencies.
-        let completed = report.latency.count();
-        let elapsed_secs = completed as f64 * report.latency.mean() / 1e9;
-        let snap = ServingSnapshot::of_run(&report.latency, completed, 0, elapsed_secs);
-        match std::fs::write(path, snap.to_json()) {
-            Ok(()) => println!("serving snapshot -> {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-        println!();
-    }
-}
-
 fn main() {
     let args = parse_args();
     let w = &args.workloads;
@@ -232,9 +179,6 @@ fn main() {
 
     if wanted(&args.ids, &["table1"]) {
         run_table1(w);
-    }
-    if wanted(&args.ids, &["serving"]) {
-        run_serving_bench(&args);
     }
     if wanted(&args.ids, &["exp1", "fig6a", "fig6b"]) {
         emit(&args, &figures::exp_dgpm_vary_f(w));

@@ -18,7 +18,7 @@
 
 use crate::vars::Var;
 use dgs_net::WireSize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A monotone Boolean expression.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -328,7 +328,10 @@ impl std::fmt::Display for BExpr {
 /// from a caller-supplied environment (default `true`).
 #[derive(Clone, Debug, Default)]
 pub struct EquationSystem {
-    equations: HashMap<Var, BExpr>,
+    /// Ordered, because [`EquationSystem::solve_gfp`] charges ops per
+    /// visit: the sweep order decides the count, and a hash order
+    /// would make it differ from one process to the next.
+    equations: BTreeMap<Var, BExpr>,
 }
 
 impl EquationSystem {
@@ -642,5 +645,26 @@ mod tests {
         ]);
         let s = e.to_string();
         assert!(s.contains('∧') && s.contains('∨'));
+    }
+
+    /// The sweep order is part of the charged op count (PT), so it
+    /// must not follow a per-map hash seed: the same system built
+    /// eight times solves in the same number of ops.
+    #[test]
+    fn solve_gfp_ops_do_not_depend_on_map_instance() {
+        let n = 40u32;
+        let ops: Vec<u64> = (0..8)
+            .map(|_| {
+                let mut sys = EquationSystem::new();
+                for i in 1..n {
+                    sys.insert(v(0, i), BExpr::Var(v(0, i + 1)));
+                }
+                sys.insert(v(0, n), BExpr::FALSE);
+                let (values, ops) = sys.solve_gfp(|_| None);
+                assert!(values.values().all(|&b| !b));
+                ops
+            })
+            .collect();
+        assert!(ops.windows(2).all(|w| w[0] == w[1]), "ops vary: {ops:?}");
     }
 }

@@ -13,8 +13,7 @@
 //!   in-node falsifications to its subscriber sites, exactly like dGPM
 //!   data messages. No full re-evaluation happens.
 //! * **Insertions only grow** the relation, and are repaired by a
-//!   bounded distributed re-refinement (the protocol analogue of
-//!   `dgs_sim::IncrementalSim::insert_edges`). Each site computes its
+//!   bounded distributed re-refinement. Each site computes its
 //!   slice of the affected area `AFF` — the backward closure of the
 //!   inserted edges' source nodes — with [`UpdateMsg::Affected`]
 //!   carrying the closure across fragment boundaries whenever a marked
@@ -446,11 +445,6 @@ impl DeltaSiteLogic {
     /// The downward worklist (the incremental `lEval` of §4.2 over
     /// this fragment): records revoked local pairs and returns the
     /// falsified in-node variables — what `lMsg` must ship.
-    ///
-    /// This is the fragment-local sibling of
-    /// `dgs_sim::IncrementalSim::propagate` (global graph, transposed
-    /// `cand` layout, no shipping) — a counter-scheme change there
-    /// almost certainly applies here too.
     fn propagate(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Var> {
         let f = self.frag.fragment(self.site);
         let st = &mut self.st;

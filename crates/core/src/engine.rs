@@ -1,11 +1,9 @@
 //! `SimEngine`: the session-oriented query API.
 //!
-//! The old [`crate::api::DistributedSim`] rebuilt every structural
-//! check per call and panicked on inapplicable engines. A `SimEngine`
-//! is instead **built once** over a loaded graph + fragmentation —
-//! paying for the planner's structural facts (DAG-ness, rooted-tree
-//! check, fragment connectivity, SCC condensation) a single time —
-//! and then serves many queries:
+//! A `SimEngine` is **built once** over a loaded graph +
+//! fragmentation — paying for the planner's structural facts
+//! (DAG-ness, rooted-tree check, fragment connectivity, SCC
+//! condensation) a single time — and then serves many queries:
 //!
 //! ```
 //! use dgs_core::{Algorithm, SimEngine};
@@ -1837,11 +1835,43 @@ mod tests {
         let q = patterns::random_cyclic(3, 5, 4, 1);
         let report = engine.query(&q).unwrap();
         assert_eq!(report.algorithm, "trivial-∅");
+        // Asking for dGPMd by name takes the same short-circuit.
+        let forced = engine.query_with(&Algorithm::Dgpmd, &q).unwrap();
+        for report in [report, forced] {
+            assert!(!report.is_match);
+            assert!(report.answer().is_empty());
+            assert_eq!(report.metrics.data_bytes, 0);
+            // The uniform broadcast accounting still posts Q to the sites.
+            assert_eq!(report.metrics.control_messages, 3);
+        }
+    }
+
+    #[test]
+    fn absent_label_gives_the_empty_answer() {
+        // A pattern whose label does not occur: relation is empty,
+        // is_match false, answer empty.
+        let g = random::uniform(60, 200, 3, 5);
+        let engine = engine_for(&g, 2, 5);
+        let mut qb = dgs_graph::PatternBuilder::new();
+        qb.add_node(dgs_graph::Label(9));
+        let report = engine.query_with(&Algorithm::dgpm(), &qb.build()).unwrap();
         assert!(!report.is_match);
+        assert!(report.relation.is_empty());
         assert!(report.answer().is_empty());
-        assert_eq!(report.metrics.data_bytes, 0);
-        // The uniform broadcast accounting still posts Q to the sites.
-        assert_eq!(report.metrics.control_messages, 3);
+    }
+
+    #[test]
+    fn names() {
+        assert_eq!(Algorithm::Auto.name(), "Auto");
+        assert_eq!(Algorithm::dgpm().name(), "dGPM");
+        assert_eq!(Algorithm::dgpm_nopt().name(), "dGPMNOpt");
+        assert_eq!(Algorithm::dgpm_incremental_only().name(), "dGPM-nopush");
+        assert_eq!(Algorithm::Dgpmd.name(), "dGPMd");
+        assert_eq!(Algorithm::Dgpms.name(), "dGPMs");
+        assert_eq!(Algorithm::Dgpmt.name(), "dGPMt");
+        assert_eq!(Algorithm::MatchCentral.name(), "Match");
+        assert_eq!(Algorithm::DisHhk.name(), "disHHK");
+        assert_eq!(Algorithm::DMes.name(), "dMes");
     }
 
     #[test]
@@ -1897,7 +1927,8 @@ mod tests {
         let full = engine
             .query_with(&Algorithm::dgpm_incremental_only(), q)
             .unwrap();
-        assert!(full.metrics.control_messages >= 3);
+        // Gather (3) + broadcast (3).
+        assert_eq!(full.metrics.control_messages, 6);
         assert!(full.metrics.control_bytes >= broadcast_bytes);
     }
 

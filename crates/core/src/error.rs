@@ -1,9 +1,9 @@
 //! Typed errors for the query path.
 //!
-//! Every condition that the old `DistributedSim` API turned into an
-//! `assert!`/`panic!`/`unwrap` is a [`DgsError`] here, so a serving
-//! layer can keep a session alive across bad queries and report the
-//! precondition that failed instead of dying.
+//! Every precondition a query can fail is a [`DgsError`], never an
+//! `assert!`/`panic!`/`unwrap`, so a serving layer can keep a session
+//! alive across bad queries and report the precondition that failed
+//! instead of dying.
 
 use std::fmt;
 

@@ -54,9 +54,6 @@
 //! the distributed incremental update of [`delta`], and conservative
 //! invalidation under insertions.
 //!
-//! The legacy one-shot runner lives on as [`api::DistributedSim`], a
-//! deprecated shim over the engine.
-//!
 //! The building blocks are public too: [`local_eval::LocalEval`] is the
 //! paper's `lEval` (optimistic counter-based local fixpoint with
 //! incremental falsification), [`boolexpr`] is the Boolean
@@ -64,7 +61,6 @@
 //! the tree algorithm, and [`vars::Var`] is the Boolean variable
 //! `X(u,v)`.
 
-pub mod api;
 pub mod baselines;
 pub mod boolexpr;
 mod cache;
@@ -85,8 +81,6 @@ pub mod push;
 pub mod remote;
 pub mod vars;
 
-#[allow(deprecated)]
-pub use api::DistributedSim;
 pub use cache::CacheStats;
 pub use delta::{DeltaReport, GraphDelta, UpdateMsg};
 pub use engine::{

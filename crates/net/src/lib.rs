@@ -52,14 +52,10 @@ pub use cluster::ThreadedExecutor;
 pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use message::{Endpoint, MsgClass, WireSize};
-pub use metrics::{
-    ConnSweepSnapshot, ConnSweepStep, ExecutorsSnapshot, LatencyHistogram, RunMetrics,
-    ServingSnapshot, SiteDeltaMetrics, SubscribeSnapshot, CONN_SWEEP_SNAPSHOT_VERSION,
-    EXECUTORS_SNAPSHOT_VERSION, SERVING_SNAPSHOT_VERSION, SUBSCRIBE_SNAPSHOT_VERSION,
-};
+pub use metrics::{LatencyHistogram, RunMetrics, SiteDeltaMetrics};
 pub use obs::{
     Counter, Gauge, Histo, HistogramSummary, LogLevel, Logger, MetricsRegistry, MetricsSnapshot,
-    ObsSnapshot, METRICS_SNAPSHOT_VERSION, OBS_SNAPSHOT_VERSION,
+    METRICS_SNAPSHOT_VERSION,
 };
 pub use site::{CoordinatorLogic, Outbox, SiteLogic};
 pub use socket::{

@@ -1,6 +1,6 @@
 //! Run metrics: the PT and DS quantities of the paper's figures, plus
-//! the [`LatencyHistogram`] shared by the serving layer's traffic
-//! generator and benches.
+//! the [`LatencyHistogram`] shared by the serving layer's telemetry
+//! and traffic generator.
 
 use std::time::Duration;
 
@@ -378,614 +378,6 @@ impl std::fmt::Debug for LatencyHistogram {
     }
 }
 
-/// Format version of [`ServingSnapshot::to_json`]. Bump when the
-/// schema changes; parsers refuse other versions so a stale committed
-/// baseline is treated as "no baseline" instead of misread.
-pub const SERVING_SNAPSHOT_VERSION: u32 = 1;
-
-/// A serving-benchmark snapshot: the committed-artifact form of one
-/// load run (throughput + latency quantiles), written as a small flat
-/// JSON file (`BENCH_serving.json`) and compared across runs to catch
-/// serving-path regressions in CI.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServingSnapshot {
-    /// Schema version ([`SERVING_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Completed requests per second.
-    pub throughput: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile request latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests that failed.
-    pub errors: u64,
-}
-
-impl ServingSnapshot {
-    /// A snapshot of one run: quantiles from `histogram` (recorded in
-    /// nanoseconds), throughput from `completed / elapsed`.
-    pub fn of_run(
-        histogram: &LatencyHistogram,
-        completed: u64,
-        errors: u64,
-        elapsed_secs: f64,
-    ) -> ServingSnapshot {
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        ServingSnapshot {
-            version: SERVING_SNAPSHOT_VERSION,
-            throughput: if elapsed_secs > 0.0 {
-                completed as f64 / elapsed_secs
-            } else {
-                0.0
-            },
-            p50_us: us(histogram.p50()),
-            p95_us: us(histogram.p95()),
-            p99_us: us(histogram.p99()),
-            completed,
-            errors,
-        }
-    }
-
-    /// The committed-artifact form (flat JSON, stable key order,
-    /// trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"throughput_rps\": {:.2},\n  \"p50_us\": {:.1},\n  \
-             \"p95_us\": {:.1},\n  \"p99_us\": {:.1},\n  \"completed\": {},\n  \"errors\": {}\n}}\n",
-            self.version,
-            self.throughput,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.completed,
-            self.errors
-        )
-    }
-
-    /// Parses [`ServingSnapshot::to_json`] output (any flat JSON with
-    /// the same keys, whitespace-insensitive). `None` on a missing
-    /// key or a version this build does not speak.
-    pub fn parse_json(s: &str) -> Option<ServingSnapshot> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = s.find(&pat)? + pat.len();
-            let rest = s[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let version = num("version")? as u32;
-        if version != SERVING_SNAPSHOT_VERSION {
-            return None;
-        }
-        Some(ServingSnapshot {
-            version,
-            throughput: num("throughput_rps")?,
-            p50_us: num("p50_us")?,
-            p95_us: num("p95_us")?,
-            p99_us: num("p99_us")?,
-            completed: num("completed")? as u64,
-            errors: num("errors")? as u64,
-        })
-    }
-
-    /// Human-readable regression verdicts of `self` (the new run)
-    /// against `baseline`, empty when the run is acceptable.
-    ///
-    /// `tolerance` is the relative slack (CI gates on `0.20` = 20%);
-    /// latency additionally gets `latency_floor_us` of absolute slack
-    /// so sub-millisecond micro-noise on shared runners cannot trip
-    /// the gate — the regressions this guards against (a reintroduced
-    /// write barrier on the serve path) cost milliseconds, not tens of
-    /// microseconds.
-    pub fn regressions(
-        &self,
-        baseline: &ServingSnapshot,
-        tolerance: f64,
-        latency_floor_us: f64,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.errors > 0 {
-            out.push(format!(
-                "{} requests errored (baseline gate: 0)",
-                self.errors
-            ));
-        }
-        let floor = baseline.throughput / (1.0 + tolerance);
-        if self.throughput < floor {
-            out.push(format!(
-                "throughput {:.1} req/s fell below {:.1} (baseline {:.1} / {:.0}% tolerance)",
-                self.throughput,
-                floor,
-                baseline.throughput,
-                tolerance * 100.0
-            ));
-        }
-        for (name, new, base) in [
-            ("p50", self.p50_us, baseline.p50_us),
-            ("p95", self.p95_us, baseline.p95_us),
-            ("p99", self.p99_us, baseline.p99_us),
-        ] {
-            let ceiling = (base * (1.0 + tolerance)).max(base + latency_floor_us);
-            if new > ceiling {
-                out.push(format!(
-                    "{name} {new:.1}us exceeds {ceiling:.1}us (baseline {base:.1}us + {:.0}% \
-                     tolerance, {latency_floor_us:.0}us floor)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Format version of [`ConnSweepSnapshot::to_json`]; same bump/refuse
-/// discipline as [`SERVING_SNAPSHOT_VERSION`].
-pub const CONN_SWEEP_SNAPSHOT_VERSION: u32 = 1;
-
-/// One step of a connection-count sweep: the server held
-/// `connections` concurrent connections while a bounded subset drove
-/// open-loop traffic.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConnSweepStep {
-    /// Concurrent connections held open during this step.
-    pub connections: u64,
-    /// Completed requests per second over the step.
-    pub throughput: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests (or connects) that failed.
-    pub errors: u64,
-}
-
-/// A connection-count sweep snapshot (`BENCH_connsweep.json`): the
-/// committed-artifact form of one `dgsload --sweep` run, one
-/// [`ConnSweepStep`] per connection count. The CI gate compares steps
-/// by connection count against a committed conservative envelope —
-/// the property it guards is that p99 stays *flat* as idle
-/// connections pile up (connections must cost buffers, not threads).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConnSweepSnapshot {
-    /// Schema version ([`CONN_SWEEP_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Steps in ascending connection-count order.
-    pub steps: Vec<ConnSweepStep>,
-}
-
-impl ConnSweepSnapshot {
-    /// The committed-artifact form (one step object per line, stable
-    /// key order, trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\n  \"version\": {},\n  \"steps\": [\n", self.version);
-        for (i, s) in self.steps.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"connections\": {}, \"throughput_rps\": {:.2}, \"p99_us\": {:.1}, \
-                 \"completed\": {}, \"errors\": {}}}{}\n",
-                s.connections,
-                s.throughput,
-                s.p99_us,
-                s.completed,
-                s.errors,
-                if i + 1 < self.steps.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parses [`ConnSweepSnapshot::to_json`] output. `None` on a
-    /// missing key, an empty sweep, or a version this build does not
-    /// speak.
-    pub fn parse_json(s: &str) -> Option<ConnSweepSnapshot> {
-        let field = |obj: &str, key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = obj.find(&pat)? + pat.len();
-            let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let head = &s[..s.find('[')?];
-        let version = field(head, "version")? as u32;
-        if version != CONN_SWEEP_SNAPSHOT_VERSION {
-            return None;
-        }
-        let body = &s[s.find('[')? + 1..s.rfind(']')?];
-        let mut steps = Vec::new();
-        for obj in body.split('{').skip(1) {
-            let obj = &obj[..obj.find('}')?];
-            steps.push(ConnSweepStep {
-                connections: field(obj, "connections")? as u64,
-                throughput: field(obj, "throughput_rps")?,
-                p99_us: field(obj, "p99_us")?,
-                completed: field(obj, "completed")? as u64,
-                errors: field(obj, "errors")? as u64,
-            });
-        }
-        if steps.is_empty() {
-            return None;
-        }
-        Some(ConnSweepSnapshot { version, steps })
-    }
-
-    /// Regression verdicts of `self` (the new sweep) against
-    /// `baseline`, matched by connection count; empty when acceptable.
-    /// Any errored step fails outright; per-step throughput and p99
-    /// get the same `tolerance` + `latency_floor_us` slack as
-    /// [`ServingSnapshot::regressions`]. Steps without a baseline
-    /// counterpart (a widened sweep) are gated on errors only.
-    pub fn regressions(
-        &self,
-        baseline: &ConnSweepSnapshot,
-        tolerance: f64,
-        latency_floor_us: f64,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            if step.errors > 0 {
-                out.push(format!(
-                    "{} errors at {} connections (sweep gate: 0)",
-                    step.errors, step.connections
-                ));
-            }
-            let Some(base) = baseline
-                .steps
-                .iter()
-                .find(|b| b.connections == step.connections)
-            else {
-                continue;
-            };
-            let floor = base.throughput / (1.0 + tolerance);
-            if step.throughput < floor {
-                out.push(format!(
-                    "throughput {:.1} req/s at {} connections fell below {:.1} (baseline {:.1})",
-                    step.throughput, step.connections, floor, base.throughput
-                ));
-            }
-            let ceiling = (base.p99_us * (1.0 + tolerance)).max(base.p99_us + latency_floor_us);
-            if step.p99_us > ceiling {
-                out.push(format!(
-                    "p99 {:.1}us at {} connections exceeds {:.1}us (baseline {:.1}us)",
-                    step.p99_us, step.connections, ceiling, base.p99_us
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Format version of [`SubscribeSnapshot::to_json`]; same bump/refuse
-/// discipline as [`SERVING_SNAPSHOT_VERSION`].
-pub const SUBSCRIBE_SNAPSHOT_VERSION: u32 = 1;
-
-/// A live-subscription benchmark snapshot (`BENCH_subscribe.json`):
-/// the committed-artifact form of one `dgsload --subscribe` run. A
-/// writer storms one session with delta batches while subscribers on
-/// every session hold open `MATCH_DIFF` streams; each diff's latency
-/// is the span from the writer handing the batch to the wire to the
-/// subscriber decoding the push that carries that batch's generation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SubscribeSnapshot {
-    /// Schema version ([`SUBSCRIBE_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Diff pushes delivered across every subscriber.
-    pub diffs: u64,
-    /// Delta batches the writer applied.
-    pub batches: u64,
-    /// Median diff delivery latency, microseconds.
-    pub diff_p50_us: f64,
-    /// 95th-percentile diff delivery latency, microseconds.
-    pub diff_p95_us: f64,
-    /// 99th-percentile diff delivery latency, microseconds.
-    pub diff_p99_us: f64,
-    /// Anything that went wrong: failed connects or subscribes,
-    /// unexpected terminal events, cross-session leakage, or a
-    /// reconstructed match set diverging from the final re-query.
-    pub errors: u64,
-}
-
-impl SubscribeSnapshot {
-    /// A snapshot of one run: diff-latency quantiles from `histogram`
-    /// (recorded in nanoseconds).
-    pub fn of_run(
-        histogram: &LatencyHistogram,
-        diffs: u64,
-        batches: u64,
-        errors: u64,
-    ) -> SubscribeSnapshot {
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        SubscribeSnapshot {
-            version: SUBSCRIBE_SNAPSHOT_VERSION,
-            diffs,
-            batches,
-            diff_p50_us: us(histogram.p50()),
-            diff_p95_us: us(histogram.p95()),
-            diff_p99_us: us(histogram.p99()),
-            errors,
-        }
-    }
-
-    /// The committed-artifact form (flat JSON, stable key order,
-    /// trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"diffs\": {},\n  \"batches\": {},\n  \
-             \"diff_p50_us\": {:.1},\n  \"diff_p95_us\": {:.1},\n  \"diff_p99_us\": {:.1},\n  \
-             \"errors\": {}\n}}\n",
-            self.version,
-            self.diffs,
-            self.batches,
-            self.diff_p50_us,
-            self.diff_p95_us,
-            self.diff_p99_us,
-            self.errors
-        )
-    }
-
-    /// Parses [`SubscribeSnapshot::to_json`] output (any flat JSON
-    /// with the same keys, whitespace-insensitive). `None` on a
-    /// missing key or a version this build does not speak.
-    pub fn parse_json(s: &str) -> Option<SubscribeSnapshot> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = s.find(&pat)? + pat.len();
-            let rest = s[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let version = num("version")? as u32;
-        if version != SUBSCRIBE_SNAPSHOT_VERSION {
-            return None;
-        }
-        Some(SubscribeSnapshot {
-            version,
-            diffs: num("diffs")? as u64,
-            batches: num("batches")? as u64,
-            diff_p50_us: num("diff_p50_us")?,
-            diff_p95_us: num("diff_p95_us")?,
-            diff_p99_us: num("diff_p99_us")?,
-            errors: num("errors")?.round() as u64,
-        })
-    }
-
-    /// Regression verdicts of `self` (the new run) against `baseline`,
-    /// empty when acceptable. Errors fail outright; a delivered-diff
-    /// count below the baseline floor means pushes were lost or
-    /// coalesced away; diff-latency quantiles get the usual
-    /// `tolerance` + `latency_floor_us` slack.
-    pub fn regressions(
-        &self,
-        baseline: &SubscribeSnapshot,
-        tolerance: f64,
-        latency_floor_us: f64,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.errors > 0 {
-            out.push(format!(
-                "{} subscription errors (baseline gate: 0)",
-                self.errors
-            ));
-        }
-        let floor = (baseline.diffs as f64 / (1.0 + tolerance)).floor() as u64;
-        if self.diffs < floor {
-            out.push(format!(
-                "delivered {} diffs, below {} (baseline {} / {:.0}% tolerance)",
-                self.diffs,
-                floor,
-                baseline.diffs,
-                tolerance * 100.0
-            ));
-        }
-        for (name, new, base) in [
-            ("diff p50", self.diff_p50_us, baseline.diff_p50_us),
-            ("diff p95", self.diff_p95_us, baseline.diff_p95_us),
-            ("diff p99", self.diff_p99_us, baseline.diff_p99_us),
-        ] {
-            let ceiling = (base * (1.0 + tolerance)).max(base + latency_floor_us);
-            if new > ceiling {
-                out.push(format!(
-                    "{name} {new:.1}us exceeds {ceiling:.1}us (baseline {base:.1}us + {:.0}% \
-                     tolerance, {latency_floor_us:.0}us floor)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Format version of [`ExecutorsSnapshot::to_json`]; same bump/refuse
-/// discipline as [`SERVING_SNAPSHOT_VERSION`].
-pub const EXECUTORS_SNAPSHOT_VERSION: u32 = 1;
-
-/// An executors-area trajectory snapshot (`dgs-bench --area
-/// executors`): the committed-artifact form of the single-query hot
-/// path — bitset kernels vs the old HashSet-of-pairs representation,
-/// and intra-query fragment parallelism vs the sequential site loop.
-/// Written as `BENCH_executors.json` and compared in CI, so the
-/// bitset win is recorded and *stays* won.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExecutorsSnapshot {
-    /// Schema version ([`EXECUTORS_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Centralized single-query time of the HashSet-of-pairs
-    /// reference kernel, milliseconds.
-    pub hashset_kernel_ms: f64,
-    /// Centralized single-query time of the bitset kernel over the
-    /// same workload, milliseconds.
-    pub bitset_kernel_ms: f64,
-    /// `hashset_kernel_ms / bitset_kernel_ms` — the representation
-    /// win; gated to stay ≥ 2× (the PR's acceptance target).
-    pub kernel_speedup: f64,
-    /// Distributed single-query engine time, sequential site loop
-    /// (1 intra-query worker), milliseconds.
-    pub seq_query_ms: f64,
-    /// Distributed single-query engine time with the intra-query pool,
-    /// milliseconds.
-    pub par_query_ms: f64,
-    /// `seq_query_ms / par_query_ms` — the intra-query parallelism
-    /// win (≈ 1.0 on single-core runners, higher with cores).
-    pub intra_speedup: f64,
-    /// Median per-query latency over the measured stream
-    /// (parallel path), microseconds.
-    pub query_p50_us: f64,
-    /// 99th-percentile per-query latency, microseconds.
-    pub query_p99_us: f64,
-    /// Queries timed into the latency histogram.
-    pub queries: u64,
-}
-
-impl ExecutorsSnapshot {
-    /// A snapshot of one trajectory run; per-query latencies come from
-    /// `histogram` (recorded in nanoseconds).
-    pub fn of_run(
-        hashset_kernel_ms: f64,
-        bitset_kernel_ms: f64,
-        seq_query_ms: f64,
-        par_query_ms: f64,
-        histogram: &LatencyHistogram,
-    ) -> ExecutorsSnapshot {
-        let us = |ns: u64| ns as f64 / 1_000.0;
-        let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-        ExecutorsSnapshot {
-            version: EXECUTORS_SNAPSHOT_VERSION,
-            hashset_kernel_ms,
-            bitset_kernel_ms,
-            kernel_speedup: ratio(hashset_kernel_ms, bitset_kernel_ms),
-            seq_query_ms,
-            par_query_ms,
-            intra_speedup: ratio(seq_query_ms, par_query_ms),
-            query_p50_us: us(histogram.p50()),
-            query_p99_us: us(histogram.p99()),
-            queries: histogram.count(),
-        }
-    }
-
-    /// The committed-artifact form (flat JSON, stable key order,
-    /// trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"hashset_kernel_ms\": {:.3},\n  \
-             \"bitset_kernel_ms\": {:.3},\n  \"kernel_speedup\": {:.2},\n  \
-             \"seq_query_ms\": {:.3},\n  \"par_query_ms\": {:.3},\n  \
-             \"intra_speedup\": {:.2},\n  \"query_p50_us\": {:.1},\n  \
-             \"query_p99_us\": {:.1},\n  \"queries\": {}\n}}\n",
-            self.version,
-            self.hashset_kernel_ms,
-            self.bitset_kernel_ms,
-            self.kernel_speedup,
-            self.seq_query_ms,
-            self.par_query_ms,
-            self.intra_speedup,
-            self.query_p50_us,
-            self.query_p99_us,
-            self.queries
-        )
-    }
-
-    /// Parses [`ExecutorsSnapshot::to_json`] output (any flat JSON
-    /// with the same keys, whitespace-insensitive). `None` on a
-    /// missing key or a version this build does not speak.
-    pub fn parse_json(s: &str) -> Option<ExecutorsSnapshot> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = s.find(&pat)? + pat.len();
-            let rest = s[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let version = num("version")? as u32;
-        if version != EXECUTORS_SNAPSHOT_VERSION {
-            return None;
-        }
-        Some(ExecutorsSnapshot {
-            version,
-            hashset_kernel_ms: num("hashset_kernel_ms")?,
-            bitset_kernel_ms: num("bitset_kernel_ms")?,
-            kernel_speedup: num("kernel_speedup")?,
-            seq_query_ms: num("seq_query_ms")?,
-            par_query_ms: num("par_query_ms")?,
-            intra_speedup: num("intra_speedup")?,
-            query_p50_us: num("query_p50_us")?,
-            query_p99_us: num("query_p99_us")?,
-            queries: num("queries")? as u64,
-        })
-    }
-
-    /// Regression verdicts of `self` (the new run) against `baseline`,
-    /// empty when acceptable.
-    ///
-    /// Speedups are *ratios measured within one run*, so they are
-    /// robust to runner speed: the kernel speedup is gated against
-    /// both the committed baseline (with `tolerance` slack) and the
-    /// hard 2× representation-win target; the intra-query speedup
-    /// only against the baseline (it is legitimately ≈ 1.0 on
-    /// single-core runners, and the committed envelope says so).
-    /// Absolute per-query latency gets `tolerance` + `latency_floor_us`
-    /// slack like every other snapshot.
-    pub fn regressions(
-        &self,
-        baseline: &ExecutorsSnapshot,
-        tolerance: f64,
-        latency_floor_us: f64,
-    ) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.kernel_speedup < 2.0 {
-            out.push(format!(
-                "bitset kernel speedup {:.2}x fell below the 2x representation-win target",
-                self.kernel_speedup
-            ));
-        }
-        for (name, new, base) in [
-            (
-                "kernel speedup",
-                self.kernel_speedup,
-                baseline.kernel_speedup,
-            ),
-            (
-                "intra-query speedup",
-                self.intra_speedup,
-                baseline.intra_speedup,
-            ),
-        ] {
-            let floor = base / (1.0 + tolerance);
-            if new < floor {
-                out.push(format!(
-                    "{name} {new:.2}x fell below {floor:.2}x (baseline {base:.2}x / {:.0}% \
-                     tolerance)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        for (name, new, base) in [
-            ("query p50", self.query_p50_us, baseline.query_p50_us),
-            ("query p99", self.query_p99_us, baseline.query_p99_us),
-        ] {
-            let ceiling = (base * (1.0 + tolerance)).max(base + latency_floor_us);
-            if new > ceiling {
-                out.push(format!(
-                    "{name} {new:.1}us exceeds {ceiling:.1}us (baseline {base:.1}us + {:.0}% \
-                     tolerance, {latency_floor_us:.0}us floor)",
-                    tolerance * 100.0
-                ));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,180 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn serving_snapshot_json_roundtrips() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=100u64 {
-            h.record(i * 10_000); // 10µs .. 1ms
-        }
-        let snap = ServingSnapshot::of_run(&h, 100, 0, 2.0);
-        assert!((snap.throughput - 50.0).abs() < 1e-9);
-        let parsed = ServingSnapshot::parse_json(&snap.to_json()).expect("parses");
-        assert_eq!(parsed.version, SERVING_SNAPSHOT_VERSION);
-        assert_eq!(parsed.completed, 100);
-        assert_eq!(parsed.errors, 0);
-        // The JSON rounds to 1 decimal of a microsecond.
-        assert!((parsed.p99_us - snap.p99_us).abs() < 0.1);
-        assert!((parsed.throughput - snap.throughput).abs() < 0.01);
-    }
-
-    #[test]
-    fn serving_snapshot_rejects_other_versions_and_garbage() {
-        let mut h = LatencyHistogram::new();
-        h.record(1);
-        let json = ServingSnapshot::of_run(&h, 1, 0, 1.0)
-            .to_json()
-            .replace("\"version\": 1", "\"version\": 999");
-        assert_eq!(ServingSnapshot::parse_json(&json), None);
-        assert_eq!(ServingSnapshot::parse_json("not json at all"), None);
-        assert_eq!(ServingSnapshot::parse_json("{\"version\": 1}"), None);
-    }
-
-    #[test]
-    fn serving_snapshot_regression_gate() {
-        let base = ServingSnapshot {
-            version: SERVING_SNAPSHOT_VERSION,
-            throughput: 1000.0,
-            p50_us: 200.0,
-            p95_us: 400.0,
-            p99_us: 800.0,
-            completed: 500,
-            errors: 0,
-        };
-        // Within tolerance: quantiles float inside the absolute floor.
-        let ok = ServingSnapshot {
-            throughput: 900.0,
-            p99_us: 1100.0,
-            ..base.clone()
-        };
-        assert!(ok.regressions(&base, 0.20, 500.0).is_empty());
-        // A real regression (milliseconds, as a reintroduced write
-        // barrier would cost) trips both gates.
-        let bad = ServingSnapshot {
-            throughput: 400.0,
-            p99_us: 9000.0,
-            errors: 3,
-            ..base.clone()
-        };
-        let verdicts = bad.regressions(&base, 0.20, 500.0);
-        assert_eq!(verdicts.len(), 3, "{verdicts:?}");
-        assert!(verdicts[0].contains("errored"));
-        assert!(verdicts[1].contains("throughput"));
-        assert!(verdicts[2].contains("p99"));
-    }
-
-    fn sweep(steps: &[(u64, f64, f64, u64)]) -> ConnSweepSnapshot {
-        ConnSweepSnapshot {
-            version: CONN_SWEEP_SNAPSHOT_VERSION,
-            steps: steps
-                .iter()
-                .map(|&(connections, throughput, p99_us, errors)| ConnSweepStep {
-                    connections,
-                    throughput,
-                    p99_us,
-                    completed: 100,
-                    errors,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn conn_sweep_snapshot_json_roundtrip() {
-        let snap = sweep(&[(1, 5000.0, 300.0, 0), (100, 4800.5, 450.25, 0)]);
-        let parsed = ConnSweepSnapshot::parse_json(&snap.to_json()).unwrap();
-        assert_eq!(parsed.steps.len(), 2);
-        assert_eq!(parsed.steps[1].connections, 100);
-        assert!((parsed.steps[1].throughput - 4800.5).abs() < 0.01);
-        assert!((parsed.steps[1].p99_us - 450.2).abs() < 0.1);
-    }
-
-    #[test]
-    fn conn_sweep_snapshot_rejects_other_versions_and_garbage() {
-        let json = sweep(&[(1, 1.0, 1.0, 0)])
-            .to_json()
-            .replace("\"version\": 1", "\"version\": 7");
-        assert_eq!(ConnSweepSnapshot::parse_json(&json), None);
-        assert_eq!(ConnSweepSnapshot::parse_json("nope"), None);
-        assert_eq!(
-            ConnSweepSnapshot::parse_json("{\"version\": 1, \"steps\": []}"),
-            None
-        );
-    }
-
-    #[test]
-    fn subscribe_snapshot_json_roundtrips_and_rejects_other_versions() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=50u64 {
-            h.record(i * 20_000); // 20µs .. 1ms
-        }
-        let snap = SubscribeSnapshot::of_run(&h, 200, 64, 0);
-        let parsed = SubscribeSnapshot::parse_json(&snap.to_json()).expect("parses");
-        assert_eq!(parsed.version, SUBSCRIBE_SNAPSHOT_VERSION);
-        assert_eq!(parsed.diffs, 200);
-        assert_eq!(parsed.batches, 64);
-        assert_eq!(parsed.errors, 0);
-        assert!((parsed.diff_p99_us - snap.diff_p99_us).abs() < 0.1);
-        let stale = snap.to_json().replace("\"version\": 1", "\"version\": 12");
-        assert_eq!(SubscribeSnapshot::parse_json(&stale), None);
-        assert_eq!(SubscribeSnapshot::parse_json("junk"), None);
-    }
-
-    #[test]
-    fn subscribe_regression_gate() {
-        let base = SubscribeSnapshot {
-            version: SUBSCRIBE_SNAPSHOT_VERSION,
-            diffs: 100,
-            batches: 50,
-            diff_p50_us: 300.0,
-            diff_p95_us: 900.0,
-            diff_p99_us: 1500.0,
-            errors: 0,
-        };
-        // Micro-noise inside the floor and a slightly lower diff count
-        // pass.
-        let ok = SubscribeSnapshot {
-            diffs: 90,
-            diff_p99_us: 1900.0,
-            ..base.clone()
-        };
-        assert!(ok.regressions(&base, 0.25, 500.0).is_empty());
-        // Errors, lost pushes, and millisecond-scale latency blowups
-        // each trip their own verdict.
-        let bad = SubscribeSnapshot {
-            diffs: 40,
-            diff_p99_us: 50_000.0,
-            errors: 2,
-            ..base.clone()
-        };
-        let verdicts = bad.regressions(&base, 0.25, 500.0);
-        assert_eq!(verdicts.len(), 3, "{verdicts:?}");
-        assert!(verdicts[0].contains("errors"));
-        assert!(verdicts[1].contains("diffs"));
-        assert!(verdicts[2].contains("p99"));
-    }
-
-    #[test]
-    fn conn_sweep_regression_gate_matches_steps_by_connection_count() {
-        let base = sweep(&[(1, 1000.0, 500.0, 0), (1000, 900.0, 600.0, 0)]);
-        // Flat-and-fast run passes; a step the baseline lacks is only
-        // gated on errors.
-        let ok = sweep(&[
-            (1, 1000.0, 500.0, 0),
-            (1000, 950.0, 650.0, 0),
-            (5000, 100.0, 9e6, 0),
-        ]);
-        assert!(ok.regressions(&base, 0.20, 500.0).is_empty());
-        // Errors anywhere, or a blown-up p99 at a matched step, fail.
-        let bad = sweep(&[(1, 1000.0, 500.0, 0), (1000, 200.0, 50_000.0, 3)]);
-        let verdicts = bad.regressions(&base, 0.20, 500.0);
-        assert_eq!(verdicts.len(), 3, "{verdicts:?}");
-        assert!(verdicts[0].contains("errors at 1000 connections"));
-        assert!(verdicts[1].contains("throughput"));
-        assert!(verdicts[2].contains("p99"));
-    }
-
-    /// Satellite hardening: the edge cases the bench driver leans on.
-    #[test]
     fn histogram_empty_merge_is_identity() {
         let mut a = LatencyHistogram::new();
         a.merge(&LatencyHistogram::new());
@@ -1343,59 +561,5 @@ mod tests {
         // Quantiles stay finite, non-NaN numbers.
         assert!(big.p99() >= 5);
         assert!(!big.mean().is_nan());
-    }
-
-    fn exec_snapshot() -> ExecutorsSnapshot {
-        let mut h = LatencyHistogram::new();
-        for i in 0..100u64 {
-            h.record(1_000_000 + i * 10_000);
-        }
-        ExecutorsSnapshot::of_run(80.0, 8.0, 40.0, 16.0, &h)
-    }
-
-    #[test]
-    fn executors_snapshot_roundtrip() {
-        let snap = exec_snapshot();
-        assert!((snap.kernel_speedup - 10.0).abs() < 1e-9);
-        assert!((snap.intra_speedup - 2.5).abs() < 1e-9);
-        assert_eq!(snap.queries, 100);
-        let parsed = ExecutorsSnapshot::parse_json(&snap.to_json()).expect("parses");
-        assert_eq!(parsed.version, EXECUTORS_SNAPSHOT_VERSION);
-        assert!((parsed.kernel_speedup - 10.0).abs() < 0.01);
-        assert_eq!(parsed.queries, 100);
-    }
-
-    #[test]
-    fn executors_snapshot_rejects_other_versions() {
-        let other = exec_snapshot()
-            .to_json()
-            .replace("\"version\": 1", "\"version\": 99");
-        assert!(ExecutorsSnapshot::parse_json(&other).is_none());
-    }
-
-    #[test]
-    fn executors_regression_gate() {
-        let base = exec_snapshot();
-        // Identical run passes.
-        assert!(exec_snapshot().regressions(&base, 0.20, 200.0).is_empty());
-        // The hard 2x kernel target fires independently of the baseline.
-        let slow_kernel = ExecutorsSnapshot {
-            kernel_speedup: 1.5,
-            ..exec_snapshot()
-        };
-        let verdicts = slow_kernel.regressions(&base, 0.20, 200.0);
-        assert_eq!(verdicts.len(), 2, "{verdicts:?}");
-        assert!(verdicts[0].contains("2x representation-win target"));
-        assert!(verdicts[1].contains("kernel speedup"));
-        // A collapsed intra-query speedup and a blown-up latency fail.
-        let bad = ExecutorsSnapshot {
-            intra_speedup: 1.0,
-            query_p99_us: 1e6,
-            ..exec_snapshot()
-        };
-        let verdicts = bad.regressions(&base, 0.20, 200.0);
-        assert_eq!(verdicts.len(), 2, "{verdicts:?}");
-        assert!(verdicts[0].contains("intra-query speedup"));
-        assert!(verdicts[1].contains("query p99"));
     }
 }

@@ -1,7 +1,6 @@
 //! Server observability: a registry of named counters, gauges and
-//! latency histograms with Prometheus-style text exposition, a
-//! leveled rate-limited structured logger, and the
-//! instrumentation-overhead snapshot (`BENCH_obs.json`).
+//! latency histograms with Prometheus-style text exposition, and a
+//! leveled rate-limited structured logger.
 //!
 //! The registry is the one source of truth for everything `dgsd`
 //! reports about itself: the `METRICS` wire frame and the
@@ -492,123 +491,9 @@ impl Logger {
     }
 }
 
-// ---- the instrumentation-overhead snapshot ----------------------------
-
-/// Format version of [`ObsSnapshot::to_json`].
-pub const OBS_SNAPSHOT_VERSION: u32 = 1;
-
-/// The instrumentation-overhead artifact (`BENCH_obs.json`): the
-/// quiet-ping run with full instrumentation enabled against the same
-/// run with metrics disabled, and the p50 overhead between them —
-/// what the CI ≤10% gate enforces.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ObsSnapshot {
-    /// Schema version ([`OBS_SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// Quiet-ping p50 with the metrics registry enabled, microseconds.
-    pub p50_on_us: f64,
-    /// Quiet-ping p50 with the registry disabled, microseconds.
-    pub p50_off_us: f64,
-    /// `(p50_on - p50_off) / p50_off`, percent (negative when the
-    /// instrumented run happened to be faster).
-    pub overhead_pct: f64,
-    /// Throughput of the instrumented run, req/s.
-    pub throughput_on: f64,
-    /// Throughput of the uninstrumented run, req/s.
-    pub throughput_off: f64,
-}
-
-impl ObsSnapshot {
-    /// Builds the overhead snapshot from the two quiet-ping
-    /// [`crate::metrics::ServingSnapshot`]s.
-    pub fn of_runs(
-        on: &crate::metrics::ServingSnapshot,
-        off: &crate::metrics::ServingSnapshot,
-    ) -> ObsSnapshot {
-        let overhead_pct = if off.p50_us > 0.0 {
-            (on.p50_us - off.p50_us) / off.p50_us * 100.0
-        } else {
-            0.0
-        };
-        ObsSnapshot {
-            version: OBS_SNAPSHOT_VERSION,
-            p50_on_us: on.p50_us,
-            p50_off_us: off.p50_us,
-            overhead_pct,
-            throughput_on: on.throughput,
-            throughput_off: off.throughput,
-        }
-    }
-
-    /// The committed-artifact form (flat JSON, stable key order,
-    /// trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"version\": {},\n  \"p50_on_us\": {:.1},\n  \"p50_off_us\": {:.1},\n  \
-             \"overhead_pct\": {:.2},\n  \"throughput_on_rps\": {:.2},\n  \
-             \"throughput_off_rps\": {:.2}\n}}\n",
-            self.version,
-            self.p50_on_us,
-            self.p50_off_us,
-            self.overhead_pct,
-            self.throughput_on,
-            self.throughput_off
-        )
-    }
-
-    /// Parses [`ObsSnapshot::to_json`] output. `None` on a missing key
-    /// or a version this build does not speak.
-    pub fn parse_json(s: &str) -> Option<ObsSnapshot> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\"");
-            let at = s.find(&pat)? + pat.len();
-            let rest = s[at..].trim_start().strip_prefix(':')?.trim_start();
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let version = num("version")? as u32;
-        if version != OBS_SNAPSHOT_VERSION {
-            return None;
-        }
-        Some(ObsSnapshot {
-            version,
-            p50_on_us: num("p50_on_us")?,
-            p50_off_us: num("p50_off_us")?,
-            overhead_pct: num("overhead_pct")?,
-            throughput_on: num("throughput_on_rps")?,
-            throughput_off: num("throughput_off_rps")?,
-        })
-    }
-
-    /// Gate verdicts, empty when the overhead is acceptable.
-    ///
-    /// Fails when the relative p50 overhead exceeds `max_pct` **and**
-    /// the absolute p50 delta exceeds `floor_us` — the same
-    /// absolute-floor idiom as
-    /// [`crate::metrics::ServingSnapshot::regressions`], because 10%
-    /// of a ~50µs quiet ping is within shared-runner jitter; the
-    /// regressions this guards against (a lock or an allocation added
-    /// to the per-request path) cost tens of microseconds.
-    pub fn gate(&self, max_pct: f64, floor_us: f64) -> Vec<String> {
-        let delta_us = self.p50_on_us - self.p50_off_us;
-        if self.overhead_pct > max_pct && delta_us > floor_us {
-            vec![format!(
-                "instrumentation overhead {:.1}% (p50 {:.1}us on vs {:.1}us off, +{delta_us:.1}us) \
-                 exceeds {max_pct:.0}% with the {floor_us:.0}us absolute floor",
-                self.overhead_pct, self.p50_on_us, self.p50_off_us
-            )]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ServingSnapshot;
 
     #[test]
     fn registry_round_trips_counters_gauges_histograms() {
@@ -706,48 +591,5 @@ mod tests {
         assert_eq!(printed as u32, LOG_BURST, "flood capped at the burst");
         // A different target has its own window.
         assert!(log.error("worker", "independent"));
-    }
-
-    #[test]
-    fn obs_snapshot_roundtrips_and_gates() {
-        let on = ServingSnapshot {
-            version: 1,
-            throughput: 9000.0,
-            p50_us: 110.0,
-            p95_us: 200.0,
-            p99_us: 300.0,
-            completed: 1000,
-            errors: 0,
-        };
-        let mut off = on.clone();
-        off.p50_us = 50.0;
-        off.throughput = 10000.0;
-        let snap = ObsSnapshot::of_runs(&on, &off);
-        assert!((snap.overhead_pct - 120.0).abs() < 1e-9);
-        let parsed = ObsSnapshot::parse_json(&snap.to_json()).expect("parses");
-        assert!((parsed.overhead_pct - snap.overhead_pct).abs() < 0.01);
-        assert!((parsed.p50_on_us - 110.0).abs() < 1e-9);
-        // 120% overhead and a 60us delta: over both bars -> fails.
-        assert_eq!(snap.gate(10.0, 25.0).len(), 1);
-        // The absolute floor forgives big relative jitter on a tiny
-        // base...
-        assert!(snap.gate(10.0, 100.0).is_empty());
-        // ...and a run inside the relative bar passes regardless.
-        let quiet = ObsSnapshot::of_runs(&off, &off);
-        assert!(quiet.gate(10.0, 25.0).is_empty());
-    }
-
-    #[test]
-    fn obs_snapshot_rejects_foreign_versions() {
-        let json = ObsSnapshot {
-            version: OBS_SNAPSHOT_VERSION + 1,
-            p50_on_us: 1.0,
-            p50_off_us: 1.0,
-            overhead_pct: 0.0,
-            throughput_on: 1.0,
-            throughput_off: 1.0,
-        }
-        .to_json();
-        assert!(ObsSnapshot::parse_json(&json).is_none());
     }
 }

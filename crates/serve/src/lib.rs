@@ -80,8 +80,8 @@ pub mod wire;
 pub use client::{DgsClient, SubscriptionEvent};
 pub use error::{ErrorCode, ServeError};
 pub use load::{
-    mixed_pattern_pool, run_conn_sweep, run_load, run_subscribe, ConnSweepConfig, LoadConfig,
-    LoadMode, LoadReport, SubscribeConfig, SubscribeReport,
+    mixed_pattern_pool, run_conn_sweep, run_load, run_subscribe, ConnSweepConfig, ConnSweepStep,
+    LoadConfig, LoadMode, LoadReport, SubscribeConfig, SubscribeReport,
 };
 pub use proto::{
     Answer, DeltaSummary, GraphInfo, MatchDiff, Request, Response, SessionInfo, SessionOptions,

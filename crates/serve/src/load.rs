@@ -1,7 +1,9 @@
 //! The traffic-generator library behind `dgsload` (and the CI smoke
 //! job): open- and closed-loop request streams against a running
 //! daemon, with per-client latency recorded into the shared
-//! [`LatencyHistogram`] and merged into one fleet-wide report.
+//! [`LatencyHistogram`] and merged into one fleet-wide report. A run
+//! is a smoke check — were all requests served, and correctly — not a
+//! measurement: the repository's benchmark is `perf/`.
 //!
 //! * **Closed loop** — each of `clients` threads keeps exactly one
 //!   request outstanding: send, await, repeat. Throughput is whatever
@@ -18,7 +20,7 @@ use crate::error::ServeError;
 use crate::proto::{Request, Response, WireAlgorithm};
 use crate::transport::ServeAddr;
 use dgs_graph::{generate::patterns, Pattern};
-use dgs_net::{ConnSweepSnapshot, ConnSweepStep, LatencyHistogram, CONN_SWEEP_SNAPSHOT_VERSION};
+use dgs_net::LatencyHistogram;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -360,7 +362,7 @@ fn fold(result: Result<Response, ServeError>, sent: Instant, out: &mut ClientOut
 // ---- the connection-count sweep ---------------------------------------
 
 /// Configuration of [`run_conn_sweep`]: the open-loop
-/// connections-vs-latency experiment behind `BENCH_connsweep.json`.
+/// connections-vs-latency experiment.
 #[derive(Clone, Debug)]
 pub struct ConnSweepConfig {
     /// The daemon to sweep (its `--max-conns` must admit the largest
@@ -394,20 +396,30 @@ impl Default for ConnSweepConfig {
     }
 }
 
+/// One step of a connection-count sweep: the server held
+/// `connections` concurrent connections while a bounded subset drove
+/// open-loop traffic.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ConnSweepStep {
+    /// Concurrent connections held open during this step.
+    pub connections: u64,
+    /// Completed requests per second over the step.
+    pub throughput: f64,
+    /// 99th-percentile request latency, microseconds.
+    pub p99_us: f64,
+    /// Requests that completed successfully.
+    pub completed: u64,
+    /// Requests (or connects) that failed.
+    pub errors: u64,
+}
+
 /// Runs the sweep: per step, hold `n` connections open, drive the
 /// same open-loop `PING` schedule through a bounded subset of them,
-/// and record throughput and p99. `PING` isolates the serving core —
-/// readiness loop, framing, dispatch — from query cost, which
-/// `BENCH_serving.json` already tracks.
-pub fn run_conn_sweep(cfg: &ConnSweepConfig) -> Result<ConnSweepSnapshot, ServeError> {
-    let mut steps = Vec::with_capacity(cfg.steps.len());
-    for &n in &cfg.steps {
-        steps.push(run_sweep_step(cfg, n)?);
-    }
-    Ok(ConnSweepSnapshot {
-        version: CONN_SWEEP_SNAPSHOT_VERSION,
-        steps,
-    })
+/// and record throughput and p99, one [`ConnSweepStep`] per count.
+/// `PING` isolates the serving core — readiness loop, framing,
+/// dispatch — from query cost.
+pub fn run_conn_sweep(cfg: &ConnSweepConfig) -> Result<Vec<ConnSweepStep>, ServeError> {
+    cfg.steps.iter().map(|&n| run_sweep_step(cfg, n)).collect()
 }
 
 fn run_sweep_step(cfg: &ConnSweepConfig, n: usize) -> Result<ConnSweepStep, ServeError> {
@@ -481,7 +493,7 @@ fn run_sweep_step(cfg: &ConnSweepConfig, n: usize) -> Result<ConnSweepStep, Serv
 // ---- live-subscription load (wire v4) ---------------------------------
 
 /// Configuration of [`run_subscribe`]: the time-varying-graph churn
-/// experiment behind `BENCH_subscribe.json`. The generator creates
+/// experiment. The generator creates
 /// its own sessions (`churn-0`, `churn-1`, ...), parks subscribers on
 /// every one, then storms **only** `churn-0` with delta batches — so
 /// subscribers on the other sessions double as a cross-session

@@ -26,10 +26,7 @@
 //! comparison studies: [`dual::dual_simulation`] (child + parent
 //! conditions) and [`strong::strong_simulation`] (dual simulation in
 //! `d_Q`-balls, which *has* data locality and misses matches that
-//! graph simulation finds — e.g. `yb2` in Fig. 1). And
-//! [`incremental::IncrementalSim`] maintains the relation across edge
-//! deletions in `O(|AFF|)` per update — the centralized analogue of
-//! the paper's incremental `lEval` (§4.2, following \[13\]).
+//! graph simulation finds — e.g. `yb2` in Fig. 1).
 
 //!
 //! Beyond the paper's immediate needs, the crate carries the natural
@@ -47,7 +44,6 @@ pub mod bounded;
 pub mod compress;
 pub mod dual;
 pub mod hhk;
-pub mod incremental;
 pub mod iso;
 pub mod match_relation;
 pub mod matchset;
@@ -62,7 +58,6 @@ pub use bounded::{bounded_simulation, BoundedPattern, BoundedPatternBuilder, Edg
 pub use compress::{compress_bisim, compress_simeq, CompressedGraph};
 pub use dual::dual_simulation;
 pub use hhk::hhk_simulation;
-pub use incremental::IncrementalSim;
 pub use iso::{embedding_relation, enumerate_embeddings, find_embedding};
 pub use match_relation::{MatchRelation, SimResult};
 pub use matchset::{MatchSet, SetBits};

@@ -7,12 +7,10 @@
 //! `HashMap<(usize, u32), u32>`, so every test, kill and decrement pays
 //! a hash probe.  The algorithm is the same HHK'95 worklist as
 //! [`crate::hhk::hhk_simulation`] — only the data layout differs —
-//! which makes this kernel double duty:
-//!
-//! * the **oracle** for proptest equivalence of the bitset kernels, and
-//! * the **sequential HashSet baseline** that `dgs-bench --area
-//!   executors` times the bitset path against (the ≥2× gate in
-//!   `benchmarks/BENCH_executors.json`).
+//! which makes this kernel the **oracle** for proptest equivalence of
+//! the bitset kernels (`tests/property.rs`). It is not a benchmark
+//! baseline: what the bitset path costs is `sim.hhk_ms_per_query` in
+//! `perf/README.md`.
 
 use crate::match_relation::{MatchRelation, SimResult};
 use dgs_graph::{Graph, NodeId, Pattern, QNodeId};

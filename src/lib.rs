@@ -54,24 +54,6 @@
 //! assert_eq!(batch.succeeded(), 2);
 //! ```
 //!
-//! ### Legacy one-shot API
-//!
-//! The pre-session entry point still works as a deprecated shim (it
-//! rebuilds the engine per call and panics where the engine returns
-//! typed [`DgsError`]s):
-//!
-//! ```
-//! # #![allow(deprecated)]
-//! # use dgs::prelude::*;
-//! # use std::sync::Arc;
-//! # let w = dgs::graph::generate::social::fig1();
-//! # let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-//! let report = DistributedSim::default().run(
-//!     &Algorithm::dgpm(), &w.graph, &frag, &w.pattern,
-//! );
-//! assert!(report.is_match);
-//! ```
-//!
 //! ## Crate map
 //!
 //! | facade module | crate | contents |
@@ -92,8 +74,6 @@ pub use dgs_sim as sim;
 
 /// The names most programs need.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use dgs_core::DistributedSim;
     pub use dgs_core::{
         Algorithm, BatchReport, BooleanReport, CacheStats, CompressedNote, CompressionMethod,
         DeltaReport, DgsError, GraphDelta, GraphFacts, IncrementalNote, PatternFacts,

@@ -2,10 +2,6 @@
 //! and Corollary 4): the data-shipment guarantees are inequalities we
 //! can verify exactly, message by message.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::graph::generate::{dag, patterns, random, tree};
 use dgs::prelude::*;
 use std::sync::Arc;
@@ -26,8 +22,10 @@ fn dgpm_shipment_bounded_by_ef_times_vq() {
         let k = 5;
         let assign = hash_partition(g.node_count(), k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let report =
-            DistributedSim::default().run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q);
+        let report = SimEngine::builder(&g, Arc::clone(&frag))
+            .build()
+            .query_with(&Algorithm::dgpm_incremental_only(), &q)
+            .unwrap();
         let bound = (frag.ef() * q.node_count()) as u64;
         assert!(
             shipped_vars(&report.metrics) <= bound,
@@ -48,7 +46,10 @@ fn dgpmd_message_and_shipment_bounds() {
         let k = 5;
         let assign = hash_partition(g.node_count(), k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let report = DistributedSim::default().run(&Algorithm::Dgpmd, &g, &frag, &q);
+        let report = SimEngine::builder(&g, frag)
+            .build()
+            .query_with(&Algorithm::Dgpmd, &q)
+            .unwrap();
         let max_batches = ((d + 1) * k * (k - 1)) as u64;
         assert!(
             report.metrics.data_messages <= max_batches,
@@ -69,7 +70,10 @@ fn dgpmt_shipment_independent_of_graph_size() {
         let g = tree::random_tree_with_chain_bias(n, 4, 0.4, 5);
         let assign = tree_partition(&g, k);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let report = DistributedSim::default().run(&Algorithm::Dgpmt, &g, &frag, &q);
+        let report = SimEngine::builder(&g, frag)
+            .build()
+            .query_with(&Algorithm::Dgpmt, &q)
+            .unwrap();
         report.metrics.data_bytes
     };
     let small = ds_of(500);
@@ -94,8 +98,10 @@ fn dgpm_rounds_do_not_grow_with_graph_size() {
         let g = random::community(n, 4 * n, 4, 0.05, 6, 11);
         let assign = random::community_assignment(n, 4);
         let frag = Arc::new(Fragmentation::build(&g, &assign, 4));
-        let report =
-            DistributedSim::default().run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q);
+        let report = SimEngine::builder(&g, frag)
+            .build()
+            .query_with(&Algorithm::dgpm_incremental_only(), &q)
+            .unwrap();
         report.metrics.quiescence_rounds
     };
     // Quiescence rounds (fixpoint + gather) are workload-shape, not
@@ -113,9 +119,11 @@ fn dmes_ships_more_than_dgpm() {
         let q = patterns::random_cyclic(4, 8, 4, seed + 61);
         let assign = hash_partition(g.node_count(), 6, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, 6));
-        let runner = DistributedSim::default();
-        let dgpm = runner.run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q);
-        let dmes = runner.run(&Algorithm::DMes, &g, &frag, &q);
+        let engine = SimEngine::builder(&g, frag).build();
+        let dgpm = engine
+            .query_with(&Algorithm::dgpm_incremental_only(), &q)
+            .unwrap();
+        let dmes = engine.query_with(&Algorithm::DMes, &q).unwrap();
         assert_eq!(dgpm.relation, dmes.relation);
         gaps.push(dmes.metrics.data_bytes as f64 / dgpm.metrics.data_bytes.max(1) as f64);
     }
@@ -137,9 +145,11 @@ fn match_ships_the_graph_dgpm_does_not() {
     let q = patterns::random_cyclic(5, 10, 5, 78);
     let assign = random::community_assignment(g.node_count(), k);
     let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-    let runner = DistributedSim::default();
-    let m = runner.run(&Algorithm::MatchCentral, &g, &frag, &q);
-    let d = runner.run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q);
+    let engine = SimEngine::builder(&g, Arc::clone(&frag)).build();
+    let m = engine.query_with(&Algorithm::MatchCentral, &q).unwrap();
+    let d = engine
+        .query_with(&Algorithm::dgpm_incremental_only(), &q)
+        .unwrap();
     assert_eq!(m.relation, d.relation);
     // Match's DS ≈ serialized |G| (6 bytes/node + 8 bytes/edge).
     assert!(m.metrics.data_bytes as usize >= 6 * g.node_count() + 8 * g.edge_count());

@@ -2,10 +2,6 @@
 //! graphs answer every pattern exactly, compose with the distributed
 //! engines, and respect the simulation preorder's structure.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::graph::generate::{dag, patterns, random, tree};
 use dgs::prelude::*;
 use dgs::sim::{compress_bisim, compress_simeq, SimPreorder};
@@ -75,10 +71,10 @@ fn distributed_query_on_compressed_graph() {
         let k = 4;
         let assign = hash_partition(c.graph.node_count(), k, seed);
         let frag = Arc::new(Fragmentation::build(&c.graph, &assign, k));
-        let runner = DistributedSim::default();
+        let engine = SimEngine::builder(&c.graph, frag).build();
         let oracle = hhk_simulation(&q, &g).relation;
         for algo in [Algorithm::dgpm(), Algorithm::Dgpms] {
-            let report = runner.run(&algo, &c.graph, &frag, &q);
+            let report = engine.query_with(&algo, &q).unwrap();
             let expanded = c.expand(&report.relation);
             assert_eq!(expanded, oracle, "seed {seed}, {}", report.algorithm);
         }
@@ -100,15 +96,20 @@ fn compression_reduces_distributed_shipment_on_trees() {
         c.graph.size()
     );
     let k = 6;
-    let runner = DistributedSim::default();
 
     let assign_g = hash_partition(g.node_count(), k, 5);
     let frag_g = Arc::new(Fragmentation::build(&g, &assign_g, k));
-    let on_g = runner.run(&Algorithm::dgpm(), &g, &frag_g, &q);
+    let on_g = SimEngine::builder(&g, frag_g)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
 
     let assign_c = hash_partition(c.graph.node_count(), k, 5);
     let frag_c = Arc::new(Fragmentation::build(&c.graph, &assign_c, k));
-    let on_c = runner.run(&Algorithm::dgpm(), &c.graph, &frag_c, &q);
+    let on_c = SimEngine::builder(&c.graph, frag_c)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
 
     assert_eq!(c.expand(&on_c.relation), on_g.relation);
     assert!(
@@ -136,7 +137,10 @@ fn compression_preserves_dagness() {
         let k = 3;
         let assign = hash_partition(c.graph.node_count(), k, seed);
         let frag = Arc::new(Fragmentation::build(&c.graph, &assign, k));
-        let report = DistributedSim::default().run(&Algorithm::Dgpmd, &c.graph, &frag, &q);
+        let report = SimEngine::builder(&c.graph, frag)
+            .build()
+            .query_with(&Algorithm::Dgpmd, &q)
+            .unwrap();
         assert_eq!(
             c.expand(&report.relation),
             hhk_simulation(&q, &g).relation,

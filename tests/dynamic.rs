@@ -4,7 +4,7 @@
 //! delete-only stream must be answered with zero full re-evaluations
 //! (the plan records the incremental leg).
 
-use dgs::graph::generate::{dag, patterns, random, tree};
+use dgs::graph::generate::{adversarial, dag, patterns, random, tree};
 use dgs::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -370,8 +370,17 @@ proptest! {
                     row.insert(i, var.node);
                 }
             }
-            let want = relation_rows(&hhk_simulation(&q, &current).relation);
-            prop_assert_eq!(&rows, &want, "replayed diffs diverge at batch {}", batch);
+            let want = hhk_simulation(&q, &current).relation;
+            prop_assert_eq!(
+                &rows,
+                &relation_rows(&want),
+                "replayed diffs diverge at batch {}",
+                batch
+            );
+            // ... and the maintained entry itself serves that relation.
+            let served = engine.query(&q).unwrap();
+            prop_assert_eq!(served.metrics.cache_hits, 1);
+            prop_assert_eq!(&served.relation, &want);
         }
     }
 
@@ -551,4 +560,69 @@ fn isomorphic_resubmission_hits_maintained_entry() {
         warm.relation,
         hhk_simulation(&q_iso, &engine.graph()).relation
     );
+}
+
+/// Hand-built cascades on a single site, where maintenance is plain
+/// centralized HHK counter repair: every step's report counts the
+/// pairs that moved, and the maintained answer equals
+/// `hhk_simulation` of the mutated graph.
+#[test]
+fn hand_built_cascades_on_one_site() {
+    // The adversarial ring: deleting its closing edge falsifies every
+    // pair (AFF is the whole graph); re-inserting it must resurrect
+    // all of them, although the revived pairs support each other only
+    // in a cycle — a fixpoint reachable from above, not by an upward
+    // cascade.
+    let n = 20;
+    let closing = (adversarial::b_node(n), adversarial::a_node(1));
+    let ring = (
+        adversarial::q0(),
+        adversarial::cycle_graph(n),
+        vec![
+            (GraphDelta::deletions([closing]), 2 * n as u64, 0),
+            (GraphDelta::insertions([closing]), 0, 2 * n as u64),
+        ],
+    );
+
+    // Deleting a self-loop (s, s) falsifies a pair of s itself
+    // mid-update; the support decrement for the other query edges
+    // must still happen, or s survives with phantom support. All one
+    // label, so every query edge targets the same node row.
+    let mut pb = PatternBuilder::new();
+    let [a, b, c] = [0; 3].map(|l| pb.add_node(Label(l)));
+    for (u, v) in [(a, b), (b, a), (b, c), (c, a), (c, b)] {
+        pb.add_edge(u, v);
+    }
+    let mut gb = GraphBuilder::new();
+    let s = gb.add_node(Label(0));
+    let t = gb.add_node(Label(0));
+    gb.add_edge(s, s);
+    gb.add_edge(t, s);
+    let self_loop = (
+        pb.build(),
+        gb.build(),
+        vec![(GraphDelta::deletions([(s, s)]), 6, 0)],
+    );
+
+    for (q, g, steps) in [ring, self_loop] {
+        let frag = Arc::new(Fragmentation::build(&g, &vec![0; g.node_count()], 1));
+        let engine = SimEngine::builder(&g, frag).build();
+        let cold = engine.query(&q).unwrap();
+        assert_eq!(cold.relation, hhk_simulation(&q, &g).relation);
+        assert!(cold.is_match);
+
+        let mut current = g;
+        for (delta, revoked, resurrected) in steps {
+            let report = engine.apply_delta(&delta).unwrap();
+            assert_eq!(report.maintained_entries, 1);
+            assert_eq!(report.invalidated_entries, 0);
+            assert_eq!(report.revoked_pairs, revoked);
+            assert_eq!(report.resurrected_pairs, resurrected);
+            current = mutated(&current, &delta);
+            let warm = engine.query(&q).unwrap();
+            assert_eq!(warm.metrics.cache_hits, 1);
+            assert_eq!(warm.relation, hhk_simulation(&q, &current).relation);
+            assert_eq!(warm.relation.is_empty(), resurrected == 0);
+        }
+    }
 }

@@ -4,11 +4,7 @@
 //! produce identical answers — and the virtual executor must be
 //! bit-reproducible.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
-use dgs::graph::generate::{patterns, random};
+use dgs::graph::generate::{patterns, random, tree};
 use dgs::prelude::*;
 use std::sync::Arc;
 
@@ -32,8 +28,15 @@ fn threaded_and_virtual_agree_on_answers() {
             Algorithm::DisHhk,
             Algorithm::MatchCentral,
         ] {
-            let virt = DistributedSim::default().run(&algo, &g, &frag, &q);
-            let thr = DistributedSim::threaded().run(&algo, &g, &frag, &q);
+            let virt = SimEngine::builder(&g, Arc::clone(&frag))
+                .build()
+                .query_with(&algo, &q)
+                .unwrap();
+            let thr = SimEngine::builder(&g, Arc::clone(&frag))
+                .executor(ExecutorKind::Threaded)
+                .build()
+                .query_with(&algo, &q)
+                .unwrap();
             assert_eq!(
                 virt.relation, thr.relation,
                 "seed {seed}, {}",
@@ -46,26 +49,56 @@ fn threaded_and_virtual_agree_on_answers() {
 #[test]
 fn virtual_executor_is_deterministic_end_to_end() {
     let (g, q, frag) = workload(3);
-    let run = || {
-        let r = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
-        (
-            r.relation.clone(),
-            r.metrics.virtual_time_ns,
-            r.metrics.data_bytes,
-            r.metrics.data_messages,
-            r.metrics.total_ops,
-        )
-    };
-    assert_eq!(run(), run());
+    // The tree case: a bushy single-label chain cut into many small
+    // fragments, so that dGPMt's coordinator solves a system of a few
+    // hundred root equations in which falsity travels up to 8 steps.
+    // Its op count (hence PT) once followed the hash order of the
+    // map that held the equations.
+    let t = tree::random_tree_with_chain_bias(200, 1, 0.9, 3);
+    let tq = patterns::path_pattern(8, &[Label(0)]);
+    let tfrag = Arc::new(Fragmentation::build(&t, &tree_partition(&t, 64), 64));
+    for (g, frag, algo, q) in [
+        (&g, &frag, Algorithm::dgpm(), &q),
+        (&t, &tfrag, Algorithm::Dgpmt, &tq),
+    ] {
+        // Every run builds its own engine: nothing may depend on
+        // per-instance state such as a hasher seed.
+        let run = || {
+            let r = SimEngine::builder(g, Arc::clone(frag))
+                .build()
+                .query_with(&algo, q)
+                .unwrap();
+            assert_eq!(r.algorithm, algo.name());
+            (
+                r.relation.clone(),
+                r.metrics.virtual_time_ns,
+                r.metrics.data_bytes,
+                r.metrics.data_messages,
+                r.metrics.total_ops,
+            )
+        };
+        let first = run();
+        for _ in 0..7 {
+            assert_eq!(run(), first, "{}", algo.name());
+        }
+    }
 }
 
 #[test]
 fn threaded_runs_tolerate_repeated_execution() {
     // Message interleavings differ between runs; the answer may not.
     let (g, q, frag) = workload(5);
-    let first = DistributedSim::threaded().run(&Algorithm::dgpm(), &g, &frag, &q);
+    let first = SimEngine::builder(&g, Arc::clone(&frag))
+        .executor(ExecutorKind::Threaded)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
     for _ in 0..3 {
-        let again = DistributedSim::threaded().run(&Algorithm::dgpm(), &g, &frag, &q);
+        let again = SimEngine::builder(&g, Arc::clone(&frag))
+            .executor(ExecutorKind::Threaded)
+            .build()
+            .query_with(&Algorithm::dgpm(), &q)
+            .unwrap();
         assert_eq!(first.relation, again.relation);
     }
 }
@@ -73,8 +106,15 @@ fn threaded_runs_tolerate_repeated_execution() {
 #[test]
 fn wall_clock_is_recorded_by_both_executors() {
     let (g, q, frag) = workload(1);
-    let virt = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
-    let thr = DistributedSim::threaded().run(&Algorithm::dgpm(), &g, &frag, &q);
+    let virt = SimEngine::builder(&g, Arc::clone(&frag))
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
+    let thr = SimEngine::builder(&g, frag)
+        .executor(ExecutorKind::Threaded)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
     assert!(virt.metrics.wall_time.as_nanos() > 0);
     assert!(thr.metrics.wall_time.as_nanos() > 0);
     assert!(virt.metrics.virtual_time_ns > 0);

@@ -3,10 +3,6 @@
 //! jitter (confluence under adversarial schedules), and the dual /
 //! strong simulation comparisons (§2.1).
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::graph::generate::{patterns, random, social};
 use dgs::graph::transform::{EdgeLabeledBuilder, EdgeLabeledPatternBuilder};
 use dgs::prelude::*;
@@ -42,7 +38,10 @@ fn edge_labels_distinguish_matches() {
     // Distributed: split the two components across sites.
     let assign: Vec<usize> = g.nodes().map(|v| (v.0 % 2) as usize).collect();
     let frag = Arc::new(Fragmentation::build(&g, &assign, 2));
-    let report = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
+    let report = SimEngine::builder(&g, frag)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
     assert_eq!(report.relation, r);
 }
 
@@ -55,9 +54,10 @@ fn boolean_mode_matches_data_selecting() {
         let q = patterns::random_cyclic(4, 8, 5, seed + 23);
         let assign = hash_partition(g.node_count(), 4, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, 4));
-        let runner = DistributedSim::default();
-        let full = runner.run(&Algorithm::dgpm(), &g, &frag, &q);
-        let (matched, metrics) = runner.run_boolean(&Algorithm::dgpm(), &g, &frag, &q);
+        let engine = SimEngine::builder(&g, frag).build();
+        let full = engine.query_with(&Algorithm::dgpm(), &q).unwrap();
+        let boolean = engine.query_boolean_with(&Algorithm::dgpm(), &q).unwrap();
+        let (matched, metrics) = (boolean.is_match, boolean.metrics);
         assert_eq!(matched, full.is_match, "seed {seed}");
         // Presence bits: 9 bytes per site of result traffic.
         assert_eq!(metrics.result_messages, 4);
@@ -73,10 +73,10 @@ fn boolean_mode_matches_data_selecting() {
 fn boolean_mode_fallback_for_other_algorithms() {
     let w = social::fig1();
     let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-    let runner = DistributedSim::default();
+    let engine = SimEngine::builder(&w.graph, frag).build();
     for algo in [Algorithm::DisHhk, Algorithm::DMes, Algorithm::MatchCentral] {
-        let (matched, _) = runner.run_boolean(&algo, &w.graph, &frag, &w.pattern);
-        assert!(matched, "{}", algo.name());
+        let boolean = engine.query_boolean_with(&algo, &w.pattern).unwrap();
+        assert!(boolean.is_match, "{}", algo.name());
     }
 }
 
@@ -89,12 +89,18 @@ fn jitter_schedules_are_confluent() {
     let assign = hash_partition(g.node_count(), 6, 31);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 6));
 
-    let baseline = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
+    let baseline = SimEngine::builder(&g, Arc::clone(&frag))
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
     let mut saw_different_timing = false;
     for seed in 0..6 {
         let cost = CostModel::default().with_jitter(0.8, seed);
-        let runner = DistributedSim::virtual_time(cost);
-        let jittered = runner.run(&Algorithm::dgpm(), &g, &frag, &q);
+        let jittered = SimEngine::builder(&g, Arc::clone(&frag))
+            .cost(cost)
+            .build()
+            .query_with(&Algorithm::dgpm(), &q)
+            .unwrap();
         assert_eq!(jittered.relation, baseline.relation, "jitter seed {seed}");
         if jittered.metrics.virtual_time_ns != baseline.metrics.virtual_time_ns {
             saw_different_timing = true;
@@ -145,13 +151,16 @@ fn push_is_robust_to_schedules() {
         let oracle = hhk_simulation(&q, &g).relation;
         for jitter_seed in 0..3 {
             let cost = CostModel::default().with_jitter(0.9, jitter_seed);
-            let runner = DistributedSim::virtual_time(cost);
             let algo = Algorithm::Dgpm(DgpmConfig {
                 incremental: true,
                 push_threshold: Some(0.0), // force pushes everywhere
                 push_size_cap: 4096,
             });
-            let report = runner.run(&algo, &g, &frag, &q);
+            let report = SimEngine::builder(&g, Arc::clone(&frag))
+                .cost(cost)
+                .build()
+                .query_with(&algo, &q)
+                .unwrap();
             assert_eq!(report.relation, oracle, "seed {seed} jitter {jitter_seed}");
         }
     }

@@ -4,10 +4,6 @@
 //! confluence of monotone fixpoints that §4.1's "never changes back"
 //! argument rests on.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::core::dgpm::{self, DgpmConfig};
 use dgs::core::dgpms;
 use dgs::graph::generate::{patterns, random};
@@ -90,9 +86,9 @@ fn answers_invariant_under_stragglers() {
         let oracle = hhk_simulation(&q, &g).relation;
         for slow_site in [0, k - 1] {
             let cost = CostModel::default().with_straggler(slow_site, 16.0);
-            let runner = DistributedSim::virtual_time(cost);
+            let engine = SimEngine::builder(&g, Arc::clone(&frag)).cost(cost).build();
             for algo in [Algorithm::dgpm(), Algorithm::dgpm_nopt(), Algorithm::Dgpms] {
-                let report = runner.run(&algo, &g, &frag, &q);
+                let report = engine.query_with(&algo, &q).unwrap();
                 assert_eq!(
                     report.relation, oracle,
                     "seed {seed}, straggler {slow_site}, {}",
@@ -110,7 +106,11 @@ fn straggler_raises_response_time_not_shipment() {
     // critical path can reroute around the slow site).
     let (g, q, frag, _) = workload(11);
     let runner = |cost: CostModel| {
-        DistributedSim::virtual_time(cost).run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q)
+        SimEngine::builder(&g, Arc::clone(&frag))
+            .cost(cost)
+            .build()
+            .query_with(&Algorithm::dgpm_incremental_only(), &q)
+            .unwrap()
     };
     let healthy = runner(CostModel::compute_only());
     let degraded = runner(CostModel::compute_only().with_straggler(0, 12.0));

@@ -1,9 +1,5 @@
 //! End-to-end golden tests against the paper's own worked examples.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::graph::generate::{adversarial, social};
 use dgs::prelude::*;
 use std::sync::Arc;
@@ -13,7 +9,10 @@ use std::sync::Arc;
 fn example2_maximum_match() {
     let w = social::fig1();
     let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-    let report = DistributedSim::default().run(&Algorithm::dgpm(), &w.graph, &frag, &w.pattern);
+    let report = SimEngine::builder(&w.graph, frag)
+        .build()
+        .query_with(&Algorithm::dgpm(), &w.pattern)
+        .unwrap();
     assert!(report.is_match);
     let mut got: Vec<_> = report.answer().iter().collect();
     let mut expected = w.expected_matches();
@@ -33,7 +32,10 @@ fn example3_ring_answers() {
     let g = adversarial::cycle_graph(n);
     let assign = adversarial::per_pair_assignment(n);
     let frag = Arc::new(Fragmentation::build(&g, &assign, n));
-    let report = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
+    let report = SimEngine::builder(&g, frag)
+        .build()
+        .query_with(&Algorithm::dgpm(), &q)
+        .unwrap();
     // Boolean: true. Data-selecting: {(A, Ai), (B, Bi) | i in 1..n}.
     assert!(report.is_match);
     assert_eq!(report.answer().len(), 2 * n);
@@ -50,12 +52,10 @@ fn example3_ring_answers() {
 fn example7_no_false_updates() {
     let w = social::fig1();
     let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-    let report = DistributedSim::default().run(
-        &Algorithm::dgpm_incremental_only(),
-        &w.graph,
-        &frag,
-        &w.pattern,
-    );
+    let report = SimEngine::builder(&w.graph, frag)
+        .build()
+        .query_with(&Algorithm::dgpm_incremental_only(), &w.pattern)
+        .unwrap();
     assert_eq!(report.metrics.data_messages, 0);
     assert!(report.is_match);
 }
@@ -77,8 +77,10 @@ fn example8_falsification_cascade() {
     }
     let g = gb.build();
     let frag = Arc::new(Fragmentation::build(&g, &w.assignment, 3));
-    let report =
-        DistributedSim::default().run(&Algorithm::dgpm_incremental_only(), &g, &frag, &w.pattern);
+    let report = SimEngine::builder(&g, frag)
+        .build()
+        .query_with(&Algorithm::dgpm_incremental_only(), &w.pattern)
+        .unwrap();
     let oracle = hhk_simulation(&w.pattern, &g);
     assert_eq!(report.relation, oracle.relation);
     assert!(report.metrics.data_messages > 0, "falsifications must ship");
@@ -102,9 +104,11 @@ fn example10_rank_batching_reduces_messages() {
     let q = patterns::random_dag_with_depth(8, 12, 6, 6, 4);
     let assign = hash_partition(g.node_count(), 6, 3);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 6));
-    let runner = DistributedSim::default();
-    let rd = runner.run(&Algorithm::Dgpmd, &g, &frag, &q);
-    let rg = runner.run(&Algorithm::dgpm_incremental_only(), &g, &frag, &q);
+    let engine = SimEngine::builder(&g, frag).build();
+    let rd = engine.query_with(&Algorithm::Dgpmd, &q).unwrap();
+    let rg = engine
+        .query_with(&Algorithm::dgpm_incremental_only(), &q)
+        .unwrap();
     assert_eq!(rd.relation, rg.relation);
     assert!(
         rd.metrics.data_messages <= rg.metrics.data_messages,
@@ -121,7 +125,10 @@ fn example10_rank_batching_reduces_messages() {
 fn boolean_and_data_selecting_consistency() {
     let w = social::fig1();
     let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-    let report = DistributedSim::default().run(&Algorithm::dgpm(), &w.graph, &frag, &w.pattern);
+    let report = SimEngine::builder(&w.graph, frag)
+        .build()
+        .query_with(&Algorithm::dgpm(), &w.pattern)
+        .unwrap();
     assert_eq!(report.is_match, boolean_matches(&w.pattern, &w.graph));
     assert_eq!(report.is_match, !report.answer().is_empty());
 }

@@ -1,10 +1,6 @@
 //! Property-based tests (proptest) over random graphs, patterns and
 //! fragmentations.
 
-// These tests deliberately exercise the deprecated one-shot shim
-// alongside the session API.
-#![allow(deprecated)]
-
 use dgs::graph::generate::{patterns, random};
 use dgs::prelude::*;
 use proptest::prelude::*;
@@ -39,9 +35,9 @@ proptest! {
     fn dgpm_equals_oracle((g, q, assign, k) in workload_strategy()) {
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
         let oracle = hhk_simulation(&q, &g);
-        let runner = DistributedSim::default();
+        let engine = SimEngine::builder(&g, frag).build();
         for algo in [Algorithm::dgpm(), Algorithm::dgpm_nopt(), Algorithm::DMes] {
-            let report = runner.run(&algo, &g, &frag, &q);
+            let report = engine.query_with(&algo, &q).unwrap();
             prop_assert_eq!(&report.relation, &oracle.relation);
         }
     }
@@ -103,7 +99,10 @@ proptest! {
     #[test]
     fn boolean_answer_consistency((g, q, assign, k) in workload_strategy()) {
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let report = DistributedSim::default().run(&Algorithm::dgpm(), &g, &frag, &q);
+        let report = SimEngine::builder(&g, frag)
+            .build()
+            .query_with(&Algorithm::dgpm(), &q)
+            .unwrap();
         prop_assert_eq!(report.is_match, report.relation.is_total());
         if !report.is_match {
             prop_assert!(report.answer().is_empty());
@@ -159,7 +158,10 @@ proptest! {
     fn dgpms_equals_oracle((g, q, assign, k) in workload_strategy()) {
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
         let oracle = hhk_simulation(&q, &g);
-        let report = DistributedSim::default().run(&Algorithm::Dgpms, &g, &frag, &q);
+        let report = SimEngine::builder(&g, frag)
+            .build()
+            .query_with(&Algorithm::Dgpms, &q)
+            .unwrap();
         prop_assert_eq!(&report.relation, &oracle.relation);
     }
 

@@ -1397,9 +1397,9 @@ fn client_rejects_a_response_with_an_unknown_request_id() {
 }
 
 /// The in-process connection-count sweep completes every step with
-/// zero errors and its snapshot artifact roundtrips through JSON.
+/// zero errors.
 #[test]
-fn conn_sweep_completes_each_step_and_roundtrips_its_snapshot() {
+fn conn_sweep_completes_each_step_with_zero_errors() {
     let g = random::uniform(60, 200, 3, 19);
     let handle = spawn_server(&g, 2, 19, ServerConfig::default());
     let cfg = ConnSweepConfig {
@@ -1409,21 +1409,14 @@ fn conn_sweep_completes_each_step_and_roundtrips_its_snapshot() {
         requests_per_step: 400,
         active_senders: 8,
     };
-    let snapshot = run_conn_sweep(&cfg).expect("sweep");
-    assert_eq!(snapshot.steps.len(), 2);
-    for (step, want_conns) in snapshot.steps.iter().zip([1u64, 12]) {
+    let steps = run_conn_sweep(&cfg).expect("sweep");
+    assert_eq!(steps.len(), 2);
+    for (step, want_conns) in steps.iter().zip([1u64, 12]) {
         assert_eq!(step.connections, want_conns);
         assert_eq!(step.completed, 400, "step {want_conns} lost requests");
         assert_eq!(step.errors, 0, "step {want_conns} errored");
         assert!(step.throughput > 0.0 && step.p99_us > 0.0);
     }
-    let parsed = dgs::net::ConnSweepSnapshot::parse_json(&snapshot.to_json())
-        .expect("snapshot JSON roundtrip");
-    assert_eq!(parsed.steps.len(), snapshot.steps.len());
-    assert!(
-        snapshot.regressions(&parsed, 0.25, 2000.0).is_empty(),
-        "a snapshot can never regress against itself"
-    );
     handle.shutdown().expect("shutdown");
 }
 
@@ -1804,20 +1797,6 @@ fn the_subscribe_load_run_is_clean_and_self_verifying() {
     // the writer's send log.
     assert!(report.diffs <= 24, "{report:?}");
     assert_eq!(report.histogram.count(), report.diffs);
-
-    // The artifact the CI gate commits and compares.
-    let snap = dgs::net::SubscribeSnapshot::of_run(
-        &report.histogram,
-        report.diffs,
-        report.batches,
-        report.errors,
-    );
-    let parsed = dgs::net::SubscribeSnapshot::parse_json(&snap.to_json()).expect("parses");
-    assert_eq!(parsed.diffs, snap.diffs);
-    assert_eq!(parsed.batches, snap.batches);
-    assert_eq!(parsed.errors, 0);
-    assert!((parsed.diff_p99_us - snap.diff_p99_us).abs() < 0.1);
-    assert!(snap.regressions(&parsed, 0.25, 500.0).is_empty());
 
     // The generator dropped its own sessions on the way out.
     let mut admin = DgsClient::connect(handle.addr()).expect("connect");

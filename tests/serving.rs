@@ -90,6 +90,21 @@ fn repeated_query_ships_zero_messages() {
         0
     );
     assert_eq!(warm.relation, cold.relation);
+
+    // The same for a whole stream: once every pattern has been asked,
+    // re-submitting the stream as one batch is served entirely from
+    // the cache and ships nothing.
+    let stream: Vec<Pattern> = (0..30).map(|i| mixed_pattern(i, 4)).collect();
+    let first = engine.query_batch(&stream);
+    let again = engine.query_batch(&stream);
+    assert_eq!(again.total.cache_hits, stream.len() as u64);
+    assert_eq!(
+        again.total.data_messages + again.total.control_messages + again.total.result_messages,
+        0
+    );
+    for (a, b) in first.reports.iter().zip(&again.reports) {
+        assert_eq!(a.as_ref().unwrap().relation, b.as_ref().unwrap().relation);
+    }
 }
 
 /// Rebuilds `q` with node `u` inserted at position `perm[u]`.
@@ -197,6 +212,7 @@ fn compression_backed_plans_agree_across_families() {
                 .as_ref()
                 .unwrap_or_else(|| panic!("{family} query {i}: no compressed leg in the plan"));
             assert!(note.classes <= g.node_count());
+            assert!(note.ratio > 0.0 && note.ratio <= 1.0);
             assert!(
                 on_gc.plan.to_string().contains("Gc"),
                 "{family} query {i}: plan must name the compressed leg"
