@@ -28,12 +28,48 @@ struct Args {
     plots: bool,
 }
 
-fn parse_args() -> Args {
+/// Every id the harness knows.
+const IDS: &[&str] = &[
+    "all",
+    "exp1",
+    "exp2",
+    "exp3",
+    "fig6a",
+    "fig6b",
+    "fig6c",
+    "fig6d",
+    "fig6e",
+    "fig6f",
+    "fig6g",
+    "fig6h",
+    "fig6i",
+    "fig6j",
+    "fig6k",
+    "fig6l",
+    "fig6m",
+    "fig6n",
+    "fig6o",
+    "fig6p",
+    "table1",
+    "imp-rt",
+    "imp-ds",
+    "tree",
+    "abl-push",
+    "abl-incr",
+    "abl-scc",
+    "abl-straggler",
+    "abl-faults",
+    "abl-compress",
+];
+
+/// Parses the command line (without the program name). An id the
+/// harness does not know is an error: it would select no sweep, and
+/// the run would print nothing and report success.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut workloads = Workloads::default();
     let mut out = PathBuf::from("results");
     let mut ids = BTreeSet::new();
     let mut plots = false;
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -63,26 +99,33 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "experiments [--scale F] [--queries N] [--seed S] [--out DIR] [--plots] [IDS...]\n\
-                     ids: all exp1 exp2 exp3 fig6a..fig6p table1 imp-rt imp-ds tree\n\
-                          abl-push abl-incr abl-scc abl-straggler abl-faults abl-compress"
+                     ids: {}",
+                    IDS.join(" ")
                 );
                 std::process::exit(0);
             }
             other if other.starts_with('-') => panic!("unknown flag {other}"),
             id => {
-                ids.insert(id.to_ascii_lowercase());
+                let id = id.to_ascii_lowercase();
+                if !IDS.contains(&id.as_str()) {
+                    return Err(format!(
+                        "unknown experiment id `{id}`; valid ids: {}",
+                        IDS.join(" ")
+                    ));
+                }
+                ids.insert(id);
             }
         }
     }
     if ids.is_empty() {
         ids.insert("all".into());
     }
-    Args {
+    Ok(Args {
         workloads,
         out,
         ids,
         plots,
-    }
+    })
 }
 
 /// Maps a requested id to the sweeps it needs. Pair figures (6a/6b,
@@ -170,7 +213,10 @@ fn run_table1(w: &Workloads) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
     let w = &args.workloads;
     println!(
         "# dgs experiments — scale {} (paper sizes / 100 × scale), {} queries per point, seed {}\n",
@@ -236,5 +282,31 @@ fn main() {
         if let Err(e) = dgs_bench::compress_exp::write_csv(&rows, &args.out) {
             eprintln!("warning: could not write abl-compress.csv: {e}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_ids_are_rejected_with_the_valid_ones_listed() {
+        let err = parse(&["table1", "serving"])
+            .err()
+            .expect("`serving` is no id");
+        assert!(err.contains("`serving`"), "{err}");
+        for id in IDS {
+            assert!(err.contains(id), "{err} does not list {id}");
+        }
+        let ok = parse(&["--scale", "0.01", "Fig6A", "abl-compress"]).unwrap();
+        assert_eq!(
+            ok.ids.into_iter().collect::<Vec<_>>(),
+            ["abl-compress", "fig6a"]
+        );
+        assert!(parse(&[]).unwrap().ids.contains("all"));
     }
 }

@@ -12,16 +12,26 @@
 //!   replays the HHK counter update on its own fragment and ships the
 //!   in-node falsifications to its subscriber sites, exactly like dGPM
 //!   data messages. No full re-evaluation happens.
-//! * **Insertions only grow** the relation, and are repaired by a
-//!   bounded distributed re-refinement. Each site computes its
-//!   slice of the affected area `AFF` — the backward closure of the
-//!   inserted edges' source nodes — with [`UpdateMsg::Affected`]
-//!   carrying the closure across fragment boundaries whenever a marked
-//!   in-node's candidacy may change at a subscriber. Affected pairs
-//!   are optimistically revived to label compatibility, their counters
-//!   rebuilt, and the standard downward refinement re-run with
-//!   non-affected candidacy frozen; resurrections flow back at gather,
-//!   symmetric to the falsification path.
+//! * **Insertions only grow** the relation, and are repaired in
+//!   `O(|AFF|)` too, with the affected area defined over **pairs** as
+//!   in TODS'13. A pair `(uq, v)` is in `AFF` iff it is
+//!   label-compatible, *currently false*, and backward-reachable —
+//!   through pairs that are themselves label-compatible and false,
+//!   following pattern edge `(up, uq)` over graph edge `(p, v)` — from
+//!   a false pair `(uq, u)` at the source of an inserted edge `(u, w)`
+//!   where `uq` has an out-edge to a pattern node labelled like `w` (a
+//!   label-only seed, so marking never waits for a candidacy row).
+//!   Pairs that already match are frozen and never enter: insertions
+//!   cannot falsify them. [`UpdateMsg::Affected`] carries the closure
+//!   across fragment boundaries pair by pair, from an in-node's owner
+//!   to the virtual slots of its subscribers. `AFF` is then flipped to
+//!   true, the counters it touches are bumped (`+1` at each inserted
+//!   edge's source per already-true child pair, `+1` at the
+//!   predecessors of each revived pair), and the standard downward
+//!   refinement runs from the revived pairs that lack support;
+//!   survivors flow back at gather as resurrections, symmetric to the
+//!   falsification path. The work is `AFF` and its in-edges; the rest
+//!   of the fragment is never visited.
 //!
 //! Every batch shape is maintained: deletions run first (on the
 //! pre-insertion adjacency — the engine rejects an edge appearing in
@@ -41,10 +51,11 @@
 //! The run is phased by coordinator quiescence barriers —
 //! `Deleting → Marking → Refining → Gathering` — because marking must
 //! see the post-deletion candidacy and refinement must see the
-//! complete marked set. One cross-channel race needs care: a fast
-//! site can finish refining and ship a falsification before a slow
-//! site has seen its own `Refine`, so sites buffer falsifications
-//! that arrive mid-marking and replay them after revival.
+//! complete `AFF` and every candidacy row. One cross-channel race
+//! needs care: a fast site can finish refining and ship a
+//! falsification before a slow site has seen its own `Refine`, so
+//! sites buffer falsifications that arrive mid-marking and replay them
+//! after revival.
 
 use crate::vars::Var;
 use dgs_graph::{NodeId, Pattern};
@@ -151,6 +162,15 @@ pub struct DeltaReport {
     pub maintained_diffs: Vec<MaintainedDiff>,
 }
 
+impl DeltaReport {
+    /// Size of the affected area `AFF` the batch's insertions marked,
+    /// summed over sites and maintained entries — what insertion-side
+    /// maintenance cost is proportional to.
+    pub fn affected_pairs(&self) -> u64 {
+        self.per_site.iter().map(|s| s.affected_pairs).sum()
+    }
+}
+
 /// The exact diff one delta batch applied to one maintained cache
 /// entry: which pairs left the match set and which (re)entered it.
 /// This is the "diff for free" a maintained entry yields — the
@@ -175,7 +195,7 @@ pub struct MaintainedDiff {
 /// idempotent — a re-delivered deletion finds the edge already gone, a
 /// re-delivered insertion finds it already present, a re-delivered
 /// falsification finds the variable already false, a re-delivered mark
-/// finds the node already marked, and a re-delivered candidacy row
+/// finds the pair already marked, and a re-delivered candidacy row
 /// overwrites with the same values — so at-least-once delivery cannot
 /// change the maintained relation. `ShipCand`, `Refine`, and
 /// `GatherRequest` are control; `Revoked` and `Resurrected` are
@@ -191,11 +211,12 @@ pub enum UpdateMsg {
     /// Falsified in-node variables (data; site → subscriber site) —
     /// exactly dGPM's `lMsg`.
     Falsified(Vec<Var>),
-    /// Global ids of in-nodes that entered the affected area at their
-    /// owner (data; owner → subscriber sites, marking phase). The
-    /// subscriber marks its virtual copy and continues the backward
-    /// closure locally — this is how `AFF` crosses fragment borders.
-    Affected(Vec<u32>),
+    /// In-node pairs that entered the affected area at their owner
+    /// (data; owner → subscriber sites, marking phase). The subscriber
+    /// marks the same pairs on its virtual copy and continues the
+    /// backward closure locally — this is how `AFF` crosses fragment
+    /// borders.
+    Affected(Vec<Var>),
     /// Current candidacy of in-nodes that a new crossing insertion
     /// targets: `(global id, query nodes it matches)` (data; owner →
     /// the inserting site, marking phase). Seeds fresh or revived
@@ -205,9 +226,9 @@ pub enum UpdateMsg {
     /// [`UpdateMsg::CandRow`] to the given destination site, as
     /// `(dest site, global id)` (control; coordinator → owner).
     ShipCand(Vec<(u32, u32)>),
-    /// Marking is globally quiescent: revive affected pairs, rebuild
-    /// their counters, and re-run refinement (control; coordinator →
-    /// all sites).
+    /// Marking is globally quiescent: flip `AFF` to true, bump the
+    /// counters it supports, and refine (control; coordinator → all
+    /// sites).
     Refine,
     /// Result collection request (control; coordinator → sites).
     GatherRequest,
@@ -226,9 +247,9 @@ impl WireSize for UpdateMsg {
                 4 + 8 * ops.len()
             }
             UpdateMsg::Falsified(vars)
+            | UpdateMsg::Affected(vars)
             | UpdateMsg::Revoked(vars)
             | UpdateMsg::Resurrected(vars) => vars.wire_size(),
-            UpdateMsg::Affected(gids) => 4 + 4 * gids.len(),
             UpdateMsg::CandRow(rows) => {
                 4 + rows
                     .iter()
@@ -240,23 +261,115 @@ impl WireSize for UpdateMsg {
     }
 }
 
+/// Grows `v` to `len` entries. Virtual slots keep arriving, a few per
+/// batch, for as long as a session lives, and every reallocation of a
+/// per-slot array strands the block it leaves (nothing asks for that
+/// size again). Quadrupling strands a third of what doubling does, and
+/// capacity that is never written costs address space only.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if len > v.capacity() {
+        v.reserve_exact(4 * len - v.len());
+    }
+    v.resize(len, fill);
+}
+
+/// The reverse adjacency of one fragment in a single pool: slot `idx`
+/// owns `pool[start..start + cap]`, whose first `len` entries are its
+/// sorted predecessors. A session keeps one of these per site per
+/// maintained entry and most lists hold one or two nodes, so as
+/// `Vec<Vec<u32>>` the heap blocks outweighed the edges several times
+/// over, and each new virtual slot pinned one more small long-lived
+/// block in the middle of memory the previous generation had just
+/// freed. A list that outgrows its span moves to the end of the pool
+/// with twice the room; the span it leaves is not reused, which wastes
+/// at most as much again as the lists hold.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct PredLists {
+    /// `(start, len, cap)` per slot.
+    spans: Vec<(u32, u32, u32)>,
+    pool: Vec<u32>,
+}
+
+impl PredLists {
+    fn of(&self, idx: usize) -> &[u32] {
+        let (start, len, _) = self.spans[idx];
+        &self.pool[start as usize..(start + len) as usize]
+    }
+
+    /// Adds `p` to the list of `idx`; `false` if it was there already.
+    fn insert(&mut self, idx: usize, p: u32) -> bool {
+        let Err(at) = self.of(idx).binary_search(&p) else {
+            return false;
+        };
+        let (mut start, len, cap) = self.spans[idx];
+        if len == cap {
+            let moved = self.pool.len();
+            let cap = (2 * cap).max(2);
+            grow(&mut self.pool, moved + cap as usize, 0);
+            self.pool
+                .copy_within(start as usize..(start + len) as usize, moved);
+            start = moved as u32;
+            self.spans[idx] = (start, len, cap);
+        }
+        let (lo, hi) = (start as usize + at, (start + len) as usize);
+        self.pool.copy_within(lo..hi, lo + 1);
+        self.pool[lo] = p;
+        self.spans[idx].1 += 1;
+        true
+    }
+
+    /// Drops `p` from the list of `idx`; `false` if it was not there.
+    fn remove(&mut self, idx: usize, p: u32) -> bool {
+        let Ok(at) = self.of(idx).binary_search(&p) else {
+            return false;
+        };
+        let (start, len, _) = self.spans[idx];
+        let (lo, hi) = (start as usize + at, (start + len) as usize);
+        self.pool.copy_within(lo + 1..hi, lo);
+        self.spans[idx].1 -= 1;
+        true
+    }
+}
+
 /// Persistent per-site counter state for one maintained pattern: the
 /// HHK scheme restricted to the fragment (the state `lEval` would hold
-/// at its fixpoint), plus the fragment's adjacency, which the state
-/// owns and mutates so that deletions stay idempotent and `O(|AFF|)`
+/// at its fixpoint), plus the fragment's reverse adjacency, which the
+/// state owns and mutates so that ops stay idempotent and `O(|AFF|)`
 /// across batches.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSiteState {
     n: usize,
     nq: usize,
-    /// Fragment-local adjacency (shrinks as deletions are applied).
-    succ: Vec<Vec<u32>>,
-    pred: Vec<Vec<u32>>,
+    /// Number of pattern edges.
+    ne: usize,
+    /// Everything here walks edges backward; forward lists would be
+    /// a second copy of the same set.
+    pred: PredLists,
     /// Candidacy of `X(u, idx)`: `cand[idx * nq + u]`.
     cand: Vec<bool>,
-    /// Support counters: `cnt[e * n + idx]`.
+    /// Support counters: `cnt[idx * ne + e]`, for the `n_local` local
+    /// indices only (virtual nodes have no out-edges), so the array
+    /// never grows.
     cnt: Vec<u32>,
+    /// Insertion-phase scratch, laid out like `cand`: [`IN_AFF`] for
+    /// the pairs in `aff`, else 0. All three scratch fields are empty
+    /// between runs — `gather` clears them through the `aff` list, so
+    /// a run touches `O(|AFF|)` of them, never `O(n · nq)`.
+    mark: Vec<u8>,
+    /// This site's slice of `AFF` as `(query node, local index)`, in
+    /// marking order; doubles as the closure's worklist.
+    aff: Vec<(u16, u32)>,
+    /// Edges this run inserted, as local indices. Their counter
+    /// increments wait for `Refine`, when every `CandRow` has landed.
+    inserted: Vec<(u32, u32)>,
 }
+
+/// `mark` value of a pair in `AFF`.
+const IN_AFF: u8 = 1;
+/// `mark` value of an `AFF` pair that this batch's deletions revoked
+/// and its insertions revived: it never left the relation, so `gather`
+/// reports it in neither direction.
+const NETTED: u8 = 2;
 
 impl DeltaSiteState {
     /// Reconstructs the fixpoint state of `site` from a *converged*
@@ -274,8 +387,16 @@ impl DeltaSiteState {
         let f = frag.fragment(site);
         let n = f.n_total();
         let nq = q.node_count();
-        let succ: Vec<Vec<u32>> = (0..n as u32).map(|i| f.successors(i).to_vec()).collect();
-        let pred: Vec<Vec<u32>> = (0..n as u32).map(|i| f.predecessors(i).to_vec()).collect();
+        let mut pred = PredLists {
+            spans: Vec::with_capacity(n),
+            pool: Vec::with_capacity(f.n_edges()),
+        };
+        for idx in 0..n as u32 {
+            let ps = f.predecessors(idx);
+            pred.spans
+                .push((pred.pool.len() as u32, ps.len() as u32, ps.len() as u32));
+            pred.pool.extend_from_slice(ps);
+        }
         let mut cand = vec![false; n * nq];
         for idx in 0..n {
             let gid = f.global_id(idx as u32);
@@ -284,12 +405,13 @@ impl DeltaSiteState {
             }
         }
         let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let mut cnt = vec![0u32; qedges.len() * n];
-        for (idx, ss) in succ.iter().enumerate() {
-            for &s in ss {
+        let ne = qedges.len();
+        let mut cnt = vec![0u32; f.n_local() * ne];
+        for idx in 0..f.n_local() {
+            for &s in f.successors(idx as u32) {
                 for (e, &(_, uc)) in qedges.iter().enumerate() {
                     if cand[s as usize * nq + uc as usize] {
-                        cnt[e * n + idx] += 1;
+                        cnt[idx * ne + e] += 1;
                     }
                 }
             }
@@ -297,10 +419,13 @@ impl DeltaSiteState {
         DeltaSiteState {
             n,
             nq,
-            succ,
+            ne,
             pred,
             cand,
             cnt,
+            mark: vec![0; n * nq],
+            aff: Vec::new(),
+            inserted: Vec::new(),
         }
     }
 
@@ -333,25 +458,18 @@ pub struct DeltaSiteLogic {
     parent_edges: Vec<Vec<(usize, u16)>>,
     /// Per query node: indices of its out-edges (refinement seeding).
     out_edges: Vec<Vec<usize>>,
-    /// Pattern node labels, for optimistic revival of affected pairs.
+    /// Pattern node labels: `AFF` holds label-compatible pairs only.
     qlabels: Vec<dgs_graph::Label>,
     st: DeltaSiteState,
     phase: SitePhase,
-    /// Nodes in this site's slice of `AFF` (sized with the state once
-    /// marking starts).
-    marked: Vec<bool>,
     /// Falsifications that arrived from an already-refining site while
     /// this one was still marking; replayed right after revival.
     pending_falsified: Vec<Var>,
-    /// Candidacy snapshot taken at `Refine`, before revival — the
-    /// reference for computing resurrections.
-    pre_refine: Vec<bool>,
     /// Local pairs falsified during the deletion phase (filtered
-    /// against the final candidacy and shipped at gather).
+    /// against the final candidacy and shipped at gather). While
+    /// refining, `propagate` kills optimistically-revived pairs; those
+    /// are refinement, not revocations, and stay unrecorded.
     revoked: Vec<Var>,
-    /// In refine mode, `propagate` kills optimistically-revived pairs;
-    /// those are refinement, not revocations, and stay unrecorded.
-    in_refine: bool,
     stats: SiteDeltaMetrics,
     ops: u64,
 }
@@ -378,11 +496,8 @@ impl DeltaSiteLogic {
             qlabels: q.nodes().map(|u| q.label(u)).collect(),
             st,
             phase: SitePhase::Deleting,
-            marked: Vec::new(),
             pending_falsified: Vec::new(),
-            pre_refine: Vec::new(),
             revoked: Vec::new(),
-            in_refine: false,
             ops: 0,
         }
     }
@@ -408,14 +523,9 @@ impl DeltaSiteLogic {
         let (ui, vi) = (ui as usize, vi as usize);
         // Idempotence: a duplicate delivery finds the edge already
         // removed from this state's own adjacency and is a no-op.
-        let Ok(pos) = self.st.succ[ui].binary_search(&(vi as u32)) else {
+        if !self.st.pred.remove(vi, ui as u32) {
             return Vec::new();
-        };
-        self.st.succ[ui].remove(pos);
-        let ppos = self.st.pred[vi]
-            .binary_search(&(ui as u32))
-            .expect("reverse edge tracked");
-        self.st.pred[vi].remove(ppos);
+        }
         self.stats.ops_applied += 1;
 
         // The deleted edge supported, per query edge (uq, uc), the
@@ -424,13 +534,13 @@ impl DeltaSiteLogic {
         // iteration can falsify a pair of v itself, and the counters
         // hold the *pre-deletion* support — the cascade for the
         // falsified pair is `propagate`'s job.
-        let (n, nq) = (self.st.n, self.st.nq);
+        let (nq, ne) = (self.st.nq, self.st.ne);
         let vcand: Vec<bool> = (0..nq).map(|uc| self.st.cand[vi * nq + uc]).collect();
         let mut worklist = Vec::new();
         for (e, &(uq, uc)) in self.qedges.iter().enumerate() {
             self.ops += 1;
             if vcand[uc as usize] {
-                let c = &mut self.st.cnt[e * n + ui];
+                let c = &mut self.st.cnt[ui * ne + e];
                 debug_assert!(*c > 0, "support counter underflow");
                 *c -= 1;
                 if *c == 0 && self.st.cand[ui * nq + uq as usize] {
@@ -448,8 +558,9 @@ impl DeltaSiteLogic {
     fn propagate(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Var> {
         let f = self.frag.fragment(self.site);
         let st = &mut self.st;
-        let (n, nq) = (st.n, st.nq);
+        let (nq, ne) = (st.nq, st.ne);
         let n_local = f.n_local();
+        let refining = self.phase == SitePhase::Refining;
         let mut falsified_in_nodes = Vec::new();
         while let Some((uq, idx)) = worklist.pop() {
             if (idx as usize) < n_local {
@@ -457,7 +568,7 @@ impl DeltaSiteLogic {
                     q: uq,
                     node: f.global_id(idx).0,
                 };
-                if !self.in_refine {
+                if !refining {
                     self.revoked.push(var);
                     self.stats.pairs_revoked += 1;
                 }
@@ -466,10 +577,10 @@ impl DeltaSiteLogic {
                 }
             }
             for &(e, up) in &self.parent_edges[uq as usize] {
-                for i in 0..st.pred[idx as usize].len() {
-                    let vp = st.pred[idx as usize][i] as usize;
+                for &vp in st.pred.of(idx as usize) {
+                    let vp = vp as usize;
                     self.ops += 1;
-                    let c = &mut st.cnt[e * n + vp];
+                    let c = &mut st.cnt[vp * ne + e];
                     debug_assert!(*c > 0, "support counter underflow");
                     *c -= 1;
                     if *c == 0 && st.cand[vp * nq + up as usize] {
@@ -506,81 +617,89 @@ impl DeltaSiteLogic {
 
     /// Enters the marking phase on first contact: grows the state to
     /// the post-delta fragment (crossing insertions can append or
-    /// revive virtual slots) and sizes the mark set. Idempotent.
+    /// revive virtual slots). The per-slot arrays are index-major, so
+    /// existing rows keep their offsets. Idempotent.
     fn enter_marking(&mut self) {
         if self.phase != SitePhase::Deleting {
             return;
         }
         self.phase = SitePhase::Marking;
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let new_n = f.n_total();
+        let new_n = self.frag.fragment(self.site).n_total();
         let st = &mut self.st;
         if new_n > st.n {
-            st.succ.resize(new_n, Vec::new());
-            st.pred.resize(new_n, Vec::new());
-            // `cand` is index-major, so existing rows keep their
-            // offsets; `cnt` is edge-major over `n` and must be
-            // re-laid-out.
-            st.cand.resize(new_n * st.nq, false);
-            let ne = self.qedges.len();
-            let mut cnt = vec![0u32; ne * new_n];
-            for e in 0..ne {
-                cnt[e * new_n..e * new_n + st.n].copy_from_slice(&st.cnt[e * st.n..(e + 1) * st.n]);
-            }
-            st.cnt = cnt;
+            grow(&mut st.pred.spans, new_n, (0, 0, 0));
+            grow(&mut st.cand, new_n * st.nq, false);
+            grow(&mut st.mark, new_n * st.nq, 0);
             st.n = new_n;
         }
-        self.marked = vec![false; st.n];
     }
 
-    /// Marks `seeds` and closes backward over this fragment's
-    /// predecessors (always local indices — virtual nodes have no
-    /// out-edges). Whenever a *local in-node* enters the affected
-    /// area, its subscribers are told via [`UpdateMsg::Affected`] so
-    /// the closure continues across the border.
-    fn mark_from(&mut self, seeds: Vec<u32>, out: &mut Outbox<UpdateMsg>) {
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let mut per_site: BTreeMap<SiteId, Vec<u32>> = BTreeMap::new();
-        let mut stack = Vec::new();
-        let mut visit = |idx: u32, marked: &mut Vec<bool>, stack: &mut Vec<u32>| {
-            if marked[idx as usize] {
+    /// Adds `seeds` to this site's slice of `AFF` and closes it
+    /// backward, pair by pair: from `(uq, v)` over pattern edge
+    /// `(up, uq)` and graph edge `(p, v)` to `(up, p)`, provided that
+    /// pair is label-compatible and false (predecessors are always
+    /// local indices — virtual nodes have no out-edges — so their
+    /// candidacy is authoritative here). Seeds are taken on trust: the
+    /// caller checked them, or their owner did. Whenever a pair of a
+    /// *local in-node* enters, its subscribers are told via
+    /// [`UpdateMsg::Affected`] so the closure continues across the
+    /// border.
+    fn mark_from(&mut self, seeds: Vec<(u16, u32)>, out: &mut Outbox<UpdateMsg>) {
+        let f = self.frag.fragment(self.site);
+        let st = &mut self.st;
+        let nq = st.nq;
+        let stats = &mut self.stats;
+        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
+        let mut enter = |uq: u16, idx: u32, mark: &mut [u8], aff: &mut Vec<(u16, u32)>| {
+            let slot = idx as usize * nq + uq as usize;
+            if mark[slot] != 0 {
                 return;
             }
-            marked[idx as usize] = true;
-            stack.push(idx);
+            mark[slot] = IN_AFF;
+            aff.push((uq, idx));
             if !f.is_virtual(idx) {
+                stats.affected_pairs += 1;
                 if let Some(pos) = f.in_node_pos(idx) {
+                    let node = f.global_id(idx).0;
                     for &s in f.in_node_subscribers(pos) {
-                        per_site.entry(s).or_default().push(f.global_id(idx).0);
+                        per_site.entry(s).or_default().push(Var { q: uq, node });
                     }
                 }
             }
         };
-        for idx in seeds {
-            visit(idx, &mut self.marked, &mut stack);
+        let mut next = st.aff.len();
+        for (uq, idx) in seeds {
+            enter(uq, idx, &mut st.mark, &mut st.aff);
         }
-        while let Some(idx) = stack.pop() {
-            for i in 0..self.st.pred[idx as usize].len() {
-                let p = self.st.pred[idx as usize][i];
-                self.ops += 1;
-                visit(p, &mut self.marked, &mut stack);
+        while next < st.aff.len() {
+            let (uq, idx) = st.aff[next];
+            next += 1;
+            for &(_, up) in &self.parent_edges[uq as usize] {
+                for &p in st.pred.of(idx as usize) {
+                    self.ops += 1;
+                    if self.qlabels[up as usize] == f.label(p)
+                        && !st.cand[p as usize * nq + up as usize]
+                    {
+                        enter(up, p, &mut st.mark, &mut st.aff);
+                    }
+                }
             }
         }
-        for (s, gids) in per_site {
-            out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(gids));
+        for (s, vars) in per_site {
+            out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(vars));
         }
     }
 
     /// Applies one routed insertion batch (marking phase): edges enter
     /// this state's own adjacency (idempotently, so re-delivery is a
-    /// no-op) and their source nodes seed the affected-area closure.
-    /// Counters are *not* touched here — every marked node's counters
-    /// are rebuilt wholesale at `Refine`.
+    /// no-op) and every false, label-compatible pair `(uq, u)` of a
+    /// source `u` seeds `AFF` if `uq` has an out-edge to a pattern node
+    /// labelled like the target — labels only, because a crossing
+    /// target's `CandRow` may not have landed yet. For the same reason
+    /// the counters wait for `Refine`.
     fn apply_insertions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
+        let f = self.frag.fragment(self.site);
+        let nq = self.st.nq;
         let mut seeds = Vec::new();
         for (u, v) in pairs {
             let ui = f
@@ -589,16 +708,20 @@ impl DeltaSiteLogic {
             let vi = f
                 .index_of(NodeId(v))
                 .expect("insertion target present in post-delta fragment");
-            let Err(pos) = self.st.succ[ui as usize].binary_search(&vi) else {
+            if !self.st.pred.insert(vi as usize, ui) {
                 continue;
-            };
-            self.st.succ[ui as usize].insert(pos, vi);
-            let ppos = self.st.pred[vi as usize]
-                .binary_search(&ui)
-                .expect_err("reverse edge tracked symmetrically");
-            self.st.pred[vi as usize].insert(ppos, ui);
+            }
+            self.st.inserted.push((ui, vi));
             self.stats.ops_applied += 1;
-            seeds.push(ui);
+            for &(uq, uc) in &self.qedges {
+                self.ops += 1;
+                if self.qlabels[uc as usize] == f.label(vi)
+                    && self.qlabels[uq as usize] == f.label(ui)
+                    && !self.st.cand[ui as usize * nq + uq as usize]
+                {
+                    seeds.push((uq, ui));
+                }
+            }
         }
         self.mark_from(seeds, out);
     }
@@ -635,115 +758,96 @@ impl DeltaSiteLogic {
         self.propagate(worklist)
     }
 
-    /// Marking is globally quiescent: optimistically revive every
-    /// affected pair, rebuild affected counters, and re-run the
-    /// downward refinement with non-affected candidacy frozen as the
-    /// boundary. Buffered out-of-phase falsifications replay after
-    /// revival so they cannot be lost.
+    /// Marking is globally quiescent, so `AFF` is complete and every
+    /// `CandRow` has landed: repair the counters for the inserted
+    /// edges, flip `AFF` to true, and run the downward refinement from
+    /// the revived pairs that lack support, with everything outside
+    /// `AFF` frozen as the boundary. Buffered out-of-phase
+    /// falsifications replay after revival so they cannot be lost.
     fn refine(&mut self, out: &mut Outbox<UpdateMsg>) {
         if self.phase == SitePhase::Refining {
             return;
         }
         self.enter_marking();
         self.phase = SitePhase::Refining;
-        self.pre_refine = self.st.cand.clone();
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let (n, nq) = (self.st.n, self.st.nq);
-        for idx in 0..n {
-            if !self.marked[idx] {
-                continue;
-            }
-            self.ops += 1;
-            let lbl = f.label(idx as u32);
-            for (u, &ql) in self.qlabels.iter().enumerate() {
-                self.st.cand[idx * nq + u] = ql == lbl;
-            }
-        }
-        for idx in 0..n {
-            if !self.marked[idx] {
-                continue;
-            }
+        let n_local = self.frag.fragment(self.site).n_local();
+        let st = &mut self.st;
+        let (nq, ne) = (st.nq, st.ne);
+        // An inserted edge supports its source once per pattern edge
+        // whose child pair is true already; a child pair in `AFF` is
+        // still false here and counts through its revival below.
+        for &(ui, vi) in &st.inserted {
             for (e, &(_, uc)) in self.qedges.iter().enumerate() {
                 self.ops += 1;
-                self.st.cnt[e * n + idx] = self.st.succ[idx]
-                    .iter()
-                    .filter(|&&w| self.st.cand[w as usize * nq + uc as usize])
-                    .count() as u32;
-            }
-        }
-        // Seed from affected *local* pairs that lack support. Virtual
-        // slots are never seeded locally: their support lives at the
-        // owner, which ships falsifications if they die.
-        let mut worklist = Vec::new();
-        for idx in 0..f.n_local() {
-            if !self.marked[idx] {
-                continue;
-            }
-            for u in 0..nq {
-                if self.st.cand[idx * nq + u]
-                    && self.out_edges[u]
-                        .iter()
-                        .any(|&e| self.st.cnt[e * n + idx] == 0)
-                {
-                    self.st.cand[idx * nq + u] = false;
-                    worklist.push((u as u16, idx as u32));
+                if st.cand[vi as usize * nq + uc as usize] {
+                    st.cnt[ui as usize * ne + e] += 1;
                 }
             }
         }
-        self.in_refine = true;
+        for &(uq, idx) in &st.aff {
+            self.ops += 1;
+            st.cand[idx as usize * nq + uq as usize] = true;
+            for &(e, _) in &self.parent_edges[uq as usize] {
+                for &p in st.pred.of(idx as usize) {
+                    self.ops += 1;
+                    st.cnt[p as usize * ne + e] += 1;
+                }
+            }
+        }
+        // Seed from revived *local* pairs that lack support. Virtual
+        // slots are never seeded locally: their support lives at the
+        // owner, which ships falsifications if they die.
+        let mut worklist = Vec::new();
+        for &(uq, idx) in &st.aff {
+            if (idx as usize) < n_local
+                && self.out_edges[uq as usize]
+                    .iter()
+                    .any(|&e| st.cnt[idx as usize * ne + e] == 0)
+            {
+                st.cand[idx as usize * nq + uq as usize] = false;
+                worklist.push((uq, idx));
+            }
+        }
         let mut falsified = self.propagate(worklist);
         let pending = std::mem::take(&mut self.pending_falsified);
         falsified.extend(self.apply_falsified(pending));
         self.route_falsifications(falsified, out);
     }
 
-    /// Reconciles this run's result against the final candidacy:
-    /// deletion-phase revocations that refinement resurrected cancel
-    /// out, and resurrections are pairs that are in the relation now
-    /// but were not before the batch.
+    /// Reconciles this run's result against the final candidacy and
+    /// clears the insertion-phase scratch. Deletion-phase revocations
+    /// that refinement revived cancel out; every other local `AFF`
+    /// pair that survived refinement is a resurrection (it was false
+    /// when it entered).
     fn gather(&mut self, out: &mut Outbox<UpdateMsg>) {
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let nq = self.st.nq;
-        let taken = std::mem::take(&mut self.revoked);
-        let was_revoked: std::collections::HashSet<Var> = taken.iter().copied().collect();
-        let before = taken.len() as u64;
-        let revoked: Vec<Var> = taken
-            .into_iter()
-            .filter(|var| {
-                let idx = f.index_of(var.node_id()).expect("revoked var is local") as usize;
-                !self.st.cand[idx * nq + var.q as usize]
-            })
-            .collect();
+        let f = self.frag.fragment(self.site);
+        let st = &mut self.st;
+        let nq = st.nq;
+        let mut revoked = std::mem::take(&mut self.revoked);
+        let before = revoked.len() as u64;
+        revoked.retain(|var| {
+            let idx = f.index_of(var.node_id()).expect("revoked var is local") as usize;
+            let slot = idx * nq + var.q as usize;
+            if st.cand[slot] {
+                debug_assert_eq!(st.mark[slot], IN_AFF, "only AFF pairs come back");
+                st.mark[slot] = NETTED;
+            }
+            !st.cand[slot]
+        });
         self.stats.pairs_revoked -= before - revoked.len() as u64;
         let mut resurrected = Vec::new();
-        if self.phase == SitePhase::Refining {
-            for idx in 0..f.n_local() {
-                if !self.marked[idx] {
-                    continue;
-                }
-                for u in 0..nq {
-                    let slot = idx * nq + u;
-                    debug_assert!(
-                        self.st.cand[slot] || !self.pre_refine[slot],
-                        "refinement falsified a previously-true pair"
-                    );
-                    if self.st.cand[slot] && !self.pre_refine[slot] {
-                        let var = Var {
-                            q: u as u16,
-                            node: f.global_id(idx as u32).0,
-                        };
-                        // A pair revoked by this batch's deletions and
-                        // revived by its insertions nets out: it never
-                        // left the relation.
-                        if !was_revoked.contains(&var) {
-                            resurrected.push(var);
-                        }
-                    }
-                }
+        for (uq, idx) in st.aff.drain(..) {
+            self.ops += 1;
+            let slot = idx as usize * nq + uq as usize;
+            if (idx as usize) < f.n_local() && st.cand[slot] && st.mark[slot] == IN_AFF {
+                resurrected.push(Var {
+                    q: uq,
+                    node: f.global_id(idx).0,
+                });
             }
+            st.mark[slot] = 0;
         }
+        st.inserted.clear();
         self.stats.pairs_resurrected += resurrected.len() as u64;
         out.send_result(Endpoint::Coordinator, UpdateMsg::Revoked(revoked));
         if !resurrected.is_empty() {
@@ -786,15 +890,19 @@ impl SiteLogic<UpdateMsg> for DeltaSiteLogic {
                 self.enter_marking();
                 self.apply_insertions(pairs, out);
             }
-            UpdateMsg::Affected(gids) => {
+            UpdateMsg::Affected(vars) => {
                 self.enter_marking();
-                let frag = Arc::clone(&self.frag);
-                let f = frag.fragment(self.site);
-                let seeds = gids
+                let f = self.frag.fragment(self.site);
+                // The owner vouches for these: its candidacy is the
+                // authority, and this slot's own row may still be
+                // waiting for its `CandRow`.
+                let seeds = vars
                     .into_iter()
-                    .map(|gid| {
-                        f.index_of(NodeId(gid))
-                            .expect("affected in-node has a subscribed slot here")
+                    .map(|var| {
+                        let idx = f
+                            .index_of(var.node_id())
+                            .expect("affected in-node has a subscribed slot here");
+                        (var.q, idx)
                     })
                     .collect();
                 self.mark_from(seeds, out);
@@ -1161,8 +1269,9 @@ mod tests {
         }
     }
 
-    /// Applies a mixed batch via the distributed protocol and checks
-    /// the patched rows against the cold oracle on the mutated graph.
+    /// Applies a mixed batch via the distributed protocol under a hash
+    /// partition and checks the patched rows against the cold oracle
+    /// on the mutated graph.
     fn check_mixed_maintenance(
         seed: u64,
         n: usize,
@@ -1173,7 +1282,20 @@ mod tests {
         q: &Pattern,
     ) {
         let assign = hash_partition(n, sites, seed);
-        let frag = Arc::new(Fragmentation::build(g, &assign, sites));
+        check_maintenance_on(&assign, sites, deletions, insertions, g, q);
+    }
+
+    /// The same under a given assignment. Returns the run's metrics,
+    /// the pairs marked across all sites, and the resurrected pairs.
+    fn check_maintenance_on(
+        assign: &[SiteId],
+        sites: usize,
+        deletions: &[(NodeId, NodeId)],
+        insertions: &[(NodeId, NodeId)],
+        g: &dgs_graph::Graph,
+        q: &Pattern,
+    ) -> (dgs_net::RunMetrics, u64, usize) {
+        let frag = Arc::new(Fragmentation::build(g, assign, sites));
         let rows = rows_of(q, g);
         let states: Vec<DeltaSiteState> = (0..sites)
             .map(|s| DeltaSiteState::from_relation(&frag, s, q, &rows))
@@ -1229,7 +1351,62 @@ mod tests {
             row.insert(pos, var.node_id());
         }
         let maintained = dgs_sim::MatchRelation::from_lists(rows2);
-        assert_eq!(maintained, oracle, "seed {seed}");
+        assert_eq!(maintained, oracle);
+        let affected = o.sites.iter().map(|s| s.stats().affected_pairs).sum();
+        (o.metrics, affected, o.coordinator.resurrected.len())
+    }
+
+    /// A chain `v0 → … → v8` with alternating labels, laid across three
+    /// sites in blocks of three, against the two-node cycle pattern:
+    /// nothing matches until the far end is closed into a cycle.
+    fn chain_over_three_sites() -> (dgs_graph::Graph, Pattern, Vec<SiteId>) {
+        let mut gb = GraphBuilder::new();
+        let vs: Vec<NodeId> = (0..9)
+            .map(|i| gb.add_node(dgs_graph::Label(i % 2)))
+            .collect();
+        for w in vs.windows(2) {
+            gb.add_edge(w[0], w[1]);
+        }
+        let mut pb = dgs_graph::PatternBuilder::new();
+        let a = pb.add_node(dgs_graph::Label(0));
+        let b = pb.add_node(dgs_graph::Label(1));
+        pb.add_edge(a, b);
+        pb.add_edge(b, a);
+        (gb.build(), pb.build(), (0..9).map(|i| i / 3).collect())
+    }
+
+    #[test]
+    fn affected_area_crosses_two_borders_pair_by_pair() {
+        let (g, q, assign) = chain_over_three_sites();
+        assert!(hhk_simulation(&q, &g).relation.is_empty());
+        // Closing `v8 → v7` happens inside site 2; every pair upstream
+        // comes back, so `AFF` has to reach site 0 through two
+        // `Affected` hops — the only data messages besides `InsOps`.
+        let closing = [(NodeId(8), NodeId(7))];
+        let (m, affected, resurrected) = check_maintenance_on(&assign, 3, &[], &closing, &g, &q);
+        assert_eq!((affected, resurrected), (9, 9));
+        assert_eq!(m.data_messages, 1 + 2, "InsOps + one Affected per border");
+    }
+
+    #[test]
+    fn matching_pairs_are_frozen_out_of_the_affected_area() {
+        // An alternating ring: every label-compatible pair matches
+        // already, so a chord has nothing to mark and nothing to report.
+        let n = 12;
+        let mut gb = GraphBuilder::new();
+        let vs: Vec<NodeId> = (0..n)
+            .map(|i| gb.add_node(dgs_graph::Label(i % 2)))
+            .collect();
+        for i in 0..n as usize {
+            gb.add_edge(vs[i], vs[(i + 1) % n as usize]);
+        }
+        let g = gb.build();
+        let (_, q, _) = chain_over_three_sites();
+        assert_eq!(hhk_simulation(&q, &g).relation.len(), n as usize);
+        let chords = [(vs[0], vs[5]), (vs[3], vs[8]), (vs[7], vs[2])];
+        let assign: Vec<SiteId> = (0..n as usize).map(|i| i % 3).collect();
+        let (_, affected, resurrected) = check_maintenance_on(&assign, 3, &[], &chords, &g, &q);
+        assert_eq!((affected, resurrected), (0, 0));
     }
 
     #[test]
@@ -1382,13 +1559,13 @@ mod tests {
         assert_eq!(UpdateMsg::Ops(vec![(1, 2), (3, 4)]).wire_size(), 1 + 4 + 16);
         assert_eq!(UpdateMsg::InsOps(vec![(1, 2)]).wire_size(), 1 + 4 + 8);
         assert_eq!(UpdateMsg::ShipCand(vec![(0, 9)]).wire_size(), 1 + 4 + 8);
-        assert_eq!(UpdateMsg::Affected(vec![1, 2, 3]).wire_size(), 1 + 4 + 12);
         assert_eq!(
             UpdateMsg::CandRow(vec![(4, vec![0, 2])]).wire_size(),
             1 + 4 + (4 + 2 + 4)
         );
         let v = vec![Var { q: 0, node: 7 }];
         assert_eq!(UpdateMsg::Falsified(v.clone()).wire_size(), 1 + 4 + 6);
+        assert_eq!(UpdateMsg::Affected(v.clone()).wire_size(), 1 + 4 + 6);
         assert_eq!(UpdateMsg::Revoked(v.clone()).wire_size(), 1 + 4 + 6);
         assert_eq!(UpdateMsg::Resurrected(v).wire_size(), 1 + 4 + 6);
     }

@@ -55,10 +55,10 @@
 //! Sessions are **mutable**: [`SimEngine::apply_delta`] absorbs a
 //! [`GraphDelta`] batch in place. The fragmentation is maintained
 //! incrementally (virtual nodes and in-node subscriptions included),
-//! deletion-only batches keep cached answers current through the
-//! distributed incremental update of [`crate::delta`] (the plan then
-//! carries [`PlanExplanation::incremental`]), and batches with
-//! insertions conservatively invalidate. Generation-tagged cache keys
+//! and every batch — deletions, insertions or both — keeps cached
+//! answers current through the distributed incremental update of
+//! [`crate::delta`] (the plan then carries
+//! [`PlanExplanation::incremental`]). Generation-tagged cache keys
 //! make stale hits impossible; the structural facts and the compressed
 //! leg refresh lazily.
 //!
@@ -403,7 +403,7 @@ impl SimEngineBuilder<'_> {
             frag: self.frag,
             graph: Mutex::new(GraphState {
                 graph: Arc::new(self.graph.clone()),
-                pending: Vec::new(),
+                pending: None,
             }),
             facts: Mutex::new(FactsState {
                 facts: Arc::new(facts),
@@ -517,15 +517,40 @@ struct MaintainedStates {
 #[derive(Clone, Debug)]
 struct GraphState {
     graph: Arc<Graph>,
-    pending: Vec<EdgeOp>,
+    /// The newest batch not yet in `graph`, linked to the ones before
+    /// it. Generations share the chain, so absorbing a batch costs the
+    /// batch, not a copy of every op since the last rebuild.
+    pending: Option<Arc<PendingOps>>,
+}
+
+#[derive(Debug)]
+struct PendingOps {
+    ops: Vec<EdgeOp>,
+    earlier: Option<Arc<PendingOps>>,
+}
+
+impl Drop for PendingOps {
+    /// Unlinks the chain in a loop: a session that is never
+    /// materialized grows it by one node per batch, and the derived
+    /// drop would recurse once per node.
+    fn drop(&mut self) {
+        let mut next = self.earlier.take();
+        while let Some(mut node) = next.and_then(Arc::into_inner) {
+            next = node.earlier.take();
+        }
+    }
 }
 
 impl GraphState {
     fn materialize(&mut self) -> Arc<Graph> {
-        if !self.pending.is_empty() {
+        if let Some(newest) = self.pending.take() {
             let g = &self.graph;
             let mut edges: HashSet<(NodeId, NodeId)> = g.edges().collect();
-            for op in self.pending.drain(..) {
+            let mut batches = vec![&*newest];
+            while let Some(earlier) = &batches[batches.len() - 1].earlier {
+                batches.push(earlier);
+            }
+            for &op in batches.iter().rev().flat_map(|b| &b.ops) {
                 match op {
                     EdgeOp::Insert(u, v) => {
                         edges.insert((u, v));
@@ -708,7 +733,9 @@ impl EngineStats {
     }
 }
 
-/// conservatively invalidate them and the next query re-plans. Every
+/// A planned, cached, mutable query session over one fragmented graph.
+/// Clones share the result cache; [`SimEngine::apply_delta`] keeps the
+/// cached answers current instead of dropping them. Every
 /// delta moves the session to a fresh graph **generation**; cache
 /// entries are keyed under the generation they were computed at, so a
 /// stale hit is impossible even though clones share the cache.
@@ -1174,12 +1201,17 @@ impl SimEngine {
     ///     and ships in-node falsifications to its subscribers exactly
     ///     like dGPM data messages, and the revoked pairs leave the
     ///     stored rows. A deletion-only batch runs just this phase.
-    ///   - *Insertions* grow it: the sites mark the affected area,
-    ///     optimistically revive label-compatible pairs, and re-refine
-    ///     with non-affected candidacy frozen; resurrected pairs
-    ///     rejoin the stored rows. An insertion-only batch passes
-    ///     through an empty deletion phase; a mixed batch composes
-    ///     both (deletions first, on the pre-insertion adjacency).
+    ///   - *Insertions* grow it: the sites mark the affected area
+    ///     `AFF` — the label-compatible, currently *false* pairs that
+    ///     are backward-reachable, through pairs of the same kind,
+    ///     from the source of an inserted edge — flip exactly those
+    ///     pairs to true, and refine downward from the ones that lack
+    ///     support, with everything outside `AFF` frozen; survivors
+    ///     rejoin the stored rows. Cost follows `|AFF|`
+    ///     ([`SiteDeltaMetrics::affected_pairs`]), not the graph. An
+    ///     insertion-only batch passes through an empty deletion
+    ///     phase; a mixed batch composes both (deletions first, on the
+    ///     pre-insertion adjacency).
     ///
     /// The exact per-entry diffs land in
     /// [`DeltaReport::maintained_diffs`] — the feed a live match
@@ -1210,6 +1242,13 @@ impl SimEngine {
     /// generation they loaded and never block behind this writer.
     /// Concurrent writers on the same handle serialize against each
     /// other.
+    ///
+    /// # Errors
+    /// [`DgsError::InvalidDelta`] as above; on a socket session, the
+    /// executor's error when re-shipping the graph to the workers
+    /// fails. Either way the call is a no-op: the generation, every
+    /// cached answer and the maintenance states behind them are what
+    /// they were, so the batch can be retried.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaReport, DgsError> {
         // One writer at a time; readers keep serving the current
         // snapshot untouched while this builds the next one.
@@ -1343,7 +1382,10 @@ impl SimEngine {
         report.virtuals_created = frag_stats.virtuals_created;
         report.virtuals_retired = frag_stats.virtuals_retired;
         let mut graph_state = snap.graph.lock().clone();
-        graph_state.pending.extend_from_slice(&ops);
+        graph_state.pending = Some(Arc::new(PendingOps {
+            earlier: graph_state.pending.take(),
+            ops,
+        }));
         let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
         report.generation = generation;
         let next = Arc::new(GenSnapshot {
@@ -1359,6 +1401,25 @@ impl SimEngine {
                 ..snap.compressed.lock().clone()
             }),
         });
+
+        // A socket session's workers were bootstrapped with the
+        // pre-delta graph: re-ship the session so later runs execute
+        // against the mutated graph (this materializes the graph
+        // mirror — delta batches on socket sessions pay the reship).
+        // This is the only step that can fail after validation, so it
+        // runs before maintenance advances a counter state or stores
+        // a row: a failed delta is a no-op. The cluster
+        // generation flips **before** the snapshot publishes: in the
+        // window between the two, queries still on the old snapshot
+        // fall back to the in-process executor instead of running on
+        // the freshly re-shipped worker graph.
+        if let Some(cluster) = &self.cluster {
+            let blob = crate::remote::encode_bootstrap(&next.graph(), &next_frag);
+            cluster
+                .rebootstrap(&blob)
+                .map_err(|e| DgsError::from_exec("socket-cluster", e))?;
+            self.cluster_gen.store(generation, Ordering::SeqCst);
+        }
 
         // Distributed incremental maintenance per cached entry:
         // revoking the falsified pairs from the stored rows and
@@ -1438,22 +1499,6 @@ impl SimEngine {
                 },
             );
             report.maintained_entries += 1;
-        }
-
-        // A socket session's workers were bootstrapped with the
-        // pre-delta graph: re-ship the session so later runs execute
-        // against the mutated graph (this materializes the graph
-        // mirror — delta batches on socket sessions pay the reship).
-        // The cluster generation flips **before** the snapshot
-        // publishes: in the window between the two, queries still on
-        // the old snapshot fall back to the in-process executor
-        // instead of running on the freshly re-shipped worker graph.
-        if let Some(cluster) = &self.cluster {
-            let blob = crate::remote::encode_bootstrap(&next.graph(), &next_frag);
-            cluster
-                .rebootstrap(&blob)
-                .map_err(|e| DgsError::from_exec("socket-cluster", e))?;
-            self.cluster_gen.store(generation, Ordering::SeqCst);
         }
 
         // Publish: a single pointer swap makes the next generation the
@@ -2384,6 +2429,20 @@ mod tests {
         assert_eq!(second.deleted, 0);
         assert_eq!(second.ignored, 1);
         assert_eq!(engine.generation(), gen1);
+    }
+
+    #[test]
+    fn a_long_pending_chain_drops_without_recursion() {
+        // One node per batch since the last rebuild; test threads have
+        // 2 MiB of stack.
+        let mut newest = None;
+        for _ in 0..500_000 {
+            newest = Some(Arc::new(PendingOps {
+                ops: Vec::new(),
+                earlier: newest.take(),
+            }));
+        }
+        drop(newest);
     }
 
     #[test]

@@ -50,9 +50,9 @@
 //!
 //! Sessions are mutable: [`SimEngine::apply_delta`] absorbs batched
 //! edge updates ([`delta::GraphDelta`]) with the fragmentation
-//! maintained in place, cached answers kept current under deletions by
-//! the distributed incremental update of [`delta`], and conservative
-//! invalidation under insertions.
+//! maintained in place and cached answers kept current, under
+//! deletions and insertions alike, by the distributed incremental
+//! update of [`delta`].
 //!
 //! The building blocks are public too: [`local_eval::LocalEval`] is the
 //! paper's `lEval` (optimistic counter-based local fixpoint with

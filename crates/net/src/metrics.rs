@@ -68,6 +68,11 @@ pub struct SiteDeltaMetrics {
     pub pairs_revoked: u64,
     /// Local match pairs resurrected by insertion-side maintenance.
     pub pairs_resurrected: u64,
+    /// Pairs of this site's own nodes that entered the affected area
+    /// `AFF` of an insertion batch: false, label-compatible, and
+    /// backward-reachable from an inserted edge. Each global pair is
+    /// counted once, at its owner.
+    pub affected_pairs: u64,
 }
 
 impl SiteDeltaMetrics {
@@ -79,6 +84,7 @@ impl SiteDeltaMetrics {
         self.falsifications_shipped += other.falsifications_shipped;
         self.pairs_revoked += other.pairs_revoked;
         self.pairs_resurrected += other.pairs_resurrected;
+        self.affected_pairs += other.affected_pairs;
     }
 }
 

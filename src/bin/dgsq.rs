@@ -66,11 +66,11 @@
 //! initial pass: the file holds `- u v` (delete edge) and `+ u v`
 //! (insert edge) lines, `#` comments, and blank lines as **batch
 //! separators**. Each batch is absorbed via `SimEngine::apply_delta`
-//! (locally or over the wire) — deletion-only batches keep the cached
-//! answers current through distributed incremental maintenance,
-//! insertions invalidate and re-plan — and the pattern stream is
-//! re-run after every batch so the cache-hit and maintenance
-//! accounting is visible.
+//! (locally or over the wire) — deletions and insertions alike keep
+//! the cached answers current through distributed incremental
+//! maintenance — and the pattern stream is re-run after every batch
+//! so the cache-hit and maintenance accounting (pairs revoked,
+//! resurrected, and affected) is visible.
 
 use dgs::core::{Algorithm, CompressionMethod, GraphDelta, SimEngine};
 use dgs::graph::{io, Graph, NodeId, Pattern};
@@ -372,8 +372,7 @@ fn load_updates(path: &str) -> Vec<GraphDelta> {
 }
 
 /// Replays update batches against the session, re-running the query
-/// stream after each batch so the maintenance/invalidation behaviour
-/// is visible.
+/// stream after each batch so the maintenance behaviour is visible.
 fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &str) {
     let batches = load_updates(path);
     if batches.is_empty() {
@@ -396,8 +395,8 @@ fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &s
         );
         if report.maintained_entries > 0 {
             println!(
-                "  maintained {} cached entr{} incrementally: {} pairs revoked, \
-                 {} data msgs ({} B) of falsification traffic",
+                "  maintained {} cached entr{} incrementally: revoked {} resurrected {} \
+                 affected {} pairs, {} data msgs ({} B) of maintenance traffic",
                 report.maintained_entries,
                 if report.maintained_entries == 1 {
                     "y"
@@ -405,13 +404,16 @@ fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &s
                     "ies"
                 },
                 report.revoked_pairs,
+                report.resurrected_pairs,
+                report.affected_pairs(),
                 report.metrics.data_messages,
                 report.metrics.data_bytes
             );
         }
         if report.invalidated_entries > 0 {
             println!(
-                "  insertions invalidated {} cached entr{} (next queries re-plan)",
+                "  dropped {} trivial-∅ entr{} whose ∅ rows are not the fixpoint \
+                 (no baseline for insertions; next queries re-evaluate)",
                 report.invalidated_entries,
                 if report.invalidated_entries == 1 {
                     "y"
@@ -475,13 +477,14 @@ fn replay_updates_remote(client: &mut DgsClient, algo: WireAlgorithm, qs: &[Patt
         );
         if report.maintained_entries > 0 {
             println!(
-                "  maintained {} cached entries incrementally ({} pairs revoked)",
-                report.maintained_entries, report.revoked_pairs
+                "  maintained {} cached entries incrementally: revoked {} resurrected {} pairs",
+                report.maintained_entries, report.revoked_pairs, report.resurrected_pairs
             );
         }
         if report.invalidated_entries > 0 {
             println!(
-                "  insertions invalidated {} cached entries (next queries re-plan)",
+                "  dropped {} trivial-∅ entries whose ∅ rows are not the fixpoint \
+                 (no baseline for insertions; next queries re-evaluate)",
                 report.invalidated_entries
             );
         }

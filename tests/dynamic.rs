@@ -424,6 +424,78 @@ proptest! {
             prop_assert_eq!(&warm.relation, &hhk_simulation(&q, &current).relation);
         }
     }
+
+    /// The benchmark's shape: many maintained entries on one engine
+    /// under a long mixed stream whose insertions alternate between
+    /// recurrent edges (an earlier deletion coming back) and fresh
+    /// ones. Every entry equals the oracle on the test's own mirror of
+    /// the graph at every generation, and none is ever dropped.
+    #[test]
+    fn many_entries_stay_exact_under_recurrent_and_fresh_churn(
+        n in 40usize..90,
+        k in 2usize..5,
+        wanted in 8usize..17,
+        seed in any::<u64>(),
+    ) {
+        let g = random::uniform(n, 4 * n, 3, seed);
+        let assign = hash_partition(n, k, seed);
+        let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+        let engine = SimEngine::builder(&g, frag).build();
+        // Distinct canonical forms only: isomorphic patterns share an entry.
+        let mut keys = std::collections::HashSet::new();
+        let qs: Vec<Pattern> = (0..4 * wanted as u64)
+            .map(|i| patterns::random_cyclic(3 + (i % 3) as usize, 5 + (i % 4) as usize, 3, seed ^ i))
+            .filter(|q| keys.insert(SimEngine::pattern_canon(q).0))
+            .take(wanted)
+            .collect();
+        for q in &qs {
+            engine.query(q).unwrap();
+        }
+
+        let mut mirror = g.clone();
+        let mut graveyard: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut s = seed;
+        let mut next = |bound: usize| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as usize % bound
+        };
+        for batch in 0..30 {
+            let mut delta = GraphDelta::default();
+            for i in 0..4 {
+                let fresh = (NodeId(next(n) as u32), NodeId(next(n) as u32));
+                let e = if i % 2 == 0 && !graveyard.is_empty() {
+                    graveyard.swap_remove(next(graveyard.len()))
+                } else {
+                    fresh
+                };
+                if !mirror.has_edge(e.0, e.1) && !delta.insert_edges.contains(&e) {
+                    delta.insert_edges.push(e);
+                }
+            }
+            let mut present: Vec<(NodeId, NodeId)> = mirror.edges().collect();
+            for _ in 0..4 {
+                delta.delete_edges.push(present.swap_remove(next(present.len())));
+            }
+            graveyard.extend(&delta.delete_edges);
+
+            let report = engine.apply_delta(&delta).unwrap();
+            prop_assert_eq!(report.ignored, 0);
+            prop_assert_eq!(report.maintained_entries, qs.len());
+            prop_assert_eq!(report.invalidated_entries, 0);
+
+            mirror = mutated(&mirror, &delta);
+            for q in &qs {
+                let served = engine.query(q).unwrap();
+                prop_assert_eq!(served.metrics.cache_hits, 1);
+                prop_assert_eq!(
+                    &served.relation,
+                    &hhk_simulation(q, &mirror).relation,
+                    "batch {}",
+                    batch
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -624,5 +696,123 @@ fn hand_built_cascades_on_one_site() {
             assert_eq!(warm.relation, hhk_simulation(&q, &current).relation);
             assert_eq!(warm.relation.is_empty(), resurrected == 0);
         }
+    }
+}
+
+/// Insertion maintenance is charged for the change, not for the graph:
+/// ten new edges in an 8 000-node community graph touch a few dozen
+/// pairs, where closing the affected area over *nodes* used to reach
+/// the giant component and recount it (about 19 ops per node).
+#[test]
+fn insertion_maintenance_costs_the_change_not_the_graph() {
+    let (n, k) = (8_000, 8);
+    let g = random::community(n, 5 * n, k, 0.066, 6, 1);
+    let assign = random::community_assignment(n, k);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+    let engine = SimEngine::builder(&g, frag).build();
+    let q = (0..)
+        .map(|i| patterns::random_cyclic(4, 5, 6, i))
+        .find(|q| hhk_simulation(q, &g).matches())
+        .unwrap();
+    let before = engine.query(&q).unwrap().relation;
+    let false_compatible = q
+        .nodes()
+        .flat_map(|u| g.nodes().map(move |v| (u, v)))
+        .filter(|&(u, v)| q.label(u) == g.label(v) && !before.contains(u, v))
+        .count() as u64;
+
+    let delta = insert_stream(&g, 10, 1);
+    assert_eq!(delta.insert_edges.len(), 10);
+    let report = engine.apply_delta(&delta).unwrap();
+    assert_eq!(report.maintained_entries, 1);
+    let affected = report.affected_pairs();
+    assert!(
+        affected <= false_compatible,
+        "{affected} > {false_compatible}"
+    );
+    assert!(
+        report.metrics.total_ops < n as u64,
+        "{} ops charged for 10 insertions into {n} nodes",
+        report.metrics.total_ops
+    );
+    let warm = engine.query(&q).unwrap();
+    assert_eq!(warm.metrics.cache_hits, 1);
+    assert_eq!(
+        warm.relation,
+        hhk_simulation(&q, &mutated(&g, &delta)).relation
+    );
+}
+
+/// Net-out, across sites: a pair that a batch takes away and gives
+/// back is reported in neither direction, and what one batch revokes
+/// the next can resurrect — every diff is duplicate-free and composes
+/// to the oracle's relation.
+#[test]
+fn diffs_net_out_within_a_batch_and_compose_across_batches() {
+    // The ring broken in batch 1 and mended in batch 2.
+    let n = 12;
+    let closing = (adversarial::b_node(n), adversarial::a_node(1));
+    let ring = (
+        adversarial::q0(),
+        adversarial::cycle_graph(n),
+        vec![
+            (GraphDelta::deletions([closing]), 2 * n as u64, 0),
+            (GraphDelta::insertions([closing]), 0, 2 * n as u64),
+        ],
+    );
+
+    // `p`'s only support `s1` is deleted while a parallel one, `s2`,
+    // is inserted: the deletion phase revokes `p` and, behind it, both
+    // predecessors; the insertion phase brings all three back.
+    let mut pb = PatternBuilder::new();
+    let (a, b) = (pb.add_node(Label(0)), pb.add_node(Label(1)));
+    pb.add_edge(a, b);
+    pb.add_edge(b, a);
+    let mut gb = GraphBuilder::new();
+    let p = gb.add_node(Label(0));
+    let s1 = gb.add_node(Label(1));
+    let s2 = gb.add_node(Label(1));
+    for (u, v) in [(p, s1), (s1, p), (s2, p)] {
+        gb.add_edge(u, v);
+    }
+    let swap = GraphDelta {
+        insert_edges: vec![(p, s2)],
+        delete_edges: vec![(p, s1)],
+    };
+    let parallel = (pb.build(), gb.build(), vec![(swap, 0, 0)]);
+
+    for (q, g, steps) in [ring, parallel] {
+        let assign: Vec<usize> = (0..g.node_count()).map(|v| v % 3).collect();
+        let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+        let engine = SimEngine::builder(&g, frag).build();
+        let mut rows = relation_rows(&engine.query(&q).unwrap().relation);
+        let (_, pos_of) = SimEngine::pattern_canon(&q);
+        let node_at = |canon: u16| pos_of.iter().position(|&p| p == canon).unwrap();
+
+        let mut current = g;
+        for (delta, revoked, resurrected) in steps {
+            let report = engine.apply_delta(&delta).unwrap();
+            assert_eq!(report.revoked_pairs, revoked);
+            assert_eq!(report.resurrected_pairs, resurrected);
+            let diff = &report.maintained_diffs[0];
+            for var in &diff.revoked {
+                let row = &mut rows[node_at(var.q)];
+                let at = row.binary_search(&var.node).expect("revoked a match");
+                row.remove(at);
+            }
+            for var in &diff.resurrected {
+                let row = &mut rows[node_at(var.q)];
+                let at = row
+                    .binary_search(&var.node)
+                    .expect_err("resurrected a non-match");
+                row.insert(at, var.node);
+            }
+            current = mutated(&current, &delta);
+            assert_eq!(rows, relation_rows(&hhk_simulation(&q, &current).relation));
+        }
+        // The graph mirror replays the batches in order: an edge that
+        // left and came back is there.
+        let edges = |g: &Graph| g.edges().collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(edges(&engine.graph()), edges(&current));
     }
 }

@@ -429,6 +429,45 @@ fn killed_worker_is_a_typed_error() {
     assert!(matches!(err, DgsError::SiteFailed { .. }), "{err}");
 }
 
+/// Regression: a delta that fails — here because re-shipping the graph
+/// meets a dead worker — must be a no-op. It used to run maintenance
+/// first, which left every counter state one batch ahead of the rows
+/// it belongs to and orphan rows under a generation that was never
+/// published.
+#[test]
+fn failed_delta_on_socket_session_is_a_noop() {
+    let g = random::uniform(80, 320, 4, 13);
+    let assign = hash_partition(g.node_count(), 3, 13);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+    let engine = SimEngine::builder(&g, frag)
+        .build_socket(spawn_cfg(2).site_timeout(Duration::from_secs(10)))
+        .unwrap();
+    let q = patterns::random_cyclic(3, 5, 4, 13);
+    let warm = engine.query(&q).expect("healthy cluster answers");
+    let generation = engine.generation();
+    let entries = engine.cache_stats().unwrap().entries;
+    assert_eq!(entries, 1);
+
+    let pids = engine.socket_cluster().unwrap().worker_pids();
+    let status = std::process::Command::new("kill")
+        .args(["-9", &pids[0].to_string()])
+        .status()
+        .expect("kill spawns");
+    assert!(status.success());
+    std::thread::sleep(Duration::from_millis(100));
+
+    let dels: Vec<_> = g.edges().take(8).collect();
+    let err = engine
+        .apply_delta(&GraphDelta::deletions(dels))
+        .unwrap_err();
+    assert!(matches!(err, DgsError::SiteFailed { .. }), "{err}");
+    assert_eq!(engine.generation(), generation);
+    assert_eq!(engine.cache_stats().unwrap().entries, entries);
+    let again = engine.query(&q).expect("the cached answer needs no worker");
+    assert_eq!(again.metrics.cache_hits, 1);
+    assert_eq!(again.relation, warm.relation);
+}
+
 /// Attach mode: workers started independently (here: `dgsq worker`
 /// processes we spawn by hand, in production `dgsd --worker`) can be
 /// attached to by address.
