@@ -57,7 +57,7 @@
 //! sites buffer falsifications that arrive mid-marking and replay them
 //! after revival.
 
-use crate::vars::Var;
+use crate::vars::{SiteBatches, Var};
 use dgs_graph::{NodeId, Pattern};
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteDeltaMetrics, SiteLogic, WireSize};
 use dgs_partition::{Fragmentation, SiteId};
@@ -601,15 +601,13 @@ impl DeltaSiteLogic {
             return;
         }
         let f = self.frag.fragment(self.site);
-        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
+        let mut batches = SiteBatches::new(out.num_sites());
         for var in vars {
             let idx = f.index_of(var.node_id()).expect("in-node var is local");
             let pos = f.in_node_pos(idx).expect("falsified var is an in-node");
-            for &s in f.in_node_subscribers(pos) {
-                per_site.entry(s).or_default().push(var);
-            }
+            batches.push(var, f.in_node_subscribers(pos));
         }
-        for (s, vars) in per_site {
+        for (s, vars) in batches.into_batches() {
             self.stats.falsifications_shipped += vars.len() as u64;
             out.send(Endpoint::Site(s as u32), UpdateMsg::Falsified(vars));
         }
@@ -649,7 +647,7 @@ impl DeltaSiteLogic {
         let st = &mut self.st;
         let nq = st.nq;
         let stats = &mut self.stats;
-        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
+        let mut batches = SiteBatches::new(out.num_sites());
         let mut enter = |uq: u16, idx: u32, mark: &mut [u8], aff: &mut Vec<(u16, u32)>| {
             let slot = idx as usize * nq + uq as usize;
             if mark[slot] != 0 {
@@ -661,9 +659,7 @@ impl DeltaSiteLogic {
                 stats.affected_pairs += 1;
                 if let Some(pos) = f.in_node_pos(idx) {
                     let node = f.global_id(idx).0;
-                    for &s in f.in_node_subscribers(pos) {
-                        per_site.entry(s).or_default().push(Var { q: uq, node });
-                    }
+                    batches.push(Var { q: uq, node }, f.in_node_subscribers(pos));
                 }
             }
         };
@@ -685,7 +681,7 @@ impl DeltaSiteLogic {
                 }
             }
         }
-        for (s, vars) in per_site {
+        for (s, vars) in batches.into_batches() {
             out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(vars));
         }
     }

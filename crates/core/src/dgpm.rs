@@ -26,9 +26,9 @@
 //! answers and shipment, far more local work (the paper measures dGPM
 //! ~20× faster).
 
-use crate::local_eval::LocalEval;
+use crate::local_eval::{Falsified, LocalEval};
 use crate::push::{plan_push, ExtraSubscribers, InlinedEquations, PushedEq};
-use crate::vars::{AnswerBuilder, MatchLists, Var};
+use crate::vars::{AnswerBuilder, MatchLists, SiteBatches, Var};
 use dgs_graph::Pattern;
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteLogic, WireSize};
 use dgs_partition::{Fragmentation, SiteId};
@@ -187,39 +187,27 @@ impl DgpmSite {
         }
     }
 
-    /// Routes in-node falsifications to their subscriber sites (plus
-    /// any dynamically registered extras), batched per destination.
-    fn route_falsifications(&mut self, vars: Vec<Var>, out: &mut Outbox<DgpmMsg>) {
-        if vars.is_empty() {
-            return;
-        }
+    /// Routes in-node falsifications not yet shipped to their
+    /// subscriber sites (plus any dynamically registered extras),
+    /// batched per destination ([`SiteBatches`]; the carried in-node
+    /// position keys both the `sent` bit and the subscriber list).
+    fn route_falsifications(&mut self, vars: Vec<Falsified>, out: &mut Outbox<DgpmMsg>) {
         let f = self.frag.fragment(self.site);
-        // BTreeMap: deterministic destination order.
-        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
-        for var in vars {
-            let idx = f.index_of(var.node_id()).expect("in-node var is local");
-            if !self.sent.insert(var.q as usize, idx) {
-                continue;
-            }
-            let pos = f.in_node_pos(idx).expect("falsified var is an in-node");
-            for &s in f.in_node_subscribers(pos) {
-                per_site.entry(s).or_default().push(var);
-            }
-            for &s in self.extra_subs.of(var) {
-                let entry = per_site.entry(s).or_default();
-                if !entry.contains(&var) {
-                    entry.push(var);
-                }
+        let mut batches = SiteBatches::new(out.num_sites());
+        for (var, pos) in vars {
+            if self.sent.insert(var.q as usize, f.in_nodes()[pos as usize]) {
+                batches.push(var, f.in_node_subscribers(pos as usize));
+                batches.push(var, self.extra_subs.of(var));
             }
         }
-        for (s, vars) in per_site {
+        for (s, vars) in batches.into_batches() {
             out.send(Endpoint::Site(s as u32), DgpmMsg::Falsified(vars));
         }
     }
 
     /// Applies received falsifications through the configured
     /// evaluation mode, returning newly falsified in-node variables.
-    fn apply_falsifications(&mut self, vars: &[Var]) -> Vec<Var> {
+    fn apply_falsifications(&mut self, vars: &[Var]) -> Vec<Falsified> {
         // Feed inlined equations first: foreign variables may resolve
         // pushed equations into local virtual falsifications.
         let mut all: Vec<Var> = vars.to_vec();

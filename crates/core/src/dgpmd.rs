@@ -22,8 +22,8 @@
 //! distributed work (a cycle cannot simulate into a DAG); the
 //! [`crate::api`] layer short-circuits that case.
 
-use crate::local_eval::LocalEval;
-use crate::vars::{AnswerBuilder, MatchLists, Var};
+use crate::local_eval::{Falsified, LocalEval};
+use crate::vars::{AnswerBuilder, MatchLists, SiteBatches, Var};
 use dgs_graph::algo::pattern_topo_ranks;
 use dgs_graph::Pattern;
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteLogic, WireSize};
@@ -66,12 +66,13 @@ pub struct DgpmdSite {
     site: SiteId,
     frag: Arc<Fragmentation>,
     q: Arc<Pattern>,
-    /// `r(u)` per query node.
-    ranks: Vec<u32>,
+    /// `r(u)` per query node (one computation per query, shared by the
+    /// sites [`build`] makes).
+    ranks: Arc<[u32]>,
     eval: Option<LocalEval>,
     /// Outgoing falsifications awaiting their rank round, keyed by
     /// rank.
-    buffered: BTreeMap<u32, Vec<Var>>,
+    buffered: BTreeMap<u32, Vec<Falsified>>,
 }
 
 impl DgpmdSite {
@@ -82,6 +83,16 @@ impl DgpmdSite {
     /// DAG-graph short-circuit).
     pub fn new(site: SiteId, frag: Arc<Fragmentation>, q: Arc<Pattern>) -> Self {
         let ranks = pattern_topo_ranks(&q).expect("dGPMd requires a DAG pattern");
+        Self::with_ranks(site, frag, q, ranks.into())
+    }
+
+    /// [`Self::new`] with `pattern_topo_ranks(&q)` already computed.
+    pub fn with_ranks(
+        site: SiteId,
+        frag: Arc<Fragmentation>,
+        q: Arc<Pattern>,
+        ranks: Arc<[u32]>,
+    ) -> Self {
         DgpmdSite {
             site,
             frag,
@@ -92,34 +103,25 @@ impl DgpmdSite {
         }
     }
 
-    fn buffer(&mut self, vars: Vec<Var>) {
-        for var in vars {
+    fn buffer(&mut self, vars: Vec<Falsified>) {
+        for (var, pos) in vars {
             let r = self.ranks[var.q as usize];
-            self.buffered.entry(r).or_default().push(var);
+            self.buffered.entry(r).or_default().push((var, pos));
         }
     }
 
     /// Ships all buffered falsifications of rank ≤ `rank`, one batch
-    /// per destination site.
+    /// per destination site ([`SiteBatches`]: the carried in-node
+    /// position names the subscriber list, nothing is looked up).
     fn ship_up_to(&mut self, rank: u32, out: &mut Outbox<DgpmdMsg>) {
         let f = self.frag.fragment(self.site);
-        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
-        let released: Vec<u32> = self
-            .buffered
-            .keys()
-            .copied()
-            .filter(|&r| r <= rank)
-            .collect();
-        for r in released {
-            for var in self.buffered.remove(&r).unwrap() {
-                let idx = f.index_of(var.node_id()).expect("in-node var is local");
-                let pos = f.in_node_pos(idx).expect("in-node var");
-                for &s in f.in_node_subscribers(pos) {
-                    per_site.entry(s).or_default().push(var);
-                }
+        let mut batches = SiteBatches::new(out.num_sites());
+        while let Some(released) = self.buffered.first_entry().filter(|e| *e.key() <= rank) {
+            for (var, pos) in released.remove() {
+                batches.push(var, f.in_node_subscribers(pos as usize));
             }
         }
-        for (s, vars) in per_site {
+        for (s, vars) in batches.into_batches() {
             out.send(Endpoint::Site(s as u32), DgpmdMsg::RankBatch { rank, vars });
         }
     }
@@ -185,14 +187,14 @@ pub struct DgpmdCoordinator {
 }
 
 impl DgpmdCoordinator {
-    /// Creates the coordinator for pattern `q`.
-    pub fn new(q: &Pattern) -> Self {
-        let ranks = pattern_topo_ranks(q).expect("dGPMd requires a DAG pattern");
+    /// Creates the coordinator for a pattern of `nq` nodes whose
+    /// largest topological rank is `max_rank`.
+    pub fn new(nq: usize, max_rank: u32) -> Self {
         DgpmdCoordinator {
-            nq: q.node_count(),
-            max_rank: ranks.into_iter().max().unwrap_or(0),
+            nq,
+            max_rank,
             phase: Phase::Ranks(0),
-            builder: Some(AnswerBuilder::new(q.node_count())),
+            builder: Some(AnswerBuilder::new(nq)),
             rounds: 0,
             answer: None,
         }
@@ -250,12 +252,17 @@ impl CoordinatorLogic<DgpmdMsg> for DgpmdCoordinator {
     }
 }
 
-/// Builds the full actor set for a `dGPMd` run.
+/// Builds the full actor set for a `dGPMd` run; the ranks are computed
+/// once and shared.
 pub fn build(frag: &Arc<Fragmentation>, q: &Arc<Pattern>) -> (DgpmdCoordinator, Vec<DgpmdSite>) {
+    let ranks: Arc<[u32]> = pattern_topo_ranks(q)
+        .expect("dGPMd requires a DAG pattern")
+        .into();
+    let max_rank = ranks.iter().copied().max().unwrap_or(0);
     let sites = (0..frag.num_sites())
-        .map(|s| DgpmdSite::new(s, Arc::clone(frag), Arc::clone(q)))
+        .map(|s| DgpmdSite::with_ranks(s, Arc::clone(frag), Arc::clone(q), Arc::clone(&ranks)))
         .collect();
-    (DgpmdCoordinator::new(q), sites)
+    (DgpmdCoordinator::new(q.node_count(), max_rank), sites)
 }
 
 #[cfg(test)]
@@ -346,7 +353,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "DAG pattern")]
     fn cyclic_pattern_rejected() {
-        let q = patterns::random_cyclic(4, 8, 4, 0);
-        let _ = DgpmdCoordinator::new(&q);
+        let g = dag::citation_like(20, 40, 4, 0);
+        let frag = Arc::new(Fragmentation::build(&g, &hash_partition(20, 2, 0), 2));
+        let _ = build(&frag, &Arc::new(patterns::random_cyclic(4, 8, 4, 0)));
     }
 }

@@ -36,8 +36,8 @@
 //! `ρ ≤ |Vf||Vq|` in the worst case (one falsification per round), so
 //! the partition-bounded guarantee of Theorem 2 is preserved.
 
-use crate::local_eval::LocalEval;
-use crate::vars::{AnswerBuilder, MatchLists, Var};
+use crate::local_eval::{Falsified, LocalEval};
+use crate::vars::{AnswerBuilder, MatchLists, SiteBatches, Var};
 use dgs_graph::algo::{strongly_connected_components, PatternView};
 use dgs_graph::Pattern;
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteLogic, WireSize};
@@ -128,11 +128,12 @@ pub struct DgpmsSite {
     site: SiteId,
     frag: Arc<Fragmentation>,
     q: Arc<Pattern>,
-    /// Stratum rank per query node.
-    ranks: Vec<u32>,
+    /// Stratum rank per query node (one computation per query, shared
+    /// by the sites [`build`] makes).
+    ranks: Arc<[u32]>,
     eval: Option<LocalEval>,
     /// Falsifications awaiting their stratum, keyed by rank.
-    buffered: BTreeMap<u32, Vec<Var>>,
+    buffered: BTreeMap<u32, Vec<Falsified>>,
     /// The stratum of the last `StartRound` seen.
     current_stratum: u32,
     /// Whether a `MoreWork` flag was already sent this round.
@@ -142,7 +143,17 @@ pub struct DgpmsSite {
 impl DgpmsSite {
     /// Creates the site logic (any pattern, cyclic or not).
     pub fn new(site: SiteId, frag: Arc<Fragmentation>, q: Arc<Pattern>) -> Self {
-        let (ranks, _) = scc_ranks(&q);
+        let ranks = scc_ranks(&q).0.into();
+        Self::with_ranks(site, frag, q, ranks)
+    }
+
+    /// [`Self::new`] with `scc_ranks(&q).0` already computed.
+    pub fn with_ranks(
+        site: SiteId,
+        frag: Arc<Fragmentation>,
+        q: Arc<Pattern>,
+        ranks: Arc<[u32]>,
+    ) -> Self {
         DgpmsSite {
             site,
             frag,
@@ -158,12 +169,12 @@ impl DgpmsSite {
     /// Buffers falsifications by rank; flags the coordinator once per
     /// round when a delivery creates current-stratum work (which means
     /// the stratum has not converged).
-    fn buffer(&mut self, vars: Vec<Var>, flag: Option<&mut Outbox<DgpmsMsg>>) {
+    fn buffer(&mut self, vars: Vec<Falsified>, flag: Option<&mut Outbox<DgpmsMsg>>) {
         let mut more = false;
-        for var in vars {
+        for (var, pos) in vars {
             let r = self.ranks[var.q as usize];
             more |= r <= self.current_stratum;
-            self.buffered.entry(r).or_default().push(var);
+            self.buffered.entry(r).or_default().push((var, pos));
         }
         if let Some(out) = flag {
             if more && !self.more_sent {
@@ -174,26 +185,17 @@ impl DgpmsSite {
     }
 
     /// Ships buffered falsifications of rank ≤ `rank`, one batch per
-    /// destination.
+    /// destination ([`SiteBatches`]: the carried in-node position names
+    /// the subscriber list, nothing is looked up).
     fn ship_round(&mut self, rank: u32, out: &mut Outbox<DgpmsMsg>) {
         let f = self.frag.fragment(self.site);
-        let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
-        let released: Vec<u32> = self
-            .buffered
-            .keys()
-            .copied()
-            .filter(|&r| r <= rank)
-            .collect();
-        for r in released {
-            for var in self.buffered.remove(&r).unwrap() {
-                let idx = f.index_of(var.node_id()).expect("in-node var is local");
-                let pos = f.in_node_pos(idx).expect("in-node var");
-                for &s in f.in_node_subscribers(pos) {
-                    per_site.entry(s).or_default().push(var);
-                }
+        let mut batches = SiteBatches::new(out.num_sites());
+        while let Some(released) = self.buffered.first_entry().filter(|e| *e.key() <= rank) {
+            for (var, pos) in released.remove() {
+                batches.push(var, f.in_node_subscribers(pos as usize));
             }
         }
-        for (s, vars) in per_site {
+        for (s, vars) in batches.into_batches() {
             out.send(Endpoint::Site(s as u32), DgpmsMsg::Batch(vars));
         }
     }
@@ -276,16 +278,16 @@ pub struct DgpmsCoordinator {
 }
 
 impl DgpmsCoordinator {
-    /// Creates the coordinator for pattern `q`.
-    pub fn new(q: &Pattern) -> Self {
-        let (_, max_rank) = scc_ranks(q);
+    /// Creates the coordinator for a pattern of `nq` nodes whose
+    /// largest stratum rank ([`scc_ranks`]) is `max_rank`.
+    pub fn new(nq: usize, max_rank: u32) -> Self {
         DgpmsCoordinator {
-            nq: q.node_count(),
+            nq,
             max_rank,
             phase: Phase::Stratum(0),
             any_shipped: false,
             rounds_in_stratum: 0,
-            builder: Some(AnswerBuilder::new(q.node_count())),
+            builder: Some(AnswerBuilder::new(nq)),
             rounds: 0,
             repeats: vec![0; max_rank as usize + 1],
             answer: None,
@@ -362,12 +364,15 @@ impl CoordinatorLogic<DgpmsMsg> for DgpmsCoordinator {
     }
 }
 
-/// Builds the full actor set for a `dGPMs` run.
+/// Builds the full actor set for a `dGPMs` run; the ranks are computed
+/// once and shared.
 pub fn build(frag: &Arc<Fragmentation>, q: &Arc<Pattern>) -> (DgpmsCoordinator, Vec<DgpmsSite>) {
+    let (ranks, max_rank) = scc_ranks(q);
+    let ranks: Arc<[u32]> = ranks.into();
     let sites = (0..frag.num_sites())
-        .map(|s| DgpmsSite::new(s, Arc::clone(frag), Arc::clone(q)))
+        .map(|s| DgpmsSite::with_ranks(s, Arc::clone(frag), Arc::clone(q), Arc::clone(&ranks)))
         .collect();
-    (DgpmsCoordinator::new(q), sites)
+    (DgpmsCoordinator::new(q.node_count(), max_rank), sites)
 }
 
 #[cfg(test)]

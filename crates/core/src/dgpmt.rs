@@ -26,12 +26,11 @@
 use crate::boolexpr::EquationSystem;
 use crate::local_eval::LocalEval;
 use crate::push::{Expander, PushedEq};
-use crate::vars::{AnswerBuilder, MatchLists, Var};
+use crate::vars::{AnswerBuilder, MatchLists, SiteBatches, Var};
 use dgs_graph::Pattern;
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteLogic, WireSize};
 use dgs_partition::{Fragmentation, SiteId};
 use dgs_sim::MatchRelation;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Messages of the `dGPMt` protocol.
@@ -216,7 +215,7 @@ impl CoordinatorLogic<DgpmtMsg> for DgpmtCoordinator {
                 // Route each falsified root variable to the sites
                 // holding that root as a virtual node (its parent
                 // fragment).
-                let mut per_site: BTreeMap<SiteId, Vec<Var>> = BTreeMap::new();
+                let mut batches = SiteBatches::new(out.num_sites());
                 for (&var, &val) in &values {
                     if val {
                         continue;
@@ -225,11 +224,15 @@ impl CoordinatorLogic<DgpmtMsg> for DgpmtCoordinator {
                     let f = self.frag.fragment(owner);
                     let idx = f.index_of(var.node_id()).expect("root is local to owner");
                     let pos = f.in_node_pos(idx).expect("root is an in-node");
-                    for &s in f.in_node_subscribers(pos) {
-                        per_site.entry(s).or_default().push(var);
-                    }
+                    batches.push(var, f.in_node_subscribers(pos));
                 }
-                if per_site.is_empty() {
+                let mut sent = false;
+                for (s, mut vars) in batches.into_batches() {
+                    sent = true;
+                    vars.sort_unstable();
+                    out.send(Endpoint::Site(s as u32), DgpmtMsg::SolvedFalse(vars));
+                }
+                if !sent {
                     // Nothing falsified (e.g. a single fragment, or an
                     // all-true system): skip straight to the gather
                     // round — returning false with an empty outbox
@@ -239,10 +242,6 @@ impl CoordinatorLogic<DgpmtMsg> for DgpmtCoordinator {
                     }
                     self.phase = Phase::Gathering;
                     return false;
-                }
-                for (s, mut vars) in per_site {
-                    vars.sort_unstable();
-                    out.send(Endpoint::Site(s as u32), DgpmtMsg::SolvedFalse(vars));
                 }
                 self.phase = Phase::Distributing;
                 false

@@ -20,20 +20,35 @@
 //! exactly the paper's "always assume the unevaluated virtual nodes
 //! are match candidates".
 //!
+//! Counters are **seeded from a label tally**, as `hhk_simulation`
+//! seeds its own: initial candidacy is label equality, so one walk of
+//! a node's successor list tallies their labels, edge `e` reads
+//! `tally[label(child(e))]`, and the tally is reset — `|Ei| + ne·|Vi|`
+//! charged steps, not `ne·|Ei|` bit tests. Virtual pairs pinned false
+//! (`dGPMNOpt`'s from-scratch rebuild, [`LocalEval::new_with_pinned`])
+//! are corrected *after* seeding: each takes its support back out of
+//! its predecessors' counters, so [`LocalEval::new`] is the same path
+//! with nothing to correct.
+//!
 //! [`LocalEval::apply_virtual_falsifications`] is the *incremental*
 //! `lEval` of §4.2: it touches only the affected area `AFF` (the
 //! counters reachable from the changed variables), and returns the
 //! in-node variables that became false — precisely what `lMsg` must
-//! ship. The non-incremental `dGPMNOpt` variant instead rebuilds a
-//! fresh `LocalEval` with the known-false virtual variables pinned
-//! (`LocalEval::new_with_pinned`).
+//! ship. Each comes back as a [`Falsified`]: the variable *and* its
+//! node's position in [`Fragment::in_nodes`], read from a dense table
+//! built once per evaluation, so neither the worklist nor the ship
+//! path (`vars::SiteBatches`) searches for the subscriber list.
 
 use crate::vars::Var;
 use dgs_graph::{Pattern, QNodeId};
-use dgs_partition::{Fragmentation, SiteId};
+use dgs_partition::{Fragment, Fragmentation, SiteId};
 use dgs_sim::matchset::{MatchSet, SetBits};
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// A falsified in-node variable and its node's position in
+/// [`Fragment::in_nodes`] (the key of its subscriber list).
+pub type Falsified = (Var, u32);
 
 /// Per-site optimistic evaluation state.
 pub struct LocalEval {
@@ -54,6 +69,9 @@ pub struct LocalEval {
     /// Support counters: `cnt[e * n + idx]` (meaningful for local
     /// indices only).
     cnt: Vec<u32>,
+    /// Local index → position in [`Fragment::in_nodes`]; `u32::MAX`
+    /// for every other slot.
+    in_pos: Vec<u32>,
     /// Charged basic operations since the last [`LocalEval::take_ops`].
     ops: u64,
 }
@@ -63,7 +81,7 @@ impl LocalEval {
     /// (Phase 1 partial evaluation). Returns the state and the in-node
     /// variables that are already falsified — the site's first
     /// `lMsg` payload.
-    pub fn new(frag: Arc<Fragmentation>, site: SiteId, q: Arc<Pattern>) -> (Self, Vec<Var>) {
+    pub fn new(frag: Arc<Fragmentation>, site: SiteId, q: Arc<Pattern>) -> (Self, Vec<Falsified>) {
         Self::new_with_pinned(frag, site, q, &HashSet::new())
     }
 
@@ -75,7 +93,7 @@ impl LocalEval {
         site: SiteId,
         q: Arc<Pattern>,
         pinned_false: &HashSet<Var>,
-    ) -> (Self, Vec<Var>) {
+    ) -> (Self, Vec<Falsified>) {
         let f = frag.fragment(site);
         let nq = q.node_count();
         let n = f.n_total();
@@ -93,20 +111,10 @@ impl LocalEval {
 
         // Candidacy by label: one bitset row of label-matched indices
         // per label (single pass over the fragment), then candidate
-        // rows are word-at-a-time copies. Virtual pairs additionally
-        // respect the pinned-false set.
-        let label_bound = q
-            .labels()
-            .iter()
-            .map(|l| l.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(
-                (0..n as u32)
-                    .map(|idx| f.label(idx).index() + 1)
-                    .max()
-                    .unwrap_or(0),
-            );
+        // rows are word-at-a-time copies.
+        let labels = (0..n as u32).map(|idx| f.label(idx));
+        let labels = labels.chain(q.labels().iter().copied());
+        let label_bound = labels.map(|l| l.index() + 1).max().unwrap_or(0);
         let mut by_label = MatchSet::new(label_bound, n);
         for idx in 0..n as u32 {
             ops += 1;
@@ -117,32 +125,48 @@ impl LocalEval {
             ops += cand.words_per_row() as u64;
             cand.copy_row_from(u.index(), by_label.row(q.label(u).index()));
         }
+
+        // Seed counters from one label tally per local node.
+        let child_label: Vec<usize> = qedges
+            .iter()
+            .map(|&(_, uc)| q.label(QNodeId(uc)).index())
+            .collect();
+        let mut tally = vec![0u32; label_bound];
+        let mut cnt = vec![0u32; ne * n];
+        for idx in 0..n_local {
+            let succ = f.successors(idx as u32);
+            for &s in succ {
+                tally[f.label(s).index()] += 1;
+            }
+            for (e, &l) in child_label.iter().enumerate() {
+                cnt[e * n + idx] = tally[l];
+            }
+            for &s in succ {
+                tally[f.label(s).index()] = 0;
+            }
+            ops += (succ.len() + ne) as u64;
+        }
+
+        // Pinned-false virtual pairs leave candidacy and take their
+        // support back out of their predecessors' counters.
         for var in pinned_false {
             ops += 1;
-            if (var.q as usize) < nq {
-                if let Some(idx) = f.index_of(var.node_id()) {
-                    if f.is_virtual(idx) {
-                        cand.remove(var.q as usize, idx);
+            let Some(idx) = f.index_of(var.node_id()) else {
+                continue;
+            };
+            if (var.q as usize) < nq && f.is_virtual(idx) && cand.remove(var.q as usize, idx) {
+                for &(e, _) in &parent_edges[var.q as usize] {
+                    for &vp in f.predecessors(idx) {
+                        ops += 1;
+                        cnt[e * n + vp as usize] -= 1;
                     }
                 }
             }
         }
 
-        // Seed counters from current candidacy: per query edge, a
-        // contiguous sorted-slice sweep over each local node's
-        // successors against the child's candidate row.
-        let mut cnt = vec![0u32; ne * n];
-        for (e, &(_, uc)) in qedges.iter().enumerate() {
-            for idx in 0..n_local as u32 {
-                let mut c = 0u32;
-                for &s in f.successors(idx) {
-                    ops += 1;
-                    if cand.test(uc as usize, s) {
-                        c += 1;
-                    }
-                }
-                cnt[e * n + idx as usize] = c;
-            }
+        let mut in_pos = vec![u32::MAX; n];
+        for (pos, &idx) in f.in_nodes().iter().enumerate() {
+            in_pos[idx as usize] = pos as u32;
         }
 
         let mut ev = LocalEval {
@@ -156,6 +180,7 @@ impl LocalEval {
             out_edges,
             cand,
             cnt,
+            in_pos,
             ops,
         };
 
@@ -184,7 +209,7 @@ impl LocalEval {
     }
 
     #[inline]
-    fn fragment(&self) -> &dgs_partition::Fragment {
+    fn fragment(&self) -> &Fragment {
         self.frag.fragment(self.site)
     }
 
@@ -215,7 +240,7 @@ impl LocalEval {
     /// falsified by the incremental propagation — the next `lMsg`
     /// payload. Unknown or already-false variables are ignored
     /// (messages are idempotent).
-    pub fn apply_virtual_falsifications(&mut self, vars: &[Var]) -> Vec<Var> {
+    pub fn apply_virtual_falsifications(&mut self, vars: &[Var]) -> Vec<Falsified> {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
         let mut worklist = Vec::new();
@@ -236,29 +261,19 @@ impl LocalEval {
         self.run_worklist(worklist)
     }
 
-    /// Directly falsifies a (local or virtual) pair by local index;
-    /// used by `dGPMt` when the coordinator returns solved root
-    /// variables. Returns newly falsified in-node variables.
-    pub fn falsify_pair(&mut self, u: u16, idx: u32) -> Vec<Var> {
-        if !self.cand.remove(u as usize, idx) {
-            return Vec::new();
-        }
-        self.run_worklist(vec![(u, idx)])
-    }
-
     /// The downward worklist: each entry has just been set non-candidate;
     /// decrement supporting counters of local predecessors and cascade.
-    fn run_worklist(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Var> {
+    /// Returns the falsified in-node variables, each with its position.
+    fn run_worklist(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Falsified> {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
         let n = self.n;
         let mut falsified_in_nodes = Vec::new();
         while let Some((uq, idx)) = worklist.pop() {
-            if (idx as usize) < self.n_local && f.in_node_pos(idx).is_some() {
-                falsified_in_nodes.push(Var {
-                    q: uq,
-                    node: f.global_id(idx).0,
-                });
+            let pos = self.in_pos[idx as usize];
+            if pos != u32::MAX {
+                let node = f.global_id(idx).0;
+                falsified_in_nodes.push((Var { q: uq, node }, pos));
             }
             for &(e, up) in &self.parent_edges[uq as usize] {
                 for &vp in f.predecessors(idx) {
@@ -298,11 +313,13 @@ impl LocalEval {
         out
     }
 
-    /// Count of still-candidate virtual variables (`|Fi.O'|` of the
-    /// push benefit function — unevaluated virtual nodes).
+    /// Count of still-candidate variables of *live* virtual nodes
+    /// (`|Fi.O'|` of the push benefit function; a slot a delta retired
+    /// keeps its bits but is no longer in `Fi.O`).
     pub fn unevaluated_virtuals(&self) -> usize {
         let f = self.fragment();
         f.virtual_indices()
+            .filter(|&idx| f.is_live_virtual(idx))
             .map(|idx| (0..self.nq).filter(|&u| self.cand.test(u, idx)).count())
             .sum()
     }
@@ -374,7 +391,7 @@ mod tests {
     use super::*;
     use dgs_graph::generate::social::fig1;
 
-    fn fig1_eval(site: usize) -> (LocalEval, Vec<Var>, dgs_graph::generate::social::Fig1) {
+    fn fig1_eval(site: usize) -> (LocalEval, Vec<Falsified>, dgs_graph::generate::social::Fig1) {
         let w = fig1();
         let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
         let q = Arc::new(w.pattern.clone());
@@ -429,7 +446,9 @@ mod tests {
         assert!(ev.is_candidate(w.qnode("SP").0, sp1));
         // yf1 is an in-node of F1, so its falsification must be
         // reported for shipping.
-        assert_eq!(out, vec![Var::new(w.qnode("YF"), w.node("yf1"))]);
+        // ...together with yf1's position among F1's in-nodes.
+        let pos = f.in_node_pos(yf1).unwrap() as u32;
+        assert_eq!(out, vec![(Var::new(w.qnode("YF"), w.node("yf1")), pos)]);
     }
 
     #[test]
@@ -458,15 +477,165 @@ mod tests {
         pinned.insert(var);
         let (scratch, _) =
             LocalEval::new_with_pinned(frag, 1, Arc::new(w.pattern.clone()), &pinned);
-        for idx in 0..incr.n_total() as u32 {
+        let n = incr.n_total();
+        for idx in 0..n as u32 {
             for u in 0..w.pattern.node_count() as u16 {
                 assert_eq!(
                     incr.is_candidate(u, idx),
                     scratch.is_candidate(u, idx),
                     "mismatch at u{u}, idx{idx}"
                 );
+                // Surviving local candidates agree on their support too.
+                if incr.is_candidate(u, idx) && (idx as usize) < incr.n_local {
+                    for &e in &incr.out_edges[u as usize] {
+                        let at = e * n + idx as usize;
+                        assert_eq!(incr.cnt[at], scratch.cnt[at], "cnt e{e}, idx{idx}");
+                    }
+                }
             }
         }
+    }
+
+    /// A random fragmentation that went through `apply_delta`: the
+    /// first 40 edges leave, 40 fresh ones arrive, so virtual slots
+    /// retire and new ones are appended behind the sorted section.
+    fn churned(seed: u64) -> (Arc<Fragmentation>, Arc<Pattern>) {
+        use dgs_graph::generate::{patterns, random};
+        use dgs_graph::NodeId;
+        use dgs_partition::{hash_partition, EdgeOp};
+        let g = random::uniform(120, 420, 3, seed);
+        let mut frag = Fragmentation::build(&g, &hash_partition(120, 3, seed), 3);
+        let mut ops: Vec<EdgeOp> = g
+            .edges()
+            .take(40)
+            .map(|(u, v)| EdgeOp::Delete(u, v))
+            .collect();
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut fresh = HashSet::new();
+        while fresh.len() < 40 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let (u, v) = (
+                NodeId((x >> 33) as u32 % 120),
+                NodeId((x >> 13) as u32 % 120),
+            );
+            if u != v && !g.has_edge(u, v) && fresh.insert((u, v)) {
+                ops.push(EdgeOp::Insert(u, v));
+            }
+        }
+        frag.apply_delta(&ops);
+        let q = patterns::random_cyclic(4, 7, 3, seed + 11);
+        (Arc::new(frag), Arc::new(q))
+    }
+
+    /// The HHK invariant the tally seeding must establish (and the
+    /// worklist keep): every counter equals the brute-force count of
+    /// still-candidate successors.
+    fn assert_counters_exact(ev: &LocalEval) {
+        let f = ev.fragment();
+        for (e, (_, uc)) in ev.q.edges().enumerate() {
+            for idx in 0..ev.n_local as u32 {
+                let brute = f.successors(idx).iter();
+                let brute = brute.filter(|&&s| ev.is_candidate(uc.0, s)).count();
+                let got = ev.cnt[e * ev.n + idx as usize];
+                assert_eq!(got as usize, brute, "edge {e}, idx {idx}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_counters_equal_brute_force_counts() {
+        let (mut retired, mut appended) = (0, 0);
+        for seed in 0..12 {
+            let (frag, q) = churned(seed);
+            for site in 0..3 {
+                let f = frag.fragment(site);
+                retired += f.n_virtual() - f.live_virtuals();
+                let virt: Vec<u32> = f.virtual_indices().collect();
+                appended += virt
+                    .windows(2)
+                    .filter(|w| f.global_id(w[1]) < f.global_id(w[0]))
+                    .count();
+                let (mut ev, _) = LocalEval::new(Arc::clone(&frag), site, Arc::clone(&q));
+                assert_counters_exact(&ev);
+                // Pin every third candidate virtual variable false.
+                let mut pinned = HashSet::new();
+                for idx in f.virtual_indices().step_by(3) {
+                    for u in (0..q.node_count() as u16).filter(|&u| ev.is_candidate(u, idx)) {
+                        pinned.insert(Var::new(QNodeId(u), f.global_id(idx)));
+                    }
+                }
+                let (scratch, _) =
+                    LocalEval::new_with_pinned(Arc::clone(&frag), site, Arc::clone(&q), &pinned);
+                assert_counters_exact(&scratch);
+                // ...which is where incremental propagation lands too.
+                let vars: Vec<Var> = pinned.iter().copied().collect();
+                ev.apply_virtual_falsifications(&vars);
+                assert_counters_exact(&ev);
+                for u in 0..q.node_count() {
+                    assert_eq!(ev.cand.row(u), scratch.cand.row(u), "row {u}");
+                }
+                assert_eq!(ev.cnt, scratch.cnt);
+            }
+        }
+        assert!(
+            retired > 0 && appended > 0,
+            "{retired} retired, {appended} appended"
+        );
+    }
+
+    #[test]
+    fn construction_charges_tally_seeding_exactly() {
+        // |Vi ∪ Fi.O| label bits, nq row copies, the seeding —
+        // |Ei| successor visits + ne·|Vi| counter writes, no more —
+        // one dead-check per local label candidate, one decrement per
+        // (falsified pair, parent edge, predecessor).
+        let w = fig1();
+        let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
+        let q = Arc::new(w.pattern.clone());
+        let (nq, ne) = (q.node_count(), q.edges().count());
+        for site in 0..3 {
+            let f = frag.fragment(site);
+            let (mut ev, _) = LocalEval::new(Arc::clone(&frag), site, Arc::clone(&q));
+            let seeding = f.n_edges() + ne * f.n_local();
+            let mut rest = f.n_total() + nq * ev.cand.words_per_row();
+            for u in q.nodes() {
+                for idx in f.local_indices().filter(|&i| f.label(i) == q.label(u)) {
+                    rest += 1;
+                    if !ev.is_candidate(u.0, idx) {
+                        rest += q.parents(u).len() * f.predecessors(idx).len();
+                    }
+                }
+            }
+            assert_eq!(ev.take_ops(), (seeding + rest) as u64, "site {site}");
+        }
+    }
+
+    #[test]
+    fn retired_virtual_slots_are_not_unevaluated() {
+        // Delete the only crossing edge into a virtual node of F1: the
+        // slot keeps its index and its label-candidate bits, but it is
+        // no longer in Fi.O and must leave |Fi.O'|.
+        use dgs_partition::EdgeOp;
+        let w = fig1();
+        let mut frag = Fragmentation::build(&w.graph, &w.assignment, 3);
+        let q = Arc::new(w.pattern.clone());
+        let before = LocalEval::new(Arc::new(frag.clone()), 0, Arc::clone(&q)).0;
+        let f = frag.fragment(0);
+        let v = f
+            .virtual_indices()
+            .find(|&v| f.predecessors(v).len() == 1)
+            .expect("a virtual node with one crossing edge");
+        let vars = (0..q.node_count() as u16)
+            .filter(|&u| before.is_candidate(u, v))
+            .count();
+        assert!(vars > 0, "label-matching virtual node");
+        let (p, v) = (f.global_id(f.predecessors(v)[0]), f.global_id(v));
+        frag.apply_delta(&[EdgeOp::Delete(p, v)]);
+        let after = LocalEval::new(Arc::new(frag), 0, q).0;
+        assert_eq!(
+            after.unevaluated_virtuals(),
+            before.unevaluated_virtuals() - vars
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use dgs_graph::{NodeId, QNodeId};
 use dgs_net::WireSize;
+use dgs_partition::SiteId;
 
 /// The Boolean variable `X(u,v)`: "does data node `v` match query node
 /// `u`?" (§4.1). Variables refer to nodes by *global* id so they are
@@ -77,6 +78,37 @@ impl WireSize for WireSubgraph {
     }
 }
 
+/// Variables batched per destination site — the one routing path of
+/// the `dGPM*` engines and of delta maintenance. A variable goes to
+/// every site of a subscriber list, once per site; batches come out in
+/// ascending site order with the empty ones skipped (the order message
+/// sequence numbers, and so virtual time, are assigned in).
+pub(crate) struct SiteBatches(Vec<Vec<Var>>);
+
+impl SiteBatches {
+    /// No batches yet, for a cluster of `num_sites`.
+    pub(crate) fn new(num_sites: usize) -> Self {
+        SiteBatches(vec![Vec::new(); num_sites])
+    }
+
+    /// Adds `var` to the batch of each site in `to`. Calls for one
+    /// variable are consecutive, so a site named twice (a subscriber
+    /// that also registered as an extra) still gets it once.
+    pub(crate) fn push(&mut self, var: Var, to: &[SiteId]) {
+        for &s in to {
+            if self.0[s].last() != Some(&var) {
+                self.0[s].push(var);
+            }
+        }
+    }
+
+    /// The non-empty batches, ascending by site.
+    pub(crate) fn into_batches(self) -> impl Iterator<Item = (SiteId, Vec<Var>)> {
+        let batches = self.0.into_iter().enumerate();
+        batches.filter(|(_, vars)| !vars.is_empty())
+    }
+}
+
 /// Accumulates per-site [`MatchLists`] into the final
 /// [`dgs_sim::MatchRelation`]
 /// at the coordinator (Phase 3 of the framework, Fig. 3).
@@ -128,6 +160,27 @@ mod tests {
         assert_eq!(r.matches_of(QNodeId(0)), &[NodeId(1), NodeId(4)]);
         assert_eq!(r.matches_of(QNodeId(1)), &[NodeId(2), NodeId(3)]);
         assert!(r.is_total());
+    }
+
+    #[test]
+    fn site_batches_ascend_skip_empties_and_ship_once_per_site() {
+        let (a, b, c) = (
+            Var { q: 0, node: 7 },
+            Var { q: 1, node: 7 },
+            Var { q: 0, node: 9 },
+        );
+        let mut batches = SiteBatches::new(5);
+        batches.push(a, &[3, 1]); // two subscribers: both batches, once
+        batches.push(b, &[3]);
+        batches.push(b, &[3, 4]); // an extra naming a subscriber again
+        batches.push(c, &[]);
+        let got: Vec<_> = batches.into_batches().collect();
+        assert_eq!(
+            got,
+            vec![(1, vec![a]), (3, vec![a, b]), (4, vec![b])],
+            "ascending sites, sites 0 and 2 never named"
+        );
+        assert_eq!(SiteBatches::new(3).into_batches().count(), 0);
     }
 
     #[test]

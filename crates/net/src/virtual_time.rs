@@ -185,7 +185,11 @@ impl VirtualExecutor {
         // (disjoint `&mut` sites handed out via a shared work queue),
         // then *replayed* strictly in site order so seq assignment —
         // and with it the whole event schedule — matches the
-        // sequential path bit for bit.
+        // sequential path bit for bit. The caller parks on purpose: if
+        // it worked the queue too, a new thread would run only once the
+        // other core woke for it, and a core that wakes too late stays
+        // unused — a pool with a share for the caller flipped between
+        // 2x and 1x for seconds at a time (CHANGES.md, PR 15).
         let workers = self.start_workers.min(n);
         let start_outs: Vec<Outbox<M>> = if workers > 1 {
             let mut slots: Vec<Option<Outbox<M>>> = (0..n).map(|_| None).collect();

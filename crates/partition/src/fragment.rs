@@ -25,6 +25,30 @@
 
 use dgs_graph::{Graph, Label, NodeId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher of the global-id → local-index maps: one multiply per `u32`
+/// node id, with the well-mixed high half folded onto the low bits
+/// the table indexes by (so ids sharing their low bits — multiples of
+/// 2¹⁶, say — still spread). Node ids are not attacker-chosen keys, so
+/// SipHash buys nothing on the path every received variable takes.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("node ids hash through write_u32");
+    }
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap = HashMap<NodeId, u32, BuildHasherDefault<IdHasher>>;
 
 /// A site identifier, `0..fragmentation.num_sites()`.
 pub type SiteId = usize;
@@ -91,7 +115,7 @@ pub struct Fragment {
     /// section of `global_ids`).
     virtual_owners: Vec<SiteId>,
     /// Global id → local index.
-    index_of: HashMap<NodeId, u32>,
+    index_of: IdMap,
 }
 
 impl Fragment {
@@ -398,7 +422,8 @@ impl Fragmentation {
             global_ids.extend_from_slice(&locals[site]);
             global_ids.extend_from_slice(&virtuals[site]);
             let labels: Vec<Label> = global_ids.iter().map(|&v| graph.label(v)).collect();
-            let mut index_of = HashMap::with_capacity(global_ids.len());
+            let mut index_of =
+                IdMap::with_capacity_and_hasher(global_ids.len(), Default::default());
             for (i, &v) in global_ids.iter().enumerate() {
                 index_of.insert(v, i as u32);
             }
@@ -745,6 +770,109 @@ mod tests {
             assert_eq!(f0.index_of(f0.global_id(idx)), Some(idx));
         }
         assert_eq!(f0.index_of(NodeId(3)), None);
+    }
+
+    /// Id sets a bare `id * K` would pile into a few buckets: the
+    /// table indexes by the *low* bits of the hash, and the low bits of
+    /// a product depend only on the low bits of the id.
+    fn adversarial_id_sets() -> [Vec<u32>; 3] {
+        [
+            (0..1u32 << 16).map(|i| i << 16).collect(), // multiples of 2^16
+            (1_000_000..1_000_000 + (1u32 << 16)).collect(), // one dense run
+            (0..1u32 << 16).map(|i| u32::MAX - 3 * i).collect(), // near u32::MAX
+        ]
+    }
+
+    #[test]
+    fn id_hasher_spreads_adversarial_id_sets() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for ids in adversarial_id_sets() {
+            // 2^16 keys into 2^16 buckets: a random function leaves
+            // 1 - 1/e = 63 % of the buckets hit; so must this one,
+            // on the low bits (bucket) and on the top 7 (control byte).
+            let mut buckets = vec![false; 1 << 16];
+            let mut tags = [0usize; 128];
+            for &id in &ids {
+                let h = build.hash_one(NodeId(id));
+                buckets[(h & 0xFFFF) as usize] = true;
+                tags[(h >> 57) as usize] += 1;
+            }
+            let hit = buckets.iter().filter(|&&b| b).count();
+            assert!(hit > ids.len() / 2, "{hit} of 65536 buckets hit");
+            let (lo, hi) = (tags.iter().min().unwrap(), tags.iter().max().unwrap());
+            assert!(*lo > 256 && *hi < 1024, "tag counts {lo}..{hi}, mean 512");
+        }
+    }
+
+    #[test]
+    fn id_map_roundtrips_adversarial_id_sets() {
+        for ids in adversarial_id_sets() {
+            let mut map = IdMap::default();
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(map.insert(NodeId(id), i as u32), None);
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(map.get(&NodeId(id)), Some(&(i as u32)));
+            }
+            assert_eq!(map.get(&NodeId(999_999)), None, "in none of the sets");
+        }
+    }
+
+    #[test]
+    fn index_of_roundtrips_on_skewed_id_sets_across_deltas() {
+        // Site 1 owns the multiples of 2^12, site 2 the top 64 ids,
+        // site 0 the dense rest; crossing edges make each set virtual
+        // somewhere, and deltas retire, revive and append slots.
+        let n: u32 = (1 << 16) + 64;
+        let stride = 1 << 12;
+        let assignment: Vec<SiteId> = (0..n)
+            .map(|v| match v {
+                v if v >= n - 64 => 2,
+                v if v % stride == 0 => 1,
+                _ => 0,
+            })
+            .collect();
+        let mut b = GraphBuilder::new();
+        b.add_nodes(n as usize, Label(0));
+        for i in 0..16 {
+            b.add_edge(NodeId(i * stride), NodeId(i * stride + 1)); // 1 -> 0
+            b.add_edge(NodeId(i * stride + 2), NodeId(n - 1 - i)); // 0 -> 2
+            b.add_edge(NodeId(n - 1 - i), NodeId(i * stride)); // 2 -> 1
+        }
+        let mut frag = Fragmentation::build(&b.build(), &assignment, 3);
+        let roundtrips = |frag: &Fragmentation| {
+            for f in frag.fragments() {
+                for idx in 0..f.n_total() as u32 {
+                    assert_eq!(f.index_of(f.global_id(idx)), Some(idx));
+                }
+            }
+            assert_eq!(frag.fragment(1).index_of(NodeId(5)), None);
+        };
+        roundtrips(&frag);
+        let before: usize = frag.fragments().iter().map(Fragment::n_total).sum();
+        let mut ops = Vec::new();
+        for i in 0..16 {
+            ops.push(EdgeOp::Delete(NodeId(n - 1 - i), NodeId(i * stride))); // retire
+            ops.push(EdgeOp::Insert(NodeId(i * stride), NodeId(n - 33 - i))); // append
+        }
+        frag.apply_delta(&ops);
+        roundtrips(&frag);
+        let after: usize = frag.fragments().iter().map(Fragment::n_total).sum();
+        assert_eq!(after, before + 16, "sixteen appended virtual slots");
+        // Revive the retired slots in place.
+        let revive: Vec<EdgeOp> = (0..16)
+            .map(|i| EdgeOp::Insert(NodeId(n - 1 - i), NodeId(i * stride)))
+            .collect();
+        frag.apply_delta(&revive);
+        roundtrips(&frag);
+        assert_eq!(
+            frag.fragments()
+                .iter()
+                .map(Fragment::n_total)
+                .sum::<usize>(),
+            after
+        );
     }
 
     #[test]

@@ -162,3 +162,88 @@ fn match_ships_the_graph_dgpm_does_not() {
     // And dGPM respects its Theorem 2 bound on this workload too.
     assert!(shipped_vars(&d.metrics) <= (frag.ef() * q.node_count()) as u64);
 }
+
+/// What an engine ships is a function of the fixpoint, not of how a
+/// site seeds its counters or finds a subscriber list: on fixed inputs
+/// the shipment counters equal the constants recorded on the commit
+/// before tally seeding and the index-carrying ship path (PR 15), and
+/// the charged work is strictly below that commit's. `dGPMt` is the
+/// exception on work, by arithmetic: a fragment of a tree has
+/// `|Ei| < |Vi| + |Fi.O|`, so `|Ei| + ne·|Vi|` seeding steps are more
+/// than the `ne·|Ei|` bit tests they replace — by exactly the sum
+/// asserted below.
+#[test]
+fn shipment_counts_are_pinned() {
+    let k = 4;
+    let cyc_g = random::uniform(300, 1_200, 4, 2);
+    let cyc_q = patterns::random_cyclic(4, 8, 4, 5);
+    let dag_g = dag::citation_like(400, 1_100, 5, 1);
+    let dag_q = patterns::random_dag_with_depth(6, 9, 3, 5, 32);
+    let tree_g = tree::random_tree_with_chain_bias(400, 4, 0.4, 5);
+    let tree_q = patterns::path_pattern(3, &[Label(0), Label(1), Label(2)]);
+    let hashed = |g: &Graph| {
+        let assign = hash_partition(g.node_count(), k, 7);
+        Arc::new(Fragmentation::build(g, &assign, k))
+    };
+    let tree_frag = Arc::new(Fragmentation::build(
+        &tree_g,
+        &tree_partition(&tree_g, k),
+        k,
+    ));
+    let ne = tree_q.edges().count();
+    let tree_seeding_delta: usize = (tree_frag.fragments().iter())
+        .map(|f| f.n_edges() + ne * f.n_local() - ne * f.n_edges())
+        .sum();
+
+    // (data_bytes, data_messages, control_messages, quiescence_rounds,
+    //  site_msgs, the parent commit's total_ops)
+    type Pinned = (u64, u64, u64, u64, [u64; 4], u64);
+    let cases: [(&Graph, Arc<Fragmentation>, &Pattern, Algorithm, Pinned); 4] = [
+        (
+            &cyc_g,
+            hashed(&cyc_g),
+            &cyc_q,
+            Algorithm::Dgpms,
+            (3_620, 46, 36, 6, [16, 15, 15, 16], 12_221),
+        ),
+        (
+            &dag_g,
+            hashed(&dag_g),
+            &dag_q,
+            Algorithm::Dgpmd,
+            (2_382, 36, 24, 6, [10, 10, 10, 10], 12_890),
+        ),
+        (
+            &tree_g,
+            tree_frag,
+            &tree_q,
+            Algorithm::Dgpmt,
+            (56, 2, 8, 3, [2, 1, 1, 1], 2_523),
+        ),
+        (
+            &cyc_g,
+            hashed(&cyc_g),
+            &cyc_q,
+            Algorithm::dgpm(),
+            (3_870, 96, 8, 2, [29, 25, 23, 23], 13_083),
+        ),
+    ];
+    for (g, frag, q, algorithm, (bytes, msgs, control, rounds, site_msgs, parent_ops)) in cases {
+        let report = SimEngine::builder(g, frag)
+            .build()
+            .query_with(&algorithm, q)
+            .unwrap();
+        let (name, m) = (report.algorithm, &report.metrics);
+        assert_eq!(m.data_bytes, bytes, "{name}: data_bytes");
+        assert_eq!(m.data_messages, msgs, "{name}: data_messages");
+        assert_eq!(m.control_messages, control, "{name}: control_messages");
+        assert_eq!(m.quiescence_rounds, rounds, "{name}: quiescence_rounds");
+        assert_eq!(m.site_msgs, site_msgs, "{name}: site_msgs");
+        if matches!(algorithm, Algorithm::Dgpmt) {
+            let expected = parent_ops + tree_seeding_delta as u64;
+            assert_eq!(m.total_ops, expected, "{name}: total_ops");
+        } else {
+            assert!(m.total_ops < parent_ops, "{name}: {} ops", m.total_ops);
+        }
+    }
+}
