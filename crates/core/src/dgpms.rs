@@ -1,12 +1,29 @@
-//! `dGPMs`: SCC-stratified scheduling — `dGPMd`'s batched shipping
-//! generalized to **cyclic** patterns.
+//! The rank-scheduled engine: `dGPMd` (§5.1, Theorem 3) on DAG
+//! patterns and `dGPMs`, its SCC-stratified generalization, on
+//! **cyclic** ones — one site logic, one coordinator, one message set.
 //!
-//! `dGPMd` (§5.1) exploits that in a DAG pattern, `X(u,v)` depends
-//! only on variables of strictly smaller topological rank, so
-//! falsifications can ship in `d + 1` batched rounds. The paper stops
-//! there; its related work notes that \[25\] evaluates queries per
-//! strongly connected component. This module combines the two ideas,
-//! an extension in the spirit of the paper's §7 "full treatment" call:
+//! For a DAG pattern, the rank `r(u)` (0 for sinks, else
+//! `1 + max r(child)`) stratifies the Boolean variables: `X(u,v)`
+//! depends only on variables of strictly smaller rank. `dGPMd`
+//! therefore proceeds in `d + 1` synchronized rounds: in round `r`
+//! every site ships *one batched message per destination* containing
+//! all falsified in-node variables of rank ≤ `r` not yet sent, so each
+//! site pair exchanges at most `d + 1` messages total (Example 10's
+//! 6-vs-12 message count). Falsifications are still computed eagerly
+//! and incrementally — only the *shipping* is scheduled by rank, which
+//! is sufficient because a rank-`r` variable is fully determined once
+//! all rounds `< r` have been delivered. Response time: `d + 1` rounds
+//! of local evaluation + `O(|Q||F|)` assembly =
+//! `O(d(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)`; for fixed `|F|` this is
+//! parallel scalable in response time. Data shipment stays
+//! `O(|Ef||Vq|)`. (When `G` is a DAG and `Q` is cyclic the answer is ∅
+//! without any distributed work — a cycle cannot simulate into a DAG;
+//! [`crate::SimEngine`] short-circuits that case.)
+//!
+//! The paper stops there; its related work notes that \[25\] evaluates
+//! queries per strongly connected component. This module combines the
+//! two ideas, an extension in the spirit of the paper's §7 "full
+//! treatment" call:
 //!
 //! * Condense `Q` into its SCC DAG (Tarjan) and rank the components
 //!   (`0` for sink components, else `1 + max(child component rank)`).
@@ -17,22 +34,30 @@
 //!   site ships all buffered falsifications of rank `≤ r`, one batch
 //!   per destination. Because a cyclic stratum can ping-pong
 //!   falsifications around a cross-fragment cycle, a stratum *repeats*
-//!   until a round ships nothing anywhere — the paper's changed-flag
-//!   protocol, applied per stratum: each site reports a 1-byte
-//!   `shipped` flag to `Sc` after each round.
+//!   until no delivery of a round falsified a current-stratum variable
+//!   anywhere — the paper's changed-flag protocol, applied per
+//!   stratum: a site raises a 1-byte `MoreWork` flag to `Sc` at most
+//!   once per round.
 //!
-//! On a DAG pattern every component is a singleton, a stratum settles
-//! in one shipping round, and `dGPMs` degenerates to `dGPMd` with one
-//! extra (empty) confirmation round per rank. On a cyclic pattern it
-//! trades the fully asynchronous flow of `dGPM` for per-round
-//! batching: at most one data message per ordered site pair per round,
-//! which on latency-bound networks (where per-message overhead
-//! dominates) cuts the message count the way Example 10 does for DAGs.
+//! On a DAG pattern every component is a singleton and the component
+//! ranks *are* the topological ranks (`scc_ranks_equal_topo_ranks_on_dags`),
+//! so a delivery can only falsify variables of a strictly higher rank:
+//! no site ever raises `MoreWork`, the coordinator advances one
+//! stratum per quiescence, and the schedule is exactly `dGPMd`'s
+//! `d + 1` rounds — no confirmation round, no extra message
+//! (`rounds_track_pattern_depth_not_graph`). That is why the engine
+//! runs `Algorithm::Dgpmd` on this module: the name carries Theorem 3's
+//! bound, the code is shared. On a cyclic pattern the engine trades
+//! the fully asynchronous flow of `dGPM` for per-round batching: at
+//! most one data message per ordered site pair per round, which on
+//! latency-bound networks (where per-message overhead dominates) cuts
+//! the message count the way Example 10 does for DAGs.
 //!
 //! Bounds: data shipment stays `O(|Ef||Vq|)` (each in-node variable
 //! still ships at most once per subscriber). Response time is
 //! `O((d_c + ρ)(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)` where `d_c` is the
-//! condensation diameter and `ρ` the total number of repeat rounds;
+//! condensation diameter and `ρ` the total number of repeat rounds
+//! (`ρ = 0` and `d_c = d` on a DAG pattern — Theorem 3's bound);
 //! `ρ ≤ |Vf||Vq|` in the worst case (one falsification per round), so
 //! the partition-bounded guarantee of Theorem 2 is preserved.
 
@@ -378,7 +403,7 @@ pub fn build(frag: &Arc<Fragmentation>, q: &Arc<Pattern>) -> (DgpmsCoordinator, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgs_graph::generate::{patterns, random, social};
+    use dgs_graph::generate::{dag, patterns, random, social};
     use dgs_net::{CostModel, ExecutorKind};
     use dgs_partition::hash_partition;
     use dgs_sim::hhk_simulation;
@@ -422,14 +447,31 @@ mod tests {
         }
     }
 
+    /// Cyclic patterns (`dGPMs`), and DAG patterns (`dGPMd`) on a DAG
+    /// graph and on a cyclic one.
     #[test]
-    fn cyclic_queries_match_oracle() {
+    fn cyclic_and_dag_queries_match_oracle() {
         for seed in 0..10 {
-            let g = random::uniform(250, 900, 4, seed);
-            let q = Arc::new(patterns::random_cyclic(4, 8, 4, seed + 13));
-            let (got, _, _) = run_case(&g, &q, 4, seed);
-            let oracle = hhk_simulation(&q, &g).relation;
-            assert_eq!(got, oracle, "seed {seed}");
+            let cases = [
+                (
+                    random::uniform(250, 900, 4, seed),
+                    patterns::random_cyclic(4, 8, 4, seed + 13),
+                ),
+                (
+                    dag::citation_like(300, 900, 5, seed),
+                    patterns::random_dag_with_depth(5, 8, 3, 5, seed + 50),
+                ),
+                (
+                    random::uniform(250, 900, 5, seed),
+                    patterns::random_dag_with_depth(5, 8, 4, 5, seed + 9),
+                ),
+            ];
+            for (case, (g, q)) in cases.into_iter().enumerate() {
+                let q = Arc::new(q);
+                let (got, _, _) = run_case(&g, &q, 4, seed);
+                let oracle = hhk_simulation(&q, &g).relation;
+                assert_eq!(got, oracle, "seed {seed} case {case}");
+            }
         }
     }
 
@@ -446,7 +488,7 @@ mod tests {
 
     #[test]
     fn dag_patterns_never_repeat_strata() {
-        let g = dgs_graph::generate::dag::citation_like(300, 900, 5, 2);
+        let g = dag::citation_like(300, 900, 5, 2);
         let q = Arc::new(patterns::random_dag_with_depth(5, 8, 3, 5, 21));
         let (got, _, coord) = run_case(&g, &q, 4, 2);
         assert_eq!(got, hhk_simulation(&q, &g).relation);
@@ -455,6 +497,29 @@ mod tests {
             "repeats {:?}",
             coord.repeats
         );
+    }
+
+    /// Theorem 3: on a DAG pattern of depth `d` the schedule is exactly
+    /// `d + 1` shipping rounds, whatever the graph — the property that
+    /// lets `dGPMd` run on this engine.
+    #[test]
+    fn rounds_track_pattern_depth_not_graph() {
+        let g = dag::citation_like(400, 1_200, 6, 3);
+        for d in 2..=6 {
+            let q = Arc::new(patterns::random_dag_with_depth(8, 12, d, 6, 77));
+            let (_, _, coord) = run_case(&g, &q, 4, 3);
+            assert_eq!(coord.rounds as usize, d + 1);
+        }
+    }
+
+    #[test]
+    fn at_most_one_batch_per_site_pair_per_rank() {
+        let g = dag::citation_like(300, 900, 4, 1);
+        let q = Arc::new(patterns::random_dag_with_depth(6, 9, 4, 4, 5));
+        let k = 5;
+        let (_, metrics, _) = run_case(&g, &q, k, 1);
+        // 5 rank rounds × at most k(k-1) pairs.
+        assert!(metrics.data_messages <= 5 * (k * (k - 1)) as u64);
     }
 
     #[test]
@@ -474,19 +539,31 @@ mod tests {
 
     #[test]
     fn threaded_agrees_with_virtual() {
-        let g = random::uniform(200, 700, 4, 3);
-        let q = Arc::new(patterns::random_cyclic(4, 7, 4, 33));
-        let assign = hash_partition(200, 3, 3);
-        let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-        let run = |kind| {
-            let (coord, sites) = build(&frag, &q);
-            dgs_net::run(kind, &CostModel::default(), coord, sites)
-                .coordinator
-                .answer
-                .clone()
-                .unwrap()
-        };
-        assert_eq!(run(ExecutorKind::Virtual), run(ExecutorKind::Threaded));
+        let cases = [
+            (
+                3,
+                random::uniform(200, 700, 4, 3),
+                patterns::random_cyclic(4, 7, 4, 33),
+            ),
+            (
+                2,
+                dag::citation_like(200, 600, 4, 2),
+                patterns::random_dag_with_depth(5, 8, 3, 4, 2),
+            ),
+        ];
+        for (seed, g, q) in cases {
+            let q = Arc::new(q);
+            let assign = hash_partition(200, 3, seed);
+            let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+            let run = |kind| {
+                let (coord, sites) = build(&frag, &q);
+                dgs_net::run(kind, &CostModel::default(), coord, sites)
+                    .coordinator
+                    .answer
+                    .unwrap()
+            };
+            assert_eq!(run(ExecutorKind::Virtual), run(ExecutorKind::Threaded));
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ use crate::plan::{
     CompressedNote, EngineChoice, GraphFacts, IncrementalNote, PatternFacts, PlanExplanation,
     Planner,
 };
-use crate::{baselines, dgpmd, dgpms, dgpmt};
+use crate::{baselines, dgpms, dgpmt};
 use dgs_graph::{Graph, GraphBuilder, NodeId, Pattern};
 use dgs_net::{
     CoordinatorLogic, CostModel, ExecutorKind, RemoteSpec, RunMetrics, RunOutcome,
@@ -103,10 +103,13 @@ pub enum Algorithm {
     Auto,
     /// `dGPM` with the given configuration (§4).
     Dgpm(DgpmConfig),
-    /// `dGPMd` for DAG patterns or DAG graphs (§5.1).
+    /// `dGPMd` for DAG patterns or DAG graphs (§5.1): the
+    /// rank-scheduled engine of [`crate::dgpms`] under the name that
+    /// carries Theorem 3's `d + 1`-round bound.
     Dgpmd,
-    /// `dGPMs`: SCC-stratified batched shipping for arbitrary
-    /// (cyclic) patterns — this repository's extension of `dGPMd`.
+    /// `dGPMs`: the same engine on arbitrary (cyclic) patterns,
+    /// stratified by the SCC condensation — this repository's
+    /// extension of `dGPMd`.
     Dgpms,
     /// `dGPMt` for trees with connected fragments (§5.2).
     Dgpmt,
@@ -277,7 +280,6 @@ pub struct SimEngineBuilder<'g> {
     frag: Arc<Fragmentation>,
     executor: ExecutorKind,
     cost: CostModel,
-    planner: Planner,
     cache_capacity: usize,
     batch_workers: usize,
     compression: Option<CompressionMethod>,
@@ -295,12 +297,6 @@ impl SimEngineBuilder<'_> {
     /// The virtual-time cost model (default: EC2-like).
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Replaces the planner (e.g. to change the cyclic fallback).
-    pub fn planner(mut self, planner: Planner) -> Self {
-        self.planner = planner;
         self
     }
 
@@ -420,7 +416,6 @@ impl SimEngineBuilder<'_> {
             snap: Mutex::new(Arc::new(snapshot)),
             executor: self.executor,
             cost: self.cost,
-            planner: self.planner,
             cache: (self.cache_capacity > 0)
                 .then(|| Arc::new(Mutex::new(PatternCache::new(self.cache_capacity)))),
             batch_workers: self.batch_workers,
@@ -748,7 +743,6 @@ pub struct SimEngine {
     snap: Mutex<Arc<GenSnapshot>>,
     executor: ExecutorKind,
     cost: CostModel,
-    planner: Planner,
     cache: Option<Arc<Mutex<PatternCache>>>,
     /// `0` = auto (one worker per available core).
     batch_workers: usize,
@@ -788,7 +782,6 @@ impl Clone for SimEngine {
             snap: Mutex::new(self.snapshot()),
             executor: self.executor,
             cost: self.cost.clone(),
-            planner: self.planner.clone(),
             cache: self.cache.clone(),
             batch_workers: self.batch_workers,
             maintained: Mutex::new(HashMap::new()),
@@ -818,7 +811,6 @@ impl SimEngine {
             frag,
             executor: ExecutorKind::Virtual,
             cost: CostModel::default(),
-            planner: Planner::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             batch_workers: 0,
             compression: None,
@@ -932,7 +924,7 @@ impl SimEngine {
     /// why.
     pub fn plan(&self, q: &Pattern) -> Result<PlanExplanation, DgsError> {
         let qf = PatternFacts::compute(q);
-        self.planner
+        Planner
             .plan(&self.snapshot().facts(), &qf)
             .map(|(_, plan)| plan)
     }
@@ -1521,11 +1513,11 @@ impl SimEngine {
         let facts = snap.facts();
         match algorithm {
             Algorithm::Auto => {
-                let (choice, plan) = self.planner.plan(&facts, &qf)?;
+                let (choice, plan) = Planner.plan(&facts, &qf)?;
                 Ok((Self::resolved_from_choice(choice), plan))
             }
             Algorithm::Dgpm(cfg) => {
-                self.planner.validate_pattern(&qf)?;
+                Planner.validate_pattern(&qf)?;
                 let r = Resolved::Dgpm(cfg.clone());
                 let plan = PlanExplanation::forced(r.name());
                 Ok((r, plan))
@@ -1541,18 +1533,15 @@ impl SimEngine {
                     );
                     return Ok((Resolved::TriviallyEmpty, plan));
                 }
-                self.planner
-                    .check_explicit(EngineChoice::Dgpmd, &facts, &qf)?;
+                Planner.check_explicit(EngineChoice::Dgpmd, &facts, &qf)?;
                 Ok((Resolved::Dgpmd, PlanExplanation::forced("dGPMd")))
             }
             Algorithm::Dgpms => {
-                self.planner
-                    .check_explicit(EngineChoice::Dgpms, &facts, &qf)?;
+                Planner.check_explicit(EngineChoice::Dgpms, &facts, &qf)?;
                 Ok((Resolved::Dgpms, PlanExplanation::forced("dGPMs")))
             }
             Algorithm::Dgpmt => {
-                self.planner
-                    .check_explicit(EngineChoice::Dgpmt, &facts, &qf)?;
+                Planner.check_explicit(EngineChoice::Dgpmt, &facts, &qf)?;
                 if !qf.is_dag {
                     // Tree graphs are acyclic, so a cyclic pattern is
                     // trivially unmatched (and the tree protocol only
@@ -1565,15 +1554,15 @@ impl SimEngine {
                 Ok((Resolved::Dgpmt, PlanExplanation::forced("dGPMt")))
             }
             Algorithm::MatchCentral => {
-                self.planner.validate_pattern(&qf)?;
+                Planner.validate_pattern(&qf)?;
                 Ok((Resolved::MatchCentral, PlanExplanation::forced("Match")))
             }
             Algorithm::DisHhk => {
-                self.planner.validate_pattern(&qf)?;
+                Planner.validate_pattern(&qf)?;
                 Ok((Resolved::DisHhk, PlanExplanation::forced("disHHK")))
             }
             Algorithm::DMes => {
-                self.planner.validate_pattern(&qf)?;
+                Planner.validate_pattern(&qf)?;
                 Ok((Resolved::DMes, PlanExplanation::forced("dMes")))
             }
         }
@@ -1613,7 +1602,7 @@ impl SimEngine {
         };
         if let Some(leg) = leg.as_ref().filter(|leg| leg.active) {
             let qf = PatternFacts::compute(q);
-            let (choice, mut plan) = self.planner.plan(&leg.facts, &qf)?;
+            let (choice, mut plan) = Planner.plan(&leg.facts, &qf)?;
             plan.compressed = Some(leg.note());
             plan.reasons.push(format!(
                 "answering on Gc ({} classes via {}): ratio {:.2} clears threshold {:.2}; \
@@ -1798,8 +1787,9 @@ impl SimEngine {
                 Ok((MatchRelation::empty(q.node_count()), RunMetrics::default()))
             }
             Resolved::Dgpm(cfg) => drive!(dgpm::build(frag, q, cfg.clone())),
-            Resolved::Dgpmd => drive!(dgpmd::build(frag, q)),
-            Resolved::Dgpms => drive!(dgpms::build(frag, q)),
+            // One engine, two names: `dGPMd` is `dGPMs` on a DAG
+            // pattern (the name carries Theorem 3's bound).
+            Resolved::Dgpmd | Resolved::Dgpms => drive!(dgpms::build(frag, q)),
             Resolved::Dgpmt => drive!(dgpmt::build(frag, q)),
             Resolved::MatchCentral => drive!(baselines::match_central::build(frag, q)),
             Resolved::DisHhk => drive!(baselines::dishhk::build(frag, q)),

@@ -12,8 +12,7 @@
 //! |--------|-------|-----------|
 //! | [`dgpm`] (`dGPM`) | §4, Thm 2 | partition bounded: PT `O(|Vf||Vq|(|Vq|+|Vm|)(|Eq|+|Em|))`, DS `O(|Ef||Vq|)` |
 //! | [`dgpm`] (`dGPMNOpt`) | §4.2 | dGPM without incremental evaluation / push |
-//! | [`dgpmd`] (`dGPMd`) | §5.1, Thm 3 | DAG `Q` or `G`: PT `O(d(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)`, DS `O(|Ef||Vq|)`; parallel scalable in PT for fixed `|F|` |
-//! | [`dgpms`] (`dGPMs`) | extension | SCC-stratified batching for *cyclic* `Q`: `dGPMd`'s rank rounds over the condensation DAG with per-stratum changed-flag convergence; DS `O(|Ef||Vq|)`, ≤ 1 data message per site pair per round |
+//! | [`dgpms`] (`dGPMd`, `dGPMs`) | §5.1, Thm 3 + extension | one rank-scheduled engine over the SCC condensation of `Q`, ≤ 1 data message per site pair per round, DS `O(|Ef||Vq|)`. Named `dGPMd` on a DAG `Q` (or DAG `G`), where the strata are the topological ranks: `d + 1` rounds, PT `O(d(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)`, parallel scalable in PT for fixed `|F|`. Named `dGPMs` on a *cyclic* `Q`, where a stratum repeats until its changed flag stays down: PT `O((d_c + ρ)(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)` |
 //! | [`dgpmt`] (`dGPMt`) | §5.2, Cor 4 | trees: PT `O(|Q||Fm| + |Q||F|)`, DS `O(|Q||F|)`; parallel scalable in DS |
 //! | [`baselines::match_central`] (`Match`) | §3.1 | naive: ship everything, centralized HHK |
 //! | [`baselines::dishhk`] (`disHHK`) | \[25\] | ship candidate subgraphs to one site |
@@ -66,7 +65,6 @@ pub mod boolexpr;
 mod cache;
 pub mod delta;
 pub mod dgpm;
-pub mod dgpmd;
 pub mod dgpms;
 pub mod dgpmt;
 pub mod engine;
@@ -89,7 +87,7 @@ pub use engine::{
 };
 pub use error::DgsError;
 pub use plan::{
-    CompressedNote, CyclicFallback, EngineChoice, GraphFacts, IncrementalNote, PatternFacts,
-    PlanExplanation, Planner,
+    CompressedNote, EngineChoice, GraphFacts, IncrementalNote, PatternFacts, PlanExplanation,
+    Planner,
 };
 pub use vars::Var;

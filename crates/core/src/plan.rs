@@ -130,9 +130,10 @@ pub(crate) fn empty_rows_are_fixpoint(q: &Pattern) -> bool {
 pub enum EngineChoice {
     /// Two-round tree algorithm (§5.2).
     Dgpmt,
-    /// Rank-batched DAG algorithm (§5.1).
+    /// Rank-batched DAG algorithm (§5.1): the rank-scheduled engine
+    /// on a DAG pattern, `d + 1` rounds (Theorem 3).
     Dgpmd,
-    /// SCC-stratified batching for cyclic patterns.
+    /// The same engine on a cyclic pattern: SCC-stratified batching.
     Dgpms,
     /// Fully asynchronous partition-bounded `dGPM` (§4).
     Dgpm,
@@ -154,25 +155,9 @@ impl EngineChoice {
     }
 }
 
-/// Which general-purpose engine the planner falls back to when the
-/// workload is cyclic on both sides.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum CyclicFallback {
-    /// SCC-stratified batched shipping (fewer, larger messages —
-    /// better when per-message overhead dominates).
-    #[default]
-    Dgpms,
-    /// Fully asynchronous `dGPM` (better when bandwidth dominates and
-    /// messages are cheap).
-    Dgpm,
-}
-
 /// The planner: a pure decision rule over cached facts.
-#[derive(Clone, Debug, Default)]
-pub struct Planner {
-    /// Engine used when neither `dGPMt` nor `dGPMd` applies.
-    pub cyclic_fallback: CyclicFallback,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Planner;
 
 /// The compressed leg of a plan: the query was answered on the
 /// simulation-equivalence quotient `Gc` instead of `G`, and the
@@ -272,7 +257,8 @@ impl Planner {
     ///    parallel scalable in shipment, Corollary 4);
     /// 3. DAG `Q` → `dGPMd` (rank-batched, `d + 1` shipping rounds,
     ///    Theorem 3);
-    /// 4. otherwise → the configured cyclic fallback.
+    /// 4. otherwise → `dGPMs` (the same rank-scheduled engine over
+    ///    the SCC condensation of `Q`).
     pub fn plan(
         &self,
         g: &GraphFacts,
@@ -310,10 +296,7 @@ impl Planner {
                  only the partition-bounded engines apply (Theorem 2)",
                 q.scc_count, g.scc_count
             ));
-            match self.cyclic_fallback {
-                CyclicFallback::Dgpms => EngineChoice::Dgpms,
-                CyclicFallback::Dgpm => EngineChoice::Dgpm,
-            }
+            EngineChoice::Dgpms
         };
         let plan = PlanExplanation {
             algorithm: choice.name(),
@@ -404,7 +387,7 @@ mod tests {
                 dgs_graph::Label(2),
             ],
         ));
-        let (choice, plan) = Planner::default().plan(&gf, &qf).unwrap();
+        let (choice, plan) = Planner.plan(&gf, &qf).unwrap();
         assert_eq!(choice, EngineChoice::Dgpmt);
         assert!(plan.auto);
         assert_eq!(plan.algorithm, "dGPMt");
@@ -420,7 +403,7 @@ mod tests {
         // connected fragments.
         assert!(!gf.fragments_connected);
         let qf = PatternFacts::compute(&patterns::random_dag_with_depth(3, 4, 2, 4, 2));
-        let (choice, _) = Planner::default().plan(&gf, &qf).unwrap();
+        let (choice, _) = Planner.plan(&gf, &qf).unwrap();
         assert_eq!(choice, EngineChoice::Dgpmd);
     }
 
@@ -431,24 +414,19 @@ mod tests {
         assert!(gf.is_dag && !gf.is_rooted_tree);
         let qf = PatternFacts::compute(&patterns::random_cyclic(3, 5, 4, 3));
         assert!(!qf.is_dag);
-        let (choice, plan) = Planner::default().plan(&gf, &qf).unwrap();
+        let (choice, plan) = Planner.plan(&gf, &qf).unwrap();
         assert_eq!(choice, EngineChoice::TriviallyEmpty);
         assert!(plan.reasons[0].contains("cyclic"));
     }
 
     #[test]
-    fn doubly_cyclic_uses_fallback() {
+    fn doubly_cyclic_plans_dgpms() {
         let g = random::uniform(80, 300, 4, 4);
         let gf = facts_for(&g, 3, 4);
         assert!(!gf.is_dag);
         let qf = PatternFacts::compute(&patterns::random_cyclic(3, 5, 4, 4));
-        let (choice, _) = Planner::default().plan(&gf, &qf).unwrap();
+        let (choice, _) = Planner.plan(&gf, &qf).unwrap();
         assert_eq!(choice, EngineChoice::Dgpms);
-        let dgpm_planner = Planner {
-            cyclic_fallback: CyclicFallback::Dgpm,
-        };
-        let (choice, _) = dgpm_planner.plan(&gf, &qf).unwrap();
-        assert_eq!(choice, EngineChoice::Dgpm);
     }
 
     #[test]
@@ -457,7 +435,7 @@ mod tests {
         let gf = facts_for(&g, 2, 5);
         let qf = PatternFacts::compute(&dgs_graph::PatternBuilder::new().build());
         assert!(matches!(
-            Planner::default().plan(&gf, &qf),
+            Planner.plan(&gf, &qf),
             Err(DgsError::InvalidPattern { .. })
         ));
     }
@@ -467,7 +445,7 @@ mod tests {
         let g = random::uniform(50, 200, 4, 6);
         let gf = facts_for(&g, 2, 6);
         let qf = PatternFacts::compute(&patterns::random_cyclic(3, 5, 4, 6));
-        let p = Planner::default();
+        let p = Planner;
         assert!(matches!(
             p.check_explicit(EngineChoice::Dgpmd, &gf, &qf),
             Err(DgsError::Unsupported {

@@ -5,13 +5,14 @@
 //! The socket executor (`dgs_net::socket`) is protocol-agnostic; this
 //! module is where the dGPM family plugs in:
 //!
-//! * [`SocketMsg`](dgs_net::SocketMsg) impls encode/decode
-//!   `DgpmMsg`/`DgpmdMsg`/`DgpmsMsg`/`DgpmtMsg` with the shared
-//!   [`dgs_net::wire`] primitives. The baselines (`Match`, `disHHK`,
-//!   `dMes`) are **gated**: their shipped state (whole subgraphs,
-//!   per-superstep vertex state) is not worth a wire format, so their
-//!   specs refuse and the socket executor reports a typed
-//!   `Unsupported` error before any frame is sent.
+//! * [`SocketMsg`] impls encode/decode `DgpmMsg`/`DgpmsMsg`/`DgpmtMsg`
+//!   with the shared [`dgs_net::wire`] primitives (`dGPMd` runs are
+//!   `dGPMs` runs on a DAG pattern and ship `dGPMs` specs). The
+//!   baselines (`Match`, `disHHK`, `dMes`) are **gated**: their
+//!   shipped state (whole subgraphs, per-superstep vertex state) is
+//!   not worth a wire format, so their specs refuse and the socket
+//!   executor reports a typed `Unsupported` error before any frame is
+//!   sent.
 //! * Per-site **specs** carry what a worker needs to rebuild one
 //!   site's logic for one run: engine tag, configuration, query mode
 //!   and the pattern (binary `DGSB` format). The graph and the
@@ -22,7 +23,6 @@
 //!   shipped assignment) and instantiates site logics from specs.
 
 use crate::dgpm::{DgpmConfig, DgpmMsg, DgpmSite, QueryMode};
-use crate::dgpmd::{DgpmdMsg, DgpmdSite};
 use crate::dgpms::{DgpmsMsg, DgpmsSite};
 use crate::dgpmt::{DgpmtMsg, DgpmtSite};
 use crate::push::PushedEq;
@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 // ---- spec tags ---------------------------------------------------------
 
+// Tag 2 (the retired `dGPMd` site logic) must not be reused.
 const TAG_DGPM: u8 = 1;
-const TAG_DGPMD: u8 = 2;
 const TAG_DGPMS: u8 = 3;
 const TAG_DGPMT: u8 = 4;
 
@@ -175,41 +175,6 @@ impl SocketMsg for DgpmMsg {
     }
 }
 
-impl SocketMsg for DgpmdMsg {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        match self {
-            DgpmdMsg::RankBatch { rank, vars } => {
-                put_u8(buf, 0);
-                put_varint(buf, u64::from(*rank));
-                put_vars(buf, vars);
-            }
-            DgpmdMsg::StartRank(rank) => {
-                put_u8(buf, 1);
-                put_varint(buf, u64::from(*rank));
-            }
-            DgpmdMsg::GatherRequest => put_u8(buf, 2),
-            DgpmdMsg::LocalMatches(m) => {
-                put_u8(buf, 3);
-                put_match_lists(buf, m);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-        Ok(match r.u8("dGPMd message tag").map_err(err)? {
-            0 => DgpmdMsg::RankBatch {
-                rank: r.varint("rank").map_err(err)? as u32,
-                vars: read_vars(r)?,
-            },
-            1 => DgpmdMsg::StartRank(r.varint("rank").map_err(err)? as u32),
-            2 => DgpmdMsg::GatherRequest,
-            3 => DgpmdMsg::LocalMatches(read_match_lists(r)?),
-            other => return Err(format!("unknown dGPMd message tag {other}")),
-        })
-    }
-}
-
 impl SocketMsg for DgpmsMsg {
     fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
         match self {
@@ -322,9 +287,6 @@ pub(crate) fn spec_plain(tag: u8, q: &Pattern) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn spec_dgpmd(q: &Pattern) -> Vec<u8> {
-    spec_plain(TAG_DGPMD, q)
-}
 pub(crate) fn spec_dgpms(q: &Pattern) -> Vec<u8> {
     spec_plain(TAG_DGPMS, q)
 }
@@ -377,12 +339,6 @@ pub fn build_site(
             };
             let logic = DgpmSite::with_mode(site as usize, Arc::clone(frag), q, cfg, mode);
             Ok(erase_site::<DgpmMsg, _>(logic, site, num_sites))
-        }
-        TAG_DGPMD => {
-            let q = build(&mut r)?;
-            r.finish("dGPMd spec").map_err(err)?;
-            let logic = DgpmdSite::new(site as usize, Arc::clone(frag), q);
-            Ok(erase_site::<DgpmdMsg, _>(logic, site, num_sites))
         }
         TAG_DGPMS => {
             let q = build(&mut r)?;
@@ -558,11 +514,6 @@ mod tests {
     #[test]
     fn family_messages_roundtrip() {
         let vars = vec![Var { q: 2, node: 17 }];
-        roundtrip(DgpmdMsg::RankBatch {
-            rank: 3,
-            vars: vars.clone(),
-        });
-        roundtrip(DgpmdMsg::StartRank(9));
         roundtrip(DgpmsMsg::Batch(vars.clone()));
         roundtrip(DgpmsMsg::MoreWork);
         roundtrip(DgpmsMsg::StartRound(2));
@@ -610,6 +561,11 @@ mod tests {
         assert!(build_site(&frag, 5, 2, &spec).is_err()); // site out of range
         assert!(build_site(&frag, 0, 3, &spec).is_err()); // wrong cluster shape
         assert!(build_site(&frag, 0, 2, &[42]).is_err()); // unknown tag
+                                                          // The retired dGPMd tag is an unknown tag too — a typed error,
+                                                          // where the old site logic panicked on a cyclic pattern.
+        let mut retired = spec.clone();
+        retired[0] = 2;
+        assert!(build_site(&frag, 0, 2, &retired).is_err());
         let dgpm = spec_dgpm(&q, &DgpmConfig::optimized(), QueryMode::Boolean);
         assert!(build_site(&frag, 1, 2, &dgpm).is_ok());
     }

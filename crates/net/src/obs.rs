@@ -408,7 +408,7 @@ const LOG_WINDOW: Duration = Duration::from_secs(1);
 /// A leveled, per-target rate-limited structured logger writing
 /// `key=value` lines to stderr. Rate limiting is per **target** (the
 /// subsystem tag), so a flapping listener spamming `accept` failures
-/// cannot flood stderr — after [`LOG_BURST`] lines in a window the
+/// cannot flood stderr — after `LOG_BURST` (5) lines in a window the
 /// rest are counted and reported as `suppressed=N` when the window
 /// rolls.
 pub struct Logger {

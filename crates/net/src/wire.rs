@@ -1,6 +1,6 @@
 //! Framing and primitive codecs shared by every socket protocol in
 //! the workspace: the serving layer (`dgs-serve`) and the
-//! cross-process [`crate::SocketExecutor`] site frames.
+//! cross-process [`crate::socket`] executor's site frames.
 //!
 //! Every message travels as one **frame**:
 //!

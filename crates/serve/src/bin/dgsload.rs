@@ -18,8 +18,8 @@
 //! errored, which is what the CI smoke job asserts on.
 //!
 //! `--session NAME` routes every client at a named server session,
-//! and `--pipeline D` keeps `D` requests in flight per connection
-//! (wire v3). `--ping 1` swaps queries for `PING`s — the pure
+//! and `--pipeline D` keeps `D` requests in flight per connection.
+//! `--ping 1` swaps queries for `PING`s — the pure
 //! protocol microbenchmark the CI pipelining gate measures.
 //!
 //! `dgsload` generates load and checks that it was served; it is not
@@ -33,8 +33,8 @@
 //!
 //! **Subscribe mode** (`--subscribe 1`) runs the live-subscription
 //! churn experiment instead: `--sessions` sessions are created, each
-//! with `--subscribers` subscribers holding open `MATCH_DIFF` streams
-//! (wire v4), and a writer storms the first session with `--batches`
+//! with `--subscribers` subscribers holding open `MATCH_DIFF` streams,
+//! and a writer storms the first session with `--batches`
 //! delta batches of `--ops` edge ops. Each subscriber reconstructs
 //! the match set from its diffs and checks it against a final
 //! re-query, so the run is self-verifying; the report is diff count

@@ -1,7 +1,7 @@
 //! The typed remote client: one connection speaking the frame
-//! protocol, with a method per request — and, at wire v3, a
-//! **pipelined** submit/await API that keeps many requests in flight
-//! on the one connection.
+//! protocol, with a method per request — and a **pipelined**
+//! submit/await API that keeps many requests in flight on the one
+//! connection.
 //!
 //! ```no_run
 //! use dgs_serve::{DgsClient, ServeAddr};
@@ -27,13 +27,13 @@ use crate::proto::{
     WireTrace, WIRE_MAGIC, WIRE_VERSION,
 };
 use crate::transport::{Conn, ServeAddr};
-use crate::wire::{put_varint, split_request_id, write_frame, FrameReader};
+use crate::wire::{put_varint, split_request_id, write_frame, FrameReader, CONN_LEVEL_ID};
 use dgs_core::GraphDelta;
 use dgs_graph::{Graph, Pattern};
 use dgs_net::MetricsSnapshot;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// One push from a live subscription (wire v4): a match-set diff, or
+/// One push from a live subscription: a match-set diff, or
 /// a typed lifecycle event ending the stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubscriptionEvent {
@@ -55,11 +55,10 @@ pub enum SubscriptionEvent {
 /// A connected client session.
 pub struct DgsClient {
     conn: Conn,
-    version: u8,
     /// Resumable reader: a timeout mid-frame keeps the partial bytes
     /// buffered instead of desyncing the stream.
     reader: FrameReader,
-    /// The next request id to assign (v3; ids start at 1 — the server
+    /// The next request id to assign (ids start at 1 — the server
     /// reserves 0 for connection-level frames).
     next_id: u64,
     /// Ids submitted but not yet awaited.
@@ -84,7 +83,9 @@ const SUBMIT_FLUSH_BYTES: usize = 64 * 1024;
 impl DgsClient {
     /// Dials `addr` and performs the version handshake. A server at
     /// capacity answers the handshake with a typed `Busy` rejection
-    /// ([`ServeError::is_busy`]).
+    /// ([`ServeError::is_busy`]); a server that welcomes at any
+    /// version but [`WIRE_VERSION`] is
+    /// [`ServeError::UnsupportedVersion`].
     pub fn connect(addr: &ServeAddr) -> Result<DgsClient, ServeError> {
         let mut conn = Conn::connect(addr)?;
         let _ = conn.set_nodelay();
@@ -105,7 +106,7 @@ impl DgsClient {
                     return Err(ServeError::corrupt("malformed WELCOME"));
                 }
                 let version = payload[4];
-                if !(1..=WIRE_VERSION).contains(&version) {
+                if version != WIRE_VERSION {
                     return Err(ServeError::UnsupportedVersion {
                         ours: WIRE_VERSION,
                         theirs: version,
@@ -113,7 +114,6 @@ impl DgsClient {
                 }
                 Ok(DgsClient {
                     conn,
-                    version,
                     reader,
                     next_id: 1,
                     outstanding: HashSet::new(),
@@ -140,11 +140,6 @@ impl DgsClient {
         DgsClient::connect(&addr)
     }
 
-    /// The negotiated protocol version.
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// Bounds how long a blocking read may wait (`None` = forever).
     /// A timed-out [`DgsClient::next_event`] surfaces as
     /// [`ServeError::Io`] with kind `WouldBlock`/`TimedOut`; the
@@ -160,7 +155,7 @@ impl DgsClient {
         self.outstanding.len()
     }
 
-    /// **Pipelined** submit (wire v3 only): encodes the request under
+    /// **Pipelined** submit: encodes the request under
     /// a fresh id and returns immediately — the server may answer
     /// this and other submitted requests in any order; collect each
     /// with [`DgsClient::await_response`]. Submits are batched: the
@@ -169,12 +164,6 @@ impl DgsClient {
     /// burst of submits costs one syscall. A submit never awaited
     /// *and* never followed by an await may therefore never be sent.
     pub fn submit(&mut self, req: &Request) -> Result<u64, ServeError> {
-        if self.version < 3 {
-            return Err(ServeError::UnsupportedVersion {
-                ours: WIRE_VERSION,
-                theirs: self.version,
-            });
-        }
         let id = self.next_id;
         self.next_id += 1;
         // Encode straight into the batch buffer: the frame reaches
@@ -227,13 +216,13 @@ impl DgsClient {
                 return Err(ServeError::corrupt("server closed mid-request"));
             };
             let (got, body) = split_request_id(&payload)?;
-            if got != 0 && !self.outstanding.contains(&got) {
+            if got != CONN_LEVEL_ID && !self.outstanding.contains(&got) {
                 return Err(ServeError::corrupt(format!(
                     "server answered unknown request id {got}"
                 )));
             }
             let resp = Response::decode(ty, body)?;
-            if got == 0 {
+            if got == CONN_LEVEL_ID {
                 // A connection-level frame (id 0). Subscription pushes
                 // interleave with pipelined responses by design: queue
                 // them for `poll_event`/`next_event` and keep waiting
@@ -261,27 +250,11 @@ impl DgsClient {
         }
     }
 
-    /// One request/response exchange; server `ERROR` frames become
-    /// [`ServeError::Remote`]. At v3 this is submit + await of one
-    /// id; at v1/v2 it is the classic id-less exchange.
+    /// One request/response exchange — submit + await of one id;
+    /// server `ERROR` frames become [`ServeError::Remote`].
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        self.call(req)
-    }
-
-    fn call(&mut self, req: &Request) -> Result<Response, ServeError> {
-        if self.version >= 3 {
-            let id = self.submit(req)?;
-            return self.await_response(id);
-        }
-        let (ty, payload) = req.encode();
-        write_frame(&mut self.conn, ty, &payload)?;
-        let Some((ty, payload)) = self.reader.read_frame(&mut self.conn)? else {
-            return Err(ServeError::corrupt("server closed mid-request"));
-        };
-        match Response::decode(ty, &payload)? {
-            Response::Error { code, message } => Err(ServeError::Remote { code, message }),
-            resp => Ok(resp),
-        }
+        let id = self.submit(req)?;
+        self.await_response(id)
     }
 
     fn unexpected<T>(what: &str) -> Result<T, ServeError> {
@@ -292,7 +265,7 @@ impl DgsClient {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        match self.call(&Request::Ping)? {
+        match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
             _ => Self::unexpected("PING"),
         }
@@ -300,7 +273,7 @@ impl DgsClient {
 
     /// The loaded graph and fragmentation summary.
     pub fn graph_info(&mut self) -> Result<GraphInfo, ServeError> {
-        match self.call(&Request::GraphInfo)? {
+        match self.request(&Request::GraphInfo)? {
             Response::GraphInfo(info) => Ok(info),
             _ => Self::unexpected("GRAPH_INFO"),
         }
@@ -308,7 +281,7 @@ impl DgsClient {
 
     /// A data-selecting query; the answer carries the full relation.
     pub fn query(&mut self, q: &Pattern, algorithm: WireAlgorithm) -> Result<Answer, ServeError> {
-        match self.call(&Request::Query {
+        match self.request(&Request::Query {
             pattern: q.clone(),
             algorithm,
             boolean: false,
@@ -324,7 +297,7 @@ impl DgsClient {
         q: &Pattern,
         algorithm: WireAlgorithm,
     ) -> Result<Answer, ServeError> {
-        match self.call(&Request::Query {
+        match self.request(&Request::Query {
             pattern: q.clone(),
             algorithm,
             boolean: true,
@@ -342,7 +315,7 @@ impl DgsClient {
         patterns: &[Pattern],
         algorithm: WireAlgorithm,
     ) -> Result<(Vec<Result<Answer, (ErrorCode, String)>>, WireMetrics), ServeError> {
-        match self.call(&Request::QueryBatch {
+        match self.request(&Request::QueryBatch {
             patterns: patterns.to_vec(),
             algorithm,
         })? {
@@ -353,7 +326,7 @@ impl DgsClient {
 
     /// Absorbs a batch of edge updates into the served session.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaSummary, ServeError> {
-        match self.call(&Request::ApplyDelta {
+        match self.request(&Request::ApplyDelta {
             insert_edges: delta
                 .insert_edges
                 .iter()
@@ -373,7 +346,7 @@ impl DgsClient {
     /// Counters of the server-side pattern-result cache (`None` when
     /// disabled).
     pub fn cache_stats(&mut self) -> Result<Option<WireCacheStats>, ServeError> {
-        match self.call(&Request::CacheStats)? {
+        match self.request(&Request::CacheStats)? {
             Response::CacheStats(s) => Ok(s),
             _ => Self::unexpected("CACHE_STATS"),
         }
@@ -382,7 +355,7 @@ impl DgsClient {
     /// The served session's compressed-leg summary (`None` when built
     /// without compression).
     pub fn compression_info(&mut self) -> Result<Option<WireCompression>, ServeError> {
-        match self.call(&Request::CompressionInfo)? {
+        match self.request(&Request::CompressionInfo)? {
             Response::CompressionInfo(c) => Ok(c),
             _ => Self::unexpected("COMPRESSION_INFO"),
         }
@@ -394,7 +367,7 @@ impl DgsClient {
         graph: &Graph,
         options: &SessionOptions,
     ) -> Result<(u64, u64, u16), ServeError> {
-        match self.call(&Request::LoadGraph {
+        match self.request(&Request::LoadGraph {
             graph: graph.clone(),
             options: options.clone(),
         })? {
@@ -414,7 +387,7 @@ impl DgsClient {
         graph: &Graph,
         options: &SessionOptions,
     ) -> Result<SessionInfo, ServeError> {
-        match self.call(&Request::SessionCreate {
+        match self.request(&Request::SessionCreate {
             name: name.to_owned(),
             graph: graph.clone(),
             options: options.clone(),
@@ -426,7 +399,7 @@ impl DgsClient {
 
     /// Every session the server hosts, sorted by name.
     pub fn session_list(&mut self) -> Result<Vec<SessionInfo>, ServeError> {
-        match self.call(&Request::SessionList)? {
+        match self.request(&Request::SessionList)? {
             Response::Sessions(infos) => Ok(infos),
             _ => Self::unexpected("SESSION_LIST"),
         }
@@ -435,7 +408,7 @@ impl DgsClient {
     /// Drops a named session ([`ErrorCode::NoSuchSession`] when the
     /// server does not host it).
     pub fn session_drop(&mut self, name: &str) -> Result<(), ServeError> {
-        match self.call(&Request::SessionDrop {
+        match self.request(&Request::SessionDrop {
             name: name.to_owned(),
         })? {
             Response::SessionDropped => Ok(()),
@@ -448,7 +421,7 @@ impl DgsClient {
     /// answers; an **empty list** fans out over all hosted sessions.
     /// Returns how many sessions the route resolves to right now.
     pub fn session_route<S: AsRef<str>>(&mut self, sessions: &[S]) -> Result<u64, ServeError> {
-        match self.call(&Request::SessionRoute {
+        match self.request(&Request::SessionRoute {
             sessions: sessions.iter().map(|s| s.as_ref().to_owned()).collect(),
         })? {
             Response::SessionRouted { sessions } => Ok(sessions),
@@ -456,7 +429,7 @@ impl DgsClient {
         }
     }
 
-    /// Registers a live subscription on the routed session (wire v4).
+    /// Registers a live subscription on the routed session.
     /// Returns `(sub_id, generation, rows)`: the subscription id, the
     /// generation label of the snapshot, and the pattern's current
     /// match rows (one sorted node list per query node). From then on
@@ -470,13 +443,7 @@ impl DgsClient {
         q: &Pattern,
         algorithm: WireAlgorithm,
     ) -> Result<(u64, u64, Vec<Vec<u32>>), ServeError> {
-        if self.version < 4 {
-            return Err(ServeError::UnsupportedVersion {
-                ours: WIRE_VERSION,
-                theirs: self.version,
-            });
-        }
-        match self.call(&Request::Subscribe {
+        match self.request(&Request::Subscribe {
             pattern: q.clone(),
             algorithm,
         })? {
@@ -489,32 +456,20 @@ impl DgsClient {
         }
     }
 
-    /// A snapshot of the server's metrics registry (wire v4). Empty
+    /// A snapshot of the server's metrics registry. Empty
     /// when the server runs with metrics disabled.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        if self.version < 4 {
-            return Err(ServeError::UnsupportedVersion {
-                ours: WIRE_VERSION,
-                theirs: self.version,
-            });
-        }
-        match self.call(&Request::Metrics)? {
+        match self.request(&Request::Metrics)? {
             Response::Metrics(snap) => Ok(snap),
             _ => Self::unexpected("METRICS"),
         }
     }
 
-    /// The server's slow-query log, newest first (wire v4). Empty
+    /// The server's slow-query log, newest first. Empty
     /// unless the server runs with `--slow-ms` and something tripped
     /// it.
     pub fn trace(&mut self) -> Result<Vec<WireTrace>, ServeError> {
-        if self.version < 4 {
-            return Err(ServeError::UnsupportedVersion {
-                ours: WIRE_VERSION,
-                theirs: self.version,
-            });
-        }
-        match self.call(&Request::Trace)? {
+        match self.request(&Request::Trace)? {
             Response::Trace(traces) => Ok(traces),
             _ => Self::unexpected("TRACE"),
         }
@@ -524,7 +479,7 @@ impl DgsClient {
     /// queued locally (or in flight) and remain readable; no new ones
     /// follow the acknowledgement.
     pub fn unsubscribe(&mut self, sub_id: u64) -> Result<(), ServeError> {
-        match self.call(&Request::Unsubscribe { sub_id })? {
+        match self.request(&Request::Unsubscribe { sub_id })? {
             Response::Unsubscribed => Ok(()),
             _ => Self::unexpected("UNSUBSCRIBE"),
         }
@@ -551,13 +506,13 @@ impl DgsClient {
                 return Err(ServeError::corrupt("server closed mid-stream"));
             };
             let (got, body) = split_request_id(&payload)?;
-            if got != 0 && !self.outstanding.contains(&got) {
+            if got != CONN_LEVEL_ID && !self.outstanding.contains(&got) {
                 return Err(ServeError::corrupt(format!(
                     "server answered unknown request id {got}"
                 )));
             }
             let resp = Response::decode(ty, body)?;
-            if got == 0 {
+            if got == CONN_LEVEL_ID {
                 match resp {
                     Response::MatchDiff(diff) => {
                         self.events.push_back(SubscriptionEvent::Diff(diff));
@@ -583,7 +538,7 @@ impl DgsClient {
 
     /// Stops the daemon (admin). The connection is spent afterwards.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
-        match self.call(&Request::Shutdown)? {
+        match self.request(&Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
             _ => Self::unexpected("SHUTDOWN"),
         }

@@ -90,9 +90,9 @@ pub enum ServeError {
         /// What was wrong.
         message: String,
     },
-    /// The peer speaks no protocol version we do.
+    /// The peer does not speak the protocol version we do.
     UnsupportedVersion {
-        /// Our highest supported version.
+        /// The version we speak.
         ours: u8,
         /// The version the peer offered.
         theirs: u8,
@@ -141,7 +141,7 @@ impl fmt::Display for ServeError {
             ServeError::Corrupt { message } => write!(f, "protocol violation: {message}"),
             ServeError::UnsupportedVersion { ours, theirs } => write!(
                 f,
-                "version mismatch: peer offered v{theirs}, we support up to v{ours}"
+                "version mismatch: peer offered v{theirs}, we speak v{ours}"
             ),
             ServeError::FrameTooLarge { len, max } => {
                 write!(f, "frame of {len} bytes exceeds the {max}-byte limit")

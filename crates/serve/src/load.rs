@@ -62,9 +62,9 @@ pub struct LoadConfig {
     /// Every client issues a `SESSION_ROUTE` right after connecting.
     pub session: Option<String>,
     /// Requests each client keeps in flight on its one connection
-    /// (`1` = classic blocking round trips; more requires wire v3
-    /// pipelining). Closed-loop throughput scales with the window
-    /// because the server overlaps service time with the round trip.
+    /// (`1` = blocking round trips). Closed-loop throughput scales
+    /// with the window because the server overlaps service time with
+    /// the round trip.
     pub pipeline: usize,
     /// Issue `PING`s instead of queries — the pure protocol
     /// microbenchmark: with near-zero execution cost per request,
@@ -242,11 +242,7 @@ fn run_client(
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(client_idx as u64 + 1);
     let batch = cfg.batch_size.max(1);
-    let depth = if client.version() >= 3 {
-        cfg.pipeline.max(1)
-    } else {
-        1
-    };
+    let depth = cfg.pipeline.max(1);
     // The pipeline window: submitted requests awaiting their answers,
     // oldest first (awaited in submit order — the server may finish
     // them in any order, the client stash reorders).
@@ -305,12 +301,6 @@ fn run_client(
         // must land in the tail percentiles (avoiding coordinated
         // omission). Closed loop measures from the send.
         let sent = scheduled.unwrap_or_else(Instant::now);
-        if client.version() < 3 {
-            // Legacy id-less wire: one blocking exchange at a time.
-            let result = client.request(&req);
-            fold(result, sent, &mut out);
-            continue;
-        }
         match client.submit(&req) {
             Ok(id) => window.push_back((id, sent)),
             Err(_) => out.errors += 1,
@@ -490,7 +480,7 @@ fn run_sweep_step(cfg: &ConnSweepConfig, n: usize) -> Result<ConnSweepStep, Serv
     })
 }
 
-// ---- live-subscription load (wire v4) ---------------------------------
+// ---- live-subscription load -------------------------------------------
 
 /// Configuration of [`run_subscribe`]: the time-varying-graph churn
 /// experiment. The generator creates
@@ -733,12 +723,6 @@ pub fn run_subscribe(cfg: &SubscribeConfig) -> Result<SubscribeReport, ServeErro
     let sessions = cfg.sessions.max(1);
     let names: Vec<String> = (0..sessions).map(|i| format!("churn-{i}")).collect();
     let mut admin = DgsClient::connect(&cfg.addr)?;
-    if admin.version() < 4 {
-        return Err(ServeError::UnsupportedVersion {
-            ours: 4,
-            theirs: admin.version(),
-        });
-    }
     for (i, name) in names.iter().enumerate() {
         admin.session_create(
             name,

@@ -5,7 +5,7 @@
 //! `QUERY`/`QUERY_BATCH` (answers ship the match relation, the plan
 //! explanation and the run metrics), `APPLY_DELTA`, `CACHE_STATS`,
 //! `COMPRESSION_INFO`, `GRAPH_INFO`, `LOAD_GRAPH` (session
-//! replacement), the v2 `SESSION_*` frames (named-session hosting,
+//! replacement), the `SESSION_*` frames (named-session hosting,
 //! per-connection routing and query fan-out) and the `SHUTDOWN`
 //! admin frame. Graphs and patterns
 //! reuse the binary encoding of `dgs_graph::io` verbatim, so a file
@@ -25,19 +25,15 @@ use dgs_sim::MatchRelation;
 
 /// Magic the handshake frames carry ("DGSW": dgs wire).
 pub const WIRE_MAGIC: [u8; 4] = *b"DGSW";
-/// The highest protocol version this build speaks. v2 added the
-/// `SESSION_*` frames (multi-session hosting + routing); v3 prefixes
-/// every post-handshake payload with a varint **request id** echoed
-/// in the matching response, so one connection can pipeline requests
-/// and take responses out of order. v1/v2 peers negotiate down and
-/// keep the id-less one-at-a-time framing. v4 adds **live match
-/// subscriptions**: `SUBSCRIBE`/`UNSUBSCRIBE` requests plus the
-/// server-pushed `MATCH_DIFF`/`SUB_EVENT` frames, which travel under
-/// the reserved request id 0 and interleave with pipelined responses
-/// on the same connection; `DELTA_APPLIED` grows a trailing
-/// `resurrected_pairs` counter. v≤3 peers negotiate down: they never
-/// see push frames or the trailing counter, and a `SUBSCRIBE` from
-/// them is refused with a typed `Unsupported` error.
+/// The one protocol version this build speaks. Every post-handshake
+/// payload is prefixed with a varint **request id** echoed in the
+/// matching response, so one connection can pipeline requests and take
+/// responses out of order; the server-pushed `MATCH_DIFF`/`SUB_EVENT`
+/// frames of live match subscriptions travel under the reserved
+/// request id 0 and interleave with pipelined responses on the same
+/// connection. The handshake still negotiates: a client offering more
+/// is welcomed at this version, one offering less (the retired v1–v3)
+/// gets a typed `Unsupported` error naming it, then the close.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Frame type bytes. Requests are `0x1x`, responses `0x2x`, the error
@@ -80,14 +76,14 @@ pub mod frame {
     pub const UNSUBSCRIBED: u8 = 0x2e;
     pub const METRICS_R: u8 = 0x2f;
 
-    /// Server-pushed (v4): a subscription's match-set delta. Travels
+    /// Server-pushed: a subscription's match-set delta. Travels
     /// under request id 0, never in answer to a request.
     pub const MATCH_DIFF: u8 = 0x30;
-    /// Server-pushed (v4): a subscription lifecycle event (overflow,
+    /// Server-pushed: a subscription lifecycle event (overflow,
     /// session dropped, server draining). Travels under request id 0.
     pub const SUB_EVENT: u8 = 0x31;
 
-    /// Request (v4): dump the server's slow-query trace ring.
+    /// Request: dump the server's slow-query trace ring.
     pub const TRACE: u8 = 0x32;
     /// Response to [`TRACE`].
     pub const TRACE_R: u8 = 0x33;
@@ -297,7 +293,7 @@ pub enum Request {
         sessions: Vec<String>,
     },
     /// Register a live match subscription on the routed session
-    /// (wire v4; needs a single-session route). The response carries
+    /// (needs a single-session route). The response carries
     /// the initial snapshot; the server then pushes `MATCH_DIFF`
     /// frames as deltas apply.
     Subscribe {
@@ -307,16 +303,15 @@ pub enum Request {
         /// fallback re-query).
         algorithm: WireAlgorithm,
     },
-    /// Tear down a subscription this connection registered (wire v4).
+    /// Tear down a subscription this connection registered.
     Unsubscribe {
         /// The id `SUBSCRIBED` returned.
         sub_id: u64,
     },
     /// Fetch a point-in-time snapshot of the server's metrics
-    /// registry (wire v4).
+    /// registry.
     Metrics,
-    /// Dump the server's slow-query trace ring, newest first
-    /// (wire v4).
+    /// Dump the server's slow-query trace ring, newest first.
     Trace,
 }
 
@@ -493,9 +488,7 @@ pub struct DeltaSummary {
     pub invalidated_entries: u64,
     pub revoked_pairs: u64,
     pub generation: u64,
-    /// Pairs the insertion-side maintenance revived (v4 extension:
-    /// encoded only to v4 peers, decoded from the trailing bytes when
-    /// present — a v3 server's 11-counter payload leaves it 0).
+    /// Pairs the insertion-side maintenance revived.
     pub resurrected_pairs: u64,
 }
 
@@ -561,7 +554,7 @@ impl MatchDiff {
 pub struct WireTrace {
     /// The server-side connection id the request arrived on.
     pub conn_id: u64,
-    /// The pipelined request id (0 on a v1/v2 connection).
+    /// The pipelined request id.
     pub request_id: u64,
     /// The request's frame type byte.
     pub ty: u8,
@@ -1008,7 +1001,7 @@ impl Request {
     }
 
     /// Appends the payload to `buf` (which may carry a frame header
-    /// or a v3 request-id prefix already) and returns the frame type.
+    /// or a request-id prefix already) and returns the frame type.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> u8 {
         match self {
             Request::Ping => frame::PING,
@@ -1179,19 +1172,10 @@ impl Response {
     }
 
     /// Appends the payload to `buf` (which may carry a frame header
-    /// or a v3 request-id prefix already — this is what lets the
+    /// or a request-id prefix already — this is what lets the
     /// server encode straight into a pooled frame buffer) and returns
-    /// the frame type. Encodes at this build's own wire version; the
-    /// server uses [`Response::encode_into_v`] with the connection's
-    /// negotiated version instead.
+    /// the frame type.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> u8 {
-        self.encode_into_v(buf, WIRE_VERSION)
-    }
-
-    /// Version-aware [`Response::encode_into`]: `wire_version` is the
-    /// peer's negotiated version, so v≤3 peers never see the v4
-    /// `DELTA_APPLIED` trailing extension their decoder would reject.
-    pub fn encode_into_v(&self, buf: &mut Vec<u8>, wire_version: u8) -> u8 {
         match self {
             Response::Pong => frame::PONG,
             Response::GraphInfo(info) => {
@@ -1239,11 +1223,9 @@ impl Response {
                     d.invalidated_entries,
                     d.revoked_pairs,
                     d.generation,
+                    d.resurrected_pairs,
                 ] {
                     put_varint(buf, v);
-                }
-                if wire_version >= 4 {
-                    put_varint(buf, d.resurrected_pairs);
                 }
                 frame::DELTA_APPLIED
             }
@@ -1391,19 +1373,12 @@ impl Response {
                 Response::BatchAnswer { items, total }
             }
             frame::DELTA_APPLIED => {
-                let mut vals = [0u64; 11];
+                let mut vals = [0u64; 12];
                 for v in &mut vals {
                     *v = r.varint("delta counter")?;
                 }
-                let [inserted, deleted, ignored, crossing_inserted, crossing_deleted, virtuals_created, virtuals_retired, maintained_entries, invalidated_entries, revoked_pairs, generation] =
+                let [inserted, deleted, ignored, crossing_inserted, crossing_deleted, virtuals_created, virtuals_retired, maintained_entries, invalidated_entries, revoked_pairs, generation, resurrected_pairs] =
                     vals;
-                // v4 extension: a trailing resurrected-pairs counter.
-                // A v3 server's 11-counter payload leaves it 0.
-                let resurrected_pairs = if r.remaining() > 0 {
-                    r.varint("resurrected pairs")?
-                } else {
-                    0
-                };
                 Response::DeltaApplied(DeltaSummary {
                     inserted,
                     deleted,
@@ -1640,7 +1615,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_summary_extension_is_version_gated() {
+    fn delta_summary_carries_twelve_counters_and_refuses_the_v3_form() {
         let d = DeltaSummary {
             inserted: 5,
             revoked_pairs: 2,
@@ -1648,25 +1623,18 @@ mod tests {
             generation: 3,
             ..DeltaSummary::default()
         };
-        // A v3 peer gets the classic 11-counter payload; decoding it
-        // leaves the extension 0.
-        let mut v3 = Vec::new();
-        let ty = Response::DeltaApplied(d.clone()).encode_into_v(&mut v3, 3);
-        match Response::decode(ty, &v3).unwrap() {
-            Response::DeltaApplied(got) => {
-                assert_eq!(got.resurrected_pairs, 0);
-                assert_eq!(got.inserted, 5);
-            }
-            other => panic!("expected DeltaApplied, got {other:?}"),
-        }
-        // A v4 peer sees the trailing counter.
-        let mut v4 = Vec::new();
-        let ty = Response::DeltaApplied(d.clone()).encode_into_v(&mut v4, 4);
-        assert!(v4.len() > v3.len());
-        match Response::decode(ty, &v4).unwrap() {
-            Response::DeltaApplied(got) => assert_eq!(got, d),
-            other => panic!("expected DeltaApplied, got {other:?}"),
-        }
+        let (ty, payload) = Response::DeltaApplied(d.clone()).encode();
+        assert_eq!(
+            Response::decode(ty, &payload).unwrap(),
+            Response::DeltaApplied(d)
+        );
+        // The retired v3 payload stopped after `generation`: eleven
+        // counters are a truncated frame now, not a tolerated dialect.
+        let v3 = &payload[..payload.len() - 1];
+        assert!(matches!(
+            Response::decode(ty, v3),
+            Err(ServeError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!   back through a completion queue (waking the poller via a
 //!   self-pipe). A connection therefore costs two buffers, not an OS
 //!   thread — 10k idle-or-bursty clients are just 10k pollfds.
-//! * **Pipelining** — at wire v3 every request carries a varint id
-//!   the response echoes, so one connection can keep many requests in
-//!   flight and take answers out of order as workers finish them.
+//! * **Pipelining** — every request carries a varint id the response
+//!   echoes, so one connection can keep many requests in flight and
+//!   take answers out of order as workers finish them.
 //!   `SESSION_ROUTE` and `SHUTDOWN` are ordering **barriers**: they
 //!   wait for the connection's in-flight requests and block later
 //!   ones until done, so a pipelined route change still applies to
-//!   exactly the requests after it. v1/v2 connections (no ids on the
-//!   wire) are serialized per connection — responses match requests
-//!   by order, as before.
+//!   exactly the requests after it.
 //! * **Sharing** — there is no lock around the engines on the serve
 //!   path. Each engine is snapshot-isolated: queries clone the
 //!   published generation snapshot and run lock-free; `APPLY_DELTA`
@@ -49,7 +47,7 @@ use crate::proto::{
 use crate::session::{merge_answers, merge_metrics, session_info, Route, SessionManager};
 use crate::subscribe::{SubObs, SubscriptionRegistry, DEFAULT_SUB_QUEUE_MAX};
 use crate::transport::{Conn, Listener, ServeAddr};
-use crate::wire::{encode_frame_into, split_request_id, FrameBuffer};
+use crate::wire::{encode_frame_into, split_request_id, FrameBuffer, CONN_LEVEL_ID};
 use dgs_core::{Algorithm, DgsError, GraphDelta, RunReport, SimEngine};
 use dgs_graph::{Graph, NodeId, Pattern, QNodeId};
 use dgs_net::{Counter, Gauge, Histo, LogLevel, Logger, MetricsRegistry, MetricsSnapshot};
@@ -75,9 +73,8 @@ pub struct ServerConfig {
     /// Threads in the request-execution worker pool (`0` = derive
     /// from the host's parallelism, clamped to 2..=8).
     pub worker_threads: usize,
-    /// Requests one v3 connection may have in flight or queued before
+    /// Requests one connection may have in flight or queued before
     /// the event loop stops reading from it (TCP backpressure).
-    /// v1/v2 connections are always serialized at 1.
     pub max_pipeline: usize,
     /// Push frames one subscription may have queued before it
     /// overflows: the backlog is discarded and replaced by a single
@@ -135,7 +132,6 @@ fn default_workers() -> usize {
 struct Job {
     conn_id: u64,
     request_id: u64,
-    version: u8,
     ty: u8,
     body: Vec<u8>,
     route: Arc<Mutex<Route>>,
@@ -421,7 +417,7 @@ struct Shared {
     completions: Mutex<Vec<Completion>>,
     pool: BufferPool,
     wake: WakeHandle,
-    /// Live match subscriptions (wire v4).
+    /// Live match subscriptions.
     subs: SubscriptionRegistry,
     /// Connections that gained queued push frames since the event
     /// loop last looked; workers push here and wake the poller.
@@ -668,14 +664,7 @@ fn worker_loop(shared: &Shared) {
             Ok(req) => {
                 let wants_shutdown = matches!(req, Request::Shutdown);
                 let resp = catch_unwind(AssertUnwindSafe(|| {
-                    execute(
-                        &req,
-                        shared,
-                        &job.route,
-                        job.conn_id,
-                        job.version,
-                        &mut trace,
-                    )
+                    execute(&req, shared, &job.route, job.conn_id, &mut trace)
                 }))
                 .unwrap_or_else(|_| Response::Error {
                     code: ErrorCode::Internal,
@@ -696,17 +685,15 @@ fn worker_loop(shared: &Shared) {
         let exec_ns = elapsed_ns(exec_start);
         let encode_start = Instant::now();
         let mut buf = shared.pool.get();
-        let id = (job.version >= 3).then_some(job.request_id);
-        // Encode at the *connection's* version: a v3 peer must not see
-        // the v4 DELTA_APPLIED extension.
-        if encode_frame_into(&mut buf, id, |b| resp.encode_into_v(b, job.version)).is_err() {
+        let id = Some(job.request_id);
+        if encode_frame_into(&mut buf, id, |b| resp.encode_into(b)).is_err() {
             // The answer outgrew MAX_FRAME; the error that replaces it
             // cannot (it is a short string).
             let resp = Response::Error {
                 code: ErrorCode::Internal,
                 message: "response exceeded the maximum frame size".into(),
             };
-            encode_frame_into(&mut buf, id, |b| resp.encode_into_v(b, job.version))
+            encode_frame_into(&mut buf, id, |b| resp.encode_into(b))
                 .expect("error frame fits MAX_FRAME");
         }
         let encode_ns = elapsed_ns(encode_start);
@@ -768,7 +755,7 @@ enum Phase {
     /// Waiting for `HELLO`; cut at `deadline`. `reject` marks an
     /// over-capacity connection whose `HELLO` gets `Busy`.
     Handshake { deadline: Instant, reject: bool },
-    /// Handshake done, version negotiated.
+    /// Handshake done: every frame from here on carries a request id.
     Serving,
 }
 
@@ -776,7 +763,6 @@ enum Phase {
 struct ConnState {
     conn: Conn,
     phase: Phase,
-    version: u8,
     rbuf: FrameBuffer,
     /// Encoded frames awaiting flush; `out_pos` indexes into the
     /// front frame (partial writes are routine under poll).
@@ -804,7 +790,6 @@ impl ConnState {
                 deadline: Instant::now() + HANDSHAKE_TIMEOUT,
                 reject,
             },
-            version: 0,
             rbuf: FrameBuffer::new(),
             out: VecDeque::new(),
             out_pos: 0,
@@ -827,17 +812,12 @@ impl ConnState {
     }
 
     /// Queues one encoded response frame (an owned, non-pooled error
-    /// or handshake frame).
+    /// or handshake frame). `id` is `None` only before `WELCOME`;
+    /// afterwards unsolicited server frames use [`CONN_LEVEL_ID`].
     fn push_frame(&mut self, id: Option<u64>, resp: &Response) {
         let mut buf = Vec::new();
         encode_frame_into(&mut buf, id, |b| resp.encode_into(b)).expect("small frame fits");
         self.out.push_back(buf);
-    }
-
-    /// The connection-level id for unsolicited server frames: v3
-    /// reserves 0; pre-v3 frames carry no id at all.
-    fn conn_level_id(&self) -> Option<u64> {
-        (self.version >= 3).then_some(0)
     }
 }
 
@@ -956,12 +936,7 @@ fn event_loop(
             tokens.push(Token::MetricsConn(id));
         }
         for (&id, c) in conns.iter() {
-            let cap = if c.version >= 3 {
-                shared.max_pipeline
-            } else {
-                1
-            };
-            let want_read = !c.closing && c.pending.len() + c.in_flight < cap;
+            let want_read = !c.closing && c.pending.len() + c.in_flight < shared.max_pipeline;
             let want_write = !c.out.is_empty();
             if want_read || want_write {
                 poll.push(c.conn.as_raw_fd(), want_read, want_write);
@@ -1263,7 +1238,7 @@ fn handle_read(conn_id: u64, c: &mut ConnState, shared: &Shared, shutting: bool)
                 // unlike a bad payload, the stream cannot resync —
                 // report once and hang up.
                 c.push_frame(
-                    c.conn_level_id(),
+                    matches!(c.phase, Phase::Serving).then_some(CONN_LEVEL_ID),
                     &Response::Error {
                         code: ErrorCode::Malformed,
                         message: ServeError::from(e).to_string(),
@@ -1293,7 +1268,9 @@ fn process_frame(
             // HELLO(magic, client max version). Trailing bytes after
             // the version are *tolerated* (a future client's
             // extensions), not rejected: forward compatibility is the
-            // whole point of the version byte.
+            // whole point of the version byte. A client above
+            // WIRE_VERSION is answered at WIRE_VERSION; one below it
+            // gets a typed refusal — one protocol is served.
             if ty != frame::HELLO || payload.len() < 5 || payload[..4] != WIRE_MAGIC {
                 c.push_frame(
                     None,
@@ -1306,13 +1283,13 @@ fn process_frame(
                 return;
             }
             let theirs = payload[4];
-            if theirs < 1 {
+            if theirs < WIRE_VERSION {
                 c.push_frame(
                     None,
                     &Response::Error {
-                        code: ErrorCode::Malformed,
+                        code: ErrorCode::Unsupported,
                         message: format!(
-                            "peer offered protocol v{theirs}; this server speaks v1..=v{WIRE_VERSION}"
+                            "peer offered protocol v{theirs}; this server speaks v{WIRE_VERSION}"
                         ),
                     },
                 );
@@ -1345,10 +1322,9 @@ fn process_frame(
                 c.closing = true;
                 return;
             }
-            c.version = theirs.min(WIRE_VERSION);
             let mut welcome = Vec::with_capacity(5);
             welcome.extend_from_slice(&WIRE_MAGIC);
-            welcome.push(c.version);
+            welcome.push(WIRE_VERSION);
             let mut buf = Vec::new();
             buf.extend_from_slice(&(welcome.len() as u32).to_le_bytes());
             buf.push(frame::WELCOME);
@@ -1357,23 +1333,19 @@ fn process_frame(
             c.phase = Phase::Serving;
         }
         Phase::Serving => {
-            let (id, body) = if c.version >= 3 {
-                match split_request_id(payload) {
-                    Ok((id, rest)) => (id, rest.to_vec()),
-                    Err(e) => {
-                        c.push_frame(
-                            c.conn_level_id(),
-                            &Response::Error {
-                                code: ErrorCode::Malformed,
-                                message: e.to_string(),
-                            },
-                        );
-                        c.closing = true;
-                        return;
-                    }
+            let (id, body) = match split_request_id(payload) {
+                Ok((id, rest)) => (id, rest.to_vec()),
+                Err(e) => {
+                    c.push_frame(
+                        Some(CONN_LEVEL_ID),
+                        &Response::Error {
+                            code: ErrorCode::Malformed,
+                            message: e.to_string(),
+                        },
+                    );
+                    c.closing = true;
+                    return;
                 }
-            } else {
-                (0, payload.to_vec())
             };
             c.pending.push_back((id, ty, body));
             pump_dispatch(conn_id, c, shared, shutting);
@@ -1387,9 +1359,8 @@ fn process_frame(
 fn pump_dispatch(conn_id: u64, c: &mut ConnState, shared: &Shared, shutting: bool) {
     if shutting {
         while let Some((id, _, _)) = c.pending.pop_front() {
-            let id = (c.version >= 3).then_some(id);
             c.push_frame(
-                id,
+                Some(id),
                 &Response::Error {
                     code: ErrorCode::ShuttingDown,
                     message: "server is shutting down".into(),
@@ -1398,12 +1369,7 @@ fn pump_dispatch(conn_id: u64, c: &mut ConnState, shared: &Shared, shutting: boo
         }
         return;
     }
-    let cap = if c.version >= 3 {
-        shared.max_pipeline
-    } else {
-        1
-    };
-    while !c.barrier && c.in_flight < cap {
+    while !c.barrier && c.in_flight < shared.max_pipeline {
         let Some(&(_, ty, _)) = c.pending.front() else {
             break;
         };
@@ -1422,7 +1388,6 @@ fn pump_dispatch(conn_id: u64, c: &mut ConnState, shared: &Shared, shutting: boo
         shared.jobs.push(Job {
             conn_id,
             request_id: id,
-            version: c.version,
             ty,
             body,
             route: Arc::clone(&c.route),
@@ -1448,9 +1413,8 @@ fn begin_drain(conn_id: u64, c: &mut ConnState, shared: &Shared) {
         }
         Phase::Serving => {
             while let Some((id, _, _)) = c.pending.pop_front() {
-                let id = (c.version >= 3).then_some(id);
                 c.push_frame(
-                    id,
+                    Some(id),
                     &Response::Error {
                         code: ErrorCode::ShuttingDown,
                         message: "server is shutting down".into(),
@@ -1467,7 +1431,7 @@ fn begin_drain(conn_id: u64, c: &mut ConnState, shared: &Shared) {
                     c.out.push_back(frame);
                 }
                 c.push_frame(
-                    c.conn_level_id(),
+                    Some(CONN_LEVEL_ID),
                     &Response::Error {
                         code: ErrorCode::ShuttingDown,
                         message: "server is shutting down".into(),
@@ -1671,15 +1635,14 @@ fn note_sub_dirty(shared: &Shared, dirty: Vec<u64>) {
 /// Runs one request against the routed session(s). `route` is the
 /// connection's shared route cell; barrier dispatch in the event loop
 /// guarantees `SESSION_ROUTE` never executes concurrently with other
-/// requests on the same connection. `conn_id`/`version` identify the
-/// connection for subscription ownership and version gating. `trace`
-/// collects plan/per-site details for the slow-query log.
+/// requests on the same connection. `conn_id` identifies the
+/// connection for subscription ownership. `trace` collects
+/// plan/per-site details for the slow-query log.
 fn execute(
     req: &Request,
     shared: &Shared,
     route: &Mutex<Route>,
     conn_id: u64,
-    version: u8,
     trace: &mut TraceCapture,
 ) -> Response {
     match req {
@@ -1956,14 +1919,6 @@ fn execute(
             }
         }
         Request::Subscribe { pattern, algorithm } => {
-            if version < 4 {
-                return Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "SUBSCRIBE needs wire v4, but this connection negotiated v{version}"
-                    ),
-                };
-            }
             let engines = match resolve(shared, &route.lock().clone()) {
                 Ok(e) => e,
                 Err(resp) => return *resp,
@@ -1995,26 +1950,10 @@ fn execute(
             }
         }
         Request::Metrics => {
-            if version < 4 {
-                return Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "METRICS needs wire v4, but this connection negotiated v{version}"
-                    ),
-                };
-            }
             refresh_gauges(shared);
             Response::Metrics(shared.registry.snapshot())
         }
         Request::Trace => {
-            if version < 4 {
-                return Response::Error {
-                    code: ErrorCode::Unsupported,
-                    message: format!(
-                        "TRACE needs wire v4, but this connection negotiated v{version}"
-                    ),
-                };
-            }
             // Newest first: the request someone is chasing is almost
             // always the latest one.
             Response::Trace(shared.slow_log.lock().iter().rev().cloned().collect())

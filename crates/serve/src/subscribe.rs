@@ -6,7 +6,7 @@
 //! the pattern's current match rows attached. `SUBSCRIBE` snapshots
 //! the rows (a plain query — a cache hit when the pattern was asked
 //! before) and registers the triple; every wire-applied delta then
-//! calls [`SubscriptionRegistry::on_delta`], which updates each
+//! calls `SubscriptionRegistry::on_delta`, which updates each
 //! affected subscription's rows and queues one encoded `MATCH_DIFF`
 //! frame per non-empty change.
 //!
@@ -45,7 +45,7 @@
 //! matter how slow the peer is.
 
 use crate::proto::{MatchDiff, Response, SubEventKind, WireAlgorithm};
-use crate::wire::encode_frame_into;
+use crate::wire::{encode_frame_into, CONN_LEVEL_ID};
 use dgs_core::delta::MaintainedDiff;
 use dgs_core::{DgsError, SimEngine};
 use dgs_graph::{Pattern, QNodeId};
@@ -409,7 +409,7 @@ impl SubscriptionRegistry {
 /// Encodes a response as an id-0 push frame.
 fn encode_push(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_frame_into(&mut buf, Some(0), |b| resp.encode_into(b))
+    encode_frame_into(&mut buf, Some(CONN_LEVEL_ID), |b| resp.encode_into(b))
         .expect("push frames fit MAX_FRAME");
     buf
 }

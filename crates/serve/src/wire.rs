@@ -97,8 +97,8 @@ impl FrameReader {
 }
 
 /// Builds one complete wire frame — `[u32 LE len][u8 type]` followed
-/// by an optional varint request id (negotiated v3) and the payload —
-/// into `buf`, which is cleared first. Encoding straight into a
+/// by a varint request id (`None` only on handshake-phase frames) and
+/// the payload — into `buf`, which is cleared first. Encoding straight into a
 /// caller-owned (pooled) buffer is what keeps the server's response
 /// path allocation-free in steady state.
 pub fn encode_frame_into<F: FnOnce(&mut Vec<u8>) -> u8>(
@@ -124,7 +124,12 @@ pub fn encode_frame_into<F: FnOnce(&mut Vec<u8>) -> u8>(
     Ok(())
 }
 
-/// Splits the varint request-id prefix off a v3 frame payload,
+/// The request id of frames the server originates outside any one
+/// request (drain notices, subscription pushes); client ids start
+/// at 1.
+pub const CONN_LEVEL_ID: u64 = 0;
+
+/// Splits the varint request-id prefix off a frame payload,
 /// returning `(id, rest-of-payload)`.
 pub fn split_request_id(payload: &[u8]) -> Result<(u64, &[u8]), ServeError> {
     let mut r = wire::Reader::new(payload);

@@ -53,7 +53,7 @@
 //! instead. Message and visit metrics flow back over the wire into
 //! the same report shape as the in-process executors.
 //!
-//! **Live subscriptions** (wire v4): `dgsq subscribe PATTERN --remote
+//! **Live subscriptions**: `dgsq subscribe PATTERN --remote
 //! ADDR` registers the pattern with the daemon and prints the initial
 //! match snapshot, then streams `MATCH_DIFF` pushes — the
 //! `(query node, data node)` pairs that entered or left the match set
@@ -1193,7 +1193,7 @@ fn cmd_session(flags: &HashMap<String, String>) {
     }
 }
 
-/// `dgsq subscribe`: register a live match subscription (wire v4) and
+/// `dgsq subscribe`: register a live match subscription and
 /// stream diffs to stdout as other connections mutate the graph. The
 /// local row mirror is kept current so the running pair count printed
 /// with each diff is truthful, not just a delta tally.

@@ -4,8 +4,9 @@
 //! Simulation: Impossibility and Possibility", PVLDB 7(12), 2014**:
 //! graph pattern matching by graph simulation over fragmented,
 //! distributed graphs, with the paper's partition-bounded algorithm
-//! `dGPM`, the DAG algorithm `dGPMd`, the tree algorithm `dGPMt`, and
-//! the `Match`/`disHHK`/`dMes` baselines — all runnable on a real
+//! `dGPM`, the DAG algorithm `dGPMd` (with `dGPMs`, the same
+//! rank-scheduled engine on cyclic patterns), the tree algorithm
+//! `dGPMt`, and the `Match`/`disHHK`/`dMes` baselines — all runnable on a real
 //! threaded cluster or a deterministic virtual-time cluster simulator.
 //!
 //! ## Quickstart
@@ -62,7 +63,7 @@
 //! | [`partition`] | `dgs-partition` | fragments, partitioners, crossing-edge refinement |
 //! | [`sim`] | `dgs-sim` | centralized simulation (naive + HHK oracle) |
 //! | [`net`] | `dgs-net` | threaded & virtual-time cluster executors, PT/DS metrics |
-//! | [`core`] | `dgs-core` | `SimEngine`, `dGPM`, `dGPMd`, `dGPMs`, `dGPMt`, baselines |
+//! | [`core`] | `dgs-core` | `SimEngine`, `dGPM`, `dGPMd`/`dGPMs` (one engine), `dGPMt`, baselines |
 //! | [`serve`] | `dgs-serve` | wire protocol, `dgsd` daemon core, remote client, load generation |
 
 pub use dgs_core as core;

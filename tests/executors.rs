@@ -17,9 +17,12 @@
 //! * `result_messages`: exactly equal — per-site result collection is
 //!   one message per site;
 //! * `control_messages`: exactly equal for the round-deterministic
-//!   protocols (`dGPMt` has no rounds; `dGPMd` runs exactly
-//!   `max_rank + 1` rank rounds). `dGPMs` repeats a stratum iff some
-//!   site flags `MoreWork`, and that flag is **timing-sensitive**: a
+//!   protocols (`dGPMt` has no rounds; `dGPMd` — the rank-scheduled
+//!   engine on a DAG pattern, where no delivery can falsify a
+//!   current-stratum variable and `MoreWork` is never raised — runs
+//!   exactly `max_rank + 1` rank rounds). On a cyclic pattern `dGPMs`
+//!   repeats a stratum iff some site flags `MoreWork`, and that flag
+//!   is **timing-sensitive**: a
 //!   `Batch` arriving before the site's own `StartRound` is buffered
 //!   silently and shipped by that `StartRound` (one round *earlier*
 //!   than the virtual schedule), suppressing the flag. Control counts
@@ -28,9 +31,9 @@
 //!   added/removed repeat round;
 //! * shipped **variables**: exactly equal, recovered from the data
 //!   metrics as `(data_bytes − header·data_messages) / 6` where the
-//!   per-message header is 5 bytes for `dGPMs` (`Batch`: 1 tag + 4
-//!   vec-length) and 9 for `dGPMd` (`RankBatch`: + 4 rank), and each
-//!   shipped `Var` is 6 bytes;
+//!   per-message header is 5 bytes for `dGPMd` and `dGPMs` alike
+//!   (one `Batch` message: 1 tag + 4 vec-length), and each shipped
+//!   `Var` is 6 bytes;
 //! * `dGPMt` is fully deterministic (one `RootEquations` per site, one
 //!   `SolvedFalse` per site): all data metrics exactly equal;
 //! * per-site sent-message counts (`site_msgs`): every site sends at
@@ -230,7 +233,8 @@ proptest! {
         let assign = hash_partition(g.node_count(), k, seed);
         let t = trio(&g, &assign, k);
         let q = patterns::random_dag_with_depth(3, 5, 2, 5, seed ^ 0x37);
-        assert_conformance(&g, &q, &Algorithm::Dgpmd, &t, Some(9), true);
+        // Header 5 = 9 − 4: the rank field left with the `dGPMd` fork.
+        assert_conformance(&g, &q, &Algorithm::Dgpmd, &t, Some(5), true);
     }
 
     /// Cyclic graphs and patterns under dGPMs: stratum-round batching,

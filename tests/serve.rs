@@ -358,24 +358,6 @@ fn every_truncated_frame_is_a_typed_error() {
         for len in 0..payload.len() {
             match Response::decode(ty, &payload[..len]) {
                 Err(_) => {}
-                // One deliberate exception: DELTA_APPLIED's trailing
-                // `resurrected_pairs` is a v4 extension a v3 decoder
-                // never sees, so the exact v3-length prefix decodes —
-                // to the same summary with the extension zeroed, never
-                // to garbage.
-                Ok(Response::DeltaApplied(got)) if ty == frame::DELTA_APPLIED => {
-                    let Response::DeltaApplied(want) = &resp else {
-                        unreachable!()
-                    };
-                    assert_eq!(
-                        got,
-                        dgs::serve::DeltaSummary {
-                            resurrected_pairs: 0,
-                            ..want.clone()
-                        },
-                        "the only decodable prefix is the v3 payload"
-                    );
-                }
                 Ok(_) => {
                     panic!("response frame {ty:#04x} decoded from a strict prefix of {len} bytes")
                 }
@@ -606,6 +588,27 @@ fn admission_control_rejects_with_typed_busy_then_recovers() {
     handle.shutdown().expect("shutdown");
 }
 
+/// Dials `addr` as a raw (untyped) client and sends
+/// `HELLO(magic, version, extensions...)`; the answer is the caller's
+/// to read.
+fn raw_hello(addr: &ServeAddr, version: u8, extensions: &[u8]) -> Conn {
+    let mut conn = Conn::connect(addr).expect("dial");
+    let mut hello = WIRE_MAGIC.to_vec();
+    hello.push(version);
+    hello.extend_from_slice(extensions);
+    write_frame(&mut conn, frame::HELLO, &hello).expect("hello");
+    conn
+}
+
+/// [`raw_hello`] at the served version, with the `WELCOME` consumed.
+fn raw_connect(addr: &ServeAddr) -> Conn {
+    let mut conn = raw_hello(addr, 4, b"");
+    let (ty, payload) = read_frame(&mut conn).expect("welcome").expect("welcome");
+    assert_eq!(ty, frame::WELCOME);
+    assert_eq!(payload[4], 4);
+    conn
+}
+
 #[test]
 fn handshake_negotiates_down_and_rejects_garbage() {
     let g = random::uniform(30, 80, 3, 5);
@@ -613,15 +616,12 @@ fn handshake_negotiates_down_and_rejects_garbage() {
     let addr = handle.addr().clone();
 
     // A future client offering v9 gets our v4 back.
-    let mut conn = Conn::connect(&addr).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(9);
-    write_frame(&mut conn, frame::HELLO, &hello).unwrap();
+    let mut conn = raw_hello(&addr, 9, b"");
     let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME);
     assert_eq!(payload, [b'D', b'G', b'S', b'W', 4]);
 
-    // At v3 every request carries a varint id the response echoes. A
+    // Every request carries a varint id the response echoes. A
     // malformed request frame gets a typed error and the connection
     // survives (frames are length-delimited, the stream stays in
     // sync).
@@ -651,48 +651,34 @@ fn handshake_negotiates_down_and_rejects_garbage() {
         other => panic!("expected Malformed error, got {other:?}"),
     }
 
-    // A v2 client negotiates down and keeps the id-less framing.
-    let mut conn3 = Conn::connect(&addr).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(2);
-    write_frame(&mut conn3, frame::HELLO, &hello).unwrap();
-    let (ty, payload) = read_frame(&mut conn3).unwrap().unwrap();
-    assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload, [b'D', b'G', b'S', b'W', 2]);
-    let (ty, body) = Request::Ping.encode();
-    write_frame(&mut conn3, ty, &body).unwrap();
-    let (ty, payload) = read_frame(&mut conn3).unwrap().unwrap();
-    assert_eq!(
-        Response::decode(ty, &payload).unwrap(),
-        Response::Pong,
-        "downgraded connections answer without ids"
-    );
-
-    // So does a v1 client — the oldest wire dialect still served.
-    let mut conn5 = Conn::connect(&addr).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(1);
-    write_frame(&mut conn5, frame::HELLO, &hello).unwrap();
-    let (ty, payload) = read_frame(&mut conn5).unwrap().unwrap();
-    assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload, [b'D', b'G', b'S', b'W', 1]);
-    let (ty, body) = Request::Ping.encode();
-    write_frame(&mut conn5, ty, &body).unwrap();
-    let (ty, payload) = read_frame(&mut conn5).unwrap().unwrap();
-    assert_eq!(Response::decode(ty, &payload).unwrap(), Response::Pong);
+    // The retired dialects (v1–v3) are refused, not negotiated down
+    // to: one id-less typed `Unsupported` error naming the served
+    // version, then the close.
+    for theirs in [3u8, 2, 1, 0] {
+        let mut old = raw_hello(&addr, theirs, b"");
+        let (ty, payload) = read_frame(&mut old).unwrap().unwrap();
+        match Response::decode(ty, &payload).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Unsupported, "v{theirs}");
+                assert_eq!(code.to_u16(), 2);
+                assert!(message.contains("v4"), "v{theirs}: {message}");
+            }
+            other => panic!("v{theirs}: expected a typed refusal, got {other:?}"),
+        }
+        assert!(
+            read_frame(&mut old).unwrap().is_none(),
+            "v{theirs}: the server hangs up after the refusal"
+        );
+    }
 
     // HELLO with trailing extension bytes after the version is
     // tolerated (a future client's extensions), not rejected.
-    let mut conn4 = Conn::connect(&addr).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(3);
-    hello.extend_from_slice(b"future-extension");
-    write_frame(&mut conn4, frame::HELLO, &hello).unwrap();
+    let mut conn4 = raw_hello(&addr, 4, b"future-extension");
     let (ty, payload) = read_frame(&mut conn4).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME, "trailing HELLO bytes are tolerated");
-    assert_eq!(payload[4], 3);
+    assert_eq!(payload[4], 4);
 
-    drop((conn, conn2, conn3, conn4, conn5));
+    drop((conn, conn2, conn4));
     handle.shutdown().expect("shutdown");
 }
 
@@ -1039,25 +1025,28 @@ fn shutdown_drains_in_flight_batches_instead_of_cutting_sockets() {
             .map(|t| {
                 let (addr, patterns) = (&addr, &patterns);
                 s.spawn(move || {
-                    let mut conn = Conn::connect(addr).expect("dial");
-                    let mut hello = WIRE_MAGIC.to_vec();
-                    hello.push(2);
-                    write_frame(&mut conn, frame::HELLO, &hello).expect("hello");
-                    let (ty, _) = read_frame(&mut conn).expect("welcome").expect("welcome");
-                    assert_eq!(ty, frame::WELCOME);
+                    let mut conn = raw_connect(addr);
 
-                    let (req_ty, req_payload) = Request::QueryBatch {
+                    // One blocking exchange at a time, every request
+                    // under id 1; the drain's final notice arrives
+                    // under the connection-level id 0.
+                    let mut req_payload = vec![1u8];
+                    let req_ty = Request::QueryBatch {
                         patterns: patterns.clone(),
                         algorithm: WireAlgorithm::Auto,
                     }
-                    .encode();
+                    .encode_into(&mut req_payload);
+                    let decode = |ty: u8, payload: &[u8]| {
+                        let (_, body) = split_request_id(payload)?;
+                        Response::decode(ty, body)
+                    };
                     let mut completed = 0usize;
                     loop {
                         if write_frame(&mut conn, req_ty, &req_payload).is_err() {
                             // The server hung up between requests; its
                             // final typed error must still be readable.
                             if let Ok(Some((ty, payload))) = read_frame(&mut conn) {
-                                match Response::decode(ty, &payload) {
+                                match decode(ty, &payload) {
                                     Ok(Response::Error { code, .. }) => {
                                         assert_eq!(code, ErrorCode::ShuttingDown, "worker {t}")
                                     }
@@ -1070,7 +1059,7 @@ fn shutdown_drains_in_flight_batches_instead_of_cutting_sockets() {
                         // answer must arrive whole or as a typed error.
                         match read_frame(&mut conn) {
                             Ok(Some((ty, payload))) => {
-                                match Response::decode(ty, &payload)
+                                match decode(ty, &payload)
                                     .unwrap_or_else(|e| panic!("worker {t}: torn frame: {e}"))
                                 {
                                     Response::BatchAnswer { items, .. } => {
@@ -1134,12 +1123,12 @@ fn remote_dgs_errors_arrive_typed() {
     handle.shutdown().expect("shutdown");
 }
 
-// ---- v3 request ids, pipelining, and lifecycle fixes ------------------
+// ---- request ids, pipelining, and lifecycle fixes ---------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// v3 framing corpus: a frame encoded with any request id splits
+    /// Framing corpus: a frame encoded with any request id splits
     /// back into exactly that id plus the untouched body — across the
     /// whole varint range, including ids needing 1..=10 bytes.
     #[test]
@@ -1190,14 +1179,7 @@ fn rejected_clients_read_complete_busy_frames_across_shutdown() {
     // A burst of doomed dials, each sending HELLO without reading the
     // answer — their Busy frames are queued (or still unwritten) when
     // the shutdown lands.
-    let mut doomed = Vec::new();
-    for i in 0..REJECTED {
-        let mut conn = Conn::connect(&addr).unwrap_or_else(|e| panic!("dial {i}: {e}"));
-        let mut hello = WIRE_MAGIC.to_vec();
-        hello.push(3);
-        write_frame(&mut conn, frame::HELLO, &hello).expect("hello");
-        doomed.push(conn);
-    }
+    let doomed: Vec<Conn> = (0..REJECTED).map(|_| raw_hello(&addr, 4, b"")).collect();
     handle.shutdown().expect("shutdown");
     for (i, mut conn) in doomed.into_iter().enumerate() {
         let (ty, payload) = read_frame(&mut conn)
@@ -1302,7 +1284,7 @@ fn frame_reader_resumes_after_a_mid_frame_read_timeout() {
     drop(server.join().expect("server thread"));
 }
 
-/// A v3 connection really pipelines: a heavyweight batch submitted
+/// A connection really pipelines: a heavyweight batch submitted
 /// first and a ping submitted second come back ping-first on the
 /// wire, each echoing its own request id.
 #[test]
@@ -1311,12 +1293,7 @@ fn pipelined_responses_complete_out_of_order() {
     let handle = spawn_server(&g, 4, 17, ServerConfig::default());
     let addr = handle.addr().clone();
 
-    let mut conn = Conn::connect(&addr).expect("dial");
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(3);
-    write_frame(&mut conn, frame::HELLO, &hello).expect("hello");
-    let (ty, _) = read_frame(&mut conn).expect("welcome").expect("welcome");
-    assert_eq!(ty, frame::WELCOME);
+    let mut conn = raw_connect(&addr);
 
     // Request id 1: a batch heavy enough to hold a worker for a
     // while. Request id 2: a ping that lands on another worker.
@@ -1370,7 +1347,7 @@ fn client_rejects_a_response_with_an_unknown_request_id() {
         let (ty, _) = read_frame(&mut s).expect("hello").expect("hello");
         assert_eq!(ty, frame::HELLO);
         let mut welcome = WIRE_MAGIC.to_vec();
-        welcome.push(3);
+        welcome.push(4);
         write_frame(&mut s, frame::WELCOME, &welcome).expect("welcome");
         let (_, payload) = read_frame(&mut s).expect("request").expect("request");
         let (id, _) = split_request_id(&payload).expect("id");
@@ -1478,7 +1455,7 @@ fn pipelined_connection_triples_blocking_throughput() {
     handle.shutdown().expect("shutdown");
 }
 
-// ---- live subscriptions (wire v4) -------------------------------------
+// ---- live subscriptions -----------------------------------------------
 
 /// Replays one pushed diff onto a row table — the client-side
 /// contract: snapshot + streamed diffs == the server's rows at the
@@ -1611,14 +1588,8 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
     admin.session_create("a", &g, &opts).expect("session a");
     admin.session_create("b", &g, &opts).expect("session b");
 
-    // Raw v4 client routed across ["default", "a"].
-    let mut conn = Conn::connect(handle.addr()).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(4);
-    write_frame(&mut conn, frame::HELLO, &hello).unwrap();
-    let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
-    assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload[4], 4);
+    // Raw client routed across ["default", "a"].
+    let mut conn = raw_connect(handle.addr());
     let send = |conn: &mut Conn, id: u8, req: &Request| {
         let (ty, body) = req.encode();
         let mut p = vec![id];
@@ -1688,32 +1659,25 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
     handle.shutdown().expect("shutdown");
 }
 
-/// SUBSCRIBE on a connection that negotiated below v4 is refused with
-/// a typed error and the connection keeps serving.
+/// There is no "below v4" connection to SUBSCRIBE on any more: a v3
+/// HELLO is refused typed at the handshake and the socket closed, so a
+/// SUBSCRIBE behind it is never executed — while the same frame on a
+/// v4 connection of the same server subscribes.
 #[test]
-fn subscribe_below_v4_is_refused_typed() {
+fn subscribe_from_a_retired_version_is_refused_at_the_handshake() {
     let g = random::uniform(30, 80, 3, 61);
     let handle = spawn_server(&g, 2, 61, ServerConfig::default());
-    let mut conn = Conn::connect(handle.addr()).unwrap();
-    let mut hello = WIRE_MAGIC.to_vec();
-    hello.push(3);
-    write_frame(&mut conn, frame::HELLO, &hello).unwrap();
-    let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
-    assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload[4], 3, "the server accepted v3");
-
-    let (ty, body) = Request::Subscribe {
+    let (sub_ty, body) = Request::Subscribe {
         pattern: mixed_pattern(0, 3),
         algorithm: WireAlgorithm::Auto,
     }
     .encode();
-    let mut p = vec![9u8];
-    p.extend_from_slice(&body);
-    write_frame(&mut conn, ty, &p).unwrap();
-    let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
-    let (id, rest) = split_request_id(&payload).unwrap();
-    assert_eq!(id, 9);
-    match Response::decode(ty, rest).unwrap() {
+    let mut subscribe = vec![9u8]; // varint request id 9
+    subscribe.extend_from_slice(&body);
+
+    let mut old = raw_hello(handle.addr(), 3, b"");
+    let (ty, payload) = read_frame(&mut old).unwrap().unwrap();
+    match Response::decode(ty, &payload).unwrap() {
         Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::Unsupported);
             assert!(
@@ -1723,18 +1687,24 @@ fn subscribe_below_v4_is_refused_typed() {
         }
         other => panic!("expected a typed refusal, got {other:?}"),
     }
+    // The server has hung up: the SUBSCRIBE may or may not still fit
+    // into the socket, but nothing ever answers it.
+    let _ = write_frame(&mut old, sub_ty, &subscribe);
+    assert!(!matches!(read_frame(&mut old), Ok(Some(_))));
+    assert_eq!(handle.live_subscriptions(), 0);
 
-    // The connection survives the refusal.
-    let (ty, body) = Request::Ping.encode();
-    let mut p = vec![10u8];
-    p.extend_from_slice(&body);
-    write_frame(&mut conn, ty, &p).unwrap();
+    let mut conn = raw_connect(handle.addr());
+    write_frame(&mut conn, sub_ty, &subscribe).unwrap();
     let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
     let (id, rest) = split_request_id(&payload).unwrap();
-    assert_eq!(id, 10);
-    assert_eq!(Response::decode(ty, rest).unwrap(), Response::Pong);
+    assert_eq!(id, 9);
+    assert!(matches!(
+        Response::decode(ty, rest).unwrap(),
+        Response::Subscribed { .. }
+    ));
+    assert_eq!(handle.live_subscriptions(), 1);
 
-    drop(conn);
+    drop((old, conn));
     handle.shutdown().expect("shutdown");
 }
 
