@@ -46,7 +46,9 @@
 //! rows are **data** messages, so fault injection covers them — all
 //! are idempotent), [`DeltaSiteState`] is the per-site counter state
 //! reconstructed from a cached relation, and [`build_maintenance`]
-//! assembles the actor set for one maintenance run.
+//! assembles the actor set for one maintenance run. Two things are
+//! built once and lent to every run: the session's reverse adjacency
+//! per site and each entry's [`PatternTables`].
 //!
 //! The run is phased by coordinator quiescence barriers —
 //! `Deleting → Marking → Refining → Gathering` — because marking must
@@ -58,9 +60,9 @@
 //! after revival.
 
 use crate::vars::{SiteBatches, Var};
-use dgs_graph::{NodeId, Pattern};
+use dgs_graph::{Label, NodeId, Pattern};
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteDeltaMetrics, SiteLogic, WireSize};
-use dgs_partition::{Fragmentation, SiteId};
+use dgs_partition::{Fragmentation, SiteId, SpanLists};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -273,78 +275,50 @@ fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
     v.resize(len, fill);
 }
 
-/// The reverse adjacency of one fragment in a single pool: slot `idx`
-/// owns `pool[start..start + cap]`, whose first `len` entries are its
-/// sorted predecessors. A session keeps one of these per site per
-/// maintained entry and most lists hold one or two nodes, so as
-/// `Vec<Vec<u32>>` the heap blocks outweighed the edges several times
-/// over, and each new virtual slot pinned one more small long-lived
-/// block in the middle of memory the previous generation had just
-/// freed. A list that outgrows its span moves to the end of the pool
-/// with twice the room; the span it leaves is not reused, which wastes
-/// at most as much again as the lists hold.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PredLists {
-    /// `(start, len, cap)` per slot.
-    spans: Vec<(u32, u32, u32)>,
-    pool: Vec<u32>,
+/// What a maintenance run reads of its pattern. Built once, when the
+/// entry is promoted, and shared by its sites across batches.
+#[derive(Debug)]
+pub struct PatternTables {
+    qedges: Vec<(u16, u16)>,
+    /// Per query node: `(edge index, parent)` pairs.
+    parent_edges: Vec<Vec<(usize, u16)>>,
+    /// Per query node: indices of its out-edges (refinement seeding).
+    out_edges: Vec<Vec<usize>>,
+    /// Pattern node labels: `AFF` holds label-compatible pairs only.
+    qlabels: Vec<Label>,
 }
 
-impl PredLists {
-    fn of(&self, idx: usize) -> &[u32] {
-        let (start, len, _) = self.spans[idx];
-        &self.pool[start as usize..(start + len) as usize]
-    }
-
-    /// Adds `p` to the list of `idx`; `false` if it was there already.
-    fn insert(&mut self, idx: usize, p: u32) -> bool {
-        let Err(at) = self.of(idx).binary_search(&p) else {
-            return false;
-        };
-        let (mut start, len, cap) = self.spans[idx];
-        if len == cap {
-            let moved = self.pool.len();
-            let cap = (2 * cap).max(2);
-            grow(&mut self.pool, moved + cap as usize, 0);
-            self.pool
-                .copy_within(start as usize..(start + len) as usize, moved);
-            start = moved as u32;
-            self.spans[idx] = (start, len, cap);
+impl PatternTables {
+    /// The tables of `q`.
+    pub fn new(q: &Pattern) -> Self {
+        let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
+        let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); q.node_count()];
+        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); q.node_count()];
+        for (e, &(u, uc)) in qedges.iter().enumerate() {
+            parent_edges[uc as usize].push((e, u));
+            out_edges[u as usize].push(e);
         }
-        let (lo, hi) = (start as usize + at, (start + len) as usize);
-        self.pool.copy_within(lo..hi, lo + 1);
-        self.pool[lo] = p;
-        self.spans[idx].1 += 1;
-        true
-    }
-
-    /// Drops `p` from the list of `idx`; `false` if it was not there.
-    fn remove(&mut self, idx: usize, p: u32) -> bool {
-        let Ok(at) = self.of(idx).binary_search(&p) else {
-            return false;
-        };
-        let (start, len, _) = self.spans[idx];
-        let (lo, hi) = (start as usize + at, (start + len) as usize);
-        self.pool.copy_within(lo + 1..hi, lo);
-        self.spans[idx].1 -= 1;
-        true
+        PatternTables {
+            qedges,
+            parent_edges,
+            out_edges,
+            qlabels: q.nodes().map(|u| q.label(u)).collect(),
+        }
     }
 }
 
 /// Persistent per-site counter state for one maintained pattern: the
 /// HHK scheme restricted to the fragment (the state `lEval` would hold
-/// at its fixpoint), plus the fragment's reverse adjacency, which the
-/// state owns and mutates so that ops stay idempotent and `O(|AFF|)`
-/// across batches.
+/// at its fixpoint). It holds no adjacency: the edges it counts over
+/// are the session's one reverse adjacency per site, lent to each run
+/// ([`build_maintenance`]), so an entry costs its candidacy bits and
+/// counters and nothing that grows with `|Ei|`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSiteState {
     n: usize,
     nq: usize,
     /// Number of pattern edges.
     ne: usize,
-    /// Everything here walks edges backward; forward lists would be
-    /// a second copy of the same set.
-    pred: PredLists,
     /// Candidacy of `X(u, idx)`: `cand[idx * nq + u]`.
     cand: Vec<bool>,
     /// Support counters: `cnt[idx * ne + e]`, for the `n_local` local
@@ -387,16 +361,6 @@ impl DeltaSiteState {
         let f = frag.fragment(site);
         let n = f.n_total();
         let nq = q.node_count();
-        let mut pred = PredLists {
-            spans: Vec::with_capacity(n),
-            pool: Vec::with_capacity(f.n_edges()),
-        };
-        for idx in 0..n as u32 {
-            let ps = f.predecessors(idx);
-            pred.spans
-                .push((pred.pool.len() as u32, ps.len() as u32, ps.len() as u32));
-            pred.pool.extend_from_slice(ps);
-        }
         let mut cand = vec![false; n * nq];
         for idx in 0..n {
             let gid = f.global_id(idx as u32);
@@ -420,7 +384,6 @@ impl DeltaSiteState {
             n,
             nq,
             ne,
-            pred,
             cand,
             cnt,
             mark: vec![0; n * nq],
@@ -448,19 +411,20 @@ enum SitePhase {
     Refining,
 }
 
-/// Site logic of one maintenance run: owns the persistent state for
-/// the duration and hands it back through [`Self::into_state`].
+/// Site logic of one maintenance run: owns the entry's persistent
+/// state and the site's reverse adjacency for the duration and hands
+/// both back through [`Self::into_parts`].
 pub struct DeltaSiteLogic {
     site: SiteId,
     frag: Arc<Fragmentation>,
-    qedges: Vec<(u16, u16)>,
-    /// Per query node: `(edge index, parent)` pairs.
-    parent_edges: Vec<Vec<(usize, u16)>>,
-    /// Per query node: indices of its out-edges (refinement seeding).
-    out_edges: Vec<Vec<usize>>,
-    /// Pattern node labels: `AFF` holds label-compatible pairs only.
-    qlabels: Vec<dgs_graph::Label>,
+    tables: Arc<PatternTables>,
     st: DeltaSiteState,
+    /// Everything here walks edges backward; forward lists would be
+    /// a second copy of the same set. Pre-delta when the run starts,
+    /// post-delta when it ends.
+    pred: SpanLists<u32>,
+    /// `apply_deletion`'s snapshot of the target's candidacy row.
+    vcand: Vec<bool>,
     phase: SitePhase,
     /// Falsifications that arrived from an already-refining site while
     /// this one was still marking; replayed right after revival.
@@ -475,14 +439,13 @@ pub struct DeltaSiteLogic {
 }
 
 impl DeltaSiteLogic {
-    fn new(site: SiteId, frag: Arc<Fragmentation>, q: &Pattern, st: DeltaSiteState) -> Self {
-        let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); q.node_count()];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); q.node_count()];
-        for (e, &(u, uc)) in qedges.iter().enumerate() {
-            parent_edges[uc as usize].push((e, u));
-            out_edges[u as usize].push(e);
-        }
+    fn new(
+        site: SiteId,
+        frag: Arc<Fragmentation>,
+        tables: Arc<PatternTables>,
+        st: DeltaSiteState,
+        pred: SpanLists<u32>,
+    ) -> Self {
         DeltaSiteLogic {
             stats: SiteDeltaMetrics {
                 site,
@@ -490,11 +453,10 @@ impl DeltaSiteLogic {
             },
             site,
             frag,
-            qedges,
-            parent_edges,
-            out_edges,
-            qlabels: q.nodes().map(|u| q.label(u)).collect(),
+            tables,
             st,
+            pred,
+            vcand: Vec::new(),
             phase: SitePhase::Deleting,
             pending_falsified: Vec::new(),
             revoked: Vec::new(),
@@ -503,7 +465,12 @@ impl DeltaSiteLogic {
     }
 
     /// The persistent counter state, to be carried into the next
-    /// batch.
+    /// batch, and the site's reverse adjacency, now post-delta.
+    pub fn into_parts(self) -> (DeltaSiteState, SpanLists<u32>) {
+        (self.st, self.pred)
+    }
+
+    /// The counter state alone.
     pub fn into_state(self) -> DeltaSiteState {
         self.st
     }
@@ -523,7 +490,7 @@ impl DeltaSiteLogic {
         let (ui, vi) = (ui as usize, vi as usize);
         // Idempotence: a duplicate delivery finds the edge already
         // removed from this state's own adjacency and is a no-op.
-        if !self.st.pred.remove(vi, ui as u32) {
+        if !self.pred.remove(vi, ui as u32) {
             return Vec::new();
         }
         self.stats.ops_applied += 1;
@@ -535,11 +502,13 @@ impl DeltaSiteLogic {
         // hold the *pre-deletion* support — the cascade for the
         // falsified pair is `propagate`'s job.
         let (nq, ne) = (self.st.nq, self.st.ne);
-        let vcand: Vec<bool> = (0..nq).map(|uc| self.st.cand[vi * nq + uc]).collect();
+        self.vcand.clear();
+        self.vcand
+            .extend_from_slice(&self.st.cand[vi * nq..(vi + 1) * nq]);
         let mut worklist = Vec::new();
-        for (e, &(uq, uc)) in self.qedges.iter().enumerate() {
+        for (e, &(uq, uc)) in self.tables.qedges.iter().enumerate() {
             self.ops += 1;
-            if vcand[uc as usize] {
+            if self.vcand[uc as usize] {
                 let c = &mut self.st.cnt[ui * ne + e];
                 debug_assert!(*c > 0, "support counter underflow");
                 *c -= 1;
@@ -576,8 +545,8 @@ impl DeltaSiteLogic {
                     falsified_in_nodes.push(var);
                 }
             }
-            for &(e, up) in &self.parent_edges[uq as usize] {
-                for &vp in st.pred.of(idx as usize) {
+            for &(e, up) in &self.tables.parent_edges[uq as usize] {
+                for &vp in self.pred.of(idx as usize) {
                     let vp = vp as usize;
                     self.ops += 1;
                     let c = &mut st.cnt[vp * ne + e];
@@ -625,7 +594,6 @@ impl DeltaSiteLogic {
         let new_n = self.frag.fragment(self.site).n_total();
         let st = &mut self.st;
         if new_n > st.n {
-            grow(&mut st.pred.spans, new_n, (0, 0, 0));
             grow(&mut st.cand, new_n * st.nq, false);
             grow(&mut st.mark, new_n * st.nq, 0);
             st.n = new_n;
@@ -670,10 +638,10 @@ impl DeltaSiteLogic {
         while next < st.aff.len() {
             let (uq, idx) = st.aff[next];
             next += 1;
-            for &(_, up) in &self.parent_edges[uq as usize] {
-                for &p in st.pred.of(idx as usize) {
+            for &(_, up) in &self.tables.parent_edges[uq as usize] {
+                for &p in self.pred.of(idx as usize) {
                     self.ops += 1;
-                    if self.qlabels[up as usize] == f.label(p)
+                    if self.tables.qlabels[up as usize] == f.label(p)
                         && !st.cand[p as usize * nq + up as usize]
                     {
                         enter(up, p, &mut st.mark, &mut st.aff);
@@ -704,15 +672,15 @@ impl DeltaSiteLogic {
             let vi = f
                 .index_of(NodeId(v))
                 .expect("insertion target present in post-delta fragment");
-            if !self.st.pred.insert(vi as usize, ui) {
+            if !self.pred.insert(vi as usize, ui) {
                 continue;
             }
             self.st.inserted.push((ui, vi));
             self.stats.ops_applied += 1;
-            for &(uq, uc) in &self.qedges {
+            for &(uq, uc) in &self.tables.qedges {
                 self.ops += 1;
-                if self.qlabels[uc as usize] == f.label(vi)
-                    && self.qlabels[uq as usize] == f.label(ui)
+                if self.tables.qlabels[uc as usize] == f.label(vi)
+                    && self.tables.qlabels[uq as usize] == f.label(ui)
                     && !self.st.cand[ui as usize * nq + uq as usize]
                 {
                     seeds.push((uq, ui));
@@ -773,7 +741,7 @@ impl DeltaSiteLogic {
         // whose child pair is true already; a child pair in `AFF` is
         // still false here and counts through its revival below.
         for &(ui, vi) in &st.inserted {
-            for (e, &(_, uc)) in self.qedges.iter().enumerate() {
+            for (e, &(_, uc)) in self.tables.qedges.iter().enumerate() {
                 self.ops += 1;
                 if st.cand[vi as usize * nq + uc as usize] {
                     st.cnt[ui as usize * ne + e] += 1;
@@ -783,8 +751,8 @@ impl DeltaSiteLogic {
         for &(uq, idx) in &st.aff {
             self.ops += 1;
             st.cand[idx as usize * nq + uq as usize] = true;
-            for &(e, _) in &self.parent_edges[uq as usize] {
-                for &p in st.pred.of(idx as usize) {
+            for &(e, _) in &self.tables.parent_edges[uq as usize] {
+                for &p in self.pred.of(idx as usize) {
                     self.ops += 1;
                     st.cnt[p as usize * ne + e] += 1;
                 }
@@ -796,7 +764,7 @@ impl DeltaSiteLogic {
         let mut worklist = Vec::new();
         for &(uq, idx) in &st.aff {
             if (idx as usize) < n_local
-                && self.out_edges[uq as usize]
+                && self.tables.out_edges[uq as usize]
                     .iter()
                     .any(|&e| st.cnt[idx as usize * ne + e] == 0)
             {
@@ -1084,29 +1052,54 @@ impl CoordinatorLogic<UpdateMsg> for DeltaCoordinator {
 /// virtual slot starts from the owner's current candidacy. `frag`
 /// must already have the delta applied.
 ///
+/// `pred` is the session's **one** reverse adjacency per site
+/// ([`Fragmentation::reverse_adjacency`], taken once): the run borrows it
+/// and [`DeltaSiteLogic::into_parts`] hands it back post-delta. A run
+/// has to start from the *pre-delta* lists — the deletion phase reads
+/// them, and a redelivered op is recognised by `remove`/`insert` on
+/// them returning `false` — so the batch is first taken back out of
+/// them: a no-op on pre-delta lists, the rewind between two entries of
+/// one batch on the lists the previous run left.
+///
 /// # Panics
-/// Panics if `states.len() != frag.num_sites()`.
+/// Panics unless `states` and `pred` have one element per site.
 pub fn build_maintenance(
     frag: &Arc<Fragmentation>,
-    q: &Pattern,
+    tables: &Arc<PatternTables>,
     states: Vec<DeltaSiteState>,
+    mut pred: Vec<SpanLists<u32>>,
     deletions: &[(NodeId, NodeId)],
     insertions: &[(NodeId, NodeId)],
 ) -> (DeltaCoordinator, Vec<DeltaSiteLogic>) {
-    assert_eq!(
-        states.len(),
-        frag.num_sites(),
-        "one state per site required"
+    assert!(
+        states.len() == frag.num_sites() && pred.len() == frag.num_sites(),
+        "one state and one reverse adjacency per site required"
     );
+    // Both ends of a batch edge have a slot at its source's site in
+    // the post-delta fragment (a retired virtual slot keeps its index;
+    // a new one gets its empty list here).
+    for (f, lists) in frag.fragments().iter().zip(&mut pred) {
+        lists.grow_to(f.n_total());
+    }
+    let slots = |site: SiteId, u: NodeId, v: NodeId| {
+        let f = frag.fragment(site);
+        let at = f.index_of(u).zip(f.index_of(v));
+        at.expect("batch edge has slots at its source's site")
+    };
     let mut ops_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
     for &(u, v) in deletions {
-        ops_by_site[frag.owner(u)].push((u.0, v.0));
+        let src = frag.owner(u);
+        ops_by_site[src].push((u.0, v.0));
+        let (ui, vi) = slots(src, u, v);
+        pred[src].insert(vi as usize, ui);
     }
     let mut ins_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
     let mut ship_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
     for &(u, v) in insertions {
         let src = frag.owner(u);
         ins_by_site[src].push((u.0, v.0));
+        let (ui, vi) = slots(src, u, v);
+        pred[src].remove(vi as usize, ui);
         let dst = frag.owner(v);
         if dst != src {
             ship_by_site[dst].push((src as u32, v.0));
@@ -1118,8 +1111,11 @@ pub fn build_maintenance(
     }
     let sites = states
         .into_iter()
+        .zip(pred)
         .enumerate()
-        .map(|(s, st)| DeltaSiteLogic::new(s, Arc::clone(frag), q, st))
+        .map(|(s, (st, pred))| {
+            DeltaSiteLogic::new(s, Arc::clone(frag), Arc::clone(tables), st, pred)
+        })
         .collect();
     (
         DeltaCoordinator {
@@ -1147,6 +1143,22 @@ mod tests {
     fn rows_of(q: &Pattern, g: &dgs_graph::Graph) -> Vec<Vec<NodeId>> {
         let rel = hhk_simulation(q, g).relation;
         q.nodes().map(|u| rel.matches_of(u).to_vec()).collect()
+    }
+
+    /// A run of one entry, the way these tests set one up: from the
+    /// post-delta fragmentation and the batch alone, with the reverse
+    /// adjacency and the pattern tables made on the spot. The lists
+    /// are post-delta, as they are when the engine hands them from
+    /// one entry of a batch to the next.
+    fn build_maintenance(
+        frag: &Arc<Fragmentation>,
+        q: &Pattern,
+        states: Vec<DeltaSiteState>,
+        deletions: &[(NodeId, NodeId)],
+        insertions: &[(NodeId, NodeId)],
+    ) -> (DeltaCoordinator, Vec<DeltaSiteLogic>) {
+        let (pred, tables) = (frag.reverse_adjacency(), Arc::new(PatternTables::new(q)));
+        super::build_maintenance(frag, &tables, states, pred, deletions, insertions)
     }
 
     fn graph_without(g: &dgs_graph::Graph, deleted: &[(NodeId, NodeId)]) -> dgs_graph::Graph {

@@ -76,7 +76,7 @@
 //! writers serialize against each other only.
 
 use crate::cache::{self, CacheStats, CachedResult, CanonicalPattern, PatternCache};
-use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta};
+use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta, PatternTables};
 use crate::dgpm::{self, DgpmConfig, QueryMode};
 use crate::error::DgsError;
 use crate::plan::{
@@ -84,12 +84,12 @@ use crate::plan::{
     Planner,
 };
 use crate::{baselines, dgpms, dgpmt};
-use dgs_graph::{Graph, GraphBuilder, NodeId, Pattern};
+use dgs_graph::{Graph, Pattern};
 use dgs_net::{
     CoordinatorLogic, CostModel, ExecutorKind, RemoteSpec, RunMetrics, RunOutcome,
     SiteDeltaMetrics, SiteLogic, SocketCluster, SocketConfig, SocketMsg,
 };
-use dgs_partition::{EdgeOp, Fragmentation};
+use dgs_partition::{EdgeOp, Fragmentation, SpanLists};
 use dgs_sim::{compress_bisim, compress_simeq, CompressedGraph, MatchRelation};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -397,10 +397,7 @@ impl SimEngineBuilder<'_> {
         let snapshot = GenSnapshot {
             generation: 0,
             frag: self.frag,
-            graph: Mutex::new(GraphState {
-                graph: Arc::new(self.graph.clone()),
-                pending: None,
-            }),
+            graph: Mutex::new(Some(Arc::new(self.graph.clone()))),
             facts: Mutex::new(FactsState {
                 facts: Arc::new(facts),
                 dirty: false,
@@ -419,7 +416,7 @@ impl SimEngineBuilder<'_> {
             cache: (self.cache_capacity > 0)
                 .then(|| Arc::new(Mutex::new(PatternCache::new(self.cache_capacity)))),
             batch_workers: self.batch_workers,
-            maintained: Mutex::new(HashMap::new()),
+            writer: Mutex::new(WriterState::default()),
             gen_alloc: Arc::new(AtomicU64::new(1)),
             cluster,
             cluster_gen: Arc::new(AtomicU64::new(0)),
@@ -494,80 +491,30 @@ struct CompressedState {
 }
 
 /// Persistent maintenance state of one cached entry: the per-site HHK
-/// counter states plus the cumulative incremental-leg accounting.
+/// counter states, the pattern's tables (built once, shared by the
+/// sites of every run) and the cumulative incremental-leg accounting.
 #[derive(Debug)]
 struct MaintainedStates {
+    tables: Arc<PatternTables>,
     sites: Vec<DeltaSiteState>,
-    deletions_absorbed: u64,
-    insertions_absorbed: u64,
-    maintenance_runs: u64,
+    note: IncrementalNote,
 }
 
-/// The session's graph mirror. Deltas append **pending** ops instead
-/// of rebuilding the CSR eagerly — a delete-heavy stream whose
-/// queries are all served from maintained cache entries never needs
-/// the materialized graph at all, so the `O(|G|)` rebuild is deferred
-/// until something (facts recompute, compression rebuild, a caller)
-/// actually asks for it.
-#[derive(Clone, Debug)]
-struct GraphState {
-    graph: Arc<Graph>,
-    /// The newest batch not yet in `graph`, linked to the ones before
-    /// it. Generations share the chain, so absorbing a batch costs the
-    /// batch, not a copy of every op since the last rebuild.
-    pending: Option<Arc<PendingOps>>,
-}
-
-#[derive(Debug)]
-struct PendingOps {
-    ops: Vec<EdgeOp>,
-    earlier: Option<Arc<PendingOps>>,
-}
-
-impl Drop for PendingOps {
-    /// Unlinks the chain in a loop: a session that is never
-    /// materialized grows it by one node per batch, and the derived
-    /// drop would recurse once per node.
-    fn drop(&mut self) {
-        let mut next = self.earlier.take();
-        while let Some(mut node) = next.and_then(Arc::into_inner) {
-            next = node.earlier.take();
-        }
-    }
-}
-
-impl GraphState {
-    fn materialize(&mut self) -> Arc<Graph> {
-        if let Some(newest) = self.pending.take() {
-            let g = &self.graph;
-            let mut edges: HashSet<(NodeId, NodeId)> = g.edges().collect();
-            let mut batches = vec![&*newest];
-            while let Some(earlier) = &batches[batches.len() - 1].earlier {
-                batches.push(earlier);
-            }
-            for &op in batches.iter().rev().flat_map(|b| &b.ops) {
-                match op {
-                    EdgeOp::Insert(u, v) => {
-                        edges.insert((u, v));
-                    }
-                    EdgeOp::Delete(u, v) => {
-                        edges.remove(&(u, v));
-                    }
-                }
-            }
-            let mut b = GraphBuilder::with_capacity(g.node_count(), edges.len());
-            for v in g.nodes() {
-                b.add_node(g.label(v));
-            }
-            let mut sorted: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
-            sorted.sort_unstable();
-            for (u, v) in sorted {
-                b.add_edge(u, v);
-            }
-            self.graph = Arc::new(b.build());
-        }
-        Arc::clone(&self.graph)
-    }
+/// What [`SimEngine::apply_delta`] carries from one batch to the next
+/// under the writer lock; readers and engine clones see none of it.
+#[derive(Debug, Default)]
+struct WriterState {
+    /// Maintenance states of the delta-maintained cache entries, keyed
+    /// by canonical pattern encoding (without the generation prefix —
+    /// the map itself is always current).
+    entries: HashMap<Vec<u32>, MaintainedStates>,
+    /// The last retired generation's fragmentation, if the swap found
+    /// nobody else holding it: the next generation's buffers.
+    spare: Option<Fragmentation>,
+    /// The session's one reverse adjacency per site, equal to the
+    /// current snapshot's whenever it is `Some`: the maintenance runs
+    /// of a batch take turns with it ([`delta::build_maintenance`]).
+    pred: Option<Vec<SpanLists<u32>>>,
 }
 
 /// The planner's structural facts, recomputed lazily after a delta
@@ -595,16 +542,21 @@ struct FactsState {
 struct GenSnapshot {
     generation: u64,
     frag: Arc<Fragmentation>,
-    graph: Mutex<GraphState>,
+    /// The graph at this generation, once somebody has asked for it:
+    /// derived from `frag`, which already is the graph, so a delta
+    /// leaves no op log behind for it.
+    graph: Mutex<Option<Arc<Graph>>>,
     facts: Mutex<FactsState>,
     compressed: Mutex<CompressedState>,
 }
 
 impl GenSnapshot {
     /// This generation's graph (the loaded graph plus every delta
-    /// absorbed up to this generation), materializing pending ops.
+    /// absorbed up to this generation), rebuilt from the fragmentation
+    /// on first use after a delta.
     fn graph(&self) -> Arc<Graph> {
-        self.graph.lock().materialize()
+        let mut graph = self.graph.lock();
+        Arc::clone(graph.get_or_insert_with(|| Arc::new(self.frag.to_graph())))
     }
 
     /// The planner facts at this generation, rebuilt on first use
@@ -748,11 +700,9 @@ pub struct SimEngine {
     batch_workers: usize,
     /// Writer state: serializes [`Self::apply_delta`] /
     /// [`Self::cache_invalidate_all`] against each other (never
-    /// against readers) and holds the per-handle maintenance states of
-    /// the delta-maintained cache entries, keyed by canonical pattern
-    /// encoding (without the generation prefix — the map itself is
-    /// always current).
-    maintained: Mutex<HashMap<Vec<u32>, MaintainedStates>>,
+    /// against readers) and holds what this handle carries from one
+    /// batch to the next.
+    writer: Mutex<WriterState>,
     /// Allocator of globally fresh generations, shared by clones so
     /// two diverging handles can never collide on a generation.
     gen_alloc: Arc<AtomicU64>,
@@ -784,7 +734,7 @@ impl Clone for SimEngine {
             cost: self.cost.clone(),
             cache: self.cache.clone(),
             batch_workers: self.batch_workers,
-            maintained: Mutex::new(HashMap::new()),
+            writer: Mutex::new(WriterState::default()),
             gen_alloc: Arc::clone(&self.gen_alloc),
             cluster: self.cluster.clone(),
             cluster_gen: Arc::clone(&self.cluster_gen),
@@ -838,7 +788,8 @@ impl SimEngine {
     }
 
     /// The engine's current graph (the loaded graph plus every applied
-    /// delta), materializing any pending delta ops first.
+    /// delta), derived from the fragmentation on first use after a
+    /// delta.
     pub fn graph(&self) -> Arc<Graph> {
         self.snapshot().graph()
     }
@@ -890,12 +841,12 @@ impl SimEngine {
     /// answering (and hitting the cache) at the generation they
     /// loaded.
     pub fn cache_invalidate_all(&self) {
-        let mut maintained = self.maintained.lock();
+        let mut writer = self.writer.lock();
         let snap = self.snapshot();
         if let Some(cache) = &self.cache {
             cache.lock().remove_with_prefix(&snap.gen_key(&[]));
         }
-        maintained.clear();
+        writer.entries.clear();
         let next = GenSnapshot {
             generation: self.gen_alloc.fetch_add(1, Ordering::SeqCst),
             frag: Arc::clone(&snap.frag),
@@ -1233,7 +1184,13 @@ impl SimEngine {
     /// pointer swap, so in-flight queries keep answering at the
     /// generation they loaded and never block behind this writer.
     /// Concurrent writers on the same handle serialize against each
-    /// other.
+    /// other. Its fragmentation is a copy of the current one, written
+    /// over the generation the last swap retired (**recycled**) when
+    /// nobody else — a reader, an engine clone, a caller of
+    /// [`Self::fragmentation`] — still held that, and cloned afresh
+    /// when somebody did. The graph mirror is derived lazily from it;
+    /// maintained entries share one reverse adjacency per site,
+    /// rewound between their runs.
     ///
     /// # Errors
     /// [`DgsError::InvalidDelta`] as above; on a socket session, the
@@ -1244,7 +1201,7 @@ impl SimEngine {
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaReport, DgsError> {
         // One writer at a time; readers keep serving the current
         // snapshot untouched while this builds the next one.
-        let mut maintained = self.maintained.lock();
+        let mut writer = self.writer.lock();
         let snap = self.snapshot();
         // Validate and normalize the batch. Presence checks go through
         // the fragmentation (`O(log deg)` per op), so a delta never
@@ -1308,16 +1265,15 @@ impl SimEngine {
         // every batch shape is maintainable — building missing
         // per-site counter states from the *pre-delta* fragments and
         // the cached rows.
-        let mut promoted: Vec<(Vec<u32>, Pattern, Arc<CachedResult>)> = Vec::new();
+        let mut promoted: Vec<(Vec<u32>, Arc<CachedResult>)> = Vec::new();
         if let Some(cache) = &self.cache {
             let entries = cache.lock().entries_with_prefix(&old_prefix);
             let live: HashSet<&[u32]> = entries.iter().map(|(k, _)| &k[2..]).collect();
             // States whose entry the LRU evicted have no rows left
             // to maintain.
-            maintained.retain(|k, _| live.contains(k.as_slice()));
+            writer.entries.retain(|k, _| live.contains(k.as_slice()));
             for (key, entry) in entries {
                 let canon_key = key[2..].to_vec();
-                let pattern = cache::decode_pattern(&canon_key);
                 // A `trivial-∅` entry stores the answer *convention*,
                 // not the maximum fixpoint. When every pattern node
                 // reaches a cycle of `Q` the two coincide (the
@@ -1330,60 +1286,58 @@ impl SimEngine {
                 // re-evaluate under fresh facts.
                 if !inserts.is_empty()
                     && entry.algorithm == EngineChoice::TriviallyEmpty.name()
-                    && !crate::plan::empty_rows_are_fixpoint(&pattern)
+                    && !crate::plan::empty_rows_are_fixpoint(&cache::decode_pattern(&canon_key))
                 {
-                    maintained.remove(&canon_key);
+                    writer.entries.remove(&canon_key);
                     report.invalidated_entries += 1;
                     continue;
                 }
-                if !maintained.contains_key(&canon_key) {
+                if !writer.entries.contains_key(&canon_key) {
+                    let pattern = cache::decode_pattern(&canon_key);
                     let sites = (0..snap.frag.num_sites())
                         .map(|s| {
                             DeltaSiteState::from_relation(&snap.frag, s, &pattern, &entry.rows)
                         })
                         .collect();
-                    maintained.insert(
+                    writer.entries.insert(
                         canon_key.clone(),
                         MaintainedStates {
+                            tables: Arc::new(PatternTables::new(&pattern)),
                             sites,
-                            deletions_absorbed: 0,
-                            insertions_absorbed: 0,
-                            maintenance_runs: 0,
+                            note: IncrementalNote::default(),
                         },
                     );
                 }
-                promoted.push((canon_key, pattern, entry));
+                promoted.push((canon_key, entry));
             }
         }
 
-        // Build the **next generation** entirely off the read path:
-        // a fresh fragmentation with the ops applied, the graph mirror
-        // with the ops pending, dirty facts and a dirty compressed leg
-        // (all rebuilt lazily — a delete-heavy stream served from
-        // maintained entries never pays their `O(|G|)` cost).
+        // Build the **next generation** entirely off the read path: a
+        // copy of the fragmentation with the ops applied — written
+        // over the last retired generation's buffers if the swap found
+        // them unshared, a deep clone (`clone_from` into an empty
+        // one) if not — no graph mirror, dirty facts and a dirty
+        // compressed leg (all rebuilt lazily: a delete-heavy stream
+        // served from maintained entries never pays their `O(|G|)`).
         let ops: Vec<EdgeOp> = inserts
             .iter()
             .map(|&(u, v)| EdgeOp::Insert(u, v))
             .chain(deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)))
             .collect();
-        let mut next_frag = (*snap.frag).clone();
+        let mut next_frag = writer.spare.take().unwrap_or_default();
+        next_frag.clone_from(&snap.frag);
         let frag_stats = next_frag.apply_delta(&ops);
         let next_frag = Arc::new(next_frag);
         report.crossing_inserted = frag_stats.crossing_inserts;
         report.crossing_deleted = frag_stats.crossing_deletes;
         report.virtuals_created = frag_stats.virtuals_created;
         report.virtuals_retired = frag_stats.virtuals_retired;
-        let mut graph_state = snap.graph.lock().clone();
-        graph_state.pending = Some(Arc::new(PendingOps {
-            earlier: graph_state.pending.take(),
-            ops,
-        }));
         let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
         report.generation = generation;
         let next = Arc::new(GenSnapshot {
             generation,
             frag: Arc::clone(&next_frag),
-            graph: Mutex::new(graph_state),
+            graph: Mutex::new(None),
             facts: Mutex::new(FactsState {
                 facts: Arc::clone(&snap.facts.lock().facts),
                 dirty: true,
@@ -1396,8 +1350,8 @@ impl SimEngine {
 
         // A socket session's workers were bootstrapped with the
         // pre-delta graph: re-ship the session so later runs execute
-        // against the mutated graph (this materializes the graph
-        // mirror — delta batches on socket sessions pay the reship).
+        // against the mutated graph (this derives the graph mirror —
+        // delta batches on socket sessions pay the reship).
         // This is the only step that can fail after validation, so it
         // runs before maintenance advances a counter state or stores
         // a row: a failed delta is a no-op. The cluster
@@ -1416,11 +1370,22 @@ impl SimEngine {
         // Distributed incremental maintenance per cached entry:
         // revoking the falsified pairs from the stored rows and
         // re-inserting the resurrected ones keeps every entry exact,
-        // whatever the batch shape.
-        for (canon_key, pattern, entry) in promoted {
-            let states = maintained.remove(&canon_key).expect("promoted above");
-            let (coord, sites) =
-                delta::build_maintenance(&next_frag, &pattern, states.sites, &deletes, &inserts);
+        // whatever the batch shape. The runs take turns with the
+        // session's one reverse adjacency and leave it post-delta,
+        // where the next batch needs it — unless this batch maintains
+        // nothing and moves the graph without it.
+        let mut pred = writer.pred.take().filter(|_| !promoted.is_empty());
+        for (canon_key, entry) in promoted {
+            let states = writer.entries.remove(&canon_key).expect("promoted above");
+            let lists = pred.unwrap_or_else(|| snap.frag.reverse_adjacency());
+            let (coord, sites) = delta::build_maintenance(
+                &next_frag,
+                &states.tables,
+                states.sites,
+                lists,
+                &deletes,
+                &inserts,
+            );
             // Maintenance stays in-process even on socket sessions:
             // the per-site counter states must come back into the
             // session, and remote state does not.
@@ -1446,18 +1411,24 @@ impl SimEngine {
             report.resurrected_pairs += o.coordinator.resurrected.len() as u64;
             report.maintained_diffs.push(delta::MaintainedDiff {
                 canon_key: canon_key.clone(),
-                revoked: o.coordinator.revoked.clone(),
-                resurrected: o.coordinator.resurrected.clone(),
+                revoked: o.coordinator.revoked,
+                resurrected: o.coordinator.resurrected,
             });
             report.metrics.merge(&o.metrics);
-            let mut sites_back = Vec::with_capacity(o.sites.len());
-            for site in o.sites {
-                report.per_site[site.stats().site].merge(site.stats());
-                sites_back.push(site.into_state());
-            }
-            let absorbed = states.deletions_absorbed + deletes.len() as u64;
-            let ins_absorbed = states.insertions_absorbed + inserts.len() as u64;
-            let runs = states.maintenance_runs + 1;
+            let (sites_back, lists_back) = o
+                .sites
+                .into_iter()
+                .map(|site| {
+                    report.per_site[site.stats().site].merge(site.stats());
+                    site.into_parts()
+                })
+                .unzip();
+            pred = Some(lists_back);
+            let note = IncrementalNote {
+                deletions_absorbed: states.note.deletions_absorbed + deletes.len() as u64,
+                insertions_absorbed: states.note.insertions_absorbed + inserts.len() as u64,
+                maintenance_runs: states.note.maintenance_runs + 1,
+            };
             let mut plan = entry.plan.clone();
             if plan.incremental.is_none() {
                 plan.reasons.push(
@@ -1466,11 +1437,7 @@ impl SimEngine {
                         .into(),
                 );
             }
-            plan.incremental = Some(IncrementalNote {
-                deletions_absorbed: absorbed,
-                insertions_absorbed: ins_absorbed,
-                maintenance_runs: runs,
-            });
+            plan.incremental = Some(note);
             if let Some(cache) = &self.cache {
                 cache.lock().insert(
                     next.gen_key(&canon_key),
@@ -1481,21 +1448,24 @@ impl SimEngine {
                     }),
                 );
             }
-            maintained.insert(
+            writer.entries.insert(
                 canon_key,
                 MaintainedStates {
+                    tables: states.tables,
                     sites: sites_back,
-                    deletions_absorbed: absorbed,
-                    insertions_absorbed: ins_absorbed,
-                    maintenance_runs: runs,
+                    note,
                 },
             );
             report.maintained_entries += 1;
         }
+        writer.pred = pred;
 
         // Publish: a single pointer swap makes the next generation the
-        // one every subsequent query loads.
-        *self.snap.lock() = next;
+        // one every subsequent query loads. The one it retires becomes
+        // the next batch's buffers if this handle was the last on it.
+        let retired = std::mem::replace(&mut *self.snap.lock(), next);
+        drop(snap);
+        writer.spare = Arc::into_inner(retired).and_then(|snap| Arc::into_inner(snap.frag));
         self.stats.add_deltas(1);
         Ok(report)
     }
@@ -2419,20 +2389,6 @@ mod tests {
         assert_eq!(second.deleted, 0);
         assert_eq!(second.ignored, 1);
         assert_eq!(engine.generation(), gen1);
-    }
-
-    #[test]
-    fn a_long_pending_chain_drops_without_recursion() {
-        // One node per batch since the last rebuild; test threads have
-        // 2 MiB of stack.
-        let mut newest = None;
-        for _ in 0..500_000 {
-            newest = Some(Arc::new(PendingOps {
-                ops: Vec::new(),
-                earlier: newest.take(),
-            }));
-        }
-        drop(newest);
     }
 
     #[test]

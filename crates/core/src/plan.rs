@@ -180,7 +180,7 @@ pub struct CompressedNote {
 /// falsifications — and, for insertions, affected-area resurrections —
 /// exchanged like dGPM data messages) instead of being re-evaluated
 /// from scratch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IncrementalNote {
     /// Edge deletions absorbed since the entry was computed.
     pub deletions_absorbed: u64,

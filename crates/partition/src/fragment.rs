@@ -22,10 +22,31 @@
 //! index (so per-site state built against the old index space stays
 //! valid) but have no edges and no subscribers — they are inert until
 //! a later insertion revives them.
+//!
+//! ## Where a generation's bytes live
+//!
+//! A session builds each graph generation from a copy of the one
+//! before, so a fragment is laid out to be copied: successors,
+//! predecessors and in-node subscribers are one [`SpanLists`] each, a
+//! vector of `(start, len, cap)` spans into a single pool.
+//! [`Fragmentation::build`] fills the pools in index order with
+//! `cap == len` (plain CSR); a delta edits a list in place, and a full
+//! list moves to the end of the pool with twice the room. The span it
+//! leaves is dead — never reused, never compacted — which wastes at
+//! most as much again as the lists hold. A clone is then a dozen
+//! `memcpy`s per fragment whatever `|Vi|`; the site assignment, which
+//! no delta touches, is shared behind an `Arc`.
+//!
+//! `clone_from` is hand-written for all three types: `self` ends up
+//! equal to `source.clone()` whatever it held before — more sites,
+//! fewer, larger fragments — and keeps its own buffers wherever they
+//! are large enough. `SimEngine::apply_delta` uses it to write the next
+//! generation over a retired one without touching the allocator.
 
-use dgs_graph::{Graph, Label, NodeId};
+use dgs_graph::{Graph, GraphBuilder, Label, NodeId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Hasher of the global-id → local-index maps: one multiply per `u32`
 /// node id, with the well-mixed high half folded onto the low bits
@@ -85,8 +106,99 @@ pub struct FragDeltaStats {
     pub subscriptions_removed: usize,
 }
 
+/// Many short sorted lists in one buffer: list `i` owns
+/// `pool[start..start + cap]`, whose first `len` entries are its
+/// items. A copy is two `memcpy`s, not an allocation per list.
+#[derive(Debug, Default)]
+pub struct SpanLists<T> {
+    /// `(start, len, cap)` per list.
+    spans: Vec<(u32, u32, u32)>,
+    pool: Vec<T>,
+}
+
+impl<T: Copy + Ord + Default> SpanLists<T> {
+    /// The items of list `idx`.
+    #[inline]
+    pub fn of(&self, idx: usize) -> &[T] {
+        let (start, len, _) = self.spans[idx];
+        &self.pool[start as usize..(start + len) as usize]
+    }
+
+    /// Makes `items` (sorted) the list at `at`, before the one there.
+    pub fn insert_list(&mut self, at: usize, items: impl IntoIterator<Item = T>) {
+        let start = self.pool.len();
+        self.pool.extend(items);
+        let end = u32::try_from(self.pool.len()).expect("span pool overflow");
+        let len = end - start as u32;
+        self.spans.insert(at, (start as u32, len, len));
+    }
+
+    /// Appends `items` (sorted) as a new last list.
+    pub fn push_list(&mut self, items: impl IntoIterator<Item = T>) {
+        self.insert_list(self.spans.len(), items);
+    }
+
+    /// Removes the list at `at`; the ones behind it move down.
+    pub fn remove_list(&mut self, at: usize) {
+        self.spans.remove(at);
+    }
+
+    /// Appends empty lists until there are `lists` of them.
+    pub fn grow_to(&mut self, lists: usize) {
+        self.spans.resize(lists.max(self.spans.len()), (0, 0, 0));
+    }
+
+    /// Adds `item` to list `idx`; `false` if it was there already.
+    pub fn insert(&mut self, idx: usize, item: T) -> bool {
+        let Err(at) = self.of(idx).binary_search(&item) else {
+            return false;
+        };
+        let (mut start, len, cap) = self.spans[idx];
+        if len == cap {
+            let moved = self.pool.len();
+            let cap = (2 * cap).max(2);
+            self.pool.resize(moved + cap as usize, T::default());
+            self.pool
+                .copy_within(start as usize..(start + len) as usize, moved);
+            start = u32::try_from(moved).expect("span pool overflow");
+            self.spans[idx] = (start, len, cap);
+        }
+        let (lo, hi) = (start as usize + at, (start + len) as usize);
+        self.pool.copy_within(lo..hi, lo + 1);
+        self.pool[lo] = item;
+        self.spans[idx].1 += 1;
+        true
+    }
+
+    /// Drops `item` from list `idx`; `false` if it was not there.
+    pub fn remove(&mut self, idx: usize, item: T) -> bool {
+        let Ok(at) = self.of(idx).binary_search(&item) else {
+            return false;
+        };
+        let (start, len, _) = self.spans[idx];
+        let (lo, hi) = (start as usize + at, (start + len) as usize);
+        self.pool.copy_within(lo + 1..hi, lo);
+        self.spans[idx].1 -= 1;
+        true
+    }
+}
+
+impl<T: Clone> Clone for SpanLists<T> {
+    fn clone(&self) -> Self {
+        SpanLists {
+            spans: self.spans.clone(),
+            pool: self.pool.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.spans.clone_from(&source.spans);
+        self.pool.clone_from(&source.pool);
+    }
+}
+
 /// One fragment `Fi = (Vi ∪ Fi.O, Ei, Li)` materialized at a site.
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 pub struct Fragment {
     site: SiteId,
     n_local: usize,
@@ -99,9 +211,9 @@ pub struct Fragment {
     labels: Vec<Label>,
     /// `Ei` as sorted adjacency over local indices; only local nodes
     /// have out-edges.
-    out_adj: Vec<Vec<u32>>,
+    out_adj: SpanLists<u32>,
     /// Reverse adjacency of `Ei`, defined for all local indices.
-    in_adj: Vec<Vec<u32>>,
+    in_adj: SpanLists<u32>,
     /// Number of edges in `Ei`.
     n_edges: usize,
     /// Local indices of the in-nodes `Fi.I`, sorted.
@@ -110,12 +222,34 @@ pub struct Fragment {
     /// as a virtual node, i.e. the sites to notify when one of its
     /// Boolean variables is falsified (the annotation `A_d(·)` of the
     /// local dependency graph, §4.1).
-    in_node_subscribers: Vec<Vec<SiteId>>,
+    in_node_subscribers: SpanLists<SiteId>,
     /// Owner site of each virtual node (aligned with the virtual
     /// section of `global_ids`).
     virtual_owners: Vec<SiteId>,
     /// Global id → local index.
     index_of: IdMap,
+}
+
+impl Clone for Fragment {
+    fn clone(&self) -> Self {
+        let mut copy = Fragment::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Buffer by buffer, so that each keeps the capacity it has.
+    fn clone_from(&mut self, source: &Self) {
+        (self.site, self.n_local, self.n_edges) = (source.site, source.n_local, source.n_edges);
+        self.global_ids.clone_from(&source.global_ids);
+        self.labels.clone_from(&source.labels);
+        self.out_adj.clone_from(&source.out_adj);
+        self.in_adj.clone_from(&source.in_adj);
+        self.in_nodes.clone_from(&source.in_nodes);
+        self.in_node_subscribers
+            .clone_from(&source.in_node_subscribers);
+        self.virtual_owners.clone_from(&source.virtual_owners);
+        self.index_of.clone_from(&source.index_of);
+    }
 }
 
 impl Fragment {
@@ -168,7 +302,7 @@ impl Fragment {
     /// edge from this fragment (i.e. is genuinely in `Fi.O`).
     #[inline]
     pub fn is_live_virtual(&self, idx: u32) -> bool {
-        self.is_virtual(idx) && !self.in_adj[idx as usize].is_empty()
+        self.is_virtual(idx) && !self.in_adj.of(idx as usize).is_empty()
     }
 
     /// `|Fi.O|` under dynamic updates: virtual slots that still carry
@@ -202,14 +336,14 @@ impl Fragment {
     /// sorted by local index.
     #[inline]
     pub fn successors(&self, idx: u32) -> &[u32] {
-        &self.out_adj[idx as usize]
+        self.out_adj.of(idx as usize)
     }
 
     /// Predecessors of `idx` within `Ei` (always local nodes), sorted
     /// by local index.
     #[inline]
     pub fn predecessors(&self, idx: u32) -> &[u32] {
-        &self.in_adj[idx as usize]
+        self.in_adj.of(idx as usize)
     }
 
     /// Local indices of the in-nodes `Fi.I`.
@@ -221,7 +355,7 @@ impl Fragment {
     /// Sites that hold in-node `in_nodes()[pos]` as a virtual node.
     #[inline]
     pub fn in_node_subscribers(&self, pos: usize) -> &[SiteId] {
-        &self.in_node_subscribers[pos]
+        self.in_node_subscribers.of(pos)
     }
 
     /// Position of `idx` within `in_nodes()`, if it is an in-node.
@@ -256,16 +390,14 @@ impl Fragment {
     /// # Panics
     /// Panics if the edge is already present.
     fn insert_pair(&mut self, ui: u32, vi: u32) {
-        let out = &mut self.out_adj[ui as usize];
-        let pos = out
-            .binary_search(&vi)
-            .expect_err("edge to insert already present in fragment");
-        out.insert(pos, vi);
-        let inn = &mut self.in_adj[vi as usize];
-        let pos = inn
-            .binary_search(&ui)
-            .expect_err("reverse edge already present");
-        inn.insert(pos, ui);
+        assert!(
+            self.out_adj.insert(ui as usize, vi),
+            "edge to insert already present in fragment"
+        );
+        assert!(
+            self.in_adj.insert(vi as usize, ui),
+            "reverse edge already present"
+        );
         self.n_edges += 1;
     }
 
@@ -274,14 +406,11 @@ impl Fragment {
     /// # Panics
     /// Panics if the edge is absent.
     fn remove_pair(&mut self, ui: u32, vi: u32) {
-        let out = &mut self.out_adj[ui as usize];
-        let pos = out
-            .binary_search(&vi)
-            .expect("edge to delete missing from fragment");
-        out.remove(pos);
-        let inn = &mut self.in_adj[vi as usize];
-        let pos = inn.binary_search(&ui).expect("reverse edge missing");
-        inn.remove(pos);
+        assert!(
+            self.out_adj.remove(ui as usize, vi),
+            "edge to delete missing from fragment"
+        );
+        assert!(self.in_adj.remove(vi as usize, ui), "reverse edge missing");
         self.n_edges -= 1;
     }
 
@@ -295,8 +424,8 @@ impl Fragment {
         self.global_ids.push(v);
         self.labels.push(label);
         self.virtual_owners.push(owner);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
+        self.out_adj.push_list([]);
+        self.in_adj.push_list([]);
         self.index_of.insert(v, idx);
         idx
     }
@@ -305,19 +434,10 @@ impl Fragment {
     /// entry if needed). Returns `true` if the subscription was new.
     fn add_subscriber(&mut self, idx: u32, subscriber: SiteId) -> bool {
         match self.in_nodes.binary_search(&idx) {
-            Ok(pos) => {
-                let subs = &mut self.in_node_subscribers[pos];
-                match subs.binary_search(&subscriber) {
-                    Ok(_) => false,
-                    Err(at) => {
-                        subs.insert(at, subscriber);
-                        true
-                    }
-                }
-            }
+            Ok(pos) => self.in_node_subscribers.insert(pos, subscriber),
             Err(pos) => {
                 self.in_nodes.insert(pos, idx);
-                self.in_node_subscribers.insert(pos, vec![subscriber]);
+                self.in_node_subscribers.insert_list(pos, [subscriber]);
                 true
             }
         }
@@ -330,14 +450,12 @@ impl Fragment {
         let Ok(pos) = self.in_nodes.binary_search(&idx) else {
             return false;
         };
-        let subs = &mut self.in_node_subscribers[pos];
-        let Ok(at) = subs.binary_search(&subscriber) else {
+        if !self.in_node_subscribers.remove(pos, subscriber) {
             return false;
-        };
-        subs.remove(at);
-        if subs.is_empty() {
+        }
+        if self.in_node_subscribers.of(pos).is_empty() {
             self.in_nodes.remove(pos);
-            self.in_node_subscribers.remove(pos);
+            self.in_node_subscribers.remove_list(pos);
         }
         true
     }
@@ -346,16 +464,36 @@ impl Fragment {
 /// A fragmentation `F = (F1, ..., Fn)` of a graph, plus the global
 /// quantities the paper's bounds are stated in (`|Vf|`, `|Ef|`,
 /// `|Fm|`).
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 pub struct Fragmentation {
     num_sites: usize,
-    assignment: Vec<SiteId>,
+    /// One site per global node; shared by a session's generations.
+    assignment: Arc<[SiteId]>,
     fragments: Vec<Fragment>,
     /// Incoming-crossing-edge count per global node (`> 0` ⇔ the node
     /// is a virtual node of some fragment).
     crossing_in: Vec<u32>,
     vf: usize,
     ef: usize,
+}
+
+impl Clone for Fragmentation {
+    fn clone(&self) -> Self {
+        let mut copy = Fragmentation::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// `Vec::clone_from` overwrites the fragments both sides have in
+    /// place ([`Fragment::clone_from`]) and clones or drops the rest.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_sites = source.num_sites;
+        self.assignment = Arc::clone(&source.assignment);
+        self.fragments.clone_from(&source.fragments);
+        self.crossing_in.clone_from(&source.crossing_in);
+        self.vf = source.vf;
+        self.ef = source.ef;
+    }
 }
 
 impl Fragmentation {
@@ -388,12 +526,10 @@ impl Fragmentation {
             locals[s].push(v);
         }
 
-        // Virtual node sets, crossing-edge count and in-node
-        // subscriber sets.
+        // Virtual node sets, crossing-edge count and, per owner site,
+        // the `(in-node local index, subscribing site)` pairs.
         let mut virtuals: Vec<Vec<NodeId>> = vec![Vec::new(); num_sites];
-        // (target node, source site) pairs for in-node subscriber
-        // computation.
-        let mut in_subs: Vec<Vec<(NodeId, SiteId)>> = vec![Vec::new(); num_sites];
+        let mut in_subs: Vec<Vec<(u32, SiteId)>> = vec![Vec::new(); num_sites];
         let mut crossing_in = vec![0u32; n];
         let mut ef = 0usize;
         for (u, v) in graph.edges() {
@@ -403,7 +539,7 @@ impl Fragmentation {
                 ef += 1;
                 crossing_in[v.index()] += 1;
                 virtuals[su].push(v);
-                in_subs[sv].push((v, su));
+                in_subs[sv].push((local_idx[v.index()], su));
             }
         }
         for vs in &mut virtuals {
@@ -432,42 +568,61 @@ impl Fragmentation {
                 .map(|&v| assignment[v.index()])
                 .collect();
 
-            // Ei as sorted adjacency over local indices.
+            // Ei, forward: one list per local node in index order,
+            // straight into the pool (virtual slots have no out-edges).
             let n_total = global_ids.len();
-            let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n_total];
-            let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n_total];
-            let mut n_edges = 0usize;
-            for (i, &v) in locals[site].iter().enumerate() {
-                for &w in graph.successors(v) {
-                    let widx = index_of[&w];
-                    out_adj[i].push(widx);
-                    in_adj[widx as usize].push(i as u32);
-                    n_edges += 1;
+            let n_edges = locals[site].iter().map(|&v| graph.out_degree(v)).sum();
+            let mut out_adj = SpanLists {
+                spans: Vec::with_capacity(n_total),
+                pool: Vec::with_capacity(n_edges),
+            };
+            let mut in_len = vec![0u32; n_total];
+            for &v in &locals[site] {
+                let start = out_adj.pool.len();
+                out_adj.push_list(graph.successors(v).iter().map(|w| {
+                    if assignment[w.index()] == site {
+                        local_idx[w.index()]
+                    } else {
+                        index_of[w]
+                    }
+                }));
+                out_adj.pool[start..].sort_unstable();
+                for &w in &out_adj.pool[start..] {
+                    in_len[w as usize] += 1;
                 }
             }
-            for l in out_adj.iter_mut().chain(in_adj.iter_mut()) {
-                l.sort_unstable();
+            out_adj.grow_to(n_total);
+
+            // Ei, reverse: spans from the counts, then filled from the
+            // back by sources in descending order, which leaves every
+            // list sorted and `in_len` at zero.
+            let mut end = 0u32;
+            let spans = in_len.iter().map(|&len| {
+                end += len;
+                (end - len, len, len)
+            });
+            let mut in_adj = SpanLists {
+                spans: spans.collect(),
+                pool: vec![0u32; n_edges],
+            };
+            for ui in (0..n_local).rev() {
+                for &w in out_adj.of(ui) {
+                    in_len[w as usize] -= 1;
+                    let at = in_adj.spans[w as usize].0 + in_len[w as usize];
+                    in_adj.pool[at as usize] = ui as u32;
+                }
             }
 
-            // In-nodes and their subscribers.
-            let mut subs_map: HashMap<NodeId, Vec<SiteId>> = HashMap::new();
-            for &(v, src_site) in &in_subs[site] {
-                let e = subs_map.entry(v).or_default();
-                if !e.contains(&src_site) {
-                    e.push(src_site);
-                }
+            // In-nodes and their subscribers, both ascending.
+            let subs = &mut in_subs[site];
+            subs.sort_unstable();
+            subs.dedup();
+            let mut in_nodes = Vec::new();
+            let mut in_node_subscribers = SpanLists::default();
+            for of_node in subs.chunk_by(|a, b| a.0 == b.0) {
+                in_nodes.push(of_node[0].0);
+                in_node_subscribers.push_list(of_node.iter().map(|&(_, s)| s));
             }
-            let mut in_nodes: Vec<u32> = subs_map.keys().map(|&v| local_idx[v.index()]).collect();
-            in_nodes.sort_unstable();
-            let in_node_subscribers: Vec<Vec<SiteId>> = in_nodes
-                .iter()
-                .map(|&idx| {
-                    let gid = locals[site][idx as usize];
-                    let mut subs = subs_map[&gid].clone();
-                    subs.sort_unstable();
-                    subs
-                })
-                .collect();
 
             fragments.push(Fragment {
                 site,
@@ -486,12 +641,38 @@ impl Fragmentation {
 
         Fragmentation {
             num_sites,
-            assignment: assignment.to_vec(),
+            assignment: assignment.into(),
             fragments,
             crossing_in,
             vf,
             ef,
         }
+    }
+
+    /// A copy of every fragment's predecessor lists, by site: what
+    /// incremental maintenance takes once per session and then keeps
+    /// current itself.
+    pub fn reverse_adjacency(&self) -> Vec<SpanLists<u32>> {
+        self.fragments.iter().map(|f| f.in_adj.clone()).collect()
+    }
+
+    /// The fragmented graph itself: every edge lives in the fragment
+    /// owning its source. Local nodes ascend with their global ids, so
+    /// one cursor per site walks them in step with the assignment.
+    pub fn to_graph(&self) -> Graph {
+        let edges = self.fragments.iter().map(Fragment::n_edges).sum();
+        let mut b = GraphBuilder::with_capacity(self.assignment.len(), edges);
+        let mut next_local = vec![0u32; self.num_sites];
+        for &site in self.assignment.iter() {
+            let f = &self.fragments[site];
+            let ui = next_local[site];
+            next_local[site] += 1;
+            let u = b.add_node(f.label(ui));
+            for &t in f.successors(ui) {
+                b.add_edge(u, f.global_id(t));
+            }
+        }
+        b.build()
     }
 
     /// Absorbs a batch of edge ops **without re-partitioning**: each op
@@ -544,7 +725,7 @@ impl Fragmentation {
         };
         let f = &mut self.fragments[su];
         let vi = f.ensure_virtual(v, label, sv);
-        let revived = f.in_adj[vi as usize].is_empty();
+        let revived = f.predecessors(vi).is_empty();
         let ui = f.index_of[&u];
         f.insert_pair(ui, vi);
         if revived {
@@ -579,7 +760,7 @@ impl Fragmentation {
         let ui = f.index_of[&u];
         let vi = f.index_of[&v];
         f.remove_pair(ui, vi);
-        let retired = f.in_adj[vi as usize].is_empty();
+        let retired = f.predecessors(vi).is_empty();
         if retired {
             stats.virtuals_retired += 1;
             let fv = &mut self.fragments[sv];
@@ -873,6 +1054,101 @@ mod tests {
                 .sum::<usize>(),
             after
         );
+    }
+
+    /// Every mutation against a `Vec<Vec<u32>>` model: lists that fill
+    /// their span and move, lists that empty, lists inserted into and
+    /// removed from the middle, a span vector that grows.
+    #[test]
+    fn span_lists_follow_a_nested_vec_model() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % bound as u64) as usize
+        };
+        let mut lists = SpanLists::<u32>::default();
+        let mut model: Vec<Vec<u32>> = Vec::new();
+        let (mut moved, mut emptied) = (0, 0);
+        for step in 0..20_000 {
+            match next(16) {
+                0 => {
+                    let items: Vec<u32> = (0..next(4) as u32).map(|i| 2 * i).collect();
+                    lists.push_list(items.iter().copied());
+                    model.push(items);
+                }
+                1 => {
+                    let at = next(model.len() + 1);
+                    lists.insert_list(at, [5, 7]);
+                    model.insert(at, vec![5, 7]);
+                }
+                2 if model.len() > 8 => {
+                    let at = next(model.len());
+                    lists.remove_list(at);
+                    model.remove(at);
+                }
+                3 => {
+                    let to = model.len() + next(3);
+                    lists.grow_to(to);
+                    model.resize(to, Vec::new());
+                }
+                op if !model.is_empty() => {
+                    // A few lists take the traffic, in turns of mostly
+                    // inserts and mostly removals: they grow through
+                    // several moves and drain again.
+                    let idx = next(model.len().min(12));
+                    let item = next(8) as u32;
+                    let at = model[idx].binary_search(&item);
+                    if (op == 4) == (step / 1000 % 2 == 1) {
+                        let pool_before = lists.pool.len();
+                        assert_eq!(lists.insert(idx, item), at.is_err());
+                        moved += usize::from(lists.pool.len() > pool_before);
+                        if let Err(at) = at {
+                            model[idx].insert(at, item);
+                        }
+                    } else {
+                        assert_eq!(lists.remove(idx, item), at.is_ok());
+                        if let Ok(at) = at {
+                            model[idx].remove(at);
+                            emptied += usize::from(model[idx].is_empty());
+                        }
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(lists.spans.len(), model.len());
+            if step % 64 == 0 || step > 19_900 {
+                for (idx, list) in model.iter().enumerate() {
+                    assert_eq!(lists.of(idx), &list[..], "list {idx} at step {step}");
+                }
+                // A copy, and a copy over something else, read the same.
+                let copy = lists.clone();
+                let mut over = SpanLists::<u32>::default();
+                over.push_list([1, 2, 3]);
+                over.clone_from(&lists);
+                for (idx, list) in model.iter().enumerate() {
+                    assert_eq!((copy.of(idx), over.of(idx)), (&list[..], &list[..]));
+                }
+            }
+        }
+        assert!(
+            moved > 50 && emptied > 50,
+            "{moved} moves, {emptied} drained"
+        );
+    }
+
+    #[test]
+    fn to_graph_inverts_build_across_deltas() {
+        let w = fig1();
+        let mut f = Fragmentation::build(&w.graph, &w.assignment, 3);
+        assert!(f.to_graph() == w.graph);
+        let (u, v) = w.graph.edges().next().unwrap();
+        f.apply_delta(&[EdgeOp::Delete(u, v), EdgeOp::Insert(v, u)]);
+        let g = f.to_graph();
+        assert!(!g.has_edge(u, v) && g.has_edge(v, u));
+        assert_eq!(g.edge_count(), w.graph.edge_count());
+        assert_eq!(g.labels(), w.graph.labels());
     }
 
     #[test]
@@ -1215,6 +1491,118 @@ mod delta_proptests {
             let v = (xorshift(&mut s) % n as u64) as u32;
             if u != v && !edges.contains(&(u, v)) && absent_probe.insert((u, v)) {
                 assert!(!maintained.has_edge(NodeId(u), NodeId(v)));
+            }
+        }
+    }
+
+    /// A fragmentation over `n` nodes and `sites` sites with `steps`
+    /// single-op deltas behind it (moved lists, retired and appended
+    /// slots), and the edge set it ended with.
+    fn churned(seed: u64, n: usize, sites: usize, steps: usize) -> Fragmentation {
+        let mut s = seed | 1;
+        let labels: Vec<Label> = (0..n).map(|i| Label((i % 3) as u16)).collect();
+        let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
+        for _ in 0..2 * n {
+            let u = (xorshift(&mut s) % n as u64) as u32;
+            let v = (xorshift(&mut s) % n as u64) as u32;
+            if u != v {
+                edges.insert((u, v));
+            }
+        }
+        let assignment = crate::hash_partition(n, sites, seed);
+        let mut frag = Fragmentation::build(&build_graph(n, &edges, &labels), &assignment, sites);
+        for op in random_ops(&mut s, n, &mut edges, steps) {
+            frag.apply_delta(&[op]);
+        }
+        frag
+    }
+
+    /// `steps` valid ops against `edges`, which follows them.
+    fn random_ops(
+        s: &mut u64,
+        n: usize,
+        edges: &mut BTreeSet<(u32, u32)>,
+        steps: usize,
+    ) -> Vec<EdgeOp> {
+        let mut ops = Vec::new();
+        for _ in 0..steps {
+            let u = (xorshift(s) % n as u64) as u32;
+            let v = (xorshift(s) % n as u64) as u32;
+            if u == v {
+                continue;
+            }
+            ops.push(if edges.remove(&(u, v)) {
+                EdgeOp::Delete(NodeId(u), NodeId(v))
+            } else {
+                edges.insert((u, v));
+                EdgeOp::Insert(NodeId(u), NodeId(v))
+            });
+        }
+        ops
+    }
+
+    /// What `observe` leaves out: counters, the assignment, and every
+    /// slot's id, label and predecessor list by index.
+    fn assert_same(a: &Fragmentation, b: &Fragmentation) {
+        assert_eq!(observe(a), observe(b));
+        assert_eq!(
+            (a.num_sites(), a.vf(), a.ef(), a.fm_size(), a.assignment()),
+            (b.num_sites(), b.vf(), b.ef(), b.fm_size(), b.assignment())
+        );
+        for (fa, fb) in a.fragments().iter().zip(b.fragments()) {
+            assert_eq!(
+                (fa.site(), fa.n_local(), fa.n_total(), fa.in_nodes()),
+                (fb.site(), fb.n_local(), fb.n_total(), fb.in_nodes())
+            );
+            for idx in 0..fa.n_total() as u32 {
+                assert_eq!(fa.index_of(fb.global_id(idx)), Some(idx));
+                assert_eq!(fa.label(idx), fb.label(idx));
+                assert_eq!(fa.predecessors(idx), fb.predecessors(idx));
+            }
+        }
+    }
+
+    /// `clone_from` ≡ `clone`, whatever the target held before: a
+    /// larger fragmentation, a smaller one, one with another site
+    /// count, one with a longer history — and the copy is a
+    /// fragmentation in its own right: the same deltas take it and a
+    /// plain clone to the same place, and leave the source alone.
+    #[test]
+    fn clone_from_equals_clone_from_arbitrary_prior_contents() {
+        let shapes = [
+            (60, 4, 300),
+            (12, 2, 0),
+            (35, 3, 40),
+            (60, 4, 0),
+            (90, 7, 500),
+        ];
+        let frags: Vec<Fragmentation> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(n, sites, steps))| churned(0xC0FFEE + i as u64, n, sites, steps))
+            .collect();
+        let mut s = 0xFEED_u64;
+        for (si, source) in frags.iter().enumerate() {
+            let before = observe(source);
+            for target in &frags {
+                let mut recycled = target.clone();
+                recycled.clone_from(source);
+                let mut cloned = source.clone();
+                assert_same(&recycled, &cloned);
+
+                let n = shapes[si].0;
+                let mut edges: BTreeSet<(u32, u32)> = before
+                    .iter()
+                    .flat_map(|site| site.2.iter().copied())
+                    .collect();
+                let ops = random_ops(&mut s, n, &mut edges, 120);
+                assert_eq!(recycled.apply_delta(&ops), cloned.apply_delta(&ops));
+                assert_same(&recycled, &cloned);
+                assert_eq!(
+                    observe(source),
+                    before,
+                    "a copy wrote through to its source"
+                );
             }
         }
     }

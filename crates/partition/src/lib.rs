@@ -27,7 +27,7 @@ pub mod stats;
 pub mod streaming;
 pub mod tree;
 
-pub use fragment::{EdgeOp, FragDeltaStats, Fragment, Fragmentation, SiteId};
+pub use fragment::{EdgeOp, FragDeltaStats, Fragment, Fragmentation, SiteId, SpanLists};
 pub use partitioner::{bfs_partition, hash_partition, refine_toward_ratio, RefineObjective};
 pub use stats::FragmentationStats;
 pub use streaming::ldg_partition;

@@ -7,6 +7,7 @@
 use dgs::graph::generate::{adversarial, dag, patterns, random, tree};
 use dgs::prelude::*;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Applies a delta to a graph the slow way (the scratch baseline).
@@ -89,6 +90,69 @@ fn relation_rows(relation: &MatchRelation) -> Vec<Vec<u32>> {
                 .map(|v| v.0)
                 .collect()
         })
+        .collect()
+}
+
+/// The benchmark's churn: each batch deletes `half` present edges and
+/// inserts up to `half` absent ones, every other insertion an earlier
+/// deletion coming back (recurrent) and the rest fresh.
+struct Churn {
+    s: u64,
+    graveyard: Vec<(NodeId, NodeId)>,
+}
+
+impl Churn {
+    fn new(seed: u64) -> Self {
+        Churn {
+            s: seed,
+            graveyard: Vec::new(),
+        }
+    }
+
+    fn next(&mut self, bound: usize) -> usize {
+        self.s = self
+            .s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.s >> 33) as usize % bound
+    }
+
+    /// The next batch, valid against `mirror`.
+    fn batch(&mut self, mirror: &Graph, half: usize) -> GraphDelta {
+        let n = mirror.node_count();
+        let mut delta = GraphDelta::default();
+        for i in 0..half {
+            let fresh = (NodeId(self.next(n) as u32), NodeId(self.next(n) as u32));
+            let e = if i % 2 == 0 && !self.graveyard.is_empty() {
+                let at = self.next(self.graveyard.len());
+                self.graveyard.swap_remove(at)
+            } else {
+                fresh
+            };
+            if !mirror.has_edge(e.0, e.1) && !delta.insert_edges.contains(&e) {
+                delta.insert_edges.push(e);
+            }
+        }
+        let mut present: Vec<(NodeId, NodeId)> = mirror.edges().collect();
+        for _ in 0..half {
+            let at = self.next(present.len());
+            delta.delete_edges.push(present.swap_remove(at));
+        }
+        self.graveyard.extend(&delta.delete_edges);
+        delta
+    }
+}
+
+/// `wanted` cyclic patterns over `labels` labels with distinct
+/// canonical forms (isomorphic patterns share a cache entry).
+fn distinct_cyclic_patterns(wanted: usize, labels: usize, seed: u64) -> Vec<Pattern> {
+    let mut keys = std::collections::HashSet::new();
+    (0..4 * wanted as u64)
+        .map(|i| {
+            patterns::random_cyclic(3 + (i % 3) as usize, 5 + (i % 4) as usize, labels, seed ^ i)
+        })
+        .filter(|q| keys.insert(SimEngine::pattern_canon(q).0))
+        .take(wanted)
         .collect()
 }
 
@@ -429,70 +493,102 @@ proptest! {
     /// under a long mixed stream whose insertions alternate between
     /// recurrent edges (an earlier deletion coming back) and fresh
     /// ones. Every entry equals the oracle on the test's own mirror of
-    /// the graph at every generation, and none is ever dropped.
+    /// the graph at every generation, and none is ever dropped —
+    /// under every history that could leave the session's shared
+    /// reverse adjacency behind the graph: entries that join
+    /// mid-stream, a batch that finds nothing to maintain, an
+    /// invalidation between two batches, an entry the LRU evicts and a
+    /// later query brings back.
     #[test]
     fn many_entries_stay_exact_under_recurrent_and_fresh_churn(
         n in 40usize..90,
         k in 2usize..5,
         wanted in 8usize..17,
         seed in any::<u64>(),
+        history in 0usize..5,
     ) {
+        const LATE_HALF: usize = 1;
+        const EMPTY_CACHE: usize = 2;
+        const INVALIDATED: usize = 3;
+        const EVICTED: usize = 4;
+        /// The batch after which a history takes its turn.
+        const TURN: usize = 10;
+
         let g = random::uniform(n, 4 * n, 3, seed);
         let assign = hash_partition(n, k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).build();
-        // Distinct canonical forms only: isomorphic patterns share an entry.
-        let mut keys = std::collections::HashSet::new();
-        let qs: Vec<Pattern> = (0..4 * wanted as u64)
-            .map(|i| patterns::random_cyclic(3 + (i % 3) as usize, 5 + (i % 4) as usize, 3, seed ^ i))
-            .filter(|q| keys.insert(SimEngine::pattern_canon(q).0))
-            .take(wanted)
-            .collect();
-        for q in &qs {
+        let mut qs = distinct_cyclic_patterns(wanted, 3, seed);
+        let mut builder = SimEngine::builder(&g, frag);
+        let mut strangers = Vec::new();
+        if history == EVICTED {
+            // Room for every entry and one stranger: the second
+            // stranger pushes the least recently asked entry out.
+            strangers = qs.split_off(qs.len() - 2);
+            builder = builder.cache_capacity(qs.len() + 1);
+        }
+        let engine = builder.build();
+        let mut in_play = if history == LATE_HALF { qs.len() / 2 } else { qs.len() };
+        for q in &qs[..in_play] {
             engine.query(q).unwrap();
         }
 
         let mut mirror = g.clone();
-        let mut graveyard: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut s = seed;
-        let mut next = |bound: usize| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as usize % bound
-        };
+        let mut churn = Churn::new(seed);
+        let mut expect_maintained = in_play;
         for batch in 0..30 {
-            let mut delta = GraphDelta::default();
-            for i in 0..4 {
-                let fresh = (NodeId(next(n) as u32), NodeId(next(n) as u32));
-                let e = if i % 2 == 0 && !graveyard.is_empty() {
-                    graveyard.swap_remove(next(graveyard.len()))
-                } else {
-                    fresh
-                };
-                if !mirror.has_edge(e.0, e.1) && !delta.insert_edges.contains(&e) {
-                    delta.insert_edges.push(e);
-                }
-            }
-            let mut present: Vec<(NodeId, NodeId)> = mirror.edges().collect();
-            for _ in 0..4 {
-                delta.delete_edges.push(present.swap_remove(next(present.len())));
-            }
-            graveyard.extend(&delta.delete_edges);
-
+            let delta = churn.batch(&mirror, 4);
             let report = engine.apply_delta(&delta).unwrap();
             prop_assert_eq!(report.ignored, 0);
-            prop_assert_eq!(report.maintained_entries, qs.len());
+            prop_assert_eq!(report.maintained_entries, expect_maintained, "batch {}", batch);
             prop_assert_eq!(report.invalidated_entries, 0);
-
             mirror = mutated(&mirror, &delta);
-            for q in &qs {
-                let served = engine.query(q).unwrap();
-                prop_assert_eq!(served.metrics.cache_hits, 1);
+
+            // Entries this batch did not maintain: asked last, so that
+            // caching them evicts a stranger and not one another.
+            let cold = match history {
+                LATE_HALF if batch == TURN => in_play..qs.len(),
+                EMPTY_CACHE if batch == TURN + 1 => 0..qs.len(),
+                EVICTED if batch == TURN + 1 => 0..1,
+                _ => 0..0,
+            };
+            in_play = in_play.max(cold.end);
+            let maintained = (0..in_play).filter(|i| !cold.contains(i));
+            for i in maintained.chain(cold.clone()) {
+                let served = engine.query(&qs[i]).unwrap();
+                prop_assert_eq!(served.metrics.cache_hits, u64::from(!cold.contains(&i)));
                 prop_assert_eq!(
                     &served.relation,
-                    &hhk_simulation(q, &mirror).relation,
+                    &hhk_simulation(&qs[i], &mirror).relation,
                     "batch {}",
                     batch
                 );
+            }
+
+            expect_maintained = in_play;
+            if batch == TURN {
+                match history {
+                    EMPTY_CACHE => {
+                        engine.cache_invalidate_all();
+                        expect_maintained = 0;
+                    }
+                    INVALIDATED => {
+                        engine.cache_invalidate_all();
+                        for q in &qs {
+                            engine.query(q).unwrap();
+                        }
+                    }
+                    EVICTED => {
+                        for q in &strangers {
+                            engine.query(q).unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            if history == EVICTED && batch >= TURN {
+                // Two strangers for one entry, then one stranger
+                // beside all of them.
+                expect_maintained = qs.len() + 1;
             }
         }
     }
@@ -815,4 +911,122 @@ fn diffs_net_out_within_a_batch_and_compose_across_batches() {
         let edges = |g: &Graph| g.edges().collect::<std::collections::BTreeSet<_>>();
         assert_eq!(edges(&engine.graph()), edges(&current));
     }
+}
+
+/// Per site and in global ids, what a fragmentation holds: its edges,
+/// its live virtual nodes, and who subscribes to which in-node.
+#[allow(clippy::type_complexity)]
+fn fragments_by_id(
+    frag: &Fragmentation,
+) -> Vec<(
+    BTreeSet<(u32, u32)>,
+    BTreeSet<u32>,
+    BTreeMap<u32, Vec<usize>>,
+)> {
+    let views = frag.fragments().iter().map(|f| {
+        let id = |idx: u32| f.global_id(idx).0;
+        let edges = f
+            .local_indices()
+            .flat_map(|u| f.successors(u).iter().map(move |&t| (id(u), id(t))))
+            .collect();
+        let live = f
+            .virtual_indices()
+            .filter(|&i| f.is_live_virtual(i))
+            .map(id)
+            .collect();
+        let subscribers = f
+            .in_nodes()
+            .iter()
+            .enumerate()
+            .map(|(pos, &idx)| (id(idx), f.in_node_subscribers(pos).to_vec()))
+            .collect();
+        (edges, live, subscribers)
+    });
+    views.collect()
+}
+
+/// A retired generation's fragmentation becomes the next batch's
+/// buffers only when nobody else holds it. Held three ways across five
+/// batches — by a caller of `fragmentation()`, by a clone of the
+/// engine, by queries in flight on another thread — generation *g* is
+/// never written to; let go, the session goes back to recycling and
+/// stays exact. Nobody asks for the graph on the way, so what
+/// `graph()` returns at the end is derived from fifty batches of
+/// fragmentation updates alone.
+#[test]
+fn a_held_generation_is_never_recycled() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (n, k) = (300, 4);
+    let g = random::community(n, 5 * n, k, 0.1, 3, 7);
+    let assign = random::community_assignment(n, k);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+    let engine = SimEngine::builder(&g, frag).build();
+    let qs = distinct_cyclic_patterns(6, 3, 7);
+    for q in &qs {
+        engine.query(q).unwrap();
+    }
+    let mut mirror = g.clone();
+    let mut churn = Churn::new(7);
+    let mut step = |mirror: &mut Graph| {
+        let delta = churn.batch(mirror, 6);
+        let report = engine.apply_delta(&delta).unwrap();
+        assert_eq!(report.maintained_entries, qs.len());
+        *mirror = mutated(mirror, &delta);
+        for q in &qs {
+            let served = engine.query(q).unwrap();
+            assert_eq!(served.metrics.cache_hits, 1);
+            assert_eq!(served.relation, hhk_simulation(q, mirror).relation);
+        }
+    };
+    // Into the steady state: the built fragmentation is let go of and
+    // each generation is written over the one before the last.
+    for _ in 0..3 {
+        step(&mut mirror);
+    }
+
+    let at_g = mirror.clone();
+    let held = engine.fragmentation();
+    let clone = engine.clone();
+    let stop = AtomicBool::new(false);
+    let (started, has_started) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        // Cold queries, back to back: each loads a snapshot and runs
+        // `lEval` on its fragments while the writer swaps generations.
+        let reader = s.spawn(|| {
+            let mut answers = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                started.send(()).unwrap();
+                let report = engine.query_with(&Algorithm::Dgpms, &qs[0]).unwrap();
+                answers.push(report.relation);
+            }
+            answers
+        });
+        has_started.recv().unwrap();
+        let mut generations = vec![hhk_simulation(&qs[0], &mirror).relation];
+        for _ in 0..5 {
+            step(&mut mirror);
+            generations.push(hhk_simulation(&qs[0], &mirror).relation);
+        }
+        stop.store(true, Ordering::SeqCst);
+        // Every answer was computed at exactly one generation.
+        for answer in reader.join().unwrap() {
+            assert!(generations.contains(&answer));
+        }
+    });
+
+    let rebuilt = Fragmentation::build(&at_g, &assign, k);
+    assert_eq!(fragments_by_id(&held), fragments_by_id(&rebuilt));
+    assert_eq!((held.vf(), held.ef()), (rebuilt.vf(), rebuilt.ef()));
+    assert!(*clone.graph() == at_g);
+    for q in &qs {
+        // Evaluated on the clone's fragments, not served from the cache.
+        let cold = clone.query_with(&Algorithm::Dgpms, q).unwrap();
+        assert_eq!(cold.relation, hhk_simulation(q, &at_g).relation);
+    }
+
+    drop((held, clone));
+    for _ in 8..50 {
+        step(&mut mirror);
+    }
+    assert!(*engine.graph() == mirror);
 }
