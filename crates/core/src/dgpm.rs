@@ -88,7 +88,7 @@ pub enum QueryMode {
 }
 
 /// Configuration of the `dGPM` family.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DgpmConfig {
     /// Incremental local evaluation (§4.2 optimization 1). Off =
     /// `dGPMNOpt`: recompute the local fixpoint from scratch per batch.

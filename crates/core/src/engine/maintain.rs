@@ -1,0 +1,412 @@
+//! How a generation is replaced: [`SimEngine::apply_delta`] and
+//! [`SimEngine::cache_invalidate_all`], and what a handle carries
+//! from one batch to the next.
+
+use super::snapshot::GenSnapshot;
+use super::SimEngine;
+use crate::cache::{self, CachedResult};
+use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta, PatternTables};
+use crate::error::DgsError;
+use crate::plan::{EngineChoice, IncrementalNote};
+use dgs_net::{ExecutorKind, RunMetrics, SiteDeltaMetrics};
+use dgs_partition::{EdgeOp, Fragmentation, SpanLists};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
+
+/// Persistent maintenance state of one cached entry: the per-site HHK
+/// counter states, the pattern's tables (built once, shared by the
+/// sites of every run) and the cumulative incremental-leg accounting.
+#[derive(Debug)]
+struct MaintainedStates {
+    tables: Arc<PatternTables>,
+    sites: Vec<DeltaSiteState>,
+    note: IncrementalNote,
+}
+
+/// What [`SimEngine::apply_delta`] carries from one batch to the next
+/// under the writer lock; readers and engine clones see none of it.
+#[derive(Debug, Default)]
+pub(super) struct WriterState {
+    /// Maintenance states of the delta-maintained cache entries, keyed
+    /// by canonical pattern encoding (without the generation prefix —
+    /// the map itself is always current).
+    entries: HashMap<Vec<u32>, MaintainedStates>,
+    /// The last retired generation's fragmentation, if the swap found
+    /// nobody else holding it: the next generation's buffers.
+    spare: Option<Fragmentation>,
+    /// The session's one reverse adjacency per site, equal to the
+    /// current snapshot's whenever it is `Some`: the maintenance runs
+    /// of a batch take turns with it ([`delta::build_maintenance`]).
+    pred: Option<Vec<SpanLists<u32>>>,
+}
+
+impl SimEngine {
+    /// Drops every pattern-result cache entry **of this handle** (its
+    /// current generation) and moves it to a fresh generation, so
+    /// nothing computed before this call can be served from the cache
+    /// again. Entries stored by diverged clones under their own
+    /// generations are untouched — each handle can only ever see its
+    /// own generation's entries.
+    ///
+    /// Like [`Self::apply_delta`] this is a *writer*: it publishes a
+    /// fresh snapshot and never blocks in-flight queries, which keep
+    /// answering (and hitting the cache) at the generation they
+    /// loaded.
+    pub fn cache_invalidate_all(&self) {
+        let mut writer = self.writer.lock();
+        let snap = self.snapshot();
+        if let Some(cache) = &self.cache {
+            cache.lock().remove_with_prefix(&snap.gen_key(&[]));
+        }
+        writer.entries.clear();
+        let next = GenSnapshot {
+            generation: self.gen_alloc.fetch_add(1, Ordering::SeqCst),
+            frag: Arc::clone(&snap.frag),
+            graph: snap.graph.clone(),
+            facts: snap.facts.clone(),
+            compressed: snap.compressed.clone(),
+        };
+        *self.snap.lock() = Arc::new(next);
+    }
+
+    /// Absorbs a batch of edge updates into the session **in place**:
+    /// no re-partitioning, no session rebuild, no wholesale cache
+    /// flush.
+    ///
+    /// * The fragmentation is maintained incrementally
+    ///   ([`Fragmentation::apply_delta`]): each op routes to the
+    ///   fragment owning its source node, virtual nodes are
+    ///   created/retired and in-node subscriptions added/dropped as
+    ///   crossing edges appear and disappear.
+    /// * **Every non-empty batch** keeps the cached answers *valid*:
+    ///   each current-generation cache entry is promoted to
+    ///   distributed incremental maintenance and re-stored under the
+    ///   fresh generation with [`PlanExplanation::incremental`](crate::PlanExplanation::incremental)
+    ///   recording the leg. A follow-up query is a cache hit: zero
+    ///   full re-evaluations.
+    ///   - *Deletions* shrink the relation: each site replays the HHK
+    ///     counter update on its fragment ([`delta::DeltaSiteState`])
+    ///     and ships in-node falsifications to its subscribers exactly
+    ///     like dGPM data messages, and the revoked pairs leave the
+    ///     stored rows. A deletion-only batch runs just this phase.
+    ///   - *Insertions* grow it: the sites mark the affected area
+    ///     `AFF` — the label-compatible, currently *false* pairs that
+    ///     are backward-reachable, through pairs of the same kind,
+    ///     from the source of an inserted edge — flip exactly those
+    ///     pairs to true, and refine downward from the ones that lack
+    ///     support, with everything outside `AFF` frozen; survivors
+    ///     rejoin the stored rows. Cost follows `|AFF|`
+    ///     ([`SiteDeltaMetrics::affected_pairs`]), not the graph. An
+    ///     insertion-only batch passes through an empty deletion
+    ///     phase; a mixed batch composes both (deletions first, on the
+    ///     pre-insertion adjacency).
+    ///
+    /// The exact per-entry diffs land in
+    /// [`DeltaReport::maintained_diffs`] — the feed a live match
+    /// subscription pushes. The one exception to "everything
+    /// maintains": a `trivial-∅` entry whose pattern has nodes that
+    /// cannot reach a cycle of `Q`. Its stored `∅` rows are the
+    /// answer convention, **not** the maximum fixpoint (sink-reaching
+    /// nodes keep label-compatible matches on any graph), so an
+    /// insertion batch — which may close a graph cycle — has no
+    /// valid baseline to repair from. Such entries are dropped and
+    /// counted in [`DeltaReport::invalidated_entries`]; the next
+    /// query re-evaluates under fresh facts (and a live subscription
+    /// falls back to re-query + set-diff, staying exact).
+    ///
+    /// The compressed leg, if configured, is rebuilt by the first
+    /// query of the new generation that wants it.
+    ///
+    /// Ops already satisfied (inserting a present edge, deleting an
+    /// absent one) are skipped and counted in
+    /// [`DeltaReport::ignored`], which makes re-applying a delta a
+    /// no-op. An edge listed for both insertion and deletion, or one
+    /// referencing a node outside the graph, is
+    /// [`DgsError::InvalidDelta`].
+    ///
+    /// Deltas take `&self`: the next generation snapshot is built
+    /// entirely **off the read path** and published with a single
+    /// pointer swap, so in-flight queries keep answering at the
+    /// generation they loaded and never block behind this writer.
+    /// Concurrent writers on the same handle serialize against each
+    /// other. Its fragmentation is a copy of the current one, written
+    /// over the generation the last swap retired (**recycled**) when
+    /// nobody else — a reader, an engine clone, a caller of
+    /// [`Self::fragmentation`] — still held that, and cloned afresh
+    /// when somebody did. The graph mirror is derived lazily from it;
+    /// maintained entries share one reverse adjacency per site,
+    /// rewound between their runs.
+    ///
+    /// # Errors
+    /// [`DgsError::InvalidDelta`] as above; on a socket session, the
+    /// executor's error when re-shipping the graph to the workers
+    /// fails. Either way the call is a no-op: the generation, every
+    /// cached answer and the maintenance states behind them are what
+    /// they were, so the batch can be retried.
+    pub fn apply_delta(&self, delta: &GraphDelta) -> Result<DeltaReport, DgsError> {
+        // One writer at a time; readers keep serving the current
+        // snapshot untouched while this builds the next one.
+        let mut writer = self.writer.lock();
+        let snap = self.snapshot();
+        // Validate and normalize the batch. Presence checks go through
+        // the fragmentation (`O(log deg)` per op), so a delta never
+        // forces the graph mirror to materialize.
+        let n = snap.frag.assignment().len() as u32;
+        for &(u, v) in delta.insert_edges.iter().chain(&delta.delete_edges) {
+            if u.0 >= n || v.0 >= n {
+                return Err(DgsError::InvalidDelta {
+                    reason: format!("edge ({u}, {v}) references a node outside the {n}-node graph"),
+                });
+            }
+        }
+        let mut inserts = delta.insert_edges.clone();
+        inserts.sort_unstable();
+        inserts.dedup();
+        let mut deletes = delta.delete_edges.clone();
+        deletes.sort_unstable();
+        deletes.dedup();
+        if let Some(&(u, v)) = inserts.iter().find(|e| deletes.binary_search(e).is_ok()) {
+            return Err(DgsError::InvalidDelta {
+                reason: format!("edge ({u}, {v}) is listed for both insertion and deletion"),
+            });
+        }
+        let listed = inserts.len() + deletes.len();
+        inserts.retain(|&(u, v)| !snap.frag.has_edge(u, v));
+        deletes.retain(|&(u, v)| snap.frag.has_edge(u, v));
+
+        let mut report = DeltaReport {
+            inserted: inserts.len(),
+            deleted: deletes.len(),
+            ignored: listed - inserts.len() - deletes.len(),
+            crossing_inserted: 0,
+            crossing_deleted: 0,
+            virtuals_created: 0,
+            virtuals_retired: 0,
+            maintained_entries: 0,
+            invalidated_entries: 0,
+            revoked_pairs: 0,
+            resurrected_pairs: 0,
+            generation: snap.generation,
+            prev_generation: snap.generation,
+            metrics: RunMetrics::default(),
+            per_site: (0..snap.frag.num_sites())
+                .map(|site| SiteDeltaMetrics {
+                    site,
+                    ..SiteDeltaMetrics::default()
+                })
+                .collect(),
+            maintained_diffs: Vec::new(),
+        };
+        if inserts.is_empty() && deletes.is_empty() {
+            // Everything was already satisfied: the graph is unchanged,
+            // so the generation — and every cached answer — stays
+            // valid.
+            self.stats.add_deltas(1);
+            return Ok(report);
+        }
+        let old_prefix = snap.gen_key(&[]);
+
+        // Promote current-generation cache entries to maintenance —
+        // every batch shape is maintainable — building missing
+        // per-site counter states from the *pre-delta* fragments and
+        // the cached rows.
+        let mut promoted: Vec<(Vec<u32>, Arc<CachedResult>)> = Vec::new();
+        if let Some(cache) = &self.cache {
+            let entries = cache.lock().entries_with_prefix(&old_prefix);
+            let live: HashSet<&[u32]> = entries.iter().map(|(k, _)| &k[2..]).collect();
+            // States whose entry the LRU evicted have no rows left
+            // to maintain.
+            writer.entries.retain(|k, _| live.contains(k.as_slice()));
+            for (key, entry) in entries {
+                let canon_key = key[2..].to_vec();
+                // A `trivial-∅` entry stores the answer *convention*,
+                // not the maximum fixpoint. When every pattern node
+                // reaches a cycle of `Q` the two coincide (the
+                // fixpoint on an acyclic graph is genuinely empty)
+                // and the entry maintains like any other; otherwise
+                // sink-reaching nodes keep label-compatible matches
+                // the `∅` rows never held, so insertions — which may
+                // close a graph cycle — have no valid baseline to
+                // repair from. Drop the entry and let the next query
+                // re-evaluate under fresh facts.
+                if !inserts.is_empty()
+                    && entry.algorithm == EngineChoice::TriviallyEmpty.name()
+                    && !crate::plan::empty_rows_are_fixpoint(&cache::decode_pattern(&canon_key))
+                {
+                    writer.entries.remove(&canon_key);
+                    report.invalidated_entries += 1;
+                    continue;
+                }
+                if !writer.entries.contains_key(&canon_key) {
+                    let pattern = cache::decode_pattern(&canon_key);
+                    let sites = (0..snap.frag.num_sites())
+                        .map(|s| {
+                            DeltaSiteState::from_relation(&snap.frag, s, &pattern, &entry.rows)
+                        })
+                        .collect();
+                    writer.entries.insert(
+                        canon_key.clone(),
+                        MaintainedStates {
+                            tables: Arc::new(PatternTables::new(&pattern)),
+                            sites,
+                            note: IncrementalNote::default(),
+                        },
+                    );
+                }
+                promoted.push((canon_key, entry));
+            }
+        }
+
+        // Build the **next generation** entirely off the read path: a
+        // copy of the fragmentation with the ops applied — written
+        // over the last retired generation's buffers if the swap found
+        // them unshared, a deep clone (`clone_from` into an empty
+        // one) if not — no graph mirror, no facts and no compressed
+        // leg (all rebuilt lazily: a delete-heavy stream served from
+        // maintained entries never pays their `O(|G|)`).
+        let ops: Vec<EdgeOp> = inserts
+            .iter()
+            .map(|&(u, v)| EdgeOp::Insert(u, v))
+            .chain(deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)))
+            .collect();
+        let mut next_frag = writer.spare.take().unwrap_or_default();
+        next_frag.clone_from(&snap.frag);
+        let frag_stats = next_frag.apply_delta(&ops);
+        let next_frag = Arc::new(next_frag);
+        report.crossing_inserted = frag_stats.crossing_inserts;
+        report.crossing_deleted = frag_stats.crossing_deletes;
+        report.virtuals_created = frag_stats.virtuals_created;
+        report.virtuals_retired = frag_stats.virtuals_retired;
+        let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
+        report.generation = generation;
+        let next = Arc::new(GenSnapshot {
+            generation,
+            frag: Arc::clone(&next_frag),
+            graph: OnceLock::new(),
+            facts: OnceLock::new(),
+            compressed: OnceLock::new(),
+        });
+
+        // A socket session's workers were bootstrapped with the
+        // pre-delta graph: re-ship the session so later runs execute
+        // against the mutated graph (this derives the graph mirror —
+        // delta batches on socket sessions pay the reship).
+        // This is the only step that can fail after validation, so it
+        // runs before maintenance advances a counter state or stores
+        // a row: a failed delta is a no-op. The cluster
+        // generation flips **before** the snapshot publishes: in the
+        // window between the two, queries still on the old snapshot
+        // fall back to the in-process executor instead of running on
+        // the freshly re-shipped worker graph.
+        if let Some(cluster) = &self.cluster {
+            let blob = crate::remote::encode_bootstrap(&next.graph(), &next_frag);
+            cluster
+                .rebootstrap(&blob)
+                .map_err(|e| DgsError::from_exec("socket-cluster", e))?;
+            self.cluster_gen.store(generation, Ordering::SeqCst);
+        }
+
+        // Distributed incremental maintenance per cached entry:
+        // revoking the falsified pairs from the stored rows and
+        // re-inserting the resurrected ones keeps every entry exact,
+        // whatever the batch shape. The runs take turns with the
+        // session's one reverse adjacency and leave it post-delta,
+        // where the next batch needs it — unless this batch maintains
+        // nothing and moves the graph without it.
+        let mut pred = writer.pred.take().filter(|_| !promoted.is_empty());
+        for (canon_key, entry) in promoted {
+            let states = writer.entries.remove(&canon_key).expect("promoted above");
+            let lists = pred.unwrap_or_else(|| snap.frag.reverse_adjacency());
+            let (coord, sites) = delta::build_maintenance(
+                &next_frag,
+                &states.tables,
+                states.sites,
+                lists,
+                &deletes,
+                &inserts,
+            );
+            // Maintenance stays in-process even on socket sessions:
+            // the per-site counter states must come back into the
+            // session, and remote state does not.
+            let kind = match self.executor {
+                ExecutorKind::Socket => ExecutorKind::Virtual,
+                k => k,
+            };
+            let o = dgs_net::run(kind, &self.cost, coord, sites);
+            let mut rows = entry.rows.clone();
+            for var in &o.coordinator.revoked {
+                let row = &mut rows[var.q as usize];
+                if let Ok(pos) = row.binary_search(&var.node_id()) {
+                    row.remove(pos);
+                }
+            }
+            for var in &o.coordinator.resurrected {
+                let row = &mut rows[var.q as usize];
+                if let Err(pos) = row.binary_search(&var.node_id()) {
+                    row.insert(pos, var.node_id());
+                }
+            }
+            report.revoked_pairs += o.coordinator.revoked.len() as u64;
+            report.resurrected_pairs += o.coordinator.resurrected.len() as u64;
+            report.maintained_diffs.push(delta::MaintainedDiff {
+                canon_key: canon_key.clone(),
+                revoked: o.coordinator.revoked,
+                resurrected: o.coordinator.resurrected,
+            });
+            report.metrics.merge(&o.metrics);
+            let (sites_back, lists_back) = o
+                .sites
+                .into_iter()
+                .map(|site| {
+                    report.per_site[site.stats().site].merge(site.stats());
+                    site.into_parts()
+                })
+                .unzip();
+            pred = Some(lists_back);
+            let note = IncrementalNote {
+                deletions_absorbed: states.note.deletions_absorbed + deletes.len() as u64,
+                insertions_absorbed: states.note.insertions_absorbed + inserts.len() as u64,
+                maintenance_runs: states.note.maintenance_runs + 1,
+            };
+            let mut plan = entry.plan.clone();
+            if plan.incremental.is_none() {
+                plan.reasons.push(
+                    "maintained under edge updates by the distributed incremental \
+                     update (no full re-evaluation)"
+                        .into(),
+                );
+            }
+            plan.incremental = Some(note);
+            if let Some(cache) = &self.cache {
+                cache.lock().insert(
+                    next.gen_key(&canon_key),
+                    Arc::new(CachedResult {
+                        rows,
+                        algorithm: entry.algorithm,
+                        plan,
+                    }),
+                );
+            }
+            writer.entries.insert(
+                canon_key,
+                MaintainedStates {
+                    tables: states.tables,
+                    sites: sites_back,
+                    note,
+                },
+            );
+            report.maintained_entries += 1;
+        }
+        writer.pred = pred;
+
+        // Publish: a single pointer swap makes the next generation the
+        // one every subsequent query loads. The one it retires becomes
+        // the next batch's buffers if this handle was the last on it.
+        let retired = std::mem::replace(&mut *self.snap.lock(), next);
+        drop(snap);
+        writer.spare = Arc::into_inner(retired).and_then(|snap| Arc::into_inner(snap.frag));
+        self.stats.add_deltas(1);
+        Ok(report)
+    }
+}

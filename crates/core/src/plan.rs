@@ -11,6 +11,8 @@
 //! paper assumes small). [`Planner::plan`] combines the two into an
 //! [`EngineChoice`] with a human-readable [`PlanExplanation`].
 
+use crate::dgpm::DgpmConfig;
+use crate::engine::Algorithm;
 use crate::error::DgsError;
 use dgs_graph::algo::{strongly_connected_components, PatternView};
 use dgs_graph::generate::tree::is_rooted_tree;
@@ -125,8 +127,10 @@ pub(crate) fn empty_rows_are_fixpoint(q: &Pattern) -> bool {
     trimmed.iter().all(|t| !t)
 }
 
-/// The engine the planner resolved a query to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The engine a query resolved to — what runs. An [`Algorithm`] is
+/// what a caller may ask for; this is that minus `Auto`, plus the
+/// short-circuit only planning can reach.
+#[derive(Clone, Debug, PartialEq)]
 pub enum EngineChoice {
     /// Two-round tree algorithm (§5.2).
     Dgpmt,
@@ -135,23 +139,53 @@ pub enum EngineChoice {
     Dgpmd,
     /// The same engine on a cyclic pattern: SCC-stratified batching.
     Dgpms,
-    /// Fully asynchronous partition-bounded `dGPM` (§4).
-    Dgpm,
+    /// Fully asynchronous partition-bounded `dGPM` (§4). Only an
+    /// explicit request runs it: the planner's own choices win on
+    /// their bounds and on wall time.
+    Dgpm(DgpmConfig),
+    /// `Match`: ship everything to one site (§3.1).
+    MatchCentral,
+    /// `disHHK` \[25\].
+    DisHhk,
+    /// `dMes`: vertex-centric supersteps (§6 / \[14\]).
+    DMes,
     /// A cyclic pattern on an acyclic graph can never match: answer
     /// `∅` without any distributed work (§5.1's observation).
     TriviallyEmpty,
 }
 
 impl EngineChoice {
-    /// Display name matching the paper's legends.
-    pub fn name(self) -> &'static str {
+    /// Display name matching the paper's legends: the one table behind
+    /// [`Algorithm::name`], every report's and plan's `algorithm`, and
+    /// the engine named in a [`DgsError`].
+    pub fn name(&self) -> &'static str {
         match self {
-            EngineChoice::Dgpmt => "dGPMt",
-            EngineChoice::Dgpmd => "dGPMd",
-            EngineChoice::Dgpms => "dGPMs",
-            EngineChoice::Dgpm => "dGPM",
-            EngineChoice::TriviallyEmpty => "trivial-∅",
+            Self::Dgpmt => "dGPMt",
+            Self::Dgpmd => "dGPMd",
+            Self::Dgpms => "dGPMs",
+            Self::Dgpm(cfg) if !cfg.incremental => "dGPMNOpt",
+            Self::Dgpm(cfg) if cfg.push_threshold.is_none() => "dGPM-nopush",
+            Self::Dgpm(_) => "dGPM",
+            Self::MatchCentral => "Match",
+            Self::DisHhk => "disHHK",
+            Self::DMes => "dMes",
+            Self::TriviallyEmpty => "trivial-∅",
         }
+    }
+
+    /// The engine an explicit request names, preconditions not yet
+    /// checked; `None` for [`Algorithm::Auto`].
+    pub(crate) fn requested_by(algorithm: &Algorithm) -> Option<Self> {
+        Some(match algorithm {
+            Algorithm::Auto => return None,
+            Algorithm::Dgpm(cfg) => Self::Dgpm(cfg.clone()),
+            Algorithm::Dgpmd => Self::Dgpmd,
+            Algorithm::Dgpms => Self::Dgpms,
+            Algorithm::Dgpmt => Self::Dgpmt,
+            Algorithm::MatchCentral => Self::MatchCentral,
+            Algorithm::DisHhk => Self::DisHhk,
+            Algorithm::DMes => Self::DMes,
+        })
     }
 }
 
@@ -323,40 +357,57 @@ impl Planner {
     /// returning the precondition violation if any.
     pub fn check_explicit(
         &self,
-        choice: EngineChoice,
+        choice: &EngineChoice,
         g: &GraphFacts,
         q: &PatternFacts,
     ) -> Result<(), DgsError> {
         self.validate_pattern(q)?;
+        let unsupported = |reason: &str| {
+            Err(DgsError::Unsupported {
+                algorithm: choice.name(),
+                reason: reason.into(),
+            })
+        };
         match choice {
-            EngineChoice::Dgpmt => {
-                if !g.is_rooted_tree {
-                    return Err(DgsError::Unsupported {
-                        algorithm: "dGPMt",
-                        reason: "dGPMt requires a rooted tree graph".into(),
-                    });
-                }
-                if !g.fragments_connected {
-                    return Err(DgsError::Unsupported {
-                        algorithm: "dGPMt",
-                        reason: "dGPMt requires connected fragments \
-                                 (some fragment has more than one in-node)"
-                            .into(),
-                    });
-                }
-                Ok(())
+            EngineChoice::Dgpmt if !g.is_rooted_tree => {
+                unsupported("dGPMt requires a rooted tree graph")
             }
-            EngineChoice::Dgpmd => {
-                if !q.is_dag && !g.is_dag {
-                    return Err(DgsError::Unsupported {
-                        algorithm: "dGPMd",
-                        reason: "dGPMd requires a DAG pattern or a DAG graph".into(),
-                    });
-                }
-                Ok(())
+            EngineChoice::Dgpmt if !g.fragments_connected => unsupported(
+                "dGPMt requires connected fragments (some fragment has more than one in-node)",
+            ),
+            EngineChoice::Dgpmd if !q.is_dag && !g.is_dag => {
+                unsupported("dGPMd requires a DAG pattern or a DAG graph")
             }
             _ => Ok(()),
         }
+    }
+
+    /// Resolves an explicit request: the engine checked against the
+    /// facts, or `trivial-∅` where the request is for an engine that
+    /// only schedules DAG patterns and the pattern is cyclic — on the
+    /// acyclic graph both are for, that cannot match (§5.1).
+    pub(crate) fn plan_explicit(
+        &self,
+        choice: EngineChoice,
+        g: &GraphFacts,
+        q: &PatternFacts,
+    ) -> Result<(EngineChoice, PlanExplanation), DgsError> {
+        self.check_explicit(&choice, g, q)?;
+        let acyclic = match choice {
+            EngineChoice::Dgpmt => Some("a tree"),
+            EngineChoice::Dgpmd if g.is_dag => Some("an acyclic graph"),
+            _ => None,
+        };
+        let Some(on) = acyclic.filter(|_| !q.is_dag) else {
+            let plan = PlanExplanation::forced(choice.name());
+            return Ok((choice, plan));
+        };
+        let mut plan = PlanExplanation::forced(EngineChoice::TriviallyEmpty.name());
+        plan.reasons.push(format!(
+            "{} requested with a cyclic pattern on {on}: Q(G) = ∅",
+            choice.name()
+        ));
+        Ok((EngineChoice::TriviallyEmpty, plan))
     }
 }
 
@@ -447,20 +498,21 @@ mod tests {
         let qf = PatternFacts::compute(&patterns::random_cyclic(3, 5, 4, 6));
         let p = Planner;
         assert!(matches!(
-            p.check_explicit(EngineChoice::Dgpmd, &gf, &qf),
+            p.check_explicit(&EngineChoice::Dgpmd, &gf, &qf),
             Err(DgsError::Unsupported {
                 algorithm: "dGPMd",
                 ..
             })
         ));
         assert!(matches!(
-            p.check_explicit(EngineChoice::Dgpmt, &gf, &qf),
+            p.check_explicit(&EngineChoice::Dgpmt, &gf, &qf),
             Err(DgsError::Unsupported {
                 algorithm: "dGPMt",
                 ..
             })
         ));
-        assert!(p.check_explicit(EngineChoice::Dgpms, &gf, &qf).is_ok());
-        assert!(p.check_explicit(EngineChoice::Dgpm, &gf, &qf).is_ok());
+        assert!(p.check_explicit(&EngineChoice::Dgpms, &gf, &qf).is_ok());
+        let dgpm = EngineChoice::requested_by(&Algorithm::dgpm()).unwrap();
+        assert!(p.check_explicit(&dgpm, &gf, &qf).is_ok());
     }
 }

@@ -36,16 +36,14 @@
 //! stragglers are cut — or SIGKILL; a stale Unix socket file is
 //! reclaimed on the next start.
 
-use dgs_core::{CompressionMethod, SimEngine};
+use dgs_core::SimEngine;
 use dgs_graph::io as gio;
 use dgs_net::LogLevel;
-use dgs_partition::{bfs_partition, hash_partition, ldg_partition, tree_partition, Fragmentation};
-use dgs_serve::{ServeAddr, Server, ServerConfig};
+use dgs_serve::{ServeAddr, Server, ServerConfig, SessionOptions};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::exit;
-use std::sync::Arc;
 
 fn fail(msg: &str) -> ! {
     eprintln!("dgsd: {msg}");
@@ -135,42 +133,14 @@ fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
 
 /// Loads a graph file and builds one serving session from the shared
 /// CLI options (partitioner, cache, compression).
-fn build_engine(
-    graph_path: &str,
-    flags: &HashMap<String, String>,
-) -> (dgs_graph::Graph, SimEngine) {
+fn build_engine(graph_path: &str, options: &SessionOptions) -> (dgs_graph::Graph, SimEngine) {
     let f =
         File::open(graph_path).unwrap_or_else(|e| fail(&format!("cannot open {graph_path}: {e}")));
     let g = gio::read_graph_auto(BufReader::new(f))
         .unwrap_or_else(|e| fail(&format!("{graph_path}: {e}")));
-
-    let k: usize = num(flags, "sites", 4);
-    let seed: u64 = num(flags, "seed", 1);
-    if k == 0 {
-        fail("--sites must be >= 1");
-    }
-    let assignment = match flags.get("partition").map(String::as_str).unwrap_or("hash") {
-        "hash" => hash_partition(g.node_count(), k, seed),
-        "bfs" => bfs_partition(&g, k, seed),
-        "ldg" => ldg_partition(&g, k, 0.1, seed),
-        "tree" => tree_partition(&g, k),
-        other => fail(&format!("unknown partitioner '{other}'")),
-    };
-    let frag = Arc::new(Fragmentation::build(&g, &assignment, k));
-    let mut builder = SimEngine::builder(&g, frag).cache_capacity(num(flags, "cache", 128));
-    if let Some(method) = flags.get("compress") {
-        builder = builder.compress(match method.as_str() {
-            "simeq" => {
-                if g.node_count() > 20_000 {
-                    fail("simeq compression holds an O(|V|^2) table; use --compress bisim for graphs this large");
-                }
-                CompressionMethod::SimEq
-            }
-            "bisim" => CompressionMethod::Bisim,
-            other => fail(&format!("unknown compression method '{other}'")),
-        });
-        builder = builder.compression_threshold(num(flags, "compress-threshold", 0.5));
-    }
+    let builder = options
+        .engine_builder(&g)
+        .unwrap_or_else(|e| fail(&format!("{graph_path}: {e}")));
     let engine = builder.build();
     (g, engine)
 }
@@ -200,8 +170,9 @@ fn main() {
         .get("graph")
         .unwrap_or_else(|| fail("--graph required"));
 
-    let (g, engine) = build_engine(graph_path, &flags);
-    let k: usize = num(&flags, "sites", 4);
+    let options = SessionOptions::from_flags(&flags).unwrap_or_else(|e| fail(&e));
+    let (g, engine) = build_engine(graph_path, &options);
+    let k = options.sites;
 
     let metrics_enabled = match flags.get("metrics").map(String::as_str) {
         None | Some("on") => true,
@@ -251,7 +222,7 @@ fn main() {
                     "--sessions: '{name}' is not a usable session name"
                 ));
             }
-            let (sg, sengine) = build_engine(path, &flags);
+            let (sg, sengine) = build_engine(path, &options);
             sessions.insert(name, sengine);
             println!(
                 "dgsd: session '{name}' <- {path} (|V| = {}, |E| = {})",

@@ -18,7 +18,7 @@
 //! | [`proto`] | [`Request`]/[`Response`] frames, [`Answer`], version handshake |
 //! | [`transport`] | [`ServeAddr`] (`tcp:`/`unix:` spellings), stream + listener |
 //! | [`poll`] | the `poll(2)` readiness shim + self-pipe waker (std only) |
-//! | [`session`] | [`SessionManager`]: named sessions, routing, fan-out merge |
+//! | [`session`] | [`SessionManager`]: named sessions, routing, fan-out merge; the one session recipe ([`SessionOptions::engine_builder`]) |
 //! | [`server`] | [`Server`]: readiness-loop daemon core (event thread + worker pool) with pipelining, admission control and drain shutdown |
 //! | [`client`] | [`DgsClient`]: the typed client — blocking calls or pipelined submit/await |
 //! | [`load`] | [`run_load`]: open-/closed-loop traffic generation |
@@ -89,5 +89,5 @@ pub use proto::{
     WireTrace, WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use session::{merge_answers, Route, SessionManager, DEFAULT_SESSION};
+pub use session::{merge_answers, Route, SessionManager, DEFAULT_SESSION, SIMEQ_MAX_NODES};
 pub use transport::{Conn, Listener, ServeAddr};

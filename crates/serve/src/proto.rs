@@ -19,7 +19,7 @@
 use crate::error::{ErrorCode, ServeError};
 use crate::wire::{put_bytes, put_f64, put_str, put_u16, put_u8, put_varint, Reader};
 use dgs_core::{Algorithm, CompressionMethod};
-use dgs_graph::{io as gio, Graph, NodeId, Pattern};
+use dgs_graph::{io as gio, Graph, NodeId, Pattern, QNodeId};
 use dgs_net::{HistogramSummary, MetricsSnapshot, RunMetrics};
 use dgs_sim::MatchRelation;
 
@@ -395,6 +395,14 @@ impl WireMetrics {
             cache_hits,
         })
     }
+}
+
+/// A relation as wire rows: each query node's sorted matches, in node
+/// order — what an [`Answer`] ships and a subscription keeps.
+pub fn rows_of(relation: &MatchRelation) -> Vec<Vec<u32>> {
+    let row = |u| relation.matches_of(QNodeId(u)).iter().map(|v| v.0);
+    let nodes = 0..relation.query_nodes() as u16;
+    nodes.map(|u| row(u).collect()).collect()
 }
 
 /// One query's answer as it travels on the wire.

@@ -44,11 +44,11 @@
 //! can re-subscribe for a fresh snapshot. Memory stays bounded no
 //! matter how slow the peer is.
 
-use crate::proto::{MatchDiff, Response, SubEventKind, WireAlgorithm};
+use crate::proto::{rows_of, MatchDiff, Response, SubEventKind, WireAlgorithm};
 use crate::wire::{encode_frame_into, CONN_LEVEL_ID};
 use dgs_core::delta::MaintainedDiff;
 use dgs_core::{DgsError, SimEngine};
-use dgs_graph::{Pattern, QNodeId};
+use dgs_graph::Pattern;
 use dgs_net::{Counter, Gauge};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -173,16 +173,7 @@ impl SubscriptionRegistry {
         // set edits check presence) instead of being missed.
         let label = engine.generation();
         let report = engine.query_with(&algorithm.to_algorithm(), pattern)?;
-        let rows: Vec<Vec<u32>> = (0..report.relation.query_nodes())
-            .map(|u| {
-                report
-                    .relation
-                    .matches_of(QNodeId(u as u16))
-                    .iter()
-                    .map(|v| v.0)
-                    .collect()
-            })
-            .collect();
+        let rows = rows_of(&report.relation);
         let (canon_key, pos_of) = SimEngine::pattern_canon(pattern);
         let mut node_at = vec![0u16; pos_of.len()];
         for (u, &p) in pos_of.iter().enumerate() {
@@ -321,13 +312,8 @@ impl SubscriptionRegistry {
     /// to notify — the socket is gone).
     pub fn drop_conn(&self, conn_id: u64) {
         let mut g = self.inner.lock();
-        let ids = g.by_conn.remove(&conn_id).unwrap_or_default();
-        for id in ids {
-            if let Some(sub) = g.subs.remove(&id) {
-                if let Some(chain) = g.by_session.get_mut(&sub.session) {
-                    chain.ids.retain(|&i| i != id);
-                }
-            }
+        for id in g.by_conn.remove(&conn_id).unwrap_or_default() {
+            g.remove_sub(id);
         }
         self.sync_active(&g);
     }
@@ -440,41 +426,22 @@ impl Inner {
         obs: &SubObs,
         dirty: &mut Vec<u64>,
     ) {
-        let mut overflowed_session = None;
-        {
-            let Some(sub) = self.subs.get_mut(&sub_id) else {
-                return;
-            };
-            if sub.dead {
-                return;
-            }
-            if sub.queue.len() >= max_queue {
-                // The subscriber stopped reading: discard the backlog,
-                // leave one terminal Overflow event, and stop tracking
-                // the subscription in its session chain.
-                sub.queue.clear();
-                sub.queue.push_back(encode_push(&Response::SubEvent {
-                    sub_id,
-                    kind: SubEventKind::Overflow,
-                }));
-                sub.dead = true;
-                obs.overflows.inc();
-                overflowed_session = Some(sub.session.clone());
-            } else {
-                sub.queue.push_back(frame);
-                obs.pushed.inc();
-            }
-            dirty.push(sub.conn_id);
+        let Some(sub) = self.subs.get_mut(&sub_id).filter(|sub| !sub.dead) else {
+            return;
+        };
+        if sub.queue.len() >= max_queue {
+            // The subscriber stopped reading: discard the backlog and
+            // leave one terminal Overflow event.
+            obs.overflows.inc();
+            return self.kill_sub(sub_id, SubEventKind::Overflow, dirty);
         }
-        if let Some(session) = overflowed_session {
-            if let Some(chain) = self.by_session.get_mut(&session) {
-                chain.ids.retain(|&i| i != sub_id);
-            }
-        }
+        sub.queue.push_back(frame);
+        obs.pushed.inc();
+        dirty.push(sub.conn_id);
     }
 
     /// Terminates `sub_id` with `kind`, leaving the event as the only
-    /// queued frame.
+    /// queued frame, and stops tracking it in its session chain.
     fn kill_sub(&mut self, sub_id: u64, kind: SubEventKind, dirty: &mut Vec<u64>) {
         let session;
         {
@@ -540,39 +507,12 @@ impl Inner {
                 sub.generation = digest.generation;
                 (added, removed)
             }
+            // No maintained entry for this pattern (evicted, or a
+            // non-Auto algorithm that never cached): re-query and
+            // set-diff. A cache hit when maintenance kept the entry; a
+            // recompute otherwise.
             None => {
-                // No maintained entry for this pattern (evicted, or a
-                // non-Auto algorithm that never cached): re-query and
-                // set-diff. A cache hit when maintenance kept the
-                // entry; a recompute otherwise.
-                let algorithm = sub.algorithm;
-                let pattern = sub.pattern.clone();
-                match engine.query_with(&algorithm.to_algorithm(), &pattern) {
-                    Ok(report) => {
-                        let sub = self.subs.get_mut(&sub_id).expect("sub exists");
-                        let fresh: Vec<Vec<u32>> = (0..report.relation.query_nodes())
-                            .map(|u| {
-                                report
-                                    .relation
-                                    .matches_of(QNodeId(u as u16))
-                                    .iter()
-                                    .map(|v| v.0)
-                                    .collect()
-                            })
-                            .collect();
-                        let (added, removed) = rows_diff(&sub.rows, &fresh);
-                        sub.rows = fresh;
-                        sub.generation = digest.generation;
-                        (added, removed)
-                    }
-                    Err(_) => {
-                        // The engine refused the re-query (pattern no
-                        // longer supported, executor failure): the
-                        // stream can't stay exact — terminate it.
-                        self.kill_sub(sub_id, SubEventKind::Overflow, dirty);
-                        return;
-                    }
-                }
+                return self.resync_sub(sub_id, digest.generation, engine, max_queue, obs, dirty)
             }
         };
         if added.is_empty() && removed.is_empty() {
@@ -589,8 +529,9 @@ impl Inner {
         self.enqueue(sub_id, frame, max_queue, obs, dirty);
     }
 
-    /// Chain-stall recovery: re-query one subscription and emit the
-    /// set-diff against its rows.
+    /// Brings one subscription to `generation` without a maintained
+    /// diff (its entry was not maintained, or the chain stalled):
+    /// re-query and emit the set-diff against its rows.
     fn resync_sub(
         &mut self,
         sub_id: u64,
@@ -611,16 +552,7 @@ impl Inner {
         match engine.query_with(&algorithm.to_algorithm(), &pattern) {
             Ok(report) => {
                 let sub = self.subs.get_mut(&sub_id).expect("sub exists");
-                let fresh: Vec<Vec<u32>> = (0..report.relation.query_nodes())
-                    .map(|u| {
-                        report
-                            .relation
-                            .matches_of(QNodeId(u as u16))
-                            .iter()
-                            .map(|v| v.0)
-                            .collect()
-                    })
-                    .collect();
+                let fresh = rows_of(&report.relation);
                 let (added, removed) = rows_diff(&sub.rows, &fresh);
                 sub.rows = fresh;
                 sub.generation = generation;
@@ -635,6 +567,9 @@ impl Inner {
                 }));
                 self.enqueue(sub_id, frame, max_queue, obs, dirty);
             }
+            // The engine refused the re-query (pattern no longer
+            // supported, executor failure): the stream can't stay
+            // exact — terminate it.
             Err(_) => self.kill_sub(sub_id, SubEventKind::Overflow, dirty),
         }
     }
@@ -710,17 +645,7 @@ mod tests {
     }
 
     fn fresh_rows(engine: &SimEngine, q: &Pattern) -> Vec<Vec<u32>> {
-        let report = engine.query(q).expect("query");
-        (0..report.relation.query_nodes())
-            .map(|u| {
-                report
-                    .relation
-                    .matches_of(QNodeId(u as u16))
-                    .iter()
-                    .map(|v| v.0)
-                    .collect()
-            })
-            .collect()
+        rows_of(&engine.query(q).expect("query").relation)
     }
 
     /// Decodes one registry frame (`[len][ty][varint 0][body]`) into

@@ -3,9 +3,10 @@
 //! The actual implementation lives in [`dgs_net::wire`] — it moved
 //! down a layer so the cross-process `SocketExecutor` site frames and
 //! the serving protocol share one set of codecs (and one set of
-//! bounds checks). This module keeps the serving layer's historical
-//! API: the same functions and [`Reader`], with every decode failure
-//! surfaced as a typed [`ServeError`].
+//! bounds checks). This module re-exports them, maps a
+//! [`FrameError`] to the serving layer's typed [`ServeError`] (so a
+//! [`Reader`] call followed by `?` decodes into one), and adds the
+//! request-id framing on top.
 //!
 //! Every message travels as one **frame**:
 //!
@@ -19,10 +20,11 @@
 
 use crate::error::ServeError;
 use dgs_net::wire::{self, FrameError};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 pub use dgs_net::wire::{
-    put_bytes, put_f64, put_str, put_u16, put_u8, put_varint, FrameBuffer, MAX_FRAME,
+    put_bytes, put_f64, put_str, put_u16, put_u8, put_varint, write_frame, FrameBuffer, Reader,
+    MAX_FRAME,
 };
 
 impl From<FrameError> for ServeError {
@@ -33,11 +35,6 @@ impl From<FrameError> for ServeError {
             FrameError::TooLarge { len, max } => ServeError::FrameTooLarge { len, max },
         }
     }
-}
-
-/// Writes one frame; see [`dgs_net::wire::write_frame`].
-pub fn write_frame<W: Write>(w: &mut W, ty: u8, payload: &[u8]) -> io::Result<()> {
-    wire::write_frame(w, ty, payload)
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF **before** the first
@@ -132,73 +129,10 @@ pub const CONN_LEVEL_ID: u64 = 0;
 /// Splits the varint request-id prefix off a frame payload,
 /// returning `(id, rest-of-payload)`.
 pub fn split_request_id(payload: &[u8]) -> Result<(u64, &[u8]), ServeError> {
-    let mut r = wire::Reader::new(payload);
-    let id = r.varint("request id").map_err(ServeError::from)?;
+    let mut r = Reader::new(payload);
+    let id = r.varint("request id")?;
     let rest = &payload[payload.len() - r.remaining()..];
     Ok((id, rest))
-}
-
-/// A bounds-checked cursor over one received payload; every accessor
-/// returns a typed [`ServeError`] on truncation.
-pub struct Reader<'a> {
-    inner: wire::Reader<'a>,
-}
-
-impl<'a> Reader<'a> {
-    /// A cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader {
-            inner: wire::Reader::new(buf),
-        }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.inner.remaining()
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8, ServeError> {
-        self.inner.u8(what).map_err(ServeError::from)
-    }
-
-    /// Fixed u16, little-endian.
-    pub fn u16(&mut self, what: &str) -> Result<u16, ServeError> {
-        self.inner.u16(what).map_err(ServeError::from)
-    }
-
-    /// IEEE-754 `f64`, little-endian bits.
-    pub fn f64(&mut self, what: &str) -> Result<f64, ServeError> {
-        self.inner.f64(what).map_err(ServeError::from)
-    }
-
-    /// LEB128 varint.
-    pub fn varint(&mut self, what: &str) -> Result<u64, ServeError> {
-        self.inner.varint(what).map_err(ServeError::from)
-    }
-
-    /// A varint that must fit a `usize` count bounded by what the
-    /// payload could possibly hold (one byte per element minimum) —
-    /// the guard that keeps corrupt counts from driving allocations.
-    pub fn count(&mut self, what: &str) -> Result<usize, ServeError> {
-        self.inner.count(what).map_err(ServeError::from)
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn bytes(&mut self, what: &str) -> Result<&'a [u8], ServeError> {
-        self.inner.bytes(what).map_err(ServeError::from)
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str_(&mut self, what: &str) -> Result<String, ServeError> {
-        self.inner.str_(what).map_err(ServeError::from)
-    }
-
-    /// Asserts the payload was fully consumed (trailing bytes are a
-    /// protocol violation, they would hide framing bugs).
-    pub fn finish(self, what: &str) -> Result<(), ServeError> {
-        self.inner.finish(what).map_err(ServeError::from)
-    }
 }
 
 #[cfg(test)]
@@ -236,33 +170,5 @@ mod tests {
                 "prefix {len}: {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn varint_roundtrip_and_overflow() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut r = Reader::new(&buf);
-            assert_eq!(r.varint("v").unwrap(), v);
-            r.finish("v").unwrap();
-        }
-        // 10 continuation bytes with a large final byte overflow u64.
-        let bad = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
-        assert!(Reader::new(&bad).varint("v").is_err());
-    }
-
-    #[test]
-    fn reader_guards_counts_and_trailing_bytes() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 1_000_000); // count far beyond the payload
-        assert!(Reader::new(&buf).count("items").is_err());
-
-        let mut buf = Vec::new();
-        put_str(&mut buf, "ok");
-        buf.push(0xaa);
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.str_("s").unwrap(), "ok");
-        assert!(r.finish("s").is_err());
     }
 }

@@ -72,16 +72,14 @@
 //! so the cache-hit and maintenance accounting (pairs revoked,
 //! resurrected, and affected) is visible.
 
-use dgs::core::{Algorithm, CompressionMethod, GraphDelta, SimEngine};
+use dgs::core::{Algorithm, GraphDelta, SimEngine};
 use dgs::graph::{io, Graph, NodeId, Pattern};
 use dgs::net::{ExecutorKind, SocketConfig};
-use dgs::partition::{bfs_partition, hash_partition, tree_partition, Fragmentation};
-use dgs::serve::{DgsClient, ServeAddr, SessionOptions, WireAlgorithm, WirePartitioner};
+use dgs::serve::{DgsClient, ServeAddr, SessionOptions, WireAlgorithm, SIMEQ_MAX_NODES};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::exit;
-use std::sync::Arc;
 
 fn fail(msg: &str) -> ! {
     eprintln!("dgsq: {msg}");
@@ -284,25 +282,10 @@ fn reject_session_without_remote(flags: &HashMap<String, String>) {
     }
 }
 
-/// The session-build options shared by `generate --remote` and
-/// `session --create`.
+/// The session-build options shared by `query`, `generate --remote`
+/// and `session --create`.
 fn session_options(flags: &HashMap<String, String>) -> SessionOptions {
-    let partitioner = get(flags, "partition").unwrap_or("hash");
-    let compression = match get(flags, "compress") {
-        None => None,
-        Some("simeq") => Some(CompressionMethod::SimEq),
-        Some("bisim") => Some(CompressionMethod::Bisim),
-        Some(other) => fail(&format!("unknown compression method '{other}'")),
-    };
-    SessionOptions {
-        sites: num(flags, "sites", 4),
-        partitioner: WirePartitioner::parse(partitioner)
-            .unwrap_or_else(|| fail(&format!("unknown partitioner '{partitioner}'"))),
-        seed: num(flags, "seed", 1),
-        cache_capacity: num(flags, "cache", 128),
-        compression,
-        compression_threshold: num(flags, "compress-threshold", 0.5),
-    }
+    SessionOptions::from_flags(flags).unwrap_or_else(|e| fail(&e))
 }
 
 /// Rejects session-building flags that have no effect against a
@@ -728,28 +711,7 @@ fn cmd_query(flags: &HashMap<String, String>) {
     }
     reject_session_without_remote(flags);
     let g = load_graph(get(flags, "graph").unwrap_or_else(|| fail("--graph required")));
-    let k: usize = num(flags, "sites", 4);
-    let seed: u64 = num(flags, "seed", 1);
-    let algo = match get(flags, "algorithm").unwrap_or("auto") {
-        "auto" => Algorithm::Auto,
-        "dgpm" => Algorithm::dgpm(),
-        "dgpm-nopt" => Algorithm::dgpm_nopt(),
-        "dgpms" => Algorithm::Dgpms,
-        "dgpmd" => Algorithm::Dgpmd,
-        "dgpmt" => Algorithm::Dgpmt,
-        "match" => Algorithm::MatchCentral,
-        "dishhk" => Algorithm::DisHhk,
-        "dmes" => Algorithm::DMes,
-        other => fail(&format!("unknown algorithm '{other}'")),
-    };
-    let assignment = match get(flags, "partition").unwrap_or("hash") {
-        "hash" => hash_partition(g.node_count(), k, seed),
-        "bfs" => bfs_partition(&g, k, seed),
-        "ldg" => dgs::partition::ldg_partition(&g, k, 0.1, seed),
-        "tree" => tree_partition(&g, k),
-        other => fail(&format!("unknown partitioner '{other}'")),
-    };
-    let frag = Arc::new(Fragmentation::build(&g, &assignment, k));
+    let algo = wire_algorithm(flags).to_algorithm();
     let executor = get(flags, "executor").unwrap_or("virtual");
     if !matches!(executor, "virtual" | "threaded" | "socket") {
         fail(&format!("unknown executor '{executor}'"));
@@ -759,29 +721,13 @@ fn cmd_query(flags: &HashMap<String, String>) {
     }
     // Load the fragmented graph into a session once; queries reuse the
     // cached structural facts (and, with --compress, the quotient Gc).
-    let mut builder = SimEngine::builder(&g, Arc::clone(&frag));
+    let options = session_options(flags);
+    let k = options.sites;
+    let mut builder = options.engine_builder(&g).unwrap_or_else(|e| fail(&e));
     match executor {
         "virtual" => builder = builder.executor(ExecutorKind::Virtual),
         "threaded" => builder = builder.executor(ExecutorKind::Threaded),
         _ => {} // socket: set by build_socket below
-    }
-    if flags.contains_key("cache") {
-        builder = builder.cache_capacity(num(flags, "cache", 128));
-    }
-    if let Some(method) = get(flags, "compress") {
-        builder = builder.compress(match method {
-            "simeq" => {
-                if g.node_count() > 20_000 {
-                    fail("simeq compression holds an O(|V|^2) table; use --compress bisim for graphs this large");
-                }
-                CompressionMethod::SimEq
-            }
-            "bisim" => CompressionMethod::Bisim,
-            other => fail(&format!("unknown compression method '{other}'")),
-        });
-    }
-    if flags.contains_key("compress-threshold") {
-        builder = builder.compression_threshold(num(flags, "compress-threshold", 0.5));
     }
     if flags.contains_key("parallel") {
         builder = builder.batch_workers(num(flags, "parallel", 0));
@@ -1010,7 +956,7 @@ fn cmd_compress(flags: &HashMap<String, String>) {
     let method = get(flags, "method").unwrap_or("bisim");
     let c = match method {
         "simeq" => {
-            if g.node_count() > 20_000 {
+            if g.node_count() > SIMEQ_MAX_NODES {
                 fail("simeq compression holds an O(|V|^2) table; use --method bisim for graphs this large");
             }
             compress_simeq(&g)

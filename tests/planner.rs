@@ -145,6 +145,74 @@ proptest! {
         prop_assert_eq!(bv.is_match, virt.query(&q).unwrap().is_match);
         prop_assert_eq!(bv.is_match, hhk_simulation(&q, &g).relation.is_total());
     }
+
+    /// The identity `query_boolean_with` rests on: a Boolean query is
+    /// the data-selecting one without its rows — same verdict, engine,
+    /// plan and metrics, for `Auto` and every explicit engine that
+    /// applies. The exception is an explicit `dGPM`, whose sites ship
+    /// the same data and then a 9-byte verdict each (§4.1).
+    #[test]
+    fn boolean_query_is_the_query_without_rows(
+        shape in 0usize..3,
+        n in 20usize..100,
+        k in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (g, assign, q) = match shape {
+            0 => {
+                let g = tree::random_tree(n, 4, seed);
+                let assign = tree_partition(&g, k);
+                (g, assign, patterns::random_dag_with_depth(3, 4, 2, 4, seed ^ 0x51))
+            }
+            1 => (
+                dag::citation_like(n, 2 * n, 4, seed),
+                hash_partition(n, k, seed),
+                patterns::random_dag_with_depth(3, 5, 2, 4, seed ^ 0x53),
+            ),
+            _ => (
+                random::uniform(n, 3 * n, 3, seed),
+                hash_partition(n, k, seed),
+                patterns::random_cyclic(3, 5, 3, seed ^ 0x55),
+            ),
+        };
+        let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        for algorithm in [
+            Algorithm::Auto,
+            Algorithm::Dgpmd,
+            Algorithm::Dgpms,
+            Algorithm::Dgpmt,
+            Algorithm::MatchCentral,
+            Algorithm::DisHhk,
+            Algorithm::DMes,
+            Algorithm::dgpm(),
+            Algorithm::dgpm_nopt(),
+            Algorithm::dgpm_incremental_only(),
+        ] {
+            let boolean = engine.query_boolean_with(&algorithm, &q);
+            let full = match engine.query_with(&algorithm, &q) {
+                Ok(full) => full,
+                // Not applicable to this input: refused alike.
+                Err(e) => {
+                    prop_assert_eq!(boolean.unwrap_err(), e);
+                    continue;
+                }
+            };
+            let boolean = boolean.unwrap();
+            prop_assert_eq!(boolean.is_match, full.is_match);
+            if let Algorithm::Dgpm(_) = algorithm {
+                prop_assert_eq!(boolean.metrics.data_bytes, full.metrics.data_bytes);
+                prop_assert_eq!(boolean.metrics.result_bytes, 9 * k as u64);
+                continue;
+            }
+            prop_assert_eq!(boolean.algorithm, full.algorithm);
+            prop_assert_eq!(boolean.plan.to_string(), full.plan.to_string());
+            let (mut b, mut f) = (boolean.metrics, full.metrics);
+            b.wall_time = std::time::Duration::ZERO;
+            f.wall_time = std::time::Duration::ZERO;
+            prop_assert_eq!(b, f);
+        }
+    }
 }
 
 /// The 10-pattern batch acceptance scenario: one engine build, ten

@@ -8,14 +8,15 @@
 use dgs::core::{GraphDelta, SimEngine};
 use dgs::graph::generate::{patterns, random};
 use dgs::prelude::*;
-use dgs::serve::proto::frame;
+use dgs::serve::proto::{frame, rows_of};
 use dgs::serve::wire::{
     encode_frame_into, put_varint, read_frame, split_request_id, write_frame, FrameReader,
 };
 use dgs::serve::{
     run_conn_sweep, Answer, Conn, ConnSweepConfig, DgsClient, ErrorCode, MatchDiff, Request,
     Response, ServeError, Server, ServerConfig, SessionInfo, SessionOptions, SubEventKind,
-    SubscriptionEvent, WireAlgorithm, WireMetrics, WirePartitioner, WireTrace, WIRE_MAGIC,
+    SubscriptionEvent, WireAlgorithm, WireMetrics, WirePartitioner, WireTrace, SIMEQ_MAX_NODES,
+    WIRE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -45,20 +46,6 @@ fn spawn_server(g: &Graph, k: usize, seed: u64, cfg: ServerConfig) -> dgs::serve
     Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), engine, cfg)
         .expect("bind ephemeral port")
         .spawn()
-}
-
-/// The wire rows an in-process report would ship — what "byte
-/// identical" means after framing is stripped.
-fn rows_of(relation: &MatchRelation) -> Vec<Vec<u32>> {
-    (0..relation.query_nodes())
-        .map(|u| {
-            relation
-                .matches_of(QNodeId(u as u16))
-                .iter()
-                .map(|v| v.0)
-                .collect()
-        })
-        .collect()
 }
 
 /// What a fan-out answer must contain: the per-query-node sorted
@@ -712,6 +699,54 @@ fn load_graph_swaps_the_served_session() {
         let a = client.query(&q, WireAlgorithm::Auto).expect("query");
         assert_eq!(a.rows, rows_of(&want), "pattern {i} after session swap");
     }
+    drop(client);
+    handle.shutdown().expect("shutdown");
+}
+
+/// A wire request cannot ask for `simeq`'s `O(|V|²)` table: past the
+/// bound both session-building frames answer a typed error, the
+/// registry is what it was and the daemon keeps serving; `bisim` on
+/// the same graph is built.
+#[test]
+fn simeq_past_its_bound_is_refused_over_the_wire() {
+    let g = random::uniform(50, 150, 3, 11);
+    let handle = spawn_server(&g, 2, 11, ServerConfig::default());
+    let mut client = DgsClient::connect(handle.addr()).expect("connect");
+    let before = client.session_list().expect("list");
+
+    let big = dgs::graph::generate::tree::random_tree(SIMEQ_MAX_NODES + 1, 3, 5);
+    let with = |compression| SessionOptions {
+        compression: Some(compression),
+        ..SessionOptions::default()
+    };
+    let simeq = with(CompressionMethod::SimEq);
+    let refusals = [
+        client.session_create("big", &big, &simeq).map(|_| ()),
+        client.load_graph(&big, &simeq).map(|_| ()),
+    ];
+    for refusal in refusals {
+        match refusal.expect_err("simeq past the bound must be refused") {
+            ServeError::Remote { code, message } => {
+                assert_eq!(code, ErrorCode::Malformed);
+                assert!(message.contains("simeq"), "{message}");
+            }
+            other => panic!("expected a typed ERROR, got {other}"),
+        }
+    }
+    assert_eq!(client.session_list().expect("list"), before);
+    let q = mixed_pattern(0, 3);
+    let a = client
+        .query(&q, WireAlgorithm::Auto)
+        .expect("still serving");
+    assert_eq!(
+        a.rows,
+        rows_of(&handle.engine().query(&q).unwrap().relation)
+    );
+
+    let info = client
+        .session_create("big", &big, &with(CompressionMethod::Bisim))
+        .expect("bisim is built on the same graph");
+    assert_eq!(info.nodes, big.node_count() as u64);
     drop(client);
     handle.shutdown().expect("shutdown");
 }
