@@ -12,8 +12,9 @@
 //! which is exactly what the paper's figures show against `dGPM`.
 //!
 //! The original implementation is unavailable; this reconstruction
-//! follows the paper's description and matches the stated bounds (see
-//! DESIGN.md §4).
+//! follows the paper's description and matches the stated bounds: it
+//! ships every candidate node and edge once, so its DS grows with `|G|`
+//! where `dGPM`'s is bounded by `|Ef||Vq|`.
 
 use crate::vars::WireSubgraph;
 use dgs_graph::{GraphBuilder, Label, NodeId, Pattern};

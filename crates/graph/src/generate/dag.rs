@@ -101,7 +101,7 @@ pub fn layered(n: usize, m: usize, layers: usize, num_labels: usize, seed: u64) 
 ///
 /// As with [`crate::generate::random::community`], assigning community
 /// `i` to site `i` gives direct control over the `|Vf|/|V|` ratio —
-/// how the bench harness realizes the `|Vf|` sweeps of Fig. 6(k)/(l).
+/// the knob behind the `|Vf|` sweeps of Fig. 6(k)/(l).
 pub fn citation_like_community(
     n: usize,
     m: usize,

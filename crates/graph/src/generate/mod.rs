@@ -5,7 +5,18 @@
 //! redistributable, so this module provides generators that preserve
 //! the structural properties the experiments depend on (degree
 //! distributions, |V|:|E| ratios, label alphabet size, acyclicity,
-//! tree shape) — see DESIGN.md §4 for the substitution rationale.
+//! tree shape).
+//!
+//! The substitutions: the Yahoo web graph becomes a scale-free labeled
+//! graph with the same |V|:|E| = 1:5 ratio and |Σ| = 15
+//! ([`random::community`] when the experiment needs a controlled
+//! crossing structure); the citation DAG becomes a
+//! community-structured citation-like DAG with |V|:|E| ≈ 1.4:3
+//! ([`dag::citation_like_community`]); the synthetic graphs keep the
+//! paper's 1:4 ratio. A target `|Vf|/|V|` is reached through the
+//! community generators' cross-edge fraction: crossing edges hit
+//! uniform targets, so `mc` of them put a node in `Vf` with
+//! probability `≈ 1 − exp(−mc/|V|)`.
 //!
 //! * [`random`] — uniform and power-law ("web-like") labeled digraphs
 //!   (Exp-1, Exp-3);

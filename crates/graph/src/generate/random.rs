@@ -3,7 +3,8 @@
 //! * [`uniform`] — each edge chosen uniformly at random (G(n, m)-style);
 //! * [`web_like`] — heavy-tailed in/out degrees via preferential
 //!   attachment, substituting for the Yahoo web graph of Exp-1 (|V|:|E|
-//!   = 1:5, |Σ| = 15 by default in the bench harness).
+//!   = 1:5, |Σ| = 15 in the paper);
+//! * [`community`] — communities with a controlled crossing fraction.
 
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::label::Label;
@@ -71,8 +72,8 @@ pub fn web_like(n: usize, m: usize, num_labels: usize, seed: u64) -> Graph {
 ///
 /// Assigning community `i` to site `i` yields a fragmentation whose
 /// `|Vf|/|V|` ratio is directly controlled by `cross_fraction`, which is
-/// how the bench harness realizes the paper's `|Vf|` sweeps (25%–50%,
-/// Fig. 6(e)/(f)/(k)/(l)) — the paper instead post-processes random
+/// how the paper's `|Vf|` settings (25%–50%, Fig. 6(e)/(f)/(k)/(l)) are
+/// realized here — the paper instead post-processes random
 /// partitions with swap refinement \[27\], which `dgs-partition` also
 /// implements.
 pub fn community(

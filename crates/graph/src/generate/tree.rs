@@ -43,16 +43,27 @@ pub fn random_tree_with_chain_bias(
     b.build()
 }
 
-/// Checks the tree invariant: node 0 has in-degree 0 and every other
-/// node has in-degree exactly 1.
+/// Checks the tree invariant: node 0 has in-degree 0, every other
+/// node has in-degree exactly 1, and every node is reachable from
+/// node 0. The in-degrees alone also fit a tree beside cycles that
+/// node 0 does not reach.
 pub fn is_rooted_tree(g: &Graph) -> bool {
-    if g.node_count() == 0 {
+    let n = g.node_count();
+    if n == 0 || g.in_degree(NodeId(0)) != 0 {
         return false;
     }
-    if g.in_degree(NodeId(0)) != 0 {
+    if !(1..n as u32).all(|v| g.in_degree(NodeId(v)) == 1) {
         return false;
     }
-    (1..g.node_count() as u32).all(|v| g.in_degree(NodeId(v)) == 1)
+    // With those in-degrees each node is entered at most once, so the
+    // walk from the root needs no visited set.
+    let mut reached = 0;
+    let mut stack = vec![NodeId(0)];
+    while let Some(v) = stack.pop() {
+        reached += 1;
+        stack.extend_from_slice(g.successors(v));
+    }
+    reached == n
 }
 
 #[cfg(test)]
@@ -101,6 +112,12 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_nodes(2, Label(0));
         b.add_edge(NodeId(1), NodeId(0)); // root has a parent
+        assert!(!is_rooted_tree(&b.build()));
+
+        let mut b = GraphBuilder::new();
+        b.add_nodes(3, Label(0));
+        b.add_edge(NodeId(1), NodeId(2));
+        b.add_edge(NodeId(2), NodeId(1)); // in-degrees fit, 1 and 2 unreachable
         assert!(!is_rooted_tree(&b.build()));
     }
 }

@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Patterns use the header `pattern` instead of `graph`. The format is
-//! used by the examples and by the bench harness to snapshot generated
-//! workloads.
+//! what `dgsq generate` writes and `dgsq query` reads.
 //!
 //! The **binary** format ([`write_graph_binary`] /
 //! [`read_graph_binary`] and the pattern twins) is what the serving

@@ -2,8 +2,8 @@
 //!
 //! A distributed runtime for the graph-simulation algorithms of Fan
 //! et al. (VLDB 2014) — from a simulated substitute for the paper's
-//! Amazon EC2 deployment (DESIGN.md §4) up to genuinely multi-process
-//! execution.
+//! Amazon EC2 deployment (a virtual-time cluster under an explicit
+//! [`CostModel`]) up to genuinely multi-process execution.
 //!
 //! Algorithms are written once as message-driven actors
 //! ([`SiteLogic`] per site plus one [`CoordinatorLogic`]) and can then

@@ -87,8 +87,9 @@ pub trait CoordinatorLogic<M> {
     /// `false` (after sending fresh messages) to start another phase.
     ///
     /// This idealizes the paper's termination detection (each site
-    /// flags `changed` to `Sc` and `Sc` detects the fixpoint); see
-    /// DESIGN.md §3. Protocols use successive quiescence rounds as
+    /// flags `changed` to `Sc` and `Sc` detects the fixpoint): the
+    /// executor observes quiescence directly instead of paying for the
+    /// flag messages. Protocols use successive quiescence rounds as
     /// barriers, e.g. `dGPMd`'s rank rounds and `dMes`'s supersteps.
     fn on_quiescent(&mut self, out: &mut Outbox<M>) -> bool;
 }

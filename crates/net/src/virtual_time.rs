@@ -11,7 +11,8 @@
 //! Everything is ordered by `(time, sequence-number)`, so runs are
 //! fully deterministic and independent of host parallelism: this is
 //! what lets a laptop reproduce the response-time *shape* of a
-//! 20-machine cluster (DESIGN.md §4).
+//! 20-machine cluster: one simulated site per machine, whatever the
+//! host's core count.
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;

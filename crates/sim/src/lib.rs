@@ -29,22 +29,17 @@
 //! graph simulation finds — e.g. `yb2` in Fig. 1).
 
 //!
-//! Beyond the paper's immediate needs, the crate carries the natural
-//! extensions its §7 future work points at: [`preorder::SimPreorder`]
-//! (the simulation preorder of `G` over itself),
-//! [`bisim::bisimulation_partition`] (the \[6\] equivalence),
-//! [`compress`] (query-preserving compression — answer any pattern on
-//! the quotient graph, exactly), [`bounded::bounded_simulation`] (the
-//! full bounded-path query class of \[11\]) and [`iso`] (subgraph
-//! isomorphism, the §2.1 locality contrast).
+//! The quotient compression behind the engine's compressed leg rests
+//! on [`preorder::SimPreorder`] (the simulation preorder of `G` over
+//! itself) and [`bisim::bisimulation_partition`] (the \[6\]
+//! equivalence); [`compress`] answers any pattern on the quotient
+//! graph, exactly.
 
 pub mod bisim;
 pub mod boolean;
-pub mod bounded;
 pub mod compress;
 pub mod dual;
 pub mod hhk;
-pub mod iso;
 pub mod match_relation;
 pub mod matchset;
 pub mod naive;
@@ -54,11 +49,9 @@ pub mod strong;
 
 pub use bisim::{bisimulation_partition, BisimPartition};
 pub use boolean::boolean_matches;
-pub use bounded::{bounded_simulation, BoundedPattern, BoundedPatternBuilder, EdgeBound};
 pub use compress::{compress_bisim, compress_simeq, CompressedGraph};
 pub use dual::dual_simulation;
 pub use hhk::hhk_simulation;
-pub use iso::{embedding_relation, enumerate_embeddings, find_embedding};
 pub use match_relation::{MatchRelation, SimResult};
 pub use matchset::{MatchSet, SetBits};
 pub use naive::naive_simulation;

@@ -250,3 +250,37 @@ fn ten_pattern_batch_against_one_engine() {
         .sum();
     assert_eq!(batch.total.control_messages, per_query_control + k as u64);
 }
+
+/// In-degrees alone do not make a tree: node 0 without a parent and
+/// every other node with one also fits an isolated node 0 beside a
+/// cycle `1 → 2 → 1`. `Auto` must not plan `dGPMt` there (its
+/// two-round bound assumes a tree), and an explicit `dGPMt` is a typed
+/// refusal — not the `trivial-∅` a tree would justify for a cyclic
+/// pattern, since this graph has a cycle that matches it.
+#[test]
+fn isolated_root_beside_a_cycle_is_not_a_tree() {
+    let mut gb = GraphBuilder::new();
+    for l in 0..3 {
+        gb.add_node(Label(l));
+    }
+    gb.add_edge(NodeId(1), NodeId(2));
+    gb.add_edge(NodeId(2), NodeId(1));
+    let g = gb.build();
+    let mut qb = PatternBuilder::new();
+    let (a, b) = (qb.add_node(Label(1)), qb.add_node(Label(2)));
+    qb.add_edge(a, b);
+    qb.add_edge(b, a);
+    let q = qb.build();
+    let engine = engine_over(&g, &[0, 1, 1], 2);
+
+    assert_ne!(engine.plan(&q).unwrap().algorithm, "dGPMt");
+    let report = engine.query(&q).unwrap();
+    assert_ne!(report.algorithm, "dGPMt");
+    assert!(report.is_match);
+    assert_eq!(report.relation, hhk_simulation(&q, &g).relation);
+
+    match engine.query_with(&Algorithm::Dgpmt, &q) {
+        Err(DgsError::Unsupported { algorithm, .. }) => assert_eq!(algorithm, "dGPMt"),
+        other => panic!("explicit dGPMt on a non-tree: {other:?}"),
+    }
+}

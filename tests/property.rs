@@ -164,30 +164,6 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&report.relation, &oracle.relation);
     }
-
-    /// Bounded simulation with every bound at 1 hop coincides with
-    /// plain simulation.
-    #[test]
-    fn bounded_hop1_is_plain_simulation((g, q, _assign, _k) in workload_strategy()) {
-        let bq = dgs::sim::BoundedPattern::from_plain(&q);
-        prop_assert_eq!(
-            dgs::sim::bounded_simulation(&bq, &g).relation,
-            hhk_simulation(&q, &g).relation
-        );
-    }
-
-    /// Every subgraph-isomorphism embedding lies inside the maximum
-    /// simulation relation (iso finds strictly fewer potential
-    /// matches — §1's motivation for simulation semantics).
-    #[test]
-    fn embeddings_within_simulation((g, q, _assign, _k) in workload_strategy()) {
-        let rel = hhk_simulation(&q, &g).relation;
-        for m in dgs::sim::enumerate_embeddings(&q, &g, 10) {
-            for (u, &v) in m.iter().enumerate() {
-                prop_assert!(rel.contains(QNodeId(u as u16), v));
-            }
-        }
-    }
 }
 
 // ---- bitset kernels vs the HashSet-of-pairs reference -----------------
