@@ -129,14 +129,6 @@ pub struct DeltaReport {
     /// maintenance. Every non-empty batch shape takes this path —
     /// deletion-only, insertion-only, and mixed alike.
     pub maintained_entries: usize,
-    /// Cached entries dropped without maintenance. Since insertion-side
-    /// maintenance landed, the only entries counted here are
-    /// `trivial-∅` short-circuits whose pattern has nodes that cannot
-    /// reach a cycle of `Q`: their stored `∅` rows are the answer
-    /// convention rather than the maximum fixpoint, so an insertion
-    /// batch has no valid baseline to repair from and the entry is
-    /// dropped instead (the next query re-evaluates fresh).
-    pub invalidated_entries: usize,
     /// Match pairs revoked across all maintained entries (deletion
     /// side of the batch).
     pub revoked_pairs: u64,

@@ -16,9 +16,10 @@
 //! of local evaluation + `O(|Q||F|)` assembly =
 //! `O(d(|Vq|+|Vm|)(|Eq|+|Em|) + |Q||F|)`; for fixed `|F|` this is
 //! parallel scalable in response time. Data shipment stays
-//! `O(|Ef||Vq|)`. (When `G` is a DAG and `Q` is cyclic the answer is ∅
-//! without any distributed work — a cycle cannot simulate into a DAG;
-//! [`crate::SimEngine`] short-circuits that case.)
+//! `O(|Ef||Vq|)`. (When `G` is a DAG and every node of a cyclic `Q`
+//! reaches a cycle the answer is ∅ without any distributed work — a
+//! cycle cannot simulate into a DAG; [`crate::SimEngine`]
+//! short-circuits that case.)
 //!
 //! The paper stops there; its related work notes that \[25\] evaluates
 //! queries per strongly connected component. This module combines the

@@ -7,7 +7,7 @@ use super::SimEngine;
 use crate::cache::{self, CachedResult};
 use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta, PatternTables};
 use crate::error::DgsError;
-use crate::plan::{EngineChoice, IncrementalNote};
+use crate::plan::IncrementalNote;
 use dgs_net::{ExecutorKind, RunMetrics, SiteDeltaMetrics};
 use dgs_partition::{EdgeOp, Fragmentation, SpanLists};
 use std::collections::{HashMap, HashSet};
@@ -104,16 +104,9 @@ impl SimEngine {
     ///
     /// The exact per-entry diffs land in
     /// [`DeltaReport::maintained_diffs`] — the feed a live match
-    /// subscription pushes. The one exception to "everything
-    /// maintains": a `trivial-∅` entry whose pattern has nodes that
-    /// cannot reach a cycle of `Q`. Its stored `∅` rows are the
-    /// answer convention, **not** the maximum fixpoint (sink-reaching
-    /// nodes keep label-compatible matches on any graph), so an
-    /// insertion batch — which may close a graph cycle — has no
-    /// valid baseline to repair from. Such entries are dropped and
-    /// counted in [`DeltaReport::invalidated_entries`]; the next
-    /// query re-evaluates under fresh facts (and a live subscription
-    /// falls back to re-query + set-diff, staying exact).
+    /// subscription pushes. Every entry maintains: the planner only
+    /// short-circuits to `trivial-∅` where `∅` is the maximum
+    /// relation, so no cached row is an answer convention.
     ///
     /// The compressed leg, if configured, is rebuilt by the first
     /// query of the new generation that wants it.
@@ -184,7 +177,6 @@ impl SimEngine {
             virtuals_created: 0,
             virtuals_retired: 0,
             maintained_entries: 0,
-            invalidated_entries: 0,
             revoked_pairs: 0,
             resurrected_pairs: 0,
             generation: snap.generation,
@@ -218,26 +210,11 @@ impl SimEngine {
             // States whose entry the LRU evicted have no rows left
             // to maintain.
             writer.entries.retain(|k, _| live.contains(k.as_slice()));
+            // Only `Auto` answers are cached, and the planner answers
+            // every one with the maximum relation: each entry is a
+            // valid baseline for either direction of repair.
             for (key, entry) in entries {
                 let canon_key = key[2..].to_vec();
-                // A `trivial-∅` entry stores the answer *convention*,
-                // not the maximum fixpoint. When every pattern node
-                // reaches a cycle of `Q` the two coincide (the
-                // fixpoint on an acyclic graph is genuinely empty)
-                // and the entry maintains like any other; otherwise
-                // sink-reaching nodes keep label-compatible matches
-                // the `∅` rows never held, so insertions — which may
-                // close a graph cycle — have no valid baseline to
-                // repair from. Drop the entry and let the next query
-                // re-evaluate under fresh facts.
-                if !inserts.is_empty()
-                    && entry.algorithm == EngineChoice::TriviallyEmpty.name()
-                    && !crate::plan::empty_rows_are_fixpoint(&cache::decode_pattern(&canon_key))
-                {
-                    writer.entries.remove(&canon_key);
-                    report.invalidated_entries += 1;
-                    continue;
-                }
                 if !writer.entries.contains_key(&canon_key) {
                     let pattern = cache::decode_pattern(&canon_key);
                     let sites = (0..snap.frag.num_sites())

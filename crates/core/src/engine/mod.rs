@@ -159,7 +159,10 @@ impl Algorithm {
 /// Result of one data-selecting query.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// The maximum relation under the child condition.
+    /// The maximum relation under the child condition — on every
+    /// [`Algorithm::Auto`] answer. An explicit `dGPMd`/`dGPMt` request
+    /// for a cyclic pattern on an acyclic graph answers `trivial-∅`,
+    /// the paper's `∅` convention, instead.
     pub relation: MatchRelation,
     /// The Boolean query answer (`relation.is_total()`).
     pub is_match: bool,

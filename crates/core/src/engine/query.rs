@@ -312,7 +312,9 @@ impl SimEngine {
 
     /// Re-expresses a cached canonical answer in the submitted
     /// pattern's numbering. The hit ships nothing: fresh metrics with
-    /// `cache_hits = 1` and zero messages.
+    /// `cache_hits = 1` and zero messages. The cached rows were copied
+    /// out of a [`MatchRelation`], so they are sorted and distinct
+    /// already.
     fn report_from_cache(
         q: &Pattern,
         canon: &CanonicalPattern,
@@ -326,7 +328,7 @@ impl SimEngine {
         plan.reasons
             .push("served from the pattern-result cache (no protocol run)".into());
         RunReport::assemble(
-            MatchRelation::from_lists(rows),
+            MatchRelation::from_sorted_lists(rows),
             RunMetrics {
                 cache_hits: 1,
                 ..RunMetrics::default()

@@ -414,7 +414,6 @@ fn delete_delta_maintains_cache_with_zero_reevaluations() {
         .unwrap();
     assert_eq!(report.deleted, 15);
     assert_eq!(report.maintained_entries, 1);
-    assert_eq!(report.invalidated_entries, 0);
     assert!(report.generation > 0);
 
     // The follow-up query is served from the maintained entry:
@@ -473,7 +472,6 @@ fn insert_delta_maintains_even_the_empty_shortcircuit() {
         .unwrap();
     assert_eq!(report.inserted, 5);
     assert_eq!(report.maintained_entries, 1);
-    assert_eq!(report.invalidated_entries, 0);
     assert_eq!(report.maintained_diffs.len(), 1);
     assert!(!engine.facts().is_dag);
 
@@ -497,14 +495,13 @@ fn insert_delta_maintains_even_the_empty_shortcircuit() {
 }
 
 #[test]
-fn insert_delta_invalidates_empty_shortcircuit_with_sink_nodes() {
+fn cyclic_pattern_with_a_sink_is_run_and_maintained_on_a_dag() {
     use dgs_graph::Label;
     // A cyclic pattern with a childless sink: u0 ⇄ u1 plus
-    // u0 → u2. On any graph the true fixpoint keeps u2's
-    // label-compatible matches, so the `trivial-∅` entry's rows
-    // are the answer convention, NOT the fixpoint — maintaining
-    // them through a cycle-closing insertion would resurrect only
-    // the affected area and leave the entry neither ∅ nor exact.
+    // u0 → u2. On any graph the maximum relation keeps u2's
+    // label-compatible matches, so `∅` would be the answer
+    // convention, not the fixpoint: the planner runs the pattern,
+    // and the cached fixpoint maintains through every batch.
     let mut qb = dgs_graph::PatternBuilder::new();
     let u0 = qb.add_node(Label(0));
     let u1 = qb.add_node(Label(0));
@@ -525,41 +522,27 @@ fn insert_delta_invalidates_empty_shortcircuit_with_sink_nodes() {
     let frag = Arc::new(Fragmentation::build(&g, &assign, 2));
     let engine = SimEngine::builder(&g, frag).build();
     let cold = engine.query(&q).unwrap();
-    assert_eq!(cold.algorithm, "trivial-∅");
+    assert_eq!(cold.algorithm, "dGPMs");
+    assert_eq!(cold.relation, hhk_simulation(&q, &g).relation);
+    assert!(cold.relation.matches_of(u0).is_empty());
+    assert_eq!(cold.relation.matches_of(u2), &vs[..]);
 
-    // Deletion-only batches keep maintaining: the graph stays
-    // acyclic, ∅ stays the answer, nothing can resurrect.
-    let del = engine
-        .apply_delta(&GraphDelta::deletions([(vs[1], vs[2])]))
-        .unwrap();
-    assert_eq!(del.maintained_entries, 1);
-    assert_eq!(del.invalidated_entries, 0);
-    let back = engine
-        .apply_delta(&GraphDelta::insertions([(vs[1], vs[2])]))
-        .unwrap();
-
-    // An insertion batch drops the entry instead of repairing it
-    // from the unsound ∅ baseline.
-    assert_eq!(back.maintained_entries, 0);
-    assert_eq!(back.invalidated_entries, 1);
-    assert!(back.maintained_diffs.is_empty());
-
-    // The follow-up query re-evaluates fresh (no stale cache
-    // hit); the graph is still acyclic, so the planner
-    // short-circuits again and the ∅ *convention* is the answer.
-    let warm = engine.query(&q).unwrap();
-    assert_eq!(warm.metrics.cache_hits, 0, "entry was dropped");
-    assert_eq!(warm.algorithm, "trivial-∅");
-    assert!(!warm.is_match);
-
-    let closed = engine
-        .apply_delta(&GraphDelta::insertions([(vs[2], vs[0])]))
-        .unwrap();
-    assert_eq!(closed.invalidated_entries, 1);
+    // A deletion, the same edge back, then an insertion that closes
+    // the cycle v0 → v1 → v2 → v0: each batch maintains the entry,
+    // and each warm query is an exact cache hit.
+    for delta in [
+        GraphDelta::deletions([(vs[1], vs[2])]),
+        GraphDelta::insertions([(vs[1], vs[2])]),
+        GraphDelta::insertions([(vs[2], vs[0])]),
+    ] {
+        let report = engine.apply_delta(&delta).unwrap();
+        assert_eq!(report.maintained_entries, 1);
+        let warm = engine.query(&q).unwrap();
+        assert_eq!(warm.metrics.cache_hits, 1);
+        assert_eq!(warm.relation, hhk_simulation(&q, &engine.graph()).relation);
+    }
     assert!(!engine.facts().is_dag);
     let cyclic = engine.query(&q).unwrap();
-    let oracle = hhk_simulation(&q, &engine.graph());
-    assert_eq!(cyclic.relation, oracle.relation);
     // The cycle v0→v1→v2→v0 now carries u0/u1; u2 matches every
     // label-0 node, leaves included.
     assert_eq!(cyclic.relation.matches_of(u0), &vs[..3]);

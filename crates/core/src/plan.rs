@@ -79,11 +79,15 @@ pub struct PatternFacts {
     /// Number of SCCs of the pattern — the number of strata `dGPMs`
     /// will schedule.
     pub scc_count: usize,
+    /// Whether every pattern node reaches a cycle of `Q`, which makes
+    /// `∅` the maximum simulation on an acyclic graph.
+    pub(crate) empty_rows_are_fixpoint: bool,
 }
 
 impl PatternFacts {
     /// Computes the per-query facts in `O(|Vq| + |Eq|)` — one Tarjan
-    /// pass, DAG-ness derived from it as in [`GraphFacts::compute`].
+    /// pass, DAG-ness derived from it as in [`GraphFacts::compute`] —
+    /// and, for a cyclic pattern, which nodes reach a cycle.
     pub fn compute(q: &Pattern) -> Self {
         let (_, scc_count) = strongly_connected_components(&PatternView(q));
         let is_dag = scc_count == q.node_count() && q.nodes().all(|u| !q.children(u).contains(&u));
@@ -92,20 +96,20 @@ impl PatternFacts {
             edge_count: q.edge_count(),
             is_dag,
             scc_count,
+            empty_rows_are_fixpoint: !is_dag && empty_rows_are_fixpoint(q),
         }
     }
 }
 
-/// Whether the `trivial-∅` short-circuit's all-empty relation is also
-/// the **maximum simulation fixpoint** on an acyclic graph — true
-/// exactly when every pattern node can reach a cycle of `Q`.
+/// Whether the all-empty relation is the **maximum simulation
+/// fixpoint** of `q` on an acyclic graph — true exactly when every
+/// pattern node can reach a cycle of `Q`.
 ///
 /// A node that cannot (a childless sink, or an ancestor whose only
 /// descendants are such sinks) keeps its label-compatible matches in
 /// the true fixpoint on *any* graph; for those patterns `∅` is only
-/// the answer convention, not the fixpoint, so cached `∅` rows are
-/// not a valid baseline for incremental maintenance once insertions
-/// may close a graph cycle.
+/// the answer convention, not the fixpoint, so the planner runs them
+/// rather than short-circuiting to `trivial-∅`.
 pub(crate) fn empty_rows_are_fixpoint(q: &Pattern) -> bool {
     // Iteratively trim nodes whose successors are all trimmed
     // (childless sinks first); survivors are exactly the nodes that
@@ -286,13 +290,18 @@ impl Planner {
     ///
     /// Decision order (most specialized bound first):
     /// 1. cyclic `Q` on an acyclic `G` → trivially empty, no
-    ///    distributed work;
+    ///    distributed work, when every node of `Q` reaches a cycle —
+    ///    then `∅` is the maximum relation; otherwise `dGPMs`, since
+    ///    the nodes that reach no cycle keep their matches;
     /// 2. tree `G` with connected fragments → `dGPMt` (DS `O(|Q||F|)`,
     ///    parallel scalable in shipment, Corollary 4);
     /// 3. DAG `Q` → `dGPMd` (rank-batched, `d + 1` shipping rounds,
     ///    Theorem 3);
     /// 4. otherwise → `dGPMs` (the same rank-scheduled engine over
     ///    the SCC condensation of `Q`).
+    ///
+    /// Every choice computes the maximum relation, so a planned answer
+    /// can be cached, maintained and merged as the fixpoint.
     pub fn plan(
         &self,
         g: &GraphFacts,
@@ -300,13 +309,22 @@ impl Planner {
     ) -> Result<(EngineChoice, PlanExplanation), DgsError> {
         self.validate_pattern(q)?;
         let mut reasons = Vec::new();
-        let choice = if !q.is_dag && g.is_dag {
+        let choice = if !q.is_dag && g.is_dag && q.empty_rows_are_fixpoint {
             reasons.push(format!(
                 "pattern is cyclic ({} SCCs over {} nodes) but the graph is acyclic — \
-                 a cycle of Q can only be simulated by a cycle of G, so Q(G) = ∅",
+                 a cycle of Q can only be simulated by a cycle of G, and every node \
+                 of Q reaches one, so Q(G) = ∅",
                 q.scc_count, q.node_count
             ));
             EngineChoice::TriviallyEmpty
+        } else if !q.is_dag && g.is_dag {
+            reasons.push(
+                "pattern is cyclic but the graph is acyclic — the cycle of Q matches \
+                 nothing, yet some node of Q reaches no cycle and keeps its matches, \
+                 so the relation is computed rather than short-circuited to ∅"
+                    .into(),
+            );
+            EngineChoice::Dgpms
         } else if g.is_rooted_tree && g.fragments_connected {
             reasons.push("graph is a rooted tree".into());
             reasons.push(format!(
@@ -458,16 +476,43 @@ mod tests {
         assert_eq!(choice, EngineChoice::Dgpmd);
     }
 
+    /// `u0 → u1 → u2 → u0`, plus a sink `u2 → u3` when `sink`.
+    fn ring(sink: bool) -> Pattern {
+        let mut b = dgs_graph::PatternBuilder::new();
+        let u: Vec<_> = (0..3).map(|i| b.add_node(dgs_graph::Label(i))).collect();
+        for i in 0..3 {
+            b.add_edge(u[i], u[(i + 1) % 3]);
+        }
+        if sink {
+            let s = b.add_node(dgs_graph::Label(3));
+            b.add_edge(u[2], s);
+        }
+        b.build()
+    }
+
     #[test]
     fn dag_graph_cyclic_pattern_is_trivially_empty() {
         let g = dag::citation_like(100, 250, 4, 3);
         let gf = facts_for(&g, 3, 3);
         assert!(gf.is_dag && !gf.is_rooted_tree);
-        let qf = PatternFacts::compute(&patterns::random_cyclic(3, 5, 4, 3));
+        let q = ring(false);
+        assert!(empty_rows_are_fixpoint(&q));
+        let qf = PatternFacts::compute(&q);
         assert!(!qf.is_dag);
         let (choice, plan) = Planner.plan(&gf, &qf).unwrap();
         assert_eq!(choice, EngineChoice::TriviallyEmpty);
         assert!(plan.reasons[0].contains("cyclic"));
+    }
+
+    #[test]
+    fn dag_graph_cyclic_pattern_with_a_sink_runs() {
+        let g = dag::citation_like(100, 250, 4, 3);
+        let gf = facts_for(&g, 3, 3);
+        let q = ring(true);
+        assert!(!empty_rows_are_fixpoint(&q));
+        let (choice, plan) = Planner.plan(&gf, &PatternFacts::compute(&q)).unwrap();
+        assert_eq!(choice, EngineChoice::Dgpms);
+        assert!(plan.reasons[0].contains("reaches no cycle"));
     }
 
     #[test]

@@ -198,7 +198,18 @@ impl FrameBuffer {
 // ---- payload building -------------------------------------------------
 
 /// Appends a LEB128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, v: u64) {
+    // Most values on the wire (request ids, counts, row gaps) are one
+    // byte.
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else {
+        put_varint_multi(buf, v);
+    }
+}
+
+fn put_varint_multi(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -286,8 +297,34 @@ impl<'a> Reader<'a> {
         ])))
     }
 
+    /// The unread bytes, lent to `scan`, which returns how many of them
+    /// it consumed beside its result; the cursor moves past those. The
+    /// primitive for a decoder that checks a run of bytes in place
+    /// instead of making one checked call per byte.
+    ///
+    /// # Panics
+    /// If `scan` claims more bytes than it was lent.
+    pub fn scan<T>(&mut self, scan: impl FnOnce(&'a [u8]) -> (usize, T)) -> T {
+        let rest = &self.buf[self.pos..];
+        let (used, out) = scan(rest);
+        assert!(used <= rest.len(), "scan consumed past the payload");
+        self.pos += used;
+        out
+    }
+
     /// LEB128 varint.
+    #[inline]
     pub fn varint(&mut self, what: &str) -> Result<u64, FrameError> {
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_multi(what),
+        }
+    }
+
+    fn varint_multi(&mut self, what: &str) -> Result<u64, FrameError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
@@ -437,9 +474,36 @@ mod tests {
             assert_eq!(r.varint("v").unwrap(), v);
             r.finish("v").unwrap();
         }
+        // The one-byte fast path ends at 0x7f; 0x80 takes two bytes.
+        for (v, bytes) in [(0x7fu64, &[0x7f][..]), (0x80, &[0x80, 0x01])] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(buf, bytes, "encoding of {v:#x}");
+        }
+        // A two-byte varint cut after its first byte is a truncation.
+        let mut r = Reader::new(&[0x80]);
+        assert!(matches!(r.varint("v"), Err(FrameError::Corrupt { .. })));
+        assert!(matches!(
+            Reader::new(&[]).varint("v"),
+            Err(FrameError::Corrupt { .. })
+        ));
         // 10 continuation bytes with a large final byte overflow u64.
         let bad = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         assert!(Reader::new(&bad).varint("v").is_err());
+    }
+
+    #[test]
+    fn scan_lends_the_unread_bytes_and_advances() {
+        let mut r = Reader::new(&[1, 2, 3, 4]);
+        assert_eq!(r.u8("head").unwrap(), 1);
+        let sum = r.scan(|rest| {
+            assert_eq!(rest, [2, 3, 4]);
+            (2, rest[0] + rest[1])
+        });
+        assert_eq!(sum, 5);
+        assert_eq!(r.remaining(), 1);
+        assert_eq!(r.u8("tail").unwrap(), 4);
+        r.finish("scan").unwrap();
     }
 
     #[test]

@@ -493,6 +493,9 @@ pub struct DeltaSummary {
     pub virtuals_created: u64,
     pub virtuals_retired: u64,
     pub maintained_entries: u64,
+    /// Cache entries dropped instead of maintained. Always 0 now that
+    /// every cached answer is the maximum relation; the slot stays so
+    /// the frame keeps its twelve counters.
     pub invalidated_entries: u64,
     pub revoked_pairs: u64,
     pub generation: u64,
@@ -865,43 +868,65 @@ pub enum Response {
 }
 
 /// Sorted match rows, delta-encoded per row (the `ANSWER` layout,
-/// shared with `SUBSCRIBED`).
+/// shared with `SUBSCRIBED`): each row's length, its first id, then
+/// the gap to each next id. Dense rows make nearly every gap one byte.
 fn encode_rows(buf: &mut Vec<u8>, rows: &[Vec<u32>]) {
     put_varint(buf, rows.len() as u64);
     for row in rows {
         put_varint(buf, row.len() as u64);
+        buf.reserve(row.len());
+        // The first id is its gap from 0.
         let mut prev = 0u32;
-        for (i, &v) in row.iter().enumerate() {
-            if i == 0 {
-                put_varint(buf, u64::from(v));
-            } else {
-                put_varint(buf, u64::from(v.wrapping_sub(prev)));
-            }
+        for &v in row {
+            // Inlined: a one-byte gap is a bare push.
+            put_varint(buf, u64::from(v.wrapping_sub(prev)));
             prev = v;
         }
     }
 }
 
 fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError> {
+    let too_big = || ServeError::corrupt("match id exceeds u32");
     let nq = r.count("query-node count")?;
     let mut rows = Vec::with_capacity(nq);
     for _ in 0..nq {
         let len = r.count("row length")?;
         let mut row = Vec::with_capacity(len);
         let mut prev = 0u64;
-        for i in 0..len {
+        while row.len() < len {
+            // A multi-byte gap (or the first id, which has no
+            // predecessor) goes through the checked varint reader ...
             let raw = r.varint("match id")?;
-            let v = if i == 0 {
+            let v = if row.is_empty() {
                 raw
             } else {
                 prev.checked_add(raw)
                     .ok_or_else(|| ServeError::corrupt("match-id gap overflows"))?
             };
             if v > u64::from(u32::MAX) {
-                return Err(ServeError::corrupt("match id exceeds u32"));
+                return Err(too_big());
             }
             prev = v;
             row.push(v as u32);
+            // ... and the run of one-byte gaps after it is read straight
+            // from the payload, up to the first byte that continues a
+            // varint. Running out of payload mid-row is left to the
+            // varint reader above, which reports it as truncation.
+            let want = len - row.len();
+            r.scan(|rest| {
+                let run = &rest[..want.min(rest.len())];
+                for (i, &gap) in run.iter().enumerate() {
+                    if gap >= 0x80 {
+                        return (i, Ok(()));
+                    }
+                    prev += u64::from(gap);
+                    if prev > u64::from(u32::MAX) {
+                        return (i + 1, Err(too_big()));
+                    }
+                    row.push(prev as u32);
+                }
+                (run.len(), Ok(()))
+            })?;
         }
         rows.push(row);
     }
@@ -1714,5 +1739,175 @@ mod tests {
         let (ty, mut payload) = Request::Ping.encode();
         payload.push(7);
         assert!(Request::decode(ty, &payload).is_err());
+    }
+
+    /// The row decoder as it was before one-byte gaps were read in
+    /// runs: a checked call per byte, varints included — the reference
+    /// the run decoder must agree with, rows, errors and bytes consumed.
+    mod bytewise {
+        use super::*;
+
+        fn varint(r: &mut Reader<'_>, what: &str) -> Result<u64, ServeError> {
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let byte = r.u8(what)?;
+                if shift == 63 && byte > 1 {
+                    return Err(ServeError::corrupt(format!("varint overflow in {what}")));
+                }
+                v |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(v);
+                }
+                shift += 7;
+                if shift > 63 {
+                    return Err(ServeError::corrupt(format!("varint too long in {what}")));
+                }
+            }
+        }
+
+        pub(super) fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError> {
+            let nq = r.count("query-node count")?;
+            let mut rows = Vec::with_capacity(nq);
+            for _ in 0..nq {
+                let len = r.count("row length")?;
+                let mut row = Vec::with_capacity(len);
+                let mut prev = 0u64;
+                for i in 0..len {
+                    let raw = varint(r, "match id")?;
+                    let v = if i == 0 {
+                        raw
+                    } else {
+                        prev.checked_add(raw)
+                            .ok_or_else(|| ServeError::corrupt("match-id gap overflows"))?
+                    };
+                    if v > u64::from(u32::MAX) {
+                        return Err(ServeError::corrupt("match id exceeds u32"));
+                    }
+                    prev = v;
+                    row.push(v as u32);
+                }
+                rows.push(row);
+            }
+            Ok(rows)
+        }
+    }
+
+    type Decoded = (Result<Vec<Vec<u32>>, String>, usize);
+
+    /// Decodes `bytes` with `decode`: the rows or the error's text, and
+    /// how many bytes were left unread on success.
+    fn decoded(
+        decode: fn(&mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError>,
+        bytes: &[u8],
+    ) -> Decoded {
+        let mut r = Reader::new(bytes);
+        match decode(&mut r) {
+            Ok(rows) => (Ok(rows), r.remaining()),
+            Err(e) => (Err(e.to_string()), 0),
+        }
+    }
+
+    fn assert_decoders_agree(bytes: &[u8]) -> Decoded {
+        let fast = decoded(decode_rows, bytes);
+        assert_eq!(fast, decoded(bytewise::decode_rows, bytes), "{bytes:?}");
+        fast
+    }
+
+    fn rows_from_gaps(first: u32, gaps: &[u32]) -> Vec<u32> {
+        let mut row = vec![first];
+        for &g in gaps {
+            row.push(row[row.len() - 1] + g);
+        }
+        row
+    }
+
+    fn row_corpus() -> Vec<Vec<Vec<u32>>> {
+        let straddling = [
+            0x7e, 0x7f, 0x80, 0x81, 1, 0x3ffe, 0x3fff, 0x4000, 0x4001, 1, 1,
+        ];
+        let long: Vec<u32> = (0..10_000u32)
+            .map(|i| [1, 2, 0x7f, 0x80, 3][i as usize % 5])
+            .collect();
+        vec![
+            vec![],
+            vec![vec![], vec![]],
+            vec![rows_from_gaps(0, &straddling)],
+            vec![rows_from_gaps(0x7f, &straddling), vec![0x80], vec![]],
+            vec![
+                rows_from_gaps(0x3fff, &[1]),
+                rows_from_gaps(0x4000, &[0x7f]),
+            ],
+            vec![vec![u32::MAX]],
+            vec![vec![u32::MAX - 0x80, u32::MAX], vec![0, u32::MAX]],
+            vec![rows_from_gaps(7, &long), vec![1, 2, 3]],
+        ]
+    }
+
+    #[test]
+    fn row_codec_agrees_with_the_bytewise_decoder_on_every_prefix() {
+        for rows in row_corpus() {
+            let mut buf = Vec::new();
+            encode_rows(&mut buf, &rows);
+            assert_eq!(assert_decoders_agree(&buf), (Ok(rows), 0));
+            // A trailing byte is left for the frame's `finish` to refuse.
+            buf.push(0);
+            assert_eq!(assert_decoders_agree(&buf).1, 1);
+            buf.pop();
+            for cut in 0..buf.len() {
+                let (rows, _) = assert_decoders_agree(&buf[..cut]);
+                assert!(rows.is_err(), "prefix of {cut} bytes decoded");
+            }
+        }
+    }
+
+    #[test]
+    fn row_gap_past_u32_is_corrupt() {
+        // A one-byte gap, a two-byte gap, and u64::MAX, which overflows
+        // the addition itself.
+        for gap in [0x10, 0x80, u64::MAX] {
+            // One row of two ids: u32::MAX - 8, then the gap.
+            let mut buf = vec![1, 2];
+            put_varint(&mut buf, u64::from(u32::MAX - 8));
+            put_varint(&mut buf, gap);
+            let (rows, _) = assert_decoders_agree(&buf);
+            let err = rows.expect_err("an id past u32::MAX decoded");
+            assert!(err.contains("match id exceeds u32") || err.contains("gap overflows"));
+            let mut r = Reader::new(&buf);
+            assert!(matches!(
+                decode_rows(&mut r),
+                Err(ServeError::Corrupt { .. })
+            ));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        /// Arbitrary bytes: uniform, or mostly one-byte gaps after a
+        /// small row count, which reaches the run decoder's edges.
+        #[test]
+        fn row_codec_agrees_with_the_bytewise_decoder_on_random_bytes(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..96,
+            gappy in proptest::prelude::any::<bool>(),
+        ) {
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                ((z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 56) as u8
+            };
+            let mut bytes: Vec<u8> = (0..len).map(|_| next()).collect();
+            if gappy && !bytes.is_empty() {
+                bytes[0] %= 4;
+                for b in &mut bytes[1..] {
+                    if *b & 0x0f != 0 {
+                        *b &= 0x7f;
+                    }
+                }
+            }
+            let _ = assert_decoders_agree(&bytes);
+        }
     }
 }

@@ -431,10 +431,6 @@ fn try_execute(
                         .obs
                         .delta_maintained
                         .add(report.maintained_entries as u64);
-                    shared
-                        .obs
-                        .delta_invalidated
-                        .add(report.invalidated_entries as u64);
                     trace.generation = report.generation;
                     // Feed the digest to live subscriptions before
                     // answering: the diff frames queue behind this
@@ -451,7 +447,7 @@ fn try_execute(
                         virtuals_created: report.virtuals_created as u64,
                         virtuals_retired: report.virtuals_retired as u64,
                         maintained_entries: report.maintained_entries as u64,
-                        invalidated_entries: report.invalidated_entries as u64,
+                        invalidated_entries: 0,
                         revoked_pairs: report.revoked_pairs,
                         generation: report.generation,
                         resurrected_pairs: report.resurrected_pairs,

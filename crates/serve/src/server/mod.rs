@@ -289,7 +289,6 @@ struct ServerObs {
     request_ns_other: Histo,
     deltas_applied: Counter,
     delta_maintained: Counter,
-    delta_invalidated: Counter,
     slow_queries: Counter,
     /// Push frames parked across every subscription queue (synced at
     /// scrape time).
@@ -316,7 +315,6 @@ impl ServerObs {
             request_ns_other: reg.histogram("dgsd_request_ns{frame=\"OTHER\"}"),
             deltas_applied: reg.counter("dgsd_deltas_applied_total"),
             delta_maintained: reg.counter("dgsd_delta_maintained_entries_total"),
-            delta_invalidated: reg.counter("dgsd_delta_invalidated_entries_total"),
             slow_queries: reg.counter("dgsd_slow_queries_total"),
             sub_queue_frames: reg.gauge("dgsd_sub_queue_frames"),
         }

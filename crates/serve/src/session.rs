@@ -19,7 +19,11 @@
 //! maximum simulation of `Q` in `G₁ ⊎ G₂` is exactly the union of the
 //! per-component maximum simulations, so merging per-shard relations
 //! row-wise (sorted union per query node) reproduces the whole-graph
-//! answer. `is_match` is recomputed from the *merged* rows — a query
+//! answer — provided each shard reports its maximum simulation, which
+//! every `Auto` answer is. An explicit `dGPMd`/`dGPMt` request for a
+//! cyclic pattern answers an acyclic shard with the `∅` convention
+//! instead, so its union keeps only the other shards' matches.
+//! `is_match` is recomputed from the *merged* rows — a query
 //! node matchless on every shard is matchless overall — which is why
 //! Boolean fan-out queries run data-selecting per shard first: OR-ing
 //! per-shard `is_match` flags would wrongly claim a match that no

@@ -28,6 +28,18 @@ impl MatchRelation {
         MatchRelation { matches }
     }
 
+    /// Creates a relation from lists that are already sorted and free
+    /// of duplicates — rows copied out of another relation — without
+    /// [`Self::from_lists`]' per-list sort. Debug builds check that
+    /// every list is strictly increasing.
+    pub fn from_sorted_lists(matches: Vec<Vec<NodeId>>) -> Self {
+        debug_assert!(
+            matches.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])),
+            "from_sorted_lists: a list is not strictly increasing"
+        );
+        MatchRelation { matches }
+    }
+
     /// An empty relation over `nq` query nodes.
     pub fn empty(nq: usize) -> Self {
         MatchRelation {
@@ -144,6 +156,22 @@ mod tests {
         let r = MatchRelation::from_lists(vec![vec![NodeId(3), NodeId(1), NodeId(3)]]);
         assert_eq!(r.matches_of(QNodeId(0)), &[NodeId(1), NodeId(3)]);
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn from_sorted_lists_equals_from_lists_on_sorted_input() {
+        let lists = vec![vec![NodeId(1), NodeId(3)], vec![], vec![NodeId(0)]];
+        assert_eq!(
+            MatchRelation::from_sorted_lists(lists.clone()),
+            MatchRelation::from_lists(lists)
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_sorted_lists_rejects_a_duplicate_in_debug() {
+        MatchRelation::from_sorted_lists(vec![vec![NodeId(2), NodeId(2)]]);
     }
 
     #[test]

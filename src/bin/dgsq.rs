@@ -393,18 +393,6 @@ fn replay_updates(engine: &SimEngine, algo: &Algorithm, qs: &[Pattern], path: &s
                 report.metrics.data_bytes
             );
         }
-        if report.invalidated_entries > 0 {
-            println!(
-                "  dropped {} trivial-∅ entr{} whose ∅ rows are not the fixpoint \
-                 (no baseline for insertions; next queries re-evaluate)",
-                report.invalidated_entries,
-                if report.invalidated_entries == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            );
-        }
         let batch = engine.query_batch_with(algo, qs);
         println!(
             "  re-query: {}/{} answered  PT = {:.3} ms  DS = {:.3} KB  ({} cache hits)",
@@ -462,13 +450,6 @@ fn replay_updates_remote(client: &mut DgsClient, algo: WireAlgorithm, qs: &[Patt
             println!(
                 "  maintained {} cached entries incrementally: revoked {} resurrected {} pairs",
                 report.maintained_entries, report.revoked_pairs, report.resurrected_pairs
-            );
-        }
-        if report.invalidated_entries > 0 {
-            println!(
-                "  dropped {} trivial-∅ entries whose ∅ rows are not the fixpoint \
-                 (no baseline for insertions; next queries re-evaluate)",
-                report.invalidated_entries
             );
         }
         let (items, total) = client

@@ -136,6 +136,40 @@ fn dgpmd_message_and_shipment_bounds() {
     }
 }
 
+/// Fig. 6 / Theorem 3's rounds shape, on layered DAGs whose longest
+/// path grows with the layer count. A cyclic pattern cannot match a
+/// DAG, but a vertex-centric engine only learns that as falsifications
+/// climb the graph one superstep at a time, so `dMes`'s rounds grow
+/// with the diameter; `dGPMd` answers it from §5.1's observation
+/// without a round. A DAG pattern of depth `d` takes `dGPMd` its `d + 1`
+/// rank rounds at every diameter — `quiescence_rounds` counts two
+/// barriers more, the one after the sites start and the gather.
+#[test]
+fn dmes_rounds_grow_with_diameter_dgpmd_rounds_do_not() {
+    let (n, k, d) = (1_600, 4, 2);
+    let cyclic = patterns::random_cyclic(3, 5, 1, 17);
+    let acyclic = patterns::random_dag_with_depth(3, 3, d, 1, 17);
+    let mut dmes = Vec::new();
+    for layers in [4, 8, 16, 32] {
+        let g = dag::layered(n, 3 * n, layers, 1, 5);
+        let frag = Fragmentation::build(&g, &hash_partition(n, k, 3), k);
+        let engine = SimEngine::builder(&g, Arc::new(frag)).build();
+        let rounds = |algorithm: &Algorithm, q: &Pattern| {
+            let report = engine.query_with(algorithm, q).unwrap();
+            assert_eq!(report.relation, hhk_simulation(q, &g).relation);
+            report.metrics.quiescence_rounds
+        };
+        dmes.push(rounds(&Algorithm::DMes, &cyclic));
+        assert_eq!(rounds(&Algorithm::Dgpmd, &cyclic), 0, "{layers} layers");
+        assert_eq!(
+            rounds(&Algorithm::Dgpmd, &acyclic),
+            d as u64 + 1 + 2,
+            "{layers} layers: dGPMd's rank rounds and two barriers"
+        );
+    }
+    assert!(dmes.windows(2).all(|w| w[0] < w[1]), "dMes rounds {dmes:?}");
+}
+
 /// Corollary 4: dGPMt's shipment is O(|Q||F|) — growing the tree by
 /// 16× with fixed |F| leaves DS essentially unchanged, and the
 /// absolute volume stays tiny.

@@ -774,6 +774,61 @@ fn unix_socket_serving_works_end_to_end() {
 
 // ---- multi-session routing + fan-out ----------------------------------
 
+/// A fan-out answer is the union of the shards' relations, which is the
+/// combined graph's relation only if every shard reports its maximum
+/// simulation. On an acyclic shard a cyclic pattern's cycle cannot
+/// match — but a pattern node that reaches no cycle of the pattern
+/// still can, and the union must keep those matches.
+#[test]
+fn fan_out_over_an_acyclic_shard_keeps_matches_outside_the_pattern_cycle() {
+    use dgs::graph::generate::dag;
+    const LABELS: usize = 3;
+    let acyclic = dag::citation_like(200, 500, LABELS, 7);
+    let cyclic = random::uniform(120, 600, LABELS, 8);
+    // c1 ⇄ c2, c2 → s: s reaches no cycle.
+    let mut qb = PatternBuilder::new();
+    let c1 = qb.add_node(Label(0));
+    let c2 = qb.add_node(Label(1));
+    let s = qb.add_node(Label(2));
+    qb.add_edge(c1, c2);
+    qb.add_edge(c2, c1);
+    qb.add_edge(c2, s);
+    let q = qb.build();
+    let shard_rows: Vec<Vec<Vec<u32>>> = [&acyclic, &cyclic]
+        .iter()
+        .map(|g| rows_of(&hhk_simulation(&q, g).relation))
+        .collect();
+    assert!(shard_rows[0][0].is_empty() && !shard_rows[0][2].is_empty());
+    assert!(
+        !shard_rows[1][0].is_empty(),
+        "the cycle matches on the cyclic shard"
+    );
+    let want = fan_out_rows(&shard_rows);
+
+    let handle = spawn_server(&cyclic, 2, 8, ServerConfig::default());
+    let mut client = DgsClient::connect(handle.addr()).expect("connect");
+    let options = SessionOptions {
+        sites: 2,
+        seed: 7,
+        ..SessionOptions::default()
+    };
+    client
+        .session_create("acyclic", &acyclic, &options)
+        .expect("create the acyclic shard");
+    client
+        .session_create("cyclic", &cyclic, &options)
+        .expect("create the cyclic shard");
+    assert_eq!(client.session_route(&["acyclic", "cyclic"]).unwrap(), 2);
+    for pass in ["cold", "cached"] {
+        let a = client
+            .query(&q, WireAlgorithm::Auto)
+            .expect("fan-out query");
+        assert_eq!(a.rows, want, "{pass} fan-out rows");
+    }
+    drop(client);
+    handle.shutdown().expect("shutdown");
+}
+
 /// Create/list/drop/route over the wire. Fan-out answers must be the
 /// per-query-node sorted dedup union of what identically configured
 /// per-shard oracles produce, single-target admin frames on a
