@@ -20,15 +20,28 @@
 //! exactly the paper's "always assume the unevaluated virtual nodes
 //! are match candidates".
 //!
+//! **Only counters that can be read exist.** A counter of edge
+//! `(u, u')` at `v` is read when a successor of `v` leaves `u'`, and
+//! only while `(u, v)` is still a candidate. So it is written only for
+//! a local node whose label is the label of `u` (the source of some
+//! query edge), and decremented only while `(u, v)` is a candidate —
+//! a bit test that costs no more than the decrement it skips. The
+//! counter of a falsified pair goes stale and is never read again.
+//! (`delta.rs` keeps exact counters for every local node instead:
+//! insertion repair revives pairs whose counters must then be right.)
+//!
 //! Counters are **seeded from a label tally**, as `hhk_simulation`
 //! seeds its own: initial candidacy is label equality, so one walk of
 //! a node's successor list tallies their labels, edge `e` reads
-//! `tally[label(child(e))]`, and the tally is reset — `|Ei| + ne·|Vi|`
-//! charged steps, not `ne·|Ei|` bit tests. Virtual pairs pinned false
-//! (`dGPMNOpt`'s from-scratch rebuild, [`LocalEval::new_with_pinned`])
-//! are corrected *after* seeding: each takes its support back out of
-//! its predecessors' counters, so [`LocalEval::new`] is the same path
-//! with nothing to correct.
+//! `tally[label(child(e))]`, and the tally is reset. Right after a
+//! node's counters are written, each of its source pairs with a zero
+//! counter is falsified and queued — the dead-on-arrival check is part
+//! of the tally, not a second scan. Charged: one label test per local
+//! node, `|succ| + |E_l|` per seeded node (`E_l` the query edges whose
+//! source has its label `l`), one check per source pair. Virtual pairs
+//! pinned false (`dGPMNOpt`'s from-scratch rebuild,
+//! [`LocalEval::new_with_pinned`]) join the same cascade, so
+//! [`LocalEval::new`] is the same path with nothing pinned.
 //!
 //! [`LocalEval::apply_virtual_falsifications`] is the *incremental*
 //! `lEval` of §4.2: it touches only the affected area `AFF` (the
@@ -42,7 +55,7 @@
 use crate::vars::Var;
 use dgs_graph::{Pattern, QNodeId};
 use dgs_partition::{Fragment, Fragmentation, SiteId};
-use dgs_sim::matchset::{MatchSet, SetBits};
+use dgs_sim::matchset::MatchSet;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -61,13 +74,11 @@ pub struct LocalEval {
     /// Per query node: `(edge index, parent)` pairs of incoming query
     /// edges.
     parent_edges: Vec<Vec<(usize, u16)>>,
-    /// Per query node: indices of outgoing query edges.
-    out_edges: Vec<Vec<usize>>,
     /// Candidacy of `X(u, v)`: one bitset row per query variable over
     /// the fragment index arena (locals first, then virtuals).
     cand: MatchSet,
-    /// Support counters: `cnt[e * n + idx]` (meaningful for local
-    /// indices only).
+    /// Support counters: `cnt[e * n + idx]`, meaningful while `idx` is
+    /// a local candidate of the source of query edge `e`.
     cnt: Vec<u32>,
     /// Local index → position in [`Fragment::in_nodes`]; `u32::MAX`
     /// for every other slot.
@@ -98,13 +109,10 @@ impl LocalEval {
         let nq = q.node_count();
         let n = f.n_total();
         let n_local = f.n_local();
-        let qedges: Vec<(u16, u16)> = q.edges().map(|(u, c)| (u.0, c.0)).collect();
-        let ne = qedges.len();
+        let ne = q.edge_count();
         let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); nq];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nq];
-        for (e, &(u, uc)) in qedges.iter().enumerate() {
-            parent_edges[uc as usize].push((e, u));
-            out_edges[u as usize].push(e);
+        for (e, (u, uc)) in q.edges().enumerate() {
+            parent_edges[uc.index()].push((e, u.0));
         }
 
         let mut ops: u64 = 0;
@@ -126,41 +134,63 @@ impl LocalEval {
             cand.copy_row_from(u.index(), by_label.row(q.label(u).index()));
         }
 
-        // Seed counters from one label tally per local node.
-        let child_label: Vec<usize> = qedges
-            .iter()
-            .map(|&(_, uc)| q.label(QNodeId(uc)).index())
-            .collect();
+        // Per label: the source query nodes carrying it, each with its
+        // first out-edge (`Pattern::edges` lists a node's out-edges
+        // consecutively).
+        let mut sources: Vec<Vec<(u16, usize)>> = vec![Vec::new(); label_bound];
+        let mut first = 0;
+        for u in q.nodes() {
+            if !q.is_sink(u) {
+                sources[q.label(u).index()].push((u.0, first));
+            }
+            first += q.children(u).len();
+        }
+
+        // Seed the counters of source-labelled local nodes from one
+        // label tally each, and falsify a pair with an unsupported
+        // out-edge as soon as its counters are written.
         let mut tally = vec![0u32; label_bound];
         let mut cnt = vec![0u32; ne * n];
-        for idx in 0..n_local {
-            let succ = f.successors(idx as u32);
+        let mut worklist: Vec<(u16, u32)> = Vec::new();
+        for idx in 0..n_local as u32 {
+            ops += 1;
+            let srcs = &sources[f.label(idx).index()];
+            if srcs.is_empty() {
+                continue;
+            }
+            let succ = f.successors(idx);
             for &s in succ {
                 tally[f.label(s).index()] += 1;
             }
-            for (e, &l) in child_label.iter().enumerate() {
-                cnt[e * n + idx] = tally[l];
+            for &(u, e0) in srcs {
+                let children = q.children(QNodeId(u));
+                let mut dead = false;
+                for (e, uc) in (e0..).zip(children) {
+                    let c = tally[q.label(*uc).index()];
+                    cnt[e * n + idx as usize] = c;
+                    dead |= c == 0;
+                }
+                if dead {
+                    cand.remove(u as usize, idx);
+                    worklist.push((u, idx));
+                }
+                ops += children.len() as u64 + 1;
             }
             for &s in succ {
                 tally[f.label(s).index()] = 0;
             }
-            ops += (succ.len() + ne) as u64;
+            ops += succ.len() as u64;
         }
 
-        // Pinned-false virtual pairs leave candidacy and take their
-        // support back out of their predecessors' counters.
+        // Pinned-false virtual pairs leave candidacy through the same
+        // cascade.
         for var in pinned_false {
             ops += 1;
             let Some(idx) = f.index_of(var.node_id()) else {
                 continue;
             };
             if (var.q as usize) < nq && f.is_virtual(idx) && cand.remove(var.q as usize, idx) {
-                for &(e, _) in &parent_edges[var.q as usize] {
-                    for &vp in f.predecessors(idx) {
-                        ops += 1;
-                        cnt[e * n + vp as usize] -= 1;
-                    }
-                }
+                worklist.push((var.q, idx));
             }
         }
 
@@ -177,33 +207,11 @@ impl LocalEval {
             n,
             n_local,
             parent_edges,
-            out_edges,
             cand,
             cnt,
             in_pos,
             ops,
         };
-
-        // Initial worklist: local label-candidates with an unsupported
-        // query edge — walk only the set bits of each row, which are
-        // ascending, so the scan stops at the first virtual index.
-        let mut worklist: Vec<(u16, u32)> = Vec::new();
-        for u in 0..nq as u16 {
-            let row = ev.cand.row(u as usize).to_vec();
-            for idx in SetBits::new(&row) {
-                if idx as usize >= n_local {
-                    break;
-                }
-                ev.ops += 1;
-                let dead = ev.out_edges[u as usize]
-                    .iter()
-                    .any(|&e| ev.cnt[e * n + idx as usize] == 0);
-                if dead {
-                    ev.cand.remove(u as usize, idx);
-                    worklist.push((u, idx));
-                }
-            }
-        }
         let falsified = ev.run_worklist(worklist);
         (ev, falsified)
     }
@@ -262,7 +270,8 @@ impl LocalEval {
     }
 
     /// The downward worklist: each entry has just been set non-candidate;
-    /// decrement supporting counters of local predecessors and cascade.
+    /// decrement the supporting counters of local predecessors that are
+    /// still candidates — no other counter is read again — and cascade.
     /// Returns the falsified in-node variables, each with its position.
     fn run_worklist(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Falsified> {
         let frag = Arc::clone(&self.frag);
@@ -278,10 +287,14 @@ impl LocalEval {
             for &(e, up) in &self.parent_edges[uq as usize] {
                 for &vp in f.predecessors(idx) {
                     self.ops += 1;
+                    if !self.cand.test(up as usize, vp) {
+                        continue;
+                    }
                     let c = &mut self.cnt[e * n + vp as usize];
                     debug_assert!(*c > 0, "support counter underflow");
                     *c -= 1;
-                    if *c == 0 && self.cand.remove(up as usize, vp) {
+                    if *c == 0 {
+                        self.cand.remove(up as usize, vp);
                         worklist.push((up, vp));
                     }
                 }
@@ -487,7 +500,8 @@ mod tests {
                 );
                 // Surviving local candidates agree on their support too.
                 if incr.is_candidate(u, idx) && (idx as usize) < incr.n_local {
-                    for &e in &incr.out_edges[u as usize] {
+                    let out = w.pattern.edges().enumerate();
+                    for (e, _) in out.filter(|(_, (src, _))| src.0 == u) {
                         let at = e * n + idx as usize;
                         assert_eq!(incr.cnt[at], scratch.cnt[at], "cnt e{e}, idx{idx}");
                     }
@@ -499,8 +513,8 @@ mod tests {
     /// A random fragmentation that went through `apply_delta`: the
     /// first 40 edges leave, 40 fresh ones arrive, so virtual slots
     /// retire and new ones are appended behind the sorted section.
-    fn churned(seed: u64) -> (Arc<Fragmentation>, Arc<Pattern>) {
-        use dgs_graph::generate::{patterns, random};
+    fn churned(seed: u64) -> Arc<Fragmentation> {
+        use dgs_graph::generate::random;
         use dgs_graph::NodeId;
         use dgs_partition::{hash_partition, EdgeOp};
         let g = random::uniform(120, 420, 3, seed);
@@ -523,90 +537,282 @@ mod tests {
             }
         }
         frag.apply_delta(&ops);
-        let q = patterns::random_cyclic(4, 7, 3, seed + 11);
-        (Arc::new(frag), Arc::new(q))
+        Arc::new(frag)
     }
 
-    /// The HHK invariant the tally seeding must establish (and the
-    /// worklist keep): every counter equals the brute-force count of
-    /// still-candidate successors.
-    fn assert_counters_exact(ev: &LocalEval) {
+    /// `lEval` as it was before counters were seeded for source-labelled
+    /// nodes only: every local node seeded for every query edge, pinned
+    /// pairs corrected by a decrement loop of their own, a separate
+    /// dead-on-arrival scan over copies of the candidate rows, and a
+    /// cascade that decrements every predecessor's counter. Its
+    /// counters stay exact for every local node.
+    mod full_count {
+        use super::*;
+        use dgs_sim::matchset::SetBits;
+
+        pub(super) struct Reference<'a> {
+            f: &'a Fragment,
+            n: usize,
+            parent_edges: Vec<Vec<(usize, u16)>>,
+            pub(super) cand: MatchSet,
+            cnt: Vec<u32>,
+        }
+
+        impl<'a> Reference<'a> {
+            pub(super) fn new(
+                f: &'a Fragment,
+                q: &Pattern,
+                pinned_false: &HashSet<Var>,
+            ) -> (Self, Vec<Falsified>) {
+                let (nq, n, n_local) = (q.node_count(), f.n_total(), f.n_local());
+                let qedges: Vec<(u16, u16)> = q.edges().map(|(u, c)| (u.0, c.0)).collect();
+                let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); nq];
+                let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); nq];
+                for (e, &(u, uc)) in qedges.iter().enumerate() {
+                    parent_edges[uc as usize].push((e, u));
+                    out_edges[u as usize].push(e);
+                }
+                let mut cand = MatchSet::new(nq, n);
+                for u in q.nodes() {
+                    for idx in (0..n as u32).filter(|&i| f.label(i) == q.label(u)) {
+                        cand.set(u.index(), idx);
+                    }
+                }
+                let labels = (0..n as u32).map(|idx| f.label(idx));
+                let labels = labels.chain(q.labels().iter().copied());
+                let mut tally = vec![0u32; labels.map(|l| l.index() + 1).max().unwrap_or(0)];
+                let child_label: Vec<usize> = qedges
+                    .iter()
+                    .map(|&(_, uc)| q.label(QNodeId(uc)).index())
+                    .collect();
+                let mut cnt = vec![0u32; qedges.len() * n];
+                for idx in 0..n_local {
+                    let succ = f.successors(idx as u32);
+                    for &s in succ {
+                        tally[f.label(s).index()] += 1;
+                    }
+                    for (e, &l) in child_label.iter().enumerate() {
+                        cnt[e * n + idx] = tally[l];
+                    }
+                    for &s in succ {
+                        tally[f.label(s).index()] = 0;
+                    }
+                }
+                for var in pinned_false {
+                    let Some(idx) = f.index_of(var.node_id()) else {
+                        continue;
+                    };
+                    if (var.q as usize) < nq
+                        && f.is_virtual(idx)
+                        && cand.remove(var.q as usize, idx)
+                    {
+                        for &(e, _) in &parent_edges[var.q as usize] {
+                            for &vp in f.predecessors(idx) {
+                                cnt[e * n + vp as usize] -= 1;
+                            }
+                        }
+                    }
+                }
+                let mut worklist = Vec::new();
+                for u in 0..nq as u16 {
+                    let row = cand.row(u as usize).to_vec();
+                    for idx in SetBits::new(&row) {
+                        if idx as usize >= n_local {
+                            break;
+                        }
+                        let dead = out_edges[u as usize]
+                            .iter()
+                            .any(|&e| cnt[e * n + idx as usize] == 0);
+                        if dead {
+                            cand.remove(u as usize, idx);
+                            worklist.push((u, idx));
+                        }
+                    }
+                }
+                let mut reference = Reference {
+                    f,
+                    n,
+                    parent_edges,
+                    cand,
+                    cnt,
+                };
+                let falsified = reference.run_worklist(worklist);
+                (reference, falsified)
+            }
+
+            pub(super) fn apply(&mut self, vars: &[Var]) -> Vec<Falsified> {
+                let mut worklist = Vec::new();
+                for var in vars {
+                    let Some(idx) = self.f.index_of(var.node_id()) else {
+                        continue;
+                    };
+                    if (var.q as usize) < self.cand.rows() && self.cand.remove(var.q as usize, idx)
+                    {
+                        worklist.push((var.q, idx));
+                    }
+                }
+                self.run_worklist(worklist)
+            }
+
+            fn run_worklist(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Falsified> {
+                let mut falsified = Vec::new();
+                while let Some((uq, idx)) = worklist.pop() {
+                    if let Some(pos) = self.f.in_node_pos(idx) {
+                        let node = self.f.global_id(idx).0;
+                        falsified.push((Var { q: uq, node }, pos as u32));
+                    }
+                    for &(e, up) in &self.parent_edges[uq as usize] {
+                        for &vp in self.f.predecessors(idx) {
+                            let c = &mut self.cnt[e * self.n + vp as usize];
+                            *c -= 1;
+                            if *c == 0 && self.cand.remove(up as usize, vp) {
+                                worklist.push((up, vp));
+                            }
+                        }
+                    }
+                }
+                falsified
+            }
+        }
+    }
+
+    /// The kernel and the full-count reference agree: the same
+    /// candidacy rows, the same falsified variables with the same
+    /// positions, and every counter the kernel can still read — edge
+    /// `(u, uc)` at a local candidate of `u` — equal to the brute-force
+    /// count of candidate successors. No counter exceeds its node's
+    /// out-degree, so a wrapped one fails in release builds too.
+    fn assert_agree(
+        ev: &LocalEval,
+        reference: &full_count::Reference<'_>,
+        mut got: Vec<Falsified>,
+        mut want: Vec<Falsified>,
+        at: &str,
+    ) {
+        for u in 0..ev.nq {
+            assert_eq!(ev.cand.row(u), reference.cand.row(u), "{at}: row {u}");
+        }
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{at}: falsified");
         let f = ev.fragment();
-        for (e, (_, uc)) in ev.q.edges().enumerate() {
+        for (e, (u, uc)) in ev.q.edges().enumerate() {
             for idx in 0..ev.n_local as u32 {
-                let brute = f.successors(idx).iter();
-                let brute = brute.filter(|&&s| ev.is_candidate(uc.0, s)).count();
-                let got = ev.cnt[e * ev.n + idx as usize];
-                assert_eq!(got as usize, brute, "edge {e}, idx {idx}");
+                let c = ev.cnt[e * ev.n + idx as usize] as usize;
+                let succ = f.successors(idx);
+                assert!(c <= succ.len(), "{at}: edge {e}, idx {idx}: {c} wrapped");
+                if ev.is_candidate(u.0, idx) {
+                    let brute = succ.iter().filter(|&&s| ev.is_candidate(uc.0, s));
+                    assert_eq!(c, brute.count(), "{at}: edge {e}, idx {idx}");
+                }
             }
         }
     }
 
     #[test]
-    fn seeded_counters_equal_brute_force_counts() {
-        let (mut retired, mut appended) = (0, 0);
+    fn kernel_agrees_with_the_full_count_reference() {
+        use dgs_graph::generate::patterns;
+        let (mut retired, mut appended, mut cascaded) = (0, 0, 0);
         for seed in 0..12 {
-            let (frag, q) = churned(seed);
-            for site in 0..3 {
-                let f = frag.fragment(site);
-                retired += f.n_virtual() - f.live_virtuals();
-                let virt: Vec<u32> = f.virtual_indices().collect();
-                appended += virt
-                    .windows(2)
-                    .filter(|w| f.global_id(w[1]) < f.global_id(w[0]))
-                    .count();
-                let (mut ev, _) = LocalEval::new(Arc::clone(&frag), site, Arc::clone(&q));
-                assert_counters_exact(&ev);
-                // Pin every third candidate virtual variable false.
-                let mut pinned = HashSet::new();
-                for idx in f.virtual_indices().step_by(3) {
-                    for u in (0..q.node_count() as u16).filter(|&u| ev.is_candidate(u, idx)) {
-                        pinned.insert(Var::new(QNodeId(u), f.global_id(idx)));
+            let frag = churned(seed);
+            let cyclic = patterns::random_cyclic(4, 7, 3, seed + 11);
+            let dag = patterns::random_dag_with_depth(5, 6, 3, 3, seed + 23);
+            let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+            let mut next = move || {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) as usize
+            };
+            for q in [Arc::new(cyclic), Arc::new(dag)] {
+                for site in 0..3 {
+                    let f = frag.fragment(site);
+                    retired += f.n_virtual() - f.live_virtuals();
+                    let virt: Vec<u32> = f.virtual_indices().collect();
+                    appended += virt
+                        .windows(2)
+                        .filter(|w| f.global_id(w[1]) < f.global_id(w[0]))
+                        .count();
+                    let vars: Vec<Var> = (virt.iter())
+                        .flat_map(|&idx| q.nodes().map(move |u| Var::new(u, f.global_id(idx))))
+                        .collect();
+                    // Nothing pinned, then a random third of the virtual
+                    // variables; the rest arrive in three incremental
+                    // batches, each repeating one variable already sent.
+                    let pinned: HashSet<Var> =
+                        vars.iter().copied().filter(|_| next() % 3 == 0).collect();
+                    for pinned in [HashSet::new(), pinned] {
+                        let (mut ev, got) = LocalEval::new_with_pinned(
+                            Arc::clone(&frag),
+                            site,
+                            Arc::clone(&q),
+                            &pinned,
+                        );
+                        let (mut reference, want) = full_count::Reference::new(f, &q, &pinned);
+                        let at = format!("seed {seed}, site {site}, {} pinned", pinned.len());
+                        assert_agree(&ev, &reference, got, want, &at);
+                        let mut rest: Vec<Var> = vars
+                            .iter()
+                            .copied()
+                            .filter(|v| !pinned.contains(v))
+                            .collect();
+                        for i in (1..rest.len()).rev() {
+                            rest.swap(i, next() % (i + 1));
+                        }
+                        let mut last = None;
+                        for (b, batch) in rest.chunks(rest.len() / 3 + 1).enumerate() {
+                            let batch: Vec<Var> = batch.iter().copied().chain(last).collect();
+                            let got = ev.apply_virtual_falsifications(&batch);
+                            let want = reference.apply(&batch);
+                            cascaded += got.len();
+                            assert_agree(&ev, &reference, got, want, &format!("{at}, batch {b}"));
+                            last = batch.first().copied();
+                        }
                     }
                 }
-                let (scratch, _) =
-                    LocalEval::new_with_pinned(Arc::clone(&frag), site, Arc::clone(&q), &pinned);
-                assert_counters_exact(&scratch);
-                // ...which is where incremental propagation lands too.
-                let vars: Vec<Var> = pinned.iter().copied().collect();
-                ev.apply_virtual_falsifications(&vars);
-                assert_counters_exact(&ev);
-                for u in 0..q.node_count() {
-                    assert_eq!(ev.cand.row(u), scratch.cand.row(u), "row {u}");
-                }
-                assert_eq!(ev.cnt, scratch.cnt);
             }
         }
         assert!(
-            retired > 0 && appended > 0,
-            "{retired} retired, {appended} appended"
+            retired > 0 && appended > 0 && cascaded > 0,
+            "{retired} retired, {appended} appended, {cascaded} in-nodes falsified"
         );
     }
 
     #[test]
     fn construction_charges_tally_seeding_exactly() {
-        // |Vi ∪ Fi.O| label bits, nq row copies, the seeding —
-        // |Ei| successor visits + ne·|Vi| counter writes, no more —
-        // one dead-check per local label candidate, one decrement per
-        // (falsified pair, parent edge, predecessor).
+        // |Vi ∪ Fi.O| label bits, nq row copies, one label test per
+        // local node, |succ| + |E_l| per node whose label l some query
+        // edge starts from, one dead check per source pair, one
+        // predecessor visit per (falsified pair, parent edge,
+        // predecessor).
         let w = fig1();
         let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
         let q = Arc::new(w.pattern.clone());
-        let (nq, ne) = (q.node_count(), q.edges().count());
+        let nq = q.node_count();
         for site in 0..3 {
             let f = frag.fragment(site);
             let (mut ev, _) = LocalEval::new(Arc::clone(&frag), site, Arc::clone(&q));
-            let seeding = f.n_edges() + ne * f.n_local();
-            let mut rest = f.n_total() + nq * ev.cand.words_per_row();
+            let mut want = f.n_total() + nq * ev.cand.words_per_row();
+            for idx in f.local_indices() {
+                want += 1;
+                let sources = q
+                    .nodes()
+                    .filter(|&u| !q.is_sink(u) && q.label(u) == f.label(idx));
+                let sources: Vec<QNodeId> = sources.collect();
+                if !sources.is_empty() {
+                    want += f.successors(idx).len();
+                }
+                want += sources
+                    .iter()
+                    .map(|&u| q.children(u).len() + 1)
+                    .sum::<usize>();
+            }
             for u in q.nodes() {
                 for idx in f.local_indices().filter(|&i| f.label(i) == q.label(u)) {
-                    rest += 1;
                     if !ev.is_candidate(u.0, idx) {
-                        rest += q.parents(u).len() * f.predecessors(idx).len();
+                        want += q.parents(u).len() * f.predecessors(idx).len();
                     }
                 }
             }
-            assert_eq!(ev.take_ops(), (seeding + rest) as u64, "site {site}");
+            assert_eq!(ev.take_ops(), want as u64, "site {site}");
         }
     }
 

@@ -136,15 +136,33 @@ impl AnswerBuilder {
         ops
     }
 
-    /// Finalizes into the maximum match relation.
+    /// Finalizes into the maximum match relation. Each site's list is
+    /// ascending (locals are numbered in global order) and sites are
+    /// disjoint, so a row merged from contiguous ranges is already
+    /// strictly increasing and stands; any other row is rebuilt from a
+    /// bitset over its `[min, max]` instead of sorted.
     pub fn finish(self) -> dgs_sim::MatchRelation {
-        dgs_sim::MatchRelation::from_lists(
-            self.lists
-                .into_iter()
-                .map(|l| l.into_iter().map(NodeId).collect())
-                .collect(),
-        )
+        let rows = self.lists.into_iter().map(|l| {
+            let l = if l.windows(2).all(|w| w[0] < w[1]) {
+                l
+            } else {
+                ascending(&l)
+            };
+            l.into_iter().map(NodeId).collect()
+        });
+        dgs_sim::MatchRelation::from_sorted_lists(rows.collect())
     }
+}
+
+/// The distinct ids of a non-empty list, ascending.
+fn ascending(ids: &[u32]) -> Vec<u32> {
+    let lo = ids.iter().copied().min().unwrap_or(0);
+    let hi = ids.iter().copied().max().unwrap_or(0);
+    let mut bits = dgs_sim::MatchSet::new(1, (hi - lo) as usize + 1);
+    for &v in ids {
+        bits.set(0, v - lo);
+    }
+    bits.iter_row(0).map(|o| lo + o).collect()
 }
 
 #[cfg(test)]
@@ -160,6 +178,35 @@ mod tests {
         assert_eq!(r.matches_of(QNodeId(0)), &[NodeId(1), NodeId(4)]);
         assert_eq!(r.matches_of(QNodeId(1)), &[NodeId(2), NodeId(3)]);
         assert!(r.is_total());
+    }
+
+    #[test]
+    fn finish_equals_sorting_every_row() {
+        // Per site, per query node: the lists `merge` sees.
+        let interleaved = vec![vec![1, 5, 9, 13], vec![2, 6, 10], vec![0, 3, 7, 200]];
+        let contiguous = vec![vec![0, 1, 2], vec![3, 4], vec![7, 9]];
+        let single_site = vec![vec![4, 8, 15, 16, 23, 42]];
+        let duplicates = vec![vec![3, 5], vec![5, 9], vec![3, 3, 11]];
+        let empty: Vec<Vec<u32>> = vec![vec![], vec![], vec![]];
+        for (name, sites) in [
+            ("interleaved", interleaved),
+            ("contiguous", contiguous),
+            ("single site", single_site),
+            ("duplicates", duplicates),
+            ("empty", empty),
+        ] {
+            let mut b = AnswerBuilder::new(2);
+            // Row 0 takes the lists in site order, row 1 reversed.
+            for l in &sites {
+                b.merge(&MatchLists(vec![(0, l.clone())]));
+            }
+            for l in sites.iter().rev() {
+                b.merge(&MatchLists(vec![(1, l.clone())]));
+            }
+            let all: Vec<NodeId> = sites.iter().flatten().map(|&v| NodeId(v)).collect();
+            let want = dgs_sim::MatchRelation::from_lists(vec![all.clone(), all]);
+            assert_eq!(b.finish(), want, "{name}");
+        }
     }
 
     #[test]

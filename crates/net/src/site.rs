@@ -115,6 +115,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "no self-sends")]
     fn self_send_rejected_in_debug() {
         let mut out: Outbox<u32> = Outbox::new(Endpoint::Site(1), 3);

@@ -397,9 +397,12 @@ fn match_ships_the_graph_dgpm_does_not() {
 /// before tally seeding and the index-carrying ship path (PR 15), and
 /// the charged work is strictly below that commit's. `dGPMt` is the
 /// exception on work, by arithmetic: a fragment of a tree has
-/// `|Ei| < |Vi| + |Fi.O|`, so `|Ei| + ne·|Vi|` seeding steps are more
-/// than the `ne·|Ei|` bit tests they replace — by exactly the sum
-/// asserted below.
+/// `|Ei| < |Vi| + |Fi.O|`, so seeding a node's counters from a label
+/// tally can cost more than the `ne·|Ei|` bit tests it replaced. Its
+/// work is pinned exactly: that commit's charge, minus its seeding and
+/// its dead check per local label candidate, plus today's — one label
+/// test per local node, `|succ| + |E_l|` per node whose label `l` some
+/// query edge starts from, one check per source pair.
 #[test]
 fn shipment_counts_are_pinned() {
     let k = 4;
@@ -419,8 +422,22 @@ fn shipment_counts_are_pinned() {
         k,
     ));
     let ne = tree_q.edges().count();
-    let tree_seeding_delta: usize = (tree_frag.fragments().iter())
-        .map(|f| f.n_edges() + ne * f.n_local() - ne * f.n_edges())
+    let tree_seeding_delta: i64 = (tree_frag.fragments().iter())
+        .map(|f| {
+            let (mut then, mut now) = (ne * f.n_edges(), f.n_local());
+            for idx in f.local_indices() {
+                let matching = tree_q.nodes().filter(|&u| tree_q.label(u) == f.label(idx));
+                let matching: Vec<QNodeId> = matching.collect();
+                then += matching.len();
+                let sources = matching.iter().filter(|&&u| !tree_q.is_sink(u));
+                let out_edges: Vec<usize> = sources.map(|&u| tree_q.children(u).len()).collect();
+                if !out_edges.is_empty() {
+                    now += f.successors(idx).len();
+                }
+                now += out_edges.iter().map(|e| e + 1).sum::<usize>();
+            }
+            now as i64 - then as i64
+        })
         .sum();
 
     // (data_bytes, data_messages, control_messages, quiescence_rounds,
@@ -471,7 +488,7 @@ fn shipment_counts_are_pinned() {
         assert_eq!(m.quiescence_rounds, rounds, "{name}: quiescence_rounds");
         assert_eq!(m.site_msgs, site_msgs, "{name}: site_msgs");
         if matches!(algorithm, Algorithm::Dgpmt) {
-            let expected = parent_ops + tree_seeding_delta as u64;
+            let expected = (parent_ops as i64 + tree_seeding_delta) as u64;
             assert_eq!(m.total_ops, expected, "{name}: total_ops");
         } else {
             assert!(m.total_ops < parent_ops, "{name}: {} ops", m.total_ops);
