@@ -25,13 +25,11 @@
 //!   cannot falsify them. [`UpdateMsg::Affected`] carries the closure
 //!   across fragment boundaries pair by pair, from an in-node's owner
 //!   to the virtual slots of its subscribers. `AFF` is then flipped to
-//!   true, the counters it touches are bumped (`+1` at each inserted
-//!   edge's source per already-true child pair, `+1` at the
-//!   predecessors of each revived pair), and the standard downward
-//!   refinement runs from the revived pairs that lack support;
-//!   survivors flow back at gather as resurrections, symmetric to the
-//!   falsification path. The work is `AFF` and its in-edges; the rest
-//!   of the fragment is never visited.
+//!   true, the counters repaired, and the standard downward refinement
+//!   runs from the revived pairs that lack support; survivors flow
+//!   back at gather as resurrections, symmetric to the falsification
+//!   path. The work is `AFF` and its in- and out-edges; the rest of the
+//!   fragment is never visited.
 //!
 //! Every batch shape is maintained: deletions run first (on the
 //! pre-insertion adjacency — the engine rejects an edge appearing in
@@ -40,15 +38,28 @@
 //! the (empty) deletion phase. Nothing is conservatively invalidated
 //! anymore.
 //!
+//! ## One counter kernel
+//!
+//! A maintained entry's per-site state, [`DeltaSiteState`], is the
+//! state `lEval` (`local_eval.rs`) leaves at its fixpoint plus the
+//! `AFF` scratch, and every falsification runs `lEval`'s cascade. An
+//! entry is **promoted** by running `lEval` on the pre-delta
+//! fragmentation with the virtual pairs the cached rows exclude pinned
+//! false. A counter is **readable** — and exact — only while its pair
+//! is a candidate, so a deleted edge decrements its source pair only
+//! while that pair is a candidate (the cascade's own guard), an
+//! inserted edge or a revived pair bumps only pairs that are true and
+//! outside `AFF`, and a revived local pair's counters, stale since it
+//! fell, are **recounted** over its post-delta successors.
+//!
 //! [`GraphDelta`] is the batch; `SimEngine::apply_delta` routes it.
 //! This module owns the maintenance protocol: [`UpdateMsg`] is its
 //! wire format (ops, falsifications, affected marks, and candidacy
 //! rows are **data** messages, so fault injection covers them — all
-//! are idempotent), [`DeltaSiteState`] is the per-site counter state
-//! reconstructed from a cached relation, and [`build_maintenance`]
-//! assembles the actor set for one maintenance run. Two things are
-//! built once and lent to every run: the session's reverse adjacency
-//! per site and each entry's [`PatternTables`].
+//! are idempotent), [`DeltaSiteState`] is the per-site state, and
+//! [`build_maintenance`] assembles the actor set for one maintenance
+//! run. The session's reverse adjacency per site is built once and
+//! lent to every run.
 //!
 //! The run is phased by coordinator quiescence barriers —
 //! `Deleting → Marking → Refining → Gathering` — because marking must
@@ -59,10 +70,12 @@
 //! sites buffer falsifications that arrive mid-marking and replay them
 //! after revival.
 
+use crate::local_eval::{EvalState, LocalEval};
 use crate::vars::{SiteBatches, Var};
-use dgs_graph::{Label, NodeId, Pattern};
+use dgs_graph::{NodeId, Pattern, QNodeId};
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteDeltaMetrics, SiteLogic, WireSize};
 use dgs_partition::{Fragmentation, SiteId, SpanLists};
+use dgs_sim::MatchSet;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -255,73 +268,21 @@ impl WireSize for UpdateMsg {
     }
 }
 
-/// Grows `v` to `len` entries. Virtual slots keep arriving, a few per
-/// batch, for as long as a session lives, and every reallocation of a
-/// per-slot array strands the block it leaves (nothing asks for that
-/// size again). Quadrupling strands a third of what doubling does, and
-/// capacity that is never written costs address space only.
-fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
-    if len > v.capacity() {
-        v.reserve_exact(4 * len - v.len());
-    }
-    v.resize(len, fill);
-}
-
-/// What a maintenance run reads of its pattern. Built once, when the
-/// entry is promoted, and shared by its sites across batches.
-#[derive(Debug)]
-pub struct PatternTables {
-    qedges: Vec<(u16, u16)>,
-    /// Per query node: `(edge index, parent)` pairs.
-    parent_edges: Vec<Vec<(usize, u16)>>,
-    /// Per query node: indices of its out-edges (refinement seeding).
-    out_edges: Vec<Vec<usize>>,
-    /// Pattern node labels: `AFF` holds label-compatible pairs only.
-    qlabels: Vec<Label>,
-}
-
-impl PatternTables {
-    /// The tables of `q`.
-    pub fn new(q: &Pattern) -> Self {
-        let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); q.node_count()];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); q.node_count()];
-        for (e, &(u, uc)) in qedges.iter().enumerate() {
-            parent_edges[uc as usize].push((e, u));
-            out_edges[u as usize].push(e);
-        }
-        PatternTables {
-            qedges,
-            parent_edges,
-            out_edges,
-            qlabels: q.nodes().map(|u| q.label(u)).collect(),
-        }
-    }
-}
-
-/// Persistent per-site counter state for one maintained pattern: the
-/// HHK scheme restricted to the fragment (the state `lEval` would hold
-/// at its fixpoint). It holds no adjacency: the edges it counts over
-/// are the session's one reverse adjacency per site, lent to each run
-/// ([`build_maintenance`]), so an entry costs its candidacy bits and
-/// counters and nothing that grows with `|Ei|`.
+/// Persistent per-site state of one maintained pattern: `lEval`'s
+/// fixpoint state on the fragment, kept current batch by batch, and
+/// the insertion phase's `AFF` scratch. It holds no adjacency: the
+/// edges it counts over are the session's one reverse adjacency per
+/// site, lent to each run ([`build_maintenance`]), so an entry costs a
+/// candidacy bit and a mark bit per pair, a counter per local node and
+/// pattern edge, and nothing that grows with `|Ei|`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSiteState {
-    n: usize,
-    nq: usize,
-    /// Number of pattern edges.
-    ne: usize,
-    /// Candidacy of `X(u, idx)`: `cand[idx * nq + u]`.
-    cand: Vec<bool>,
-    /// Support counters: `cnt[idx * ne + e]`, for the `n_local` local
-    /// indices only (virtual nodes have no out-edges), so the array
-    /// never grows.
-    cnt: Vec<u32>,
-    /// Insertion-phase scratch, laid out like `cand`: [`IN_AFF`] for
-    /// the pairs in `aff`, else 0. All three scratch fields are empty
-    /// between runs — `gather` clears them through the `aff` list, so
-    /// a run touches `O(|AFF|)` of them, never `O(n · nq)`.
-    mark: Vec<u8>,
+    eval: EvalState,
+    /// Insertion-phase scratch, laid out like the candidacy rows: the
+    /// pairs in `aff`. All three scratch fields are empty between runs
+    /// — `gather` clears them through the `aff` list, so a run touches
+    /// `O(|AFF|)` of them, never `O(n · nq)`.
+    mark: MatchSet,
     /// This site's slice of `AFF` as `(query node, local index)`, in
     /// marking order; doubles as the closure's worklist.
     aff: Vec<(u16, u32)>,
@@ -330,55 +291,38 @@ pub struct DeltaSiteState {
     inserted: Vec<(u32, u32)>,
 }
 
-/// `mark` value of a pair in `AFF`.
-const IN_AFF: u8 = 1;
-/// `mark` value of an `AFF` pair that this batch's deletions revoked
-/// and its insertions revived: it never left the relation, so `gather`
-/// reports it in neither direction.
-const NETTED: u8 = 2;
-
 impl DeltaSiteState {
-    /// Reconstructs the fixpoint state of `site` from a *converged*
-    /// relation: candidacy is relation membership (for local and
-    /// virtual nodes alike — falsifications were fully propagated when
-    /// the relation was computed), and the counters are recounted from
-    /// the fragment adjacency. `rows[u]` must be the sorted matches of
-    /// canonical query node `u` over global node ids.
-    pub fn from_relation(
-        frag: &Fragmentation,
+    /// Promotes a cached entry at `site`: `lEval` runs on the pre-delta
+    /// fragmentation `frag` with every label-compatible virtual pair the
+    /// cached rows exclude — live or retired slot — pinned false. Its
+    /// local fixpoint `L` is then exactly the cached relation `R`: `R`
+    /// is supported inside the fragment, so `L ⊇ R` on local nodes, and
+    /// `L` together with `R` on the other sites is a simulation, so
+    /// `L ⊆ R`. `rows[u]` must be the sorted matches of canonical query
+    /// node `u` over global node ids.
+    pub(crate) fn promote(
+        frag: &Arc<Fragmentation>,
         site: SiteId,
-        q: &Pattern,
+        q: &Arc<Pattern>,
         rows: &[Vec<NodeId>],
     ) -> Self {
         let f = frag.fragment(site);
-        let n = f.n_total();
-        let nq = q.node_count();
-        let mut cand = vec![false; n * nq];
-        for idx in 0..n {
-            let gid = f.global_id(idx as u32);
-            for (u, row) in rows.iter().enumerate() {
-                cand[idx * nq + u] = row.binary_search(&gid).is_ok();
-            }
-        }
-        let qedges: Vec<(u16, u16)> = q.edges().map(|(a, b)| (a.0, b.0)).collect();
-        let ne = qedges.len();
-        let mut cnt = vec![0u32; f.n_local() * ne];
-        for idx in 0..f.n_local() {
-            for &s in f.successors(idx as u32) {
-                for (e, &(_, uc)) in qedges.iter().enumerate() {
-                    if cand[s as usize * nq + uc as usize] {
-                        cnt[idx * ne + e] += 1;
-                    }
-                }
-            }
-        }
+        let excluded = f.virtual_indices().flat_map(|idx| {
+            let gid = f.global_id(idx);
+            let compatible = q.nodes().filter(move |&u| q.label(u) == f.label(idx));
+            let excluded = compatible.filter(move |u| rows[u.index()].binary_search(&gid).is_err());
+            excluded.map(move |u| Var::new(u, gid))
+        });
+        let pinned = excluded.collect();
+        let (ev, _) = LocalEval::new_with_pinned(Arc::clone(frag), site, Arc::clone(q), &pinned);
+        Self::new(ev.state)
+    }
+
+    /// The state `eval` with empty scratch.
+    fn new(eval: EvalState) -> Self {
         DeltaSiteState {
-            n,
-            nq,
-            ne,
-            cand,
-            cnt,
-            mark: vec![0; n * nq],
+            mark: MatchSet::new(eval.cand.rows(), eval.cand.cols()),
+            eval,
             aff: Vec::new(),
             inserted: Vec::new(),
         }
@@ -387,7 +331,7 @@ impl DeltaSiteState {
     /// Is `X(u, idx)` still a candidate? (`idx` is a fragment-local
     /// index.)
     pub fn is_candidate(&self, u: u16, idx: u32) -> bool {
-        self.cand[idx as usize * self.nq + u as usize]
+        self.eval.cand.test(u as usize, idx)
     }
 }
 
@@ -409,21 +353,19 @@ enum SitePhase {
 pub struct DeltaSiteLogic {
     site: SiteId,
     frag: Arc<Fragmentation>,
-    tables: Arc<PatternTables>,
+    q: Arc<Pattern>,
     st: DeltaSiteState,
     /// Everything here walks edges backward; forward lists would be
     /// a second copy of the same set. Pre-delta when the run starts,
     /// post-delta when it ends.
     pred: SpanLists<u32>,
-    /// `apply_deletion`'s snapshot of the target's candidacy row.
-    vcand: Vec<bool>,
     phase: SitePhase,
     /// Falsifications that arrived from an already-refining site while
     /// this one was still marking; replayed right after revival.
     pending_falsified: Vec<Var>,
     /// Local pairs falsified during the deletion phase (filtered
     /// against the final candidacy and shipped at gather). While
-    /// refining, `propagate` kills optimistically-revived pairs; those
+    /// refining, the cascade kills optimistically-revived pairs; those
     /// are refinement, not revocations, and stay unrecorded.
     revoked: Vec<Var>,
     stats: SiteDeltaMetrics,
@@ -434,7 +376,7 @@ impl DeltaSiteLogic {
     fn new(
         site: SiteId,
         frag: Arc<Fragmentation>,
-        tables: Arc<PatternTables>,
+        q: Arc<Pattern>,
         st: DeltaSiteState,
         pred: SpanLists<u32>,
     ) -> Self {
@@ -445,10 +387,9 @@ impl DeltaSiteLogic {
             },
             site,
             frag,
-            tables,
+            q,
             st,
             pred,
-            vcand: Vec::new(),
             phase: SitePhase::Deleting,
             pending_falsified: Vec::new(),
             revoked: Vec::new(),
@@ -456,15 +397,10 @@ impl DeltaSiteLogic {
         }
     }
 
-    /// The persistent counter state, to be carried into the next
-    /// batch, and the site's reverse adjacency, now post-delta.
+    /// The persistent state, to be carried into the next batch, and
+    /// the site's reverse adjacency, now post-delta.
     pub fn into_parts(self) -> (DeltaSiteState, SpanLists<u32>) {
         (self.st, self.pred)
-    }
-
-    /// The counter state alone.
-    pub fn into_state(self) -> DeltaSiteState {
-        self.st
     }
 
     /// This run's per-site accounting.
@@ -479,78 +415,62 @@ impl DeltaSiteLogic {
         let (Some(ui), Some(vi)) = (f.index_of(NodeId(u)), f.index_of(NodeId(v))) else {
             return Vec::new();
         };
-        let (ui, vi) = (ui as usize, vi as usize);
         // Idempotence: a duplicate delivery finds the edge already
         // removed from this state's own adjacency and is a no-op.
-        if !self.pred.remove(vi, ui as u32) {
+        if !self.pred.remove(vi as usize, ui) {
             return Vec::new();
         }
         self.stats.ops_applied += 1;
 
         // The deleted edge supported, per query edge (uq, uc), the
-        // pair (uq, u) iff (uc, v) is still a candidate. Snapshot v's
-        // candidacy row first: on a self-loop (u = v) an early
-        // iteration can falsify a pair of v itself, and the counters
-        // hold the *pre-deletion* support — the cascade for the
-        // falsified pair is `propagate`'s job.
-        let (nq, ne) = (self.st.nq, self.st.ne);
-        self.vcand.clear();
-        self.vcand
-            .extend_from_slice(&self.st.cand[vi * nq..(vi + 1) * nq]);
+        // pair (uq, u) iff (uc, v) is a candidate; only a candidate's
+        // counter is exact, so only a candidate's moves. On a self-loop
+        // the counters hold the *pre-deletion* support, so a child pair
+        // an earlier edge just falsified still counts.
+        let ev = &mut self.st.eval;
         let mut worklist = Vec::new();
-        for (e, &(uq, uc)) in self.tables.qedges.iter().enumerate() {
+        for (e, (uq, uc)) in self.q.edges().enumerate() {
             self.ops += 1;
-            if self.vcand[uc as usize] {
-                let c = &mut self.st.cnt[ui * ne + e];
+            let child =
+                ev.cand.test(uc.index(), vi) || (ui == vi && worklist.contains(&(uc.0, vi)));
+            if child && ev.cand.test(uq.index(), ui) {
+                let c = &mut ev.cnt[e * ev.n_local + ui as usize];
                 debug_assert!(*c > 0, "support counter underflow");
                 *c -= 1;
-                if *c == 0 && self.st.cand[ui * nq + uq as usize] {
-                    self.st.cand[ui * nq + uq as usize] = false;
-                    worklist.push((uq, ui as u32));
+                if *c == 0 {
+                    ev.cand.remove(uq.index(), ui);
+                    worklist.push((uq.0, ui));
                 }
             }
         }
-        self.propagate(worklist)
+        self.cascade(worklist)
     }
 
-    /// The downward worklist (the incremental `lEval` of §4.2 over
-    /// this fragment): records revoked local pairs and returns the
-    /// falsified in-node variables — what `lMsg` must ship.
-    fn propagate(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Var> {
+    /// `lEval`'s cascade (the incremental `lEval` of §4.2) over this
+    /// run's reverse adjacency: records revoked local pairs and returns
+    /// the falsified in-node variables — what `lMsg` must ship.
+    fn cascade(&mut self, worklist: Vec<(u16, u32)>) -> Vec<Var> {
         let f = self.frag.fragment(self.site);
-        let st = &mut self.st;
-        let (nq, ne) = (st.nq, st.ne);
-        let n_local = f.n_local();
         let refining = self.phase == SitePhase::Refining;
+        let (pred, revoked, stats) = (&self.pred, &mut self.revoked, &mut self.stats);
         let mut falsified_in_nodes = Vec::new();
-        while let Some((uq, idx)) = worklist.pop() {
-            if (idx as usize) < n_local {
-                let var = Var {
-                    q: uq,
-                    node: f.global_id(idx).0,
-                };
-                if !refining {
-                    self.revoked.push(var);
-                    self.stats.pairs_revoked += 1;
-                }
-                if f.in_node_pos(idx).is_some() {
-                    falsified_in_nodes.push(var);
-                }
+        let (ev, preds) = (&mut self.st.eval, |idx| pred.of(idx as usize));
+        ev.cascade(worklist, preds, &mut self.ops, |uq, idx| {
+            if f.is_virtual(idx) {
+                return;
             }
-            for &(e, up) in &self.tables.parent_edges[uq as usize] {
-                for &vp in self.pred.of(idx as usize) {
-                    let vp = vp as usize;
-                    self.ops += 1;
-                    let c = &mut st.cnt[vp * ne + e];
-                    debug_assert!(*c > 0, "support counter underflow");
-                    *c -= 1;
-                    if *c == 0 && st.cand[vp * nq + up as usize] {
-                        st.cand[vp * nq + up as usize] = false;
-                        worklist.push((up, vp as u32));
-                    }
-                }
+            let var = Var {
+                q: uq,
+                node: f.global_id(idx).0,
+            };
+            if !refining {
+                revoked.push(var);
+                stats.pairs_revoked += 1;
             }
-        }
+            if f.in_node_pos(idx).is_some() {
+                falsified_in_nodes.push(var);
+            }
+        });
         falsified_in_nodes
     }
 
@@ -574,21 +494,10 @@ impl DeltaSiteLogic {
         }
     }
 
-    /// Enters the marking phase on first contact: grows the state to
-    /// the post-delta fragment (crossing insertions can append or
-    /// revive virtual slots). The per-slot arrays are index-major, so
-    /// existing rows keep their offsets. Idempotent.
+    /// Enters the marking phase on first contact. Idempotent.
     fn enter_marking(&mut self) {
-        if self.phase != SitePhase::Deleting {
-            return;
-        }
-        self.phase = SitePhase::Marking;
-        let new_n = self.frag.fragment(self.site).n_total();
-        let st = &mut self.st;
-        if new_n > st.n {
-            grow(&mut st.cand, new_n * st.nq, false);
-            grow(&mut st.mark, new_n * st.nq, 0);
-            st.n = new_n;
+        if self.phase == SitePhase::Deleting {
+            self.phase = SitePhase::Marking;
         }
     }
 
@@ -605,15 +514,12 @@ impl DeltaSiteLogic {
     fn mark_from(&mut self, seeds: Vec<(u16, u32)>, out: &mut Outbox<UpdateMsg>) {
         let f = self.frag.fragment(self.site);
         let st = &mut self.st;
-        let nq = st.nq;
         let stats = &mut self.stats;
         let mut batches = SiteBatches::new(out.num_sites());
-        let mut enter = |uq: u16, idx: u32, mark: &mut [u8], aff: &mut Vec<(u16, u32)>| {
-            let slot = idx as usize * nq + uq as usize;
-            if mark[slot] != 0 {
+        let mut enter = |uq: u16, idx: u32, mark: &mut MatchSet, aff: &mut Vec<(u16, u32)>| {
+            if !mark.insert(uq as usize, idx) {
                 return;
             }
-            mark[slot] = IN_AFF;
             aff.push((uq, idx));
             if !f.is_virtual(idx) {
                 stats.affected_pairs += 1;
@@ -630,11 +536,10 @@ impl DeltaSiteLogic {
         while next < st.aff.len() {
             let (uq, idx) = st.aff[next];
             next += 1;
-            for &(_, up) in &self.tables.parent_edges[uq as usize] {
+            for &(_, up) in &st.eval.parent_edges[uq as usize] {
                 for &p in self.pred.of(idx as usize) {
                     self.ops += 1;
-                    if self.tables.qlabels[up as usize] == f.label(p)
-                        && !st.cand[p as usize * nq + up as usize]
+                    if self.q.label(QNodeId(up)) == f.label(p) && !st.eval.cand.test(up as usize, p)
                     {
                         enter(up, p, &mut st.mark, &mut st.aff);
                     }
@@ -655,7 +560,6 @@ impl DeltaSiteLogic {
     /// the counters wait for `Refine`.
     fn apply_insertions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
         let f = self.frag.fragment(self.site);
-        let nq = self.st.nq;
         let mut seeds = Vec::new();
         for (u, v) in pairs {
             let ui = f
@@ -669,13 +573,13 @@ impl DeltaSiteLogic {
             }
             self.st.inserted.push((ui, vi));
             self.stats.ops_applied += 1;
-            for &(uq, uc) in &self.tables.qedges {
+            for (uq, uc) in self.q.edges() {
                 self.ops += 1;
-                if self.tables.qlabels[uc as usize] == f.label(vi)
-                    && self.tables.qlabels[uq as usize] == f.label(ui)
-                    && !self.st.cand[ui as usize * nq + uq as usize]
+                if self.q.label(uc) == f.label(vi)
+                    && self.q.label(uq) == f.label(ui)
+                    && !self.st.is_candidate(uq.0, ui)
                 {
-                    seeds.push((uq, ui));
+                    seeds.push((uq.0, ui));
                 }
             }
         }
@@ -688,7 +592,7 @@ impl DeltaSiteLogic {
     fn apply_falsified(&mut self, vars: Vec<Var>) -> Vec<Var> {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
-        let nq = self.st.nq;
+        let cand = &mut self.st.eval.cand;
         let mut worklist = Vec::new();
         for var in vars {
             self.ops += 1;
@@ -696,75 +600,81 @@ impl DeltaSiteLogic {
                 continue;
             };
             debug_assert!(f.is_virtual(idx), "falsification targets a virtual node");
-            if (idx as usize) >= self.st.n {
-                // A slot this site only subscribes to as of this batch
-                // (the owner reads the post-delta subscriber list).
-                // Not sized yet mid-deletion; its row arrives later
-                // via `CandRow`, already reflecting the falsification.
-                debug_assert_eq!(self.phase, SitePhase::Deleting);
-                continue;
-            }
-            let slot = idx as usize * nq + var.q as usize;
-            // Idempotence: an already-false variable is a no-op.
-            if self.st.cand[slot] {
-                self.st.cand[slot] = false;
+            // Idempotence: an already-false variable is a no-op — as is
+            // one for a slot this site subscribes to only as of this
+            // batch (the owner reads the post-delta subscriber list):
+            // its `CandRow`, shipped later, reflects the falsification.
+            if cand.remove(var.q as usize, idx) {
                 worklist.push((var.q, idx));
             }
         }
-        self.propagate(worklist)
+        self.cascade(worklist)
     }
 
     /// Marking is globally quiescent, so `AFF` is complete and every
     /// `CandRow` has landed: repair the counters for the inserted
-    /// edges, flip `AFF` to true, and run the downward refinement from
-    /// the revived pairs that lack support, with everything outside
-    /// `AFF` frozen as the boundary. Buffered out-of-phase
-    /// falsifications replay after revival so they cannot be lost.
+    /// edges, flip `AFF` to true, recount the revived local pairs, and
+    /// run the downward refinement from those that lack support, with
+    /// everything outside `AFF` frozen as the boundary. Buffered
+    /// out-of-phase falsifications replay after revival so they cannot
+    /// be lost.
     fn refine(&mut self, out: &mut Outbox<UpdateMsg>) {
         if self.phase == SitePhase::Refining {
             return;
         }
         self.enter_marking();
         self.phase = SitePhase::Refining;
-        let n_local = self.frag.fragment(self.site).n_local();
-        let st = &mut self.st;
-        let (nq, ne) = (st.nq, st.ne);
-        // An inserted edge supports its source once per pattern edge
-        // whose child pair is true already; a child pair in `AFF` is
-        // still false here and counts through its revival below.
-        for &(ui, vi) in &st.inserted {
-            for (e, &(_, uc)) in self.tables.qedges.iter().enumerate() {
+        let f = self.frag.fragment(self.site);
+        let (ev, mark) = (&mut self.st.eval, &self.st.mark);
+        let n_local = ev.n_local;
+        // An inserted edge supports its source pair once per pattern
+        // edge whose child pair is true, if the source pair is true
+        // too; `AFF` pairs, still false here, are counted below.
+        for &(ui, vi) in &self.st.inserted {
+            for (e, (uq, uc)) in self.q.edges().enumerate() {
                 self.ops += 1;
-                if st.cand[vi as usize * nq + uc as usize] {
-                    st.cnt[ui as usize * ne + e] += 1;
+                if ev.cand.test(uc.index(), vi) && ev.cand.test(uq.index(), ui) {
+                    ev.cnt[e * n_local + ui as usize] += 1;
                 }
             }
         }
-        for &(uq, idx) in &st.aff {
+        // A revived pair supports the true pairs of its predecessors;
+        // those in `AFF` are recounted below instead.
+        for &(uq, idx) in &self.st.aff {
             self.ops += 1;
-            st.cand[idx as usize * nq + uq as usize] = true;
-            for &(e, _) in &self.tables.parent_edges[uq as usize] {
+            ev.cand.set(uq as usize, idx);
+            for &(e, up) in &ev.parent_edges[uq as usize] {
                 for &p in self.pred.of(idx as usize) {
                     self.ops += 1;
-                    st.cnt[p as usize * ne + e] += 1;
+                    if ev.cand.test(up as usize, p) && !mark.test(up as usize, p) {
+                        ev.cnt[e * n_local + p as usize] += 1;
+                    }
                 }
             }
         }
-        // Seed from revived *local* pairs that lack support. Virtual
-        // slots are never seeded locally: their support lives at the
-        // owner, which ships falsifications if they die.
+        // A revived *local* pair's counters went stale when it fell:
+        // count them afresh, then seed the refinement from those that
+        // lack support. Virtual slots are never seeded locally: their
+        // support lives at the owner, which ships falsifications.
         let mut worklist = Vec::new();
-        for &(uq, idx) in &st.aff {
-            if (idx as usize) < n_local
-                && self.tables.out_edges[uq as usize]
-                    .iter()
-                    .any(|&e| st.cnt[idx as usize * ne + e] == 0)
-            {
-                st.cand[idx as usize * nq + uq as usize] = false;
+        for &(uq, idx) in self.st.aff.iter().filter(|&&(_, idx)| !f.is_virtual(idx)) {
+            let succ = f.successors(idx);
+            let mut dead = false;
+            for (e, (_, uc)) in self.q.edges().enumerate().filter(|(_, (u, _))| u.0 == uq) {
+                self.ops += succ.len() as u64;
+                let c = succ.iter().filter(|&&s| ev.cand.test(uc.index(), s));
+                let c = c.count() as u32;
+                ev.cnt[e * n_local + idx as usize] = c;
+                dead |= c == 0;
+            }
+            if dead {
                 worklist.push((uq, idx));
             }
         }
-        let mut falsified = self.propagate(worklist);
+        for &(uq, idx) in &worklist {
+            ev.cand.remove(uq as usize, idx);
+        }
+        let mut falsified = self.cascade(worklist);
         let pending = std::mem::take(&mut self.pending_falsified);
         falsified.extend(self.apply_falsified(pending));
         self.route_falsifications(falsified, out);
@@ -778,30 +688,32 @@ impl DeltaSiteLogic {
     fn gather(&mut self, out: &mut Outbox<UpdateMsg>) {
         let f = self.frag.fragment(self.site);
         let st = &mut self.st;
-        let nq = st.nq;
         let mut revoked = std::mem::take(&mut self.revoked);
         let before = revoked.len() as u64;
+        // A revoked pair that is true again never left the relation:
+        // its mark goes, so the `AFF` walk below does not report it.
         revoked.retain(|var| {
-            let idx = f.index_of(var.node_id()).expect("revoked var is local") as usize;
-            let slot = idx * nq + var.q as usize;
-            if st.cand[slot] {
-                debug_assert_eq!(st.mark[slot], IN_AFF, "only AFF pairs come back");
-                st.mark[slot] = NETTED;
+            let idx = f.index_of(var.node_id()).expect("revoked var is local");
+            let back = st.eval.cand.test(var.q as usize, idx);
+            if back {
+                let in_aff = st.mark.remove(var.q as usize, idx);
+                debug_assert!(in_aff, "only AFF pairs come back");
             }
-            !st.cand[slot]
+            !back
         });
         self.stats.pairs_revoked -= before - revoked.len() as u64;
         let mut resurrected = Vec::new();
         for (uq, idx) in st.aff.drain(..) {
             self.ops += 1;
-            let slot = idx as usize * nq + uq as usize;
-            if (idx as usize) < f.n_local() && st.cand[slot] && st.mark[slot] == IN_AFF {
+            if st.mark.remove(uq as usize, idx)
+                && !f.is_virtual(idx)
+                && st.eval.cand.test(uq as usize, idx)
+            {
                 resurrected.push(Var {
                     q: uq,
                     node: f.global_id(idx).0,
                 });
             }
-            st.mark[slot] = 0;
         }
         st.inserted.clear();
         self.stats.pairs_resurrected += resurrected.len() as u64;
@@ -865,35 +777,30 @@ impl SiteLogic<UpdateMsg> for DeltaSiteLogic {
             }
             UpdateMsg::CandRow(rows) => {
                 self.enter_marking();
-                let frag = Arc::clone(&self.frag);
-                let f = frag.fragment(self.site);
-                let nq = self.st.nq;
+                let f = self.frag.fragment(self.site);
+                let cand = &mut self.st.eval.cand;
                 for (gid, qs) in rows {
                     self.ops += 1;
                     let idx = f
                         .index_of(NodeId(gid))
-                        .expect("candidacy row targets a subscribed slot")
-                        as usize;
-                    for u in 0..nq {
-                        self.st.cand[idx * nq + u] = false;
+                        .expect("candidacy row targets a subscribed slot");
+                    for u in 0..cand.rows() {
+                        cand.remove(u, idx);
                     }
                     for q in qs {
-                        self.st.cand[idx * nq + q as usize] = true;
+                        cand.set(q as usize, idx);
                     }
                 }
             }
             UpdateMsg::ShipCand(requests) => {
                 debug_assert_eq!(from, Endpoint::Coordinator);
                 self.enter_marking();
-                let frag = Arc::clone(&self.frag);
-                let f = frag.fragment(self.site);
-                let nq = self.st.nq;
+                let f = self.frag.fragment(self.site);
                 let mut per_site: BTreeMap<SiteId, Vec<(u32, Vec<u16>)>> = BTreeMap::new();
                 for (dest, gid) in requests {
-                    let idx = f.index_of(NodeId(gid)).expect("shipped in-node is local") as usize;
-                    let qs: Vec<u16> = (0..nq)
-                        .filter(|&u| self.st.cand[idx * nq + u])
-                        .map(|u| u as u16)
+                    let idx = f.index_of(NodeId(gid)).expect("shipped in-node is local");
+                    let qs: Vec<u16> = (0..self.q.node_count() as u16)
+                        .filter(|&u| self.st.is_candidate(u, idx))
                         .collect();
                     per_site.entry(dest as usize).or_default().push((gid, qs));
                 }
@@ -1057,8 +964,8 @@ impl CoordinatorLogic<UpdateMsg> for DeltaCoordinator {
 /// Panics unless `states` and `pred` have one element per site.
 pub fn build_maintenance(
     frag: &Arc<Fragmentation>,
-    tables: &Arc<PatternTables>,
-    states: Vec<DeltaSiteState>,
+    q: &Arc<Pattern>,
+    mut states: Vec<DeltaSiteState>,
     mut pred: Vec<SpanLists<u32>>,
     deletions: &[(NodeId, NodeId)],
     insertions: &[(NodeId, NodeId)],
@@ -1069,9 +976,12 @@ pub fn build_maintenance(
     );
     // Both ends of a batch edge have a slot at its source's site in
     // the post-delta fragment (a retired virtual slot keeps its index;
-    // a new one gets its empty list here).
-    for (f, lists) in frag.fragments().iter().zip(&mut pred) {
+    // a new one gets its empty list here, and bits that stay false
+    // until its `CandRow` lands).
+    for ((f, lists), st) in frag.fragments().iter().zip(&mut pred).zip(&mut states) {
         lists.grow_to(f.n_total());
+        st.eval.cand.grow_cols(f.n_total());
+        st.mark.grow_cols(f.n_total());
     }
     let slots = |site: SiteId, u: NodeId, v: NodeId| {
         let f = frag.fragment(site);
@@ -1105,9 +1015,7 @@ pub fn build_maintenance(
         .into_iter()
         .zip(pred)
         .enumerate()
-        .map(|(s, (st, pred))| {
-            DeltaSiteLogic::new(s, Arc::clone(frag), Arc::clone(tables), st, pred)
-        })
+        .map(|(s, (st, pred))| DeltaSiteLogic::new(s, Arc::clone(frag), Arc::clone(q), st, pred))
         .collect();
     (
         DeltaCoordinator {
@@ -1137,9 +1045,41 @@ mod tests {
         q.nodes().map(|u| rel.matches_of(u).to_vec()).collect()
     }
 
+    impl DeltaSiteState {
+        /// The reference state of `site` for a *converged* relation,
+        /// counted from scratch: candidacy is relation membership on
+        /// every slot, and every local node's counters are exact, read
+        /// or not. `rows[u]` must be the sorted matches of query node
+        /// `u` over global node ids.
+        fn from_relation(
+            frag: &Fragmentation,
+            site: SiteId,
+            q: &Pattern,
+            rows: &[Vec<NodeId>],
+        ) -> Self {
+            let f = frag.fragment(site);
+            let mut eval = EvalState::new(q, f.n_total(), f.n_local());
+            for idx in 0..f.n_total() as u32 {
+                for (u, row) in rows.iter().enumerate() {
+                    if row.binary_search(&f.global_id(idx)).is_ok() {
+                        eval.cand.set(u, idx);
+                    }
+                }
+            }
+            for (e, (_, uc)) in q.edges().enumerate() {
+                for idx in f.local_indices() {
+                    let succ = f.successors(idx).iter();
+                    let c = succ.filter(|&&s| eval.cand.test(uc.index(), s)).count();
+                    eval.cnt[e * f.n_local() + idx as usize] = c as u32;
+                }
+            }
+            DeltaSiteState::new(eval)
+        }
+    }
+
     /// A run of one entry, the way these tests set one up: from the
     /// post-delta fragmentation and the batch alone, with the reverse
-    /// adjacency and the pattern tables made on the spot. The lists
+    /// adjacency made on the spot. The lists
     /// are post-delta, as they are when the engine hands them from
     /// one entry of a batch to the next.
     fn build_maintenance(
@@ -1149,8 +1089,8 @@ mod tests {
         deletions: &[(NodeId, NodeId)],
         insertions: &[(NodeId, NodeId)],
     ) -> (DeltaCoordinator, Vec<DeltaSiteLogic>) {
-        let (pred, tables) = (frag.reverse_adjacency(), Arc::new(PatternTables::new(q)));
-        super::build_maintenance(frag, &tables, states, pred, deletions, insertions)
+        let (pred, q) = (frag.reverse_adjacency(), Arc::new(q.clone()));
+        super::build_maintenance(frag, &q, states, pred, deletions, insertions)
     }
 
     fn graph_without(g: &dgs_graph::Graph, deleted: &[(NodeId, NodeId)]) -> dgs_graph::Graph {
@@ -1248,7 +1188,7 @@ mod tests {
                 let states: Vec<DeltaSiteState> = o
                     .sites
                     .into_iter()
-                    .map(DeltaSiteLogic::into_state)
+                    .map(|site| site.into_parts().0)
                     .collect();
                 (revoked, states, o.metrics)
             };
@@ -1531,7 +1471,7 @@ mod tests {
                 let states: Vec<DeltaSiteState> = o
                     .sites
                     .into_iter()
-                    .map(DeltaSiteLogic::into_state)
+                    .map(|site| site.into_parts().0)
                     .collect();
                 (revoked, resurrected, states, o.metrics)
             };
@@ -1550,6 +1490,137 @@ mod tests {
             assert_eq!(faulty_res, clean_res, "seed {seed}");
             assert_eq!(faulty_states, clean_states, "seed {seed}");
         }
+    }
+
+    /// Asserts that `states` are the reference states of `rows` on
+    /// `frag`: the same candidacy on every local and live virtual slot,
+    /// and every counter of a local candidate equal to the brute-force
+    /// count. A retired slot's row is as it was when the slot retired:
+    /// its site left the in-node's subscriber list, so nothing is
+    /// shipped to it, and a crossing insertion that revives it ships it
+    /// a `CandRow`.
+    fn assert_reference_states(
+        frag: &Fragmentation,
+        q: &Pattern,
+        rows: &[Vec<NodeId>],
+        states: &[DeltaSiteState],
+        at: &str,
+    ) {
+        for (site, st) in states.iter().enumerate() {
+            let f = frag.fragment(site);
+            let reference = DeltaSiteState::from_relation(frag, site, q, rows);
+            let slots = 0..f.n_total() as u32;
+            for idx in slots.filter(|&idx| !f.is_virtual(idx) || f.is_live_virtual(idx)) {
+                for u in 0..q.node_count() as u16 {
+                    let want = reference.is_candidate(u, idx);
+                    assert_eq!(
+                        st.is_candidate(u, idx),
+                        want,
+                        "{at}: site {site}, X({u}, {idx})"
+                    );
+                }
+            }
+            for (e, (u, _)) in q.edges().enumerate() {
+                for idx in f.local_indices().filter(|&idx| st.is_candidate(u.0, idx)) {
+                    let c = e * f.n_local() + idx as usize;
+                    let (got, want) = (st.eval.cnt[c], reference.eval.cnt[c]);
+                    assert_eq!(got, want, "{at}: site {site}, edge {e} at {idx}");
+                }
+            }
+        }
+    }
+
+    /// Maintenance keeps `lEval`'s state `lEval`'s: after promotion, and
+    /// after each batch of a churn — deletions, recurrent and fresh
+    /// insertions, crossing ones that create and revive virtual slots —
+    /// every site's state is the reference state of the oracle relation
+    /// on the post-delta fragmentation.
+    #[test]
+    fn maintained_states_equal_the_reference_batch_after_batch() {
+        let (mut created, mut revived, mut moved) = (0, 0, 0);
+        for seed in 0..4u64 {
+            let (n, sites) = (90, 3);
+            let (g, assign) = if seed % 2 == 0 {
+                (
+                    random::uniform(n, 300, 3, seed),
+                    hash_partition(n, sites, seed),
+                )
+            } else {
+                let g = random::community(n, 300, sites, 0.2, 3, seed);
+                (g, random::community_assignment(n, sites))
+            };
+            let cyclic = patterns::random_cyclic(4, 7, 3, seed + 5);
+            let dag = patterns::random_dag_with_depth(5, 6, 3, 3, seed + 9);
+            for q in [Arc::new(cyclic), Arc::new(dag)] {
+                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut next = move |bound: usize| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 33) as usize % bound
+                };
+                let mut frag = Arc::new(Fragmentation::build(&g, &assign, sites));
+                let mut rows = rows_of(&q, &g);
+                let mut states: Vec<DeltaSiteState> = (0..sites)
+                    .map(|s| DeltaSiteState::promote(&frag, s, &q, &rows))
+                    .collect();
+                assert_reference_states(&frag, &q, &rows, &states, "promoted");
+                let mut present: Vec<(NodeId, NodeId)> = g.edges().collect();
+                let mut graveyard = Vec::new();
+                for batch in 0..5 {
+                    let mut insertions = Vec::new();
+                    while insertions.len() < 8 {
+                        let e = if insertions.len() % 2 == 0 && !graveyard.is_empty() {
+                            graveyard.swap_remove(next(graveyard.len()))
+                        } else {
+                            (NodeId(next(n) as u32), NodeId(next(n) as u32))
+                        };
+                        if e.0 != e.1 && !present.contains(&e) && !insertions.contains(&e) {
+                            insertions.push(e);
+                        }
+                    }
+                    let deletions: Vec<(NodeId, NodeId)> = (0..8)
+                        .map(|_| present.swap_remove(next(present.len())))
+                        .collect();
+                    graveyard.extend(&deletions);
+                    present.extend(&insertions);
+
+                    let ops: Vec<dgs_partition::EdgeOp> = (insertions.iter())
+                        .map(|&(u, v)| dgs_partition::EdgeOp::Insert(u, v))
+                        .chain(
+                            deletions
+                                .iter()
+                                .map(|&(u, v)| dgs_partition::EdgeOp::Delete(u, v)),
+                        )
+                        .collect();
+                    let mut after = (*frag).clone();
+                    after.apply_delta(&ops);
+                    for (b, a) in frag.fragments().iter().zip(after.fragments()) {
+                        created += a.n_total() - b.n_total();
+                        revived += (b.virtual_indices())
+                            .filter(|&v| !b.is_live_virtual(v) && a.is_live_virtual(v))
+                            .count();
+                    }
+                    let after = Arc::new(after);
+                    let (coord, logic) =
+                        build_maintenance(&after, &q, states, &deletions, &insertions);
+                    let o =
+                        dgs_net::run(ExecutorKind::Virtual, &CostModel::default(), coord, logic);
+                    moved += o.coordinator.revoked.len() + o.coordinator.resurrected.len();
+                    states = o
+                        .sites
+                        .into_iter()
+                        .map(|site| site.into_parts().0)
+                        .collect();
+                    rows = rows_of(&q, &after.to_graph());
+                    let at = format!("seed {seed}, {:?}, batch {batch}", *q);
+                    assert_reference_states(&after, &q, &rows, &states, &at);
+                    frag = after;
+                }
+            }
+        }
+        assert!(
+            created > 0 && revived > 0 && moved > 0,
+            "{created} slots created, {revived} revived, {moved} pairs moved"
+        );
     }
 
     #[test]

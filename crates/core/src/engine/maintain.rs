@@ -5,21 +5,22 @@
 use super::snapshot::GenSnapshot;
 use super::SimEngine;
 use crate::cache::{self, CachedResult};
-use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta, PatternTables};
+use crate::delta::{self, DeltaReport, DeltaSiteState, GraphDelta};
 use crate::error::DgsError;
 use crate::plan::IncrementalNote;
+use dgs_graph::Pattern;
 use dgs_net::{ExecutorKind, RunMetrics, SiteDeltaMetrics};
 use dgs_partition::{EdgeOp, Fragmentation, SpanLists};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
-/// Persistent maintenance state of one cached entry: the per-site HHK
-/// counter states, the pattern's tables (built once, shared by the
-/// sites of every run) and the cumulative incremental-leg accounting.
+/// Persistent maintenance state of one cached entry: the per-site
+/// `lEval` states, the pattern (decoded once, shared by the sites of
+/// every run) and the cumulative incremental-leg accounting.
 #[derive(Debug)]
 struct MaintainedStates {
-    tables: Arc<PatternTables>,
+    pattern: Arc<Pattern>,
     sites: Vec<DeltaSiteState>,
     note: IncrementalNote,
 }
@@ -84,19 +85,22 @@ impl SimEngine {
     ///   distributed incremental maintenance and re-stored under the
     ///   fresh generation with [`PlanExplanation::incremental`](crate::PlanExplanation::incremental)
     ///   recording the leg. A follow-up query is a cache hit: zero
-    ///   full re-evaluations.
-    ///   - *Deletions* shrink the relation: each site replays the HHK
-    ///     counter update on its fragment ([`delta::DeltaSiteState`])
-    ///     and ships in-node falsifications to its subscribers exactly
-    ///     like dGPM data messages, and the revoked pairs leave the
-    ///     stored rows. A deletion-only batch runs just this phase.
+    ///   full re-evaluations. Promotion runs `lEval` on each pre-delta
+    ///   fragment with the virtual pairs the cached rows exclude
+    ///   pinned false; each site keeps the state it leaves
+    ///   ([`delta::DeltaSiteState`]) from batch to batch.
+    ///   - *Deletions* shrink the relation: each site runs `lEval`'s
+    ///     cascade on that state and ships in-node falsifications to
+    ///     its subscribers exactly like dGPM data messages, and the
+    ///     revoked pairs leave the stored rows. A deletion-only batch
+    ///     runs just this phase.
     ///   - *Insertions* grow it: the sites mark the affected area
     ///     `AFF` — the label-compatible, currently *false* pairs that
     ///     are backward-reachable, through pairs of the same kind,
     ///     from the source of an inserted edge — flip exactly those
-    ///     pairs to true, and refine downward from the ones that lack
-    ///     support, with everything outside `AFF` frozen; survivors
-    ///     rejoin the stored rows. Cost follows `|AFF|`
+    ///     pairs to true, recount them, and refine downward from the
+    ///     ones that lack support, with everything outside `AFF`
+    ///     frozen; survivors rejoin the stored rows. Cost follows `|AFF|`
     ///     ([`SiteDeltaMetrics::affected_pairs`]), not the graph. An
     ///     insertion-only batch passes through an empty deletion
     ///     phase; a mixed batch composes both (deletions first, on the
@@ -201,8 +205,8 @@ impl SimEngine {
 
         // Promote current-generation cache entries to maintenance —
         // every batch shape is maintainable — building missing
-        // per-site counter states from the *pre-delta* fragments and
-        // the cached rows.
+        // per-site states by running `lEval` on the *pre-delta*
+        // fragments with the cached rows pinned.
         let mut promoted: Vec<(Vec<u32>, Arc<CachedResult>)> = Vec::new();
         if let Some(cache) = &self.cache {
             let entries = cache.lock().entries_with_prefix(&old_prefix);
@@ -216,16 +220,14 @@ impl SimEngine {
             for (key, entry) in entries {
                 let canon_key = key[2..].to_vec();
                 if !writer.entries.contains_key(&canon_key) {
-                    let pattern = cache::decode_pattern(&canon_key);
+                    let pattern = Arc::new(cache::decode_pattern(&canon_key));
                     let sites = (0..snap.frag.num_sites())
-                        .map(|s| {
-                            DeltaSiteState::from_relation(&snap.frag, s, &pattern, &entry.rows)
-                        })
+                        .map(|s| DeltaSiteState::promote(&snap.frag, s, &pattern, &entry.rows))
                         .collect();
                     writer.entries.insert(
                         canon_key.clone(),
                         MaintainedStates {
-                            tables: Arc::new(PatternTables::new(&pattern)),
+                            pattern,
                             sites,
                             note: IncrementalNote::default(),
                         },
@@ -297,7 +299,7 @@ impl SimEngine {
             let lists = pred.unwrap_or_else(|| snap.frag.reverse_adjacency());
             let (coord, sites) = delta::build_maintenance(
                 &next_frag,
-                &states.tables,
+                &states.pattern,
                 states.sites,
                 lists,
                 &deletes,
@@ -368,7 +370,7 @@ impl SimEngine {
             writer.entries.insert(
                 canon_key,
                 MaintainedStates {
-                    tables: states.tables,
+                    pattern: states.pattern,
                     sites: sites_back,
                     note,
                 },

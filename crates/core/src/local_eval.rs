@@ -27,8 +27,13 @@
 //! query edge), and decremented only while `(u, v)` is a candidate —
 //! a bit test that costs no more than the decrement it skips. The
 //! counter of a falsified pair goes stale and is never read again.
-//! (`delta.rs` keeps exact counters for every local node instead:
-//! insertion repair revives pairs whose counters must then be right.)
+//!
+//! The state at the fixpoint — candidacy rows and counters, without
+//! the fragment — outlives the query: delta maintenance (`delta.rs`)
+//! promotes a cached answer by running this evaluation with the
+//! virtual pairs the answer excludes pinned false, keeps the state per
+//! site between batches, and runs the same cascade on it over its own
+//! reverse adjacency.
 //!
 //! Counters are **seeded from a label tally**, as `hhk_simulation`
 //! seeds its own: initial candidacy is label equality, so one walk of
@@ -63,23 +68,99 @@ use std::sync::Arc;
 /// [`Fragment::in_nodes`] (the key of its subscriber list).
 pub type Falsified = (Var, u32);
 
+/// What `lEval` keeps of a fragment at its fixpoint, without the
+/// fragment: the candidacy rows, the support counters, and the
+/// pattern's edges as the cascade walks them. Delta maintenance keeps
+/// one per site for every cached entry between batches.
+#[derive(Clone, Debug)]
+pub(crate) struct EvalState {
+    /// Per query node: `(edge index, parent)` pairs of incoming query
+    /// edges.
+    pub(crate) parent_edges: Vec<Vec<(usize, u16)>>,
+    /// Candidacy of `X(u, v)`: one bitset row per query variable over
+    /// the fragment index arena (locals first, then virtuals).
+    pub(crate) cand: MatchSet,
+    /// Support counters: `cnt[e * n_local + idx]`, meaningful while
+    /// `idx` is a (local) candidate of the source of query edge `e`.
+    pub(crate) cnt: Vec<u32>,
+    /// `|Vi|`, the counters' stride: virtual nodes have no out-edges.
+    pub(crate) n_local: usize,
+}
+
+impl EvalState {
+    /// The state of `q` over `n` fragment slots, the first `n_local`
+    /// of them local: no candidates, every counter zero.
+    pub(crate) fn new(q: &Pattern, n: usize, n_local: usize) -> Self {
+        let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); q.node_count()];
+        for (e, (u, uc)) in q.edges().enumerate() {
+            parent_edges[uc.index()].push((e, u.0));
+        }
+        EvalState {
+            parent_edges,
+            cand: MatchSet::new(q.node_count(), n),
+            cnt: vec![0; q.edge_count() * n_local],
+            n_local,
+        }
+    }
+
+    /// The downward cascade, `lEval`'s one: each worklist entry has
+    /// just been set non-candidate; `falsified` hears of it, then the
+    /// supporting counters of its predecessors (`preds`, always local
+    /// nodes) that are still candidates are decremented — no other
+    /// counter is read again — and a pair left unsupported cascades.
+    /// Charges one op per predecessor visited.
+    pub(crate) fn cascade<'p>(
+        &mut self,
+        mut worklist: Vec<(u16, u32)>,
+        preds: impl Fn(u32) -> &'p [u32],
+        ops: &mut u64,
+        mut falsified: impl FnMut(u16, u32),
+    ) {
+        while let Some((uq, idx)) = worklist.pop() {
+            falsified(uq, idx);
+            for &(e, up) in &self.parent_edges[uq as usize] {
+                for &vp in preds(idx) {
+                    *ops += 1;
+                    if !self.cand.test(up as usize, vp) {
+                        continue;
+                    }
+                    let c = &mut self.cnt[e * self.n_local + vp as usize];
+                    debug_assert!(*c > 0, "support counter underflow");
+                    *c -= 1;
+                    if *c == 0 {
+                        self.cand.remove(up as usize, vp);
+                        worklist.push((up, vp));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Equal as states: the same candidacy and the same counter wherever
+/// one can be read. A falsified pair's counters stay as its cascade
+/// left them, which depends on the order falsifications arrived in.
+impl PartialEq for EvalState {
+    fn eq(&self, other: &Self) -> bool {
+        let (n, same) = (self.n_local, |at: usize| self.cnt[at] == other.cnt[at]);
+        let readable_agree = |&(e, up): &(usize, u16)| {
+            let row = self.cand.iter_row(up as usize);
+            row.take_while(|&i| i < n as u32)
+                .all(|i| same(e * n + i as usize))
+        };
+        (&self.parent_edges, n, &self.cand) == (&other.parent_edges, other.n_local, &other.cand)
+            && self.parent_edges.iter().flatten().all(readable_agree)
+    }
+}
+
+impl Eq for EvalState {}
+
 /// Per-site optimistic evaluation state.
 pub struct LocalEval {
     frag: Arc<Fragmentation>,
     site: SiteId,
     q: Arc<Pattern>,
-    nq: usize,
-    n: usize,
-    n_local: usize,
-    /// Per query node: `(edge index, parent)` pairs of incoming query
-    /// edges.
-    parent_edges: Vec<Vec<(usize, u16)>>,
-    /// Candidacy of `X(u, v)`: one bitset row per query variable over
-    /// the fragment index arena (locals first, then virtuals).
-    cand: MatchSet,
-    /// Support counters: `cnt[e * n + idx]`, meaningful while `idx` is
-    /// a local candidate of the source of query edge `e`.
-    cnt: Vec<u32>,
+    pub(crate) state: EvalState,
     /// Local index → position in [`Fragment::in_nodes`]; `u32::MAX`
     /// for every other slot.
     in_pos: Vec<u32>,
@@ -98,7 +179,7 @@ impl LocalEval {
 
     /// Like [`LocalEval::new`], but with a set of virtual variables
     /// already known false (used by the from-scratch re-evaluation of
-    /// `dGPMNOpt`).
+    /// `dGPMNOpt`, and by delta maintenance to promote a cached answer).
     pub fn new_with_pinned(
         frag: Arc<Fragmentation>,
         site: SiteId,
@@ -109,11 +190,8 @@ impl LocalEval {
         let nq = q.node_count();
         let n = f.n_total();
         let n_local = f.n_local();
-        let ne = q.edge_count();
-        let mut parent_edges: Vec<Vec<(usize, u16)>> = vec![Vec::new(); nq];
-        for (e, (u, uc)) in q.edges().enumerate() {
-            parent_edges[uc.index()].push((e, u.0));
-        }
+        let mut state = EvalState::new(&q, n, n_local);
+        let EvalState { cand, cnt, .. } = &mut state;
 
         let mut ops: u64 = 0;
 
@@ -128,7 +206,6 @@ impl LocalEval {
             ops += 1;
             by_label.set(f.label(idx).index(), idx);
         }
-        let mut cand = MatchSet::new(nq, n);
         for u in q.nodes() {
             ops += cand.words_per_row() as u64;
             cand.copy_row_from(u.index(), by_label.row(q.label(u).index()));
@@ -150,7 +227,6 @@ impl LocalEval {
         // label tally each, and falsify a pair with an unsupported
         // out-edge as soon as its counters are written.
         let mut tally = vec![0u32; label_bound];
-        let mut cnt = vec![0u32; ne * n];
         let mut worklist: Vec<(u16, u32)> = Vec::new();
         for idx in 0..n_local as u32 {
             ops += 1;
@@ -167,7 +243,7 @@ impl LocalEval {
                 let mut dead = false;
                 for (e, uc) in (e0..).zip(children) {
                     let c = tally[q.label(*uc).index()];
-                    cnt[e * n + idx as usize] = c;
+                    cnt[e * n_local + idx as usize] = c;
                     dead |= c == 0;
                 }
                 if dead {
@@ -203,12 +279,7 @@ impl LocalEval {
             frag: Arc::clone(&frag),
             site,
             q,
-            nq,
-            n,
-            n_local,
-            parent_edges,
-            cand,
-            cnt,
+            state,
             in_pos,
             ops,
         };
@@ -225,7 +296,7 @@ impl LocalEval {
     /// index.)
     #[inline]
     pub fn is_candidate(&self, u: u16, idx: u32) -> bool {
-        self.cand.test(u as usize, idx)
+        self.state.cand.test(u as usize, idx)
     }
 
     /// The pattern this evaluation runs.
@@ -235,7 +306,7 @@ impl LocalEval {
 
     /// Fragment-local index space size.
     pub fn n_total(&self) -> usize {
-        self.n
+        self.state.cand.cols()
     }
 
     /// Takes and resets the charged operation counter.
@@ -262,44 +333,30 @@ impl LocalEval {
                 "falsification for a non-virtual node {:?}",
                 var
             );
-            if (var.q as usize) < self.nq && self.cand.remove(var.q as usize, idx) {
+            let cand = &mut self.state.cand;
+            if (var.q as usize) < cand.rows() && cand.remove(var.q as usize, idx) {
                 worklist.push((var.q, idx));
             }
         }
         self.run_worklist(worklist)
     }
 
-    /// The downward worklist: each entry has just been set non-candidate;
-    /// decrement the supporting counters of local predecessors that are
-    /// still candidates — no other counter is read again — and cascade.
-    /// Returns the falsified in-node variables, each with its position.
-    fn run_worklist(&mut self, mut worklist: Vec<(u16, u32)>) -> Vec<Falsified> {
+    /// The cascade over the fragment's own reverse adjacency. Returns
+    /// the falsified in-node variables, each with its position.
+    fn run_worklist(&mut self, worklist: Vec<(u16, u32)>) -> Vec<Falsified> {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
-        let n = self.n;
+        let in_pos = &self.in_pos;
         let mut falsified_in_nodes = Vec::new();
-        while let Some((uq, idx)) = worklist.pop() {
-            let pos = self.in_pos[idx as usize];
-            if pos != u32::MAX {
-                let node = f.global_id(idx).0;
-                falsified_in_nodes.push((Var { q: uq, node }, pos));
-            }
-            for &(e, up) in &self.parent_edges[uq as usize] {
-                for &vp in f.predecessors(idx) {
-                    self.ops += 1;
-                    if !self.cand.test(up as usize, vp) {
-                        continue;
-                    }
-                    let c = &mut self.cnt[e * n + vp as usize];
-                    debug_assert!(*c > 0, "support counter underflow");
-                    *c -= 1;
-                    if *c == 0 {
-                        self.cand.remove(up as usize, vp);
-                        worklist.push((up, vp));
-                    }
+        let preds = |idx| f.predecessors(idx);
+        self.state
+            .cascade(worklist, preds, &mut self.ops, |uq, idx| {
+                let pos = in_pos[idx as usize];
+                if pos != u32::MAX {
+                    let node = f.global_id(idx).0;
+                    falsified_in_nodes.push((Var { q: uq, node }, pos));
                 }
-            }
-        }
+            });
         falsified_in_nodes
     }
 
@@ -308,14 +365,14 @@ impl LocalEval {
     pub fn local_match_lists(&mut self) -> Vec<(u16, Vec<u32>)> {
         let frag = Arc::clone(&self.frag);
         let f = frag.fragment(self.site);
-        let mut out = Vec::with_capacity(self.nq);
-        for u in 0..self.nq as u16 {
+        let mut out = Vec::with_capacity(self.q.node_count());
+        for u in 0..self.q.node_count() as u16 {
             // Set bits come out ascending, so locals ([0, n_local))
             // form a prefix of the row walk.
             let mut l = Vec::new();
-            self.ops += self.cand.words_per_row() as u64;
-            for idx in self.cand.iter_row(u as usize) {
-                if idx as usize >= self.n_local {
+            self.ops += self.state.cand.words_per_row() as u64;
+            for idx in self.state.cand.iter_row(u as usize) {
+                if idx as usize >= self.state.n_local {
                     break;
                 }
                 self.ops += 1;
@@ -333,7 +390,11 @@ impl LocalEval {
         let f = self.fragment();
         f.virtual_indices()
             .filter(|&idx| f.is_live_virtual(idx))
-            .map(|idx| (0..self.nq).filter(|&u| self.cand.test(u, idx)).count())
+            .map(|idx| {
+                (0..self.q.node_count())
+                    .filter(|&u| self.state.cand.test(u, idx))
+                    .count()
+            })
             .sum()
     }
 
@@ -342,7 +403,11 @@ impl LocalEval {
         let f = self.fragment();
         f.in_nodes()
             .iter()
-            .map(|&idx| (0..self.nq).filter(|&u| self.cand.test(u, idx)).count())
+            .map(|&idx| {
+                (0..self.q.node_count())
+                    .filter(|&u| self.state.cand.test(u, idx))
+                    .count()
+            })
             .sum()
     }
 
@@ -351,7 +416,7 @@ impl LocalEval {
         let f = self.fragment();
         let mut out = Vec::new();
         for &idx in f.in_nodes() {
-            for u in 0..self.nq as u16 {
+            for u in 0..self.q.node_count() as u16 {
                 if self.is_candidate(u, idx) {
                     out.push(Var {
                         q: u,
@@ -499,11 +564,13 @@ mod tests {
                     "mismatch at u{u}, idx{idx}"
                 );
                 // Surviving local candidates agree on their support too.
-                if incr.is_candidate(u, idx) && (idx as usize) < incr.n_local {
+                let n_local = incr.state.n_local;
+                if incr.is_candidate(u, idx) && (idx as usize) < n_local {
                     let out = w.pattern.edges().enumerate();
                     for (e, _) in out.filter(|(_, (src, _))| src.0 == u) {
-                        let at = e * n + idx as usize;
-                        assert_eq!(incr.cnt[at], scratch.cnt[at], "cnt e{e}, idx{idx}");
+                        let at = e * n_local + idx as usize;
+                        let (got, want) = (incr.state.cnt[at], scratch.state.cnt[at]);
+                        assert_eq!(got, want, "cnt e{e}, idx{idx}");
                     }
                 }
             }
@@ -689,16 +756,17 @@ mod tests {
         mut want: Vec<Falsified>,
         at: &str,
     ) {
-        for u in 0..ev.nq {
-            assert_eq!(ev.cand.row(u), reference.cand.row(u), "{at}: row {u}");
+        for u in 0..ev.q.node_count() {
+            assert_eq!(ev.state.cand.row(u), reference.cand.row(u), "{at}: row {u}");
         }
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want, "{at}: falsified");
         let f = ev.fragment();
+        let n_local = ev.state.n_local;
         for (e, (u, uc)) in ev.q.edges().enumerate() {
-            for idx in 0..ev.n_local as u32 {
-                let c = ev.cnt[e * ev.n + idx as usize] as usize;
+            for idx in 0..n_local as u32 {
+                let c = ev.state.cnt[e * n_local + idx as usize] as usize;
                 let succ = f.successors(idx);
                 assert!(c <= succ.len(), "{at}: edge {e}, idx {idx}: {c} wrapped");
                 if ev.is_candidate(u.0, idx) {
@@ -790,7 +858,7 @@ mod tests {
         for site in 0..3 {
             let f = frag.fragment(site);
             let (mut ev, _) = LocalEval::new(Arc::clone(&frag), site, Arc::clone(&q));
-            let mut want = f.n_total() + nq * ev.cand.words_per_row();
+            let mut want = f.n_total() + nq * ev.state.cand.words_per_row();
             for idx in f.local_indices() {
                 want += 1;
                 let sources = q

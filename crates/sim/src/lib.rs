@@ -20,14 +20,6 @@
 //!   condition (2); [`MatchRelation::is_total`] tells whether `G`
 //!   matches `Q`, and [`SimResult::answer`] applies the paper's
 //!   `Q(G) = ∅` convention when it does not).
-
-//!
-//! Two refinements of graph simulation are included for the §2.1
-//! comparison studies: [`dual::dual_simulation`] (child + parent
-//! conditions) and [`strong::strong_simulation`] (dual simulation in
-//! `d_Q`-balls, which *has* data locality and misses matches that
-//! graph simulation finds — e.g. `yb2` in Fig. 1).
-
 //!
 //! The quotient compression behind the engine's compressed leg rests
 //! on [`preorder::SimPreorder`] (the simulation preorder of `G` over
@@ -38,23 +30,19 @@
 pub mod bisim;
 pub mod boolean;
 pub mod compress;
-pub mod dual;
 pub mod hhk;
 pub mod match_relation;
 pub mod matchset;
 pub mod naive;
 pub mod preorder;
 pub mod reference;
-pub mod strong;
 
 pub use bisim::{bisimulation_partition, BisimPartition};
 pub use boolean::boolean_matches;
 pub use compress::{compress_bisim, compress_simeq, CompressedGraph};
-pub use dual::dual_simulation;
 pub use hhk::hhk_simulation;
 pub use match_relation::{MatchRelation, SimResult};
 pub use matchset::{MatchSet, SetBits};
 pub use naive::naive_simulation;
 pub use preorder::SimPreorder;
 pub use reference::hashset_simulation;
-pub use strong::strong_simulation;

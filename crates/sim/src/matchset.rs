@@ -152,6 +152,22 @@ impl MatchSet {
         self.row(row).iter().all(|&w| w == 0)
     }
 
+    /// Widens the arena to at least `cols` columns: new columns are
+    /// zero and every set bit keeps its place. Rows are re-laid only
+    /// when the words per row grow, so an arena growing a column at a
+    /// time moves once per [`WORD_BITS`] columns.
+    pub fn grow_cols(&mut self, cols: usize) {
+        let stride = cols.div_ceil(WORD_BITS);
+        if stride > self.stride {
+            let mut bits = vec![0u64; self.rows * stride];
+            for row in 0..self.rows {
+                bits[row * stride..][..self.stride].copy_from_slice(self.row(row));
+            }
+            (self.bits, self.stride) = (bits, stride);
+        }
+        self.cols = self.cols.max(cols);
+    }
+
     /// Zeroes every row.
     pub fn clear(&mut self) {
         self.bits.fill(0);
@@ -261,6 +277,31 @@ mod tests {
         let mut copy = MatchSet::new(1, 300);
         copy.copy_row_from(0, b.row(0));
         assert_eq!(copy.row(0), b.row(0));
+    }
+
+    #[test]
+    fn growing_keeps_bits_and_relays_once_per_word() {
+        let mut m = MatchSet::new(3, 0);
+        let mut want = MatchSet::new(3, 200);
+        for cols in [1usize, 5, 63, 64, 65, 65, 130, 200] {
+            m.grow_cols(cols);
+            assert_eq!((m.cols(), m.words_per_row()), (cols, cols.div_ceil(64)));
+            let col = cols as u32 - 1;
+            m.set(col as usize % 3, col);
+            want.set(col as usize % 3, col);
+            for row in 0..3 {
+                let bits: Vec<u32> = want.iter_row(row).filter(|&c| c < col + 1).collect();
+                assert_eq!(m.iter_row(row).collect::<Vec<_>>(), bits, "{cols} cols");
+            }
+        }
+        let words = m.bits.as_ptr();
+        m.grow_cols(256);
+        m.grow_cols(100);
+        assert_eq!(
+            (m.cols(), words),
+            (256, m.bits.as_ptr()),
+            "same stride, same words"
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! |---------------|-------|----------|
 //! | [`graph`] | `dgs-graph` | graphs, patterns, generators, graph algorithms |
 //! | [`partition`] | `dgs-partition` | fragments, partitioners, crossing-edge refinement |
-//! | [`sim`] | `dgs-sim` | centralized simulation (naive + HHK oracle, dual/strong contrast, quotient compression) |
+//! | [`sim`] | `dgs-sim` | centralized simulation (naive + HHK oracle, quotient compression) |
 //! | [`net`] | `dgs-net` | threaded & virtual-time cluster executors, PT/DS metrics |
 //! | [`core`] | `dgs-core` | `SimEngine`, `dGPM`, `dGPMd`/`dGPMs` (one engine), `dGPMt`, baselines |
 //! | [`serve`] | `dgs-serve` | wire protocol, `dgsd` daemon core, remote client, load generation |
@@ -90,9 +90,8 @@ pub mod prelude {
         DgsClient, ServeAddr, ServeError, Server, ServerConfig, SessionOptions, WireAlgorithm,
     };
     pub use dgs_sim::{
-        boolean_matches, compress_bisim, compress_simeq, dual_simulation, hashset_simulation,
-        hhk_simulation, naive_simulation, strong_simulation, CompressedGraph, MatchRelation,
-        MatchSet, SimPreorder,
+        boolean_matches, compress_bisim, compress_simeq, hashset_simulation, hhk_simulation,
+        naive_simulation, CompressedGraph, MatchRelation, MatchSet, SimPreorder,
     };
 }
 
