@@ -1154,7 +1154,7 @@ mod tests {
 
     #[test]
     fn redelivered_deletions_and_falsifications_are_idempotent() {
-        use dgs_net::{FaultPlan, VirtualExecutor};
+        use dgs_net::{DeliveryPlan, VirtualExecutor};
         for seed in 0..4 {
             let n = 70;
             let g = random::uniform(n, 280, 4, seed + 50);
@@ -1173,14 +1173,14 @@ mod tests {
             );
             let frag2 = Arc::new(frag2);
 
-            let run = |faults: Option<FaultPlan>| {
+            let run = |plan: Option<DeliveryPlan>| {
                 let states: Vec<DeltaSiteState> = (0..4)
                     .map(|s| DeltaSiteState::from_relation(&frag, s, &q, &rows))
                     .collect();
                 let (coord, sites) = build_maintenance(&frag2, &q, states, &deletions, &[]);
                 let mut exec = VirtualExecutor::new(CostModel::default());
-                if let Some(f) = faults {
-                    exec = exec.with_faults(f);
+                if let Some(plan) = plan {
+                    exec = exec.with_delivery(plan);
                 }
                 let o = exec.run(coord, sites);
                 let mut revoked = o.coordinator.revoked.clone();
@@ -1195,7 +1195,7 @@ mod tests {
 
             let (clean_revoked, clean_states, _) = run(None);
             let (faulty_revoked, faulty_states, m) =
-                run(Some(FaultPlan::duplicating(1.0, seed ^ 0xA5)));
+                run(Some(DeliveryPlan::duplicating(1.0, seed ^ 0xA5)));
             // Every data message (ops batches and falsifications) was
             // re-delivered...
             if m.data_messages > 0 {
@@ -1414,7 +1414,7 @@ mod tests {
 
     #[test]
     fn redelivered_insertion_traffic_is_idempotent() {
-        use dgs_net::{FaultPlan, VirtualExecutor};
+        use dgs_net::{DeliveryPlan, VirtualExecutor};
         for seed in 0..4 {
             let n = 50;
             let g = random::uniform(n, 160, 4, seed + 70);
@@ -1454,14 +1454,14 @@ mod tests {
             frag2.apply_delta(&ops);
             let frag2 = Arc::new(frag2);
 
-            let run = |faults: Option<FaultPlan>| {
+            let run = |plan: Option<DeliveryPlan>| {
                 let states: Vec<DeltaSiteState> = (0..4)
                     .map(|s| DeltaSiteState::from_relation(&frag, s, &q, &rows))
                     .collect();
                 let (coord, sites) = build_maintenance(&frag2, &q, states, &deletions, &insertions);
                 let mut exec = VirtualExecutor::new(CostModel::default());
-                if let Some(f) = faults {
-                    exec = exec.with_faults(f);
+                if let Some(plan) = plan {
+                    exec = exec.with_delivery(plan);
                 }
                 let o = exec.run(coord, sites);
                 let mut revoked = o.coordinator.revoked.clone();
@@ -1478,7 +1478,7 @@ mod tests {
 
             let (clean_rev, clean_res, clean_states, _) = run(None);
             let (faulty_rev, faulty_res, faulty_states, m) =
-                run(Some(FaultPlan::duplicating(1.0, seed ^ 0x5A)));
+                run(Some(DeliveryPlan::duplicating(1.0, seed ^ 0x5A)));
             // Every data message (ops, insertions, falsifications,
             // marks, and candidacy rows) was re-delivered...
             if m.data_messages > 0 {

@@ -61,13 +61,9 @@ impl DgsError {
                 algorithm,
                 reason: detail,
             },
-            dgs_net::ExecError::Timeout { millis, detail } => DgsError::ExecutorFailed {
+            other => DgsError::ExecutorFailed {
                 algorithm,
-                reason: format!("timed out after {millis} ms: {detail}"),
-            },
-            dgs_net::ExecError::Transport { detail } => DgsError::ExecutorFailed {
-                algorithm,
-                reason: format!("transport failed: {detail}"),
+                reason: other.to_string(),
             },
         }
     }

@@ -13,9 +13,9 @@
 //! (the panic propagated out of the thread scope). It is now caught at
 //! the site thread, aborts the run, and surfaces as a typed
 //! [`ExecError::SiteFailed`] from [`ThreadedExecutor::try_run`] naming
-//! the site — the serving layer keeps its session alive across it.
+//! the site — the serving layer keeps its session alive across it. A
+//! stalled protocol is [`ExecError::Stalled`], as under every executor.
 
-use crate::cost::CostModel;
 use crate::message::{Endpoint, WireSize};
 use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
@@ -31,11 +31,10 @@ enum Packet<M> {
     Stop,
 }
 
-/// The real-thread executor.
-pub struct ThreadedExecutor {
-    #[allow(dead_code)] // kept for API symmetry; ops are charged, not timed
-    cost: CostModel,
-}
+/// The real-thread executor. It takes no cost model: ops are charged,
+/// not timed, and wall clock is the timing source.
+#[derive(Default)]
+pub struct ThreadedExecutor;
 
 struct Shared<M> {
     site_txs: Vec<Sender<Packet<M>>>,
@@ -99,18 +98,17 @@ impl<M: WireSize> Shared<M> {
 }
 
 impl ThreadedExecutor {
-    /// Creates an executor (the cost model only labels the run; wall
-    /// clock is the timing source here).
-    pub fn new(cost: CostModel) -> Self {
-        ThreadedExecutor { cost }
+    /// Creates an executor.
+    pub fn new() -> Self {
+        ThreadedExecutor
     }
 
     /// Runs the protocol to completion; see [`crate::run`].
     ///
     /// # Panics
-    /// Panics when a site handler panics — the historical behaviour.
-    /// Use [`Self::try_run`] for a typed [`ExecError::SiteFailed`]
-    /// instead.
+    /// Panics when a site handler panics or the protocol stalls — the
+    /// historical behaviour. Use [`Self::try_run`] for a typed
+    /// [`ExecError`] instead.
     pub fn run<M, C, S>(&self, coordinator: C, sites: Vec<S>) -> RunOutcome<C, S>
     where
         M: WireSize + Send + 'static,
@@ -118,12 +116,13 @@ impl ThreadedExecutor {
         S: SiteLogic<M> + Send,
     {
         self.try_run(coordinator, sites)
-            .unwrap_or_else(|e| panic!("site thread panicked: {e}"))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the protocol to completion, surfacing a panicking site
     /// handler as [`ExecError::SiteFailed`] (naming the site) instead
-    /// of poisoning the run ambiguously.
+    /// of poisoning the run ambiguously, and a stalled protocol as
+    /// [`ExecError::Stalled`].
     pub fn try_run<M, C, S>(
         &self,
         mut coordinator: C,
@@ -158,6 +157,7 @@ impl ThreadedExecutor {
         };
 
         let mut rounds = 0u64;
+        let mut stalled = false;
         crossbeam::thread::scope(|scope| {
             for (i, (site, rx)) in sites.iter_mut().zip(site_rxs).enumerate() {
                 let shared = &shared;
@@ -241,10 +241,10 @@ impl ThreadedExecutor {
                         if done {
                             break;
                         }
-                        assert!(
-                            had_sends,
-                            "protocol stalled: on_quiescent returned false without sending"
-                        );
+                        if !had_sends {
+                            stalled = true;
+                            break;
+                        }
                     }
                 }
             }
@@ -257,6 +257,9 @@ impl ThreadedExecutor {
 
         if let Some((site, reason)) = shared.failed.into_inner() {
             return Err(ExecError::SiteFailed { site, reason });
+        }
+        if stalled {
+            return Err(ExecError::Stalled);
         }
         let mut metrics = shared.metrics.into_inner();
         metrics.quiescence_rounds = rounds;
@@ -306,7 +309,7 @@ mod tests {
 
     #[test]
     fn scatter_gather_sums_correctly() {
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let sites: Vec<AddSite> = (0..8).map(|i| AddSite { idx: i }).collect();
         let outcome = exec.run(Scatter { sum: 0, replies: 0 }, sites);
         assert_eq!(outcome.coordinator.replies, 8);
@@ -350,7 +353,7 @@ mod tests {
     #[test]
     fn ring_relay_runs_site_to_site() {
         let n = 6u32;
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let sites: Vec<RingSite> = (0..n).map(|i| RingSite { next: (i + 1) % n }).collect();
         let outcome = exec.run(RingCoord { hops_seen: 0 }, sites);
         assert_eq!(outcome.coordinator.hops_seen, 2 * n as u64);
@@ -393,7 +396,7 @@ mod tests {
 
     #[test]
     fn multi_phase_quiescence_threaded() {
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let outcome = exec.run(
             TwoPhase { phase: 0 },
             (0..4).map(|_| EchoSite { received: 0 }).collect(),
@@ -422,7 +425,7 @@ mod tests {
                 out.send(Endpoint::Coordinator, 1);
             }
         }
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let sites: Vec<PanicSite> = (0..4).map(|idx| PanicSite { idx }).collect();
         let err = match exec.try_run(Scatter { sum: 0, replies: 0 }, sites) {
             Err(e) => e,
@@ -438,8 +441,23 @@ mod tests {
     }
 
     #[test]
+    fn stalled_protocol_is_a_typed_error() {
+        struct Stall;
+        impl CoordinatorLogic<u64> for Stall {
+            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
+            fn on_message(&mut self, _f: Endpoint, _m: u64, _o: &mut Outbox<u64>) {}
+            fn on_quiescent(&mut self, _out: &mut Outbox<u64>) -> bool {
+                false
+            }
+        }
+        let sites: Vec<AddSite> = (0..2).map(|i| AddSite { idx: i }).collect();
+        let stalled = ThreadedExecutor::new().try_run(Stall, sites);
+        assert!(matches!(stalled, Err(ExecError::Stalled)));
+    }
+
+    #[test]
     fn per_site_message_counts_are_recorded() {
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let sites: Vec<AddSite> = (0..4).map(|i| AddSite { idx: i }).collect();
         let outcome = exec.run(Scatter { sum: 0, replies: 0 }, sites);
         // Each site replies exactly once.
@@ -456,7 +474,7 @@ mod tests {
                 true
             }
         }
-        let exec = ThreadedExecutor::new(CostModel::default());
+        let exec = ThreadedExecutor::new();
         let outcome = exec.run::<u64, _, EchoSite>(Idle, vec![]);
         assert_eq!(outcome.metrics.quiescence_rounds, 1);
     }

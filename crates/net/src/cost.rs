@@ -7,6 +7,10 @@
 //! scale the virtual clock — the *shapes* of the PT curves (what the
 //! experiments verify) are governed by the ratios, which are
 //! configurable per experiment.
+//!
+//! The model is deterministic: every delivery takes exactly `latency +
+//! bytes / bandwidth`. Perturbed schedules (retries, duplicates,
+//! delays) come from a [`crate::DeliveryPlan`] given to the executor.
 
 /// Parameters of the discrete-event simulation.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,15 +23,6 @@ pub struct CostModel {
     pub latency_ns: u64,
     /// Network bandwidth in bytes per nanosecond (0.1 = 100 MB/s).
     pub bytes_per_ns: f64,
-    /// Deterministic per-message latency jitter: each delivery's
-    /// latency is scaled by a pseudo-random factor in
-    /// `[1 − jitter, 1 + jitter]` derived from `jitter_seed` and the
-    /// message's sequence number. Jitter perturbs message *ordering*
-    /// (adversarial-schedule testing: monotone fixpoints must be
-    /// confluent under any schedule) while staying fully reproducible.
-    pub jitter: f64,
-    /// Seed for the jitter hash.
-    pub jitter_seed: u64,
     /// Per-site speed factors (heterogeneous hardware / stragglers):
     /// site `i` runs at `site_speed[i]` × the base speed, so a factor
     /// of `0.25` makes that site 4× slower. Sites beyond the vector's
@@ -44,8 +39,6 @@ impl Default for CostModel {
             ns_per_message: 10_000, // 10 µs dispatch overhead
             latency_ns: 500_000,    // 0.5 ms one-way
             bytes_per_ns: 0.1,      // 100 MB/s
-            jitter: 0.0,
-            jitter_seed: 0,
             site_speed: Vec::new(),
         }
     }
@@ -60,8 +53,6 @@ impl CostModel {
             ns_per_message: 0,
             latency_ns: 0,
             bytes_per_ns: f64::INFINITY,
-            jitter: 0.0,
-            jitter_seed: 0,
             site_speed: Vec::new(),
         }
     }
@@ -92,17 +83,6 @@ impl CostModel {
         (ops as f64 * self.ns_per_op / speed).round() as u64
     }
 
-    /// Returns a copy with latency jitter enabled.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ jitter < 1`.
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&jitter), "jitter fraction in [0,1)");
-        self.jitter = jitter;
-        self.jitter_seed = seed;
-        self
-    }
-
     /// Transfer time of a `bytes`-sized message, excluding latency.
     pub fn transfer_ns(&self, bytes: usize) -> u64 {
         if self.bytes_per_ns.is_infinite() {
@@ -120,23 +100,6 @@ impl CostModel {
     /// Full delivery delay of a message: latency plus transfer.
     pub fn delivery_ns(&self, bytes: usize) -> u64 {
         self.latency_ns + self.transfer_ns(bytes)
-    }
-
-    /// Delivery delay of message number `seq`, with jitter applied to
-    /// the latency term (deterministic in `(jitter_seed, seq)`).
-    pub fn delivery_ns_jittered(&self, bytes: usize, seq: u64) -> u64 {
-        if self.jitter == 0.0 {
-            return self.delivery_ns(bytes);
-        }
-        // SplitMix64 over (seed ^ seq) → uniform in [-1, 1).
-        let mut z = self.jitter_seed ^ seq.wrapping_mul(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        let factor = 1.0 + self.jitter * (2.0 * unit - 1.0);
-        let latency = (self.latency_ns as f64 * factor).round() as u64;
-        latency + self.transfer_ns(bytes)
     }
 }
 
@@ -164,37 +127,6 @@ mod tests {
     fn compute_scales_with_ops() {
         let c = CostModel::default();
         assert_eq!(c.compute_ns(100), 500);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let c = CostModel::default().with_jitter(0.3, 42);
-        let base = c.latency_ns as f64;
-        for seq in 0..200u64 {
-            let d = c.delivery_ns_jittered(0, seq) as f64;
-            assert!(d >= base * 0.69 && d <= base * 1.31, "seq {seq}: {d}");
-            assert_eq!(
-                c.delivery_ns_jittered(0, seq),
-                c.delivery_ns_jittered(0, seq)
-            );
-        }
-        // Different seeds give different schedules.
-        let c2 = CostModel::default().with_jitter(0.3, 43);
-        assert!((0..50).any(|s| c.delivery_ns_jittered(0, s) != c2.delivery_ns_jittered(0, s)));
-    }
-
-    #[test]
-    fn zero_jitter_matches_plain_delivery() {
-        let c = CostModel::default();
-        for seq in 0..10 {
-            assert_eq!(c.delivery_ns_jittered(500, seq), c.delivery_ns(500));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "jitter fraction")]
-    fn jitter_out_of_range_rejected() {
-        let _ = CostModel::default().with_jitter(1.5, 0);
     }
 
     #[test]

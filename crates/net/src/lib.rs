@@ -27,7 +27,8 @@
 //! Because graph simulation is a monotone fixpoint computation,
 //! chaotic/asynchronous iteration is confluent: all executors (and
 //! any message interleaving) produce identical answers; only the
-//! timing metrics differ.
+//! timing metrics differ. A seeded [`DeliveryPlan`] perturbs delivery
+//! (drop-then-retry, duplicate, delay) to test exactly that.
 //!
 //! Data shipment is accounted exactly: every message carries a
 //! hand-computed [`WireSize`] and is classified as **data** (the
@@ -39,7 +40,7 @@
 
 pub mod cluster;
 pub mod cost;
-pub mod fault;
+pub mod delivery;
 pub mod message;
 pub mod metrics;
 pub mod obs;
@@ -50,7 +51,7 @@ pub mod wire;
 
 pub use cluster::ThreadedExecutor;
 pub use cost::CostModel;
-pub use fault::FaultPlan;
+pub use delivery::{DeliveryPlan, Verdict};
 pub use message::{Endpoint, MsgClass, WireSize};
 pub use metrics::{LatencyHistogram, RunMetrics, SiteDeltaMetrics};
 pub use obs::{
@@ -58,9 +59,7 @@ pub use obs::{
     METRICS_SNAPSHOT_VERSION,
 };
 pub use site::{CoordinatorLogic, Outbox, SiteLogic};
-pub use socket::{
-    ChaosPlan, RemoteSpec, SocketCluster, SocketConfig, SocketMsg, WorkerHost, WorkerMode,
-};
+pub use socket::{RemoteSpec, SocketCluster, SocketConfig, SocketMsg, WorkerHost, WorkerMode};
 pub use virtual_time::VirtualExecutor;
 
 use std::fmt;
@@ -77,10 +76,10 @@ pub enum ExecutorKind {
     Socket,
 }
 
-/// Why an executor could not complete a run. The in-process executors
-/// only fail on site panics; the socket executor adds transport-level
-/// failure modes (a dead worker, a silent peer, an unremotable
-/// protocol).
+/// Why an executor could not complete a run. Every executor fails on a
+/// stalled protocol and the threaded one on site panics; the socket
+/// executor adds transport-level failure modes (a dead worker, a silent
+/// peer, an unremotable protocol).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// A site failed: its handler panicked (threaded/socket), its
@@ -112,6 +111,9 @@ pub enum ExecError {
         /// Why.
         detail: String,
     },
+    /// The coordinator's `on_quiescent` returned `false` without
+    /// sending anything: nothing can ever happen again.
+    Stalled,
 }
 
 impl fmt::Display for ExecError {
@@ -125,6 +127,10 @@ impl fmt::Display for ExecError {
             }
             ExecError::Transport { detail } => write!(f, "transport failed: {detail}"),
             ExecError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
+            ExecError::Stalled => write!(
+                f,
+                "protocol stalled: on_quiescent returned false without sending"
+            ),
         }
     }
 }
@@ -147,7 +153,7 @@ pub struct RunOutcome<C, S> {
 /// Runs `coordinator` + `sites` under the chosen in-process executor.
 ///
 /// This is the historical infallible entry point: a site panic under
-/// the threaded executor propagates as a panic, and
+/// the threaded executor and a stalled protocol propagate as panics, and
 /// [`ExecutorKind::Socket`] is rejected (it needs a bootstrapped
 /// cluster — use [`try_run`]).
 pub fn run<M, C, S>(
@@ -162,7 +168,7 @@ where
     S: SiteLogic<M> + Send,
 {
     match kind {
-        ExecutorKind::Threaded => ThreadedExecutor::new(cost.clone()).run(coordinator, sites),
+        ExecutorKind::Threaded => ThreadedExecutor::new().run(coordinator, sites),
         ExecutorKind::Virtual => VirtualExecutor::new(cost.clone()).run(coordinator, sites),
         ExecutorKind::Socket => {
             panic!("the socket executor needs a bootstrapped SocketCluster; use dgs_net::try_run")
@@ -172,7 +178,8 @@ where
 
 /// Runs `coordinator` + `sites` under any executor, with typed
 /// errors: threaded site panics surface as
-/// [`ExecError::SiteFailed`] instead of poisoning the process, and
+/// [`ExecError::SiteFailed`] instead of poisoning the process, a
+/// stalled protocol as [`ExecError::Stalled`], and
 /// [`ExecutorKind::Socket`] dispatches to `cluster` (erroring when
 /// none is supplied).
 pub fn try_run<M, C, S>(
@@ -211,10 +218,10 @@ where
     S: SiteLogic<M> + RemoteSpec + Send,
 {
     match kind {
-        ExecutorKind::Threaded => ThreadedExecutor::new(cost.clone()).try_run(coordinator, sites),
-        ExecutorKind::Virtual => Ok(VirtualExecutor::new(cost.clone())
+        ExecutorKind::Threaded => ThreadedExecutor::new().try_run(coordinator, sites),
+        ExecutorKind::Virtual => VirtualExecutor::new(cost.clone())
             .with_start_workers(start_workers)
-            .run(coordinator, sites)),
+            .try_run(coordinator, sites),
         ExecutorKind::Socket => match cluster {
             Some(cluster) => cluster.run(coordinator, sites),
             None => Err(ExecError::Unsupported {

@@ -36,8 +36,8 @@ pub struct RunMetrics {
     pub wall_time: Duration,
     /// Number of quiescence rounds (phase barriers) the run used.
     pub quiescence_rounds: u64,
-    /// Data messages delivered twice by fault injection
-    /// ([`crate::fault::FaultPlan`]); the duplicates are *also*
+    /// Data messages delivered twice under a delivery plan
+    /// ([`crate::DeliveryPlan`]); the duplicates are *also*
     /// counted in `data_messages`/`data_bytes`, since retransmission
     /// is real traffic.
     pub duplicated_messages: u64,

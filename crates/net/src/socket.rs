@@ -6,8 +6,8 @@
 //! The in-process executors prove the algorithms; this one proves the
 //! *deployment*: messages really cross a kernel socket, a worker can
 //! really be killed mid-run, and the transport can really reorder and
-//! re-deliver — all of which the conformance and chaos suites
-//! (`tests/executors.rs`) exercise.
+//! re-deliver — all of which the conformance suite and its delivery-plan
+//! test (`tests/executors.rs`) exercise.
 //!
 //! ## Topology
 //!
@@ -40,12 +40,15 @@
 //! * A worker that goes **silent** is bounded by
 //!   [`SocketConfig::site_timeout`]: the run fails with
 //!   [`ExecError::Timeout`] instead of hanging forever.
-//! * A [`ChaosPlan`] makes the coordinator-side transport adversarial
-//!   (deterministically, per seed): data messages are dropped-then-
-//!   retried, duplicated, delayed and reordered — the at-least-once
-//!   semantics of [`crate::FaultPlan`] over a real socket. Control and
-//!   result frames stay exactly-once, mirroring `FaultPlan`'s contract.
+//! * A [`DeliveryPlan`] ([`SocketConfig::delivery`]) makes the
+//!   coordinator-side transport adversarial: site-bound data frames are
+//!   dropped-then-retried, duplicated or delayed, with the verdicts the
+//!   virtual executor would reach for the same run. A held frame (the
+//!   retry, the second copy, the delayed one) waits until the
+//!   coordinator runs out of immediate work, and held frames go out in
+//!   seeded-shuffled order, so they are delayed *and* reordered.
 
+use crate::delivery::{DeliveryPlan, PlanRun, Verdict};
 use crate::message::{Endpoint, MsgClass, WireSize};
 use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
@@ -481,119 +484,43 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-// ---- chaos transport ---------------------------------------------------
+// ---- delivery-plan transport -----------------------------------------
 
-/// Deterministic adversarial behaviour of the coordinator-side
-/// transport, applied to **data**-class `SITE_MSG` frames only —
-/// mirroring [`crate::FaultPlan`]: control and result traffic is part
-/// of the phase-barrier contract and a real transport would
-/// deduplicate and order it by sequence number.
-///
-/// Semantics are at-least-once: a "dropped" first copy is always
-/// followed by a retry copy (a transport that loses messages without
-/// retry genuinely changes answers — see `crates/net/src/fault.rs`),
-/// a duplicated message is delivered twice, and delayed copies are
-/// flushed in seeded-shuffled order once the coordinator goes idle —
-/// which both delays and **reorders** them relative to program order.
-#[derive(Clone, Debug)]
-pub struct ChaosPlan {
-    /// Fraction of data messages whose first copy is dropped (the
-    /// retry is delivered later), in `[0, 1]`.
-    pub drop_rate: f64,
-    /// Fraction delivered twice (the second copy later), in `[0, 1]`.
-    pub duplicate_rate: f64,
-    /// Fraction whose only copy is deferred to the reorder buffer.
-    pub delay_rate: f64,
-    /// Seed of all per-message decisions and of the flush shuffle.
-    pub seed: u64,
-}
+/// The plan's draw stream for the flush shuffle; sender streams are
+/// `0..=num_sites`.
+const SHUFFLE_STREAM: u64 = u64::MAX;
 
-impl ChaosPlan {
-    /// A heavy plan: 20% dropped-then-retried, 20% duplicated, 30%
-    /// delayed/reordered.
-    pub fn heavy(seed: u64) -> Self {
-        ChaosPlan {
-            drop_rate: 0.2,
-            duplicate_rate: 0.2,
-            delay_rate: 0.3,
-            seed,
-        }
-    }
-
-    fn unit(&self, seq: u64, salt: u64) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15))
-            ^ seq.wrapping_mul(0xD1B54A32D192ED03);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// What [`ChaosTransport::route`] decided for one data frame.
-enum ChaosVerdict {
-    /// Deliver now, nothing held.
-    Pass,
-    /// First copy dropped; the retry copy goes to the buffer.
-    DropRetry,
-    /// Deliver now **and** hold a duplicate copy.
-    Duplicate,
-    /// Hold the only copy (delay + reorder).
-    Delay,
-}
-
-/// The coordinator-side wrapper that applies a [`ChaosPlan`] to
-/// outgoing data frames. Held copies are flushed — in seeded-shuffled
-/// order — whenever the event loop runs out of immediate work, so
-/// every message is eventually delivered (at-least-once, never lost).
-pub struct ChaosTransport {
-    plan: ChaosPlan,
-    seq: u64,
+/// One run's coordinator-side transport under a [`DeliveryPlan`]: the
+/// per-sender verdicts and the held frames. Held copies are flushed —
+/// in seeded-shuffled order — whenever the event loop runs out of
+/// immediate work, so every message is eventually delivered
+/// (at-least-once, never lost).
+struct HeldFrames {
+    run: PlanRun,
     /// Held frames: `(worker index, frame payload)`.
     held: Vec<(usize, Vec<u8>)>,
+    /// Shuffle draws so far.
+    draws: u64,
 }
 
-impl ChaosTransport {
-    fn new(plan: ChaosPlan) -> Self {
-        ChaosTransport {
-            plan,
-            seq: 0,
+impl HeldFrames {
+    fn new(plan: DeliveryPlan, num_sites: usize) -> Self {
+        HeldFrames {
+            run: PlanRun::new(plan, num_sites),
             held: Vec::new(),
+            draws: 0,
         }
-    }
-
-    fn verdict(&mut self) -> ChaosVerdict {
-        let seq = self.seq;
-        self.seq += 1;
-        let u = self.plan.unit(seq, 1);
-        let p = &self.plan;
-        if u < p.drop_rate {
-            ChaosVerdict::DropRetry
-        } else if u < p.drop_rate + p.duplicate_rate {
-            ChaosVerdict::Duplicate
-        } else if u < p.drop_rate + p.duplicate_rate + p.delay_rate {
-            ChaosVerdict::Delay
-        } else {
-            ChaosVerdict::Pass
-        }
-    }
-
-    /// Whether any copies are still held back.
-    fn is_empty(&self) -> bool {
-        self.held.is_empty()
     }
 
     /// Takes all held frames, in seeded-shuffled order.
     fn flush(&mut self) -> Vec<(usize, Vec<u8>)> {
         let mut out = std::mem::take(&mut self.held);
-        // Fisher–Yates with the plan's deterministic unit stream.
+        // Fisher–Yates on the plan's draw stream.
         for i in (1..out.len()).rev() {
-            let j = (self.plan.unit(self.seq, 2 + i as u64) * (i as f64 + 1.0)) as usize;
-            out.swap(i, j.min(i));
+            let u = self.run.plan.unit(SHUFFLE_STREAM, self.draws);
+            self.draws += 1;
+            out.swap(i, ((u * (i as f64 + 1.0)) as usize).min(i));
         }
-        self.seq += 1;
         out
     }
 }
@@ -630,7 +557,7 @@ pub struct SocketConfig {
     /// silent peer.
     pub site_timeout: Duration,
     /// Optional adversarial transport.
-    pub chaos: Option<ChaosPlan>,
+    pub delivery: Option<DeliveryPlan>,
 }
 
 impl SocketConfig {
@@ -643,7 +570,7 @@ impl SocketConfig {
                 count,
             },
             site_timeout: Duration::from_secs(30),
-            chaos: None,
+            delivery: None,
         }
     }
 
@@ -652,7 +579,7 @@ impl SocketConfig {
         SocketConfig {
             mode: WorkerMode::Attach { addrs },
             site_timeout: Duration::from_secs(30),
-            chaos: None,
+            delivery: None,
         }
     }
 
@@ -662,9 +589,9 @@ impl SocketConfig {
         self
     }
 
-    /// Enables the adversarial transport.
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
+    /// Applies `plan` to every run's site-bound data frames.
+    pub fn delivery(mut self, plan: DeliveryPlan) -> Self {
+        self.delivery = Some(plan);
         self
     }
 }
@@ -688,7 +615,9 @@ struct ClusterInner {
     num_sites: usize,
     next_run: u64,
     timeout: Duration,
-    chaos: Option<ChaosTransport>,
+    delivery: Option<DeliveryPlan>,
+    /// The current run's transport under `delivery`.
+    held: Option<HeldFrames>,
     /// Spawn-local clusters own their workers' lifecycle and ask them
     /// to exit on shutdown; attached workers are externally managed
     /// and stay up for the next coordinator.
@@ -920,7 +849,8 @@ impl SocketCluster {
                 num_sites,
                 next_run: 1,
                 timeout: cfg.site_timeout,
-                chaos: cfg.chaos.map(ChaosTransport::new),
+                delivery: cfg.delivery,
+                held: None,
                 owns_workers,
                 shut_down: false,
             }),
@@ -1119,9 +1049,8 @@ impl ClusterInner {
         let wall_start = Instant::now();
         let mut metrics = RunMetrics::new(n);
         let mut inflight: i64 = 0;
-        if let Some(chaos) = &mut self.chaos {
-            chaos.held.clear(); // never leak frames across runs
-        }
+        // Fresh per run: no frame and no verdict depends on earlier runs.
+        self.held = self.delivery.map(|plan| HeldFrames::new(plan, n));
 
         // Per-run site bootstrap: every hosted site's `on_start` will
         // answer with one SITE_OUT.
@@ -1172,11 +1101,10 @@ impl ClusterInner {
                 }
                 Err(crossbeam::channel::TryRecvError::Empty) => {}
             }
-            // Nothing immediate: release chaos-held frames before the
-            // loop can block or quiesce (this is what delays *and*
-            // reorders them).
-            if self.chaos.as_ref().is_some_and(|c| !c.is_empty()) {
-                let held = self.chaos.as_mut().expect("checked").flush();
+            // Nothing immediate: release held frames before the loop can
+            // block or quiesce (this is what delays *and* reorders them).
+            if self.held.as_ref().is_some_and(|h| !h.held.is_empty()) {
+                let held = self.held.as_mut().expect("checked").flush();
                 for (w, frame) in held {
                     self.write_worker(w, FT_SITE_MSG, &frame)?;
                 }
@@ -1192,10 +1120,7 @@ impl ClusterInner {
                     break true;
                 }
                 if !had_sends {
-                    return Err(ExecError::Transport {
-                        detail: "protocol stalled: on_quiescent returned false without sending"
-                            .into(),
-                    });
+                    return Err(ExecError::Stalled);
                 }
                 continue;
             }
@@ -1256,8 +1181,8 @@ impl ClusterInner {
 
     /// Routes one logical send. Coordinator-bound messages are decoded
     /// and queued for local delivery by the caller; site-bound
-    /// messages become `SITE_MSG` frames (through the chaos transport
-    /// for data class).
+    /// messages become `SITE_MSG` frames (held back as the delivery
+    /// plan decides).
     #[allow(clippy::too_many_arguments)]
     fn route_send<M: SocketMsg>(
         &mut self,
@@ -1290,29 +1215,22 @@ impl ClusterInner {
                 put_class(&mut frame, class);
                 put_bytes(&mut frame, payload);
                 *inflight += 1;
-                if class == MsgClass::Data {
-                    if let Some(chaos) = &mut self.chaos {
-                        match chaos.verdict() {
-                            ChaosVerdict::Pass => {}
-                            ChaosVerdict::DropRetry => {
-                                // At-least-once: the retry copy is the
-                                // only delivery; traffic unchanged.
-                                chaos.held.push((w, frame));
-                                return Ok(());
-                            }
-                            ChaosVerdict::Duplicate => {
-                                // Retransmission is real traffic, like
-                                // FaultPlan's accounting.
-                                metrics.record_send_from(from, class, wire_bytes);
-                                metrics.duplicated_messages += 1;
-                                metrics.duplicated_bytes += wire_bytes as u64;
-                                *inflight += 1;
-                                chaos.held.push((w, frame.clone()));
-                            }
-                            ChaosVerdict::Delay => {
-                                chaos.held.push((w, frame));
-                                return Ok(());
-                            }
+                if let Some(h) = &mut self.held {
+                    match h.run.next(from, to, class) {
+                        Verdict::Pass => {}
+                        Verdict::Duplicate => {
+                            // The retransmitted copy is real traffic.
+                            metrics.record_send_from(from, class, wire_bytes);
+                            metrics.duplicated_messages += 1;
+                            metrics.duplicated_bytes += wire_bytes as u64;
+                            *inflight += 1;
+                            h.held.push((w, frame.clone()));
+                        }
+                        // The retry or the delayed copy is the only
+                        // delivery; traffic unchanged.
+                        Verdict::DropRetry | Verdict::Delay(_) => {
+                            h.held.push((w, frame));
+                            return Ok(());
                         }
                     }
                 }
@@ -1550,8 +1468,8 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Under the chaos transport every data message may be dropped-
-    /// then-retried, duplicated, delayed or reordered; an idempotent
+    /// Under a delivery plan every site-bound data message may be
+    /// dropped-then-retried, duplicated, delayed or reordered; an idempotent
     /// protocol (set union, like the simulation algorithms) must still
     /// converge to the same answer, and at-least-once delivery means
     /// every site is reached.
@@ -1573,19 +1491,77 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_reusable_and_chaos_preserves_answers() {
+    fn runs_are_reusable_and_delivery_plans_preserve_answers() {
         let addrs = vec![local_worker()];
-        let cfg = SocketConfig::attach(addrs).chaos(ChaosPlan::heavy(7));
+        let cfg = SocketConfig::attach(addrs).delivery(DeliveryPlan::heavy(7));
         let cluster = SocketCluster::start(cfg, b"", 4).unwrap();
         for round in 0..3 {
             let sites: Vec<AddSite> = (0..4).map(|i| AddSite { idx: i }).collect();
             let outcome = cluster.run(SetUnion { seen: 0 }, sites).unwrap();
             // idx i receives i and replies i + i = 2i; bits 0,2,4,6.
             assert_eq!(outcome.coordinator.seen, 0b0101_0101, "round {round}");
-            // At-least-once: every site replied at least once, and a
-            // heavy plan certainly duplicated something across rounds.
+            // At-least-once: every site replied at least once.
             assert!(outcome.metrics.data_messages >= 8, "round {round}");
         }
+    }
+
+    fn scatter_sites() -> Vec<AddSite> {
+        (0..8).map(|i| AddSite { idx: i }).collect()
+    }
+
+    /// A run's verdicts depend on the plan and the run alone, never on
+    /// how many runs the cluster served before.
+    #[test]
+    fn repeated_runs_replay_one_delivery_schedule() {
+        let dup_counts = |cluster: &SocketCluster| {
+            let scatter = Scatter { sum: 0, replies: 0 };
+            let m = cluster.run(scatter, scatter_sites()).unwrap().metrics;
+            (m.duplicated_messages, m.duplicated_bytes)
+        };
+        let start = || {
+            let cfg = SocketConfig::attach(vec![local_worker()]).delivery(DeliveryPlan::heavy(7));
+            SocketCluster::start(cfg, b"", 8).unwrap()
+        };
+        let cluster = start();
+        let first = dup_counts(&cluster);
+        for run in 1..5 {
+            assert_eq!(dup_counts(&cluster), first, "run {run}");
+        }
+        assert_eq!(dup_counts(&start()), first, "fresh cluster");
+    }
+
+    /// Scatter's outboxes do not depend on arrival order, so under one
+    /// plan the virtual and the socket executor meet the same verdicts
+    /// and record the same traffic.
+    #[test]
+    fn virtual_and_socket_executors_apply_one_plan_alike() {
+        let addrs = vec![local_worker(), local_worker()];
+        let mut duplicated = 0;
+        for seed in 0..4 {
+            let plan = DeliveryPlan::heavy(seed);
+            let cfg = SocketConfig::attach(addrs.clone()).delivery(plan);
+            let cluster = SocketCluster::start(cfg, b"", 8).unwrap();
+            let sock = cluster
+                .run(Scatter { sum: 0, replies: 0 }, scatter_sites())
+                .unwrap();
+            let virt = crate::VirtualExecutor::new(crate::CostModel::default())
+                .with_delivery(plan)
+                .run(Scatter { sum: 0, replies: 0 }, scatter_sites());
+            let counts = |o: &RunOutcome<Scatter, AddSite>| {
+                let m = &o.metrics;
+                let c = &o.coordinator;
+                (
+                    m.data_messages,
+                    m.duplicated_messages,
+                    m.duplicated_bytes,
+                    c.replies,
+                    c.sum,
+                )
+            };
+            assert_eq!(counts(&sock), counts(&virt), "seed {seed}");
+            duplicated += virt.metrics.duplicated_messages;
+        }
+        assert!(duplicated > 0, "the plans duplicated nothing");
     }
 
     #[test]

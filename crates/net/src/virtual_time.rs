@@ -15,11 +15,11 @@
 //! host's core count.
 
 use crate::cost::CostModel;
-use crate::fault::FaultPlan;
-use crate::message::{Endpoint, MsgClass, WireSize};
+use crate::delivery::{DeliveryPlan, PlanRun, Verdict, RETRY_NS};
+use crate::message::{Endpoint, WireSize};
 use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
-use crate::RunOutcome;
+use crate::{ExecError, RunOutcome};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -53,7 +53,7 @@ impl<M> Ord for Event<M> {
 /// The deterministic discrete-event executor.
 pub struct VirtualExecutor {
     cost: CostModel,
-    faults: Option<FaultPlan>,
+    delivery: Option<DeliveryPlan>,
     start_workers: usize,
 }
 
@@ -62,16 +62,16 @@ impl VirtualExecutor {
     pub fn new(cost: CostModel) -> Self {
         VirtualExecutor {
             cost,
-            faults: None,
+            delivery: None,
             start_workers: 1,
         }
     }
 
-    /// Enables deterministic at-least-once fault injection: the
-    /// configured fraction of **data** messages is delivered twice
-    /// (see [`FaultPlan`]).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+    /// Applies a [`DeliveryPlan`] to every run: a retried or duplicated
+    /// copy arrives [`RETRY_NS`] after the on-time one, a delayed
+    /// message up to that much late.
+    pub fn with_delivery(mut self, plan: DeliveryPlan) -> Self {
+        self.delivery = Some(plan);
         self
     }
 
@@ -90,7 +90,28 @@ impl VirtualExecutor {
     }
 
     /// Runs the protocol to completion; see [`crate::run`].
-    pub fn run<M, C, S>(&self, mut coordinator: C, mut sites: Vec<S>) -> RunOutcome<C, S>
+    ///
+    /// # Panics
+    /// Panics when the protocol stalls; [`Self::try_run`] returns the
+    /// typed error instead.
+    pub fn run<M, C, S>(&self, coordinator: C, sites: Vec<S>) -> RunOutcome<C, S>
+    where
+        M: WireSize + Clone + Send,
+        C: CoordinatorLogic<M>,
+        S: SiteLogic<M> + Send,
+    {
+        self.try_run(coordinator, sites)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs the protocol to completion, or fails with
+    /// [`ExecError::Stalled`] when `on_quiescent` neither finishes nor
+    /// sends.
+    pub fn try_run<M, C, S>(
+        &self,
+        mut coordinator: C,
+        mut sites: Vec<S>,
+    ) -> Result<RunOutcome<C, S>, ExecError>
     where
         M: WireSize + Clone + Send,
         C: CoordinatorLogic<M>,
@@ -103,6 +124,7 @@ impl VirtualExecutor {
         let mut seq: u64 = 0;
         let mut ready = vec![0u64; n];
         let mut coord_ready = 0u64;
+        let mut plan_run = self.delivery.map(|plan| PlanRun::new(plan, n));
 
         let ready_of = |ready: &[u64], coord_ready: u64, ep: Endpoint| -> u64 {
             match ep {
@@ -133,31 +155,33 @@ impl VirtualExecutor {
             for (to, class, msg) in out.sends {
                 let bytes = msg.wire_size();
                 metrics.record_send_from(ep, class, bytes);
-                seq += 1;
-                // At-least-once injection: a duplicate copy of a data
-                // message arrives after an extra delay, as if a
-                // retrying transport re-sent it.
-                if class == MsgClass::Data {
-                    if let Some(plan) = &self.faults {
-                        if plan.duplicates(seq) {
-                            metrics.record_send_from(ep, class, bytes);
-                            metrics.duplicated_messages += 1;
-                            metrics.duplicated_bytes += bytes as u64;
-                            seq += 1;
-                            heap.push(Event {
-                                at: end
-                                    + self.cost.delivery_ns_jittered(bytes, seq)
-                                    + plan.extra_delay_ns,
-                                seq,
-                                from: ep,
-                                to,
-                                msg: msg.clone(),
-                            });
-                        }
+                let at = end + self.cost.delivery_ns(bytes);
+                let verdict = plan_run
+                    .as_mut()
+                    .map_or(Verdict::Pass, |run| run.next(ep, to, class));
+                let delay = match verdict {
+                    Verdict::Pass => 0,
+                    Verdict::DropRetry => RETRY_NS,
+                    Verdict::Delay(extra_ns) => extra_ns,
+                    Verdict::Duplicate => {
+                        // The retransmitted copy is real traffic.
+                        metrics.record_send_from(ep, class, bytes);
+                        metrics.duplicated_messages += 1;
+                        metrics.duplicated_bytes += bytes as u64;
+                        seq += 1;
+                        heap.push(Event {
+                            at: at + RETRY_NS,
+                            seq,
+                            from: ep,
+                            to,
+                            msg: msg.clone(),
+                        });
+                        0
                     }
-                }
+                };
+                seq += 1;
                 heap.push(Event {
-                    at: end + self.cost.delivery_ns_jittered(bytes, seq),
+                    at: at + delay,
                     seq,
                     from: ep,
                     to,
@@ -282,19 +306,18 @@ impl VirtualExecutor {
                 response_time = end;
                 break;
             }
-            assert!(
-                !heap.is_empty(),
-                "protocol stalled: on_quiescent returned false without sending"
-            );
+            if heap.is_empty() {
+                return Err(ExecError::Stalled);
+            }
         }
 
         metrics.virtual_time_ns = response_time;
         metrics.wall_time = wall_start.elapsed();
-        RunOutcome {
+        Ok(RunOutcome {
             coordinator,
             sites,
             metrics,
-        }
+        })
     }
 }
 
@@ -510,7 +533,7 @@ mod tests {
             }
         }
         let exec = VirtualExecutor::new(CostModel::default())
-            .with_faults(crate::fault::FaultPlan::duplicating(1.0, 0));
+            .with_delivery(DeliveryPlan::duplicating(1.0, 0));
         let outcome = exec.run(SendThree, vec![CountSite { seen: 0 }]);
         assert_eq!(outcome.sites[0].seen, 6);
         assert_eq!(outcome.metrics.duplicated_messages, 3);
@@ -524,7 +547,7 @@ mod tests {
     #[test]
     fn control_and_result_traffic_is_never_duplicated() {
         let exec = VirtualExecutor::new(CostModel::compute_only())
-            .with_faults(crate::fault::FaultPlan::duplicating(1.0, 0));
+            .with_delivery(DeliveryPlan::duplicating(1.0, 0));
         let outcome = exec.run(
             TwoPhase { phase: 0 },
             vec![EchoSite { received: 0 }, EchoSite { received: 0 }],
@@ -535,6 +558,34 @@ mod tests {
         for s in &outcome.sites {
             assert_eq!(s.received, 3);
         }
+    }
+
+    #[test]
+    fn dropped_and_delayed_messages_arrive_once_and_late() {
+        let run = |plan: Option<DeliveryPlan>| {
+            let mut exec = VirtualExecutor::new(CostModel::default());
+            if let Some(plan) = plan {
+                exec = exec.with_delivery(plan);
+            }
+            let coord = PingCoord {
+                start: 4,
+                finished: false,
+            };
+            exec.run(coord, vec![PongSite]).metrics
+        };
+        let on_time = run(None);
+        let dropped = run(Some(DeliveryPlan::new(1.0, 0.0, 0.0, 0)));
+        let delayed = run(Some(DeliveryPlan::new(0.0, 0.0, 1.0, 0)));
+        for m in [&dropped, &delayed] {
+            // Each of the 4 pings arrives once; no copy is extra traffic.
+            assert_eq!(m.data_messages, on_time.data_messages);
+            assert_eq!(m.duplicated_messages, 0);
+        }
+        // Only the pings are site-bound: each retry is RETRY_NS late,
+        // each delay less.
+        let t = on_time.virtual_time_ns;
+        assert_eq!(dropped.virtual_time_ns, t + 4 * RETRY_NS);
+        assert!((t + 1..t + 4 * RETRY_NS).contains(&delayed.virtual_time_ns));
     }
 
     /// The pooled start path must be bit-identical to the sequential
@@ -584,8 +635,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "protocol stalled")]
-    fn stalled_protocol_panics() {
+    fn stalled_protocol_is_a_typed_error() {
         struct Stall;
         impl CoordinatorLogic<()> for Stall {
             fn on_start(&mut self, _out: &mut Outbox<()>) {}
@@ -595,6 +645,7 @@ mod tests {
             }
         }
         let exec = VirtualExecutor::new(CostModel::default());
-        let _ = exec.run::<(), _, BusySite>(Stall, vec![]);
+        let stalled = exec.try_run::<(), _, BusySite>(Stall, vec![]);
+        assert!(matches!(stalled, Err(ExecError::Stalled)));
     }
 }

@@ -16,7 +16,7 @@
 //! ```
 
 use dgs::core::dgpm::{self, DgpmConfig};
-use dgs::net::{FaultPlan, VirtualExecutor};
+use dgs::net::{DeliveryPlan, VirtualExecutor};
 use dgs::prelude::*;
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ fn main() {
         let (coord, sites) = dgpm::build(&frag, &qa, DgpmConfig::incremental_only());
         let mut exec = VirtualExecutor::new(CostModel::default());
         if rate > 0.0 {
-            exec = exec.with_faults(FaultPlan::duplicating(rate, 99));
+            exec = exec.with_delivery(DeliveryPlan::duplicating(rate, 99));
         }
         exec.run(coord, sites)
     };

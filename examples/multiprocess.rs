@@ -10,8 +10,8 @@
 //! fragmentation, runs the same queries under the in-process virtual
 //! executor and the socket executor, and shows that the answers — and
 //! the shipped-variable accounting — agree. A second socket session
-//! adds a chaos transport (drop-then-retry, duplication, reordering)
-//! and the answers still agree: the protocol's data messages are
+//! runs under a heavy `DeliveryPlan` (drop-then-retry, duplication,
+//! reordering) and the answers still agree: the protocol's data messages are
 //! idempotent, so at-least-once delivery is safe.
 //!
 //! In production the workers are `dgsd --worker` processes on other
@@ -19,7 +19,7 @@
 //! "Truly distributed execution" walkthrough.
 
 use dgs::graph::generate::{patterns, random};
-use dgs::net::{ChaosPlan, SocketConfig};
+use dgs::net::{DeliveryPlan, SocketConfig};
 use dgs::prelude::*;
 use std::sync::Arc;
 
@@ -83,18 +83,21 @@ fn main() {
     // Same again, through an adversarial transport.
     let chaotic = SimEngine::builder(&g, frag)
         .cache(false)
-        .build_socket(spawn().chaos(ChaosPlan::heavy(13)))
+        .build_socket(spawn().delivery(DeliveryPlan::heavy(13)))
         .expect("chaotic cluster");
     let mut dups = 0;
     for seed in 0..3 {
         let q = patterns::random_cyclic(3, 6, 6, 100 + seed);
         let a = virt.query(&q).expect("virtual");
         let b = chaotic.query(&q).expect("chaotic socket");
-        assert_eq!(a.relation, b.relation, "chaos changed an answer!");
+        assert_eq!(
+            a.relation, b.relation,
+            "the delivery plan changed an answer!"
+        );
         dups += b.metrics.duplicated_messages;
     }
     println!(
-        "chaos transport (20% drop-then-retry, 20% duplicate, 30% reorder): \
+        "delivery plan (20% drop-then-retry, 20% duplicate, 30% reorder): \
          all answers identical, {dups} duplicate deliveries absorbed"
     );
     println!("ok");

@@ -81,7 +81,7 @@ pub mod prelude {
         PlanExplanation, Planner, RunReport, SimEngine, UpdateMsg, Var,
     };
     pub use dgs_graph::{Graph, GraphBuilder, Label, NodeId, Pattern, PatternBuilder, QNodeId};
-    pub use dgs_net::{CostModel, ExecutorKind, FaultPlan, LatencyHistogram, RunMetrics};
+    pub use dgs_net::{CostModel, ExecutorKind, LatencyHistogram, RunMetrics};
     pub use dgs_partition::{
         bfs_partition, hash_partition, ldg_partition, tree_partition, Fragmentation,
         FragmentationStats,

@@ -1,4 +1,4 @@
-//! Cross-executor conformance and chaos harness.
+//! Cross-executor conformance and delivery-plan harness.
 //!
 //! The three executors — deterministic virtual time, real threads, and
 //! real OS processes over sockets — must be interchangeable: identical
@@ -42,7 +42,7 @@
 //!   shipped variable count.
 
 use dgs::graph::generate::{dag, patterns, random, tree};
-use dgs::net::{ChaosPlan, ExecutorKind, RunMetrics, SocketConfig};
+use dgs::net::{DeliveryPlan, ExecutorKind, RunMetrics, SocketConfig};
 use dgs::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -357,8 +357,8 @@ fn delta_rebootstraps_socket_workers() {
     assert_eq!(again.relation, hhk_simulation(&q, &engine.graph()).relation);
 }
 
-/// Chaos: drop-then-retry + duplication + delay/reorder on the real
-/// socket transport must not change any answer — the protocol's data
+/// A heavy delivery plan — drop-then-retry + duplication +
+/// delay/reorder — on the real socket transport must not change any answer — the protocol's data
 /// messages are idempotent (at-least-once safe), which this proves
 /// over an actual TCP transport rather than the virtual-time model.
 #[test]
@@ -371,8 +371,8 @@ fn chaos_transport_preserves_answers_over_real_sockets() {
         .build();
     let mut total_data = 0u64;
     let mut total_dup = 0u64;
-    for chaos_seed in 0..3u64 {
-        let cfg = spawn_cfg(2).chaos(ChaosPlan::heavy(chaos_seed));
+    for plan_seed in 0..3u64 {
+        let cfg = spawn_cfg(2).delivery(DeliveryPlan::heavy(plan_seed));
         let engine = SimEngine::builder(&g, Arc::clone(&frag))
             .cache(false)
             .build_socket(cfg)
@@ -383,18 +383,18 @@ fn chaos_transport_preserves_answers_over_real_sockets() {
             let clean = oracle_engine.query(&q).unwrap();
             assert_eq!(
                 chaotic.relation, clean.relation,
-                "chaos seed {chaos_seed}, query seed {qseed}"
+                "plan seed {plan_seed}, query seed {qseed}"
             );
             total_data += chaotic.metrics.data_messages;
             total_dup += chaotic.metrics.duplicated_messages;
         }
     }
-    // The chaos plan really fired: with hundreds of data messages at a
+    // The plan really fired: with hundreds of data messages at a
     // 20% duplicate rate, retransmissions must have been recorded.
     assert!(total_data > 0, "workload shipped no data at all");
     assert!(
         total_dup > 0,
-        "heavy chaos duplicated nothing across {total_data} data messages"
+        "the heavy plan duplicated nothing across {total_data} data messages"
     );
 }
 

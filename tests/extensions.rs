@@ -1,9 +1,11 @@
 //! Integration tests for the extension features: edge labels (§2.1's
-//! dummy-node reduction), Boolean-query gathering (§4.1), and schedule
-//! jitter (confluence under adversarial schedules).
+//! dummy-node reduction), Boolean-query gathering (§4.1), and delayed
+//! deliveries (confluence under adversarial schedules).
 
+use dgs::core::dgpm::{self, DgpmConfig};
 use dgs::graph::generate::{patterns, random, social};
 use dgs::graph::transform::{EdgeLabeledBuilder, EdgeLabeledPatternBuilder};
+use dgs::net::{DeliveryPlan, VirtualExecutor};
 use dgs::prelude::*;
 use std::sync::Arc;
 
@@ -79,7 +81,24 @@ fn boolean_mode_fallback_for_other_algorithms() {
     }
 }
 
-/// Confluence under adversarial schedules: latency jitter permutes
+/// Runs dGPM under `cfg` on the virtual executor, with deliveries
+/// delayed by `plan` if given.
+fn dgpm_run(
+    frag: &Arc<Fragmentation>,
+    q: &Pattern,
+    cfg: DgpmConfig,
+    plan: Option<DeliveryPlan>,
+) -> (MatchRelation, u64) {
+    let (coord, sites) = dgpm::build(frag, &Arc::new(q.clone()), cfg);
+    let mut exec = VirtualExecutor::new(CostModel::default());
+    if let Some(plan) = plan {
+        exec = exec.with_delivery(plan);
+    }
+    let o = exec.run(coord, sites);
+    (o.coordinator.answer.unwrap(), o.metrics.virtual_time_ns)
+}
+
+/// Confluence under adversarial schedules: delayed deliveries permute
 /// message orderings, yet the monotone fixpoint answer never changes.
 #[test]
 fn jitter_schedules_are_confluent() {
@@ -88,53 +107,41 @@ fn jitter_schedules_are_confluent() {
     let assign = hash_partition(g.node_count(), 6, 31);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 6));
 
-    let baseline = SimEngine::builder(&g, Arc::clone(&frag))
-        .build()
-        .query_with(&Algorithm::dgpm(), &q)
-        .unwrap();
+    let baseline = dgpm_run(&frag, &q, DgpmConfig::optimized(), None);
     let mut saw_different_timing = false;
     for seed in 0..6 {
-        let cost = CostModel::default().with_jitter(0.8, seed);
-        let jittered = SimEngine::builder(&g, Arc::clone(&frag))
-            .cost(cost)
-            .build()
-            .query_with(&Algorithm::dgpm(), &q)
-            .unwrap();
-        assert_eq!(jittered.relation, baseline.relation, "jitter seed {seed}");
-        if jittered.metrics.virtual_time_ns != baseline.metrics.virtual_time_ns {
+        let plan = DeliveryPlan::new(0.0, 0.0, 0.8, seed);
+        let delayed = dgpm_run(&frag, &q, DgpmConfig::optimized(), Some(plan));
+        assert_eq!(delayed.0, baseline.0, "delay seed {seed}");
+        if delayed.1 != baseline.1 {
             saw_different_timing = true;
         }
     }
     assert!(
         saw_different_timing,
-        "jitter should actually perturb schedules"
+        "delays should actually perturb schedules"
     );
 }
 
-/// Push correctness under jitter: pushed equations + rewiring arrive
+/// Push correctness under delays: pushed equations + rewiring arrive
 /// in arbitrary orders relative to falsifications; answers must hold.
 #[test]
 fn push_is_robust_to_schedules() {
-    use dgs::core::dgpm::DgpmConfig;
     for seed in 0..6 {
         let g = random::community(300, 1_200, 5, 0.3, 5, seed);
         let q = patterns::random_cyclic(4, 8, 5, seed + 55);
         let assign = random::community_assignment(300, 5);
         let frag = Arc::new(Fragmentation::build(&g, &assign, 5));
         let oracle = hhk_simulation(&q, &g).relation;
-        for jitter_seed in 0..3 {
-            let cost = CostModel::default().with_jitter(0.9, jitter_seed);
-            let algo = Algorithm::Dgpm(DgpmConfig {
+        for delay_seed in 0..3 {
+            let cfg = DgpmConfig {
                 incremental: true,
                 push_threshold: Some(0.0), // force pushes everywhere
                 push_size_cap: 4096,
-            });
-            let report = SimEngine::builder(&g, Arc::clone(&frag))
-                .cost(cost)
-                .build()
-                .query_with(&algo, &q)
-                .unwrap();
-            assert_eq!(report.relation, oracle, "seed {seed} jitter {jitter_seed}");
+            };
+            let plan = DeliveryPlan::new(0.0, 0.0, 0.9, delay_seed);
+            let (relation, _) = dgpm_run(&frag, &q, cfg, Some(plan));
+            assert_eq!(relation, oracle, "seed {seed} delay {delay_seed}");
         }
     }
 }

@@ -7,7 +7,7 @@
 use dgs::core::dgpm::{self, DgpmConfig};
 use dgs::core::dgpms;
 use dgs::graph::generate::{patterns, random};
-use dgs::net::{FaultPlan, VirtualExecutor};
+use dgs::net::{DeliveryPlan, VirtualExecutor};
 use dgs::prelude::*;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn dgpm_answer_invariant_under_duplication() {
         for rate in [0.25, 0.5, 1.0] {
             let (coord, sites) = dgpm::build(&frag, &qa, DgpmConfig::incremental_only());
             let exec = VirtualExecutor::new(CostModel::default())
-                .with_faults(FaultPlan::duplicating(rate, seed));
+                .with_delivery(DeliveryPlan::duplicating(rate, seed));
             let o = exec.run(coord, sites);
             assert_eq!(
                 o.coordinator.answer.unwrap(),
@@ -59,7 +59,7 @@ fn dgpm_with_push_tolerates_duplication() {
         let qa = Arc::new(q.clone());
         let (coord, sites) = dgpm::build(&frag, &qa, DgpmConfig::optimized());
         let exec = VirtualExecutor::new(CostModel::default())
-            .with_faults(FaultPlan::duplicating(1.0, seed));
+            .with_delivery(DeliveryPlan::duplicating(1.0, seed));
         let o = exec.run(coord, sites);
         assert_eq!(o.coordinator.answer.unwrap(), oracle, "seed {seed}");
     }
@@ -72,8 +72,9 @@ fn dgpms_answer_invariant_under_duplication_and_jitter() {
         let oracle = hhk_simulation(&q, &g).relation;
         let qa = Arc::new(q.clone());
         let (coord, sites) = dgpms::build(&frag, &qa);
-        let cost = CostModel::default().with_jitter(0.4, seed);
-        let exec = VirtualExecutor::new(cost).with_faults(FaultPlan::duplicating(0.5, seed ^ 0xFF));
+        // Half the messages duplicated, 40% of the rest delayed.
+        let plan = DeliveryPlan::new(0.0, 0.5, 0.2, seed ^ 0xFF);
+        let exec = VirtualExecutor::new(CostModel::default()).with_delivery(plan);
         let o = exec.run(coord, sites);
         assert_eq!(o.coordinator.answer.clone().unwrap(), oracle, "seed {seed}");
     }
@@ -136,8 +137,8 @@ fn duplication_is_deterministic_end_to_end() {
     let qa = Arc::new(q.clone());
     let run = || {
         let (coord, sites) = dgpm::build(&frag, &qa, DgpmConfig::incremental_only());
-        let exec =
-            VirtualExecutor::new(CostModel::default()).with_faults(FaultPlan::duplicating(0.5, 77));
+        let exec = VirtualExecutor::new(CostModel::default())
+            .with_delivery(DeliveryPlan::duplicating(0.5, 77));
         let o = exec.run(coord, sites);
         (
             o.coordinator.answer.unwrap(),
