@@ -535,6 +535,102 @@ mod tests {
         assert!(DgpmMsg::decode(&mut r).is_err());
     }
 
+    /// The bytes of every message, spec and bootstrap the codecs
+    /// write, pinned as `(length, FNV-1a)`: a roundtrip still passes
+    /// when an encoding changes on both sides, this does not.
+    #[test]
+    fn codec_bytes_are_pinned() {
+        use crate::boolexpr::BExpr;
+        fn msg<M: SocketMsg>(m: M) -> Vec<u8> {
+            let mut buf = Vec::new();
+            m.encode(&mut buf).unwrap();
+            buf
+        }
+        let vars = vec![Var { q: 3, node: 41 }, Var { q: 0, node: 900 }];
+        let big = Var {
+            q: u16::MAX,
+            node: u32::MAX,
+        };
+        let lists = MatchLists(vec![(0, vec![1, 2, 300]), (4, vec![]), (9, vec![u32::MAX])]);
+        let eqs = vec![
+            PushedEq {
+                var: Var { q: 1, node: 5 },
+                expr: BExpr::Or(vec![
+                    BExpr::Var(Var { q: 2, node: 9 }),
+                    BExpr::And(vec![BExpr::Const(true), BExpr::Var(Var { q: 0, node: 3 })]),
+                ]),
+            },
+            PushedEq {
+                var: big,
+                expr: BExpr::Const(false),
+            },
+        ];
+        let g = random::uniform(60, 240, 4, 5);
+        let frag = Fragmentation::build(&g, &hash_partition(g.node_count(), 3, 5), 3);
+        let q = patterns::random_cyclic(3, 5, 4, 8);
+        let mut cfg = DgpmConfig::optimized();
+        cfg.push_size_cap = 300;
+        let corpus = vec![
+            msg(DgpmMsg::Falsified(vars.clone())),
+            msg(DgpmMsg::Falsified(vec![])),
+            msg(DgpmMsg::PushEqs(eqs.clone())),
+            msg(DgpmMsg::Subscribe {
+                vars: vec![big],
+                forward_to: 70_000,
+            }),
+            msg(DgpmMsg::GatherRequest),
+            msg(DgpmMsg::LocalMatches(lists.clone())),
+            msg(DgpmMsg::Presence(u64::MAX)),
+            msg(DgpmsMsg::Batch(vars.clone())),
+            msg(DgpmsMsg::StartRound(300)),
+            msg(DgpmsMsg::MoreWork),
+            msg(DgpmsMsg::GatherRequest),
+            msg(DgpmsMsg::LocalMatches(lists.clone())),
+            msg(DgpmtMsg::RootEquations(eqs)),
+            msg(DgpmtMsg::SolvedFalse(vars)),
+            msg(DgpmtMsg::GatherRequest),
+            msg(DgpmtMsg::LocalMatches(lists)),
+            spec_dgpm(&q, &cfg, QueryMode::Boolean),
+            spec_dgpm(&q, &DgpmConfig::no_opt(), QueryMode::DataSelecting),
+            spec_dgpms(&q),
+            spec_dgpmt(&q),
+            encode_bootstrap(&g, &frag),
+        ];
+        let fnv = |bytes: &[u8]| {
+            let step = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, step)
+        };
+        let got: Vec<(usize, u64)> = corpus.iter().map(|b| (b.len(), fnv(b))).collect();
+        const PINNED: &[(usize, u64)] = &[
+            (9, 0x32a085b7d5967562),
+            (2, 0x08328807b4eb6fed),
+            (36, 0xc969d56204a90845),
+            (12, 0xbb416e69cd56592f),
+            (1, 0xaf63be4c8601b992),
+            (20, 0x02f9e318ee895d31),
+            (11, 0x8f9e9f197d82e48c),
+            (9, 0x32a085b7d5967562),
+            (3, 0xd1c111186819bde6),
+            (1, 0xaf63bf4c8601bb45),
+            (1, 0xaf63be4c8601b992),
+            (20, 0x02f9e318ee895d31),
+            (36, 0x5f8fec9f11d559c4),
+            (9, 0xb83c71dd69b32099),
+            (1, 0xaf63bf4c8601bb45),
+            (20, 0x6a31a25dec12024e),
+            (33, 0xa60d55356b27f4ca),
+            (32, 0x577a0d4dd60fdce0),
+            (20, 0xed0620eed1e4f07a),
+            (20, 0xb3d84dc53d854915),
+            (423, 0x0a408bc4bdf1877a),
+        ];
+        let show: String = got
+            .iter()
+            .map(|(n, h)| format!("({n}, {h:#018x}),\n"))
+            .collect();
+        assert!(got == PINNED, "pins:\n{show}");
+    }
+
     #[test]
     fn bootstrap_roundtrips_into_an_identical_fragmentation() {
         let g = random::uniform(60, 240, 4, 5);

@@ -1564,6 +1564,85 @@ mod tests {
         assert!(duplicated > 0, "the plans duplicated nothing");
     }
 
+    /// One of each site frame, byte for byte: what a worker answers to
+    /// hand-built coordinator frames, and what a coordinator sends to a
+    /// stub worker that answers by hand.
+    #[test]
+    fn site_frame_bytes_are_pinned() {
+        let hello = b"\x04DGSP\x01\x00";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            run_worker(conn, &mut AddHost).unwrap()
+        });
+        let conn = TcpStream::connect(addr).unwrap();
+        let mut rd = BufReader::new(conn.try_clone().unwrap());
+        let mut wr = conn;
+        let mut send = |ty: u8, payload: &[u8]| wire::write_frame(&mut wr, ty, payload).unwrap();
+        let mut recv = || wire::read_frame(&mut rd).unwrap().unwrap();
+        send(FT_WORKER_HELLO, hello);
+        assert_eq!(recv(), (FT_WORKER_HELLO, hello.to_vec()));
+        send(FT_WORKER_LOAD, b"");
+        assert_eq!(recv(), (FT_WORKER_OK, vec![]));
+        // Run 7 of 2 sites, hosting site 1 (spec: idx 5); its start
+        // handler sends nothing.
+        send(FT_SITE_HELLO, &[7, 2, 1, 1, 1, 5]);
+        assert_eq!(recv(), (FT_SITE_OUT, vec![7, 1, 0, 0]));
+        // 200 from site 0, control class: 3 ops, and 205 to the
+        // coordinator, data class, logical size 8.
+        send(FT_SITE_MSG, &[7, 1, 1, 1, 2, 0xc8, 0x01]);
+        let out = vec![7, 1, 3, 1, 0, 0, 8, 2, 0xcd, 0x01];
+        assert_eq!(recv(), (FT_SITE_OUT, out));
+        // A message for a site this worker does not host.
+        send(FT_SITE_MSG, &[7, 0, 0, 0, 1, 1]);
+        let reason = b"message for a site this worker does not host";
+        let err = [&[7, 0, reason.len() as u8][..], reason].concat();
+        assert_eq!(recv(), (FT_SITE_ERR, err));
+        send(FT_SITE_DONE, &[7]);
+        send(FT_WORKER_SHUTDOWN, b"");
+        assert_eq!(recv(), (FT_WORKER_OK, vec![]));
+        assert_eq!(worker.join().unwrap(), WorkerExit::Shutdown);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stub = std::thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let mut rd = BufReader::new(conn.try_clone().unwrap());
+            let mut wr = conn;
+            let mut seen = Vec::new();
+            let replies: [(u8, &[u8]); 4] = [
+                (FT_WORKER_HELLO, hello),
+                (FT_WORKER_OK, b""),
+                (FT_SITE_OUT, &[1, 0, 0, 0]),
+                (FT_SITE_OUT, &[1, 0, 3, 1, 0, 0, 8, 1, 100]),
+            ];
+            for (ty, payload) in replies {
+                seen.push(wire::read_frame(&mut rd).unwrap().unwrap());
+                wire::write_frame(&mut wr, ty, payload).unwrap();
+            }
+            seen.push(wire::read_frame(&mut rd).unwrap().unwrap());
+            seen
+        });
+        let cluster = SocketCluster::start(SocketConfig::attach(vec![addr]), b"boot", 1).unwrap();
+        let scatter = Scatter { sum: 0, replies: 0 };
+        let outcome = cluster.run(scatter, vec![AddSite { idx: 9 }]).unwrap();
+        assert_eq!(
+            (outcome.coordinator.sum, outcome.coordinator.replies),
+            (100, 1)
+        );
+        let sent = vec![
+            (FT_WORKER_HELLO, hello.to_vec()),
+            (FT_WORKER_LOAD, b"boot".to_vec()),
+            // Run 1 of 1 site, hosting site 0 (spec: idx 9).
+            (FT_SITE_HELLO, vec![1, 1, 1, 0, 1, 9]),
+            // 100 to site 0 from the coordinator, data class.
+            (FT_SITE_MSG, vec![1, 0, 0, 0, 1, 100]),
+            (FT_SITE_DONE, vec![1]),
+        ];
+        assert_eq!(stub.join().unwrap(), sent);
+    }
+
     #[test]
     fn silent_worker_times_out_instead_of_hanging() {
         // A stub that handshakes and acknowledges the bootstrap, then

@@ -353,6 +353,87 @@ fn every_truncated_frame_is_a_typed_error() {
     }
 }
 
+/// FNV-1a over a frame's type byte and payload.
+fn frame_digest(ty: u8, payload: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in std::iter::once(&ty).chain(payload) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The bytes of every frame in the codec corpora, pinned: a roundtrip
+/// still passes when an encoding changes (a `u16` turned varint, a
+/// field reordered on both sides), this does not. Each pin is
+/// `(frame type, payload length, FNV-1a of type byte and payload)`.
+#[test]
+fn every_frame_encodes_to_its_pinned_bytes() {
+    const REQUESTS: &[(u8, usize, u64)] = &[
+        (0x10, 0, 0xaf63cd4c8601d30f),
+        (0x11, 0, 0xaf63cc4c8601d15c),
+        (0x12, 22, 0xeb1340680f170b12),
+        (0x12, 24, 0x41cd4ffd466f5955),
+        (0x13, 89, 0xeddc8efff9a80c6a),
+        (0x14, 8, 0xab3cc41bd93a0c08),
+        (0x15, 0, 0xaf63c84c8601ca90),
+        (0x16, 0, 0xaf63cb4c8601cfa9),
+        (0x17, 77, 0x2301e86deec0b1b3),
+        (0x18, 0, 0xaf63d54c8601e0a7),
+        (0x19, 71, 0xf3ae205cc90aa8e9),
+        (0x1a, 0, 0xaf63d74c8601e40d),
+        (0x1b, 8, 0x0263284dd1d0e78f),
+        (0x1c, 17, 0x8633c52d17d20f76),
+        (0x1d, 25, 0xf73ce5bd2614292c),
+        (0x1e, 1, 0x087d7607b52b3cd1),
+        (0x1f, 0, 0xaf63d24c8601db8e),
+        (0x32, 0, 0xaf63af4c8601a015),
+    ];
+    const RESPONSES: &[(u8, usize, u64)] = &[
+        (0x20, 0, 0xaf639d4c8601817f),
+        (0x21, 10, 0x267e643136cb083a),
+        (0x22, 41, 0x1c1217dacda26cd2),
+        (0x23, 80, 0x5f1e62ac7d688ff6),
+        (0x24, 12, 0x92e7df5354ab069b),
+        (0x25, 1, 0x07b4ca07b4809b00),
+        (0x25, 7, 0xbb3bd0feebd1a2c4),
+        (0x26, 1, 0x07befc07b489447b),
+        (0x26, 17, 0x370a7aff2dbdfe3d),
+        (0x27, 4, 0x50abd93c43787f82),
+        (0x28, 0, 0xaf63a54c86018f17),
+        (0x3f, 14, 0xcdce4766d977ebd8),
+        (0x29, 13, 0x15b6f0941ef38d89),
+        (0x2a, 28, 0x70423a7637104cf8),
+        (0x2b, 0, 0xaf63a64c860190ca),
+        (0x2c, 1, 0x07d35e07b49a940b),
+        (0x2d, 10, 0x62e6dfb64ddf0e89),
+        (0x2e, 0, 0xaf63a34c86018bb1),
+        (0x30, 13, 0xaf50bff86a0c04ca),
+        (0x31, 2, 0x4601b418189e9b2e),
+        (0x2f, 162, 0x6e66030e20e018b1),
+        (0x2f, 4, 0x8e4a5a5dedcbb0de),
+        (0x33, 77, 0xcc1cdc54c2811fdb),
+        (0x33, 1, 0x07ff8e07b4c02086),
+    ];
+    let pins = |frames: Vec<(u8, Vec<u8>)>| -> Vec<(u8, usize, u64)> {
+        let pins = frames
+            .iter()
+            .map(|(ty, p)| (*ty, p.len(), frame_digest(*ty, p)));
+        pins.collect()
+    };
+    let requests = pins(all_requests().iter().map(Request::encode).collect());
+    let responses = pins(all_responses().iter().map(Response::encode).collect());
+    let show = |pins: &[(u8, usize, u64)]| -> String {
+        let row = |(ty, len, h): &(u8, usize, u64)| format!("    ({ty:#04x}, {len}, {h:#018x}),\n");
+        pins.iter().map(row).collect()
+    };
+    assert!(
+        requests == REQUESTS && responses == RESPONSES,
+        "requests:\n{}responses:\n{}",
+        show(&requests),
+        show(&responses)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
