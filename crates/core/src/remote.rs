@@ -5,9 +5,9 @@
 //! The socket executor (`dgs_net::socket`) is protocol-agnostic; this
 //! module is where the dGPM family plugs in:
 //!
-//! * [`SocketMsg`] impls encode/decode `DgpmMsg`/`DgpmsMsg`/`DgpmtMsg`
-//!   with the shared [`dgs_net::wire`] primitives (`dGPMd` runs are
-//!   `dGPMs` runs on a DAG pattern and ship `dGPMs` specs). The
+//! * `DgpmMsg`/`DgpmsMsg`/`DgpmtMsg` are [`SocketMsg`]s through their
+//!   [`dgs_net::wire`] layouts, one table row per variant (`dGPMd` runs
+//!   are `dGPMs` runs on a DAG pattern and ship `dGPMs` specs). The
 //!   baselines (`Match`, `disHHK`, `dMes`) are **gated**: their
 //!   shipped state (whole subgraphs, per-superstep vertex state) is
 //!   not worth a wire format, so their specs refuse and the socket
@@ -15,13 +15,15 @@
 //!   sent.
 //! * Per-site **specs** carry what a worker needs to rebuild one
 //!   site's logic for one run: engine tag, configuration, query mode
-//!   and the pattern (binary `DGSB` format). The graph and the
+//!   and the pattern (binary `DGSB` format, [`put_pattern`], which the
+//!   serving protocol ships patterns with too). The graph and the
 //!   fragmentation are *not* per-run — they ship once, at cluster
 //!   start, in the session [`encode_bootstrap`] blob.
 //! * [`CoreWorkerHost`] is the worker-process brain: it absorbs the
 //!   bootstrap (rebuilding the identical [`Fragmentation`] from the
 //!   shipped assignment) and instantiates site logics from specs.
 
+use crate::boolexpr::BExpr;
 use crate::dgpm::{DgpmConfig, DgpmMsg, DgpmSite, QueryMode};
 use crate::dgpms::{DgpmsMsg, DgpmsSite};
 use crate::dgpmt::{DgpmtMsg, DgpmtSite};
@@ -29,213 +31,52 @@ use crate::push::PushedEq;
 use crate::vars::{MatchLists, Var};
 use dgs_graph::{io as gio, Graph, Pattern};
 use dgs_net::socket::{erase_site, serve_worker_listener, ErasedSite, WorkerHost};
-use dgs_net::wire::{put_bytes, put_f64, put_u16, put_u8, put_varint, Reader};
-use dgs_net::SocketMsg;
+use dgs_net::wire::{encode, put_bytes, put_varint, FrameError, Reader, Wire};
+use dgs_net::{wire_enum, wire_struct, SocketMsg};
 use dgs_partition::Fragmentation;
 use std::sync::Arc;
 
-// ---- spec tags ---------------------------------------------------------
-
-// Tag 2 (the retired `dGPMd` site logic) must not be reused.
-const TAG_DGPM: u8 = 1;
-const TAG_DGPMS: u8 = 3;
-const TAG_DGPMT: u8 = 4;
-
-// ---- shared codec helpers ---------------------------------------------
-
-fn err(e: impl std::fmt::Display) -> String {
-    e.to_string()
-}
-
-fn put_var(buf: &mut Vec<u8>, v: &Var) {
-    put_u16(buf, v.q);
-    put_varint(buf, u64::from(v.node));
-}
-
-fn read_var(r: &mut Reader<'_>) -> Result<Var, String> {
-    let q = r.u16("var query node").map_err(err)?;
-    let node = r.varint("var data node").map_err(err)?;
-    Ok(Var {
-        q,
-        node: u32::try_from(node).map_err(|_| "var data node overflows u32".to_owned())?,
-    })
-}
-
-fn put_vars(buf: &mut Vec<u8>, vars: &[Var]) {
-    put_varint(buf, vars.len() as u64);
-    for v in vars {
-        put_var(buf, v);
-    }
-}
-
-fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Var>, String> {
-    let n = r.count("var count").map_err(err)?;
-    let mut vars = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        vars.push(read_var(r)?);
-    }
-    Ok(vars)
-}
-
-fn put_match_lists(buf: &mut Vec<u8>, m: &MatchLists) {
-    put_varint(buf, m.0.len() as u64);
-    for (q, l) in &m.0 {
-        put_u16(buf, *q);
-        put_varint(buf, l.len() as u64);
-        for v in l {
-            put_varint(buf, u64::from(*v));
-        }
-    }
-}
-
-fn read_match_lists(r: &mut Reader<'_>) -> Result<MatchLists, String> {
-    let n = r.count("match-list count").map_err(err)?;
-    let mut lists = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let q = r.u16("match-list query node").map_err(err)?;
-        let len = r.count("match count").map_err(err)?;
-        let mut l = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            let v = r.varint("match node").map_err(err)?;
-            l.push(u32::try_from(v).map_err(|_| "match node overflows u32".to_owned())?);
-        }
-        lists.push((q, l));
-    }
-    Ok(MatchLists(lists))
-}
-
-fn put_eqs(buf: &mut Vec<u8>, eqs: &[PushedEq]) {
-    put_varint(buf, eqs.len() as u64);
-    for eq in eqs {
-        put_var(buf, &eq.var);
-        let mut expr = Vec::new();
-        eq.expr.encode_postfix(&mut expr);
-        put_bytes(buf, &expr);
-    }
-}
-
-fn read_eqs(r: &mut Reader<'_>) -> Result<Vec<PushedEq>, String> {
-    let n = r.count("equation count").map_err(err)?;
-    let mut eqs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let var = read_var(r)?;
-        let bytes = r.bytes("equation expression").map_err(err)?;
-        let expr = crate::boolexpr::BExpr::decode_postfix(bytes)
-            .map_err(|e| format!("bad pushed equation: {e:?}"))?;
-        eqs.push(PushedEq { var, expr });
-    }
-    Ok(eqs)
-}
-
 // ---- message codecs ----------------------------------------------------
 
-impl SocketMsg for DgpmMsg {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        match self {
-            DgpmMsg::Falsified(vars) => {
-                put_u8(buf, 0);
-                put_vars(buf, vars);
-            }
-            DgpmMsg::PushEqs(eqs) => {
-                put_u8(buf, 1);
-                put_eqs(buf, eqs);
-            }
-            DgpmMsg::Subscribe { vars, forward_to } => {
-                put_u8(buf, 2);
-                put_vars(buf, vars);
-                put_varint(buf, u64::from(*forward_to));
-            }
-            DgpmMsg::GatherRequest => put_u8(buf, 3),
-            DgpmMsg::LocalMatches(m) => {
-                put_u8(buf, 4);
-                put_match_lists(buf, m);
-            }
-            DgpmMsg::Presence(bits) => {
-                put_u8(buf, 5);
-                put_varint(buf, *bits);
-            }
-        }
-        Ok(())
-    }
+wire_struct!(Var { q, node });
+wire_struct!(MatchLists(lists));
+wire_struct!(PushedEq { var, expr });
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-        Ok(match r.u8("dGPM message tag").map_err(err)? {
-            0 => DgpmMsg::Falsified(read_vars(r)?),
-            1 => DgpmMsg::PushEqs(read_eqs(r)?),
-            2 => {
-                let vars = read_vars(r)?;
-                let forward_to = r.varint("forward-to site").map_err(err)? as u32;
-                DgpmMsg::Subscribe { vars, forward_to }
-            }
-            3 => DgpmMsg::GatherRequest,
-            4 => DgpmMsg::LocalMatches(read_match_lists(r)?),
-            5 => DgpmMsg::Presence(r.varint("presence bits").map_err(err)?),
-            other => return Err(format!("unknown dGPM message tag {other}")),
-        })
-    }
-}
+wire_enum!(DgpmMsg {
+    0 => Falsified(vars),
+    1 => PushEqs(eqs),
+    2 => Subscribe { vars, forward_to },
+    3 => GatherRequest,
+    4 => LocalMatches(lists),
+    5 => Presence(bits),
+});
 
-impl SocketMsg for DgpmsMsg {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        match self {
-            DgpmsMsg::Batch(vars) => {
-                put_u8(buf, 0);
-                put_vars(buf, vars);
-            }
-            DgpmsMsg::StartRound(rank) => {
-                put_u8(buf, 1);
-                put_varint(buf, u64::from(*rank));
-            }
-            DgpmsMsg::MoreWork => put_u8(buf, 2),
-            DgpmsMsg::GatherRequest => put_u8(buf, 3),
-            DgpmsMsg::LocalMatches(m) => {
-                put_u8(buf, 4);
-                put_match_lists(buf, m);
-            }
-        }
-        Ok(())
-    }
+wire_enum!(DgpmsMsg {
+    0 => Batch(vars),
+    1 => StartRound(rank),
+    2 => MoreWork,
+    3 => GatherRequest,
+    4 => LocalMatches(lists),
+});
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-        Ok(match r.u8("dGPMs message tag").map_err(err)? {
-            0 => DgpmsMsg::Batch(read_vars(r)?),
-            1 => DgpmsMsg::StartRound(r.varint("round").map_err(err)? as u32),
-            2 => DgpmsMsg::MoreWork,
-            3 => DgpmsMsg::GatherRequest,
-            4 => DgpmsMsg::LocalMatches(read_match_lists(r)?),
-            other => return Err(format!("unknown dGPMs message tag {other}")),
-        })
-    }
-}
+wire_enum!(DgpmtMsg {
+    0 => RootEquations(eqs),
+    1 => SolvedFalse(vars),
+    2 => GatherRequest,
+    3 => LocalMatches(lists),
+});
 
-impl SocketMsg for DgpmtMsg {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        match self {
-            DgpmtMsg::RootEquations(eqs) => {
-                put_u8(buf, 0);
-                put_eqs(buf, eqs);
-            }
-            DgpmtMsg::SolvedFalse(vars) => {
-                put_u8(buf, 1);
-                put_vars(buf, vars);
-            }
-            DgpmtMsg::GatherRequest => put_u8(buf, 2),
-            DgpmtMsg::LocalMatches(m) => {
-                put_u8(buf, 3);
-                put_match_lists(buf, m);
-            }
-        }
-        Ok(())
+/// A Boolean equation travels as its postfix blob, length-prefixed.
+impl Wire for BExpr {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut expr = Vec::new();
+        self.encode_postfix(&mut expr);
+        put_bytes(buf, &expr);
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-        Ok(match r.u8("dGPMt message tag").map_err(err)? {
-            0 => DgpmtMsg::RootEquations(read_eqs(r)?),
-            1 => DgpmtMsg::SolvedFalse(read_vars(r)?),
-            2 => DgpmtMsg::GatherRequest,
-            3 => DgpmtMsg::LocalMatches(read_match_lists(r)?),
-            other => return Err(format!("unknown dGPMt message tag {other}")),
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let bytes = r.bytes("equation")?;
+        BExpr::decode_postfix(bytes)
+            .map_err(|e| FrameError::corrupt(format!("bad pushed equation: {e:?}")))
     }
 }
 
@@ -249,8 +90,11 @@ macro_rules! not_remotable_msg {
             fn encode(&self, _buf: &mut Vec<u8>) -> Result<(), String> {
                 Err(concat!($name, " messages are not socket-remotable").to_owned())
             }
-            fn decode(_r: &mut Reader<'_>) -> Result<Self, String> {
-                Err(concat!($name, " messages are not socket-remotable").to_owned())
+            fn decode(_r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                Err(FrameError::corrupt(concat!(
+                    $name,
+                    " messages are not socket-remotable"
+                )))
             }
         }
     };
@@ -260,38 +104,80 @@ not_remotable_msg!(crate::baselines::match_central::MatchMsg, "Match");
 not_remotable_msg!(crate::baselines::dishhk::DishhkMsg, "disHHK");
 not_remotable_msg!(crate::baselines::dmes::DmesMsg, "dMes");
 
-// ---- per-site specs ----------------------------------------------------
+// ---- DGSB blobs ---------------------------------------------------------
 
-fn encode_pattern(q: &Pattern) -> Vec<u8> {
+/// Appends a pattern as its length-prefixed `dgs_graph::io` binary
+/// blob — the field codec of every pattern on the wire.
+pub fn put_pattern(buf: &mut Vec<u8>, q: &Pattern) {
     let mut bytes = Vec::new();
     gio::write_pattern_binary(q, &mut bytes).expect("vec write cannot fail");
-    bytes
+    put_bytes(buf, &bytes);
 }
+
+/// Reads a pattern written by [`put_pattern`].
+pub fn get_pattern(r: &mut Reader<'_>) -> Result<Pattern, FrameError> {
+    let bytes = r.bytes("pattern")?;
+    gio::read_pattern_binary(bytes).map_err(|e| FrameError::corrupt(format!("bad pattern: {e}")))
+}
+
+/// Appends a graph as its length-prefixed `dgs_graph::io` binary blob.
+pub fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
+    let mut bytes = Vec::new();
+    gio::write_graph_binary(g, &mut bytes).expect("vec write cannot fail");
+    put_bytes(buf, &bytes);
+}
+
+/// Reads a graph written by [`put_graph`].
+pub fn get_graph(r: &mut Reader<'_>) -> Result<Graph, FrameError> {
+    let bytes = r.bytes("graph")?;
+    gio::read_graph_binary(bytes).map_err(|e| FrameError::corrupt(format!("bad graph: {e}")))
+}
+
+// ---- per-site specs ----------------------------------------------------
+
+/// What a worker needs to rebuild one site's logic for one run.
+enum Spec {
+    Dgpm {
+        mode: QueryMode,
+        incremental: bool,
+        has_push: bool,
+        theta: f64,
+        cap: usize,
+        pattern: Pattern,
+    },
+    Dgpms(Pattern),
+    Dgpmt(Pattern),
+}
+
+// Tag 2 (the retired `dGPMd` site logic) must not be reused.
+wire_enum!(Spec {
+    1 => Dgpm { mode, incremental, has_push, theta, cap, pattern as (put_pattern, get_pattern) },
+    3 => Dgpms(q as (put_pattern, get_pattern)),
+    4 => Dgpmt(q as (put_pattern, get_pattern)),
+});
+
+wire_enum!(QueryMode {
+    0 => DataSelecting,
+    1 => Boolean,
+});
 
 pub(crate) fn spec_dgpm(q: &Pattern, cfg: &DgpmConfig, mode: QueryMode) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u8(&mut buf, TAG_DGPM);
-    put_u8(&mut buf, matches!(mode, QueryMode::Boolean) as u8);
-    put_u8(&mut buf, cfg.incremental as u8);
-    put_u8(&mut buf, cfg.push_threshold.is_some() as u8);
-    put_f64(&mut buf, cfg.push_threshold.unwrap_or(0.0));
-    put_varint(&mut buf, cfg.push_size_cap as u64);
-    put_bytes(&mut buf, &encode_pattern(q));
-    buf
-}
-
-pub(crate) fn spec_plain(tag: u8, q: &Pattern) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u8(&mut buf, tag);
-    put_bytes(&mut buf, &encode_pattern(q));
-    buf
+    encode(&Spec::Dgpm {
+        mode,
+        incremental: cfg.incremental,
+        has_push: cfg.push_threshold.is_some(),
+        theta: cfg.push_threshold.unwrap_or(0.0),
+        cap: cfg.push_size_cap,
+        pattern: q.clone(),
+    })
 }
 
 pub(crate) fn spec_dgpms(q: &Pattern) -> Vec<u8> {
-    spec_plain(TAG_DGPMS, q)
+    encode(&Spec::Dgpms(q.clone()))
 }
+
 pub(crate) fn spec_dgpmt(q: &Pattern) -> Vec<u8> {
-    spec_plain(TAG_DGPMT, q)
+    encode(&Spec::Dgpmt(q.clone()))
 }
 
 /// Rebuilds one site's logic from its spec blob — the worker-side
@@ -311,49 +197,34 @@ pub fn build_site(
     if site as usize >= num_sites {
         return Err(format!("site index {site} out of range"));
     }
-    let mut r = Reader::new(spec);
-    let tag = r.u8("spec tag").map_err(err)?;
-    let build = |r: &mut Reader<'_>| -> Result<Arc<Pattern>, String> {
-        let bytes = r.bytes("spec pattern").map_err(err)?;
-        let q = gio::read_pattern_binary(bytes).map_err(|e| format!("bad spec pattern: {e}"))?;
-        Ok(Arc::new(q))
-    };
-    match tag {
-        TAG_DGPM => {
-            let boolean = r.u8("spec mode").map_err(err)? != 0;
-            let incremental = r.u8("spec incremental").map_err(err)? != 0;
-            let has_push = r.u8("spec has-push").map_err(err)? != 0;
-            let theta = r.f64("spec push threshold").map_err(err)?;
-            let cap = r.varint("spec push size cap").map_err(err)? as usize;
-            let q = build(&mut r)?;
-            r.finish("dGPM spec").map_err(err)?;
+    let spec = Reader::exact(spec, "site spec", Spec::get).map_err(|e| e.to_string())?;
+    let (idx, frag) = (site as usize, Arc::clone(frag));
+    Ok(match spec {
+        Spec::Dgpm {
+            mode,
+            incremental,
+            has_push,
+            theta,
+            cap,
+            pattern,
+        } => {
             let cfg = DgpmConfig {
                 incremental,
                 push_threshold: has_push.then_some(theta),
                 push_size_cap: cap,
             };
-            let mode = if boolean {
-                QueryMode::Boolean
-            } else {
-                QueryMode::DataSelecting
-            };
-            let logic = DgpmSite::with_mode(site as usize, Arc::clone(frag), q, cfg, mode);
-            Ok(erase_site::<DgpmMsg, _>(logic, site, num_sites))
+            let logic = DgpmSite::with_mode(idx, frag, Arc::new(pattern), cfg, mode);
+            erase_site::<DgpmMsg, _>(logic, site, num_sites)
         }
-        TAG_DGPMS => {
-            let q = build(&mut r)?;
-            r.finish("dGPMs spec").map_err(err)?;
-            let logic = DgpmsSite::new(site as usize, Arc::clone(frag), q);
-            Ok(erase_site::<DgpmsMsg, _>(logic, site, num_sites))
+        Spec::Dgpms(q) => {
+            let logic = DgpmsSite::new(idx, frag, Arc::new(q));
+            erase_site::<DgpmsMsg, _>(logic, site, num_sites)
         }
-        TAG_DGPMT => {
-            let q = build(&mut r)?;
-            r.finish("dGPMt spec").map_err(err)?;
-            let logic = DgpmtSite::new(site as usize, Arc::clone(frag), q);
-            Ok(erase_site::<DgpmtMsg, _>(logic, site, num_sites))
+        Spec::Dgpmt(q) => {
+            let logic = DgpmtSite::new(idx, frag, Arc::new(q));
+            erase_site::<DgpmtMsg, _>(logic, site, num_sites)
         }
-        other => Err(format!("unknown site spec tag {other}")),
-    }
+    })
 }
 
 // ---- the session bootstrap ---------------------------------------------
@@ -363,37 +234,27 @@ pub fn build_site(
 /// from which the worker rebuilds the identical [`Fragmentation`].
 pub fn encode_bootstrap(graph: &Graph, frag: &Fragmentation) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_varint(&mut buf, frag.num_sites() as u64);
+    frag.num_sites().put(&mut buf);
     let assignment = frag.assignment();
     put_varint(&mut buf, assignment.len() as u64);
-    for &site in assignment {
-        put_varint(&mut buf, site as u64);
+    for site in assignment {
+        site.put(&mut buf);
     }
-    let mut graph_bytes = Vec::new();
-    gio::write_graph_binary(graph, &mut graph_bytes).expect("vec write cannot fail");
-    put_bytes(&mut buf, &graph_bytes);
+    put_graph(&mut buf, graph);
     buf
 }
 
 /// Decodes a session bootstrap into the worker's fragmentation.
 pub fn decode_bootstrap(blob: &[u8]) -> Result<(Arc<Graph>, Arc<Fragmentation>), String> {
-    let mut r = Reader::new(blob);
-    let k = r.varint("bootstrap site count").map_err(err)? as usize;
-    let n = r.count("bootstrap assignment length").map_err(err)?;
-    let mut assignment = Vec::with_capacity(n);
-    for _ in 0..n {
-        let site = r.varint("bootstrap assignment entry").map_err(err)? as usize;
-        if site >= k.max(1) {
-            return Err(format!(
-                "assignment entry {site} out of range for {k} sites"
-            ));
-        }
-        assignment.push(site);
+    let (k, assignment, graph) = Reader::exact(blob, "bootstrap", |r| {
+        Ok((usize::get(r)?, Vec::<usize>::get(r)?, get_graph(r)?))
+    })
+    .map_err(|e| e.to_string())?;
+    if let Some(site) = assignment.iter().find(|&&site| site >= k.max(1)) {
+        return Err(format!(
+            "assignment entry {site} out of range for {k} sites"
+        ));
     }
-    let graph_bytes = r.bytes("bootstrap graph").map_err(err)?;
-    r.finish("bootstrap").map_err(err)?;
-    let graph =
-        gio::read_graph_binary(graph_bytes).map_err(|e| format!("bad bootstrap graph: {e}"))?;
     if graph.node_count() != assignment.len() {
         return Err(format!(
             "bootstrap assignment covers {} nodes but the graph has {}",
@@ -629,6 +490,18 @@ mod tests {
             .map(|(n, h)| format!("({n}, {h:#018x}),\n"))
             .collect();
         assert!(got == PINNED, "pins:\n{show}");
+    }
+
+    /// An id past `u32::MAX` is a corrupt message, not the id modulo
+    /// 2^32.
+    #[test]
+    fn ids_past_u32_do_not_decode() {
+        let mut subscribe = vec![2, 0];
+        dgs_net::wire::put_varint(&mut subscribe, 1 << 32 | 1);
+        assert!(DgpmMsg::decode(&mut Reader::new(&subscribe)).is_err());
+        let mut start = vec![1];
+        dgs_net::wire::put_varint(&mut start, 1 << 32);
+        assert!(DgpmsMsg::decode(&mut Reader::new(&start)).is_err());
     }
 
     #[test]

@@ -266,6 +266,23 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSummary>,
 }
 
+crate::wire_struct!(HistogramSummary {
+    name,
+    count,
+    min,
+    max,
+    p50,
+    p95,
+    p99,
+});
+
+crate::wire_struct!(MetricsSnapshot {
+    version,
+    counters,
+    gauges,
+    histograms,
+});
+
 /// Splits a labeled name into `(family, labels)`:
 /// `a_total{x="y"}` → `("a_total", Some("x=\"y\""))`.
 fn split_labels(name: &str) -> (&str, Option<&str>) {

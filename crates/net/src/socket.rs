@@ -52,7 +52,7 @@ use crate::delivery::{DeliveryPlan, PlanRun, Verdict};
 use crate::message::{Endpoint, MsgClass, WireSize};
 use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
-use crate::wire::{self, put_bytes, put_str, put_u16, put_u8, put_varint, FrameError, Reader};
+use crate::wire::{self, encode, FrameError, Reader, Wire};
 use crate::{ExecError, RunOutcome};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -97,17 +97,31 @@ pub const ANNOUNCE_MARKER: &str = "listening on ";
 
 // ---- protocol-side traits ---------------------------------------------
 
-/// A protocol message that can cross a process boundary: a byte codec
-/// on top of the shared [`crate::wire`] primitives.
-///
-/// `encode` may refuse (returning `Err`) for protocols that are not
-/// socket-remotable; [`SocketCluster::run`] surfaces that as
-/// [`ExecError::Unsupported`] before any frame is sent.
+/// A protocol message that can cross a process boundary. Every [`Wire`]
+/// message is one, encoded by its codec; a protocol that stays
+/// in-process implements this by hand and refuses in `encode`, which
+/// [`SocketCluster::run`] surfaces as [`ExecError::Unsupported`].
 pub trait SocketMsg: WireSize + Clone + Send + 'static {
     /// Appends the encoded message to `buf`.
     fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String>;
-    /// Decodes one message; the cursor must consume it exactly.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, String>;
+    /// Decodes one message.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+impl<T: Wire + WireSize + Clone + Send + 'static> SocketMsg for T {
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
+        self.put(buf);
+        Ok(())
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        T::get(r)
+    }
+}
+
+/// Decodes one message that must fill `payload` exactly: the one
+/// decode of the worker and of the coordinator alike.
+fn decode_msg<M: SocketMsg>(payload: &[u8]) -> Result<M, FrameError> {
+    Reader::exact(payload, "message", M::decode)
 }
 
 /// A site logic that a worker process can reconstruct from an opaque
@@ -186,11 +200,7 @@ impl<M: SocketMsg, S: SiteLogic<M> + Send> ErasedSite for ErasedAdapter<M, S> {
     }
 
     fn on_message(&mut self, from: Endpoint, payload: &[u8]) -> Result<RawOutbox, String> {
-        let mut r = Reader::new(payload);
-        let msg = M::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(format!("{} trailing bytes after message", r.remaining()));
-        }
+        let msg = decode_msg::<M>(payload).map_err(|e| e.to_string())?;
         let mut out = Outbox::new(self.me, self.num_sites);
         self.site.on_message(from, msg, &mut out);
         Self::raw(out)
@@ -226,49 +236,92 @@ pub trait WorkerHost {
     ) -> Result<Box<dyn ErasedSite>, String>;
 }
 
-// ---- endpoint / frame helpers -----------------------------------------
+// ---- site frame payloads -----------------------------------------------
 
-fn put_endpoint(buf: &mut Vec<u8>, ep: Endpoint) {
-    put_varint(
-        buf,
-        match ep {
+/// `SITE_HELLO`: one run's site bootstrap — the hosted sites and their
+/// specs.
+struct SiteHello {
+    run: u64,
+    num_sites: usize,
+    hosted: Vec<(u32, Vec<u8>)>,
+}
+
+/// `SITE_MSG`: one encoded message for a hosted site.
+struct SiteMsg {
+    run: u64,
+    site: u32,
+    from: Endpoint,
+    class: MsgClass,
+    msg: Vec<u8>,
+}
+
+/// `SITE_OUT`: a finished handler's outbox.
+struct SiteOut {
+    run: u64,
+    site: u32,
+    out: RawOutbox,
+}
+
+/// `SITE_ERR`: a hosted site failed.
+struct SiteErr {
+    run: u64,
+    site: u32,
+    reason: String,
+}
+
+crate::wire_struct!(SiteHello {
+    run,
+    num_sites,
+    hosted
+});
+crate::wire_struct!(SiteMsg {
+    run,
+    site,
+    from,
+    class,
+    msg
+});
+crate::wire_struct!(SiteOut { run, site, out });
+crate::wire_struct!(SiteErr { run, site, reason });
+crate::wire_struct!(RawOutbox { ops, sends });
+crate::wire_struct!(RawSend {
+    to,
+    class,
+    wire_bytes,
+    payload
+});
+crate::wire_enum!(MsgClass {
+    0 => Data,
+    1 => Control,
+    2 => Result,
+});
+
+/// One varint: 0 is the coordinator, `i + 1` site `i`.
+impl Wire for Endpoint {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
             Endpoint::Coordinator => 0,
-            Endpoint::Site(i) => u64::from(i) + 1,
-        },
-    );
-}
-
-fn read_endpoint(r: &mut Reader<'_>, what: &str) -> Result<Endpoint, FrameError> {
-    let v = r.varint(what)?;
-    Ok(if v == 0 {
-        Endpoint::Coordinator
-    } else {
-        Endpoint::Site((v - 1) as u32)
-    })
-}
-
-fn put_class(buf: &mut Vec<u8>, class: MsgClass) {
-    put_u8(
-        buf,
-        match class {
-            MsgClass::Data => 0,
-            MsgClass::Control => 1,
-            MsgClass::Result => 2,
-        },
-    );
-}
-
-fn read_class(r: &mut Reader<'_>) -> Result<MsgClass, FrameError> {
-    Ok(match r.u8("message class")? {
-        0 => MsgClass::Data,
-        1 => MsgClass::Control,
-        2 => MsgClass::Result,
-        other => {
-            return Err(FrameError::corrupt(format!(
-                "unknown message class {other}"
-            )));
+            Endpoint::Site(i) => u64::from(*i) + 1,
         }
-    })
+        .put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(match u64::get(r)? {
+            0 => Endpoint::Coordinator,
+            v => Endpoint::Site(
+                u32::try_from(v - 1)
+                    .map_err(|_| FrameError::corrupt(format!("endpoint {v} exceeds u32")))?,
+            ),
+        })
+    }
+}
+
+/// The handshake, both directions: the magic, then a version.
+type Handshake = (Vec<u8>, u16);
+
+/// The reason of a `WORKER_ERR` frame.
+fn worker_err_reason(payload: &[u8]) -> String {
+    Reader::exact(payload, "WORKER_ERR", String::get).unwrap_or_else(|_| "unreadable reason".into())
 }
 
 // ---- the worker loop ---------------------------------------------------
@@ -294,17 +347,12 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
     // Handshake: the coordinator speaks first.
     match wire::read_frame(&mut rd)? {
         Some((FT_WORKER_HELLO, payload)) => {
-            let mut r = Reader::new(&payload);
-            let magic = r.bytes("handshake magic")?;
+            let (magic, theirs) = Reader::exact(&payload, "handshake", Handshake::get)?;
             if magic != SOCKET_MAGIC {
                 return Err(FrameError::corrupt("bad handshake magic"));
             }
-            let theirs = r.u16("handshake version")?;
-            r.finish("handshake")?;
-            let mut reply = Vec::new();
-            put_bytes(&mut reply, SOCKET_MAGIC);
-            put_u16(&mut reply, theirs.min(SOCKET_VERSION));
-            wire::write_frame(&mut wr, FT_WORKER_HELLO, &reply).map_err(FrameError::Io)?;
+            let reply: Handshake = (magic, theirs.min(SOCKET_VERSION));
+            wire::write_frame(&mut wr, FT_WORKER_HELLO, &encode(&reply)).map_err(FrameError::Io)?;
         }
         Some((ty, _)) => {
             return Err(FrameError::corrupt(format!(
@@ -318,29 +366,17 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
     // frames from an aborted run are ignored rather than misdelivered.
     let mut runs: HashMap<u64, HashMap<u32, Box<dyn ErasedSite>>> = HashMap::new();
 
-    let write_out =
-        |wr: &mut TcpStream, run_id: u64, site: u32, out: RawOutbox| -> Result<(), FrameError> {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, run_id);
-            put_varint(&mut buf, u64::from(site));
-            put_varint(&mut buf, out.ops);
-            put_varint(&mut buf, out.sends.len() as u64);
-            for s in out.sends {
-                put_endpoint(&mut buf, s.to);
-                put_class(&mut buf, s.class);
-                put_varint(&mut buf, s.wire_bytes as u64);
-                put_bytes(&mut buf, &s.payload);
+    // A handler's outbox goes back as a SITE_OUT, its failure as a
+    // SITE_ERR.
+    let reply = |wr: &mut TcpStream, run: u64, site: u32, outcome: Result<RawOutbox, String>| {
+        match outcome {
+            Ok(out) => wire::write_frame(wr, FT_SITE_OUT, &encode(&SiteOut { run, site, out })),
+            Err(reason) => {
+                wire::write_frame(wr, FT_SITE_ERR, &encode(&SiteErr { run, site, reason }))
             }
-            wire::write_frame(wr, FT_SITE_OUT, &buf).map_err(FrameError::Io)
-        };
-    let write_err =
-        |wr: &mut TcpStream, run_id: u64, site: u32, reason: &str| -> Result<(), FrameError> {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, run_id);
-            put_varint(&mut buf, u64::from(site));
-            put_str(&mut buf, reason);
-            wire::write_frame(wr, FT_SITE_ERR, &buf).map_err(FrameError::Io)
-        };
+        }
+        .map_err(FrameError::Io)
+    };
 
     loop {
         let Some((ty, payload)) = wire::read_frame(&mut rd)? else {
@@ -351,31 +387,21 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
                 // A (re-)bootstrap invalidates any lingering run state.
                 runs.clear();
                 match host.load(&payload) {
-                    Ok(()) => {
-                        wire::write_frame(&mut wr, FT_WORKER_OK, &[]).map_err(FrameError::Io)?;
-                    }
-                    Err(reason) => {
-                        let mut buf = Vec::new();
-                        put_str(&mut buf, &reason);
-                        wire::write_frame(&mut wr, FT_WORKER_ERR, &buf).map_err(FrameError::Io)?;
-                    }
+                    Ok(()) => wire::write_frame(&mut wr, FT_WORKER_OK, &[]),
+                    Err(reason) => wire::write_frame(&mut wr, FT_WORKER_ERR, &encode(&reason)),
                 }
+                .map_err(FrameError::Io)?;
             }
             FT_SITE_HELLO => {
-                let mut r = Reader::new(&payload);
-                let run_id = r.varint("run id")?;
-                let num_sites = r.varint("site count")? as usize;
-                let hosted = r.varint("hosted count")?;
+                let hello = Reader::exact(&payload, "SITE_HELLO", SiteHello::get)?;
                 // One active run per worker: a new hello supersedes
                 // everything older (an aborted run's state included).
                 runs.clear();
                 let mut sites: HashMap<u32, Box<dyn ErasedSite>> = HashMap::new();
                 let mut failed: Vec<(u32, String)> = Vec::new();
                 let mut order = Vec::new();
-                for _ in 0..hosted {
-                    let site = r.varint("site index")? as u32;
-                    let spec = r.bytes("site spec")?;
-                    match host.build_site(site, num_sites, spec) {
+                for (site, spec) in hello.hosted {
+                    match host.build_site(site, hello.num_sites, &spec) {
                         Ok(logic) => {
                             sites.insert(site, logic);
                             order.push(site);
@@ -383,55 +409,36 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
                         Err(reason) => failed.push((site, reason)),
                     }
                 }
-                r.finish("SITE_HELLO")?;
-                runs.insert(run_id, sites);
+                let run = hello.run;
+                runs.insert(run, sites);
                 for (site, reason) in failed {
-                    write_err(&mut wr, run_id, site, &reason)?;
+                    reply(&mut wr, run, site, Err(reason))?;
                 }
-                let run_sites = runs.get_mut(&run_id).expect("just inserted");
+                let run_sites = runs.get_mut(&run).expect("just inserted");
                 for site in order {
                     let logic = run_sites.get_mut(&site).expect("just built");
-                    match catch_unwind(AssertUnwindSafe(|| logic.on_start())) {
-                        Ok(Ok(out)) => write_out(&mut wr, run_id, site, out)?,
-                        Ok(Err(reason)) => write_err(&mut wr, run_id, site, &reason)?,
-                        Err(panic) => {
-                            write_err(&mut wr, run_id, site, &panic_message(&*panic))?;
-                        }
-                    }
+                    let outcome = catch_unwind(AssertUnwindSafe(|| logic.on_start()))
+                        .unwrap_or_else(|panic| Err(panic_message(&*panic)));
+                    reply(&mut wr, run, site, outcome)?;
                 }
             }
             FT_SITE_MSG => {
-                let mut r = Reader::new(&payload);
-                let run_id = r.varint("run id")?;
-                let site = r.varint("destination site")? as u32;
-                let from = read_endpoint(&mut r, "source endpoint")?;
-                let _class = read_class(&mut r)?;
-                let msg = r.bytes("message payload")?;
-                // r.finish checked implicitly: the message is the last
-                // field and `bytes` is length-prefixed.
-                let Some(sites) = runs.get_mut(&run_id) else {
+                let m = Reader::exact(&payload, "SITE_MSG", SiteMsg::get)?;
+                let Some(sites) = runs.get_mut(&m.run) else {
                     continue; // stale frame of an aborted run
                 };
-                let Some(logic) = sites.get_mut(&site) else {
-                    write_err(
-                        &mut wr,
-                        run_id,
-                        site,
-                        "message for a site this worker does not host",
-                    )?;
-                    continue;
+                let outcome = match sites.get_mut(&m.site) {
+                    Some(logic) => {
+                        catch_unwind(AssertUnwindSafe(|| logic.on_message(m.from, &m.msg)))
+                            .unwrap_or_else(|panic| Err(panic_message(&*panic)))
+                    }
+                    None => Err("message for a site this worker does not host".into()),
                 };
-                match catch_unwind(AssertUnwindSafe(|| logic.on_message(from, msg))) {
-                    Ok(Ok(out)) => write_out(&mut wr, run_id, site, out)?,
-                    Ok(Err(reason)) => write_err(&mut wr, run_id, site, &reason)?,
-                    Err(panic) => write_err(&mut wr, run_id, site, &panic_message(&*panic))?,
-                }
+                reply(&mut wr, m.run, m.site, outcome)?;
             }
             FT_SITE_DONE => {
-                let mut r = Reader::new(&payload);
-                let run_id = r.varint("run id")?;
-                r.finish("SITE_DONE")?;
-                runs.remove(&run_id);
+                let run = Reader::exact(&payload, "SITE_DONE", u64::get)?;
+                runs.remove(&run);
             }
             FT_WORKER_SHUTDOWN => {
                 let _ = wire::write_frame(&mut wr, FT_WORKER_OK, &[]);
@@ -762,16 +769,13 @@ impl SocketCluster {
                 .map_err(|e| transport(e, "clone stream"))?;
 
             // Handshake.
-            let mut hello = Vec::new();
-            put_bytes(&mut hello, SOCKET_MAGIC);
-            put_u16(&mut hello, SOCKET_VERSION);
-            wire::write_frame(&mut wr, FT_WORKER_HELLO, &hello)
+            let hello: Handshake = (SOCKET_MAGIC.to_vec(), SOCKET_VERSION);
+            wire::write_frame(&mut wr, FT_WORKER_HELLO, &encode(&hello))
                 .map_err(|e| transport(e, &format!("handshake with worker {addr}")))?;
             match wire::read_frame(&mut rd) {
                 Ok(Some((FT_WORKER_HELLO, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let ok = r.bytes("handshake magic").map(|m| m == SOCKET_MAGIC);
-                    if !matches!(ok, Ok(true)) {
+                    let theirs = Reader::exact(&payload, "handshake", Handshake::get);
+                    if !theirs.is_ok_and(|(magic, _)| magic == SOCKET_MAGIC) {
                         return Err(ExecError::Transport {
                             detail: format!("worker {addr} answered a bad handshake"),
                         });
@@ -790,10 +794,7 @@ impl SocketCluster {
             match wire::read_frame(&mut rd) {
                 Ok(Some((FT_WORKER_OK, _))) => {}
                 Ok(Some((FT_WORKER_ERR, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let reason = r
-                        .str_("error reason")
-                        .unwrap_or_else(|_| "unreadable reason".into());
+                    let reason = worker_err_reason(&payload);
                     return Err(ExecError::Transport {
                         detail: format!("worker {addr} rejected the session bootstrap: {reason}"),
                     });
@@ -963,10 +964,7 @@ impl ClusterInner {
             match self.events.recv_timeout(self.timeout) {
                 Ok((w, WorkerEvent::Frame(FT_WORKER_OK, _))) => pending[w] = false,
                 Ok((w, WorkerEvent::Frame(FT_WORKER_ERR, payload))) => {
-                    let mut r = Reader::new(&payload);
-                    let reason = r
-                        .str_("error reason")
-                        .unwrap_or_else(|_| "unreadable reason".into());
+                    let reason = worker_err_reason(&payload);
                     return Err(ExecError::Transport {
                         detail: format!(
                             "worker {} rejected the session re-bootstrap: {reason}",
@@ -1058,16 +1056,15 @@ impl ClusterInner {
             if self.links[w].sites.is_empty() {
                 continue;
             }
-            let mut buf = Vec::new();
-            put_varint(&mut buf, run_id);
-            put_varint(&mut buf, n as u64);
-            put_varint(&mut buf, self.links[w].sites.len() as u64);
-            for &site in &self.links[w].sites.clone() {
-                put_varint(&mut buf, u64::from(site));
-                put_bytes(&mut buf, &specs[site as usize]);
-            }
-            inflight += self.links[w].sites.len() as i64;
-            self.write_worker(w, FT_SITE_HELLO, &buf)?;
+            let hello = SiteHello {
+                run: run_id,
+                num_sites: n,
+                hosted: (self.links[w].sites.iter())
+                    .map(|&site| (site, specs[site as usize].clone()))
+                    .collect(),
+            };
+            inflight += hello.hosted.len() as i64;
+            self.write_worker(w, FT_SITE_HELLO, &encode(&hello))?;
         }
 
         // The coordinator runs in this process; its sends are routed
@@ -1153,11 +1150,9 @@ impl ClusterInner {
         debug_assert!(done);
 
         // Tell the workers to drop the run's state.
-        let mut fin = Vec::new();
-        put_varint(&mut fin, run_id);
         for w in 0..self.links.len() {
             if !self.links[w].sites.is_empty() {
-                self.write_worker(w, FT_SITE_DONE, &fin)?;
+                self.write_worker(w, FT_SITE_DONE, &encode(&run_id))?;
             }
         }
 
@@ -1183,24 +1178,25 @@ impl ClusterInner {
     /// and queued for local delivery by the caller; site-bound
     /// messages become `SITE_MSG` frames (held back as the delivery
     /// plan decides).
-    #[allow(clippy::too_many_arguments)]
     fn route_send<M: SocketMsg>(
         &mut self,
         run_id: u64,
         from: Endpoint,
-        to: Endpoint,
-        class: MsgClass,
-        wire_bytes: usize,
-        payload: &[u8],
+        send: RawSend,
         metrics: &mut RunMetrics,
         inflight: &mut i64,
         to_coordinator: &mut VecDeque<(Endpoint, M)>,
     ) -> Result<(), ExecError> {
+        let RawSend {
+            to,
+            class,
+            wire_bytes,
+            payload,
+        } = send;
         metrics.record_send_from(from, class, wire_bytes);
         match to {
             Endpoint::Coordinator => {
-                let mut r = Reader::new(payload);
-                let msg = M::decode(&mut r).map_err(|e| ExecError::Transport {
+                let msg = decode_msg(&payload).map_err(|e| ExecError::Transport {
                     detail: format!("cannot decode a coordinator-bound message: {e}"),
                 })?;
                 to_coordinator.push_back((from, msg));
@@ -1208,12 +1204,13 @@ impl ClusterInner {
             }
             Endpoint::Site(site) => {
                 let w = (site as usize) % self.links.len().max(1);
-                let mut frame = Vec::new();
-                put_varint(&mut frame, run_id);
-                put_varint(&mut frame, u64::from(site));
-                put_endpoint(&mut frame, from);
-                put_class(&mut frame, class);
-                put_bytes(&mut frame, payload);
+                let frame = encode(&SiteMsg {
+                    run: run_id,
+                    site,
+                    from,
+                    class,
+                    msg: payload,
+                });
                 *inflight += 1;
                 if let Some(h) = &mut self.held {
                     match h.run.next(from, to, class) {
@@ -1253,21 +1250,17 @@ impl ClusterInner {
         metrics.record_ops(Endpoint::Coordinator, out.ops);
         let mut local: VecDeque<(Endpoint, M)> = VecDeque::new();
         for (to, class, msg) in out.sends {
-            let wire_bytes = msg.wire_size();
             let mut payload = Vec::new();
             msg.encode(&mut payload)
                 .map_err(|detail| ExecError::Unsupported { detail })?;
-            self.route_send(
-                run_id,
-                Endpoint::Coordinator,
+            let send = RawSend {
                 to,
                 class,
-                wire_bytes,
-                &payload,
-                metrics,
-                inflight,
-                &mut local,
-            )?;
+                wire_bytes: msg.wire_size(),
+                payload,
+            };
+            let from = Endpoint::Coordinator;
+            self.route_send(run_id, from, send, metrics, inflight, &mut local)?;
         }
         debug_assert!(local.is_empty(), "coordinator cannot message itself");
         Ok(())
@@ -1290,41 +1283,26 @@ impl ClusterInner {
                 Err(self.site_failed(worker, format!("worker process disconnected: {reason}")))
             }
             WorkerEvent::Frame(FT_SITE_OUT, payload) => {
-                let corrupt = |e: FrameError| ExecError::Transport {
-                    detail: format!("bad SITE_OUT frame: {e}"),
-                };
-                let mut r = Reader::new(&payload);
-                if r.varint("run id").map_err(corrupt)? != run_id {
+                let frame = Reader::exact(&payload, "SITE_OUT", SiteOut::get).map_err(|e| {
+                    ExecError::Transport {
+                        detail: format!("bad SITE_OUT frame: {e}"),
+                    }
+                })?;
+                if frame.run != run_id {
                     return Ok(()); // stale frame of an aborted run
                 }
-                let site = r.varint("site").map_err(corrupt)? as u32;
+                let site = frame.site;
                 if site as usize >= n {
                     return Err(ExecError::Transport {
                         detail: format!("SITE_OUT names site {site} of a {n}-site run"),
                     });
                 }
-                let ops = r.varint("ops").map_err(corrupt)?;
-                metrics.record_ops(Endpoint::Site(site), ops);
-                let nsends = r.varint("send count").map_err(corrupt)?;
+                let from = Endpoint::Site(site);
+                metrics.record_ops(from, frame.out.ops);
                 let mut to_coord: VecDeque<(Endpoint, M)> = VecDeque::new();
-                for _ in 0..nsends {
-                    let to = read_endpoint(&mut r, "destination").map_err(corrupt)?;
-                    let class = read_class(&mut r).map_err(corrupt)?;
-                    let wire_bytes = r.varint("wire size").map_err(corrupt)? as usize;
-                    let msg = r.bytes("message payload").map_err(corrupt)?;
-                    self.route_send(
-                        run_id,
-                        Endpoint::Site(site),
-                        to,
-                        class,
-                        wire_bytes,
-                        msg,
-                        metrics,
-                        inflight,
-                        &mut to_coord,
-                    )?;
+                for send in frame.out.sends {
+                    self.route_send(run_id, from, send, metrics, inflight, &mut to_coord)?;
                 }
-                r.finish("SITE_OUT").map_err(corrupt)?;
                 // The handler whose outbox this was is now complete.
                 *inflight -= 1;
                 // Deliver coordinator-bound messages synchronously; the
@@ -1337,16 +1315,18 @@ impl ClusterInner {
                 Ok(())
             }
             WorkerEvent::Frame(FT_SITE_ERR, payload) => {
-                let corrupt = |e: FrameError| ExecError::Transport {
-                    detail: format!("bad SITE_ERR frame: {e}"),
-                };
-                let mut r = Reader::new(&payload);
-                if r.varint("run id").map_err(corrupt)? != run_id {
+                let err = Reader::exact(&payload, "SITE_ERR", SiteErr::get).map_err(|e| {
+                    ExecError::Transport {
+                        detail: format!("bad SITE_ERR frame: {e}"),
+                    }
+                })?;
+                if err.run != run_id {
                     return Ok(());
                 }
-                let site = r.varint("site").map_err(corrupt)? as u32;
-                let reason = r.str_("reason").map_err(corrupt)?;
-                Err(ExecError::SiteFailed { site, reason })
+                Err(ExecError::SiteFailed {
+                    site: err.site,
+                    reason: err.reason,
+                })
             }
             WorkerEvent::Frame(ty, _) => Err(ExecError::Transport {
                 detail: format!("unexpected frame type {ty:#x} from worker"),
@@ -1378,16 +1358,6 @@ mod tests {
         idx: u64,
     }
 
-    impl SocketMsg for u64 {
-        fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-            put_varint(buf, *self);
-            Ok(())
-        }
-        fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-            r.varint("u64 msg").map_err(|e| e.to_string())
-        }
-    }
-
     impl CoordinatorLogic<u64> for Scatter {
         fn on_start(&mut self, out: &mut Outbox<u64>) {
             for i in 0..out.num_sites() {
@@ -1411,9 +1381,7 @@ mod tests {
     }
     impl RemoteSpec for AddSite {
         fn remote_spec(&self) -> Result<Vec<u8>, String> {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, self.idx);
-            Ok(buf)
+            Ok(encode(&self.idx))
         }
     }
 
@@ -1643,30 +1611,69 @@ mod tests {
         assert_eq!(stub.join().unwrap(), sent);
     }
 
-    #[test]
-    fn silent_worker_times_out_instead_of_hanging() {
-        // A stub that handshakes and acknowledges the bootstrap, then
-        // swallows every frame — a silent peer.
+    /// A stub worker: it acknowledges the handshake and the bootstrap,
+    /// answers the frames it reads next with `replies`, one each, then
+    /// swallows everything else.
+    fn scripted_worker(replies: Vec<(u8, Vec<u8>)>) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
             let (conn, _) = listener.accept().unwrap();
             let mut rd = BufReader::new(conn.try_clone().unwrap());
             let mut wr = conn;
-            let (ty, payload) = wire::read_frame(&mut rd).unwrap().unwrap();
+            let (ty, hello) = wire::read_frame(&mut rd).unwrap().unwrap();
             assert_eq!(ty, FT_WORKER_HELLO);
-            wire::write_frame(&mut wr, FT_WORKER_HELLO, &payload).unwrap();
-            let (ty, _) = wire::read_frame(&mut rd).unwrap().unwrap();
-            assert_eq!(ty, FT_WORKER_LOAD);
-            wire::write_frame(&mut wr, FT_WORKER_OK, &[]).unwrap();
-            // Swallow everything else, replying to nothing.
+            let ack = [(FT_WORKER_HELLO, hello), (FT_WORKER_OK, vec![])];
+            for (ty, payload) in ack.into_iter().chain(replies) {
+                wire::write_frame(&mut wr, ty, &payload).unwrap();
+                if wire::read_frame(&mut rd).is_err() {
+                    return;
+                }
+            }
             while let Ok(Some(_)) = wire::read_frame(&mut rd) {}
         });
+        addr
+    }
+
+    #[test]
+    fn silent_worker_times_out_instead_of_hanging() {
+        let addr = scripted_worker(vec![]);
         let cfg = SocketConfig::attach(vec![addr]).site_timeout(Duration::from_millis(200));
         let cluster = SocketCluster::start(cfg, b"", 2).unwrap();
         let sites: Vec<AddSite> = (0..2).map(|i| AddSite { idx: i }).collect();
         let err = expect_err(cluster.run(Scatter { sum: 0, replies: 0 }, sites));
         assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
+    }
+
+    /// A site id past `u32::MAX` is a corrupt frame, not site
+    /// `id mod 2^32` — which would pass the range check and be
+    /// credited with another site's outbox.
+    #[test]
+    fn site_out_naming_a_site_past_u32_is_a_transport_error() {
+        let mut out = vec![1];
+        wire::put_varint(&mut out, 1 << 32 | 1);
+        out.extend([0, 0]);
+        let addr = scripted_worker(vec![(FT_SITE_OUT, out)]);
+        let cfg = SocketConfig::attach(vec![addr]).site_timeout(Duration::from_millis(500));
+        let cluster = SocketCluster::start(cfg, b"", 2).unwrap();
+        let sites: Vec<AddSite> = (0..2).map(|i| AddSite { idx: i }).collect();
+        let err = expect_err(cluster.run(Scatter { sum: 0, replies: 0 }, sites));
+        assert!(matches!(err, ExecError::Transport { .. }), "{err:?}");
+    }
+
+    /// The coordinator decodes a message bound for it as exactly as a
+    /// worker decodes one bound for a site: trailing bytes are refused.
+    #[test]
+    fn coordinator_bound_messages_with_trailing_bytes_are_refused() {
+        let addr = scripted_worker(vec![
+            (FT_SITE_OUT, vec![1, 0, 0, 0]),
+            // 100 to the coordinator, then one byte too many.
+            (FT_SITE_OUT, vec![1, 0, 3, 1, 0, 0, 8, 2, 100, 0]),
+        ]);
+        let cfg = SocketConfig::attach(vec![addr]).site_timeout(Duration::from_millis(500));
+        let cluster = SocketCluster::start(cfg, b"", 1).unwrap();
+        let err = expect_err(cluster.run(Scatter { sum: 0, replies: 0 }, vec![AddSite { idx: 0 }]));
+        assert!(matches!(err, ExecError::Transport { .. }), "{err:?}");
     }
 
     #[test]

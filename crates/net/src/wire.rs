@@ -16,9 +16,13 @@
 //! bounds-checked cursor over a received payload whose every accessor
 //! returns a typed error on truncation — decoding never panics.
 //!
-//! This module used to live in `dgs-serve`; it moved down to `dgs-net`
-//! so the executor layer can reuse the exact codecs (the serving crate
-//! re-exports it with its own error type).
+//! Every layout is stated once, over the one field codec [`Wire`]: each
+//! field type has one impl here, a struct is its fields in wire order
+//! ([`wire_struct!`](crate::wire_struct)), and a tag-byte enum is a
+//! table of tag ↔ variant ↔ fields ([`wire_enum!`](crate::wire_enum)).
+//! The serving protocol (`dgs-serve`'s `proto`), the dGPM-family
+//! messages (`dgs-core`'s `remote`) and the site frames
+//! ([`crate::socket`]) are all written that way.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -221,21 +225,6 @@ fn put_varint_multi(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Appends a fixed u16, little-endian.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends one byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-/// Appends an `f64` as its IEEE-754 bits, little-endian.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 /// Appends a varint length followed by the raw bytes.
 pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_varint(buf, b.len() as u64);
@@ -381,6 +370,360 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+
+    /// Decodes all of `payload` with `decode` and [`finish`]es: the one
+    /// way a whole payload is decoded, so no decoder can forget the
+    /// trailing-bytes check.
+    ///
+    /// [`finish`]: Reader::finish
+    pub fn exact<T>(
+        payload: &'a [u8],
+        what: &str,
+        decode: impl FnOnce(&mut Reader<'a>) -> Result<T, FrameError>,
+    ) -> Result<T, FrameError> {
+        let mut r = Reader::new(payload);
+        let v = decode(&mut r)?;
+        r.finish(what)?;
+        Ok(v)
+    }
+}
+
+/// The encoding of `v`, as a payload of its own.
+pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut payload = Vec::new();
+    v.put(&mut payload);
+    payload
+}
+
+// ---- the field codec ---------------------------------------------------
+
+/// A type's encoding on the wire: `put` appends it, `get` reads it
+/// back. Every field type is encoded by exactly one impl, and decoding
+/// is total — truncation or an out-of-range value is
+/// [`FrameError::Corrupt`], never a panic.
+pub trait Wire: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Reads one value.
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// One byte.
+impl Wire for u8 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.u8("u8")
+    }
+}
+
+/// Fixed two bytes, little-endian.
+impl Wire for u16 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_le_bytes());
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.u16("u16")
+    }
+}
+
+/// A varint; one past `u32::MAX` is corrupt, not truncated.
+impl Wire for u32 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, u64::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let v = r.varint("u32")?;
+        u32::try_from(v).map_err(|_| FrameError::corrupt(format!("varint {v} exceeds u32")))
+    }
+}
+
+/// A varint.
+impl Wire for u64 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, *self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.varint("u64")
+    }
+}
+
+/// A varint, range-checked like `u32`.
+impl Wire for usize {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, *self as u64);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let v = r.varint("usize")?;
+        usize::try_from(v).map_err(|_| FrameError::corrupt(format!("varint {v} exceeds usize")))
+    }
+}
+
+/// One byte, 0 or 1; any nonzero byte reads as `true`.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(r.u8("bool")? != 0)
+    }
+}
+
+/// The IEEE-754 bits, little-endian.
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.f64("f64")
+    }
+}
+
+/// A varint length, then UTF-8 bytes.
+impl Wire for String {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(buf, self);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        r.str_("string")
+    }
+}
+
+/// A [`Reader::count`]-guarded varint length, then the items — so no
+/// corrupt length drives an allocation past the payload.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.len() as u64);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let n = r.count("list length")?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A flag byte (0 none, 1 some), then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8("option flag")? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            other => Err(FrameError::corrupt(format!("unknown option flag {other}"))),
+        }
+    }
+}
+
+/// A tag byte (1 ok, 0 error), then the value.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Ok(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+            Err(e) => {
+                buf.push(0);
+                e.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match r.u8("result tag")? {
+            1 => Ok(Ok(T::get(r)?)),
+            0 => Ok(Err(E::get(r)?)),
+            other => Err(FrameError::corrupt(format!("unknown result tag {other}"))),
+        }
+    }
+}
+
+/// The two fields in order.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Implements [`Wire`] for a struct as its fields in wire order:
+///
+/// ```ignore
+/// wire_struct!(SessionInfo { name, nodes, edges, sites, generation });
+/// wire_struct!(MatchLists(lists));
+/// ```
+///
+/// The field types come from the struct's definition, so each field is
+/// named once here and typed once there. A field written
+/// `rows as (put_fn, get_fn)` is encoded by `put_fn(buf, &rows)` and
+/// decoded by `get_fn(r)` instead of its type's [`Wire`] impl: the
+/// override for a foreign type (a `DGSB` pattern blob) or for a layout
+/// of its own (the gap-coded match rows).
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident
+        $( ( $($tf:ident $(as ($tp:path, $tg:path))?),* $(,)? ) )?
+        $( { $($sf:ident $(as ($sp:path, $sg:path))?),* $(,)? } )?
+    ) => {
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, buf: &mut ::std::vec::Vec<u8>) {
+                let $ty $( ( $($tf),* ) )? $( { $($sf),* } )? = self;
+                $( $( $crate::__wire_put!(buf, $tf $(, $tp)?); )* )?
+                $( $( $crate::__wire_put!(buf, $sf $(, $sp)?); )* )?
+            }
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::FrameError> {
+                Ok($ty
+                    $( ( $($crate::__wire_get!(r $(, $tg)?)),* ) )?
+                    $( { $($sf: $crate::__wire_get!(r $(, $sg)?)),* } )?)
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum as a tag byte followed by the
+/// variant's fields, from one table of `tag => Variant fields` rows:
+///
+/// ```ignore
+/// wire_enum!(DgpmsMsg {
+///     0 => Batch(vars),
+///     1 => StartRound(rank),
+///     2 => MoreWork,
+/// });
+/// ```
+///
+/// Fields are written as in [`wire_struct!`](crate::wire_struct),
+/// overrides included. A row may name its tag (`PING = 0x10 => Ping`):
+/// the name becomes a `pub const` at the call site and an entry of the
+/// enum's `NAMED_TAGS`, which is how a frame table states each
+/// frame-type byte and name once. The enum also gets
+/// `put_variant` (append the fields, return the tag) and `get_variant`
+/// (read the fields of a given tag), for a tag that travels outside
+/// the payload — a frame's type byte.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident {
+        $( $( $(#[$cm:meta])* $cn:ident = )? $tag:literal => $var:ident
+            $( ( $($tf:ident $(as ($tp:path, $tg:path))?),* $(,)? ) )?
+            $( { $($sf:ident $(as ($sp:path, $sg:path))?),* $(,)? } )?
+        ),* $(,)?
+    }) => {
+        $( $( $(#[$cm])* pub const $cn: u8 = $tag; )? )*
+
+        impl $ty {
+            /// `(tag, name)` of every named row, in table order.
+            #[allow(dead_code)]
+            pub(crate) const NAMED_TAGS: &'static [(u8, &'static str)] =
+                &[$( $( ($tag, stringify!($cn)), )? )*];
+
+            /// Appends the fields of `self`'s variant and returns its tag.
+            // `buf` is unused when no variant has fields.
+            #[allow(unused_variables, clippy::ptr_arg)]
+            pub(crate) fn put_variant(&self, buf: &mut ::std::vec::Vec<u8>) -> u8 {
+                match self {
+                    $( $ty::$var $( ( $($tf),* ) )? $( { $($sf),* } )? => {
+                        $( $( $crate::__wire_put!(buf, $tf $(, $tp)?); )* )?
+                        $( $( $crate::__wire_put!(buf, $sf $(, $sp)?); )* )?
+                        $tag
+                    } )*
+                }
+            }
+
+            /// Reads the fields of the variant `tag` names.
+            // `r` is unused when no variant has fields.
+            #[allow(unused_variables)]
+            pub(crate) fn get_variant(
+                tag: u8,
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::FrameError> {
+                Ok(match tag {
+                    $( $tag => $ty::$var
+                        $( ( $($crate::__wire_get!(r $(, $tg)?)),* ) )?
+                        $( { $($sf: $crate::__wire_get!(r $(, $sg)?)),* } )?, )*
+                    other => {
+                        return Err($crate::wire::FrameError::corrupt(format!(
+                            concat!("unknown ", stringify!($ty), " tag {:#04x}"),
+                            other
+                        )));
+                    }
+                })
+            }
+        }
+
+        impl $crate::wire::Wire for $ty {
+            fn put(&self, buf: &mut ::std::vec::Vec<u8>) {
+                let at = buf.len();
+                buf.push(0);
+                let tag = self.put_variant(buf);
+                buf[at] = tag;
+            }
+            fn get(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::FrameError> {
+                let tag = r.u8(stringify!($ty))?;
+                Self::get_variant(tag, r)
+            }
+        }
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_put {
+    ($buf:ident, $v:ident) => {
+        $crate::wire::Wire::put($v, $buf)
+    };
+    ($buf:ident, $v:ident, $put:path) => {
+        $put($buf, $v)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_get {
+    ($r:ident) => {
+        $crate::wire::Wire::get($r)?
+    };
+    ($r:ident, $get:path) => {{
+        let v: ::core::result::Result<_, $crate::wire::FrameError> = $get($r);
+        v?
+    }};
 }
 
 #[cfg(test)]

@@ -12,15 +12,19 @@
 //! written by `dgsq convert` is byte-for-byte what `LOAD_GRAPH`
 //! ships.
 //!
-//! Every decoder is total: corrupt payloads yield
-//! [`ServeError::Corrupt`], never a panic — see the roundtrip and
-//! corruption proptests in `tests/serve.rs`.
+//! Every payload layout is stated once, as a field list over
+//! [`dgs_net::wire::Wire`]: the [`frame`] tables map each frame-type
+//! byte to its variant and fields. Every decoder is total: corrupt
+//! payloads yield [`ServeError::Corrupt`], never a panic — see the
+//! roundtrip, corruption and pinned-bytes tests in `tests/serve.rs`.
 
 use crate::error::{ErrorCode, ServeError};
-use crate::wire::{put_bytes, put_f64, put_str, put_u16, put_u8, put_varint, Reader};
+use crate::wire::{put_varint, Reader};
+use dgs_core::remote::{get_graph, get_pattern, put_graph, put_pattern};
 use dgs_core::{Algorithm, CompressionMethod};
-use dgs_graph::{io as gio, Graph, NodeId, Pattern, QNodeId};
-use dgs_net::{HistogramSummary, MetricsSnapshot, RunMetrics};
+use dgs_graph::{Graph, NodeId, Pattern, QNodeId};
+use dgs_net::wire::{FrameError, Wire};
+use dgs_net::{wire_enum, wire_struct, MetricsSnapshot, RunMetrics};
 use dgs_sim::MatchRelation;
 
 /// Magic the handshake frames carry ("DGSW": dgs wire).
@@ -36,74 +40,19 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DGSW";
 /// gets a typed `Unsupported` error naming it, then the close.
 pub const WIRE_VERSION: u8 = 4;
 
-/// Frame type bytes. Requests are `0x1x`, responses `0x2x`, the error
-/// response is `0x3f`; handshake frames are `0x0x`.
-pub mod frame {
-    pub const HELLO: u8 = 0x01;
-    pub const WELCOME: u8 = 0x02;
-
-    pub const PING: u8 = 0x10;
-    pub const GRAPH_INFO: u8 = 0x11;
-    pub const QUERY: u8 = 0x12;
-    pub const QUERY_BATCH: u8 = 0x13;
-    pub const APPLY_DELTA: u8 = 0x14;
-    pub const CACHE_STATS: u8 = 0x15;
-    pub const COMPRESSION_INFO: u8 = 0x16;
-    pub const LOAD_GRAPH: u8 = 0x17;
-    pub const SHUTDOWN: u8 = 0x18;
-    pub const SESSION_CREATE: u8 = 0x19;
-    pub const SESSION_LIST: u8 = 0x1a;
-    pub const SESSION_DROP: u8 = 0x1b;
-    pub const SESSION_ROUTE: u8 = 0x1c;
-    pub const SUBSCRIBE: u8 = 0x1d;
-    pub const UNSUBSCRIBE: u8 = 0x1e;
-    pub const METRICS: u8 = 0x1f;
-
-    pub const PONG: u8 = 0x20;
-    pub const GRAPH_INFO_R: u8 = 0x21;
-    pub const ANSWER: u8 = 0x22;
-    pub const BATCH_ANSWER: u8 = 0x23;
-    pub const DELTA_APPLIED: u8 = 0x24;
-    pub const CACHE_STATS_R: u8 = 0x25;
-    pub const COMPRESSION_INFO_R: u8 = 0x26;
-    pub const LOADED: u8 = 0x27;
-    pub const SHUTTING_DOWN: u8 = 0x28;
-    pub const SESSION_CREATED: u8 = 0x29;
-    pub const SESSION_LIST_R: u8 = 0x2a;
-    pub const SESSION_DROPPED: u8 = 0x2b;
-    pub const SESSION_ROUTED: u8 = 0x2c;
-    pub const SUBSCRIBED: u8 = 0x2d;
-    pub const UNSUBSCRIBED: u8 = 0x2e;
-    pub const METRICS_R: u8 = 0x2f;
-
-    /// Server-pushed: a subscription's match-set delta. Travels
-    /// under request id 0, never in answer to a request.
-    pub const MATCH_DIFF: u8 = 0x30;
-    /// Server-pushed: a subscription lifecycle event (overflow,
-    /// session dropped, server draining). Travels under request id 0.
-    pub const SUB_EVENT: u8 = 0x31;
-
-    /// Request: dump the server's slow-query trace ring.
-    pub const TRACE: u8 = 0x32;
-    /// Response to [`TRACE`].
-    pub const TRACE_R: u8 = 0x33;
-
-    pub const ERROR: u8 = 0x3f;
-}
-
 /// The engine selector as it travels on the wire (the names the CLI
 /// exposes; `DgpmConfig` details stay server-side defaults).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireAlgorithm {
-    Auto = 0,
-    Dgpm = 1,
-    DgpmNopt = 2,
-    Dgpms = 3,
-    Dgpmd = 4,
-    Dgpmt = 5,
-    MatchCentral = 6,
-    DisHhk = 7,
-    DMes = 8,
+    Auto,
+    Dgpm,
+    DgpmNopt,
+    Dgpms,
+    Dgpmd,
+    Dgpmt,
+    MatchCentral,
+    DisHhk,
+    DMes,
 }
 
 impl WireAlgorithm {
@@ -120,25 +69,6 @@ impl WireAlgorithm {
             "dishhk" => WireAlgorithm::DisHhk,
             "dmes" => WireAlgorithm::DMes,
             _ => return None,
-        })
-    }
-
-    fn from_u8(v: u8) -> Result<WireAlgorithm, ServeError> {
-        Ok(match v {
-            0 => WireAlgorithm::Auto,
-            1 => WireAlgorithm::Dgpm,
-            2 => WireAlgorithm::DgpmNopt,
-            3 => WireAlgorithm::Dgpms,
-            4 => WireAlgorithm::Dgpmd,
-            5 => WireAlgorithm::Dgpmt,
-            6 => WireAlgorithm::MatchCentral,
-            7 => WireAlgorithm::DisHhk,
-            8 => WireAlgorithm::DMes,
-            other => {
-                return Err(ServeError::corrupt(format!(
-                    "unknown algorithm byte {other}"
-                )));
-            }
         })
     }
 
@@ -161,10 +91,10 @@ impl WireAlgorithm {
 /// Partitioner selector for `LOAD_GRAPH`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WirePartitioner {
-    Hash = 0,
-    Bfs = 1,
-    Ldg = 2,
-    Tree = 3,
+    Hash,
+    Bfs,
+    Ldg,
+    Tree,
 }
 
 impl WirePartitioner {
@@ -176,20 +106,6 @@ impl WirePartitioner {
             "ldg" => WirePartitioner::Ldg,
             "tree" => WirePartitioner::Tree,
             _ => return None,
-        })
-    }
-
-    fn from_u8(v: u8) -> Result<WirePartitioner, ServeError> {
-        Ok(match v {
-            0 => WirePartitioner::Hash,
-            1 => WirePartitioner::Bfs,
-            2 => WirePartitioner::Ldg,
-            3 => WirePartitioner::Tree,
-            other => {
-                return Err(ServeError::corrupt(format!(
-                    "unknown partitioner byte {other}"
-                )));
-            }
         })
     }
 }
@@ -357,44 +273,6 @@ impl WireMetrics {
     pub fn data_kb(&self) -> f64 {
         self.data_bytes as f64 / 1024.0
     }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
-        for v in [
-            self.data_bytes,
-            self.data_messages,
-            self.control_bytes,
-            self.control_messages,
-            self.result_bytes,
-            self.result_messages,
-            self.total_ops,
-            self.virtual_time_ns,
-            self.quiescence_rounds,
-            self.cache_hits,
-        ] {
-            put_varint(buf, v);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireMetrics, ServeError> {
-        let mut vals = [0u64; 10];
-        for v in &mut vals {
-            *v = r.varint("metric")?;
-        }
-        let [data_bytes, data_messages, control_bytes, control_messages, result_bytes, result_messages, total_ops, virtual_time_ns, quiescence_rounds, cache_hits] =
-            vals;
-        Ok(WireMetrics {
-            data_bytes,
-            data_messages,
-            control_bytes,
-            control_messages,
-            result_bytes,
-            result_messages,
-            total_ops,
-            virtual_time_ns,
-            quiescence_rounds,
-            cache_hits,
-        })
-    }
 }
 
 /// A relation as wire rows: each query node's sorted matches, in node
@@ -439,29 +317,6 @@ impl Answer {
         } else {
             0
         }
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_rows(buf, &self.rows);
-        put_u8(buf, u8::from(self.is_match));
-        put_str(buf, &self.algorithm);
-        put_str(buf, &self.plan);
-        self.metrics.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Answer, ServeError> {
-        let rows = decode_rows(r)?;
-        let is_match = r.u8("is_match")? != 0;
-        let algorithm = r.str_("algorithm")?;
-        let plan = r.str_("plan")?;
-        let metrics = WireMetrics::decode(r)?;
-        Ok(Answer {
-            rows,
-            is_match,
-            algorithm,
-            plan,
-            metrics,
-        })
     }
 }
 
@@ -518,45 +373,6 @@ pub struct MatchDiff {
     pub removed: Vec<(u16, u32)>,
 }
 
-impl MatchDiff {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.sub_id);
-        put_varint(buf, self.generation);
-        for pairs in [&self.added, &self.removed] {
-            put_varint(buf, pairs.len() as u64);
-            for &(q, v) in pairs.iter() {
-                put_u16(buf, q);
-                put_varint(buf, u64::from(v));
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<MatchDiff, ServeError> {
-        let sub_id = r.varint("sub id")?;
-        let generation = r.varint("generation")?;
-        let mut lists = [Vec::new(), Vec::new()];
-        for pairs in &mut lists {
-            let n = r.count("diff pair count")?;
-            pairs.reserve(n);
-            for _ in 0..n {
-                let q = r.u16("diff query node")?;
-                let v = r.varint("diff data node")?;
-                if v > u64::from(u32::MAX) {
-                    return Err(ServeError::corrupt("diff data node exceeds u32"));
-                }
-                pairs.push((q, v as u32));
-            }
-        }
-        let [added, removed] = lists;
-        Ok(MatchDiff {
-            sub_id,
-            generation,
-            added,
-            removed,
-        })
-    }
-}
-
 /// One traced request from the server's slow-query ring (`TRACE_R`):
 /// where its wall-clock went (decode+queue wait, execute, encode) and
 /// — for query frames — the plan explanation and the per-site
@@ -591,132 +407,6 @@ pub struct WireTrace {
     pub generation: u64,
 }
 
-impl WireTrace {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.conn_id);
-        put_varint(buf, self.request_id);
-        put_u8(buf, self.ty);
-        put_str(buf, &self.session);
-        for v in [self.queue_ns, self.exec_ns, self.encode_ns, self.total_ns] {
-            put_varint(buf, v);
-        }
-        put_str(buf, &self.algorithm);
-        put_str(buf, &self.plan);
-        for list in [&self.site_ops, &self.site_msgs] {
-            put_varint(buf, list.len() as u64);
-            for &v in list.iter() {
-                put_varint(buf, v);
-            }
-        }
-        put_varint(buf, self.generation);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<WireTrace, ServeError> {
-        let conn_id = r.varint("trace conn id")?;
-        let request_id = r.varint("trace request id")?;
-        let ty = r.u8("trace frame type")?;
-        let session = r.str_("trace session")?;
-        let queue_ns = r.varint("trace queue ns")?;
-        let exec_ns = r.varint("trace exec ns")?;
-        let encode_ns = r.varint("trace encode ns")?;
-        let total_ns = r.varint("trace total ns")?;
-        let algorithm = r.str_("trace algorithm")?;
-        let plan = r.str_("trace plan")?;
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in &mut lists {
-            let n = r.count("trace site count")?;
-            list.reserve(n);
-            for _ in 0..n {
-                list.push(r.varint("trace site value")?);
-            }
-        }
-        let [site_ops, site_msgs] = lists;
-        let generation = r.varint("trace generation")?;
-        Ok(WireTrace {
-            conn_id,
-            request_id,
-            ty,
-            session,
-            queue_ns,
-            exec_ns,
-            encode_ns,
-            total_ns,
-            algorithm,
-            plan,
-            site_ops,
-            site_msgs,
-            generation,
-        })
-    }
-}
-
-/// [`MetricsSnapshot`] codec for the `METRICS_R` frame: the schema
-/// version, then three counted `(name, values...)` lists.
-fn encode_metrics_snapshot(buf: &mut Vec<u8>, snap: &MetricsSnapshot) {
-    put_varint(buf, u64::from(snap.version));
-    put_varint(buf, snap.counters.len() as u64);
-    for (name, value) in &snap.counters {
-        put_str(buf, name);
-        put_varint(buf, *value);
-    }
-    put_varint(buf, snap.gauges.len() as u64);
-    for (name, value) in &snap.gauges {
-        put_str(buf, name);
-        put_varint(buf, *value);
-    }
-    put_varint(buf, snap.histograms.len() as u64);
-    for h in &snap.histograms {
-        put_str(buf, &h.name);
-        for v in [h.count, h.min, h.max, h.p50, h.p95, h.p99] {
-            put_varint(buf, v);
-        }
-    }
-}
-
-fn decode_metrics_snapshot(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ServeError> {
-    let version = r.varint("metrics version")?;
-    if version > u64::from(u32::MAX) {
-        return Err(ServeError::corrupt("metrics version exceeds u32"));
-    }
-    let n = r.count("metrics counter count")?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str_("counter name")?;
-        counters.push((name, r.varint("counter value")?));
-    }
-    let n = r.count("metrics gauge count")?;
-    let mut gauges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str_("gauge name")?;
-        gauges.push((name, r.varint("gauge value")?));
-    }
-    let n = r.count("metrics histogram count")?;
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str_("histogram name")?;
-        let mut vals = [0u64; 6];
-        for v in &mut vals {
-            *v = r.varint("histogram summary value")?;
-        }
-        let [count, min, max, p50, p95, p99] = vals;
-        histograms.push(HistogramSummary {
-            name,
-            count,
-            min,
-            max,
-            p50,
-            p95,
-            p99,
-        });
-    }
-    Ok(MetricsSnapshot {
-        version: version as u32,
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
 /// Why the server pushed a `SUB_EVENT` frame for a subscription. All
 /// three terminate the subscription: no further `MATCH_DIFF` frames
 /// follow for its id.
@@ -725,26 +415,11 @@ pub enum SubEventKind {
     /// The subscriber fell too far behind: its bounded diff queue
     /// overflowed and the queued diffs were discarded. Re-subscribe
     /// for a fresh snapshot.
-    Overflow = 0,
+    Overflow,
     /// The subscribed session was dropped (or replaced wholesale).
-    SessionDropped = 1,
+    SessionDropped,
     /// The server is draining for shutdown.
-    Draining = 2,
-}
-
-impl SubEventKind {
-    fn from_u8(v: u8) -> Result<SubEventKind, ServeError> {
-        Ok(match v {
-            0 => SubEventKind::Overflow,
-            1 => SubEventKind::SessionDropped,
-            2 => SubEventKind::Draining,
-            other => {
-                return Err(ServeError::corrupt(format!(
-                    "unknown subscription event byte {other}"
-                )));
-            }
-        })
-    }
+    Draining,
 }
 
 /// Pattern-result cache counters (`CACHE_STATS`).
@@ -781,26 +456,6 @@ pub struct SessionInfo {
     pub sites: u16,
     /// The session's current graph generation.
     pub generation: u64,
-}
-
-impl SessionInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_str(buf, &self.name);
-        put_varint(buf, self.nodes);
-        put_varint(buf, self.edges);
-        put_u16(buf, self.sites);
-        put_varint(buf, self.generation);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<SessionInfo, ServeError> {
-        Ok(SessionInfo {
-            name: r.str_("session name")?,
-            nodes: r.varint("nodes")?,
-            edges: r.varint("edges")?,
-            sites: r.u16("sites")?,
-            generation: r.varint("generation")?,
-        })
-    }
 }
 
 /// A server response.
@@ -885,8 +540,8 @@ fn encode_rows(buf: &mut Vec<u8>, rows: &[Vec<u32>]) {
     }
 }
 
-fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError> {
-    let too_big = || ServeError::corrupt("match id exceeds u32");
+fn decode_rows<E: From<FrameError>>(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, E> {
+    let too_big = || E::from(FrameError::corrupt("match id exceeds u32"));
     let nq = r.count("query-node count")?;
     let mut rows = Vec::with_capacity(nq);
     for _ in 0..nq {
@@ -901,7 +556,7 @@ fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError> {
                 raw
             } else {
                 prev.checked_add(raw)
-                    .ok_or_else(|| ServeError::corrupt("match-id gap overflows"))?
+                    .ok_or_else(|| E::from(FrameError::corrupt("match-id gap overflows")))?
             };
             if v > u64::from(u32::MAX) {
                 return Err(too_big());
@@ -933,96 +588,73 @@ fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, ServeError> {
     Ok(rows)
 }
 
-fn encode_pattern(buf: &mut Vec<u8>, q: &Pattern) {
-    let mut b = Vec::new();
-    gio::write_pattern_binary(q, &mut b).expect("infallible Vec write");
-    put_bytes(buf, &b);
-}
-
-fn decode_pattern(r: &mut Reader<'_>) -> Result<Pattern, ServeError> {
-    let b = r.bytes("pattern")?;
-    gio::read_pattern_binary(b).map_err(|e| ServeError::corrupt(format!("bad pattern: {e}")))
-}
-
-fn encode_edges(buf: &mut Vec<u8>, edges: &[(u32, u32)]) {
-    put_varint(buf, edges.len() as u64);
-    for &(u, v) in edges {
-        put_varint(buf, u64::from(u));
-        put_varint(buf, u64::from(v));
+fn put_patterns(buf: &mut Vec<u8>, patterns: &[Pattern]) {
+    put_varint(buf, patterns.len() as u64);
+    for q in patterns {
+        put_pattern(buf, q);
     }
 }
 
-fn decode_edges(r: &mut Reader<'_>, what: &str) -> Result<Vec<(u32, u32)>, ServeError> {
-    let n = r.count(what)?;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let u = r.varint(what)?;
-        let v = r.varint(what)?;
-        if u > u64::from(u32::MAX) || v > u64::from(u32::MAX) {
-            return Err(ServeError::corrupt(format!("{what} endpoint exceeds u32")));
-        }
-        edges.push((u as u32, v as u32));
-    }
-    Ok(edges)
+fn get_patterns(r: &mut Reader<'_>) -> Result<Vec<Pattern>, FrameError> {
+    let n = r.count("batch size")?;
+    (0..n).map(|_| get_pattern(r)).collect()
 }
 
-/// The options + graph-blob tail shared by `LOAD_GRAPH` and
-/// `SESSION_CREATE`.
-fn encode_options_and_graph(buf: &mut Vec<u8>, options: &SessionOptions, graph: &Graph) {
-    put_u16(buf, options.sites);
-    put_u8(buf, options.partitioner as u8);
-    put_varint(buf, options.seed);
-    put_varint(buf, u64::from(options.cache_capacity));
-    put_u8(
-        buf,
-        match options.compression {
+/// Not a field list: the compression method is one byte (0 none,
+/// 1 simeq, 2 bisim) and the threshold must be finite.
+impl Wire for SessionOptions {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.sites.put(buf);
+        self.partitioner.put(buf);
+        self.seed.put(buf);
+        self.cache_capacity.put(buf);
+        let compression: u8 = match self.compression {
             None => 0,
             Some(CompressionMethod::SimEq) => 1,
             Some(CompressionMethod::Bisim) => 2,
-        },
-    );
-    put_f64(buf, options.compression_threshold);
-    let mut g = Vec::new();
-    gio::write_graph_binary(graph, &mut g).expect("infallible Vec write");
-    put_bytes(buf, &g);
-}
+        };
+        compression.put(buf);
+        self.compression_threshold.put(buf);
+    }
 
-fn decode_options_and_graph(r: &mut Reader<'_>) -> Result<(SessionOptions, Graph), ServeError> {
-    let sites = r.u16("sites")?;
-    let partitioner = WirePartitioner::from_u8(r.u8("partitioner")?)?;
-    let seed = r.varint("seed")?;
-    let cache_capacity = r.varint("cache capacity")?;
-    if cache_capacity > u64::from(u32::MAX) {
-        return Err(ServeError::corrupt("cache capacity exceeds u32"));
-    }
-    let compression = match r.u8("compression")? {
-        0 => None,
-        1 => Some(CompressionMethod::SimEq),
-        2 => Some(CompressionMethod::Bisim),
-        other => {
-            return Err(ServeError::corrupt(format!(
-                "unknown compression byte {other}"
-            )));
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let sites = u16::get(r)?;
+        let partitioner = WirePartitioner::get(r)?;
+        let seed = u64::get(r)?;
+        let cache_capacity = u32::get(r)?;
+        let compression = match u8::get(r)? {
+            0 => None,
+            1 => Some(CompressionMethod::SimEq),
+            2 => Some(CompressionMethod::Bisim),
+            other => {
+                return Err(FrameError::corrupt(format!(
+                    "unknown compression byte {other}"
+                )));
+            }
+        };
+        let compression_threshold = f64::get(r)?;
+        if !compression_threshold.is_finite() {
+            return Err(FrameError::corrupt("compression threshold is not finite"));
         }
-    };
-    let compression_threshold = r.f64("compression threshold")?;
-    if !compression_threshold.is_finite() {
-        return Err(ServeError::corrupt("compression threshold is not finite"));
-    }
-    let g = r.bytes("graph")?;
-    let graph =
-        gio::read_graph_binary(g).map_err(|e| ServeError::corrupt(format!("bad graph: {e}")))?;
-    Ok((
-        SessionOptions {
+        Ok(SessionOptions {
             sites,
             partitioner,
             seed,
-            cache_capacity: cache_capacity as u32,
+            cache_capacity,
             compression,
             compression_threshold,
-        },
-        graph,
-    ))
+        })
+    }
+}
+
+/// A fixed `u16`; an unknown code reads as [`ErrorCode::Internal`].
+impl Wire for ErrorCode {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_u16().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(ErrorCode::from_u16(u16::get(r)?))
+    }
 }
 
 impl Request {
@@ -1036,163 +668,14 @@ impl Request {
     /// Appends the payload to `buf` (which may carry a frame header
     /// or a request-id prefix already) and returns the frame type.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> u8 {
-        match self {
-            Request::Ping => frame::PING,
-            Request::GraphInfo => frame::GRAPH_INFO,
-            Request::Query {
-                pattern,
-                algorithm,
-                boolean,
-            } => {
-                put_u8(buf, *algorithm as u8);
-                put_u8(buf, u8::from(*boolean));
-                encode_pattern(buf, pattern);
-                frame::QUERY
-            }
-            Request::QueryBatch {
-                patterns,
-                algorithm,
-            } => {
-                put_u8(buf, *algorithm as u8);
-                put_varint(buf, patterns.len() as u64);
-                for q in patterns {
-                    encode_pattern(buf, q);
-                }
-                frame::QUERY_BATCH
-            }
-            Request::ApplyDelta {
-                insert_edges,
-                delete_edges,
-            } => {
-                encode_edges(buf, insert_edges);
-                encode_edges(buf, delete_edges);
-                frame::APPLY_DELTA
-            }
-            Request::CacheStats => frame::CACHE_STATS,
-            Request::CompressionInfo => frame::COMPRESSION_INFO,
-            Request::LoadGraph { graph, options } => {
-                encode_options_and_graph(buf, options, graph);
-                frame::LOAD_GRAPH
-            }
-            Request::Shutdown => frame::SHUTDOWN,
-            Request::SessionCreate {
-                name,
-                graph,
-                options,
-            } => {
-                put_str(buf, name);
-                encode_options_and_graph(buf, options, graph);
-                frame::SESSION_CREATE
-            }
-            Request::SessionList => frame::SESSION_LIST,
-            Request::SessionDrop { name } => {
-                put_str(buf, name);
-                frame::SESSION_DROP
-            }
-            Request::SessionRoute { sessions } => {
-                put_varint(buf, sessions.len() as u64);
-                for name in sessions {
-                    put_str(buf, name);
-                }
-                frame::SESSION_ROUTE
-            }
-            Request::Subscribe { pattern, algorithm } => {
-                put_u8(buf, *algorithm as u8);
-                encode_pattern(buf, pattern);
-                frame::SUBSCRIBE
-            }
-            Request::Unsubscribe { sub_id } => {
-                put_varint(buf, *sub_id);
-                frame::UNSUBSCRIBE
-            }
-            Request::Metrics => frame::METRICS,
-            Request::Trace => frame::TRACE,
-        }
+        self.put_variant(buf)
     }
 
     /// Decodes a request frame.
     pub fn decode(ty: u8, payload: &[u8]) -> Result<Request, ServeError> {
-        let mut r = Reader::new(payload);
-        let req = match ty {
-            frame::PING => Request::Ping,
-            frame::GRAPH_INFO => Request::GraphInfo,
-            frame::QUERY => {
-                let algorithm = WireAlgorithm::from_u8(r.u8("algorithm")?)?;
-                let boolean = r.u8("boolean flag")? != 0;
-                let pattern = decode_pattern(&mut r)?;
-                Request::Query {
-                    pattern,
-                    algorithm,
-                    boolean,
-                }
-            }
-            frame::QUERY_BATCH => {
-                let algorithm = WireAlgorithm::from_u8(r.u8("algorithm")?)?;
-                let n = r.count("batch size")?;
-                let mut patterns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    patterns.push(decode_pattern(&mut r)?);
-                }
-                Request::QueryBatch {
-                    patterns,
-                    algorithm,
-                }
-            }
-            frame::APPLY_DELTA => {
-                let insert_edges = decode_edges(&mut r, "insert edges")?;
-                let delete_edges = decode_edges(&mut r, "delete edges")?;
-                Request::ApplyDelta {
-                    insert_edges,
-                    delete_edges,
-                }
-            }
-            frame::CACHE_STATS => Request::CacheStats,
-            frame::COMPRESSION_INFO => Request::CompressionInfo,
-            frame::LOAD_GRAPH => {
-                let (options, graph) = decode_options_and_graph(&mut r)?;
-                Request::LoadGraph { graph, options }
-            }
-            frame::SHUTDOWN => Request::Shutdown,
-            frame::SESSION_CREATE => {
-                let name = r.str_("session name")?;
-                let (options, graph) = decode_options_and_graph(&mut r)?;
-                Request::SessionCreate {
-                    name,
-                    graph,
-                    options,
-                }
-            }
-            frame::SESSION_LIST => Request::SessionList,
-            frame::SESSION_DROP => {
-                let name = r.str_("session name")?;
-                Request::SessionDrop { name }
-            }
-            frame::SESSION_ROUTE => {
-                let n = r.count("route size")?;
-                let mut sessions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sessions.push(r.str_("session name")?);
-                }
-                Request::SessionRoute { sessions }
-            }
-            frame::SUBSCRIBE => {
-                let algorithm = WireAlgorithm::from_u8(r.u8("algorithm")?)?;
-                let pattern = decode_pattern(&mut r)?;
-                Request::Subscribe { pattern, algorithm }
-            }
-            frame::UNSUBSCRIBE => Request::Unsubscribe {
-                sub_id: r.varint("sub id")?,
-            },
-            frame::METRICS => Request::Metrics,
-            frame::TRACE => Request::Trace,
-            other => {
-                return Err(ServeError::corrupt(format!(
-                    "unknown request frame type {other:#04x}"
-                )));
-            }
-        };
-        r.finish("request")?;
-        Ok(req)
+        Ok(Reader::exact(payload, "request", |r| {
+            Request::get_variant(ty, r)
+        })?)
     }
 }
 
@@ -1209,335 +692,202 @@ impl Response {
     /// server encode straight into a pooled frame buffer) and returns
     /// the frame type.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> u8 {
-        match self {
-            Response::Pong => frame::PONG,
-            Response::GraphInfo(info) => {
-                for v in [info.nodes, info.edges] {
-                    put_varint(buf, v);
-                }
-                put_u16(buf, info.sites);
-                for v in [info.vf, info.ef, info.label_bound, info.generation] {
-                    put_varint(buf, v);
-                }
-                frame::GRAPH_INFO_R
-            }
-            Response::Answer(a) => {
-                a.encode(buf);
-                frame::ANSWER
-            }
-            Response::BatchAnswer { items, total } => {
-                put_varint(buf, items.len() as u64);
-                for item in items {
-                    match item {
-                        Ok(a) => {
-                            put_u8(buf, 1);
-                            a.encode(buf);
-                        }
-                        Err((code, message)) => {
-                            put_u8(buf, 0);
-                            put_u16(buf, code.to_u16());
-                            put_str(buf, message);
-                        }
-                    }
-                }
-                total.encode(buf);
-                frame::BATCH_ANSWER
-            }
-            Response::DeltaApplied(d) => {
-                for v in [
-                    d.inserted,
-                    d.deleted,
-                    d.ignored,
-                    d.crossing_inserted,
-                    d.crossing_deleted,
-                    d.virtuals_created,
-                    d.virtuals_retired,
-                    d.maintained_entries,
-                    d.invalidated_entries,
-                    d.revoked_pairs,
-                    d.generation,
-                    d.resurrected_pairs,
-                ] {
-                    put_varint(buf, v);
-                }
-                frame::DELTA_APPLIED
-            }
-            Response::CacheStats(stats) => {
-                match stats {
-                    None => put_u8(buf, 0),
-                    Some(s) => {
-                        put_u8(buf, 1);
-                        for v in [
-                            s.entries,
-                            s.capacity,
-                            s.hits,
-                            s.misses,
-                            s.evictions,
-                            s.generation,
-                        ] {
-                            put_varint(buf, v);
-                        }
-                    }
-                }
-                frame::CACHE_STATS_R
-            }
-            Response::CompressionInfo(info) => {
-                match info {
-                    None => put_u8(buf, 0),
-                    Some(c) => {
-                        put_u8(buf, 1);
-                        put_varint(buf, c.classes);
-                        put_f64(buf, c.ratio);
-                        put_str(buf, &c.method);
-                        put_u8(buf, u8::from(c.active));
-                    }
-                }
-                frame::COMPRESSION_INFO_R
-            }
-            Response::Loaded {
-                nodes,
-                edges,
-                sites,
-            } => {
-                put_varint(buf, *nodes);
-                put_varint(buf, *edges);
-                put_u16(buf, *sites);
-                frame::LOADED
-            }
-            Response::ShuttingDown => frame::SHUTTING_DOWN,
-            Response::SessionCreated(info) => {
-                info.encode(buf);
-                frame::SESSION_CREATED
-            }
-            Response::Sessions(infos) => {
-                put_varint(buf, infos.len() as u64);
-                for info in infos {
-                    info.encode(buf);
-                }
-                frame::SESSION_LIST_R
-            }
-            Response::SessionDropped => frame::SESSION_DROPPED,
-            Response::SessionRouted { sessions } => {
-                put_varint(buf, *sessions);
-                frame::SESSION_ROUTED
-            }
-            Response::Subscribed {
-                sub_id,
-                generation,
-                rows,
-            } => {
-                put_varint(buf, *sub_id);
-                put_varint(buf, *generation);
-                encode_rows(buf, rows);
-                frame::SUBSCRIBED
-            }
-            Response::Unsubscribed => frame::UNSUBSCRIBED,
-            Response::Metrics(snap) => {
-                encode_metrics_snapshot(buf, snap);
-                frame::METRICS_R
-            }
-            Response::Trace(traces) => {
-                put_varint(buf, traces.len() as u64);
-                for t in traces {
-                    t.encode(buf);
-                }
-                frame::TRACE_R
-            }
-            Response::MatchDiff(diff) => {
-                diff.encode(buf);
-                frame::MATCH_DIFF
-            }
-            Response::SubEvent { sub_id, kind } => {
-                put_varint(buf, *sub_id);
-                put_u8(buf, *kind as u8);
-                frame::SUB_EVENT
-            }
-            Response::Error { code, message } => {
-                put_u16(buf, code.to_u16());
-                put_str(buf, message);
-                frame::ERROR
-            }
-        }
+        self.put_variant(buf)
     }
 
     /// Decodes a response frame.
     pub fn decode(ty: u8, payload: &[u8]) -> Result<Response, ServeError> {
-        let mut r = Reader::new(payload);
-        let resp = match ty {
-            frame::PONG => Response::Pong,
-            frame::GRAPH_INFO_R => {
-                let nodes = r.varint("nodes")?;
-                let edges = r.varint("edges")?;
-                let sites = r.u16("sites")?;
-                let vf = r.varint("vf")?;
-                let ef = r.varint("ef")?;
-                let label_bound = r.varint("label bound")?;
-                let generation = r.varint("generation")?;
-                Response::GraphInfo(GraphInfo {
-                    nodes,
-                    edges,
-                    sites,
-                    vf,
-                    ef,
-                    label_bound,
-                    generation,
-                })
-            }
-            frame::ANSWER => Response::Answer(Answer::decode(&mut r)?),
-            frame::BATCH_ANSWER => {
-                let n = r.count("batch size")?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    match r.u8("item tag")? {
-                        1 => items.push(Ok(Answer::decode(&mut r)?)),
-                        0 => {
-                            let code = ErrorCode::from_u16(r.u16("error code")?);
-                            let message = r.str_("error message")?;
-                            items.push(Err((code, message)));
-                        }
-                        other => {
-                            return Err(ServeError::corrupt(format!(
-                                "unknown batch item tag {other}"
-                            )));
-                        }
-                    }
-                }
-                let total = WireMetrics::decode(&mut r)?;
-                Response::BatchAnswer { items, total }
-            }
-            frame::DELTA_APPLIED => {
-                let mut vals = [0u64; 12];
-                for v in &mut vals {
-                    *v = r.varint("delta counter")?;
-                }
-                let [inserted, deleted, ignored, crossing_inserted, crossing_deleted, virtuals_created, virtuals_retired, maintained_entries, invalidated_entries, revoked_pairs, generation, resurrected_pairs] =
-                    vals;
-                Response::DeltaApplied(DeltaSummary {
-                    inserted,
-                    deleted,
-                    ignored,
-                    crossing_inserted,
-                    crossing_deleted,
-                    virtuals_created,
-                    virtuals_retired,
-                    maintained_entries,
-                    invalidated_entries,
-                    revoked_pairs,
-                    generation,
-                    resurrected_pairs,
-                })
-            }
-            frame::CACHE_STATS_R => match r.u8("cache flag")? {
-                0 => Response::CacheStats(None),
-                1 => {
-                    let mut vals = [0u64; 6];
-                    for v in &mut vals {
-                        *v = r.varint("cache counter")?;
-                    }
-                    let [entries, capacity, hits, misses, evictions, generation] = vals;
-                    Response::CacheStats(Some(WireCacheStats {
-                        entries,
-                        capacity,
-                        hits,
-                        misses,
-                        evictions,
-                        generation,
-                    }))
-                }
-                other => {
-                    return Err(ServeError::corrupt(format!("unknown cache flag {other}")));
-                }
-            },
-            frame::COMPRESSION_INFO_R => match r.u8("compression flag")? {
-                0 => Response::CompressionInfo(None),
-                1 => {
-                    let classes = r.varint("classes")?;
-                    let ratio = r.f64("ratio")?;
-                    let method = r.str_("method")?;
-                    let active = r.u8("active")? != 0;
-                    Response::CompressionInfo(Some(WireCompression {
-                        classes,
-                        ratio,
-                        method,
-                        active,
-                    }))
-                }
-                other => {
-                    return Err(ServeError::corrupt(format!(
-                        "unknown compression flag {other}"
-                    )));
-                }
-            },
-            frame::LOADED => {
-                let nodes = r.varint("nodes")?;
-                let edges = r.varint("edges")?;
-                let sites = r.u16("sites")?;
-                Response::Loaded {
-                    nodes,
-                    edges,
-                    sites,
-                }
-            }
-            frame::SHUTTING_DOWN => Response::ShuttingDown,
-            frame::SESSION_CREATED => Response::SessionCreated(SessionInfo::decode(&mut r)?),
-            frame::SESSION_LIST_R => {
-                let n = r.count("session count")?;
-                let mut infos = Vec::with_capacity(n);
-                for _ in 0..n {
-                    infos.push(SessionInfo::decode(&mut r)?);
-                }
-                Response::Sessions(infos)
-            }
-            frame::SESSION_DROPPED => Response::SessionDropped,
-            frame::SESSION_ROUTED => Response::SessionRouted {
-                sessions: r.varint("routed session count")?,
-            },
-            frame::SUBSCRIBED => {
-                let sub_id = r.varint("sub id")?;
-                let generation = r.varint("generation")?;
-                let rows = decode_rows(&mut r)?;
-                Response::Subscribed {
-                    sub_id,
-                    generation,
-                    rows,
-                }
-            }
-            frame::UNSUBSCRIBED => Response::Unsubscribed,
-            frame::METRICS_R => Response::Metrics(decode_metrics_snapshot(&mut r)?),
-            frame::TRACE_R => {
-                let n = r.count("trace count")?;
-                let mut traces = Vec::with_capacity(n);
-                for _ in 0..n {
-                    traces.push(WireTrace::decode(&mut r)?);
-                }
-                Response::Trace(traces)
-            }
-            frame::MATCH_DIFF => Response::MatchDiff(MatchDiff::decode(&mut r)?),
-            frame::SUB_EVENT => {
-                let sub_id = r.varint("sub id")?;
-                let kind = SubEventKind::from_u8(r.u8("event kind")?)?;
-                Response::SubEvent { sub_id, kind }
-            }
-            frame::ERROR => {
-                let code = ErrorCode::from_u16(r.u16("error code")?);
-                let message = r.str_("error message")?;
-                Response::Error { code, message }
-            }
-            other => {
-                return Err(ServeError::corrupt(format!(
-                    "unknown response frame type {other:#04x}"
-                )));
-            }
-        };
-        r.finish("response")?;
-        Ok(resp)
+        Ok(Reader::exact(payload, "response", |r| {
+            Response::get_variant(ty, r)
+        })?)
     }
+}
+
+// ---- the wire layouts ---------------------------------------------------
+
+wire_enum!(WireAlgorithm {
+    0 => Auto,
+    1 => Dgpm,
+    2 => DgpmNopt,
+    3 => Dgpms,
+    4 => Dgpmd,
+    5 => Dgpmt,
+    6 => MatchCentral,
+    7 => DisHhk,
+    8 => DMes,
+});
+
+wire_enum!(WirePartitioner {
+    0 => Hash,
+    1 => Bfs,
+    2 => Ldg,
+    3 => Tree,
+});
+
+wire_enum!(SubEventKind {
+    0 => Overflow,
+    1 => SessionDropped,
+    2 => Draining,
+});
+
+wire_struct!(WireMetrics {
+    data_bytes,
+    data_messages,
+    control_bytes,
+    control_messages,
+    result_bytes,
+    result_messages,
+    total_ops,
+    virtual_time_ns,
+    quiescence_rounds,
+    cache_hits,
+});
+
+wire_struct!(Answer {
+    rows as (encode_rows, decode_rows),
+    is_match,
+    algorithm,
+    plan,
+    metrics,
+});
+
+wire_struct!(GraphInfo {
+    nodes,
+    edges,
+    sites,
+    vf,
+    ef,
+    label_bound,
+    generation,
+});
+
+wire_struct!(DeltaSummary {
+    inserted,
+    deleted,
+    ignored,
+    crossing_inserted,
+    crossing_deleted,
+    virtuals_created,
+    virtuals_retired,
+    maintained_entries,
+    invalidated_entries,
+    revoked_pairs,
+    generation,
+    resurrected_pairs,
+});
+
+wire_struct!(MatchDiff {
+    sub_id,
+    generation,
+    added,
+    removed,
+});
+
+wire_struct!(WireTrace {
+    conn_id,
+    request_id,
+    ty,
+    session,
+    queue_ns,
+    exec_ns,
+    encode_ns,
+    total_ns,
+    algorithm,
+    plan,
+    site_ops,
+    site_msgs,
+    generation,
+});
+
+wire_struct!(WireCacheStats {
+    entries,
+    capacity,
+    hits,
+    misses,
+    evictions,
+    generation,
+});
+
+wire_struct!(WireCompression {
+    classes,
+    ratio,
+    method,
+    active,
+});
+
+wire_struct!(SessionInfo {
+    name,
+    nodes,
+    edges,
+    sites,
+    generation,
+});
+
+/// Frame type bytes, one table row per frame: the type byte, the
+/// variant, and its payload's fields in wire order (each typed by its
+/// variant's definition). Requests are `0x1x`, responses `0x2x`, the
+/// error response is `0x3f`; handshake frames are `0x0x`.
+pub mod frame {
+    use super::*;
+
+    pub const HELLO: u8 = 0x01;
+    pub const WELCOME: u8 = 0x02;
+
+    wire_enum!(Request {
+        PING = 0x10 => Ping,
+        GRAPH_INFO = 0x11 => GraphInfo,
+        QUERY = 0x12 => Query { algorithm, boolean, pattern as (put_pattern, get_pattern) },
+        QUERY_BATCH = 0x13 => QueryBatch { algorithm, patterns as (put_patterns, get_patterns) },
+        APPLY_DELTA = 0x14 => ApplyDelta { insert_edges, delete_edges },
+        CACHE_STATS = 0x15 => CacheStats,
+        COMPRESSION_INFO = 0x16 => CompressionInfo,
+        LOAD_GRAPH = 0x17 => LoadGraph { options, graph as (put_graph, get_graph) },
+        SHUTDOWN = 0x18 => Shutdown,
+        SESSION_CREATE = 0x19 => SessionCreate { name, options, graph as (put_graph, get_graph) },
+        SESSION_LIST = 0x1a => SessionList,
+        SESSION_DROP = 0x1b => SessionDrop { name },
+        SESSION_ROUTE = 0x1c => SessionRoute { sessions },
+        SUBSCRIBE = 0x1d => Subscribe { algorithm, pattern as (put_pattern, get_pattern) },
+        UNSUBSCRIBE = 0x1e => Unsubscribe { sub_id },
+        METRICS = 0x1f => Metrics,
+        /// Request: dump the server's slow-query trace ring.
+        TRACE = 0x32 => Trace,
+    });
+
+    wire_enum!(Response {
+        PONG = 0x20 => Pong,
+        GRAPH_INFO_R = 0x21 => GraphInfo(info),
+        ANSWER = 0x22 => Answer(answer),
+        BATCH_ANSWER = 0x23 => BatchAnswer { items, total },
+        DELTA_APPLIED = 0x24 => DeltaApplied(summary),
+        CACHE_STATS_R = 0x25 => CacheStats(stats),
+        COMPRESSION_INFO_R = 0x26 => CompressionInfo(info),
+        LOADED = 0x27 => Loaded { nodes, edges, sites },
+        SHUTTING_DOWN = 0x28 => ShuttingDown,
+        SESSION_CREATED = 0x29 => SessionCreated(info),
+        SESSION_LIST_R = 0x2a => Sessions(infos),
+        SESSION_DROPPED = 0x2b => SessionDropped,
+        SESSION_ROUTED = 0x2c => SessionRouted { sessions },
+        SUBSCRIBED = 0x2d => Subscribed { sub_id, generation, rows as (encode_rows, decode_rows) },
+        UNSUBSCRIBED = 0x2e => Unsubscribed,
+        METRICS_R = 0x2f => Metrics(snapshot),
+        /// Server-pushed: a subscription's match-set delta. Travels
+        /// under request id 0, never in answer to a request.
+        MATCH_DIFF = 0x30 => MatchDiff(diff),
+        /// Server-pushed: a subscription lifecycle event (overflow,
+        /// session dropped, server draining). Travels under request id 0.
+        SUB_EVENT = 0x31 => SubEvent { sub_id, kind },
+        /// Response to [`TRACE`].
+        TRACE_R = 0x33 => Trace(traces),
+        ERROR = 0x3f => Error { code, message },
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dgs_graph::{Label, PatternBuilder};
+    use dgs_net::HistogramSummary;
 
     fn sample_pattern() -> Pattern {
         let mut b = PatternBuilder::new();

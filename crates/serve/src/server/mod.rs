@@ -43,7 +43,7 @@ mod event_loop;
 mod metrics_http;
 
 use crate::poll::{WakeHandle, WakePipe};
-use crate::proto::{frame, WireTrace};
+use crate::proto::{Request, WireTrace};
 use crate::session::{Route, SessionManager};
 use crate::subscribe::{SubObs, SubscriptionRegistry, DEFAULT_SUB_QUEUE_MAX};
 use crate::transport::{Listener, ServeAddr};
@@ -226,50 +226,12 @@ impl BufferPool {
 
 // ---- observability ----------------------------------------------------
 
-/// The label value for a request frame type.
+/// The label value for a request frame type: its name in the frame
+/// table.
 fn frame_name(ty: u8) -> &'static str {
-    match ty {
-        frame::PING => "PING",
-        frame::GRAPH_INFO => "GRAPH_INFO",
-        frame::QUERY => "QUERY",
-        frame::QUERY_BATCH => "QUERY_BATCH",
-        frame::APPLY_DELTA => "APPLY_DELTA",
-        frame::CACHE_STATS => "CACHE_STATS",
-        frame::COMPRESSION_INFO => "COMPRESSION_INFO",
-        frame::LOAD_GRAPH => "LOAD_GRAPH",
-        frame::SHUTDOWN => "SHUTDOWN",
-        frame::SESSION_CREATE => "SESSION_CREATE",
-        frame::SESSION_LIST => "SESSION_LIST",
-        frame::SESSION_DROP => "SESSION_DROP",
-        frame::SESSION_ROUTE => "SESSION_ROUTE",
-        frame::SUBSCRIBE => "SUBSCRIBE",
-        frame::UNSUBSCRIBE => "UNSUBSCRIBE",
-        frame::METRICS => "METRICS",
-        frame::TRACE => "TRACE",
-        _ => "OTHER",
-    }
+    let named = Request::NAMED_TAGS.iter().find(|&&(t, _)| t == ty);
+    named.map_or("OTHER", |&(_, name)| name)
 }
-
-/// Every request frame type that gets its own latency series.
-const REQUEST_FRAMES: [u8; 17] = [
-    frame::PING,
-    frame::GRAPH_INFO,
-    frame::QUERY,
-    frame::QUERY_BATCH,
-    frame::APPLY_DELTA,
-    frame::CACHE_STATS,
-    frame::COMPRESSION_INFO,
-    frame::LOAD_GRAPH,
-    frame::SHUTDOWN,
-    frame::SESSION_CREATE,
-    frame::SESSION_LIST,
-    frame::SESSION_DROP,
-    frame::SESSION_ROUTE,
-    frame::SUBSCRIBE,
-    frame::UNSUBSCRIBE,
-    frame::METRICS,
-    frame::TRACE,
-];
 
 /// Pre-resolved metric handles for the serving hot path: every
 /// increment is one atomic op on an `Arc` fixed at bind time — no
@@ -297,10 +259,10 @@ struct ServerObs {
 
 impl ServerObs {
     fn new(reg: &MetricsRegistry) -> ServerObs {
-        let request_ns = REQUEST_FRAMES
+        let request_ns = Request::NAMED_TAGS
             .iter()
-            .map(|&ty| {
-                let name = format!("dgsd_request_ns{{frame=\"{}\"}}", frame_name(ty));
+            .map(|&(ty, name)| {
+                let name = format!("dgsd_request_ns{{frame=\"{name}\"}}");
                 (ty, reg.histogram(&name))
             })
             .collect();

@@ -22,10 +22,7 @@ use crate::error::ServeError;
 use dgs_net::wire::{self, FrameError};
 use std::io::{self, Read};
 
-pub use dgs_net::wire::{
-    put_bytes, put_f64, put_str, put_u16, put_u8, put_varint, write_frame, FrameBuffer, Reader,
-    MAX_FRAME,
-};
+pub use dgs_net::wire::{put_varint, write_frame, FrameBuffer, Reader, MAX_FRAME};
 
 impl From<FrameError> for ServeError {
     fn from(e: FrameError) -> Self {
