@@ -417,7 +417,10 @@ impl SimEngineBuilder<'_> {
             cost: self.cost,
             cache: (self.cache_capacity > 0)
                 .then(|| Arc::new(Mutex::new(PatternCache::new(self.cache_capacity)))),
-            batch_workers: self.batch_workers,
+            batch_workers: match self.batch_workers {
+                0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+                n => n,
+            },
             compression,
             writer: Mutex::new(WriterState::default()),
             gen_alloc: Arc::new(AtomicU64::new(1)),
@@ -486,7 +489,8 @@ pub struct SimEngine {
     executor: ExecutorKind,
     cost: CostModel,
     cache: Option<Arc<Mutex<PatternCache>>>,
-    /// `0` = auto (one worker per available core).
+    /// Worker threads for batches and intra-query legs: the builder's
+    /// count, or one per available core, resolved once at build.
     batch_workers: usize,
     /// `(method, threshold)` of the compressed leg every generation
     /// of this session builds on demand; `None` when compression is

@@ -225,17 +225,10 @@ impl SimEngine {
         BatchReport { reports, total }
     }
 
-    /// Resolves the batch worker count: the builder override, or one
-    /// worker per available core, never more than there is work.
+    /// The worker count resolved at build, never more than there is
+    /// work.
     fn effective_workers(&self, work: usize) -> usize {
-        let configured = if self.batch_workers > 0 {
-            self.batch_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        };
-        configured.min(work).max(1)
+        self.batch_workers.min(work).max(1)
     }
 
     /// The planning stage, the only one that consults the compressed

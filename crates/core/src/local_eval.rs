@@ -35,18 +35,32 @@
 //! site between batches, and runs the same cascade on it over its own
 //! reverse adjacency.
 //!
-//! Counters are **seeded from a label tally**, as `hhk_simulation`
-//! seeds its own: initial candidacy is label equality, so one walk of
-//! a node's successor list tallies their labels, edge `e` reads
-//! `tally[label(child(e))]`, and the tally is reset. Right after a
-//! node's counters are written, each of its source pairs with a zero
-//! counter is falsified and queued — the dead-on-arrival check is part
-//! of the tally, not a second scan. Charged: one label test per local
-//! node, `|succ| + |E_l|` per seeded node (`E_l` the query edges whose
-//! source has its label `l`), one check per source pair. Virtual pairs
+//! Counters are **seeded from the fragment's label index**
+//! ([`Fragment::label_row`], [`Fragment::successor_labels`]): facts of
+//! the graph that `Fragmentation::build` lays out and `apply_delta`
+//! keeps, so no query recomputes them. Initial candidacy is label
+//! equality, so a candidate row is a copy of its label's row; the
+//! nodes to seed are the local slots of the source labels' rows,
+//! walked in index order; and edge `e`'s counter at a node is the sum
+//! of the node's successor label runs of `e`'s child label.
+//! Right after a node's counters are written, each of its source pairs
+//! with a zero counter is falsified and queued — the dead-on-arrival
+//! check is part of the seeding, not a second scan. Virtual pairs
 //! pinned false (`dGPMNOpt`'s from-scratch rebuild,
 //! [`LocalEval::new_with_pinned`]) join the same cascade, so
 //! [`LocalEval::new`] is the same path with nothing pinned.
+//!
+//! **The charge is that of the kernel before the index**, so that PT
+//! and the pinned op counts stay where they were: one op per slot for
+//! the label pass that built the rows per query, one per row word
+//! copied, one label test per local node, `|succ| + |E_l|` per seeded
+//! node (`E_l` the query edges whose source has its label `l`), one
+//! check per source pair. The work done differs on three of these
+//! terms: there is no pass over the slots, no unseeded local node is
+//! visited, and a seeded node reads its runs — at most `|succ|`, as a
+//! rule the number of distinct labels among its successors — once
+//! per out-edge of its source pairs instead of each successor's label
+//! once.
 //!
 //! [`LocalEval::apply_virtual_falsifications`] is the *incremental*
 //! `lEval` of §4.2: it touches only the affected area `AFF` (the
@@ -60,8 +74,9 @@
 use crate::vars::Var;
 use dgs_graph::{Pattern, QNodeId};
 use dgs_partition::{Fragment, Fragmentation, SiteId};
-use dgs_sim::matchset::MatchSet;
+use dgs_sim::matchset::{MatchSet, SetBits};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A falsified in-node variable and its node's position in
@@ -193,69 +208,67 @@ impl LocalEval {
         let mut state = EvalState::new(&q, n, n_local);
         let EvalState { cand, cnt, .. } = &mut state;
 
-        let mut ops: u64 = 0;
-
-        // Candidacy by label: one bitset row of label-matched indices
-        // per label (single pass over the fragment), then candidate
-        // rows are word-at-a-time copies.
-        let labels = (0..n as u32).map(|idx| f.label(idx));
-        let labels = labels.chain(q.labels().iter().copied());
-        let label_bound = labels.map(|l| l.index() + 1).max().unwrap_or(0);
-        let mut by_label = MatchSet::new(label_bound, n);
-        for idx in 0..n as u32 {
-            ops += 1;
-            by_label.set(f.label(idx).index(), idx);
-        }
+        // Candidacy by label: each candidate row is a copy of its
+        // label's row in the fragment's label index. Charged as the
+        // single pass over the fragment that built those rows per
+        // query before the index existed.
+        let mut ops = n as u64;
         for u in q.nodes() {
             ops += cand.words_per_row() as u64;
-            cand.copy_row_from(u.index(), by_label.row(q.label(u).index()));
+            if let Some(row) = f.label_row(q.label(u)) {
+                cand.copy_row_from(u.index(), row);
+            }
         }
 
-        // Per label: the source query nodes carrying it, each with its
-        // first out-edge (`Pattern::edges` lists a node's out-edges
-        // consecutively).
-        let mut sources: Vec<Vec<(u16, usize)>> = vec![Vec::new(); label_bound];
+        // Per label: the source query nodes carrying it, each with the
+        // range of its out-edges (`Pattern::edges` lists a node's
+        // out-edges consecutively); the label of each edge's child; and
+        // the slots of every source label.
+        let label_bound = q.labels().iter().map(|l| l.index() + 1).max().unwrap_or(0);
+        let mut sources: Vec<Vec<(u16, Range<usize>)>> = vec![Vec::new(); label_bound];
+        let child_label: Vec<usize> = q.edges().map(|(_, uc)| q.label(uc).index()).collect();
+        let mut seeded = vec![0u64; cand.words_per_row()];
         let mut first = 0;
         for u in q.nodes() {
-            if !q.is_sink(u) {
-                sources[q.label(u).index()].push((u.0, first));
+            let out = first..first + q.children(u).len();
+            first = out.end;
+            if !out.is_empty() {
+                let l = q.label(u);
+                if sources[l.index()].is_empty() {
+                    for (w, &r) in seeded.iter_mut().zip(f.label_row(l).unwrap_or_default()) {
+                        *w |= r;
+                    }
+                }
+                sources[l.index()].push((u.0, out));
             }
-            first += q.children(u).len();
         }
 
-        // Seed the counters of source-labelled local nodes from one
-        // label tally each, and falsify a pair with an unsupported
-        // out-edge as soon as its counters are written.
-        let mut tally = vec![0u32; label_bound];
+        // Seed the counters of source-labelled local nodes, in index
+        // order: edge `e`'s counter at a node sums the node's successor
+        // label runs of `e`'s child label. Falsify a pair with an
+        // unsupported out-edge as soon as its counters are written.
+        // Charged as one label test per local node and `|succ|` per
+        // seeded node, the walk of its successors the runs replace.
+        ops += n_local as u64;
         let mut worklist: Vec<(u16, u32)> = Vec::new();
-        for idx in 0..n_local as u32 {
-            ops += 1;
-            let srcs = &sources[f.label(idx).index()];
-            if srcs.is_empty() {
-                continue;
-            }
-            let succ = f.successors(idx);
-            for &s in succ {
-                tally[f.label(s).index()] += 1;
-            }
-            for &(u, e0) in srcs {
-                let children = q.children(QNodeId(u));
+        for idx in SetBits::new(&seeded).take_while(|&i| (i as usize) < n_local) {
+            let runs = f.successor_labels(idx);
+            let runs = || runs.iter().take_while(|&&(_, c)| c > 0);
+            for (u, out) in &sources[f.label(idx).index()] {
                 let mut dead = false;
-                for (e, uc) in (e0..).zip(children) {
-                    let c = tally[q.label(*uc).index()];
+                for e in out.clone() {
+                    let of_child = runs().filter(|&&(l, _)| l.index() == child_label[e]);
+                    let c = of_child.map(|&(_, c)| u32::from(c)).sum();
                     cnt[e * n_local + idx as usize] = c;
                     dead |= c == 0;
                 }
                 if dead {
-                    cand.remove(u as usize, idx);
-                    worklist.push((u, idx));
+                    cand.remove(*u as usize, idx);
+                    worklist.push((*u, idx));
                 }
-                ops += children.len() as u64 + 1;
+                ops += out.len() as u64 + 1;
             }
-            for &s in succ {
-                tally[f.label(s).index()] = 0;
-            }
-            ops += succ.len() as u64;
+            ops += f.successors(idx).len() as u64;
         }
 
         // Pinned-false virtual pairs leave candidacy through the same
@@ -615,7 +628,6 @@ mod tests {
     /// counters stay exact for every local node.
     mod full_count {
         use super::*;
-        use dgs_sim::matchset::SetBits;
 
         pub(super) struct Reference<'a> {
             f: &'a Fragment,

@@ -23,25 +23,42 @@
 //! valid) but have no edges and no subscribers — they are inert until
 //! a later insertion revives them.
 //!
+//! ## The label index
+//!
+//! Two facts of the graph that every query of `lEval` starts from are
+//! kept here rather than recomputed per query: per label, the slots
+//! carrying it as one bit row in the layout of a `MatchSet` row over
+//! the fragment ([`Fragment::label_row`]), and per local node, its
+//! successors' labels as `(label, count)` runs
+//! ([`Fragment::successor_labels`]). [`Fragmentation::build`] lays
+//! both out; [`Fragmentation::apply_delta`] keeps them, in `O(deg)`
+//! per edge op and a bit per appended virtual slot (rows widen a word
+//! per 64 slots).
+//!
 //! ## Where a generation's bytes live
 //!
 //! A session builds each graph generation from a copy of the one
 //! before, so a fragment is laid out to be copied: successors,
 //! predecessors and in-node subscribers are one [`SpanLists`] each, a
-//! vector of `(start, len, cap)` spans into a single pool.
-//! [`Fragmentation::build`] fills the pools in index order with
-//! `cap == len` (plain CSR); a delta edits a list in place, and a full
-//! list moves to the end of the pool with twice the room. The span it
-//! leaves is dead — never reused, never compacted — which wastes at
-//! most as much again as the lists hold. A clone is then a dozen
-//! `memcpy`s per fragment whatever `|Vi|`; the site assignment, which
-//! no delta touches, is shared behind an `Arc`.
+//! vector of `(start, len, cap)` spans into a single pool, and the
+//! successor label runs lie in a buffer parallel to the successors'
+//! pool, at their list's positions (a list of `d` successors has at
+//! most `d` runs). [`Fragmentation::build`] fills the pools in index
+//! order with `cap == len` (plain CSR); a delta edits a list in place,
+//! and a full list moves to the end of the pool with twice the room,
+//! its runs with it. The span it leaves is dead and never reused; the
+//! copy of a pool whose dead spans and spare room outnumber its items
+//! compacts it instead, so a copied pool is at most twice its items. A
+//! clone is otherwise a dozen `memcpy`s per fragment whatever `|Vi|`;
+//! the site assignment, which no delta touches, is shared behind an
+//! `Arc`.
 //!
 //! `clone_from` is hand-written for all three types: `self` ends up
 //! equal to `source.clone()` whatever it held before — more sites,
 //! fewer, larger fragments — and keeps its own buffers wherever they
-//! are large enough. `SimEngine::apply_delta` uses it to write the next
-//! generation over a retired one without touching the allocator.
+//! are large enough (a compacting copy allocates its pool afresh).
+//! `SimEngine::apply_delta` uses it to write the next generation over
+//! a retired one without touching the allocator.
 
 use dgs_graph::{Graph, GraphBuilder, Label, NodeId};
 use std::collections::HashMap;
@@ -181,19 +198,46 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
         self.spans[idx].1 -= 1;
         true
     }
+
+    /// Where list `idx` lies in the pool: `start..start + len`.
+    #[inline]
+    fn range(&self, idx: usize) -> std::ops::Range<usize> {
+        let (start, len, _) = self.spans[idx];
+        start as usize..(start + len) as usize
+    }
 }
 
 impl<T: Clone> Clone for SpanLists<T> {
     fn clone(&self) -> Self {
-        SpanLists {
-            spans: self.spans.clone(),
-            pool: self.pool.clone(),
-        }
+        let mut copy = SpanLists {
+            spans: Vec::new(),
+            pool: Vec::new(),
+        };
+        copy.clone_from(self);
+        copy
     }
 
+    /// Two `memcpy`s while the pool holds at least half items; once
+    /// dead spans and spare room outnumber the items, the copy
+    /// compacts instead, into a pool of its own at the compacted size:
+    /// every list back to back at its exact size, as
+    /// [`Fragmentation::build`] lays them out. Either way the copy's
+    /// pool is at most twice its items.
     fn clone_from(&mut self, source: &Self) {
-        self.spans.clone_from(&source.spans);
-        self.pool.clone_from(&source.pool);
+        let items: usize = source.spans.iter().map(|&(_, len, _)| len as usize).sum();
+        if source.pool.len() <= 2 * items {
+            self.spans.clone_from(&source.spans);
+            self.pool.clone_from(&source.pool);
+            return;
+        }
+        self.spans.clear();
+        self.pool = Vec::with_capacity(items);
+        for &(start, len, _) in &source.spans {
+            let at = self.pool.len() as u32;
+            self.pool
+                .extend_from_slice(&source.pool[start as usize..(start + len) as usize]);
+            self.spans.push((at, len, len));
+        }
     }
 }
 
@@ -228,6 +272,22 @@ pub struct Fragment {
     virtual_owners: Vec<SiteId>,
     /// Global id → local index.
     index_of: IdMap,
+    /// The label index, a fact of the graph that no query changes:
+    /// per label, the slots carrying it as one bit row of
+    /// `label_words` words — the layout of a `MatchSet` row over this
+    /// fragment, so a query copies its candidate rows as they are.
+    /// `label_words` is always `n_total().div_ceil(64)`; appended
+    /// virtual slots widen the rows once per 64 slots.
+    label_rows: Vec<u64>,
+    label_words: usize,
+    /// The other half of the label index, parallel to `out_adj`'s
+    /// pool: where a node's successor list lies, its successors'
+    /// labels lie as `(label, count)` runs, ascending, then `NO_RUN`
+    /// to the end of its span (a list of `d` successors has at most
+    /// `d` runs). A label with more than `u16::MAX` successors
+    /// continues in further runs, the one not full first. Moves,
+    /// compacts and is edited with its list.
+    succ_labels: Vec<(Label, u16)>,
 }
 
 impl Clone for Fragment {
@@ -249,6 +309,19 @@ impl Clone for Fragment {
             .clone_from(&source.in_node_subscribers);
         self.virtual_owners.clone_from(&source.virtual_owners);
         self.index_of.clone_from(&source.index_of);
+        self.label_rows.clone_from(&source.label_rows);
+        self.label_words = source.label_words;
+        if self.out_adj.pool.len() == source.out_adj.pool.len() {
+            self.succ_labels.clone_from(&source.succ_labels);
+        } else {
+            // The successor lists were compacted, back to back in index
+            // order: their runs follow them.
+            self.succ_labels = Vec::with_capacity(self.out_adj.pool.len());
+            for idx in 0..source.n_local {
+                let runs = &source.succ_labels[source.out_adj.range(idx)];
+                self.succ_labels.extend_from_slice(runs);
+            }
+        }
     }
 }
 
@@ -325,6 +398,27 @@ impl Fragment {
         self.labels[idx as usize]
     }
 
+    /// The slots carrying label `l`, as a bit row of
+    /// `n_total().div_ceil(64)` words (bit `idx % 64` of word
+    /// `idx / 64`) — a `MatchSet` row over this fragment, retired
+    /// virtual slots included; `None` when no slot's label is `l` or
+    /// above.
+    #[inline]
+    pub fn label_row(&self, l: Label) -> Option<&[u64]> {
+        let at = l.index() * self.label_words;
+        self.label_rows.get(at..at + self.label_words)
+    }
+
+    /// The labels of local node `idx`'s successors as `(label, count)`
+    /// runs, ascending by label, followed by zero counts: one entry
+    /// per successor in all. The counts of one label sum to its
+    /// successors carrying it (more than one run only past
+    /// `u16::MAX`).
+    #[inline]
+    pub fn successor_labels(&self, idx: u32) -> &[(Label, u16)] {
+        &self.succ_labels[self.out_adj.range(idx as usize)]
+    }
+
     /// Local index of a global node, if present in this fragment
     /// (as local or virtual).
     #[inline]
@@ -390,6 +484,7 @@ impl Fragment {
     /// # Panics
     /// Panics if the edge is already present.
     fn insert_pair(&mut self, ui: u32, vi: u32) {
+        let was = self.out_adj.range(ui as usize);
         assert!(
             self.out_adj.insert(ui as usize, vi),
             "edge to insert already present in fragment"
@@ -399,6 +494,24 @@ impl Fragment {
             "reverse edge already present"
         );
         self.n_edges += 1;
+        let now = self.out_adj.range(ui as usize);
+        if self.succ_labels.len() < self.out_adj.pool.len() {
+            // The list moved to the end of the pool; its runs follow.
+            self.succ_labels.resize(self.out_adj.pool.len(), NO_RUN);
+            self.succ_labels.copy_within(was, now.start);
+        }
+        let runs = &mut self.succ_labels[now];
+        let (k, l) = (
+            runs.partition_point(|&(_, c)| c > 0),
+            self.labels[vi as usize],
+        );
+        let at = runs[..k].partition_point(|&(rl, _)| rl < l);
+        if at < k && runs[at].0 == l && runs[at].1 < u16::MAX {
+            runs[at].1 += 1;
+        } else {
+            runs.copy_within(at..k, at + 1);
+            runs[at] = (l, 1);
+        }
     }
 
     /// Removes `(ui, vi)` from the sorted adjacency.
@@ -412,6 +525,20 @@ impl Fragment {
         );
         assert!(self.in_adj.remove(vi as usize, ui), "reverse edge missing");
         self.n_edges -= 1;
+        // The span still covers the removed successor's slot.
+        let mut span = self.out_adj.range(ui as usize);
+        span.end += 1;
+        let runs = &mut self.succ_labels[span];
+        let (k, l) = (
+            runs.partition_point(|&(_, c)| c > 0),
+            self.labels[vi as usize],
+        );
+        let at = runs[..k].partition_point(|&(rl, _)| rl < l);
+        runs[at].1 -= 1;
+        if runs[at].1 == 0 {
+            runs.copy_within(at + 1..k, at);
+            runs[k - 1] = NO_RUN;
+        }
     }
 
     /// Looks up or appends the virtual slot for `v`; returns its index.
@@ -427,6 +554,17 @@ impl Fragment {
         self.out_adj.push_list([]);
         self.in_adj.push_list([]);
         self.index_of.insert(v, idx);
+        // One more word a row per 64 slots, as `MatchSet::grow_cols`.
+        let (words, old) = (self.n_total().div_ceil(64), self.label_words.max(1));
+        if words > self.label_words {
+            let mut wide = vec![0; self.label_rows.len() / old * words];
+            let rows = self.label_rows.chunks_exact(old);
+            for (to, from) in wide.chunks_exact_mut(words).zip(rows) {
+                to[..old].copy_from_slice(from);
+            }
+            (self.label_rows, self.label_words) = (wide, words);
+        }
+        set_label_bit(&mut self.label_rows, words, label, idx);
         idx
     }
 
@@ -459,6 +597,19 @@ impl Fragment {
         }
         true
     }
+}
+
+/// The filler of `Fragment::succ_labels` behind a list's runs.
+const NO_RUN: (Label, u16) = (Label(0), 0);
+
+/// Sets bit `idx` of label `l`'s row in `rows` (`words` words a row),
+/// appending zero rows up to `l`'s first.
+fn set_label_bit(rows: &mut Vec<u64>, words: usize, l: Label, idx: u32) {
+    let at = l.index() * words;
+    if rows.len() < at + words {
+        rows.resize(at + words, 0);
+    }
+    rows[at + idx as usize / 64] |= 1 << (idx % 64);
 }
 
 /// A fragmentation `F = (F1, ..., Fn)` of a graph, plus the global
@@ -558,6 +709,12 @@ impl Fragmentation {
             global_ids.extend_from_slice(&locals[site]);
             global_ids.extend_from_slice(&virtuals[site]);
             let labels: Vec<Label> = global_ids.iter().map(|&v| graph.label(v)).collect();
+            let label_words = global_ids.len().div_ceil(64);
+            let n_labels = labels.iter().map(|l| l.index() + 1).max().unwrap_or(0);
+            let mut label_rows = vec![0; n_labels * label_words];
+            for (idx, &l) in labels.iter().enumerate() {
+                set_label_bit(&mut label_rows, label_words, l, idx as u32);
+            }
             let mut index_of =
                 IdMap::with_capacity_and_hasher(global_ids.len(), Default::default());
             for (i, &v) in global_ids.iter().enumerate() {
@@ -576,7 +733,12 @@ impl Fragmentation {
                 spans: Vec::with_capacity(n_total),
                 pool: Vec::with_capacity(n_edges),
             };
+            // With each list, its label runs: a count per label seen,
+            // then one run per label in label order (and one more per
+            // `u16::MAX` of it), the partial run first.
             let mut in_len = vec![0u32; n_total];
+            let mut succ_labels = vec![NO_RUN; n_edges];
+            let (mut count, mut seen) = (vec![0usize; n_labels], Vec::new());
             for &v in &locals[site] {
                 let start = out_adj.pool.len();
                 out_adj.push_list(graph.successors(v).iter().map(|w| {
@@ -589,6 +751,24 @@ impl Fragmentation {
                 out_adj.pool[start..].sort_unstable();
                 for &w in &out_adj.pool[start..] {
                     in_len[w as usize] += 1;
+                    let l = labels[w as usize];
+                    if count[l.index()] == 0 {
+                        seen.push(l);
+                    }
+                    count[l.index()] += 1;
+                }
+                seen.sort_unstable();
+                let mut at = start;
+                for l in seen.drain(..) {
+                    let (n, full) = (std::mem::take(&mut count[l.index()]), usize::from(u16::MAX));
+                    let partial = (n % full > 0).then_some((l, (n % full) as u16));
+                    for run in partial
+                        .into_iter()
+                        .chain(std::iter::repeat_n((l, u16::MAX), n / full))
+                    {
+                        succ_labels[at] = run;
+                        at += 1;
+                    }
                 }
             }
             out_adj.grow_to(n_total);
@@ -636,6 +816,9 @@ impl Fragmentation {
                 in_node_subscribers,
                 virtual_owners,
                 index_of,
+                label_rows,
+                label_words,
+                succ_labels,
             });
         }
 
@@ -1138,6 +1321,79 @@ mod tests {
         );
     }
 
+    /// Lists that grew through several moves and drained again leave
+    /// a pool that is mostly dead spans and spare room; the copy a
+    /// generation swap makes of it holds at most twice the items.
+    #[test]
+    fn clone_from_compacts_a_mostly_dead_pool() {
+        let mut lists = SpanLists::<u32>::default();
+        for idx in 0..100 {
+            lists.push_list([]);
+            for item in 0..40 {
+                lists.insert(idx, item);
+            }
+            for item in 5..40 {
+                lists.remove(idx, item);
+            }
+        }
+        let items = 100 * 5;
+        assert!(lists.pool.len() > 20 * items, "{} pooled", lists.pool.len());
+        let mut over = SpanLists::<u32>::default();
+        over.push_list(0..5_000);
+        over.clone_from(&lists);
+        for copy in [over, lists.clone()] {
+            assert!(copy.pool.len() <= 2 * items, "{} pooled", copy.pool.len());
+            for idx in 0..100 {
+                assert_eq!(copy.of(idx), lists.of(idx));
+            }
+        }
+        // A pool at least half items is copied as it is.
+        let mut dense = SpanLists::<u32>::default();
+        dense.push_list([1, 2, 3]);
+        dense.push_list([7, 8, 9]);
+        dense.insert(0, 4);
+        assert_eq!((dense.pool.len(), dense.clone().pool.len()), (12, 12));
+    }
+
+    /// More than `u16::MAX` successors of one label continue in a
+    /// second run, the partial one first; deltas across the boundary
+    /// keep the runs a rebuild would lay out.
+    #[test]
+    fn a_label_past_u16_max_continues_in_a_second_run() {
+        let n = 65_540;
+        let mut b = GraphBuilder::new();
+        b.add_node(Label(0));
+        b.add_nodes(n - 2, Label(1));
+        b.add_node(Label(2));
+        for v in 1..n as u32 {
+            b.add_edge(NodeId(0), NodeId(v));
+        }
+        let g = b.build();
+        let mut f = Fragmentation::build(&g, &vec![0; n], 1);
+        let full = u16::MAX;
+        let runs = |f: &Fragmentation| -> Vec<(Label, u16)> {
+            let slots = f.fragment(0).successor_labels(0);
+            assert_eq!(slots.len(), f.fragment(0).successors(0).len());
+            slots.iter().copied().filter(|&(_, c)| c > 0).collect()
+        };
+        let built = [(Label(1), 3), (Label(1), full), (Label(2), 1)];
+        assert_eq!(runs(&f), built);
+        let ops: Vec<EdgeOp> = (1..5)
+            .map(|v| EdgeOp::Delete(NodeId(0), NodeId(v)))
+            .collect();
+        f.apply_delta(&ops[..3]);
+        assert_eq!(runs(&f), [(Label(1), full), (Label(2), 1)]);
+        f.apply_delta(&ops[3..]);
+        assert_eq!(runs(&f), [(Label(1), full - 1), (Label(2), 1)]);
+        let back: Vec<EdgeOp> = (1..5)
+            .map(|v| EdgeOp::Insert(NodeId(0), NodeId(v)))
+            .collect();
+        f.apply_delta(&back[..1]);
+        assert_eq!(runs(&f), [(Label(1), full), (Label(2), 1)]);
+        f.apply_delta(&back[1..]);
+        assert_eq!(runs(&f), built);
+    }
+
     #[test]
     fn to_graph_inverts_build_across_deltas() {
         let w = fig1();
@@ -1406,6 +1662,42 @@ mod delta_proptests {
             .collect()
     }
 
+    /// The label index, keyed by global id (a maintained fragment
+    /// appends its virtual slots, a rebuilt one sorts them): the label
+    /// rows holding each local and live virtual slot, and each local
+    /// node's successor label runs. Every row must be
+    /// `n_total().div_ceil(64)` words with no bit past the last slot.
+    #[allow(clippy::type_complexity)]
+    fn index_view(
+        f: &Fragmentation,
+    ) -> Vec<(BTreeMap<u32, Vec<Label>>, BTreeMap<u32, Vec<(Label, u16)>>)> {
+        f.fragments()
+            .iter()
+            .map(|frag| {
+                let mut rows: BTreeMap<u32, Vec<Label>> = BTreeMap::new();
+                let mut l = Label(0);
+                while let Some(row) = frag.label_row(l) {
+                    assert_eq!(row.len(), frag.n_total().div_ceil(64), "row width");
+                    for (w, &word) in row.iter().enumerate() {
+                        for idx in (0..64).filter(|b| word >> b & 1 == 1).map(|b| w * 64 + b) {
+                            let idx = u32::try_from(idx).unwrap();
+                            assert!((idx as usize) < frag.n_total(), "bit past the last slot");
+                            if !frag.is_virtual(idx) || frag.is_live_virtual(idx) {
+                                rows.entry(frag.global_id(idx).0).or_default().push(l);
+                            }
+                        }
+                    }
+                    l = Label(l.0 + 1);
+                }
+                let runs = frag
+                    .local_indices()
+                    .map(|i| (frag.global_id(i).0, frag.successor_labels(i).to_vec()))
+                    .collect();
+                (rows, runs)
+            })
+            .collect()
+    }
+
     fn check(seed: u64, n: usize, sites: usize, steps: usize) {
         let mut s = seed | 1;
         let labels: Vec<Label> = (0..n)
@@ -1470,6 +1762,7 @@ mod delta_proptests {
         assert_eq!(maintained.vf(), rebuilt.vf(), "|Vf| diverged");
         assert_eq!(maintained.ef(), rebuilt.ef(), "|Ef| diverged");
         assert_eq!(observe(&maintained), observe(&rebuilt));
+        assert_eq!(index_view(&maintained), index_view(&rebuilt));
 
         // Index stability: locals and old virtual slots never moved,
         // revived slots were revived in place.
@@ -1545,6 +1838,7 @@ mod delta_proptests {
     /// slot's id, label and predecessor list by index.
     fn assert_same(a: &Fragmentation, b: &Fragmentation) {
         assert_eq!(observe(a), observe(b));
+        assert_eq!(index_view(a), index_view(b));
         assert_eq!(
             (a.num_sites(), a.vf(), a.ef(), a.fm_size(), a.assignment()),
             (b.num_sites(), b.vf(), b.ef(), b.fm_size(), b.assignment())

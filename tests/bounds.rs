@@ -394,8 +394,8 @@ fn match_ships_the_graph_dgpm_does_not() {
 /// What an engine ships is a function of the fixpoint, not of how a
 /// site seeds its counters or finds a subscriber list: on fixed inputs
 /// the shipment counters equal the constants recorded on the commit
-/// before tally seeding and the index-carrying ship path (PR 15). The
-/// cost model is pinned too: the charged work and the virtual time it
+/// before tally seeding and the index-carrying ship path. The cost
+/// model is pinned too: the charged work and the virtual time it
 /// prices, so that a faster kernel which charges what it charged before
 /// moves no PT figure. (That commit charged 12 221, 12 890, 2 523 and
 /// 13 083 ops; seeding counters for source-labelled nodes only, from
