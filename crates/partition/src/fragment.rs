@@ -479,7 +479,8 @@ impl Fragment {
         0..(self.n_local as u32)
     }
 
-    /// Inserts `(ui, vi)` into the sorted adjacency.
+    /// Inserts `(ui, vi)` into the sorted adjacency and counts `vi`'s
+    /// label in `ui`'s runs.
     ///
     /// # Panics
     /// Panics if the edge is already present.
@@ -500,12 +501,9 @@ impl Fragment {
             self.succ_labels.resize(self.out_adj.pool.len(), NO_RUN);
             self.succ_labels.copy_within(was, now.start);
         }
+        let l = self.labels[vi as usize];
         let runs = &mut self.succ_labels[now];
-        let (k, l) = (
-            runs.partition_point(|&(_, c)| c > 0),
-            self.labels[vi as usize],
-        );
-        let at = runs[..k].partition_point(|&(rl, _)| rl < l);
+        let (k, at) = find_run(runs, l);
         if at < k && runs[at].0 == l && runs[at].1 < u16::MAX {
             runs[at].1 += 1;
         } else {
@@ -514,7 +512,8 @@ impl Fragment {
         }
     }
 
-    /// Removes `(ui, vi)` from the sorted adjacency.
+    /// Removes `(ui, vi)` from the sorted adjacency and uncounts `vi`'s
+    /// label from `ui`'s runs.
     ///
     /// # Panics
     /// Panics if the edge is absent.
@@ -529,11 +528,7 @@ impl Fragment {
         let mut span = self.out_adj.range(ui as usize);
         span.end += 1;
         let runs = &mut self.succ_labels[span];
-        let (k, l) = (
-            runs.partition_point(|&(_, c)| c > 0),
-            self.labels[vi as usize],
-        );
-        let at = runs[..k].partition_point(|&(rl, _)| rl < l);
+        let (k, at) = find_run(runs, self.labels[vi as usize]);
         runs[at].1 -= 1;
         if runs[at].1 == 0 {
             runs.copy_within(at + 1..k, at);
@@ -601,6 +596,13 @@ impl Fragment {
 
 /// The filler of `Fragment::succ_labels` behind a list's runs.
 const NO_RUN: (Label, u16) = (Label(0), 0);
+
+/// In one list's slice of `Fragment::succ_labels`: the number of runs,
+/// and where the first run of `l` is or would go.
+fn find_run(runs: &[(Label, u16)], l: Label) -> (usize, usize) {
+    let k = runs.partition_point(|&(_, c)| c > 0);
+    (k, runs[..k].partition_point(|&(rl, _)| rl < l))
+}
 
 /// Sets bit `idx` of label `l`'s row in `rows` (`words` words a row),
 /// appending zero rows up to `l`'s first.
@@ -759,17 +761,21 @@ impl Fragmentation {
                 }
                 seen.sort_unstable();
                 let mut at = start;
-                for l in seen.drain(..) {
-                    let (n, full) = (std::mem::take(&mut count[l.index()]), usize::from(u16::MAX));
-                    let partial = (n % full > 0).then_some((l, (n % full) as u16));
-                    for run in partial
-                        .into_iter()
-                        .chain(std::iter::repeat_n((l, u16::MAX), n / full))
-                    {
-                        succ_labels[at] = run;
+                let full = usize::from(u16::MAX);
+                for &l in &seen {
+                    let mut n = std::mem::take(&mut count[l.index()]);
+                    if n % full > 0 {
+                        succ_labels[at] = (l, (n % full) as u16);
                         at += 1;
+                        n -= n % full;
+                    }
+                    while n > 0 {
+                        succ_labels[at] = (l, u16::MAX);
+                        at += 1;
+                        n -= full;
                     }
                 }
+                seen.clear();
             }
             out_adj.grow_to(n_total);
 
