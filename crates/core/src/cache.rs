@@ -232,8 +232,9 @@ pub(crate) fn decode_pattern(key: &[u32]) -> Pattern {
 #[derive(Debug)]
 pub(crate) struct CachedResult {
     /// Sorted match lists; row `c` holds the matches of the query node
-    /// at canonical position `c`.
-    pub rows: Vec<Vec<NodeId>>,
+    /// at canonical position `c`. Shared with the entry's earlier
+    /// generations until a maintained diff changes them.
+    pub rows: Arc<Vec<Vec<NodeId>>>,
     /// Display name of the engine that produced the entry.
     pub algorithm: &'static str,
     /// The plan of the run that produced the entry.
@@ -520,7 +521,7 @@ mod tests {
 
     fn dummy(tag: &'static str) -> Arc<CachedResult> {
         Arc::new(CachedResult {
-            rows: Vec::new(),
+            rows: Arc::default(),
             algorithm: tag,
             plan: PlanExplanation::forced(tag),
         })

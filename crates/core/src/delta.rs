@@ -56,27 +56,41 @@
 //! This module owns the maintenance protocol: [`UpdateMsg`] is its
 //! wire format (ops, falsifications, affected marks, and candidacy
 //! rows are **data** messages, so fault injection covers them — all
-//! are idempotent), [`DeltaSiteState`] is the per-site state, and
-//! [`build_maintenance`] assembles the actor set for one maintenance
-//! run. The session's reverse adjacency per site is built once and
-//! lent to every run.
+//! are idempotent), [`DeltaSiteState`] is the per-site state of one
+//! entry, and [`build_maintenance`] assembles the actor set of a
+//! batch's maintenance run.
+//!
+//! ## One run per batch
+//!
+//! Every maintained entry of a batch shares **one** run, so a batch
+//! costs the rounds of one run whatever the number of entries, as the
+//! paper bounds a run by its rounds and the work at each site. A site
+//! holds the session's one reverse adjacency and every entry's state;
+//! it applies each edge op to the adjacency once and then runs every
+//! entry's counter step. What a site does once for all entries — the
+//! routed ops, candidacy shipping, `Refine`, the gather request — is
+//! one message; falsifications, affected marks, candidacy rows and
+//! results are tagged by entry ([`ByEntry`]), one message per
+//! destination per handler. The run starts from the pre-delta
+//! adjacency and leaves it post-delta for the next batch: nothing is
+//! rewound.
 //!
 //! The run is phased by coordinator quiescence barriers —
 //! `Deleting → Marking → Refining → Gathering` — because marking must
 //! see the post-deletion candidacy and refinement must see the
-//! complete `AFF` and every candidacy row. One cross-channel race
+//! complete `AFF` and every candidacy row: 4 rounds for a batch with
+//! insertions, 2 for a deletion-only one. One cross-channel race
 //! needs care: a fast site can finish refining and ship a
 //! falsification before a slow site has seen its own `Refine`, so
 //! sites buffer falsifications that arrive mid-marking and replay them
 //! after revival.
 
 use crate::local_eval::{EvalState, LocalEval};
-use crate::vars::{SiteBatches, Var};
+use crate::vars::Var;
 use dgs_graph::{NodeId, Pattern, QNodeId};
 use dgs_net::{CoordinatorLogic, Endpoint, Outbox, SiteDeltaMetrics, SiteLogic, WireSize};
-use dgs_partition::{Fragmentation, SiteId, SpanLists};
+use dgs_partition::{Fragment, Fragmentation, SiteId, SpanLists};
 use dgs_sim::MatchSet;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A batch of edge updates against the loaded graph.
@@ -157,11 +171,13 @@ pub struct DeltaReport {
     /// diffs (live subscriptions) key on `prev_generation →
     /// generation` edges instead of assuming `+1`.
     pub prev_generation: u64,
-    /// Aggregate traffic/ops of the maintenance runs (deletion ops and
-    /// falsifications are data messages; gathers are control/result).
+    /// Traffic and ops of the batch's one maintenance run (edge ops,
+    /// falsifications, marks and candidacy rows are data messages;
+    /// barriers are control, gathers result): its `virtual_time_ns` is
+    /// the batch's PT, whatever the number of maintained entries.
     pub metrics: dgs_net::RunMetrics,
-    /// Per-site maintenance accounting, aggregated over all maintained
-    /// entries.
+    /// Per-site maintenance accounting of the run: edge ops once per
+    /// site, pairs and shipments summed over the maintained entries.
     pub per_site: Vec<SiteDeltaMetrics>,
     /// Exact per-entry match-set diffs produced by maintenance — what
     /// a live subscription on the pattern must push. One element per
@@ -188,13 +204,22 @@ pub struct MaintainedDiff {
     /// its cache key, stable across generations).
     pub canon_key: Vec<u32>,
     /// Pairs revoked from the match set, in canonical query-node
-    /// numbering.
+    /// numbering, ascending.
     pub revoked: Vec<Var>,
-    /// Pairs resurrected into the match set.
+    /// Pairs resurrected into the match set, ascending.
     pub resurrected: Vec<Var>,
 }
 
-/// Messages of the distributed maintenance protocol.
+/// A message's items for several maintained entries: `(entry, items)`
+/// for each entry that has any, ascending by entry, where an entry is
+/// its position in the list [`build_maintenance`] took.
+pub type ByEntry<T> = Vec<(u32, Vec<T>)>;
+
+/// Messages of the distributed maintenance protocol. One run maintains
+/// every entry of a batch: what a site does once for all of them —
+/// apply an edge, ship candidacy, refine, report — is one message;
+/// what differs per entry travels grouped by entry ([`ByEntry`]), one
+/// message per destination per handler.
 ///
 /// `Ops`, `InsOps`, `Falsified`, `Affected`, and `CandRow` are
 /// **data** messages: they ride the same accounting (and
@@ -204,8 +229,8 @@ pub struct MaintainedDiff {
 /// falsification finds the variable already false, a re-delivered mark
 /// finds the pair already marked, and a re-delivered candidacy row
 /// overwrites with the same values — so at-least-once delivery cannot
-/// change the maintained relation. `ShipCand`, `Refine`, and
-/// `GatherRequest` are control; `Revoked` and `Resurrected` are
+/// change the maintained relation of any entry. `ShipCand`, `Refine`,
+/// and `GatherRequest` are control; `Revoked` and `Resurrected` are
 /// results.
 #[derive(Clone, Debug)]
 pub enum UpdateMsg {
@@ -216,19 +241,19 @@ pub enum UpdateMsg {
     /// (data; coordinator → site, marking phase).
     InsOps(Vec<(u32, u32)>),
     /// Falsified in-node variables (data; site → subscriber site) —
-    /// exactly dGPM's `lMsg`.
-    Falsified(Vec<Var>),
+    /// exactly dGPM's `lMsg`, per entry.
+    Falsified(ByEntry<Var>),
     /// In-node pairs that entered the affected area at their owner
     /// (data; owner → subscriber sites, marking phase). The subscriber
     /// marks the same pairs on its virtual copy and continues the
     /// backward closure locally — this is how `AFF` crosses fragment
     /// borders.
-    Affected(Vec<Var>),
+    Affected(ByEntry<Var>),
     /// Current candidacy of in-nodes that a new crossing insertion
     /// targets: `(global id, query nodes it matches)` (data; owner →
     /// the inserting site, marking phase). Seeds fresh or revived
     /// virtual slots, whose local state is blank or stale.
-    CandRow(Vec<(u32, Vec<u16>)>),
+    CandRow(ByEntry<(u32, Vec<u16>)>),
     /// Instructs the owner of each listed in-node to ship its
     /// [`UpdateMsg::CandRow`] to the given destination site, as
     /// `(dest site, global id)` (control; coordinator → owner).
@@ -241,10 +266,10 @@ pub enum UpdateMsg {
     GatherRequest,
     /// Local match pairs revoked by this site (result; site →
     /// coordinator).
-    Revoked(Vec<Var>),
+    Revoked(ByEntry<Var>),
     /// Local match pairs resurrected by this site (result; site →
     /// coordinator).
-    Resurrected(Vec<Var>),
+    Resurrected(ByEntry<Var>),
 }
 
 impl WireSize for UpdateMsg {
@@ -257,14 +282,61 @@ impl WireSize for UpdateMsg {
             | UpdateMsg::Affected(vars)
             | UpdateMsg::Revoked(vars)
             | UpdateMsg::Resurrected(vars) => vars.wire_size(),
-            UpdateMsg::CandRow(rows) => {
-                4 + rows
-                    .iter()
-                    .map(|(_, qs)| 4 + 2 + 2 * qs.len())
-                    .sum::<usize>()
+            UpdateMsg::CandRow(groups) => {
+                let rows = groups.iter().flat_map(|(_, rows)| rows);
+                let rows = rows.map(|(_, qs)| 4 + 2 + 2 * qs.len()).sum::<usize>();
+                4 + 8 * groups.len() + rows
             }
             UpdateMsg::Refine | UpdateMsg::GatherRequest => 0,
         }
+    }
+}
+
+/// What a site ships, per destination site, grouped by entry: one
+/// message per destination whatever the number of entries.
+struct EntryBatches<T>(Vec<ByEntry<T>>);
+
+impl<T: Clone + PartialEq> EntryBatches<T> {
+    fn new(num_sites: usize) -> Self {
+        EntryBatches((0..num_sites).map(|_| Vec::new()).collect())
+    }
+
+    /// Adds `item` of entry `k` to the batch of each site in `to`,
+    /// keeping one group per entry, ascending (a deletion batch steps
+    /// through the entries once per edge). The calls for one item are
+    /// consecutive, so a site named twice (a subscriber that also
+    /// registered as an extra) still gets it once.
+    fn push(&mut self, k: u32, item: T, to: &[SiteId]) {
+        for &s in to {
+            let groups = &mut self.0[s];
+            let at = groups.partition_point(|&(g, _)| g < k);
+            match groups.get_mut(at) {
+                Some((g, items)) if *g == k => {
+                    if items.last() != Some(&item) {
+                        items.push(item.clone());
+                    }
+                }
+                _ => groups.insert(at, (k, vec![item.clone()])),
+            }
+        }
+    }
+
+    /// Sends the non-empty batches as `msg`, ascending by site (the
+    /// order message sequence numbers, and so virtual time, are
+    /// assigned in), and leaves every batch empty. Returns the number
+    /// of items shipped.
+    fn send(&mut self, out: &mut Outbox<UpdateMsg>, msg: fn(ByEntry<T>) -> UpdateMsg) -> u64 {
+        let mut shipped = 0;
+        for (s, groups) in self.0.iter_mut().enumerate() {
+            if !groups.is_empty() {
+                shipped += groups
+                    .iter()
+                    .map(|(_, items)| items.len() as u64)
+                    .sum::<u64>();
+                out.send(Endpoint::Site(s as u32), msg(std::mem::take(groups)));
+            }
+        }
+        shipped
     }
 }
 
@@ -272,23 +344,20 @@ impl WireSize for UpdateMsg {
 /// fixpoint state on the fragment, kept current batch by batch, and
 /// the insertion phase's `AFF` scratch. It holds no adjacency: the
 /// edges it counts over are the session's one reverse adjacency per
-/// site, lent to each run ([`build_maintenance`]), so an entry costs a
-/// candidacy bit and a mark bit per pair, a counter per local node and
-/// pattern edge, and nothing that grows with `|Ei|`.
+/// site, lent to each batch's run ([`build_maintenance`]), so an entry
+/// costs a candidacy bit and a mark bit per pair, a counter per local
+/// node and pattern edge, and nothing that grows with `|Ei|`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSiteState {
     eval: EvalState,
     /// Insertion-phase scratch, laid out like the candidacy rows: the
-    /// pairs in `aff`. All three scratch fields are empty between runs
-    /// — `gather` clears them through the `aff` list, so a run touches
+    /// pairs in `aff`. Both scratch fields are empty between runs —
+    /// `gather` clears them through the `aff` list, so a run touches
     /// `O(|AFF|)` of them, never `O(n · nq)`.
     mark: MatchSet,
     /// This site's slice of `AFF` as `(query node, local index)`, in
     /// marking order; doubles as the closure's worklist.
     aff: Vec<(u16, u32)>,
-    /// Edges this run inserted, as local indices. Their counter
-    /// increments wait for `Refine`, when every `CandRow` has landed.
-    inserted: Vec<(u32, u32)>,
 }
 
 impl DeltaSiteState {
@@ -324,7 +393,6 @@ impl DeltaSiteState {
             mark: MatchSet::new(eval.cand.rows(), eval.cand.cols()),
             eval,
             aff: Vec::new(),
-            inserted: Vec::new(),
         }
     }
 
@@ -347,19 +415,27 @@ enum SitePhase {
     Refining,
 }
 
-/// Site logic of one maintenance run: owns the entry's persistent
-/// state and the site's reverse adjacency for the duration and hands
-/// both back through [`Self::into_parts`].
-pub struct DeltaSiteLogic {
-    site: SiteId,
-    frag: Arc<Fragmentation>,
+/// Can pattern edge `(uq, uc)` map onto edge `(ui, vi)` of `f`? Only
+/// label-compatible pairs are ever candidates, so an edge step checks
+/// the labels, which every entry of the site shares, before it reads
+/// an entry's candidacy.
+fn label_compatible(
+    q: &Pattern,
+    (uq, uc): (QNodeId, QNodeId),
+    f: &Fragment,
+    (ui, vi): (u32, u32),
+) -> bool {
+    q.label(uq) == f.label(ui) && q.label(uc) == f.label(vi)
+}
+
+/// One maintained entry at one site for the length of a run: its
+/// pattern, its persistent state, and what the run gathers for it.
+struct Entry {
+    /// Its position in the list [`build_maintenance`] took: the tag of
+    /// its messages.
+    k: u32,
     q: Arc<Pattern>,
     st: DeltaSiteState,
-    /// Everything here walks edges backward; forward lists would be
-    /// a second copy of the same set. Pre-delta when the run starts,
-    /// post-delta when it ends.
-    pred: SpanLists<u32>,
-    phase: SitePhase,
     /// Falsifications that arrived from an already-refining site while
     /// this one was still marking; replayed right after revival.
     pending_falsified: Vec<Var>,
@@ -368,69 +444,40 @@ pub struct DeltaSiteLogic {
     /// refining, the cascade kills optimistically-revived pairs; those
     /// are refinement, not revocations, and stay unrecorded.
     revoked: Vec<Var>,
-    stats: SiteDeltaMetrics,
-    ops: u64,
 }
 
-impl DeltaSiteLogic {
-    fn new(
-        site: SiteId,
-        frag: Arc<Fragmentation>,
-        q: Arc<Pattern>,
-        st: DeltaSiteState,
-        pred: SpanLists<u32>,
-    ) -> Self {
-        DeltaSiteLogic {
-            stats: SiteDeltaMetrics {
-                site,
-                ..SiteDeltaMetrics::default()
-            },
-            site,
-            frag,
-            q,
-            st,
-            pred,
-            phase: SitePhase::Deleting,
-            pending_falsified: Vec::new(),
-            revoked: Vec::new(),
-            ops: 0,
-        }
-    }
+/// What an entry's step reads and charges besides the entry itself:
+/// the site's fragment, its one reverse adjacency, the edges the run
+/// inserted there (as local indices — their counter increments wait
+/// for `Refine`, when every `CandRow` has landed), its accounting,
+/// whether it is refining, and the falsifications or marks the
+/// handler ships.
+struct Site<'a> {
+    f: &'a Fragment,
+    pred: &'a SpanLists<u32>,
+    inserted: &'a [(u32, u32)],
+    stats: &'a mut SiteDeltaMetrics,
+    ops: &'a mut u64,
+    refining: bool,
+    ship: &'a mut EntryBatches<Var>,
+}
 
-    /// The persistent state, to be carried into the next batch, and
-    /// the site's reverse adjacency, now post-delta.
-    pub fn into_parts(self) -> (DeltaSiteState, SpanLists<u32>) {
-        (self.st, self.pred)
-    }
-
-    /// This run's per-site accounting.
-    pub fn stats(&self) -> &SiteDeltaMetrics {
-        &self.stats
-    }
-
-    /// Applies one (possibly re-delivered) edge deletion. Returns the
-    /// in-node variables it falsified.
-    fn apply_deletion(&mut self, u: u32, v: u32) -> Vec<Var> {
-        let f = self.frag.fragment(self.site);
-        let (Some(ui), Some(vi)) = (f.index_of(NodeId(u)), f.index_of(NodeId(v))) else {
-            return Vec::new();
-        };
-        // Idempotence: a duplicate delivery finds the edge already
-        // removed from this state's own adjacency and is a no-op.
-        if !self.pred.remove(vi as usize, ui) {
-            return Vec::new();
-        }
-        self.stats.ops_applied += 1;
-
-        // The deleted edge supported, per query edge (uq, uc), the
-        // pair (uq, u) iff (uc, v) is a candidate; only a candidate's
-        // counter is exact, so only a candidate's moves. On a self-loop
-        // the counters hold the *pre-deletion* support, so a child pair
-        // an earlier edge just falsified still counts.
+impl Entry {
+    /// The counter step of deleted edge `(ui, vi)`, already gone from
+    /// the site's adjacency, and its cascade. The deleted edge
+    /// supported, per query edge `(uq, uc)`, the pair `(uq, ui)` iff
+    /// `(uc, vi)` is a candidate; only a candidate's counter is exact,
+    /// so only a candidate's moves. On a self-loop the counters hold
+    /// the *pre-deletion* support, so a child pair an earlier edge just
+    /// falsified still counts.
+    fn delete_edge(&mut self, (ui, vi): (u32, u32), cx: &mut Site) {
         let ev = &mut self.st.eval;
         let mut worklist = Vec::new();
         for (e, (uq, uc)) in self.q.edges().enumerate() {
-            self.ops += 1;
+            *cx.ops += 1;
+            if !label_compatible(&self.q, (uq, uc), cx.f, (ui, vi)) {
+                continue;
+            }
             let child =
                 ev.cand.test(uc.index(), vi) || (ui == vi && worklist.contains(&(uc.0, vi)));
             if child && ev.cand.test(uq.index(), ui) {
@@ -443,19 +490,19 @@ impl DeltaSiteLogic {
                 }
             }
         }
-        self.cascade(worklist)
+        self.cascade(worklist, cx);
     }
 
-    /// `lEval`'s cascade (the incremental `lEval` of §4.2) over this
-    /// run's reverse adjacency: records revoked local pairs and returns
-    /// the falsified in-node variables — what `lMsg` must ship.
-    fn cascade(&mut self, worklist: Vec<(u16, u32)>) -> Vec<Var> {
-        let f = self.frag.fragment(self.site);
-        let refining = self.phase == SitePhase::Refining;
-        let (pred, revoked, stats) = (&self.pred, &mut self.revoked, &mut self.stats);
-        let mut falsified_in_nodes = Vec::new();
-        let (ev, preds) = (&mut self.st.eval, |idx| pred.of(idx as usize));
-        ev.cascade(worklist, preds, &mut self.ops, |uq, idx| {
+    /// `lEval`'s cascade (the incremental `lEval` of §4.2) over the
+    /// site's reverse adjacency: records revoked local pairs and ships
+    /// the falsified in-node variables — what `lMsg` must ship — to
+    /// their subscriber sites, read from the *current* fragmentation
+    /// (so dropped subscriptions ship nothing).
+    fn cascade(&mut self, worklist: Vec<(u16, u32)>, cx: &mut Site) {
+        let (k, f, pred, refining) = (self.k, cx.f, cx.pred, cx.refining);
+        let (revoked, stats, ship) = (&mut self.revoked, &mut *cx.stats, &mut *cx.ship);
+        let preds = |idx| pred.of(idx as usize);
+        self.st.eval.cascade(worklist, preds, cx.ops, |uq, idx| {
             if f.is_virtual(idx) {
                 return;
             }
@@ -467,38 +514,10 @@ impl DeltaSiteLogic {
                 revoked.push(var);
                 stats.pairs_revoked += 1;
             }
-            if f.in_node_pos(idx).is_some() {
-                falsified_in_nodes.push(var);
+            if let Some(pos) = f.in_node_pos(idx) {
+                ship.push(k, var, f.in_node_subscribers(pos));
             }
         });
-        falsified_in_nodes
-    }
-
-    /// Ships in-node falsifications to their subscriber sites (read
-    /// from the *current* fragmentation, so dropped subscriptions ship
-    /// nothing), batched per destination.
-    fn route_falsifications(&mut self, vars: Vec<Var>, out: &mut Outbox<UpdateMsg>) {
-        if vars.is_empty() {
-            return;
-        }
-        let f = self.frag.fragment(self.site);
-        let mut batches = SiteBatches::new(out.num_sites());
-        for var in vars {
-            let idx = f.index_of(var.node_id()).expect("in-node var is local");
-            let pos = f.in_node_pos(idx).expect("falsified var is an in-node");
-            batches.push(var, f.in_node_subscribers(pos));
-        }
-        for (s, vars) in batches.into_batches() {
-            self.stats.falsifications_shipped += vars.len() as u64;
-            out.send(Endpoint::Site(s as u32), UpdateMsg::Falsified(vars));
-        }
-    }
-
-    /// Enters the marking phase on first contact. Idempotent.
-    fn enter_marking(&mut self) {
-        if self.phase == SitePhase::Deleting {
-            self.phase = SitePhase::Marking;
-        }
     }
 
     /// Adds `seeds` to this site's slice of `AFF` and closes it
@@ -511,11 +530,9 @@ impl DeltaSiteLogic {
     /// *local in-node* enters, its subscribers are told via
     /// [`UpdateMsg::Affected`] so the closure continues across the
     /// border.
-    fn mark_from(&mut self, seeds: Vec<(u16, u32)>, out: &mut Outbox<UpdateMsg>) {
-        let f = self.frag.fragment(self.site);
-        let st = &mut self.st;
-        let stats = &mut self.stats;
-        let mut batches = SiteBatches::new(out.num_sites());
+    fn mark_from(&mut self, seeds: impl IntoIterator<Item = (u16, u32)>, cx: &mut Site) {
+        let (k, f, st) = (self.k, cx.f, &mut self.st);
+        let (stats, ship) = (&mut *cx.stats, &mut *cx.ship);
         let mut enter = |uq: u16, idx: u32, mark: &mut MatchSet, aff: &mut Vec<(u16, u32)>| {
             if !mark.insert(uq as usize, idx) {
                 return;
@@ -525,7 +542,7 @@ impl DeltaSiteLogic {
                 stats.affected_pairs += 1;
                 if let Some(pos) = f.in_node_pos(idx) {
                     let node = f.global_id(idx).0;
-                    batches.push(Var { q: uq, node }, f.in_node_subscribers(pos));
+                    ship.push(k, Var { q: uq, node }, f.in_node_subscribers(pos));
                 }
             }
         };
@@ -537,8 +554,8 @@ impl DeltaSiteLogic {
             let (uq, idx) = st.aff[next];
             next += 1;
             for &(_, up) in &st.eval.parent_edges[uq as usize] {
-                for &p in self.pred.of(idx as usize) {
-                    self.ops += 1;
+                for &p in cx.pred.of(idx as usize) {
+                    *cx.ops += 1;
                     if self.q.label(QNodeId(up)) == f.label(p) && !st.eval.cand.test(up as usize, p)
                     {
                         enter(up, p, &mut st.mark, &mut st.aff);
@@ -546,56 +563,52 @@ impl DeltaSiteLogic {
                 }
             }
         }
-        for (s, vars) in batches.into_batches() {
-            out.send(Endpoint::Site(s as u32), UpdateMsg::Affected(vars));
-        }
     }
 
-    /// Applies one routed insertion batch (marking phase): edges enter
-    /// this state's own adjacency (idempotently, so re-delivery is a
-    /// no-op) and every false, label-compatible pair `(uq, u)` of a
-    /// source `u` seeds `AFF` if `uq` has an out-edge to a pattern node
-    /// labelled like the target — labels only, because a crossing
-    /// target's `CandRow` may not have landed yet. For the same reason
-    /// the counters wait for `Refine`.
-    fn apply_insertions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
-        let f = self.frag.fragment(self.site);
+    /// Seeds `AFF` from the edges `fresh` this site just inserted:
+    /// every false, label-compatible pair `(uq, u)` of a source `u`
+    /// seeds it if `uq` has an out-edge to a pattern node labelled like
+    /// the target — labels only, because a crossing target's `CandRow`
+    /// may not have landed yet.
+    fn mark_insertions(&mut self, fresh: &[(u32, u32)], cx: &mut Site) {
         let mut seeds = Vec::new();
-        for (u, v) in pairs {
-            let ui = f
-                .index_of(NodeId(u))
-                .expect("insertion routed to owner of source");
-            let vi = f
-                .index_of(NodeId(v))
-                .expect("insertion target present in post-delta fragment");
-            if !self.pred.insert(vi as usize, ui) {
-                continue;
-            }
-            self.st.inserted.push((ui, vi));
-            self.stats.ops_applied += 1;
+        for &(ui, vi) in fresh {
             for (uq, uc) in self.q.edges() {
-                self.ops += 1;
-                if self.q.label(uc) == f.label(vi)
-                    && self.q.label(uq) == f.label(ui)
+                *cx.ops += 1;
+                if label_compatible(&self.q, (uq, uc), cx.f, (ui, vi))
                     && !self.st.is_candidate(uq.0, ui)
                 {
                     seeds.push((uq.0, ui));
                 }
             }
         }
-        self.mark_from(seeds, out);
+        self.mark_from(seeds, cx);
+    }
+
+    /// Marks the in-node pairs their owner reports affected on this
+    /// site's virtual copies and continues the closure. The owner
+    /// vouches for them: its candidacy is the authority, and this
+    /// slot's own row may still be waiting for its `CandRow`.
+    fn apply_affected(&mut self, vars: Vec<Var>, cx: &mut Site) {
+        let f = cx.f;
+        let seeds = vars.into_iter().map(|var| {
+            let idx = f.index_of(var.node_id());
+            (
+                var.q,
+                idx.expect("affected in-node has a subscribed slot here"),
+            )
+        });
+        self.mark_from(seeds, cx);
     }
 
     /// Applies a falsification batch to this fragment's virtual copies
     /// and cascades. Shared by the deletion phase, the refining phase,
     /// and the replay of buffered falsifications.
-    fn apply_falsified(&mut self, vars: Vec<Var>) -> Vec<Var> {
-        let frag = Arc::clone(&self.frag);
-        let f = frag.fragment(self.site);
-        let cand = &mut self.st.eval.cand;
+    fn apply_falsified(&mut self, vars: Vec<Var>, cx: &mut Site) {
+        let (f, cand) = (cx.f, &mut self.st.eval.cand);
         let mut worklist = Vec::new();
         for var in vars {
-            self.ops += 1;
+            *cx.ops += 1;
             let Some(idx) = f.index_of(var.node_id()) else {
                 continue;
             };
@@ -608,7 +621,24 @@ impl DeltaSiteLogic {
                 worklist.push((var.q, idx));
             }
         }
-        self.cascade(worklist)
+        self.cascade(worklist, cx);
+    }
+
+    /// Overwrites the candidacy of subscribed slots with their owner's
+    /// rows.
+    fn set_rows(&mut self, rows: Vec<(u32, Vec<u16>)>, cx: &mut Site) {
+        let cand = &mut self.st.eval.cand;
+        for (gid, qs) in rows {
+            *cx.ops += 1;
+            let idx =
+                (cx.f.index_of(NodeId(gid))).expect("candidacy row targets a subscribed slot");
+            for u in 0..cand.rows() {
+                cand.remove(u, idx);
+            }
+            for q in qs {
+                cand.set(q as usize, idx);
+            }
+        }
     }
 
     /// Marking is globally quiescent, so `AFF` is complete and every
@@ -618,22 +648,20 @@ impl DeltaSiteLogic {
     /// everything outside `AFF` frozen as the boundary. Buffered
     /// out-of-phase falsifications replay after revival so they cannot
     /// be lost.
-    fn refine(&mut self, out: &mut Outbox<UpdateMsg>) {
-        if self.phase == SitePhase::Refining {
-            return;
-        }
-        self.enter_marking();
-        self.phase = SitePhase::Refining;
-        let f = self.frag.fragment(self.site);
+    fn refine(&mut self, cx: &mut Site) {
+        let f = cx.f;
         let (ev, mark) = (&mut self.st.eval, &self.st.mark);
         let n_local = ev.n_local;
         // An inserted edge supports its source pair once per pattern
         // edge whose child pair is true, if the source pair is true
         // too; `AFF` pairs, still false here, are counted below.
-        for &(ui, vi) in &self.st.inserted {
+        for &(ui, vi) in cx.inserted {
             for (e, (uq, uc)) in self.q.edges().enumerate() {
-                self.ops += 1;
-                if ev.cand.test(uc.index(), vi) && ev.cand.test(uq.index(), ui) {
+                *cx.ops += 1;
+                if label_compatible(&self.q, (uq, uc), f, (ui, vi))
+                    && ev.cand.test(uc.index(), vi)
+                    && ev.cand.test(uq.index(), ui)
+                {
                     ev.cnt[e * n_local + ui as usize] += 1;
                 }
             }
@@ -641,11 +669,11 @@ impl DeltaSiteLogic {
         // A revived pair supports the true pairs of its predecessors;
         // those in `AFF` are recounted below instead.
         for &(uq, idx) in &self.st.aff {
-            self.ops += 1;
+            *cx.ops += 1;
             ev.cand.set(uq as usize, idx);
             for &(e, up) in &ev.parent_edges[uq as usize] {
-                for &p in self.pred.of(idx as usize) {
-                    self.ops += 1;
+                for &p in cx.pred.of(idx as usize) {
+                    *cx.ops += 1;
                     if ev.cand.test(up as usize, p) && !mark.test(up as usize, p) {
                         ev.cnt[e * n_local + p as usize] += 1;
                     }
@@ -661,7 +689,7 @@ impl DeltaSiteLogic {
             let succ = f.successors(idx);
             let mut dead = false;
             for (e, (_, uc)) in self.q.edges().enumerate().filter(|(_, (u, _))| u.0 == uq) {
-                self.ops += succ.len() as u64;
+                *cx.ops += succ.len() as u64;
                 let c = succ.iter().filter(|&&s| ev.cand.test(uc.index(), s));
                 let c = c.count() as u32;
                 ev.cnt[e * n_local + idx as usize] = c;
@@ -674,20 +702,18 @@ impl DeltaSiteLogic {
         for &(uq, idx) in &worklist {
             ev.cand.remove(uq as usize, idx);
         }
-        let mut falsified = self.cascade(worklist);
+        self.cascade(worklist, cx);
         let pending = std::mem::take(&mut self.pending_falsified);
-        falsified.extend(self.apply_falsified(pending));
-        self.route_falsifications(falsified, out);
+        self.apply_falsified(pending, cx);
     }
 
     /// Reconciles this run's result against the final candidacy and
-    /// clears the insertion-phase scratch. Deletion-phase revocations
-    /// that refinement revived cancel out; every other local `AFF`
-    /// pair that survived refinement is a resurrection (it was false
-    /// when it entered).
-    fn gather(&mut self, out: &mut Outbox<UpdateMsg>) {
-        let f = self.frag.fragment(self.site);
-        let st = &mut self.st;
+    /// clears the insertion-phase scratch; returns the revoked and the
+    /// resurrected pairs. Deletion-phase revocations that refinement
+    /// revived cancel out; every other local `AFF` pair that survived
+    /// refinement is a resurrection (it was false when it entered).
+    fn gather(&mut self, cx: &mut Site) -> (Vec<Var>, Vec<Var>) {
+        let (f, st) = (cx.f, &mut self.st);
         let mut revoked = std::mem::take(&mut self.revoked);
         let before = revoked.len() as u64;
         // A revoked pair that is true again never left the relation:
@@ -701,10 +727,10 @@ impl DeltaSiteLogic {
             }
             !back
         });
-        self.stats.pairs_revoked -= before - revoked.len() as u64;
+        cx.stats.pairs_revoked -= before - revoked.len() as u64;
         let mut resurrected = Vec::new();
         for (uq, idx) in st.aff.drain(..) {
-            self.ops += 1;
+            *cx.ops += 1;
             if st.mark.remove(uq as usize, idx)
                 && !f.is_virtual(idx)
                 && st.eval.cand.test(uq as usize, idx)
@@ -715,16 +741,170 @@ impl DeltaSiteLogic {
                 });
             }
         }
-        st.inserted.clear();
-        self.stats.pairs_resurrected += resurrected.len() as u64;
+        cx.stats.pairs_resurrected += resurrected.len() as u64;
+        (revoked, resurrected)
+    }
+}
+
+/// Site logic of a batch's one maintenance run: every maintained
+/// entry's state and the site's one reverse adjacency, for the
+/// duration; hands both back through [`Self::into_parts`]. An edge op
+/// is applied to the adjacency once, then every entry takes its
+/// counter step.
+pub struct DeltaSiteLogic {
+    site: SiteId,
+    frag: Arc<Fragmentation>,
+    entries: Vec<Entry>,
+    /// Everything here walks edges backward; forward lists would be
+    /// a second copy of the same set. Pre-delta when the run starts,
+    /// post-delta when it ends.
+    pred: SpanLists<u32>,
+    /// Edges this run inserted, as local indices.
+    inserted: Vec<(u32, u32)>,
+    phase: SitePhase,
+    /// What the current handler ships, empty between handlers.
+    ship: EntryBatches<Var>,
+    stats: SiteDeltaMetrics,
+    ops: u64,
+}
+
+impl DeltaSiteLogic {
+    /// Every entry's persistent state, in the order
+    /// [`build_maintenance`] took them, to be carried into the next
+    /// batch, and the site's reverse adjacency, now post-delta.
+    pub fn into_parts(self) -> (Vec<DeltaSiteState>, SpanLists<u32>) {
+        (self.entries.into_iter().map(|e| e.st).collect(), self.pred)
+    }
+
+    /// This run's per-site accounting.
+    pub fn stats(&self) -> &SiteDeltaMetrics {
+        &self.stats
+    }
+
+    /// The entries and what their steps read and ship.
+    fn split(&mut self) -> (&mut [Entry], Site<'_>) {
+        let cx = Site {
+            f: self.frag.fragment(self.site),
+            pred: &self.pred,
+            inserted: &self.inserted,
+            stats: &mut self.stats,
+            ops: &mut self.ops,
+            refining: self.phase == SitePhase::Refining,
+            ship: &mut self.ship,
+        };
+        (&mut self.entries, cx)
+    }
+
+    /// Runs `step` for every entry with variables in `groups`, then
+    /// sends what the steps shipped as one `msg` per destination.
+    fn each(
+        &mut self,
+        groups: ByEntry<Var>,
+        out: &mut Outbox<UpdateMsg>,
+        msg: fn(ByEntry<Var>) -> UpdateMsg,
+        step: fn(&mut Entry, Vec<Var>, &mut Site),
+    ) -> u64 {
+        let (entries, mut cx) = self.split();
+        for (k, vars) in groups {
+            step(&mut entries[k as usize], vars, &mut cx);
+        }
+        self.ship.send(out, msg)
+    }
+
+    /// Applies one (possibly re-delivered) deletion batch: each edge
+    /// leaves the adjacency, then every entry takes its counter step
+    /// and cascades. A duplicate delivery finds the edge already gone
+    /// and is a no-op for every entry.
+    fn apply_deletions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
+        for (u, v) in pairs {
+            let f = self.frag.fragment(self.site);
+            let (Some(ui), Some(vi)) = (f.index_of(NodeId(u)), f.index_of(NodeId(v))) else {
+                continue;
+            };
+            if !self.pred.remove(vi as usize, ui) {
+                continue;
+            }
+            self.stats.ops_applied += 1;
+            let (entries, mut cx) = self.split();
+            for e in entries {
+                e.delete_edge((ui, vi), &mut cx);
+            }
+        }
+        self.stats.falsifications_shipped += self.ship.send(out, UpdateMsg::Falsified);
+    }
+
+    /// Applies one routed insertion batch (marking phase): edges enter
+    /// the adjacency (idempotently, so re-delivery is a no-op for every
+    /// entry) and each entry seeds `AFF` from the new ones. The
+    /// counters wait for `Refine`.
+    fn apply_insertions(&mut self, pairs: Vec<(u32, u32)>, out: &mut Outbox<UpdateMsg>) {
+        let from = self.inserted.len();
+        let f = self.frag.fragment(self.site);
+        for (u, v) in pairs {
+            let ui = (f.index_of(NodeId(u))).expect("insertion routed to owner of source");
+            let vi = f
+                .index_of(NodeId(v))
+                .expect("insertion target present in post-delta fragment");
+            if self.pred.insert(vi as usize, ui) {
+                self.inserted.push((ui, vi));
+                self.stats.ops_applied += 1;
+            }
+        }
+        let (entries, mut cx) = self.split();
+        let fresh = &cx.inserted[from..];
+        for e in entries {
+            e.mark_insertions(fresh, &mut cx);
+        }
+        self.ship.send(out, UpdateMsg::Affected);
+    }
+
+    /// Ships, for every entry, the candidacy rows the coordinator asked
+    /// for: one [`UpdateMsg::CandRow`] per destination.
+    fn ship_rows(&mut self, requests: &[(u32, u32)], out: &mut Outbox<UpdateMsg>) {
+        let f = self.frag.fragment(self.site);
+        let at = |&(dest, gid): &(u32, u32)| {
+            let idx = f.index_of(NodeId(gid)).expect("shipped in-node is local");
+            ([dest as usize], gid, idx)
+        };
+        let requests: Vec<([SiteId; 1], u32, u32)> = requests.iter().map(at).collect();
+        let mut rows = EntryBatches::new(out.num_sites());
+        for e in &self.entries {
+            for (dest, gid, idx) in &requests {
+                let qs: Vec<u16> = (0..e.q.node_count() as u16)
+                    .filter(|&u| e.st.is_candidate(u, *idx))
+                    .collect();
+                rows.push(e.k, (*gid, qs), dest);
+            }
+        }
+        rows.send(out, UpdateMsg::CandRow);
+    }
+
+    /// Enters the marking phase on first contact. Idempotent.
+    fn enter_marking(&mut self) {
+        if self.phase == SitePhase::Deleting {
+            self.phase = SitePhase::Marking;
+        }
+    }
+
+    /// Every entry reconciles ([`Entry::gather`]); one `Revoked`, and
+    /// one `Resurrected` if anything came back, carry them all.
+    fn gather(&mut self, out: &mut Outbox<UpdateMsg>) {
+        let (mut revoked, mut resurrected) = (Vec::new(), Vec::new());
+        let (entries, mut cx) = self.split();
+        for e in entries {
+            let (rev, res) = e.gather(&mut cx);
+            if !rev.is_empty() {
+                revoked.push((e.k, rev));
+            }
+            if !res.is_empty() {
+                resurrected.push((e.k, res));
+            }
+        }
+        self.inserted.clear();
         out.send_result(Endpoint::Coordinator, UpdateMsg::Revoked(revoked));
         if !resurrected.is_empty() {
             out.send_result(Endpoint::Coordinator, UpdateMsg::Resurrected(resurrected));
         }
-    }
-
-    fn charge(&mut self, out: &mut Outbox<UpdateMsg>) {
-        out.charge_ops(std::mem::take(&mut self.ops));
     }
 }
 
@@ -735,83 +915,50 @@ impl SiteLogic<UpdateMsg> for DeltaSiteLogic {
 
     fn on_message(&mut self, from: Endpoint, msg: UpdateMsg, out: &mut Outbox<UpdateMsg>) {
         match msg {
-            UpdateMsg::Ops(pairs) => {
-                let mut falsified = Vec::new();
-                for (u, v) in pairs {
-                    falsified.extend(self.apply_deletion(u, v));
+            UpdateMsg::Ops(pairs) => self.apply_deletions(pairs, out),
+            UpdateMsg::Falsified(groups) if self.phase == SitePhase::Marking => {
+                // From a site that is already refining (there is no
+                // cross-channel ordering with the coordinator's
+                // `Refine`). Applying now would be undone by revival —
+                // hold until this site revives too.
+                for (k, vars) in groups {
+                    self.entries[k as usize].pending_falsified.extend(vars);
                 }
-                self.route_falsifications(falsified, out);
             }
-            UpdateMsg::Falsified(vars) => {
-                if self.phase == SitePhase::Marking {
-                    // From a site that is already refining (there is
-                    // no cross-channel ordering with the coordinator's
-                    // `Refine`). Applying now would be undone by
-                    // revival — hold until this site revives too.
-                    self.pending_falsified.extend(vars);
-                } else {
-                    let falsified = self.apply_falsified(vars);
-                    self.route_falsifications(falsified, out);
-                }
+            UpdateMsg::Falsified(groups) => {
+                let shipped = self.each(groups, out, UpdateMsg::Falsified, Entry::apply_falsified);
+                self.stats.falsifications_shipped += shipped;
             }
             UpdateMsg::InsOps(pairs) => {
                 self.enter_marking();
                 self.apply_insertions(pairs, out);
             }
-            UpdateMsg::Affected(vars) => {
+            UpdateMsg::Affected(groups) => {
                 self.enter_marking();
-                let f = self.frag.fragment(self.site);
-                // The owner vouches for these: its candidacy is the
-                // authority, and this slot's own row may still be
-                // waiting for its `CandRow`.
-                let seeds = vars
-                    .into_iter()
-                    .map(|var| {
-                        let idx = f
-                            .index_of(var.node_id())
-                            .expect("affected in-node has a subscribed slot here");
-                        (var.q, idx)
-                    })
-                    .collect();
-                self.mark_from(seeds, out);
+                self.each(groups, out, UpdateMsg::Affected, Entry::apply_affected);
             }
-            UpdateMsg::CandRow(rows) => {
+            UpdateMsg::CandRow(groups) => {
                 self.enter_marking();
-                let f = self.frag.fragment(self.site);
-                let cand = &mut self.st.eval.cand;
-                for (gid, qs) in rows {
-                    self.ops += 1;
-                    let idx = f
-                        .index_of(NodeId(gid))
-                        .expect("candidacy row targets a subscribed slot");
-                    for u in 0..cand.rows() {
-                        cand.remove(u, idx);
-                    }
-                    for q in qs {
-                        cand.set(q as usize, idx);
-                    }
+                let (entries, mut cx) = self.split();
+                for (k, rows) in groups {
+                    entries[k as usize].set_rows(rows, &mut cx);
                 }
             }
             UpdateMsg::ShipCand(requests) => {
                 debug_assert_eq!(from, Endpoint::Coordinator);
                 self.enter_marking();
-                let f = self.frag.fragment(self.site);
-                let mut per_site: BTreeMap<SiteId, Vec<(u32, Vec<u16>)>> = BTreeMap::new();
-                for (dest, gid) in requests {
-                    let idx = f.index_of(NodeId(gid)).expect("shipped in-node is local");
-                    let qs: Vec<u16> = (0..self.q.node_count() as u16)
-                        .filter(|&u| self.st.is_candidate(u, idx))
-                        .collect();
-                    per_site.entry(dest as usize).or_default().push((gid, qs));
-                }
-                for (s, rows) in per_site {
-                    out.send(Endpoint::Site(s as u32), UpdateMsg::CandRow(rows));
-                }
+                self.ship_rows(&requests, out);
             }
-            UpdateMsg::Refine => {
+            UpdateMsg::Refine if self.phase != SitePhase::Refining => {
                 debug_assert_eq!(from, Endpoint::Coordinator);
-                self.refine(out);
+                self.phase = SitePhase::Refining;
+                let (entries, mut cx) = self.split();
+                for e in entries {
+                    e.refine(&mut cx);
+                }
+                self.stats.falsifications_shipped += self.ship.send(out, UpdateMsg::Falsified);
             }
+            UpdateMsg::Refine => {}
             UpdateMsg::GatherRequest => {
                 debug_assert_eq!(from, Endpoint::Coordinator);
                 self.gather(out);
@@ -820,7 +967,7 @@ impl SiteLogic<UpdateMsg> for DeltaSiteLogic {
                 unreachable!("sites never receive results")
             }
         }
-        self.charge(out);
+        out.charge_ops(std::mem::take(&mut self.ops));
     }
 }
 
@@ -833,14 +980,14 @@ enum Phase {
     Done,
 }
 
-/// Coordinator of one maintenance run: routes the deletion batch,
-/// idles through the falsification fixpoint, then (when the batch has
-/// insertions) drives marking and refinement through two more
-/// quiescence barriers, and finally collects the revoked and
-/// resurrected pairs. Insertion-only batches sail through the empty
-/// deletion phase; deletion-only batches skip marking and refinement
-/// entirely, so their runs cost exactly what they did before
-/// insertions were maintainable.
+/// Coordinator of a batch's one maintenance run: routes the deletion
+/// batch, idles through the falsification fixpoint, then (when the
+/// batch has insertions) drives marking and refinement through two
+/// more quiescence barriers, and finally collects the revoked and
+/// resurrected pairs of every entry. Insertion-only batches sail
+/// through the empty deletion phase; deletion-only batches skip
+/// marking and refinement entirely. So a batch costs 4 rounds (2
+/// without insertions) whatever the number of entries.
 pub struct DeltaCoordinator {
     ops_by_site: Vec<Vec<(u32, u32)>>,
     ins_by_site: Vec<Vec<(u32, u32)>>,
@@ -849,11 +996,13 @@ pub struct DeltaCoordinator {
     ship_by_site: Vec<Vec<(u32, u32)>>,
     has_insertions: bool,
     phase: Phase,
-    /// Match pairs revoked across all sites (query nodes in the
-    /// maintained pattern's numbering, data nodes global).
-    pub revoked: Vec<Var>,
-    /// Match pairs resurrected across all sites.
-    pub resurrected: Vec<Var>,
+    /// Per entry, the match pairs revoked across all sites, ascending
+    /// once the run is done (query nodes in the entry's pattern's
+    /// numbering, data nodes global).
+    pub revoked: Vec<Vec<Var>>,
+    /// Per entry, the match pairs resurrected across all sites,
+    /// ascending once the run is done.
+    pub resurrected: Vec<Vec<Var>>,
 }
 
 impl DeltaCoordinator {
@@ -867,6 +1016,14 @@ impl DeltaCoordinator {
             return true;
         }
         false
+    }
+
+    /// Records one site's result for every entry it names.
+    fn collect(into: &mut [Vec<Var>], groups: ByEntry<Var>, out: &mut Outbox<UpdateMsg>) {
+        for (k, vars) in groups {
+            out.charge_ops(vars.len() as u64 + 1);
+            into[k as usize].extend(vars);
+        }
     }
 }
 
@@ -884,14 +1041,8 @@ impl CoordinatorLogic<UpdateMsg> for DeltaCoordinator {
 
     fn on_message(&mut self, _from: Endpoint, msg: UpdateMsg, out: &mut Outbox<UpdateMsg>) {
         match msg {
-            UpdateMsg::Revoked(vars) => {
-                out.charge_ops(vars.len() as u64 + 1);
-                self.revoked.extend(vars);
-            }
-            UpdateMsg::Resurrected(vars) => {
-                out.charge_ops(vars.len() as u64 + 1);
-                self.resurrected.extend(vars);
-            }
+            UpdateMsg::Revoked(groups) => Self::collect(&mut self.revoked, groups, out),
+            UpdateMsg::Resurrected(groups) => Self::collect(&mut self.resurrected, groups, out),
             _ => unreachable!("coordinator only receives results"),
         }
     }
@@ -933,6 +1084,11 @@ impl CoordinatorLogic<UpdateMsg> for DeltaCoordinator {
             }
             Phase::Refining => self.begin_gather(out),
             Phase::Gathering => {
+                // Sites report in whatever order they finish: sorted,
+                // a diff is the same under every executor.
+                for vars in self.revoked.iter_mut().chain(&mut self.resurrected) {
+                    vars.sort_unstable();
+                }
                 self.phase = Phase::Done;
                 true
             }
@@ -941,68 +1097,72 @@ impl CoordinatorLogic<UpdateMsg> for DeltaCoordinator {
     }
 }
 
-/// Builds the actor set for one distributed maintenance run over a
-/// batch of `deletions` and `insertions` (either may be empty; the
-/// engine guarantees they are disjoint): one [`DeltaSiteLogic`] per
-/// site wrapping its persistent [`DeltaSiteState`], plus the routing
-/// coordinator. Each op is routed to the site owning its source node;
-/// for every *crossing* insertion the coordinator also schedules a
-/// [`UpdateMsg::ShipCand`] so the inserting site's fresh (or revived)
-/// virtual slot starts from the owner's current candidacy. `frag`
-/// must already have the delta applied.
+/// Builds the actor set of a batch's **one** maintenance run over
+/// `deletions` and `insertions` (either may be empty; the engine
+/// guarantees they are disjoint) for every maintained entry: one
+/// [`DeltaSiteLogic`] per site holding each entry's pattern and
+/// persistent [`DeltaSiteState`], plus the routing coordinator.
+/// `entries` lists them as `(pattern, one state per site)`; the run's
+/// messages and results name an entry by its position there. Each op
+/// is routed to the site owning its source node; for every *crossing*
+/// insertion the coordinator also schedules a [`UpdateMsg::ShipCand`]
+/// so the inserting site's fresh (or revived) virtual slot starts from
+/// the owner's current candidacy. `frag` must already have the delta
+/// applied.
 ///
 /// `pred` is the session's **one** reverse adjacency per site
-/// ([`Fragmentation::reverse_adjacency`], taken once): the run borrows it
-/// and [`DeltaSiteLogic::into_parts`] hands it back post-delta. A run
-/// has to start from the *pre-delta* lists — the deletion phase reads
-/// them, and a redelivered op is recognised by `remove`/`insert` on
-/// them returning `false` — so the batch is first taken back out of
-/// them: a no-op on pre-delta lists, the rewind between two entries of
-/// one batch on the lists the previous run left.
+/// ([`Fragmentation::reverse_adjacency`], taken once), *pre-delta*:
+/// the deletion phase reads it, and a redelivered op is recognised by
+/// `remove`/`insert` on it returning `false`. The run edits it once
+/// per edge for all entries and [`DeltaSiteLogic::into_parts`] hands
+/// it back post-delta, where the next batch starts.
 ///
 /// # Panics
-/// Panics unless `states` and `pred` have one element per site.
+/// Panics unless `pred` and every entry's states have one element per
+/// site.
 pub fn build_maintenance(
     frag: &Arc<Fragmentation>,
-    q: &Arc<Pattern>,
-    mut states: Vec<DeltaSiteState>,
+    entries: Vec<(Arc<Pattern>, Vec<DeltaSiteState>)>,
     mut pred: Vec<SpanLists<u32>>,
     deletions: &[(NodeId, NodeId)],
     insertions: &[(NodeId, NodeId)],
 ) -> (DeltaCoordinator, Vec<DeltaSiteLogic>) {
+    let n = frag.num_sites();
     assert!(
-        states.len() == frag.num_sites() && pred.len() == frag.num_sites(),
-        "one state and one reverse adjacency per site required"
+        pred.len() == n && entries.iter().all(|(_, states)| states.len() == n),
+        "one state per entry and one reverse adjacency per site required"
     );
     // Both ends of a batch edge have a slot at its source's site in
     // the post-delta fragment (a retired virtual slot keeps its index;
     // a new one gets its empty list here, and bits that stay false
     // until its `CandRow` lands).
-    for ((f, lists), st) in frag.fragments().iter().zip(&mut pred).zip(&mut states) {
+    for (f, lists) in frag.fragments().iter().zip(&mut pred) {
         lists.grow_to(f.n_total());
-        st.eval.cand.grow_cols(f.n_total());
-        st.mark.grow_cols(f.n_total());
     }
-    let slots = |site: SiteId, u: NodeId, v: NodeId| {
-        let f = frag.fragment(site);
-        let at = f.index_of(u).zip(f.index_of(v));
-        at.expect("batch edge has slots at its source's site")
-    };
-    let mut ops_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
+    let k = entries.len();
+    let mut per_site: Vec<Vec<Entry>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
+    for (k, (q, states)) in (0..).zip(entries) {
+        for ((f, mut st), site) in frag.fragments().iter().zip(states).zip(&mut per_site) {
+            st.eval.cand.grow_cols(f.n_total());
+            st.mark.grow_cols(f.n_total());
+            site.push(Entry {
+                k,
+                q: Arc::clone(&q),
+                st,
+                pending_falsified: Vec::new(),
+                revoked: Vec::new(),
+            });
+        }
+    }
+    let mut ops_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     for &(u, v) in deletions {
-        let src = frag.owner(u);
-        ops_by_site[src].push((u.0, v.0));
-        let (ui, vi) = slots(src, u, v);
-        pred[src].insert(vi as usize, ui);
+        ops_by_site[frag.owner(u)].push((u.0, v.0));
     }
-    let mut ins_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
-    let mut ship_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); frag.num_sites()];
+    let mut ins_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    let mut ship_by_site: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
     for &(u, v) in insertions {
-        let src = frag.owner(u);
+        let (src, dst) = (frag.owner(u), frag.owner(v));
         ins_by_site[src].push((u.0, v.0));
-        let (ui, vi) = slots(src, u, v);
-        pred[src].remove(vi as usize, ui);
-        let dst = frag.owner(v);
         if dst != src {
             ship_by_site[dst].push((src as u32, v.0));
         }
@@ -1011,11 +1171,21 @@ pub fn build_maintenance(
         ships.sort_unstable();
         ships.dedup();
     }
-    let sites = states
-        .into_iter()
-        .zip(pred)
-        .enumerate()
-        .map(|(s, (st, pred))| DeltaSiteLogic::new(s, Arc::clone(frag), Arc::clone(q), st, pred))
+    let sites = (per_site.into_iter().zip(pred).enumerate())
+        .map(|(site, (entries, pred))| DeltaSiteLogic {
+            site,
+            frag: Arc::clone(frag),
+            entries,
+            pred,
+            inserted: Vec::new(),
+            phase: SitePhase::Deleting,
+            ship: EntryBatches::new(n),
+            stats: SiteDeltaMetrics {
+                site,
+                ..SiteDeltaMetrics::default()
+            },
+            ops: 0,
+        })
         .collect();
     (
         DeltaCoordinator {
@@ -1024,8 +1194,8 @@ pub fn build_maintenance(
             ship_by_site,
             has_insertions: !insertions.is_empty(),
             phase: Phase::Deleting,
-            revoked: Vec::new(),
-            resurrected: Vec::new(),
+            revoked: vec![Vec::new(); k],
+            resurrected: vec![Vec::new(); k],
         },
         sites,
     )
@@ -1077,20 +1247,34 @@ mod tests {
         }
     }
 
-    /// A run of one entry, the way these tests set one up: from the
-    /// post-delta fragmentation and the batch alone, with the reverse
-    /// adjacency made on the spot. The lists
-    /// are post-delta, as they are when the engine hands them from
-    /// one entry of a batch to the next.
+    /// A batch's run over `entries`, the way these tests set one up:
+    /// the reverse adjacency made on the spot from the pre-delta
+    /// fragmentation `before`, the batch already applied to `after`.
     fn build_maintenance(
-        frag: &Arc<Fragmentation>,
-        q: &Pattern,
-        states: Vec<DeltaSiteState>,
+        before: &Fragmentation,
+        after: &Arc<Fragmentation>,
+        entries: Vec<(&Pattern, Vec<DeltaSiteState>)>,
         deletions: &[(NodeId, NodeId)],
         insertions: &[(NodeId, NodeId)],
     ) -> (DeltaCoordinator, Vec<DeltaSiteLogic>) {
-        let (pred, q) = (frag.reverse_adjacency(), Arc::new(q.clone()));
-        super::build_maintenance(frag, &q, states, pred, deletions, insertions)
+        let entries = (entries.into_iter())
+            .map(|(q, states)| (Arc::new(q.clone()), states))
+            .collect();
+        let pred = before.reverse_adjacency();
+        super::build_maintenance(after, entries, pred, deletions, insertions)
+    }
+
+    /// The states the sites hand back, one list per entry.
+    fn entry_states(sites: Vec<DeltaSiteLogic>) -> Vec<Vec<DeltaSiteState>> {
+        let mut by_entry: Vec<Vec<DeltaSiteState>> = Vec::new();
+        for site in sites {
+            let (states, _) = site.into_parts();
+            by_entry.resize_with(states.len(), Vec::new);
+            for (entry, st) in by_entry.iter_mut().zip(states) {
+                entry.push(st);
+            }
+        }
+        by_entry
     }
 
     fn graph_without(g: &dgs_graph::Graph, deleted: &[(NodeId, NodeId)]) -> dgs_graph::Graph {
@@ -1131,16 +1315,17 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             let frag2 = Arc::new(frag2);
-            let (coord, sites) = build_maintenance(&frag2, &q, states, &deletions, &[]);
+            let (coord, sites) =
+                build_maintenance(&frag, &frag2, vec![(&q, states)], &deletions, &[]);
             let o = dgs_net::run(ExecutorKind::Virtual, &CostModel::default(), coord, sites);
 
             // Revoking the reported pairs from the old relation yields
             // the oracle relation on the mutated graph.
             let g2 = graph_without(&g, &deletions);
             let oracle = hhk_simulation(&q, &g2).relation;
-            assert!(o.coordinator.resurrected.is_empty());
+            assert!(o.coordinator.resurrected[0].is_empty());
             let mut rows2 = rows.clone();
-            for var in &o.coordinator.revoked {
+            for var in &o.coordinator.revoked[0] {
                 let row = &mut rows2[var.q as usize];
                 let pos = row
                     .binary_search(&var.node_id())
@@ -1177,19 +1362,16 @@ mod tests {
                 let states: Vec<DeltaSiteState> = (0..4)
                     .map(|s| DeltaSiteState::from_relation(&frag, s, &q, &rows))
                     .collect();
-                let (coord, sites) = build_maintenance(&frag2, &q, states, &deletions, &[]);
+                let (coord, sites) =
+                    build_maintenance(&frag, &frag2, vec![(&q, states)], &deletions, &[]);
                 let mut exec = VirtualExecutor::new(CostModel::default());
                 if let Some(plan) = plan {
                     exec = exec.with_delivery(plan);
                 }
                 let o = exec.run(coord, sites);
-                let mut revoked = o.coordinator.revoked.clone();
+                let mut revoked = o.coordinator.revoked[0].clone();
                 revoked.sort_unstable();
-                let states: Vec<DeltaSiteState> = o
-                    .sites
-                    .into_iter()
-                    .map(|site| site.into_parts().0)
-                    .collect();
+                let states = entry_states(o.sites).remove(0);
                 (revoked, states, o.metrics)
             };
 
@@ -1253,7 +1435,8 @@ mod tests {
         let mut frag2 = (*frag).clone();
         frag2.apply_delta(&ops);
         let frag2 = Arc::new(frag2);
-        let (coord, site_logic) = build_maintenance(&frag2, q, states, deletions, insertions);
+        let (coord, site_logic) =
+            build_maintenance(&frag, &frag2, vec![(q, states)], deletions, insertions);
         let o = dgs_net::run(
             ExecutorKind::Virtual,
             &CostModel::default(),
@@ -1276,14 +1459,14 @@ mod tests {
         let oracle = hhk_simulation(q, &b.build()).relation;
 
         let mut rows2 = rows.clone();
-        for var in &o.coordinator.revoked {
+        for var in &o.coordinator.revoked[0] {
             let row = &mut rows2[var.q as usize];
             let pos = row
                 .binary_search(&var.node_id())
                 .expect("revoked pair was in the relation");
             row.remove(pos);
         }
-        for var in &o.coordinator.resurrected {
+        for var in &o.coordinator.resurrected[0] {
             let row = &mut rows2[var.q as usize];
             let pos = row
                 .binary_search(&var.node_id())
@@ -1293,7 +1476,7 @@ mod tests {
         let maintained = dgs_sim::MatchRelation::from_lists(rows2);
         assert_eq!(maintained, oracle);
         let affected = o.sites.iter().map(|s| s.stats().affected_pairs).sum();
-        (o.metrics, affected, o.coordinator.resurrected.len())
+        (o.metrics, affected, o.coordinator.resurrected[0].len())
     }
 
     /// A chain `v0 → … → v8` with alternating labels, laid across three
@@ -1458,21 +1641,19 @@ mod tests {
                 let states: Vec<DeltaSiteState> = (0..4)
                     .map(|s| DeltaSiteState::from_relation(&frag, s, &q, &rows))
                     .collect();
-                let (coord, sites) = build_maintenance(&frag2, &q, states, &deletions, &insertions);
+                let entries = vec![(&q, states)];
+                let (coord, sites) =
+                    build_maintenance(&frag, &frag2, entries, &deletions, &insertions);
                 let mut exec = VirtualExecutor::new(CostModel::default());
                 if let Some(plan) = plan {
                     exec = exec.with_delivery(plan);
                 }
                 let o = exec.run(coord, sites);
-                let mut revoked = o.coordinator.revoked.clone();
+                let mut revoked = o.coordinator.revoked[0].clone();
                 revoked.sort_unstable();
-                let mut resurrected = o.coordinator.resurrected.clone();
+                let mut resurrected = o.coordinator.resurrected[0].clone();
                 resurrected.sort_unstable();
-                let states: Vec<DeltaSiteState> = o
-                    .sites
-                    .into_iter()
-                    .map(|site| site.into_parts().0)
-                    .collect();
+                let states = entry_states(o.sites).remove(0);
                 (revoked, resurrected, states, o.metrics)
             };
 
@@ -1530,14 +1711,36 @@ mod tests {
         }
     }
 
-    /// Maintenance keeps `lEval`'s state `lEval`'s: after promotion, and
-    /// after each batch of a churn — deletions, recurrent and fresh
-    /// insertions, crossing ones that create and revive virtual slots —
-    /// every site's state is the reference state of the oracle relation
-    /// on the post-delta fragmentation.
+    /// The diff from `old` to `new` rows as ascending `(revoked,
+    /// resurrected)` pairs.
+    fn diff_of(old: &[Vec<NodeId>], new: &[Vec<NodeId>]) -> (Vec<Var>, Vec<Var>) {
+        let gone = |a: &[Vec<NodeId>], b: &[Vec<NodeId>]| -> Vec<Var> {
+            let rows = a.iter().zip(b).enumerate();
+            let pairs = rows.flat_map(|(u, (a, b))| {
+                let left = a.iter().filter(move |v| b.binary_search(v).is_err());
+                left.map(move |&v| Var::new(QNodeId(u as u16), v))
+            });
+            pairs.collect()
+        };
+        (gone(old, new), gone(new, old))
+    }
+
+    /// Maintenance keeps `lEval`'s state `lEval`'s, for every entry of
+    /// a batch's one run: after promotion, and after each batch of a
+    /// churn — deletions, recurrent and fresh insertions, crossing ones
+    /// that create and revive virtual slots — each entry's state at
+    /// every site is the reference state of the oracle relation on the
+    /// post-delta fragmentation, its diff is exactly the oracle's
+    /// change, and its rows patched by the diff are the oracle's. The
+    /// patterns share their labels, so the entries mark and cascade
+    /// through the same pairs. A second session runs the same batches
+    /// under a delivery plan that duplicates and delays data messages:
+    /// a redelivered `Ops` or `InsOps`, or an entry-tagged `Falsified`,
+    /// `Affected` or `CandRow`, is a no-op for every entry.
     #[test]
     fn maintained_states_equal_the_reference_batch_after_batch() {
-        let (mut created, mut revived, mut moved) = (0, 0, 0);
+        use dgs_net::{DeliveryPlan, VirtualExecutor};
+        let (mut created, mut revived, mut moved, mut duplicated) = (0, 0, 0, 0);
         for seed in 0..4u64 {
             let (n, sites) = (90, 3);
             let (g, assign) = if seed % 2 == 0 {
@@ -1549,77 +1752,118 @@ mod tests {
                 let g = random::community(n, 300, sites, 0.2, 3, seed);
                 (g, random::community_assignment(n, sites))
             };
-            let cyclic = patterns::random_cyclic(4, 7, 3, seed + 5);
-            let dag = patterns::random_dag_with_depth(5, 6, 3, 3, seed + 9);
-            for q in [Arc::new(cyclic), Arc::new(dag)] {
-                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                let mut next = move |bound: usize| {
-                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    (x >> 33) as usize % bound
-                };
-                let mut frag = Arc::new(Fragmentation::build(&g, &assign, sites));
-                let mut rows = rows_of(&q, &g);
-                let mut states: Vec<DeltaSiteState> = (0..sites)
-                    .map(|s| DeltaSiteState::promote(&frag, s, &q, &rows))
+            let qs: Vec<Arc<Pattern>> = vec![
+                Arc::new(patterns::random_cyclic(4, 7, 3, seed + 5)),
+                Arc::new(patterns::random_dag_with_depth(5, 6, 3, 3, seed + 9)),
+                Arc::new(patterns::random_cyclic(3, 4, 3, seed + 13)),
+            ];
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |bound: usize| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) as usize % bound
+            };
+            let mut frag = Arc::new(Fragmentation::build(&g, &assign, sites));
+            let mut rows: Vec<Vec<Vec<NodeId>>> = qs.iter().map(|q| rows_of(q, &g)).collect();
+            let mut clean: Vec<Vec<DeltaSiteState>> = (qs.iter().zip(&rows))
+                .map(|(q, rows)| {
+                    let states = (0..sites).map(|s| DeltaSiteState::promote(&frag, s, q, rows));
+                    let states: Vec<DeltaSiteState> = states.collect();
+                    assert_reference_states(&frag, q, rows, &states, "promoted");
+                    states
+                })
+                .collect();
+            let mut faulty = clean.clone();
+            let mut present: Vec<(NodeId, NodeId)> = g.edges().collect();
+            let mut graveyard = Vec::new();
+            for batch in 0..5 {
+                let mut insertions = Vec::new();
+                while insertions.len() < 8 {
+                    let e = if insertions.len() % 2 == 0 && !graveyard.is_empty() {
+                        graveyard.swap_remove(next(graveyard.len()))
+                    } else {
+                        (NodeId(next(n) as u32), NodeId(next(n) as u32))
+                    };
+                    if e.0 != e.1 && !present.contains(&e) && !insertions.contains(&e) {
+                        insertions.push(e);
+                    }
+                }
+                let deletions: Vec<(NodeId, NodeId)> = (0..8)
+                    .map(|_| present.swap_remove(next(present.len())))
                     .collect();
-                assert_reference_states(&frag, &q, &rows, &states, "promoted");
-                let mut present: Vec<(NodeId, NodeId)> = g.edges().collect();
-                let mut graveyard = Vec::new();
-                for batch in 0..5 {
-                    let mut insertions = Vec::new();
-                    while insertions.len() < 8 {
-                        let e = if insertions.len() % 2 == 0 && !graveyard.is_empty() {
-                            graveyard.swap_remove(next(graveyard.len()))
-                        } else {
-                            (NodeId(next(n) as u32), NodeId(next(n) as u32))
-                        };
-                        if e.0 != e.1 && !present.contains(&e) && !insertions.contains(&e) {
-                            insertions.push(e);
+                graveyard.extend(&deletions);
+                present.extend(&insertions);
+
+                let ops: Vec<dgs_partition::EdgeOp> = (insertions.iter())
+                    .map(|&(u, v)| dgs_partition::EdgeOp::Insert(u, v))
+                    .chain(
+                        deletions
+                            .iter()
+                            .map(|&(u, v)| dgs_partition::EdgeOp::Delete(u, v)),
+                    )
+                    .collect();
+                let mut after = (*frag).clone();
+                after.apply_delta(&ops);
+                for (b, a) in frag.fragments().iter().zip(after.fragments()) {
+                    created += a.n_total() - b.n_total();
+                    revived += (b.virtual_indices())
+                        .filter(|&v| !b.is_live_virtual(v) && a.is_live_virtual(v))
+                        .count();
+                }
+                let after = Arc::new(after);
+                let now = after.to_graph();
+                let new_rows: Vec<Vec<Vec<NodeId>>> = qs.iter().map(|q| rows_of(q, &now)).collect();
+                let plan = DeliveryPlan::new(0.0, 0.4, 0.4, seed * 31 + batch);
+                for (run, states, plan) in [
+                    ("clean", &mut clean, None),
+                    ("faulty", &mut faulty, Some(plan)),
+                ] {
+                    let entries = qs.iter().map(|q| &**q).zip(std::mem::take(states));
+                    let (coord, logic) = build_maintenance(
+                        &frag,
+                        &after,
+                        entries.collect(),
+                        &deletions,
+                        &insertions,
+                    );
+                    let mut exec = VirtualExecutor::new(CostModel::default());
+                    if let Some(plan) = plan {
+                        exec = exec.with_delivery(plan);
+                    }
+                    let o = exec.run(coord, logic);
+                    duplicated += o.metrics.duplicated_messages;
+                    *states = entry_states(o.sites);
+                    for (k, q) in qs.iter().enumerate() {
+                        let at =
+                            format!("seed {seed}, batch {batch}, {run} run, entry {k} {:?}", **q);
+                        assert_reference_states(&after, q, &new_rows[k], &states[k], &at);
+                        let (revoked, resurrected) =
+                            (&o.coordinator.revoked[k], &o.coordinator.resurrected[k]);
+                        let (want_revoked, want_resurrected) = diff_of(&rows[k], &new_rows[k]);
+                        assert_eq!(revoked, &want_revoked, "{at}: revoked");
+                        assert_eq!(resurrected, &want_resurrected, "{at}: resurrected");
+                        let mut patched = rows[k].clone();
+                        for var in revoked {
+                            patched[var.q as usize].retain(|&v| v != var.node_id());
+                        }
+                        for var in resurrected {
+                            let row = &mut patched[var.q as usize];
+                            let at = row.binary_search(&var.node_id()).unwrap_err();
+                            row.insert(at, var.node_id());
+                        }
+                        assert_eq!(patched, new_rows[k], "{at}: rows");
+                        if plan.is_none() {
+                            moved += revoked.len() + resurrected.len();
                         }
                     }
-                    let deletions: Vec<(NodeId, NodeId)> = (0..8)
-                        .map(|_| present.swap_remove(next(present.len())))
-                        .collect();
-                    graveyard.extend(&deletions);
-                    present.extend(&insertions);
-
-                    let ops: Vec<dgs_partition::EdgeOp> = (insertions.iter())
-                        .map(|&(u, v)| dgs_partition::EdgeOp::Insert(u, v))
-                        .chain(
-                            deletions
-                                .iter()
-                                .map(|&(u, v)| dgs_partition::EdgeOp::Delete(u, v)),
-                        )
-                        .collect();
-                    let mut after = (*frag).clone();
-                    after.apply_delta(&ops);
-                    for (b, a) in frag.fragments().iter().zip(after.fragments()) {
-                        created += a.n_total() - b.n_total();
-                        revived += (b.virtual_indices())
-                            .filter(|&v| !b.is_live_virtual(v) && a.is_live_virtual(v))
-                            .count();
-                    }
-                    let after = Arc::new(after);
-                    let (coord, logic) =
-                        build_maintenance(&after, &q, states, &deletions, &insertions);
-                    let o =
-                        dgs_net::run(ExecutorKind::Virtual, &CostModel::default(), coord, logic);
-                    moved += o.coordinator.revoked.len() + o.coordinator.resurrected.len();
-                    states = o
-                        .sites
-                        .into_iter()
-                        .map(|site| site.into_parts().0)
-                        .collect();
-                    rows = rows_of(&q, &after.to_graph());
-                    let at = format!("seed {seed}, {:?}, batch {batch}", *q);
-                    assert_reference_states(&after, &q, &rows, &states, &at);
-                    frag = after;
                 }
+                rows = new_rows;
+                frag = after;
             }
         }
         assert!(
-            created > 0 && revived > 0 && moved > 0,
-            "{created} slots created, {revived} revived, {moved} pairs moved"
+            created > 0 && revived > 0 && moved > 0 && duplicated > 0,
+            "{created} slots created, {revived} revived, {moved} pairs moved, \
+             {duplicated} messages duplicated"
         );
     }
 
@@ -1631,14 +1875,45 @@ mod tests {
         assert_eq!(UpdateMsg::InsOps(vec![(1, 2)]).wire_size(), 1 + 4 + 8);
         assert_eq!(UpdateMsg::ShipCand(vec![(0, 9)]).wire_size(), 1 + 4 + 8);
         assert_eq!(
-            UpdateMsg::CandRow(vec![(4, vec![0, 2])]).wire_size(),
-            1 + 4 + (4 + 2 + 4)
+            UpdateMsg::CandRow(vec![(0, vec![(4, vec![0, 2])])]).wire_size(),
+            1 + 4 + (4 + 4 + (4 + 2 + 4))
         );
-        let v = vec![Var { q: 0, node: 7 }];
-        assert_eq!(UpdateMsg::Falsified(v.clone()).wire_size(), 1 + 4 + 6);
-        assert_eq!(UpdateMsg::Affected(v.clone()).wire_size(), 1 + 4 + 6);
-        assert_eq!(UpdateMsg::Revoked(v.clone()).wire_size(), 1 + 4 + 6);
-        assert_eq!(UpdateMsg::Resurrected(v).wire_size(), 1 + 4 + 6);
+        // An entry-tagged list counts its tag: 4 bytes a group, beside
+        // the group's own length prefix.
+        assert_eq!(
+            UpdateMsg::CandRow(vec![(0, vec![(4, vec![0, 2])]), (3, vec![])]).wire_size(),
+            1 + 4 + (4 + 4 + (4 + 2 + 4)) + (4 + 4)
+        );
+        let v = vec![(2, vec![Var { q: 0, node: 7 }])];
+        assert_eq!(
+            UpdateMsg::Falsified(v.clone()).wire_size(),
+            1 + 4 + 4 + 4 + 6
+        );
+        assert_eq!(
+            UpdateMsg::Affected(v.clone()).wire_size(),
+            1 + 4 + 4 + 4 + 6
+        );
+        assert_eq!(UpdateMsg::Revoked(v.clone()).wire_size(), 1 + 4 + 4 + 4 + 6);
+        assert_eq!(UpdateMsg::Resurrected(v).wire_size(), 1 + 4 + 4 + 4 + 6);
+    }
+
+    /// Whatever order the entries push in, a destination's batch holds
+    /// one group per entry, ascending, and an item named twice in a
+    /// row for one site goes once.
+    #[test]
+    fn entry_batches_group_by_entry_in_order() {
+        let var = |node| Var { q: 0, node };
+        let mut batches = EntryBatches::new(3);
+        batches.push(2, var(1), &[0, 0, 2]);
+        batches.push(0, var(2), &[0]);
+        batches.push(2, var(3), &[0]);
+        batches.push(0, var(4), &[2]);
+        assert_eq!(
+            batches.0[0],
+            vec![(0, vec![var(2)]), (2, vec![var(1), var(3)])]
+        );
+        assert_eq!(batches.0[2], vec![(0, vec![var(4)]), (2, vec![var(1)])]);
+        assert!(batches.0[1].is_empty());
     }
 
     #[test]

@@ -37,8 +37,11 @@ pub(super) struct WriterState {
     /// nobody else holding it: the next generation's buffers.
     spare: Option<Fragmentation>,
     /// The session's one reverse adjacency per site, equal to the
-    /// current snapshot's whenever it is `Some`: the maintenance runs
-    /// of a batch take turns with it ([`delta::build_maintenance`]).
+    /// current snapshot's whenever it is `Some`: each batch's one
+    /// maintenance run edits it in place for every entry
+    /// ([`delta::build_maintenance`]), and the batch then compacts it
+    /// by `SpanLists::compact`'s rule, so it stays at most twice its
+    /// items however long the churn.
     pred: Option<Vec<SpanLists<u32>>>,
 }
 
@@ -131,9 +134,11 @@ impl SimEngine {
     /// over the generation the last swap retired (**recycled**) when
     /// nobody else — a reader, an engine clone, a caller of
     /// [`Self::fragmentation`] — still held that, and cloned afresh
-    /// when somebody did. The graph mirror is derived lazily from it;
-    /// maintained entries share one reverse adjacency per site,
-    /// rewound between their runs.
+    /// when somebody did. The graph mirror is derived lazily from it.
+    /// Every maintained entry is kept in **one** maintenance run per
+    /// batch — 4 quiescence rounds, 2 without insertions, whatever the
+    /// number of entries — over the session's one reverse adjacency
+    /// per site, which the run edits once per edge and nothing rewinds.
     ///
     /// # Errors
     /// [`DgsError::InvalidDelta`] as above; on a socket session, the
@@ -286,25 +291,29 @@ impl SimEngine {
             self.cluster_gen.store(generation, Ordering::SeqCst);
         }
 
-        // Distributed incremental maintenance per cached entry:
-        // revoking the falsified pairs from the stored rows and
+        // Distributed incremental maintenance of every cached entry in
+        // one run: revoking the falsified pairs from the stored rows and
         // re-inserting the resurrected ones keeps every entry exact,
-        // whatever the batch shape. The runs take turns with the
-        // session's one reverse adjacency and leave it post-delta,
+        // whatever the batch shape. The run starts from the session's
+        // one reverse adjacency, pre-delta, and leaves it post-delta,
         // where the next batch needs it — unless this batch maintains
         // nothing and moves the graph without it.
-        let mut pred = writer.pred.take().filter(|_| !promoted.is_empty());
-        for (canon_key, entry) in promoted {
-            let states = writer.entries.remove(&canon_key).expect("promoted above");
-            let lists = pred.unwrap_or_else(|| snap.frag.reverse_adjacency());
-            let (coord, sites) = delta::build_maintenance(
-                &next_frag,
-                &states.pattern,
-                states.sites,
-                lists,
-                &deletes,
-                &inserts,
-            );
+        if promoted.is_empty() {
+            writer.pred = None;
+        } else {
+            let pred = writer.pred.take();
+            let pred = pred.unwrap_or_else(|| snap.frag.reverse_adjacency());
+            let entries = (promoted.iter())
+                .map(|(canon_key, _)| {
+                    let states = writer.entries.get_mut(canon_key).expect("promoted above");
+                    (
+                        Arc::clone(&states.pattern),
+                        std::mem::take(&mut states.sites),
+                    )
+                })
+                .collect();
+            let (coord, sites) =
+                delta::build_maintenance(&next_frag, entries, pred, &deletes, &inserts);
             // Maintenance stays in-process even on socket sessions:
             // the per-site counter states must come back into the
             // session, and remote state does not.
@@ -313,71 +322,80 @@ impl SimEngine {
                 k => k,
             };
             let o = dgs_net::run(kind, &self.cost, coord, sites);
-            let mut rows = entry.rows.clone();
-            for var in &o.coordinator.revoked {
-                let row = &mut rows[var.q as usize];
-                if let Ok(pos) = row.binary_search(&var.node_id()) {
-                    row.remove(pos);
+            report.metrics = o.metrics;
+            let (mut pred, mut by_entry) = (Vec::new(), vec![Vec::new(); promoted.len()]);
+            for site in o.sites {
+                report.per_site[site.stats().site].merge(site.stats());
+                let (states, mut lists) = site.into_parts();
+                for (sites, st) in by_entry.iter_mut().zip(states) {
+                    sites.push(st);
                 }
+                lists.compact();
+                pred.push(lists);
             }
-            for var in &o.coordinator.resurrected {
-                let row = &mut rows[var.q as usize];
-                if let Err(pos) = row.binary_search(&var.node_id()) {
-                    row.insert(pos, var.node_id());
-                }
-            }
-            report.revoked_pairs += o.coordinator.revoked.len() as u64;
-            report.resurrected_pairs += o.coordinator.resurrected.len() as u64;
-            report.maintained_diffs.push(delta::MaintainedDiff {
-                canon_key: canon_key.clone(),
-                revoked: o.coordinator.revoked,
-                resurrected: o.coordinator.resurrected,
-            });
-            report.metrics.merge(&o.metrics);
-            let (sites_back, lists_back) = o
-                .sites
+            writer.pred = Some(pred);
+            let diffs = o
+                .coordinator
+                .revoked
                 .into_iter()
-                .map(|site| {
-                    report.per_site[site.stats().site].merge(site.stats());
-                    site.into_parts()
-                })
-                .unzip();
-            pred = Some(lists_back);
-            let note = IncrementalNote {
-                deletions_absorbed: states.note.deletions_absorbed + deletes.len() as u64,
-                insertions_absorbed: states.note.insertions_absorbed + inserts.len() as u64,
-                maintenance_runs: states.note.maintenance_runs + 1,
-            };
-            let mut plan = entry.plan.clone();
-            if plan.incremental.is_none() {
-                plan.reasons.push(
-                    "maintained under edge updates by the distributed incremental \
-                     update (no full re-evaluation)"
-                        .into(),
-                );
+                .zip(o.coordinator.resurrected);
+            let results = by_entry.into_iter().zip(diffs);
+            for ((canon_key, entry), (sites, (revoked, resurrected))) in
+                promoted.into_iter().zip(results)
+            {
+                // An entry the batch left alone shares its rows with the
+                // generation before.
+                let mut rows = Arc::clone(&entry.rows);
+                if !revoked.is_empty() || !resurrected.is_empty() {
+                    let rows = Arc::make_mut(&mut rows);
+                    for var in &revoked {
+                        let row = &mut rows[var.q as usize];
+                        if let Ok(pos) = row.binary_search(&var.node_id()) {
+                            row.remove(pos);
+                        }
+                    }
+                    for var in &resurrected {
+                        let row = &mut rows[var.q as usize];
+                        if let Err(pos) = row.binary_search(&var.node_id()) {
+                            row.insert(pos, var.node_id());
+                        }
+                    }
+                }
+                report.revoked_pairs += revoked.len() as u64;
+                report.resurrected_pairs += resurrected.len() as u64;
+                let states = writer.entries.get_mut(&canon_key).expect("promoted above");
+                states.sites = sites;
+                let note = &mut states.note;
+                note.deletions_absorbed += deletes.len() as u64;
+                note.insertions_absorbed += inserts.len() as u64;
+                note.maintenance_runs += 1;
+                let mut plan = entry.plan.clone();
+                if plan.incremental.is_none() {
+                    plan.reasons.push(
+                        "maintained under edge updates by the distributed incremental \
+                         update (no full re-evaluation)"
+                            .into(),
+                    );
+                }
+                plan.incremental = Some(*note);
+                if let Some(cache) = &self.cache {
+                    cache.lock().insert(
+                        next.gen_key(&canon_key),
+                        Arc::new(CachedResult {
+                            rows,
+                            algorithm: entry.algorithm,
+                            plan,
+                        }),
+                    );
+                }
+                report.maintained_diffs.push(delta::MaintainedDiff {
+                    canon_key,
+                    revoked,
+                    resurrected,
+                });
+                report.maintained_entries += 1;
             }
-            plan.incremental = Some(note);
-            if let Some(cache) = &self.cache {
-                cache.lock().insert(
-                    next.gen_key(&canon_key),
-                    Arc::new(CachedResult {
-                        rows,
-                        algorithm: entry.algorithm,
-                        plan,
-                    }),
-                );
-            }
-            writer.entries.insert(
-                canon_key,
-                MaintainedStates {
-                    pattern: states.pattern,
-                    sites: sites_back,
-                    note,
-                },
-            );
-            report.maintained_entries += 1;
         }
-        writer.pred = pred;
 
         // Publish: a single pointer swap makes the next generation the
         // one every subsequent query loads. The one it retires becomes

@@ -345,7 +345,7 @@ impl SimEngine {
         cache.lock().insert(
             snap.gen_key(&canon.key),
             Arc::new(CachedResult {
-                rows,
+                rows: Arc::new(rows),
                 algorithm: report.algorithm,
                 plan: report.plan.clone(),
             }),

@@ -79,7 +79,8 @@ impl WireSize for WireSubgraph {
 }
 
 /// Variables batched per destination site — the one routing path of
-/// the `dGPM*` engines and of delta maintenance. A variable goes to
+/// the `dGPM*` engines (delta maintenance batches the same way, grouped
+/// by entry: `delta::EntryBatches`). A variable goes to
 /// every site of a subscriber list, once per site; batches come out in
 /// ascending site order with the empty ones skipped (the order message
 /// sequence numbers, and so virtual time, are assigned in).

@@ -131,6 +131,8 @@ pub struct SpanLists<T> {
     /// `(start, len, cap)` per list.
     spans: Vec<(u32, u32, u32)>,
     pool: Vec<T>,
+    /// The number of items over all lists.
+    items: usize,
 }
 
 impl<T: Copy + Ord + Default> SpanLists<T> {
@@ -148,6 +150,7 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
         let end = u32::try_from(self.pool.len()).expect("span pool overflow");
         let len = end - start as u32;
         self.spans.insert(at, (start as u32, len, len));
+        self.items += len as usize;
     }
 
     /// Appends `items` (sorted) as a new last list.
@@ -157,7 +160,7 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
 
     /// Removes the list at `at`; the ones behind it move down.
     pub fn remove_list(&mut self, at: usize) {
-        self.spans.remove(at);
+        self.items -= self.spans.remove(at).1 as usize;
     }
 
     /// Appends empty lists until there are `lists` of them.
@@ -184,6 +187,7 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
         self.pool.copy_within(lo..hi, lo + 1);
         self.pool[lo] = item;
         self.spans[idx].1 += 1;
+        self.items += 1;
         true
     }
 
@@ -196,6 +200,7 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
         let (lo, hi) = (start as usize + at, (start + len) as usize);
         self.pool.copy_within(lo + 1..hi, lo);
         self.spans[idx].1 -= 1;
+        self.items -= 1;
         true
     }
 
@@ -207,11 +212,50 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
     }
 }
 
+impl<T: Clone> SpanLists<T> {
+    /// Dead spans and spare room outnumber the items (the pool is more
+    /// than twice them): the one rule for when a pool is compacted.
+    fn is_loose(&self) -> bool {
+        self.pool.len() > 2 * self.items
+    }
+
+    /// Makes `self` the lists of `source`, in a pool of its own at
+    /// exactly their size: every list back to back at its exact size,
+    /// as [`Fragmentation::build`] lays them out.
+    fn compact_from(&mut self, source: &Self) {
+        self.spans.clear();
+        self.pool = Vec::with_capacity(source.items);
+        self.items = source.items;
+        for &(start, len, _) in &source.spans {
+            let at = self.pool.len() as u32;
+            self.pool
+                .extend_from_slice(&source.pool[start as usize..(start + len) as usize]);
+            self.spans.push((at, len, len));
+        }
+    }
+
+    /// Compacts the pool in place by the rule a copy applies
+    /// ([`Clone::clone_from`]): once dead spans and spare room
+    /// outnumber the items. For lists that are edited in place and
+    /// never copied; either way a pool stays at most twice its items.
+    pub fn compact(&mut self) {
+        if self.is_loose() {
+            let loose = SpanLists {
+                spans: std::mem::take(&mut self.spans),
+                pool: std::mem::take(&mut self.pool),
+                items: self.items,
+            };
+            self.compact_from(&loose);
+        }
+    }
+}
+
 impl<T: Clone> Clone for SpanLists<T> {
     fn clone(&self) -> Self {
         let mut copy = SpanLists {
             spans: Vec::new(),
             pool: Vec::new(),
+            items: 0,
         };
         copy.clone_from(self);
         copy
@@ -219,24 +263,15 @@ impl<T: Clone> Clone for SpanLists<T> {
 
     /// Two `memcpy`s while the pool holds at least half items; once
     /// dead spans and spare room outnumber the items, the copy
-    /// compacts instead, into a pool of its own at the compacted size:
-    /// every list back to back at its exact size, as
-    /// [`Fragmentation::build`] lays them out. Either way the copy's
-    /// pool is at most twice its items.
+    /// compacts instead, into a pool of its own at the compacted size.
+    /// Either way the copy's pool is at most twice its items.
     fn clone_from(&mut self, source: &Self) {
-        let items: usize = source.spans.iter().map(|&(_, len, _)| len as usize).sum();
-        if source.pool.len() <= 2 * items {
+        if source.is_loose() {
+            self.compact_from(source);
+        } else {
             self.spans.clone_from(&source.spans);
             self.pool.clone_from(&source.pool);
-            return;
-        }
-        self.spans.clear();
-        self.pool = Vec::with_capacity(items);
-        for &(start, len, _) in &source.spans {
-            let at = self.pool.len() as u32;
-            self.pool
-                .extend_from_slice(&source.pool[start as usize..(start + len) as usize]);
-            self.spans.push((at, len, len));
+            self.items = source.items;
         }
     }
 }
@@ -734,6 +769,7 @@ impl Fragmentation {
             let mut out_adj = SpanLists {
                 spans: Vec::with_capacity(n_total),
                 pool: Vec::with_capacity(n_edges),
+                items: 0,
             };
             // With each list, its label runs: a count per label seen,
             // then one run per label in label order (and one more per
@@ -790,6 +826,7 @@ impl Fragmentation {
             let mut in_adj = SpanLists {
                 spans: spans.collect(),
                 pool: vec![0u32; n_edges],
+                items: n_edges,
             };
             for ui in (0..n_local).rev() {
                 for &w in out_adj.of(ui) {
@@ -1307,6 +1344,7 @@ mod tests {
                 _ => {}
             }
             assert_eq!(lists.spans.len(), model.len());
+            assert_eq!(lists.items, model.iter().map(Vec::len).sum::<usize>());
             if step % 64 == 0 || step > 19_900 {
                 for (idx, list) in model.iter().enumerate() {
                     assert_eq!(lists.of(idx), &list[..], "list {idx} at step {step}");
@@ -1349,6 +1387,7 @@ mod tests {
         over.clone_from(&lists);
         for copy in [over, lists.clone()] {
             assert!(copy.pool.len() <= 2 * items, "{} pooled", copy.pool.len());
+            assert_eq!(copy.items, items);
             for idx in 0..100 {
                 assert_eq!(copy.of(idx), lists.of(idx));
             }
@@ -1359,6 +1398,37 @@ mod tests {
         dense.push_list([7, 8, 9]);
         dense.insert(0, 4);
         assert_eq!((dense.pool.len(), dense.clone().pool.len()), (12, 12));
+    }
+
+    /// `compact` is the same rule in place: a mostly dead pool shrinks
+    /// to its items and keeps every list, a dense one is left alone.
+    #[test]
+    fn compact_applies_the_copy_rule_in_place() {
+        let mut lists = SpanLists::<u32>::default();
+        for idx in 0..50 {
+            lists.push_list([]);
+            for item in 0..20 {
+                lists.insert(idx, item);
+            }
+            for item in 3..20 {
+                lists.remove(idx, item);
+            }
+        }
+        let before: Vec<Vec<u32>> = (0..50).map(|idx| lists.of(idx).to_vec()).collect();
+        lists.compact();
+        assert_eq!((lists.pool.len(), lists.items), (50 * 3, 50 * 3));
+        for (idx, items) in before.iter().enumerate() {
+            assert_eq!(lists.of(idx), items.as_slice());
+        }
+        // Compacted lists take edits like built ones.
+        assert!(lists.insert(7, 99) && lists.remove(7, 0));
+        assert_eq!(lists.of(7), &[1, 2, 99]);
+        let mut dense = SpanLists::<u32>::default();
+        dense.push_list([1, 2, 3]);
+        dense.push_list([7, 8, 9]);
+        dense.insert(0, 4);
+        dense.compact();
+        assert_eq!(dense.pool.len(), 12);
     }
 
     /// More than `u16::MAX` successors of one label continue in a

@@ -1047,3 +1047,51 @@ fn a_held_generation_is_never_recycled() {
     }
     assert!(*engine.graph() == mirror);
 }
+
+/// A batch is one maintenance run, however many entries it keeps: a
+/// mixed batch takes exactly the four quiescence rounds of `Deleting →
+/// Marking → Refining → Gathering` and a deletion-only one two, at one
+/// maintained entry and at sixteen, and a batch's control messages
+/// (`ShipCand`, `Refine`, `GatherRequest`) do not grow with the entry
+/// count.
+#[test]
+fn a_batch_takes_the_rounds_of_one_run_whatever_the_entry_count() {
+    let (n, k) = (400, 4);
+    let g = random::community(n, 5 * n, k, 0.1, 3, 11);
+    let assign = random::community_assignment(n, k);
+    let qs = distinct_cyclic_patterns(16, 3, 11);
+    assert_eq!(qs.len(), 16);
+    let mut control = Vec::new();
+    for entries in [1, 16] {
+        let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+        let engine = SimEngine::builder(&g, frag).build();
+        for q in &qs[..entries] {
+            engine.query(q).unwrap();
+        }
+        let (mut mirror, mut churn) = (g.clone(), Churn::new(11));
+        let mut per_batch = Vec::new();
+        for batch in 0..8 {
+            let mut delta = churn.batch(&mirror, 5);
+            if batch % 2 == 1 {
+                delta.insert_edges.clear();
+            }
+            assert!(delta.insert_edges.is_empty() == (batch % 2 == 1));
+            let report = engine.apply_delta(&delta).unwrap();
+            assert_eq!(report.maintained_entries, entries);
+            let rounds = if batch % 2 == 1 { 2 } else { 4 };
+            assert_eq!(
+                report.metrics.quiescence_rounds, rounds,
+                "{entries} entries, batch {batch}"
+            );
+            per_batch.push(report.metrics.control_messages);
+            mirror = mutated(&mirror, &delta);
+        }
+        for q in &qs[..entries] {
+            let served = engine.query(q).unwrap();
+            assert_eq!(served.metrics.cache_hits, 1);
+            assert_eq!(served.relation, hhk_simulation(q, &mirror).relation);
+        }
+        control.push(per_batch);
+    }
+    assert_eq!(control[0], control[1], "control messages per batch");
+}

@@ -711,3 +711,96 @@ fn intra_query_parallelism_is_bit_identical() {
     let report = sock.query_with(&Algorithm::dgpm(), &q).unwrap();
     assert_eq!(report.relation, oracle.relation);
 }
+
+/// A batch's one maintenance run agrees across executors: a virtual
+/// and a threaded session given the same multi-entry batches report
+/// the same per-entry diffs, pair counts and maintenance data
+/// messages, in the same four rounds — so the threaded session spawns
+/// one thread set per batch, not one per entry. Every crossing edge
+/// points from site 0 to site 1, so only site 1 ships falsifications,
+/// marks and candidacy rows, each from a handler the coordinator's
+/// barriers start: how many data messages a batch takes does not
+/// depend on thread timing.
+#[test]
+fn maintenance_runs_agree_across_executors() {
+    let (n, half) = (160, 80);
+    let site = |v: NodeId| usize::from(v.index() >= half);
+    let base = random::uniform(n, 5 * n, 3, 5);
+    let mut b = GraphBuilder::new();
+    for v in base.nodes() {
+        b.add_node(base.label(v));
+    }
+    let forward = |&(u, v): &(NodeId, NodeId)| u != v && site(u) <= site(v);
+    for (u, v) in base.edges().filter(forward) {
+        b.add_edge(u, v);
+    }
+    let g = b.build();
+    let assign: Vec<usize> = g.nodes().map(site).collect();
+    let mut keys = std::collections::HashSet::new();
+    let qs: Vec<Pattern> = (0..)
+        .map(|i| patterns::random_cyclic(3 + (i % 3) as usize, 4 + (i % 3) as usize, 3, i))
+        .filter(|q| hhk_simulation(q, &g).matches() && keys.insert(SimEngine::pattern_canon(q).0))
+        .take(8)
+        .collect();
+    let [virt, thr] = [ExecutorKind::Virtual, ExecutorKind::Threaded].map(|kind| {
+        let frag = Arc::new(Fragmentation::build(&g, &assign, 2));
+        let engine = SimEngine::builder(&g, frag).executor(kind).build();
+        for q in &qs {
+            engine.query(q).unwrap();
+        }
+        engine
+    });
+
+    let mut present: Vec<(NodeId, NodeId)> = g.edges().collect();
+    let mut rng = 5u64;
+    let mut next = |bound: usize| {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (rng >> 33) as usize % bound
+    };
+    let (mut moved, mut data) = (0, 0);
+    for batch in 0..6 {
+        let mut delta = GraphDelta::default();
+        while delta.insert_edges.len() < 6 {
+            let e = (NodeId(next(n) as u32), NodeId(next(n) as u32));
+            if forward(&e) && !present.contains(&e) && !delta.insert_edges.contains(&e) {
+                delta.insert_edges.push(e);
+            }
+        }
+        for _ in 0..6 {
+            delta
+                .delete_edges
+                .push(present.swap_remove(next(present.len())));
+        }
+        present.extend(&delta.insert_edges);
+        let (rv, rt) = (
+            virt.apply_delta(&delta).unwrap(),
+            thr.apply_delta(&delta).unwrap(),
+        );
+        assert_eq!(rv.maintained_entries, qs.len());
+        assert_eq!(rt.maintained_entries, qs.len());
+        assert_eq!(rv.maintained_diffs, rt.maintained_diffs, "batch {batch}");
+        assert_eq!(
+            (rv.revoked_pairs, rv.resurrected_pairs),
+            (rt.revoked_pairs, rt.resurrected_pairs),
+            "batch {batch}"
+        );
+        assert_eq!(
+            rv.metrics.data_messages, rt.metrics.data_messages,
+            "batch {batch}"
+        );
+        assert_eq!(rv.metrics.quiescence_rounds, 4, "batch {batch}");
+        assert_eq!(rt.metrics.quiescence_rounds, 4, "batch {batch}");
+        moved += rv.revoked_pairs + rv.resurrected_pairs;
+        data += rv.metrics.data_messages;
+    }
+    assert!(
+        moved > 0 && data > 0,
+        "{moved} pairs moved, {data} data messages"
+    );
+    let now = virt.graph();
+    for q in &qs {
+        let oracle = hhk_simulation(q, &now).relation;
+        assert_eq!(virt.query(q).unwrap().relation, oracle);
+        assert_eq!(thr.query(q).unwrap().relation, oracle);
+    }
+}
