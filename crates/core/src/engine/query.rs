@@ -362,7 +362,7 @@ impl SimEngine {
     /// in-process virtual executor.
     /// `intra` is the intra-query worker budget: the virtual
     /// executor's Phase-1 site evaluations fan out over up to that
-    /// many threads ([`dgs_net::try_run_pooled`]); reports stay
+    /// many threads ([`dgs_net::try_run`]); reports stay
     /// bit-identical to an `intra = 1` run. The threaded and socket
     /// executors are inherently per-site parallel and ignore it.
     fn drive<M, C, S>(
@@ -386,7 +386,7 @@ impl SimEngine {
             (ExecutorKind::Socket, _) => (ExecutorKind::Virtual, None),
             (kind, _) => (kind, None),
         };
-        dgs_net::try_run_pooled(kind, &self.cost, cluster, intra, coordinator, sites)
+        dgs_net::try_run(kind, &self.cost, cluster, intra, coordinator, sites)
             .map_err(|e| DgsError::from_exec(algorithm, e))
     }
 

@@ -1,106 +1,56 @@
-//! Threaded executor: one OS thread per site, channel transport,
-//! Dijkstra-style quiescence detection.
+//! Threaded executor: one OS thread per site, channel transport.
 //!
-//! An atomic in-flight counter is incremented *before* every channel
-//! send and decremented only after the receiving handler completes, so
-//! the counter reaching zero proves global quiescence (no queued and
-//! no in-processing message anywhere). The thread that drives it to
-//! zero wakes the main loop, which runs the coordinator's
-//! `on_quiescent` barrier — the same protocol semantics as the virtual
-//! executor, with real parallelism and wall-clock timing.
+//! Every message is routed through the coordinator's thread, a star
+//! like the socket executor's: a site thread runs one handler per
+//! message and ships the outbox back, and the coordinator's thread
+//! hands each send to the run driver (`src/driver.rs`), which
+//! accounts it and applies the [`DeliveryPlan`]. That thread also
+//! keeps the in-flight count — one per started site and per routed
+//! message, released by the outbox that answers it — so zero proves
+//! global quiescence and runs the driver's barrier. The same protocol
+//! semantics as the virtual executor, with real parallelism and
+//! wall-clock timing.
 //!
-//! A panicking site handler used to poison the whole run ambiguously
-//! (the panic propagated out of the thread scope). It is now caught at
-//! the site thread, aborts the run, and surfaces as a typed
-//! [`ExecError::SiteFailed`] from [`ThreadedExecutor::try_run`] naming
-//! the site — the serving layer keeps its session alive across it. A
-//! stalled protocol is [`ExecError::Stalled`], as under every executor.
+//! A panicking site handler is caught at its thread, aborts the run,
+//! and surfaces as a typed [`ExecError::SiteFailed`] naming the site —
+//! the serving layer keeps its session alive across it. A stalled
+//! protocol is [`ExecError::Stalled`], as under every executor.
 
+use crate::delivery::DeliveryPlan;
+use crate::driver::{Barrier, RunDriver};
 use crate::message::{Endpoint, WireSize};
-use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
-use crate::{ExecError, RunOutcome};
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
+use crate::{panic_reason, ExecError, RunOutcome};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::Instant;
 
-enum Packet<M> {
-    Msg { from: Endpoint, msg: M },
-    Stop,
-}
+/// A message on its way to a site: `(site, from, msg)`.
+type Packet<M> = (u32, Endpoint, M);
+
+/// What a site thread reports: a finished handler's outbox, or why the
+/// handler panicked.
+type Report<M> = (u32, Result<Outbox<M>, String>);
 
 /// The real-thread executor. It takes no cost model: ops are charged,
 /// not timed, and wall clock is the timing source.
 #[derive(Default)]
-pub struct ThreadedExecutor;
-
-struct Shared<M> {
-    site_txs: Vec<Sender<Packet<M>>>,
-    coord_tx: Sender<Packet<M>>,
-    quiesce_tx: Sender<()>,
-    inflight: AtomicI64,
-    metrics: Mutex<RunMetrics>,
-    /// First site failure (panicking handler); set once, aborts the
-    /// run with a typed error.
-    failed: Mutex<Option<(u32, String)>>,
-}
-
-impl<M: WireSize> Shared<M> {
-    /// Dispatches a completed handler's outbox, then releases one
-    /// in-flight token (the message or start-up token that triggered
-    /// the handler).
-    fn flush_and_release(&self, from: Endpoint, out: Outbox<M>) {
-        {
-            let mut m = self.metrics.lock();
-            m.record_ops(from, out.ops);
-            for (_, class, msg) in &out.sends {
-                m.record_send_from(from, *class, msg.wire_size());
-            }
-        }
-        for (to, _, msg) in out.sends {
-            self.inflight.fetch_add(1, Ordering::SeqCst);
-            let pkt = Packet::Msg { from, msg };
-            // A send can only fail when the destination already exited
-            // (a failed run being torn down): drop the message and put
-            // the token back so the counter stays truthful.
-            let sent = match to {
-                Endpoint::Coordinator => self.coord_tx.send(pkt).is_ok(),
-                Endpoint::Site(i) => self.site_txs[i as usize].send(pkt).is_ok(),
-            };
-            if !sent {
-                self.inflight.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        if self.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _ = self.quiesce_tx.send(());
-        }
-    }
-
-    /// Records a panicking site and wakes the main loop so the run
-    /// aborts promptly.
-    fn report_failure(&self, site: u32, panic: Box<dyn std::any::Any + Send>) {
-        let reason = if let Some(s) = panic.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = panic.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "site handler panicked".to_owned()
-        };
-        let mut failed = self.failed.lock();
-        if failed.is_none() {
-            *failed = Some((site, reason));
-        }
-        drop(failed);
-        let _ = self.quiesce_tx.send(());
-    }
+pub struct ThreadedExecutor {
+    delivery: Option<DeliveryPlan>,
 }
 
 impl ThreadedExecutor {
     /// Creates an executor.
     pub fn new() -> Self {
-        ThreadedExecutor
+        ThreadedExecutor::default()
+    }
+
+    /// Applies a [`DeliveryPlan`] to every run: a retried, duplicated
+    /// or delayed message is held until the run next quiesces, then
+    /// delivered in seeded-shuffled order.
+    pub fn with_delivery(mut self, plan: DeliveryPlan) -> Self {
+        self.delivery = Some(plan);
+        self
     }
 
     /// Runs the protocol to completion; see [`crate::run`].
@@ -111,8 +61,8 @@ impl ThreadedExecutor {
     /// [`ExecError`] instead.
     pub fn run<M, C, S>(&self, coordinator: C, sites: Vec<S>) -> RunOutcome<C, S>
     where
-        M: WireSize + Send + 'static,
-        C: CoordinatorLogic<M> + Send,
+        M: WireSize + Clone + Send,
+        C: CoordinatorLogic<M>,
         S: SiteLogic<M> + Send,
     {
         self.try_run(coordinator, sites)
@@ -125,150 +75,141 @@ impl ThreadedExecutor {
     /// [`ExecError::Stalled`].
     pub fn try_run<M, C, S>(
         &self,
-        mut coordinator: C,
+        coordinator: C,
         mut sites: Vec<S>,
     ) -> Result<RunOutcome<C, S>, ExecError>
     where
-        M: WireSize + Send + 'static,
-        C: CoordinatorLogic<M> + Send,
+        M: WireSize + Clone + Send,
+        C: CoordinatorLogic<M>,
         S: SiteLogic<M> + Send,
     {
         let n = sites.len();
-        let wall_start = Instant::now();
-
-        let mut site_txs = Vec::with_capacity(n);
-        let mut site_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            site_txs.push(tx);
-            site_rxs.push(rx);
-        }
-        let (coord_tx, coord_rx) = unbounded();
-        let (quiesce_tx, quiesce_rx) = unbounded();
-        let shared = Shared {
-            site_txs,
-            coord_tx,
-            quiesce_tx,
-            // One start-up token per site plus one for the coordinator:
-            // quiescence cannot fire before everyone has started.
-            inflight: AtomicI64::new(n as i64 + 1),
-            metrics: Mutex::new(RunMetrics::new(n)),
-            failed: Mutex::new(None),
-        };
-
-        let mut rounds = 0u64;
-        let mut stalled = false;
-        crossbeam::thread::scope(|scope| {
-            for (i, (site, rx)) in sites.iter_mut().zip(site_rxs).enumerate() {
-                let shared = &shared;
-                scope.spawn(move |_| {
-                    let me = Endpoint::Site(i as u32);
-                    let run_handler = |site: &mut S, pkt: Option<Packet<M>>| -> Option<Outbox<M>> {
-                        match pkt {
-                            None => {
-                                let mut out = Outbox::new(me, n);
-                                site.on_start(&mut out);
-                                Some(out)
-                            }
-                            Some(Packet::Stop) => None,
-                            Some(Packet::Msg { from, msg }) => {
-                                let mut out = Outbox::new(me, n);
-                                site.on_message(from, msg, &mut out);
-                                Some(out)
-                            }
-                        }
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| run_handler(site, None))) {
-                        Ok(Some(out)) => shared.flush_and_release(me, out),
-                        Ok(None) => unreachable!("start-up always produces an outbox"),
-                        Err(panic) => {
-                            shared.report_failure(i as u32, panic);
-                            return;
-                        }
-                    }
-                    while let Ok(pkt) = rx.recv() {
-                        match catch_unwind(AssertUnwindSafe(|| run_handler(site, Some(pkt)))) {
-                            Ok(Some(out)) => shared.flush_and_release(me, out),
-                            Ok(None) => break, // Stop
-                            Err(panic) => {
-                                shared.report_failure(i as u32, panic);
-                                return;
-                            }
-                        }
-                    }
-                });
+        let mut driver = RunDriver::new(coordinator, n, self.delivery);
+        let (report_tx, reports) = unbounded();
+        std::thread::scope(|scope| {
+            let mut star = Star {
+                inboxes: Vec::with_capacity(n),
+                // One token per site: its `on_start` answers with an
+                // outbox like any message.
+                inflight: n,
+            };
+            for (i, site) in sites.iter_mut().enumerate() {
+                let (tx, inbox) = unbounded();
+                star.inboxes.push(tx);
+                let report = report_tx.clone();
+                scope.spawn(move || serve_site(i as u32, n, site, &inbox, &report));
             }
+            drop(report_tx);
+            // Returning drops the inboxes, which ends every site thread.
+            star.run(&mut driver, &reports)
+        })?;
+        Ok(driver.finish(sites))
+    }
+}
 
-            // Coordinator runs on this thread.
-            let mut out = Outbox::new(Endpoint::Coordinator, n);
-            coordinator.on_start(&mut out);
-            shared.flush_and_release(Endpoint::Coordinator, out);
+/// One site's thread: `on_start`, then one handler per message until
+/// its inbox closes. Each handler's outbox, or the reason it panicked,
+/// goes back to the coordinator's thread; a panic ends the thread.
+fn serve_site<M, S: SiteLogic<M>>(
+    me: u32,
+    n: usize,
+    site: &mut S,
+    inbox: &Receiver<(Endpoint, M)>,
+    report: &Sender<Report<M>>,
+) {
+    let mut next = None;
+    loop {
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            let mut out = Outbox::new(Endpoint::Site(me), n);
+            match next.take() {
+                None => site.on_start(&mut out),
+                Some((from, msg)) => site.on_message(from, msg, &mut out),
+            }
+            out
+        }));
+        let failed = handled.is_err();
+        let _ = report.send((me, handled.map_err(|panic| panic_reason(&*panic))));
+        if failed {
+            return;
+        }
+        match inbox.recv() {
+            Ok(msg) => next = Some(msg),
+            Err(_) => return,
+        }
+    }
+}
 
-            loop {
-                if shared.failed.lock().is_some() {
-                    break;
-                }
-                crossbeam::channel::select! {
-                    recv(coord_rx) -> pkt => {
-                        if let Ok(Packet::Msg { from, msg }) = pkt {
-                            let mut out = Outbox::new(Endpoint::Coordinator, n);
-                            coordinator.on_message(from, msg, &mut out);
-                            shared.flush_and_release(Endpoint::Coordinator, out);
-                        }
-                    }
-                    recv(quiesce_rx) -> _ => {
-                        // The wake may be a failure notice rather than
-                        // true quiescence.
-                        if shared.failed.lock().is_some() {
-                            break;
-                        }
-                        // Re-check: a fresh start may have raced the
-                        // token; only act on true quiescence.
-                        if shared.inflight.load(Ordering::SeqCst) != 0
-                            || !coord_rx.is_empty()
-                        {
-                            continue;
-                        }
-                        rounds += 1;
-                        let mut out = Outbox::new(Endpoint::Coordinator, n);
-                        let done = coordinator.on_quiescent(&mut out);
-                        let had_sends = !out.sends.is_empty();
-                        // Account the barrier handler without releasing
-                        // any token (none triggered it): temporarily add
-                        // one so flush's release cancels out.
-                        shared.inflight.fetch_add(1, Ordering::SeqCst);
-                        shared.flush_and_release(Endpoint::Coordinator, out);
+/// The coordinator thread's side of the channels.
+struct Star<M> {
+    inboxes: Vec<Sender<(Endpoint, M)>>,
+    /// Handlers owed: started sites and routed messages not yet
+    /// answered by an outbox.
+    inflight: usize,
+}
+
+impl<M: WireSize + Clone> Star<M> {
+    fn run<C: CoordinatorLogic<M>>(
+        &mut self,
+        driver: &mut RunDriver<C, Packet<M>>,
+        reports: &Receiver<Report<M>>,
+    ) -> Result<(), ExecError> {
+        let out = driver.start();
+        self.route(driver, Endpoint::Coordinator, out);
+        loop {
+            if self.inflight == 0 {
+                match driver.quiescent()? {
+                    Barrier::Release(held) => held.into_iter().for_each(|p| self.deliver(p)),
+                    Barrier::Fired { done, out } => {
+                        self.route(driver, Endpoint::Coordinator, out);
                         if done {
-                            break;
+                            return Ok(());
                         }
-                        if !had_sends {
-                            stalled = true;
-                            break;
+                    }
+                }
+                continue;
+            }
+            let (site, handled) = reports
+                .recv()
+                .expect("a site thread reports before it exits");
+            let out = handled.map_err(|reason| ExecError::SiteFailed { site, reason })?;
+            self.inflight -= 1;
+            self.route(driver, Endpoint::Site(site), out);
+        }
+    }
+
+    /// Routes a finished handler's outbox: site-bound sends go out as
+    /// the plan says, coordinator-bound ones run `Sc`'s handler here,
+    /// whose own outbox is routed in turn.
+    fn route<C: CoordinatorLogic<M>>(
+        &mut self,
+        driver: &mut RunDriver<C, Packet<M>>,
+        from: Endpoint,
+        out: Outbox<M>,
+    ) {
+        let mut outboxes = VecDeque::from([(from, out)]);
+        while let Some((from, out)) = outboxes.pop_front() {
+            driver.record_ops(from, out.ops);
+            for (to, class, msg) in out.sends {
+                let verdict = driver.send(from, to, class, msg.wire_size());
+                match to {
+                    Endpoint::Coordinator => {
+                        outboxes.push_back((Endpoint::Coordinator, driver.deliver(from, msg)));
+                    }
+                    Endpoint::Site(site) => {
+                        if let Some(packet) = driver.admit(verdict, (site, from, msg)) {
+                            self.deliver(packet);
                         }
                     }
                 }
             }
-
-            for tx in &shared.site_txs {
-                let _ = tx.send(Packet::Stop);
-            }
-        })
-        .expect("scoped threads never propagate panics here");
-
-        if let Some((site, reason)) = shared.failed.into_inner() {
-            return Err(ExecError::SiteFailed { site, reason });
         }
-        if stalled {
-            return Err(ExecError::Stalled);
-        }
-        let mut metrics = shared.metrics.into_inner();
-        metrics.quiescence_rounds = rounds;
-        metrics.wall_time = wall_start.elapsed();
-        Ok(RunOutcome {
-            coordinator,
-            sites,
-            metrics,
-        })
+    }
+
+    fn deliver(&mut self, (site, from, msg): Packet<M>) {
+        self.inflight += 1;
+        // A site whose handler panicked has closed its inbox; its
+        // report ends the run before this message is awaited.
+        let _ = self.inboxes[site as usize].send((from, msg));
     }
 }
 
@@ -434,7 +375,10 @@ mod tests {
         match err {
             ExecError::SiteFailed { site, reason } => {
                 assert_eq!(site, 2);
-                assert!(reason.contains("deliberate failure"), "{reason}");
+                assert_eq!(
+                    reason,
+                    "site handler panicked: deliberate failure at site S3"
+                );
             }
             other => panic!("expected SiteFailed, got {other:?}"),
         }

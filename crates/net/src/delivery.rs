@@ -3,8 +3,8 @@
 //! The algorithms' data messages are idempotent: a falsified `X(u,v)`
 //! "never changes back" (§4.1), so delivering one twice, late or out of
 //! order changes traffic and timing, never the answer. A
-//! [`DeliveryPlan`] makes that testable; the virtual-time and socket
-//! executors apply its verdicts (the threaded executor takes no plan).
+//! [`DeliveryPlan`] makes that testable; every executor applies its
+//! verdicts, through the one run driver they share.
 //!
 //! **Which messages:** data-class messages bound for a site, under
 //! every executor. Control and result traffic carries the phase
@@ -15,7 +15,7 @@
 //! **Which verdict:** a pure function of `(seed, sender, seq)`, where
 //! `seq` counts the sender's earlier such sends in the run. A protocol
 //! whose per-sender send order does not depend on arrival order meets
-//! the same verdicts under both executors and on every run. Loss
+//! the same verdicts under every executor and on every run. Loss
 //! without retry is not modeled: the paper assumes reliable channels,
 //! and a lost falsification does change answers.
 
@@ -37,7 +37,8 @@ pub struct DeliveryPlan {
     /// Fraction delivered twice (the second copy later).
     pub duplicate_rate: f64,
     /// Fraction whose only copy arrives late: in virtual time up to
-    /// [`RETRY_NS`] late, over sockets after later sends (reordered).
+    /// [`RETRY_NS`] late, over channels and sockets at the next
+    /// quiescence, after later sends (reordered).
     pub delay_rate: f64,
     /// Seed of every per-message decision.
     pub seed: u64,
@@ -128,7 +129,8 @@ impl DeliveryPlan {
 }
 
 /// One run under a plan: the per-sender counters `seq` comes from.
-/// Executors make one per run, so verdicts never depend on earlier runs.
+/// The run driver makes one per run, so verdicts never depend on
+/// earlier runs.
 pub(crate) struct PlanRun {
     pub(crate) plan: DeliveryPlan,
     /// Plan-applicable sends so far, per sender stream.

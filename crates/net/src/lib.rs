@@ -7,11 +7,17 @@
 //!
 //! Algorithms are written once as message-driven actors
 //! ([`SiteLogic`] per site plus one [`CoordinatorLogic`]) and can then
-//! be driven by any executor:
+//! be driven by any executor. Every executor is one run driver over a
+//! transport: the crate-internal `RunDriver` owns the coordinator, the
+//! [`RunMetrics`], the [`DeliveryPlan`]'s verdicts and the barrier rule
+//! (at quiescence: done, another phase, or [`ExecError::Stalled`]);
+//! the transport only moves messages and reports where it observes
+//! quiescence:
 //!
 //! * [`cluster::ThreadedExecutor`] — one OS thread per site, crossbeam
-//!   channels, Dijkstra-style quiescence detection; proves the
-//!   algorithms really run concurrently and measures wall-clock time;
+//!   channels routed through the coordinator's thread, an in-flight
+//!   count for quiescence; proves the algorithms really run
+//!   concurrently and measures wall-clock time;
 //! * [`virtual_time::VirtualExecutor`] — a deterministic discrete-event
 //!   simulation: per-site busy time is `charged ops × cost-per-op` and
 //!   message delivery takes `latency + bytes / bandwidth` under an
@@ -41,6 +47,7 @@
 pub mod cluster;
 pub mod cost;
 pub mod delivery;
+mod driver;
 pub mod message;
 pub mod metrics;
 pub mod obs;
@@ -182,29 +189,14 @@ where
 /// stalled protocol as [`ExecError::Stalled`], and
 /// [`ExecutorKind::Socket`] dispatches to `cluster` (erroring when
 /// none is supplied).
-pub fn try_run<M, C, S>(
-    kind: ExecutorKind,
-    cost: &CostModel,
-    cluster: Option<&SocketCluster>,
-    coordinator: C,
-    sites: Vec<S>,
-) -> Result<RunOutcome<C, S>, ExecError>
-where
-    M: SocketMsg,
-    C: CoordinatorLogic<M> + Send,
-    S: SiteLogic<M> + RemoteSpec + Send,
-{
-    try_run_pooled(kind, cost, cluster, 1, coordinator, sites)
-}
-
-/// Like [`try_run`], but fans the per-site start handlers of the
-/// **virtual** executor out over up to `start_workers` threads
+///
+/// `start_workers` fans the per-site start handlers of the **virtual**
+/// executor out over up to that many threads
 /// ([`VirtualExecutor::with_start_workers`]): intra-query parallelism
-/// for the Phase-1 local evaluations, with bit-identical outcomes.
-/// The threaded executor is already one-thread-per-site and the
-/// socket executor one-process-per-site, so the knob only affects
-/// [`ExecutorKind::Virtual`].
-pub fn try_run_pooled<M, C, S>(
+/// for the Phase-1 local evaluations, with bit-identical outcomes. The
+/// threaded executor is already one-thread-per-site and the socket
+/// executor one-process-per-site, so they ignore it.
+pub fn try_run<M, C, S>(
     kind: ExecutorKind,
     cost: &CostModel,
     cluster: Option<&SocketCluster>,
@@ -228,5 +220,16 @@ where
                 detail: "the socket executor needs a bootstrapped SocketCluster".into(),
             }),
         },
+    }
+}
+
+/// The one reason a panicking site handler reports, under the threaded
+/// and the socket executor alike.
+pub(crate) fn panic_reason(panic: &(dyn std::any::Any + Send)) -> String {
+    let msg = (panic.downcast_ref::<&str>().copied())
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+    match msg {
+        Some(msg) => format!("site handler panicked: {msg}"),
+        None => "site handler panicked".to_owned(),
     }
 }

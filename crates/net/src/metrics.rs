@@ -30,7 +30,8 @@ pub struct RunMetrics {
     pub site_msgs: Vec<u64>,
     /// Charged operations at the coordinator.
     pub coordinator_ops: u64,
-    /// Virtual response time in ns (0 under the threaded executor).
+    /// Virtual response time in ns (0 under the threaded and socket
+    /// executors).
     pub virtual_time_ns: u64,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,

@@ -17,11 +17,12 @@
 //! like the paper's `Sc`-centric deployment): when a site handler
 //! finishes, its worker ships the whole outbox back in one `SITE_OUT`
 //! frame and the coordinator forwards each send to its destination
-//! worker as a `SITE_MSG` frame. That lets the coordinator keep the
-//! same Dijkstra-style in-flight count as the threaded executor —
-//! the counter reaching zero proves global quiescence — and account
-//! every message's **logical** [`WireSize`] exactly like the other
-//! executors, so `RunMetrics` are comparable across all three.
+//! worker as a `SITE_MSG` frame. That lets the coordinator keep an
+//! in-flight count — the counter reaching zero proves global
+//! quiescence and runs the run driver's barrier (`src/driver.rs`) —
+//! and hand every send to the driver, which accounts its **logical**
+//! [`WireSize`] exactly as under the other executors, so `RunMetrics`
+//! are comparable across all three.
 //!
 //! ## Generic dispatch
 //!
@@ -42,18 +43,18 @@
 //!   [`ExecError::Timeout`] instead of hanging forever.
 //! * A [`DeliveryPlan`] ([`SocketConfig::delivery`]) makes the
 //!   coordinator-side transport adversarial: site-bound data frames are
-//!   dropped-then-retried, duplicated or delayed, with the verdicts the
-//!   virtual executor would reach for the same run. A held frame (the
-//!   retry, the second copy, the delayed one) waits until the
-//!   coordinator runs out of immediate work, and held frames go out in
-//!   seeded-shuffled order, so they are delayed *and* reordered.
+//!   dropped-then-retried, duplicated or delayed, with the verdicts
+//!   every executor reaches for the same run. A held frame (the retry,
+//!   the second copy, the delayed one) waits until the run quiesces,
+//!   and held frames go out in seeded-shuffled order, so they are
+//!   delayed *and* reordered.
 
-use crate::delivery::{DeliveryPlan, PlanRun, Verdict};
+use crate::delivery::DeliveryPlan;
+use crate::driver::{Barrier, RunDriver};
 use crate::message::{Endpoint, MsgClass, WireSize};
-use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
 use crate::wire::{self, encode, FrameError, Reader, Wire};
-use crate::{ExecError, RunOutcome};
+use crate::{panic_reason, ExecError, RunOutcome};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader};
@@ -418,7 +419,7 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
                 for site in order {
                     let logic = run_sites.get_mut(&site).expect("just built");
                     let outcome = catch_unwind(AssertUnwindSafe(|| logic.on_start()))
-                        .unwrap_or_else(|panic| Err(panic_message(&*panic)));
+                        .unwrap_or_else(|panic| Err(panic_reason(&*panic)));
                     reply(&mut wr, run, site, outcome)?;
                 }
             }
@@ -430,7 +431,7 @@ pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerEx
                 let outcome = match sites.get_mut(&m.site) {
                     Some(logic) => {
                         catch_unwind(AssertUnwindSafe(|| logic.on_message(m.from, &m.msg)))
-                            .unwrap_or_else(|panic| Err(panic_message(&*panic)))
+                            .unwrap_or_else(|panic| Err(panic_reason(&*panic)))
                     }
                     None => Err("message for a site this worker does not host".into()),
                 };
@@ -479,57 +480,6 @@ where
         }
     }
     Ok(())
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        format!("site handler panicked: {s}")
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        format!("site handler panicked: {s}")
-    } else {
-        "site handler panicked".to_owned()
-    }
-}
-
-// ---- delivery-plan transport -----------------------------------------
-
-/// The plan's draw stream for the flush shuffle; sender streams are
-/// `0..=num_sites`.
-const SHUFFLE_STREAM: u64 = u64::MAX;
-
-/// One run's coordinator-side transport under a [`DeliveryPlan`]: the
-/// per-sender verdicts and the held frames. Held copies are flushed —
-/// in seeded-shuffled order — whenever the event loop runs out of
-/// immediate work, so every message is eventually delivered
-/// (at-least-once, never lost).
-struct HeldFrames {
-    run: PlanRun,
-    /// Held frames: `(worker index, frame payload)`.
-    held: Vec<(usize, Vec<u8>)>,
-    /// Shuffle draws so far.
-    draws: u64,
-}
-
-impl HeldFrames {
-    fn new(plan: DeliveryPlan, num_sites: usize) -> Self {
-        HeldFrames {
-            run: PlanRun::new(plan, num_sites),
-            held: Vec::new(),
-            draws: 0,
-        }
-    }
-
-    /// Takes all held frames, in seeded-shuffled order.
-    fn flush(&mut self) -> Vec<(usize, Vec<u8>)> {
-        let mut out = std::mem::take(&mut self.held);
-        // Fisher–Yates on the plan's draw stream.
-        for i in (1..out.len()).rev() {
-            let u = self.run.plan.unit(SHUFFLE_STREAM, self.draws);
-            self.draws += 1;
-            out.swap(i, ((u * (i as f64 + 1.0)) as usize).min(i));
-        }
-        out
-    }
 }
 
 // ---- the cluster -------------------------------------------------------
@@ -615,6 +565,18 @@ struct WorkerLink {
     dead: Option<String>,
 }
 
+/// A site-bound frame the plan holds back: `(worker index, SITE_MSG
+/// payload)`.
+type HeldFrame = (usize, Vec<u8>);
+
+/// One run's transport state.
+struct Run {
+    id: u64,
+    /// Handlers owed: one per hosted site at `SITE_HELLO` and per
+    /// forwarded `SITE_MSG`, released by the `SITE_OUT` answering it.
+    inflight: usize,
+}
+
 struct ClusterInner {
     links: Vec<WorkerLink>,
     children: Vec<Child>,
@@ -623,8 +585,6 @@ struct ClusterInner {
     next_run: u64,
     timeout: Duration,
     delivery: Option<DeliveryPlan>,
-    /// The current run's transport under `delivery`.
-    held: Option<HeldFrames>,
     /// Spawn-local clusters own their workers' lifecycle and ask them
     /// to exit on shutdown; attached workers are externally managed
     /// and stay up for the next coordinator.
@@ -851,7 +811,6 @@ impl SocketCluster {
                 next_run: 1,
                 timeout: cfg.site_timeout,
                 delivery: cfg.delivery,
-                held: None,
                 owns_workers,
                 shut_down: false,
             }),
@@ -1007,11 +966,7 @@ impl ClusterInner {
         }
     }
 
-    fn run<M, C, S>(
-        &mut self,
-        mut coordinator: C,
-        sites: Vec<S>,
-    ) -> Result<RunOutcome<C, S>, ExecError>
+    fn run<M, C, S>(&mut self, coordinator: C, sites: Vec<S>) -> Result<RunOutcome<C, S>, ExecError>
     where
         M: SocketMsg,
         C: CoordinatorLogic<M>,
@@ -1042,13 +997,13 @@ impl ClusterInner {
             );
         }
 
-        let run_id = self.next_run;
+        let mut run = Run {
+            id: self.next_run,
+            inflight: 0,
+        };
         self.next_run += 1;
-        let wall_start = Instant::now();
-        let mut metrics = RunMetrics::new(n);
-        let mut inflight: i64 = 0;
-        // Fresh per run: no frame and no verdict depends on earlier runs.
-        self.held = self.delivery.map(|plan| HeldFrames::new(plan, n));
+        let mut driver = RunDriver::new(coordinator, n, self.delivery);
+        let start = driver.start();
 
         // Per-run site bootstrap: every hosted site's `on_start` will
         // answer with one SITE_OUT.
@@ -1057,86 +1012,45 @@ impl ClusterInner {
                 continue;
             }
             let hello = SiteHello {
-                run: run_id,
+                run: run.id,
                 num_sites: n,
                 hosted: (self.links[w].sites.iter())
                     .map(|&site| (site, specs[site as usize].clone()))
                     .collect(),
             };
-            inflight += hello.hosted.len() as i64;
+            run.inflight += hello.hosted.len();
             self.write_worker(w, FT_SITE_HELLO, &encode(&hello))?;
         }
 
         // The coordinator runs in this process; its sends are routed
         // like any other — through `route_send`.
-        let mut rounds = 0u64;
-        {
-            let mut out = Outbox::new(Endpoint::Coordinator, n);
-            coordinator.on_start(&mut out);
-            self.flush_coordinator(run_id, out, &mut metrics, &mut inflight)?;
-        }
-
-        let done = loop {
-            // Drain everything already received.
-            match self.events.try_recv() {
-                Ok((w, ev)) => {
-                    self.handle_event(
-                        run_id,
-                        w,
-                        ev,
-                        &mut coordinator,
-                        n,
-                        &mut metrics,
-                        &mut inflight,
-                    )?;
-                    continue;
-                }
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Err(ExecError::Transport {
-                        detail: "all worker connections are gone".into(),
-                    });
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-            }
-            // Nothing immediate: release held frames before the loop can
-            // block or quiesce (this is what delays *and* reorders them).
-            if self.held.as_ref().is_some_and(|h| !h.held.is_empty()) {
-                let held = self.held.as_mut().expect("checked").flush();
-                for (w, frame) in held {
-                    self.write_worker(w, FT_SITE_MSG, &frame)?;
-                }
-                continue;
-            }
-            if inflight == 0 {
-                rounds += 1;
-                let mut out = Outbox::new(Endpoint::Coordinator, n);
-                let done = coordinator.on_quiescent(&mut out);
-                let had_sends = !out.sends.is_empty();
-                self.flush_coordinator(run_id, out, &mut metrics, &mut inflight)?;
-                if done {
-                    break true;
-                }
-                if !had_sends {
-                    return Err(ExecError::Stalled);
+        self.flush_coordinator(&mut run, &mut driver, start)?;
+        loop {
+            if run.inflight == 0 {
+                match driver.quiescent()? {
+                    Barrier::Release(held) => {
+                        for (w, frame) in held {
+                            self.forward(&mut run, w, &frame)?;
+                        }
+                    }
+                    Barrier::Fired { done, out } => {
+                        self.flush_coordinator(&mut run, &mut driver, out)?;
+                        if done {
+                            break;
+                        }
+                    }
                 }
                 continue;
             }
             match self.events.recv_timeout(self.timeout) {
-                Ok((w, ev)) => self.handle_event(
-                    run_id,
-                    w,
-                    ev,
-                    &mut coordinator,
-                    n,
-                    &mut metrics,
-                    &mut inflight,
-                )?,
+                Ok((w, ev)) => self.handle_event(&mut run, w, ev, &mut driver)?,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                     return Err(ExecError::Timeout {
                         millis: self.timeout.as_millis() as u64,
                         detail: format!(
-                            "{inflight} message(s) in flight but no worker frame arrived \
-                             within the per-site timeout"
+                            "{} message(s) in flight but no worker frame arrived \
+                             within the per-site timeout",
+                            run.inflight
                         ),
                     });
                 }
@@ -1146,23 +1060,15 @@ impl ClusterInner {
                     });
                 }
             }
-        };
-        debug_assert!(done);
+        }
 
         // Tell the workers to drop the run's state.
         for w in 0..self.links.len() {
             if !self.links[w].sites.is_empty() {
-                self.write_worker(w, FT_SITE_DONE, &encode(&run_id))?;
+                self.write_worker(w, FT_SITE_DONE, &encode(&run.id))?;
             }
         }
-
-        metrics.quiescence_rounds = rounds;
-        metrics.wall_time = wall_start.elapsed();
-        Ok(RunOutcome {
-            coordinator,
-            sites,
-            metrics,
-        })
+        Ok(driver.finish(sites))
     }
 
     fn write_worker(&mut self, w: usize, ty: u8, payload: &[u8]) -> Result<(), ExecError> {
@@ -1174,17 +1080,22 @@ impl ClusterInner {
         Ok(())
     }
 
+    /// Sends one `SITE_MSG` frame to worker `w`: a handler owed.
+    fn forward(&mut self, run: &mut Run, w: usize, frame: &[u8]) -> Result<(), ExecError> {
+        run.inflight += 1;
+        self.write_worker(w, FT_SITE_MSG, frame)
+    }
+
     /// Routes one logical send. Coordinator-bound messages are decoded
     /// and queued for local delivery by the caller; site-bound
-    /// messages become `SITE_MSG` frames (held back as the delivery
-    /// plan decides).
-    fn route_send<M: SocketMsg>(
+    /// messages become `SITE_MSG` frames, sent or held as the plan
+    /// decides.
+    fn route_send<M: SocketMsg, C>(
         &mut self,
-        run_id: u64,
+        run: &mut Run,
+        driver: &mut RunDriver<C, HeldFrame>,
         from: Endpoint,
         send: RawSend,
-        metrics: &mut RunMetrics,
-        inflight: &mut i64,
         to_coordinator: &mut VecDeque<(Endpoint, M)>,
     ) -> Result<(), ExecError> {
         let RawSend {
@@ -1193,7 +1104,7 @@ impl ClusterInner {
             wire_bytes,
             payload,
         } = send;
-        metrics.record_send_from(from, class, wire_bytes);
+        let verdict = driver.send(from, to, class, wire_bytes);
         match to {
             Endpoint::Coordinator => {
                 let msg = decode_msg(&payload).map_err(|e| ExecError::Transport {
@@ -1205,33 +1116,16 @@ impl ClusterInner {
             Endpoint::Site(site) => {
                 let w = (site as usize) % self.links.len().max(1);
                 let frame = encode(&SiteMsg {
-                    run: run_id,
+                    run: run.id,
                     site,
                     from,
                     class,
                     msg: payload,
                 });
-                *inflight += 1;
-                if let Some(h) = &mut self.held {
-                    match h.run.next(from, to, class) {
-                        Verdict::Pass => {}
-                        Verdict::Duplicate => {
-                            // The retransmitted copy is real traffic.
-                            metrics.record_send_from(from, class, wire_bytes);
-                            metrics.duplicated_messages += 1;
-                            metrics.duplicated_bytes += wire_bytes as u64;
-                            *inflight += 1;
-                            h.held.push((w, frame.clone()));
-                        }
-                        // The retry or the delayed copy is the only
-                        // delivery; traffic unchanged.
-                        Verdict::DropRetry | Verdict::Delay(_) => {
-                            h.held.push((w, frame));
-                            return Ok(());
-                        }
-                    }
+                match driver.admit(verdict, (w, frame)) {
+                    Some((w, frame)) => self.forward(run, w, &frame),
+                    None => Ok(()),
                 }
-                self.write_worker(w, FT_SITE_MSG, &frame)
             }
         }
     }
@@ -1240,14 +1134,13 @@ impl ClusterInner {
     /// routes its sends, then drains any coordinator-bound messages
     /// the routing produced (none today — coordinators cannot
     /// self-send — but the queue keeps the shape uniform).
-    fn flush_coordinator<M: SocketMsg>(
+    fn flush_coordinator<M: SocketMsg, C>(
         &mut self,
-        run_id: u64,
+        run: &mut Run,
+        driver: &mut RunDriver<C, HeldFrame>,
         out: Outbox<M>,
-        metrics: &mut RunMetrics,
-        inflight: &mut i64,
     ) -> Result<(), ExecError> {
-        metrics.record_ops(Endpoint::Coordinator, out.ops);
+        driver.record_ops(Endpoint::Coordinator, out.ops);
         let mut local: VecDeque<(Endpoint, M)> = VecDeque::new();
         for (to, class, msg) in out.sends {
             let mut payload = Vec::new();
@@ -1260,23 +1153,20 @@ impl ClusterInner {
                 payload,
             };
             let from = Endpoint::Coordinator;
-            self.route_send(run_id, from, send, metrics, inflight, &mut local)?;
+            self.route_send(run, driver, from, send, &mut local)?;
         }
         debug_assert!(local.is_empty(), "coordinator cannot message itself");
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_event<M: SocketMsg, C: CoordinatorLogic<M>>(
         &mut self,
-        run_id: u64,
+        run: &mut Run,
         worker: usize,
         ev: WorkerEvent,
-        coordinator: &mut C,
-        n: usize,
-        metrics: &mut RunMetrics,
-        inflight: &mut i64,
+        driver: &mut RunDriver<C, HeldFrame>,
     ) -> Result<(), ExecError> {
+        let n = self.num_sites;
         match ev {
             WorkerEvent::Closed(reason) => {
                 self.links[worker].dead = Some(reason.clone());
@@ -1288,7 +1178,7 @@ impl ClusterInner {
                         detail: format!("bad SITE_OUT frame: {e}"),
                     }
                 })?;
-                if frame.run != run_id {
+                if frame.run != run.id {
                     return Ok(()); // stale frame of an aborted run
                 }
                 let site = frame.site;
@@ -1298,19 +1188,18 @@ impl ClusterInner {
                     });
                 }
                 let from = Endpoint::Site(site);
-                metrics.record_ops(from, frame.out.ops);
+                driver.record_ops(from, frame.out.ops);
                 let mut to_coord: VecDeque<(Endpoint, M)> = VecDeque::new();
                 for send in frame.out.sends {
-                    self.route_send(run_id, from, send, metrics, inflight, &mut to_coord)?;
+                    self.route_send(run, driver, from, send, &mut to_coord)?;
                 }
                 // The handler whose outbox this was is now complete.
-                *inflight -= 1;
+                run.inflight -= 1;
                 // Deliver coordinator-bound messages synchronously; the
                 // coordinator's own sends route like everyone else's.
                 while let Some((from, msg)) = to_coord.pop_front() {
-                    let mut out = Outbox::new(Endpoint::Coordinator, n);
-                    coordinator.on_message(from, msg, &mut out);
-                    self.flush_coordinator(run_id, out, metrics, inflight)?;
+                    let out = driver.deliver(from, msg);
+                    self.flush_coordinator(run, driver, out)?;
                 }
                 Ok(())
             }
@@ -1320,7 +1209,7 @@ impl ClusterInner {
                         detail: format!("bad SITE_ERR frame: {e}"),
                     }
                 })?;
-                if err.run != run_id {
+                if err.run != run.id {
                     return Ok(());
                 }
                 Err(ExecError::SiteFailed {
@@ -1499,10 +1388,10 @@ mod tests {
     }
 
     /// Scatter's outboxes do not depend on arrival order, so under one
-    /// plan the virtual and the socket executor meet the same verdicts
-    /// and record the same traffic.
+    /// plan the virtual, the threaded and the socket executor meet the
+    /// same verdicts and record the same traffic.
     #[test]
-    fn virtual_and_socket_executors_apply_one_plan_alike() {
+    fn every_executor_applies_one_plan_alike() {
         let addrs = vec![local_worker(), local_worker()];
         let mut duplicated = 0;
         for seed in 0..4 {
@@ -1513,6 +1402,9 @@ mod tests {
                 .run(Scatter { sum: 0, replies: 0 }, scatter_sites())
                 .unwrap();
             let virt = crate::VirtualExecutor::new(crate::CostModel::default())
+                .with_delivery(plan)
+                .run(Scatter { sum: 0, replies: 0 }, scatter_sites());
+            let threaded = crate::ThreadedExecutor::new()
                 .with_delivery(plan)
                 .run(Scatter { sum: 0, replies: 0 }, scatter_sites());
             let counts = |o: &RunOutcome<Scatter, AddSite>| {
@@ -1527,6 +1419,7 @@ mod tests {
                 )
             };
             assert_eq!(counts(&sock), counts(&virt), "seed {seed}");
+            assert_eq!(counts(&threaded), counts(&virt), "seed {seed}");
             duplicated += virt.metrics.duplicated_messages;
         }
         assert!(duplicated > 0, "the plans duplicated nothing");
@@ -1636,6 +1529,23 @@ mod tests {
     }
 
     #[test]
+    fn stalled_protocol_is_a_typed_error() {
+        struct Stall;
+        impl CoordinatorLogic<u64> for Stall {
+            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
+            fn on_message(&mut self, _f: Endpoint, _m: u64, _o: &mut Outbox<u64>) {}
+            fn on_quiescent(&mut self, _out: &mut Outbox<u64>) -> bool {
+                false
+            }
+        }
+        let addrs = vec![local_worker(), local_worker()];
+        let cluster = SocketCluster::start(SocketConfig::attach(addrs), b"", 2).unwrap();
+        let sites: Vec<AddSite> = (0..2).map(|i| AddSite { idx: i }).collect();
+        let err = expect_err(cluster.run(Stall, sites));
+        assert!(matches!(err, ExecError::Stalled), "{err:?}");
+    }
+
+    #[test]
     fn silent_worker_times_out_instead_of_hanging() {
         let addr = scripted_worker(vec![]);
         let cfg = SocketConfig::attach(vec![addr]).site_timeout(Duration::from_millis(200));
@@ -1740,7 +1650,7 @@ mod tests {
         let err = expect_err(cluster.run(Scatter { sum: 0, replies: 0 }, vec![Bomb, Bomb]));
         match err {
             ExecError::SiteFailed { reason, .. } => {
-                assert!(reason.contains("boom"), "{reason}");
+                assert_eq!(reason, "site handler panicked: boom at the remote site");
             }
             other => panic!("expected SiteFailed, got {other:?}"),
         }

@@ -15,14 +15,14 @@
 //! host's core count.
 
 use crate::cost::CostModel;
-use crate::delivery::{DeliveryPlan, PlanRun, Verdict, RETRY_NS};
+use crate::delivery::{DeliveryPlan, Verdict, RETRY_NS};
+use crate::driver::{Barrier, RunDriver};
 use crate::message::{Endpoint, WireSize};
-use crate::metrics::RunMetrics;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
 use crate::{ExecError, RunOutcome};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
+use std::convert::Infallible;
 
 struct Event<M> {
     at: u64,
@@ -47,6 +47,64 @@ impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The virtual executor's transport: the event heap and every
+/// endpoint's clock. A plan's delays are virtual time, so its driver
+/// holds nothing back.
+struct Clock<'a, M> {
+    cost: &'a CostModel,
+    heap: BinaryHeap<Event<M>>,
+    seq: u64,
+    /// When each site (`0..n`) and the coordinator (`n`) finishes its
+    /// last handler.
+    ready: Vec<u64>,
+}
+
+impl<M: WireSize + Clone> Clock<'_, M> {
+    /// Finishes a handler invocation: advances the endpoint's clock and
+    /// schedules its sends. Returns when the handler finished.
+    fn finish<C>(
+        &mut self,
+        driver: &mut RunDriver<C, Infallible>,
+        ep: Endpoint,
+        arrival: u64,
+        overhead: u64,
+        out: Outbox<M>,
+    ) -> u64 {
+        let slot = ep.site_index().unwrap_or(self.ready.len() - 1);
+        let start = arrival.max(self.ready[slot]);
+        let end = start + self.cost.compute_ns_at(ep.site_index(), out.ops) + overhead;
+        self.ready[slot] = end;
+        driver.record_ops(ep, out.ops);
+        for (to, class, msg) in out.sends {
+            let bytes = msg.wire_size();
+            let at = end + self.cost.delivery_ns(bytes);
+            let delay = match driver.send(ep, to, class, bytes) {
+                Verdict::Pass => 0,
+                Verdict::DropRetry => RETRY_NS,
+                Verdict::Delay(extra_ns) => extra_ns,
+                Verdict::Duplicate => {
+                    self.push(at + RETRY_NS, ep, to, msg.clone());
+                    0
+                }
+            };
+            self.push(at + delay, ep, to, msg);
+        }
+        end
+    }
+
+    fn push(&mut self, at: u64, from: Endpoint, to: Endpoint, msg: M) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Event {
+            at,
+            seq,
+            from,
+            to,
+            msg,
+        });
     }
 }
 
@@ -109,7 +167,7 @@ impl VirtualExecutor {
     /// sends.
     pub fn try_run<M, C, S>(
         &self,
-        mut coordinator: C,
+        coordinator: C,
         mut sites: Vec<S>,
     ) -> Result<RunOutcome<C, S>, ExecError>
     where
@@ -118,94 +176,17 @@ impl VirtualExecutor {
         S: SiteLogic<M> + Send,
     {
         let n = sites.len();
-        let wall_start = Instant::now();
-        let mut metrics = RunMetrics::new(n);
-        let mut heap: BinaryHeap<Event<M>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut ready = vec![0u64; n];
-        let mut coord_ready = 0u64;
-        let mut plan_run = self.delivery.map(|plan| PlanRun::new(plan, n));
-
-        let ready_of = |ready: &[u64], coord_ready: u64, ep: Endpoint| -> u64 {
-            match ep {
-                Endpoint::Coordinator => coord_ready,
-                Endpoint::Site(i) => ready[i as usize],
-            }
-        };
-
-        // Finishes a handler invocation: advances the endpoint clock
-        // and schedules its sends.
-        let mut finish = |ep: Endpoint,
-                          arrival: u64,
-                          overhead: u64,
-                          out: Outbox<M>,
-                          ready: &mut [u64],
-                          coord_ready: &mut u64,
-                          heap: &mut BinaryHeap<Event<M>>,
-                          metrics: &mut RunMetrics|
-         -> u64 {
-            let start = arrival.max(ready_of(ready, *coord_ready, ep));
-            let busy = self.cost.compute_ns_at(ep.site_index(), out.ops) + overhead;
-            let end = start + busy;
-            match ep {
-                Endpoint::Coordinator => *coord_ready = end,
-                Endpoint::Site(i) => ready[i as usize] = end,
-            }
-            metrics.record_ops(ep, out.ops);
-            for (to, class, msg) in out.sends {
-                let bytes = msg.wire_size();
-                metrics.record_send_from(ep, class, bytes);
-                let at = end + self.cost.delivery_ns(bytes);
-                let verdict = plan_run
-                    .as_mut()
-                    .map_or(Verdict::Pass, |run| run.next(ep, to, class));
-                let delay = match verdict {
-                    Verdict::Pass => 0,
-                    Verdict::DropRetry => RETRY_NS,
-                    Verdict::Delay(extra_ns) => extra_ns,
-                    Verdict::Duplicate => {
-                        // The retransmitted copy is real traffic.
-                        metrics.record_send_from(ep, class, bytes);
-                        metrics.duplicated_messages += 1;
-                        metrics.duplicated_bytes += bytes as u64;
-                        seq += 1;
-                        heap.push(Event {
-                            at: at + RETRY_NS,
-                            seq,
-                            from: ep,
-                            to,
-                            msg: msg.clone(),
-                        });
-                        0
-                    }
-                };
-                seq += 1;
-                heap.push(Event {
-                    at: at + delay,
-                    seq,
-                    from: ep,
-                    to,
-                    msg,
-                });
-            }
-            end
+        let mut driver = RunDriver::new(coordinator, n, self.delivery);
+        let mut clock = Clock {
+            cost: &self.cost,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            ready: vec![0; n + 1],
         };
 
         // Start-up handlers, all at t = 0.
-        {
-            let mut out = Outbox::new(Endpoint::Coordinator, n);
-            coordinator.on_start(&mut out);
-            finish(
-                Endpoint::Coordinator,
-                0,
-                0,
-                out,
-                &mut ready,
-                &mut coord_ready,
-                &mut heap,
-                &mut metrics,
-            );
-        }
+        let out = driver.start();
+        clock.finish(&mut driver, Endpoint::Coordinator, 0, 0, out);
         // Site start handlers: optionally evaluated on a scoped pool
         // (disjoint `&mut` sites handed out via a shared work queue),
         // then *replayed* strictly in site order so seq assignment —
@@ -250,74 +231,37 @@ impl VirtualExecutor {
                 .collect()
         };
         for (i, out) in start_outs.into_iter().enumerate() {
-            finish(
-                Endpoint::Site(i as u32),
-                0,
-                0,
-                out,
-                &mut ready,
-                &mut coord_ready,
-                &mut heap,
-                &mut metrics,
-            );
+            clock.finish(&mut driver, Endpoint::Site(i as u32), 0, 0, out);
         }
 
-        let response_time;
         loop {
-            while let Some(ev) = heap.pop() {
-                let mut out = Outbox::new(ev.to, n);
-                match ev.to {
-                    Endpoint::Coordinator => {
-                        coordinator.on_message(ev.from, ev.msg, &mut out);
-                    }
+            while let Some(ev) = clock.heap.pop() {
+                let out = match ev.to {
+                    Endpoint::Coordinator => driver.deliver(ev.from, ev.msg),
                     Endpoint::Site(i) => {
+                        let mut out = Outbox::new(ev.to, n);
                         sites[i as usize].on_message(ev.from, ev.msg, &mut out);
+                        out
                     }
-                }
-                finish(
-                    ev.to,
-                    ev.at,
-                    self.cost.ns_per_message,
-                    out,
-                    &mut ready,
-                    &mut coord_ready,
-                    &mut heap,
-                    &mut metrics,
-                );
+                };
+                let overhead = self.cost.ns_per_message;
+                clock.finish(&mut driver, ev.to, ev.at, overhead, out);
             }
 
             // Quiescent: all deliveries processed; the barrier fires
             // once every endpoint has finished its last handler.
-            let now = ready.iter().copied().max().unwrap_or(0).max(coord_ready);
-            metrics.quiescence_rounds += 1;
-            let mut out = Outbox::new(Endpoint::Coordinator, n);
-            let done = coordinator.on_quiescent(&mut out);
-            let end = finish(
-                Endpoint::Coordinator,
-                now,
-                0,
-                out,
-                &mut ready,
-                &mut coord_ready,
-                &mut heap,
-                &mut metrics,
-            );
-            if done {
-                response_time = end;
-                break;
-            }
-            if heap.is_empty() {
-                return Err(ExecError::Stalled);
+            let now = clock.ready.iter().copied().max().unwrap_or(0);
+            match driver.quiescent()? {
+                Barrier::Release(_) => unreachable!("virtual time holds no message back"),
+                Barrier::Fired { done, out } => {
+                    let end = clock.finish(&mut driver, Endpoint::Coordinator, now, 0, out);
+                    if done {
+                        driver.metrics.virtual_time_ns = end;
+                        return Ok(driver.finish(sites));
+                    }
+                }
             }
         }
-
-        metrics.virtual_time_ns = response_time;
-        metrics.wall_time = wall_start.elapsed();
-        Ok(RunOutcome {
-            coordinator,
-            sites,
-            metrics,
-        })
     }
 }
 
