@@ -29,7 +29,7 @@
 //! counter of a falsified pair goes stale and is never read again.
 //!
 //! The state at the fixpoint — candidacy rows and counters, without
-//! the fragment — outlives the query: delta maintenance (`delta.rs`)
+//! the fragment — outlives the query: delta maintenance (`delta/`)
 //! promotes a cached answer by running this evaluation with the
 //! virtual pairs the answer excludes pinned false, keeps the state per
 //! site between batches, and runs the same cascade on it over its own

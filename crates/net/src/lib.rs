@@ -28,7 +28,7 @@
 //!   **separate OS processes** connected by TCP sockets carrying the
 //!   wire frames of [`wire`]; protocols additionally implement
 //!   [`SocketMsg`] (message codec) and [`RemoteSpec`] (worker-side
-//!   reconstruction). See `crates/net/src/socket.rs`.
+//!   reconstruction). See `crates/net/src/socket/`.
 //!
 //! Because graph simulation is a monotone fixpoint computation,
 //! chaotic/asynchronous iteration is confluent: all executors (and

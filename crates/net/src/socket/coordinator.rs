@@ -1,38 +1,5 @@
-//! `SocketExecutor`: the coordinator and the worker sites run in
-//! **separate OS processes**, connected by TCP sockets carrying the
-//! same length-prefixed frames as the serving layer (`docs/PROTOCOL.md`,
-//! "Site frames").
-//!
-//! The in-process executors prove the algorithms; this one proves the
-//! *deployment*: messages really cross a kernel socket, a worker can
-//! really be killed mid-run, and the transport can really reorder and
-//! re-deliver — all of which the conformance suite and its delivery-plan
-//! test (`tests/executors.rs`) exercise.
-//!
-//! ## Topology
-//!
-//! The coordinator process owns the protocol run. Worker processes
-//! (`dgsd --worker` / `dgsq worker`) each host one or more sites. All
-//! messages are routed **through the coordinator** (a star, exactly
-//! like the paper's `Sc`-centric deployment): when a site handler
-//! finishes, its worker ships the whole outbox back in one `SITE_OUT`
-//! frame and the coordinator forwards each send to its destination
-//! worker as a `SITE_MSG` frame. That lets the coordinator keep an
-//! in-flight count — the counter reaching zero proves global
-//! quiescence and runs the run driver's barrier (`src/driver.rs`) —
-//! and hand every send to the driver, which accounts its **logical**
-//! [`WireSize`] exactly as under the other executors, so `RunMetrics`
-//! are comparable across all three.
-//!
-//! ## Generic dispatch
-//!
-//! The executor is generic over the protocol: messages implement
-//! [`SocketMsg`] (a byte codec on top of [`crate::wire`]) and site
-//! logics implement [`RemoteSpec`] (an opaque per-site bootstrap blob
-//! from which the worker process reconstructs the logic — pattern,
-//! engine configuration, query mode). The worker side is type-erased:
-//! a [`WorkerHost`] turns spec blobs into [`ErasedSite`]s, so one
-//! worker binary serves every protocol.
+//! The coordinator side: [`SocketCluster`] spawns or attaches to the
+//! workers, bootstraps them, and routes every run through itself.
 //!
 //! ## Faults
 //!
@@ -49,81 +16,20 @@
 //!   and held frames go out in seeded-shuffled order, so they are
 //!   delayed *and* reordered.
 
+use super::frame::*;
 use crate::delivery::DeliveryPlan;
 use crate::driver::{Barrier, RunDriver};
-use crate::message::{Endpoint, MsgClass, WireSize};
+use crate::message::Endpoint;
 use crate::site::{CoordinatorLogic, Outbox, SiteLogic};
-use crate::wire::{self, encode, FrameError, Reader, Wire};
-use crate::{panic_reason, ExecError, RunOutcome};
+use crate::wire::{self, encode, Reader, Wire};
+use crate::{ExecError, RunOutcome};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
-use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-// ---- frame types (distinct namespace from the serving protocol) -------
-
-/// Handshake, both directions: magic `DGSP` + `u16` version.
-pub const FT_WORKER_HELLO: u8 = 0x50;
-/// Session bootstrap blob (coordinator → worker).
-pub const FT_WORKER_LOAD: u8 = 0x51;
-/// Generic acknowledgement (worker → coordinator).
-pub const FT_WORKER_OK: u8 = 0x52;
-/// Generic failure: a reason string (worker → coordinator).
-pub const FT_WORKER_ERR: u8 = 0x53;
-/// Per-run site bootstrap: run id + the hosted sites' specs.
-pub const FT_SITE_HELLO: u8 = 0x54;
-/// One protocol message delivered to a hosted site.
-pub const FT_SITE_MSG: u8 = 0x55;
-/// One finished handler's outbox: charged ops + buffered sends.
-pub const FT_SITE_OUT: u8 = 0x56;
-/// A hosted site failed (decode error or handler panic).
-pub const FT_SITE_ERR: u8 = 0x57;
-/// End of run: the worker drops the run's site state.
-pub const FT_SITE_DONE: u8 = 0x58;
-/// The worker process should exit cleanly.
-pub const FT_WORKER_SHUTDOWN: u8 = 0x59;
-
-/// Magic of the site-frame handshake.
-pub const SOCKET_MAGIC: &[u8; 4] = b"DGSP";
-/// Protocol version of the site frames.
-pub const SOCKET_VERSION: u16 = 1;
-
-/// The announce line a worker prints once its listener is bound; the
-/// spawn-local bootstrap parses the address after this marker.
-pub const ANNOUNCE_MARKER: &str = "listening on ";
-
-// ---- protocol-side traits ---------------------------------------------
-
-/// A protocol message that can cross a process boundary. Every [`Wire`]
-/// message is one, encoded by its codec; a protocol that stays
-/// in-process implements this by hand and refuses in `encode`, which
-/// [`SocketCluster::run`] surfaces as [`ExecError::Unsupported`].
-pub trait SocketMsg: WireSize + Clone + Send + 'static {
-    /// Appends the encoded message to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String>;
-    /// Decodes one message.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError>;
-}
-
-impl<T: Wire + WireSize + Clone + Send + 'static> SocketMsg for T {
-    fn encode(&self, buf: &mut Vec<u8>) -> Result<(), String> {
-        self.put(buf);
-        Ok(())
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        T::get(r)
-    }
-}
-
-/// Decodes one message that must fill `payload` exactly: the one
-/// decode of the worker and of the coordinator alike.
-fn decode_msg<M: SocketMsg>(payload: &[u8]) -> Result<M, FrameError> {
-    Reader::exact(payload, "message", M::decode)
-}
 
 /// A site logic that a worker process can reconstruct from an opaque
 /// spec blob (see `dgs-core`'s `remote` module for the engine specs).
@@ -132,357 +38,6 @@ pub trait RemoteSpec {
     /// run remotely (e.g. its state cannot be rebuilt worker-side).
     fn remote_spec(&self) -> Result<Vec<u8>, String>;
 }
-
-// ---- worker-side type erasure -----------------------------------------
-
-/// One buffered send of a finished handler, already encoded.
-pub struct RawSend {
-    /// Destination endpoint.
-    pub to: Endpoint,
-    /// Shipment accounting class.
-    pub class: MsgClass,
-    /// The message's **logical** wire size ([`WireSize`]) — what the
-    /// metrics record, independent of the physical frame encoding.
-    pub wire_bytes: usize,
-    /// The encoded message payload.
-    pub payload: Vec<u8>,
-}
-
-/// A finished handler's outbox in encoded form.
-pub struct RawOutbox {
-    /// Charged local operations.
-    pub ops: u64,
-    /// Buffered sends.
-    pub sends: Vec<RawSend>,
-}
-
-/// A type-erased remote site: raw bytes in, raw outbox out. One worker
-/// binary hosts any protocol through this interface.
-pub trait ErasedSite: Send {
-    /// Runs the site's `on_start` handler.
-    fn on_start(&mut self) -> Result<RawOutbox, String>;
-    /// Delivers one encoded message.
-    fn on_message(&mut self, from: Endpoint, payload: &[u8]) -> Result<RawOutbox, String>;
-}
-
-struct ErasedAdapter<M, S> {
-    me: Endpoint,
-    num_sites: usize,
-    site: S,
-    _msg: std::marker::PhantomData<fn() -> M>,
-}
-
-impl<M: SocketMsg, S: SiteLogic<M> + Send> ErasedAdapter<M, S> {
-    fn raw(out: Outbox<M>) -> Result<RawOutbox, String> {
-        let mut sends = Vec::with_capacity(out.sends.len());
-        for (to, class, msg) in out.sends {
-            let wire_bytes = msg.wire_size();
-            let mut payload = Vec::new();
-            msg.encode(&mut payload)?;
-            sends.push(RawSend {
-                to,
-                class,
-                wire_bytes,
-                payload,
-            });
-        }
-        Ok(RawOutbox {
-            ops: out.ops,
-            sends,
-        })
-    }
-}
-
-impl<M: SocketMsg, S: SiteLogic<M> + Send> ErasedSite for ErasedAdapter<M, S> {
-    fn on_start(&mut self) -> Result<RawOutbox, String> {
-        let mut out = Outbox::new(self.me, self.num_sites);
-        self.site.on_start(&mut out);
-        Self::raw(out)
-    }
-
-    fn on_message(&mut self, from: Endpoint, payload: &[u8]) -> Result<RawOutbox, String> {
-        let msg = decode_msg::<M>(payload).map_err(|e| e.to_string())?;
-        let mut out = Outbox::new(self.me, self.num_sites);
-        self.site.on_message(from, msg, &mut out);
-        Self::raw(out)
-    }
-}
-
-/// Wraps a typed site logic for hosting in a worker process. Worker
-/// hosts call this from their spec factories.
-pub fn erase_site<M, S>(site: S, site_idx: u32, num_sites: usize) -> Box<dyn ErasedSite>
-where
-    M: SocketMsg,
-    S: SiteLogic<M> + Send + 'static,
-{
-    Box::new(ErasedAdapter::<M, S> {
-        me: Endpoint::Site(site_idx),
-        num_sites,
-        site,
-        _msg: std::marker::PhantomData,
-    })
-}
-
-/// The worker process's pluggable brain: absorbs the session bootstrap
-/// (graph + fragmentation) and builds site logics from per-run specs.
-pub trait WorkerHost {
-    /// Absorbs the session bootstrap blob sent at cluster start.
-    fn load(&mut self, blob: &[u8]) -> Result<(), String>;
-    /// Builds the logic of `site` for one run from its spec blob.
-    fn build_site(
-        &self,
-        site: u32,
-        num_sites: usize,
-        spec: &[u8],
-    ) -> Result<Box<dyn ErasedSite>, String>;
-}
-
-// ---- site frame payloads -----------------------------------------------
-
-/// `SITE_HELLO`: one run's site bootstrap — the hosted sites and their
-/// specs.
-struct SiteHello {
-    run: u64,
-    num_sites: usize,
-    hosted: Vec<(u32, Vec<u8>)>,
-}
-
-/// `SITE_MSG`: one encoded message for a hosted site.
-struct SiteMsg {
-    run: u64,
-    site: u32,
-    from: Endpoint,
-    class: MsgClass,
-    msg: Vec<u8>,
-}
-
-/// `SITE_OUT`: a finished handler's outbox.
-struct SiteOut {
-    run: u64,
-    site: u32,
-    out: RawOutbox,
-}
-
-/// `SITE_ERR`: a hosted site failed.
-struct SiteErr {
-    run: u64,
-    site: u32,
-    reason: String,
-}
-
-crate::wire_struct!(SiteHello {
-    run,
-    num_sites,
-    hosted
-});
-crate::wire_struct!(SiteMsg {
-    run,
-    site,
-    from,
-    class,
-    msg
-});
-crate::wire_struct!(SiteOut { run, site, out });
-crate::wire_struct!(SiteErr { run, site, reason });
-crate::wire_struct!(RawOutbox { ops, sends });
-crate::wire_struct!(RawSend {
-    to,
-    class,
-    wire_bytes,
-    payload
-});
-crate::wire_enum!(MsgClass {
-    0 => Data,
-    1 => Control,
-    2 => Result,
-});
-
-/// One varint: 0 is the coordinator, `i + 1` site `i`.
-impl Wire for Endpoint {
-    fn put(&self, buf: &mut Vec<u8>) {
-        match self {
-            Endpoint::Coordinator => 0,
-            Endpoint::Site(i) => u64::from(*i) + 1,
-        }
-        .put(buf);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        Ok(match u64::get(r)? {
-            0 => Endpoint::Coordinator,
-            v => Endpoint::Site(
-                u32::try_from(v - 1)
-                    .map_err(|_| FrameError::corrupt(format!("endpoint {v} exceeds u32")))?,
-            ),
-        })
-    }
-}
-
-/// The handshake, both directions: the magic, then a version.
-type Handshake = (Vec<u8>, u16);
-
-/// The reason of a `WORKER_ERR` frame.
-fn worker_err_reason(payload: &[u8]) -> String {
-    Reader::exact(payload, "WORKER_ERR", String::get).unwrap_or_else(|_| "unreadable reason".into())
-}
-
-// ---- the worker loop ---------------------------------------------------
-
-/// Why [`run_worker`] returned.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WorkerExit {
-    /// The coordinator asked the process to exit (`WORKER_SHUTDOWN`).
-    Shutdown,
-    /// The coordinator hung up; the worker can accept a new one.
-    Disconnected,
-}
-
-/// Serves one coordinator connection: handshake, session bootstrap,
-/// then site frames until shutdown or disconnect. Handler panics are
-/// caught and surfaced as `SITE_ERR` frames — a bad query must not
-/// kill the worker process.
-pub fn run_worker(conn: TcpStream, host: &mut dyn WorkerHost) -> Result<WorkerExit, FrameError> {
-    conn.set_nodelay(true).map_err(FrameError::Io)?;
-    let mut rd = BufReader::new(conn.try_clone().map_err(FrameError::Io)?);
-    let mut wr = conn;
-
-    // Handshake: the coordinator speaks first.
-    match wire::read_frame(&mut rd)? {
-        Some((FT_WORKER_HELLO, payload)) => {
-            let (magic, theirs) = Reader::exact(&payload, "handshake", Handshake::get)?;
-            if magic != SOCKET_MAGIC {
-                return Err(FrameError::corrupt("bad handshake magic"));
-            }
-            let reply: Handshake = (magic, theirs.min(SOCKET_VERSION));
-            wire::write_frame(&mut wr, FT_WORKER_HELLO, &encode(&reply)).map_err(FrameError::Io)?;
-        }
-        Some((ty, _)) => {
-            return Err(FrameError::corrupt(format!(
-                "expected WORKER_HELLO, got frame type {ty:#x}"
-            )));
-        }
-        None => return Ok(WorkerExit::Disconnected),
-    }
-
-    // Site state of the (single) active run, keyed by run id so stale
-    // frames from an aborted run are ignored rather than misdelivered.
-    let mut runs: HashMap<u64, HashMap<u32, Box<dyn ErasedSite>>> = HashMap::new();
-
-    // A handler's outbox goes back as a SITE_OUT, its failure as a
-    // SITE_ERR.
-    let reply = |wr: &mut TcpStream, run: u64, site: u32, outcome: Result<RawOutbox, String>| {
-        match outcome {
-            Ok(out) => wire::write_frame(wr, FT_SITE_OUT, &encode(&SiteOut { run, site, out })),
-            Err(reason) => {
-                wire::write_frame(wr, FT_SITE_ERR, &encode(&SiteErr { run, site, reason }))
-            }
-        }
-        .map_err(FrameError::Io)
-    };
-
-    loop {
-        let Some((ty, payload)) = wire::read_frame(&mut rd)? else {
-            return Ok(WorkerExit::Disconnected);
-        };
-        match ty {
-            FT_WORKER_LOAD => {
-                // A (re-)bootstrap invalidates any lingering run state.
-                runs.clear();
-                match host.load(&payload) {
-                    Ok(()) => wire::write_frame(&mut wr, FT_WORKER_OK, &[]),
-                    Err(reason) => wire::write_frame(&mut wr, FT_WORKER_ERR, &encode(&reason)),
-                }
-                .map_err(FrameError::Io)?;
-            }
-            FT_SITE_HELLO => {
-                let hello = Reader::exact(&payload, "SITE_HELLO", SiteHello::get)?;
-                // One active run per worker: a new hello supersedes
-                // everything older (an aborted run's state included).
-                runs.clear();
-                let mut sites: HashMap<u32, Box<dyn ErasedSite>> = HashMap::new();
-                let mut failed: Vec<(u32, String)> = Vec::new();
-                let mut order = Vec::new();
-                for (site, spec) in hello.hosted {
-                    match host.build_site(site, hello.num_sites, &spec) {
-                        Ok(logic) => {
-                            sites.insert(site, logic);
-                            order.push(site);
-                        }
-                        Err(reason) => failed.push((site, reason)),
-                    }
-                }
-                let run = hello.run;
-                runs.insert(run, sites);
-                for (site, reason) in failed {
-                    reply(&mut wr, run, site, Err(reason))?;
-                }
-                let run_sites = runs.get_mut(&run).expect("just inserted");
-                for site in order {
-                    let logic = run_sites.get_mut(&site).expect("just built");
-                    let outcome = catch_unwind(AssertUnwindSafe(|| logic.on_start()))
-                        .unwrap_or_else(|panic| Err(panic_reason(&*panic)));
-                    reply(&mut wr, run, site, outcome)?;
-                }
-            }
-            FT_SITE_MSG => {
-                let m = Reader::exact(&payload, "SITE_MSG", SiteMsg::get)?;
-                let Some(sites) = runs.get_mut(&m.run) else {
-                    continue; // stale frame of an aborted run
-                };
-                let outcome = match sites.get_mut(&m.site) {
-                    Some(logic) => {
-                        catch_unwind(AssertUnwindSafe(|| logic.on_message(m.from, &m.msg)))
-                            .unwrap_or_else(|panic| Err(panic_reason(&*panic)))
-                    }
-                    None => Err("message for a site this worker does not host".into()),
-                };
-                reply(&mut wr, m.run, m.site, outcome)?;
-            }
-            FT_SITE_DONE => {
-                let run = Reader::exact(&payload, "SITE_DONE", u64::get)?;
-                runs.remove(&run);
-            }
-            FT_WORKER_SHUTDOWN => {
-                let _ = wire::write_frame(&mut wr, FT_WORKER_OK, &[]);
-                return Ok(WorkerExit::Shutdown);
-            }
-            other => {
-                return Err(FrameError::corrupt(format!(
-                    "unexpected frame type {other:#x} on a worker connection"
-                )));
-            }
-        }
-    }
-}
-
-/// Accept loop of a worker process: serves coordinator connections one
-/// at a time (each with a fresh host from `host_factory`) until a
-/// coordinator sends `WORKER_SHUTDOWN`.
-pub fn serve_worker_listener<H, F>(
-    listener: &TcpListener,
-    mut host_factory: F,
-) -> std::io::Result<()>
-where
-    H: WorkerHost,
-    F: FnMut() -> H,
-{
-    for conn in listener.incoming() {
-        let conn = conn?;
-        let mut host = host_factory();
-        match run_worker(conn, &mut host) {
-            Ok(WorkerExit::Shutdown) => return Ok(()),
-            Ok(WorkerExit::Disconnected) => continue,
-            Err(e) => {
-                // A corrupt coordinator must not kill the worker; log
-                // and accept the next connection.
-                eprintln!("worker: coordinator connection failed: {e}");
-                continue;
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---- the cluster -------------------------------------------------------
 
 /// Where the worker processes come from.
 pub enum WorkerMode {
@@ -565,6 +120,78 @@ struct WorkerLink {
     dead: Option<String>,
 }
 
+impl WorkerLink {
+    /// Connects to worker `idx` at `addr` and performs the handshake;
+    /// from then on a thread forwards the worker's frames to `events`.
+    fn connect(
+        idx: usize,
+        addr: String,
+        events: crossbeam::channel::Sender<(usize, WorkerEvent)>,
+    ) -> Result<WorkerLink, ExecError> {
+        let transport = |e: std::io::Error, what: &str| ExecError::Transport {
+            detail: format!("{what}: {e}"),
+        };
+        // The worker may still be binding; retry briefly.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let stream = loop {
+            match TcpStream::connect(&addr) {
+                Ok(s) => break s,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(e) => return Err(transport(e, &format!("cannot connect to worker {addr}"))),
+            }
+        };
+        stream
+            .set_nodelay(true)
+            .map_err(|e| transport(e, "set_nodelay"))?;
+        let mut rd = stream
+            .try_clone()
+            .map_err(|e| transport(e, "clone stream"))?;
+        let mut link = WorkerLink {
+            stream,
+            addr,
+            sites: Vec::new(),
+            dead: None,
+        };
+        let hello: Handshake = (SOCKET_MAGIC.to_vec(), SOCKET_VERSION);
+        let addr = &link.addr;
+        wire::write_frame(&mut link.stream, FT_WORKER_HELLO, &encode(&hello))
+            .map_err(|e| transport(e, &format!("handshake with worker {addr}")))?;
+        match wire::read_frame(&mut rd) {
+            Ok(Some((FT_WORKER_HELLO, payload))) => {
+                let theirs = Reader::exact(&payload, "handshake", Handshake::get);
+                if !theirs.is_ok_and(|(magic, _)| magic == SOCKET_MAGIC) {
+                    return Err(ExecError::Transport {
+                        detail: format!("worker {addr} answered a bad handshake"),
+                    });
+                }
+            }
+            other => {
+                return Err(ExecError::Transport {
+                    detail: format!("worker {addr} did not answer the handshake: {other:?}"),
+                });
+            }
+        }
+        // From here on, the worker talks asynchronously.
+        std::thread::spawn(move || loop {
+            let closed = match wire::read_frame(&mut rd) {
+                Ok(Some((ty, payload))) => {
+                    match events.send((idx, WorkerEvent::Frame(ty, payload))) {
+                        Ok(()) => continue,
+                        Err(_) => break,
+                    }
+                }
+                Ok(None) => "connection closed".to_owned(),
+                Err(e) => e.to_string(),
+            };
+            let _ = events.send((idx, WorkerEvent::Closed(closed)));
+            break;
+        });
+        Ok(link)
+    }
+}
+
 /// A site-bound frame the plan holds back: `(worker index, SITE_MSG
 /// payload)`.
 type HeldFrame = (usize, Vec<u8>);
@@ -625,196 +252,50 @@ impl SocketCluster {
     /// `bootstrap` is opaque to this layer — the worker's
     /// [`WorkerHost::load`] interprets it (graph + fragmentation for
     /// the engine protocols). Sites are placed round-robin:
-    /// site `i` lives on worker `i % workers`.
+    /// site `i` lives on worker `i % workers`. On any error every
+    /// worker spawned so far is killed and reaped.
+    ///
+    /// [`WorkerHost::load`]: super::WorkerHost::load
     pub fn start(
         cfg: SocketConfig,
         bootstrap: &[u8],
         num_sites: usize,
     ) -> Result<SocketCluster, ExecError> {
-        let transport = |e: std::io::Error, what: &str| ExecError::Transport {
-            detail: format!("{what}: {e}"),
+        let (tx, events) = crossbeam::channel::unbounded();
+        let cluster = SocketCluster {
+            inner: Mutex::new(ClusterInner {
+                links: Vec::new(),
+                children: Vec::new(),
+                events,
+                num_sites,
+                next_run: 1,
+                timeout: cfg.site_timeout,
+                delivery: cfg.delivery,
+                owns_workers: matches!(cfg.mode, WorkerMode::SpawnLocal { .. }),
+                shut_down: false,
+            }),
         };
-        let mut children = Vec::new();
-        let owns_workers = matches!(cfg.mode, WorkerMode::SpawnLocal { .. });
-        let addrs: Vec<String> = match cfg.mode {
-            WorkerMode::Attach { addrs } => addrs,
-            WorkerMode::SpawnLocal {
-                program,
-                args,
-                count,
-            } => {
-                let mut addrs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let mut child = Command::new(&program)
-                        .args(&args)
-                        .stdout(Stdio::piped())
-                        .stderr(Stdio::inherit())
-                        .spawn()
-                        .map_err(|e| ExecError::Transport {
-                            detail: format!("cannot spawn worker {}: {e}", program.display()),
-                        })?;
-                    let stdout = child.stdout.take().expect("stdout piped");
-                    let mut lines = BufReader::new(stdout);
-                    let mut addr = None;
-                    let mut line = String::new();
-                    // The worker prints its announce line first; a few
-                    // lines of slack tolerate harness noise.
-                    for _ in 0..32 {
-                        line.clear();
-                        match lines.read_line(&mut line) {
-                            Ok(0) => break,
-                            Ok(_) => {
-                                if let Some(pos) = line.find(ANNOUNCE_MARKER) {
-                                    addr =
-                                        Some(line[pos + ANNOUNCE_MARKER.len()..].trim().to_owned());
-                                    break;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    let Some(addr) = addr else {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        return Err(ExecError::Transport {
-                            detail: format!(
-                                "worker {} exited without announcing \"{ANNOUNCE_MARKER}<addr>\"",
-                                program.display()
-                            ),
-                        });
-                    };
-                    // Keep draining the pipe so the worker never blocks
-                    // on a full stdout.
-                    std::thread::spawn(move || {
-                        let mut sink = std::io::sink();
-                        let _ = std::io::copy(&mut lines, &mut sink);
-                    });
-                    children.push(child);
-                    addrs.push(addr);
-                }
-                addrs
-            }
-        };
+        // An early return drops `cluster`, whose shutdown reaps what
+        // `spawn` started.
+        let mut inner = cluster.inner.lock();
+        let addrs = inner.spawn(cfg.mode)?;
         if addrs.is_empty() && num_sites > 0 {
             return Err(ExecError::Unsupported {
                 detail: format!("{num_sites} sites need at least one worker process"),
             });
         }
-
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut links = Vec::with_capacity(addrs.len());
-        for (idx, addr) in addrs.iter().enumerate() {
-            // The worker may still be binding; retry briefly.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            let stream = loop {
-                match TcpStream::connect(addr) {
-                    Ok(s) => break s,
-                    Err(e) if Instant::now() < deadline => {
-                        let _ = e;
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(e) => {
-                        return Err(transport(e, &format!("cannot connect to worker {addr}")))
-                    }
-                }
-            };
-            stream
-                .set_nodelay(true)
-                .map_err(|e| transport(e, "set_nodelay"))?;
-            let mut wr = stream
-                .try_clone()
-                .map_err(|e| transport(e, "clone stream"))?;
-            let mut rd = stream
-                .try_clone()
-                .map_err(|e| transport(e, "clone stream"))?;
-
-            // Handshake.
-            let hello: Handshake = (SOCKET_MAGIC.to_vec(), SOCKET_VERSION);
-            wire::write_frame(&mut wr, FT_WORKER_HELLO, &encode(&hello))
-                .map_err(|e| transport(e, &format!("handshake with worker {addr}")))?;
-            match wire::read_frame(&mut rd) {
-                Ok(Some((FT_WORKER_HELLO, payload))) => {
-                    let theirs = Reader::exact(&payload, "handshake", Handshake::get);
-                    if !theirs.is_ok_and(|(magic, _)| magic == SOCKET_MAGIC) {
-                        return Err(ExecError::Transport {
-                            detail: format!("worker {addr} answered a bad handshake"),
-                        });
-                    }
-                }
-                other => {
-                    return Err(ExecError::Transport {
-                        detail: format!("worker {addr} did not answer the handshake: {other:?}"),
-                    });
-                }
-            }
-
-            // Session bootstrap.
-            wire::write_frame(&mut wr, FT_WORKER_LOAD, bootstrap)
-                .map_err(|e| transport(e, &format!("bootstrap of worker {addr}")))?;
-            match wire::read_frame(&mut rd) {
-                Ok(Some((FT_WORKER_OK, _))) => {}
-                Ok(Some((FT_WORKER_ERR, payload))) => {
-                    let reason = worker_err_reason(&payload);
-                    return Err(ExecError::Transport {
-                        detail: format!("worker {addr} rejected the session bootstrap: {reason}"),
-                    });
-                }
-                other => {
-                    return Err(ExecError::Transport {
-                        detail: format!(
-                            "worker {addr} did not acknowledge the bootstrap: {other:?}"
-                        ),
-                    });
-                }
-            }
-
-            // From here on, the worker talks asynchronously.
-            let tx = tx.clone();
-            std::thread::spawn(move || loop {
-                match wire::read_frame(&mut rd) {
-                    Ok(Some((ty, payload))) => {
-                        if tx.send((idx, WorkerEvent::Frame(ty, payload))).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None) => {
-                        let _ = tx.send((idx, WorkerEvent::Closed("connection closed".into())));
-                        break;
-                    }
-                    Err(e) => {
-                        let _ = tx.send((idx, WorkerEvent::Closed(e.to_string())));
-                        break;
-                    }
-                }
-            });
-
-            links.push(WorkerLink {
-                stream: wr,
-                addr: addr.clone(),
-                sites: Vec::new(),
-                dead: None,
-            });
+        for (idx, addr) in addrs.into_iter().enumerate() {
+            let link = WorkerLink::connect(idx, addr, tx.clone())?;
+            inner.links.push(link);
         }
         drop(tx);
-
         for site in 0..num_sites {
-            let w = site % links.len().max(1);
-            links[w].sites.push(site as u32);
+            let w = site % inner.links.len().max(1);
+            inner.links[w].sites.push(site as u32);
         }
-
-        Ok(SocketCluster {
-            inner: Mutex::new(ClusterInner {
-                links,
-                children,
-                events: rx,
-                num_sites,
-                next_run: 1,
-                timeout: cfg.site_timeout,
-                delivery: cfg.delivery,
-                owns_workers,
-                shut_down: false,
-            }),
-        })
+        inner.load(bootstrap)?;
+        drop(inner);
+        Ok(cluster)
     }
 
     /// Number of worker processes.
@@ -862,7 +343,7 @@ impl SocketCluster {
     /// calls this after a graph delta so later runs execute against
     /// the mutated graph, not the one shipped at cluster start.
     pub fn rebootstrap(&self, bootstrap: &[u8]) -> Result<(), ExecError> {
-        self.inner.lock().rebootstrap(bootstrap)
+        self.inner.lock().load(bootstrap)
     }
 
     /// Tears the cluster down: spawn-local workers are asked to exit
@@ -875,6 +356,57 @@ impl SocketCluster {
 }
 
 impl ClusterInner {
+    /// The workers' addresses: `mode`'s own, or those the spawned
+    /// processes announce. A spawned process joins `children` before
+    /// it announces, so a failed start reaps it too.
+    fn spawn(&mut self, mode: WorkerMode) -> Result<Vec<String>, ExecError> {
+        let (program, args, count) = match mode {
+            WorkerMode::Attach { addrs } => return Ok(addrs),
+            WorkerMode::SpawnLocal {
+                program,
+                args,
+                count,
+            } => (program, args, count),
+        };
+        let mut addrs = Vec::with_capacity(count);
+        for _ in 0..count {
+            let mut child = Command::new(&program)
+                .args(&args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit())
+                .spawn()
+                .map_err(|e| ExecError::Transport {
+                    detail: format!("cannot spawn worker {}: {e}", program.display()),
+                })?;
+            let mut lines = BufReader::new(child.stdout.take().expect("stdout piped"));
+            self.children.push(child);
+            // The worker prints its announce line first; a few lines
+            // of slack tolerate harness noise.
+            let mut line = String::new();
+            let addr = (0..32).find_map(|_| {
+                line.clear();
+                match lines.read_line(&mut line) {
+                    Ok(0) | Err(_) => Some(None),
+                    Ok(_) => (line.find(ANNOUNCE_MARKER))
+                        .map(|pos| Some(line[pos + ANNOUNCE_MARKER.len()..].trim().to_owned())),
+                }
+            });
+            let Some(Some(addr)) = addr else {
+                return Err(ExecError::Transport {
+                    detail: format!(
+                        "worker {} exited without announcing \"{ANNOUNCE_MARKER}<addr>\"",
+                        program.display()
+                    ),
+                });
+            };
+            // Keep draining the pipe so the worker never blocks on a
+            // full stdout.
+            std::thread::spawn(move || std::io::copy(&mut lines, &mut std::io::sink()));
+            addrs.push(addr);
+        }
+        Ok(addrs)
+    }
+
     fn shutdown(&mut self) {
         if self.shut_down {
             return;
@@ -905,57 +437,68 @@ impl ClusterInner {
         }
     }
 
-    /// See [`SocketCluster::rebootstrap`]: sends `WORKER_LOAD` to all
+    /// Ships the session bootstrap, at start and on
+    /// [`SocketCluster::rebootstrap`]: sends `WORKER_LOAD` to all
     /// workers and awaits one acknowledgement each over the event
     /// channel (stale frames of aborted runs are discarded).
-    fn rebootstrap(&mut self, bootstrap: &[u8]) -> Result<(), ExecError> {
-        for (w, link) in self.links.iter().enumerate() {
-            if let Some(reason) = &link.dead {
-                let reason = reason.clone();
-                return Err(self.site_failed(w, reason));
-            }
-        }
+    fn load(&mut self, bootstrap: &[u8]) -> Result<(), ExecError> {
+        self.check_alive()?;
         for w in 0..self.links.len() {
             self.write_worker(w, FT_WORKER_LOAD, bootstrap)?;
         }
         let mut pending = vec![true; self.links.len()];
         while pending.iter().any(|&p| p) {
-            match self.events.recv_timeout(self.timeout) {
-                Ok((w, WorkerEvent::Frame(FT_WORKER_OK, _))) => pending[w] = false,
-                Ok((w, WorkerEvent::Frame(FT_WORKER_ERR, payload))) => {
+            let waiting = || "no worker acknowledged the session bootstrap".into();
+            match self.next_event(waiting)? {
+                (w, WorkerEvent::Frame(FT_WORKER_OK, _)) => pending[w] = false,
+                (w, WorkerEvent::Frame(FT_WORKER_ERR, payload)) => {
                     let reason = worker_err_reason(&payload);
                     return Err(ExecError::Transport {
                         detail: format!(
-                            "worker {} rejected the session re-bootstrap: {reason}",
+                            "worker {} rejected the session bootstrap: {reason}",
                             self.links[w].addr
                         ),
                     });
                 }
                 // Stale frames of a previously aborted run.
-                Ok((_, WorkerEvent::Frame(FT_SITE_OUT | FT_SITE_ERR, _))) => continue,
-                Ok((w, WorkerEvent::Closed(reason))) => {
+                (_, WorkerEvent::Frame(FT_SITE_OUT | FT_SITE_ERR, _)) => continue,
+                (w, WorkerEvent::Closed(reason)) => {
                     self.links[w].dead = Some(reason.clone());
                     return Err(self.site_failed(w, reason));
                 }
-                Ok((_, WorkerEvent::Frame(ty, _))) => {
+                (_, WorkerEvent::Frame(ty, _)) => {
                     return Err(ExecError::Transport {
-                        detail: format!("unexpected frame type {ty:#x} during re-bootstrap"),
-                    });
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    return Err(ExecError::Timeout {
-                        millis: self.timeout.as_millis() as u64,
-                        detail: "no worker acknowledged the session re-bootstrap".into(),
-                    });
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(ExecError::Transport {
-                        detail: "all worker connections are gone".into(),
+                        detail: format!("unexpected frame type {ty:#x} during the bootstrap"),
                     });
                 }
             }
         }
         Ok(())
+    }
+
+    /// Fails with the first dead worker, as a site failure.
+    fn check_alive(&self) -> Result<(), ExecError> {
+        match self.links.iter().position(|l| l.dead.is_some()) {
+            Some(w) => Err(self.site_failed(w, self.links[w].dead.clone().unwrap_or_default())),
+            None => Ok(()),
+        }
+    }
+
+    /// The next worker event; on the timeout, `waiting` says what for.
+    fn next_event(
+        &self,
+        waiting: impl FnOnce() -> String,
+    ) -> Result<(usize, WorkerEvent), ExecError> {
+        use crossbeam::channel::RecvTimeoutError;
+        self.events.recv_timeout(self.timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => ExecError::Timeout {
+                millis: self.timeout.as_millis() as u64,
+                detail: waiting(),
+            },
+            RecvTimeoutError::Disconnected => ExecError::Transport {
+                detail: "all worker connections are gone".into(),
+            },
+        })
     }
 
     fn site_failed(&self, worker: usize, reason: String) -> ExecError {
@@ -981,12 +524,7 @@ impl ClusterInner {
                 ),
             });
         }
-        for (w, link) in self.links.iter().enumerate() {
-            if let Some(reason) = &link.dead {
-                let reason = reason.clone();
-                return Err(self.site_failed(w, reason));
-            }
-        }
+        self.check_alive()?;
         // Specs first: an unremotable protocol must fail before any
         // frame is sent.
         let mut specs = Vec::with_capacity(n);
@@ -1042,24 +580,14 @@ impl ClusterInner {
                 }
                 continue;
             }
-            match self.events.recv_timeout(self.timeout) {
-                Ok((w, ev)) => self.handle_event(&mut run, w, ev, &mut driver)?,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    return Err(ExecError::Timeout {
-                        millis: self.timeout.as_millis() as u64,
-                        detail: format!(
-                            "{} message(s) in flight but no worker frame arrived \
-                             within the per-site timeout",
-                            run.inflight
-                        ),
-                    });
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(ExecError::Transport {
-                        detail: "all worker connections are gone".into(),
-                    });
-                }
-            }
+            let inflight = run.inflight;
+            let (w, ev) = self.next_event(|| {
+                format!(
+                    "{inflight} message(s) in flight but no worker frame arrived \
+                     within the per-site timeout"
+                )
+            })?;
+            self.handle_event(&mut run, w, ev, &mut driver)?;
         }
 
         // Tell the workers to drop the run's state.
@@ -1233,6 +761,10 @@ impl Drop for SocketCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::socket::{
+        erase_site, run_worker, serve_worker_listener, ErasedSite, WorkerExit, WorkerHost,
+    };
+    use std::net::TcpListener;
 
     /// Scatter-gather over a real socket pair, with the worker loop
     /// hosted on a thread of this process — the executor semantics
@@ -1508,24 +1040,97 @@ mod tests {
     /// answers the frames it reads next with `replies`, one each, then
     /// swallows everything else.
     fn scripted_worker(replies: Vec<(u8, Vec<u8>)>) -> String {
+        let ack = (FT_WORKER_OK, vec![]);
+        scripted_endpoint(1, std::iter::once(ack).chain(replies).collect())
+    }
+
+    /// A stub endpoint taking `connections` coordinator connections:
+    /// each has its handshake answered, then the frames read after it
+    /// answered with `replies`, one each.
+    fn scripted_endpoint(connections: usize, replies: Vec<(u8, Vec<u8>)>) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            let (conn, _) = listener.accept().unwrap();
-            let mut rd = BufReader::new(conn.try_clone().unwrap());
-            let mut wr = conn;
-            let (ty, hello) = wire::read_frame(&mut rd).unwrap().unwrap();
-            assert_eq!(ty, FT_WORKER_HELLO);
-            let ack = [(FT_WORKER_HELLO, hello), (FT_WORKER_OK, vec![])];
-            for (ty, payload) in ack.into_iter().chain(replies) {
-                wire::write_frame(&mut wr, ty, &payload).unwrap();
-                if wire::read_frame(&mut rd).is_err() {
-                    return;
-                }
+            for conn in listener.incoming().take(connections) {
+                let conn = conn.unwrap();
+                let replies = replies.clone();
+                std::thread::spawn(move || {
+                    let mut rd = BufReader::new(conn.try_clone().unwrap());
+                    let mut wr = conn;
+                    let (ty, hello) = wire::read_frame(&mut rd).unwrap().unwrap();
+                    assert_eq!(ty, FT_WORKER_HELLO);
+                    let ack = (FT_WORKER_HELLO, hello);
+                    for (ty, payload) in std::iter::once(ack).chain(replies) {
+                        wire::write_frame(&mut wr, ty, &payload).unwrap();
+                        if wire::read_frame(&mut rd).is_err() {
+                            return;
+                        }
+                    }
+                    while let Ok(Some(_)) = wire::read_frame(&mut rd) {}
+                });
             }
-            while let Ok(Some(_)) = wire::read_frame(&mut rd) {}
         });
         addr
+    }
+
+    fn rejection() -> (u8, Vec<u8>) {
+        (FT_WORKER_ERR, encode(&"no graph here".to_owned()))
+    }
+
+    /// The reason a rejected bootstrap fails with.
+    fn rejected(err: ExecError) -> String {
+        match err {
+            ExecError::Transport { detail } => detail,
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
+
+    /// A worker that refuses the bootstrap fails `start` and
+    /// `rebootstrap` alike, naming itself and its reason.
+    #[test]
+    fn a_rejected_bootstrap_is_a_typed_error_naming_the_worker() {
+        let addr = scripted_endpoint(1, vec![rejection()]);
+        let Err(err) = SocketCluster::start(SocketConfig::attach(vec![addr.clone()]), b"", 2)
+        else {
+            panic!("the bootstrap was rejected");
+        };
+        let want = format!("worker {addr} rejected the session bootstrap: no graph here");
+        assert_eq!(rejected(err), want);
+
+        let addr = scripted_worker(vec![rejection()]);
+        let cfg = SocketConfig::attach(vec![addr.clone()]).site_timeout(Duration::from_secs(5));
+        let cluster = SocketCluster::start(cfg, b"", 2).unwrap();
+        let err = cluster.rebootstrap(b"next").unwrap_err();
+        let want = format!("worker {addr} rejected the session bootstrap: no graph here");
+        assert_eq!(rejected(err), want);
+    }
+
+    /// A spawn-local cluster whose bootstrap is rejected leaves none of
+    /// the processes it spawned running. The stand-in workers record
+    /// their pids, announce an endpoint that rejects the bootstrap and
+    /// would otherwise stay up for a minute.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_start_reaps_every_spawned_worker() {
+        let addr = scripted_endpoint(2, vec![rejection()]);
+        let pid_file = std::env::temp_dir().join(format!("dgs-reap-{}", std::process::id()));
+        let _ = std::fs::remove_file(&pid_file);
+        let script = format!(
+            "echo $$ >> {}; echo '{ANNOUNCE_MARKER}{addr}'; exec sleep 60",
+            pid_file.display()
+        );
+        let cfg = SocketConfig::spawn_local("/bin/sh", vec!["-c".into(), script], 2);
+        let Err(err) = SocketCluster::start(cfg, b"", 2) else {
+            panic!("the bootstrap was rejected");
+        };
+        assert!(rejected(err).starts_with(&format!("worker {addr} rejected")));
+        let pids = std::fs::read_to_string(&pid_file).unwrap();
+        std::fs::remove_file(&pid_file).unwrap();
+        assert_eq!(pids.lines().count(), 2, "{pids}");
+        for pid in pids.lines() {
+            let alive = std::path::Path::new(&format!("/proc/{pid}")).exists();
+            assert!(!alive, "spawned worker {pid} is still running");
+        }
     }
 
     #[test]

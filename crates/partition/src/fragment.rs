@@ -23,33 +23,18 @@
 //! valid) but have no edges and no subscribers — they are inert until
 //! a later insertion revives them.
 //!
-//! ## The label index
-//!
-//! Two facts of the graph that every query of `lEval` starts from are
-//! kept here rather than recomputed per query: per label, the slots
-//! carrying it as one bit row in the layout of a `MatchSet` row over
-//! the fragment ([`Fragment::label_row`]), and per local node, its
-//! successors' labels as `(label, count)` runs
-//! ([`Fragment::successor_labels`]). [`Fragmentation::build`] lays
-//! both out; [`Fragmentation::apply_delta`] keeps them, in `O(deg)`
-//! per edge op and a bit per appended virtual slot (rows widen a word
-//! per 64 slots).
+//! A fragment carries a label index ([`Fragment::label_row`],
+//! [`Fragment::successor_labels`]; `label_index.rs`), which
+//! [`Fragmentation::apply_delta`] keeps per edge op.
 //!
 //! ## Where a generation's bytes live
 //!
 //! A session builds each graph generation from a copy of the one
 //! before, so a fragment is laid out to be copied: successors,
-//! predecessors and in-node subscribers are one [`SpanLists`] each, a
-//! vector of `(start, len, cap)` spans into a single pool, and the
-//! successor label runs lie in a buffer parallel to the successors'
-//! pool, at their list's positions (a list of `d` successors has at
-//! most `d` runs). [`Fragmentation::build`] fills the pools in index
-//! order with `cap == len` (plain CSR); a delta edits a list in place,
-//! and a full list moves to the end of the pool with twice the room,
-//! its runs with it. The span it leaves is dead and never reused; the
-//! copy of a pool whose dead spans and spare room outnumber its items
-//! compacts it instead, so a copied pool is at most twice its items. A
-//! clone is otherwise a dozen `memcpy`s per fragment whatever `|Vi|`;
+//! predecessors and in-node subscribers are one [`SpanLists`] each
+//! (`span_lists.rs`), and the label index's runs follow the
+//! successors' pool. A clone is a dozen `memcpy`s per fragment
+//! whatever `|Vi|`, or a compacting copy of a loose pool;
 //! the site assignment, which no delta touches, is shared behind an
 //! `Arc`.
 //!
@@ -60,6 +45,8 @@
 //! `SimEngine::apply_delta` uses it to write the next generation over
 //! a retired one without touching the allocator.
 
+use crate::label_index::LabelIndex;
+use crate::span_lists::SpanLists;
 use dgs_graph::{Graph, GraphBuilder, Label, NodeId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -123,159 +110,6 @@ pub struct FragDeltaStats {
     pub subscriptions_removed: usize,
 }
 
-/// Many short sorted lists in one buffer: list `i` owns
-/// `pool[start..start + cap]`, whose first `len` entries are its
-/// items. A copy is two `memcpy`s, not an allocation per list.
-#[derive(Debug, Default)]
-pub struct SpanLists<T> {
-    /// `(start, len, cap)` per list.
-    spans: Vec<(u32, u32, u32)>,
-    pool: Vec<T>,
-    /// The number of items over all lists.
-    items: usize,
-}
-
-impl<T: Copy + Ord + Default> SpanLists<T> {
-    /// The items of list `idx`.
-    #[inline]
-    pub fn of(&self, idx: usize) -> &[T] {
-        let (start, len, _) = self.spans[idx];
-        &self.pool[start as usize..(start + len) as usize]
-    }
-
-    /// Makes `items` (sorted) the list at `at`, before the one there.
-    pub fn insert_list(&mut self, at: usize, items: impl IntoIterator<Item = T>) {
-        let start = self.pool.len();
-        self.pool.extend(items);
-        let end = u32::try_from(self.pool.len()).expect("span pool overflow");
-        let len = end - start as u32;
-        self.spans.insert(at, (start as u32, len, len));
-        self.items += len as usize;
-    }
-
-    /// Appends `items` (sorted) as a new last list.
-    pub fn push_list(&mut self, items: impl IntoIterator<Item = T>) {
-        self.insert_list(self.spans.len(), items);
-    }
-
-    /// Removes the list at `at`; the ones behind it move down.
-    pub fn remove_list(&mut self, at: usize) {
-        self.items -= self.spans.remove(at).1 as usize;
-    }
-
-    /// Appends empty lists until there are `lists` of them.
-    pub fn grow_to(&mut self, lists: usize) {
-        self.spans.resize(lists.max(self.spans.len()), (0, 0, 0));
-    }
-
-    /// Adds `item` to list `idx`; `false` if it was there already.
-    pub fn insert(&mut self, idx: usize, item: T) -> bool {
-        let Err(at) = self.of(idx).binary_search(&item) else {
-            return false;
-        };
-        let (mut start, len, cap) = self.spans[idx];
-        if len == cap {
-            let moved = self.pool.len();
-            let cap = (2 * cap).max(2);
-            self.pool.resize(moved + cap as usize, T::default());
-            self.pool
-                .copy_within(start as usize..(start + len) as usize, moved);
-            start = u32::try_from(moved).expect("span pool overflow");
-            self.spans[idx] = (start, len, cap);
-        }
-        let (lo, hi) = (start as usize + at, (start + len) as usize);
-        self.pool.copy_within(lo..hi, lo + 1);
-        self.pool[lo] = item;
-        self.spans[idx].1 += 1;
-        self.items += 1;
-        true
-    }
-
-    /// Drops `item` from list `idx`; `false` if it was not there.
-    pub fn remove(&mut self, idx: usize, item: T) -> bool {
-        let Ok(at) = self.of(idx).binary_search(&item) else {
-            return false;
-        };
-        let (start, len, _) = self.spans[idx];
-        let (lo, hi) = (start as usize + at, (start + len) as usize);
-        self.pool.copy_within(lo + 1..hi, lo);
-        self.spans[idx].1 -= 1;
-        self.items -= 1;
-        true
-    }
-
-    /// Where list `idx` lies in the pool: `start..start + len`.
-    #[inline]
-    fn range(&self, idx: usize) -> std::ops::Range<usize> {
-        let (start, len, _) = self.spans[idx];
-        start as usize..(start + len) as usize
-    }
-}
-
-impl<T: Clone> SpanLists<T> {
-    /// Dead spans and spare room outnumber the items (the pool is more
-    /// than twice them): the one rule for when a pool is compacted.
-    fn is_loose(&self) -> bool {
-        self.pool.len() > 2 * self.items
-    }
-
-    /// Makes `self` the lists of `source`, in a pool of its own at
-    /// exactly their size: every list back to back at its exact size,
-    /// as [`Fragmentation::build`] lays them out.
-    fn compact_from(&mut self, source: &Self) {
-        self.spans.clear();
-        self.pool = Vec::with_capacity(source.items);
-        self.items = source.items;
-        for &(start, len, _) in &source.spans {
-            let at = self.pool.len() as u32;
-            self.pool
-                .extend_from_slice(&source.pool[start as usize..(start + len) as usize]);
-            self.spans.push((at, len, len));
-        }
-    }
-
-    /// Compacts the pool in place by the rule a copy applies
-    /// ([`Clone::clone_from`]): once dead spans and spare room
-    /// outnumber the items. For lists that are edited in place and
-    /// never copied; either way a pool stays at most twice its items.
-    pub fn compact(&mut self) {
-        if self.is_loose() {
-            let loose = SpanLists {
-                spans: std::mem::take(&mut self.spans),
-                pool: std::mem::take(&mut self.pool),
-                items: self.items,
-            };
-            self.compact_from(&loose);
-        }
-    }
-}
-
-impl<T: Clone> Clone for SpanLists<T> {
-    fn clone(&self) -> Self {
-        let mut copy = SpanLists {
-            spans: Vec::new(),
-            pool: Vec::new(),
-            items: 0,
-        };
-        copy.clone_from(self);
-        copy
-    }
-
-    /// Two `memcpy`s while the pool holds at least half items; once
-    /// dead spans and spare room outnumber the items, the copy
-    /// compacts instead, into a pool of its own at the compacted size.
-    /// Either way the copy's pool is at most twice its items.
-    fn clone_from(&mut self, source: &Self) {
-        if source.is_loose() {
-            self.compact_from(source);
-        } else {
-            self.spans.clone_from(&source.spans);
-            self.pool.clone_from(&source.pool);
-            self.items = source.items;
-        }
-    }
-}
-
 /// One fragment `Fi = (Vi ∪ Fi.O, Ei, Li)` materialized at a site.
 #[derive(Debug, Default)]
 pub struct Fragment {
@@ -307,22 +141,8 @@ pub struct Fragment {
     virtual_owners: Vec<SiteId>,
     /// Global id → local index.
     index_of: IdMap,
-    /// The label index, a fact of the graph that no query changes:
-    /// per label, the slots carrying it as one bit row of
-    /// `label_words` words — the layout of a `MatchSet` row over this
-    /// fragment, so a query copies its candidate rows as they are.
-    /// `label_words` is always `n_total().div_ceil(64)`; appended
-    /// virtual slots widen the rows once per 64 slots.
-    label_rows: Vec<u64>,
-    label_words: usize,
-    /// The other half of the label index, parallel to `out_adj`'s
-    /// pool: where a node's successor list lies, its successors'
-    /// labels lie as `(label, count)` runs, ascending, then `NO_RUN`
-    /// to the end of its span (a list of `d` successors has at most
-    /// `d` runs). A label with more than `u16::MAX` successors
-    /// continues in further runs, the one not full first. Moves,
-    /// compacts and is edited with its list.
-    succ_labels: Vec<(Label, u16)>,
+    /// The label index over `labels` and `out_adj`.
+    index: LabelIndex,
 }
 
 impl Clone for Fragment {
@@ -344,19 +164,8 @@ impl Clone for Fragment {
             .clone_from(&source.in_node_subscribers);
         self.virtual_owners.clone_from(&source.virtual_owners);
         self.index_of.clone_from(&source.index_of);
-        self.label_rows.clone_from(&source.label_rows);
-        self.label_words = source.label_words;
-        if self.out_adj.pool.len() == source.out_adj.pool.len() {
-            self.succ_labels.clone_from(&source.succ_labels);
-        } else {
-            // The successor lists were compacted, back to back in index
-            // order: their runs follow them.
-            self.succ_labels = Vec::with_capacity(self.out_adj.pool.len());
-            for idx in 0..source.n_local {
-                let runs = &source.succ_labels[source.out_adj.range(idx)];
-                self.succ_labels.extend_from_slice(runs);
-            }
-        }
+        self.index
+            .copy_from(&source.index, &source.out_adj, &self.out_adj);
     }
 }
 
@@ -440,8 +249,7 @@ impl Fragment {
     /// above.
     #[inline]
     pub fn label_row(&self, l: Label) -> Option<&[u64]> {
-        let at = l.index() * self.label_words;
-        self.label_rows.get(at..at + self.label_words)
+        self.index.row(l)
     }
 
     /// The labels of local node `idx`'s successors as `(label, count)`
@@ -451,7 +259,7 @@ impl Fragment {
     /// `u16::MAX`).
     #[inline]
     pub fn successor_labels(&self, idx: u32) -> &[(Label, u16)] {
-        &self.succ_labels[self.out_adj.range(idx as usize)]
+        self.index.runs(&self.out_adj, idx)
     }
 
     /// Local index of a global node, if present in this fragment
@@ -520,9 +328,9 @@ impl Fragment {
     /// # Panics
     /// Panics if the edge is already present.
     fn insert_pair(&mut self, ui: u32, vi: u32) {
-        let was = self.out_adj.range(ui as usize);
+        let l = self.labels[vi as usize];
         assert!(
-            self.out_adj.insert(ui as usize, vi),
+            self.index.insert(&mut self.out_adj, ui, vi, l),
             "edge to insert already present in fragment"
         );
         assert!(
@@ -530,21 +338,6 @@ impl Fragment {
             "reverse edge already present"
         );
         self.n_edges += 1;
-        let now = self.out_adj.range(ui as usize);
-        if self.succ_labels.len() < self.out_adj.pool.len() {
-            // The list moved to the end of the pool; its runs follow.
-            self.succ_labels.resize(self.out_adj.pool.len(), NO_RUN);
-            self.succ_labels.copy_within(was, now.start);
-        }
-        let l = self.labels[vi as usize];
-        let runs = &mut self.succ_labels[now];
-        let (k, at) = find_run(runs, l);
-        if at < k && runs[at].0 == l && runs[at].1 < u16::MAX {
-            runs[at].1 += 1;
-        } else {
-            runs.copy_within(at..k, at + 1);
-            runs[at] = (l, 1);
-        }
     }
 
     /// Removes `(ui, vi)` from the sorted adjacency and uncounts `vi`'s
@@ -553,22 +346,13 @@ impl Fragment {
     /// # Panics
     /// Panics if the edge is absent.
     fn remove_pair(&mut self, ui: u32, vi: u32) {
+        let l = self.labels[vi as usize];
         assert!(
-            self.out_adj.remove(ui as usize, vi),
+            self.index.remove(&mut self.out_adj, ui, vi, l),
             "edge to delete missing from fragment"
         );
         assert!(self.in_adj.remove(vi as usize, ui), "reverse edge missing");
         self.n_edges -= 1;
-        // The span still covers the removed successor's slot.
-        let mut span = self.out_adj.range(ui as usize);
-        span.end += 1;
-        let runs = &mut self.succ_labels[span];
-        let (k, at) = find_run(runs, self.labels[vi as usize]);
-        runs[at].1 -= 1;
-        if runs[at].1 == 0 {
-            runs.copy_within(at + 1..k, at);
-            runs[k - 1] = NO_RUN;
-        }
     }
 
     /// Looks up or appends the virtual slot for `v`; returns its index.
@@ -584,17 +368,7 @@ impl Fragment {
         self.out_adj.push_list([]);
         self.in_adj.push_list([]);
         self.index_of.insert(v, idx);
-        // One more word a row per 64 slots, as `MatchSet::grow_cols`.
-        let (words, old) = (self.n_total().div_ceil(64), self.label_words.max(1));
-        if words > self.label_words {
-            let mut wide = vec![0; self.label_rows.len() / old * words];
-            let rows = self.label_rows.chunks_exact(old);
-            for (to, from) in wide.chunks_exact_mut(words).zip(rows) {
-                to[..old].copy_from_slice(from);
-            }
-            (self.label_rows, self.label_words) = (wide, words);
-        }
-        set_label_bit(&mut self.label_rows, words, label, idx);
+        self.index.push_slot(idx, label);
         idx
     }
 
@@ -627,26 +401,6 @@ impl Fragment {
         }
         true
     }
-}
-
-/// The filler of `Fragment::succ_labels` behind a list's runs.
-const NO_RUN: (Label, u16) = (Label(0), 0);
-
-/// In one list's slice of `Fragment::succ_labels`: the number of runs,
-/// and where the first run of `l` is or would go.
-fn find_run(runs: &[(Label, u16)], l: Label) -> (usize, usize) {
-    let k = runs.partition_point(|&(_, c)| c > 0);
-    (k, runs[..k].partition_point(|&(rl, _)| rl < l))
-}
-
-/// Sets bit `idx` of label `l`'s row in `rows` (`words` words a row),
-/// appending zero rows up to `l`'s first.
-fn set_label_bit(rows: &mut Vec<u64>, words: usize, l: Label, idx: u32) {
-    let at = l.index() * words;
-    if rows.len() < at + words {
-        rows.resize(at + words, 0);
-    }
-    rows[at + idx as usize / 64] |= 1 << (idx % 64);
 }
 
 /// A fragmentation `F = (F1, ..., Fn)` of a graph, plus the global
@@ -746,12 +500,6 @@ impl Fragmentation {
             global_ids.extend_from_slice(&locals[site]);
             global_ids.extend_from_slice(&virtuals[site]);
             let labels: Vec<Label> = global_ids.iter().map(|&v| graph.label(v)).collect();
-            let label_words = global_ids.len().div_ceil(64);
-            let n_labels = labels.iter().map(|l| l.index() + 1).max().unwrap_or(0);
-            let mut label_rows = vec![0; n_labels * label_words];
-            for (idx, &l) in labels.iter().enumerate() {
-                set_label_bit(&mut label_rows, label_words, l, idx as u32);
-            }
             let mut index_of =
                 IdMap::with_capacity_and_hasher(global_ids.len(), Default::default());
             for (i, &v) in global_ids.iter().enumerate() {
@@ -766,19 +514,8 @@ impl Fragmentation {
             // straight into the pool (virtual slots have no out-edges).
             let n_total = global_ids.len();
             let n_edges = locals[site].iter().map(|&v| graph.out_degree(v)).sum();
-            let mut out_adj = SpanLists {
-                spans: Vec::with_capacity(n_total),
-                pool: Vec::with_capacity(n_edges),
-                items: 0,
-            };
-            // With each list, its label runs: a count per label seen,
-            // then one run per label in label order (and one more per
-            // `u16::MAX` of it), the partial run first.
-            let mut in_len = vec![0u32; n_total];
-            let mut succ_labels = vec![NO_RUN; n_edges];
-            let (mut count, mut seen) = (vec![0usize; n_labels], Vec::new());
+            let mut out_adj = SpanLists::with_capacity(n_total, n_edges);
             for &v in &locals[site] {
-                let start = out_adj.pool.len();
                 out_adj.push_list(graph.successors(v).iter().map(|w| {
                     if assignment[w.index()] == site {
                         local_idx[w.index()]
@@ -786,55 +523,10 @@ impl Fragmentation {
                         index_of[w]
                     }
                 }));
-                out_adj.pool[start..].sort_unstable();
-                for &w in &out_adj.pool[start..] {
-                    in_len[w as usize] += 1;
-                    let l = labels[w as usize];
-                    if count[l.index()] == 0 {
-                        seen.push(l);
-                    }
-                    count[l.index()] += 1;
-                }
-                seen.sort_unstable();
-                let mut at = start;
-                let full = usize::from(u16::MAX);
-                for &l in &seen {
-                    let mut n = std::mem::take(&mut count[l.index()]);
-                    if n % full > 0 {
-                        succ_labels[at] = (l, (n % full) as u16);
-                        at += 1;
-                        n -= n % full;
-                    }
-                    while n > 0 {
-                        succ_labels[at] = (l, u16::MAX);
-                        at += 1;
-                        n -= full;
-                    }
-                }
-                seen.clear();
             }
             out_adj.grow_to(n_total);
-
-            // Ei, reverse: spans from the counts, then filled from the
-            // back by sources in descending order, which leaves every
-            // list sorted and `in_len` at zero.
-            let mut end = 0u32;
-            let spans = in_len.iter().map(|&len| {
-                end += len;
-                (end - len, len, len)
-            });
-            let mut in_adj = SpanLists {
-                spans: spans.collect(),
-                pool: vec![0u32; n_edges],
-                items: n_edges,
-            };
-            for ui in (0..n_local).rev() {
-                for &w in out_adj.of(ui) {
-                    in_len[w as usize] -= 1;
-                    let at = in_adj.spans[w as usize].0 + in_len[w as usize];
-                    in_adj.pool[at as usize] = ui as u32;
-                }
-            }
+            let in_adj = out_adj.transpose(n_total);
+            let index = LabelIndex::build(&labels, &out_adj);
 
             // In-nodes and their subscribers, both ascending.
             let subs = &mut in_subs[site];
@@ -859,9 +551,7 @@ impl Fragmentation {
                 in_node_subscribers,
                 virtual_owners,
                 index_of,
-                label_rows,
-                label_words,
-                succ_labels,
+                index,
             });
         }
 
@@ -1280,194 +970,6 @@ mod tests {
                 .sum::<usize>(),
             after
         );
-    }
-
-    /// Every mutation against a `Vec<Vec<u32>>` model: lists that fill
-    /// their span and move, lists that empty, lists inserted into and
-    /// removed from the middle, a span vector that grows.
-    #[test]
-    fn span_lists_follow_a_nested_vec_model() {
-        let mut s = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |bound: usize| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % bound as u64) as usize
-        };
-        let mut lists = SpanLists::<u32>::default();
-        let mut model: Vec<Vec<u32>> = Vec::new();
-        let (mut moved, mut emptied) = (0, 0);
-        for step in 0..20_000 {
-            match next(16) {
-                0 => {
-                    let items: Vec<u32> = (0..next(4) as u32).map(|i| 2 * i).collect();
-                    lists.push_list(items.iter().copied());
-                    model.push(items);
-                }
-                1 => {
-                    let at = next(model.len() + 1);
-                    lists.insert_list(at, [5, 7]);
-                    model.insert(at, vec![5, 7]);
-                }
-                2 if model.len() > 8 => {
-                    let at = next(model.len());
-                    lists.remove_list(at);
-                    model.remove(at);
-                }
-                3 => {
-                    let to = model.len() + next(3);
-                    lists.grow_to(to);
-                    model.resize(to, Vec::new());
-                }
-                op if !model.is_empty() => {
-                    // A few lists take the traffic, in turns of mostly
-                    // inserts and mostly removals: they grow through
-                    // several moves and drain again.
-                    let idx = next(model.len().min(12));
-                    let item = next(8) as u32;
-                    let at = model[idx].binary_search(&item);
-                    if (op == 4) == (step / 1000 % 2 == 1) {
-                        let pool_before = lists.pool.len();
-                        assert_eq!(lists.insert(idx, item), at.is_err());
-                        moved += usize::from(lists.pool.len() > pool_before);
-                        if let Err(at) = at {
-                            model[idx].insert(at, item);
-                        }
-                    } else {
-                        assert_eq!(lists.remove(idx, item), at.is_ok());
-                        if let Ok(at) = at {
-                            model[idx].remove(at);
-                            emptied += usize::from(model[idx].is_empty());
-                        }
-                    }
-                }
-                _ => {}
-            }
-            assert_eq!(lists.spans.len(), model.len());
-            assert_eq!(lists.items, model.iter().map(Vec::len).sum::<usize>());
-            if step % 64 == 0 || step > 19_900 {
-                for (idx, list) in model.iter().enumerate() {
-                    assert_eq!(lists.of(idx), &list[..], "list {idx} at step {step}");
-                }
-                // A copy, and a copy over something else, read the same.
-                let copy = lists.clone();
-                let mut over = SpanLists::<u32>::default();
-                over.push_list([1, 2, 3]);
-                over.clone_from(&lists);
-                for (idx, list) in model.iter().enumerate() {
-                    assert_eq!((copy.of(idx), over.of(idx)), (&list[..], &list[..]));
-                }
-            }
-        }
-        assert!(
-            moved > 50 && emptied > 50,
-            "{moved} moves, {emptied} drained"
-        );
-    }
-
-    /// Lists that grew through several moves and drained again leave
-    /// a pool that is mostly dead spans and spare room; the copy a
-    /// generation swap makes of it holds at most twice the items.
-    #[test]
-    fn clone_from_compacts_a_mostly_dead_pool() {
-        let mut lists = SpanLists::<u32>::default();
-        for idx in 0..100 {
-            lists.push_list([]);
-            for item in 0..40 {
-                lists.insert(idx, item);
-            }
-            for item in 5..40 {
-                lists.remove(idx, item);
-            }
-        }
-        let items = 100 * 5;
-        assert!(lists.pool.len() > 20 * items, "{} pooled", lists.pool.len());
-        let mut over = SpanLists::<u32>::default();
-        over.push_list(0..5_000);
-        over.clone_from(&lists);
-        for copy in [over, lists.clone()] {
-            assert!(copy.pool.len() <= 2 * items, "{} pooled", copy.pool.len());
-            assert_eq!(copy.items, items);
-            for idx in 0..100 {
-                assert_eq!(copy.of(idx), lists.of(idx));
-            }
-        }
-        // A pool at least half items is copied as it is.
-        let mut dense = SpanLists::<u32>::default();
-        dense.push_list([1, 2, 3]);
-        dense.push_list([7, 8, 9]);
-        dense.insert(0, 4);
-        assert_eq!((dense.pool.len(), dense.clone().pool.len()), (12, 12));
-    }
-
-    /// `compact` is the same rule in place: a mostly dead pool shrinks
-    /// to its items and keeps every list, a dense one is left alone.
-    #[test]
-    fn compact_applies_the_copy_rule_in_place() {
-        let mut lists = SpanLists::<u32>::default();
-        for idx in 0..50 {
-            lists.push_list([]);
-            for item in 0..20 {
-                lists.insert(idx, item);
-            }
-            for item in 3..20 {
-                lists.remove(idx, item);
-            }
-        }
-        let before: Vec<Vec<u32>> = (0..50).map(|idx| lists.of(idx).to_vec()).collect();
-        lists.compact();
-        assert_eq!((lists.pool.len(), lists.items), (50 * 3, 50 * 3));
-        for (idx, items) in before.iter().enumerate() {
-            assert_eq!(lists.of(idx), items.as_slice());
-        }
-        // Compacted lists take edits like built ones.
-        assert!(lists.insert(7, 99) && lists.remove(7, 0));
-        assert_eq!(lists.of(7), &[1, 2, 99]);
-        let mut dense = SpanLists::<u32>::default();
-        dense.push_list([1, 2, 3]);
-        dense.push_list([7, 8, 9]);
-        dense.insert(0, 4);
-        dense.compact();
-        assert_eq!(dense.pool.len(), 12);
-    }
-
-    /// More than `u16::MAX` successors of one label continue in a
-    /// second run, the partial one first; deltas across the boundary
-    /// keep the runs a rebuild would lay out.
-    #[test]
-    fn a_label_past_u16_max_continues_in_a_second_run() {
-        let n = 65_540;
-        let mut b = GraphBuilder::new();
-        b.add_node(Label(0));
-        b.add_nodes(n - 2, Label(1));
-        b.add_node(Label(2));
-        for v in 1..n as u32 {
-            b.add_edge(NodeId(0), NodeId(v));
-        }
-        let g = b.build();
-        let mut f = Fragmentation::build(&g, &vec![0; n], 1);
-        let full = u16::MAX;
-        let runs = |f: &Fragmentation| -> Vec<(Label, u16)> {
-            let slots = f.fragment(0).successor_labels(0);
-            assert_eq!(slots.len(), f.fragment(0).successors(0).len());
-            slots.iter().copied().filter(|&(_, c)| c > 0).collect()
-        };
-        let built = [(Label(1), 3), (Label(1), full), (Label(2), 1)];
-        assert_eq!(runs(&f), built);
-        let ops: Vec<EdgeOp> = (1..5)
-            .map(|v| EdgeOp::Delete(NodeId(0), NodeId(v)))
-            .collect();
-        f.apply_delta(&ops[..3]);
-        assert_eq!(runs(&f), [(Label(1), full), (Label(2), 1)]);
-        f.apply_delta(&ops[3..]);
-        assert_eq!(runs(&f), [(Label(1), full - 1), (Label(2), 1)]);
-        let back: Vec<EdgeOp> = (1..5)
-            .map(|v| EdgeOp::Insert(NodeId(0), NodeId(v)))
-            .collect();
-        f.apply_delta(&back[..1]);
-        assert_eq!(runs(&f), [(Label(1), full), (Label(2), 1)]);
-        f.apply_delta(&back[1..]);
-        assert_eq!(runs(&f), built);
     }
 
     #[test]

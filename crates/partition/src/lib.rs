@@ -22,13 +22,16 @@
 //! `dGPMt`, Corollary 4).
 
 pub mod fragment;
+mod label_index;
 pub mod partitioner;
+mod span_lists;
 pub mod stats;
 pub mod streaming;
 pub mod tree;
 
-pub use fragment::{EdgeOp, FragDeltaStats, Fragment, Fragmentation, SiteId, SpanLists};
+pub use fragment::{EdgeOp, FragDeltaStats, Fragment, Fragmentation, SiteId};
 pub use partitioner::{bfs_partition, hash_partition, refine_toward_ratio, RefineObjective};
+pub use span_lists::SpanLists;
 pub use stats::FragmentationStats;
 pub use streaming::ldg_partition;
 pub use tree::tree_partition;

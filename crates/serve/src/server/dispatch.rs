@@ -10,7 +10,7 @@ use crate::proto::{
 };
 use crate::session::{merge_answers, merge_metrics, session_info, Route};
 use crate::wire::encode_frame_into;
-use dgs_core::{Algorithm, BooleanReport, DgsError, GraphDelta, RunReport, SimEngine};
+use dgs_core::{Algorithm, BooleanReport, DgsError, GraphDelta, SimEngine};
 use dgs_graph::{Graph, NodeId, Pattern};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,29 +160,6 @@ fn single_target_only(what: &str, n: usize) -> Response {
     }
 }
 
-/// A report as its wire answer, under the rows the request asked for
-/// (none when it was Boolean).
-fn answer_of(rows: Vec<Vec<u32>>, report: &BooleanReport) -> Answer {
-    Answer {
-        rows,
-        is_match: report.is_match,
-        algorithm: report.algorithm.to_owned(),
-        plan: report.plan.to_string(),
-        metrics: WireMetrics::of_run(&report.metrics),
-    }
-}
-
-/// Converts a run report into its wire answer (full relation rows).
-fn answer_of_report(report: &RunReport) -> Answer {
-    Answer {
-        rows: rows_of(&report.relation),
-        is_match: report.is_match,
-        algorithm: report.algorithm.to_owned(),
-        plan: report.plan.to_string(),
-        metrics: WireMetrics::of_run(&report.metrics),
-    }
-}
-
 /// Resolves a route snapshot, mapping a missing session to its typed
 /// error (boxed: the happy path should not pay for the error
 /// variant's size).
@@ -251,9 +228,7 @@ fn fan_out_query(
     pattern: &Pattern,
 ) -> Response {
     match fan_out(engines, |engine| {
-        engine
-            .query_with(algo, pattern)
-            .map(|r| answer_of_report(&r))
+        engine.query_with(algo, pattern).map(|r| Answer::of_run(&r))
     }) {
         Ok(parts) => Response::Answer(merge_answers(&parts)),
         Err(resp) => *resp,
@@ -284,7 +259,7 @@ fn fan_out_batch(
             let mut parts = Vec::with_capacity(shard_batches.len());
             for batch in &shard_batches {
                 match &batch.reports[i] {
-                    Ok(report) => parts.push(answer_of_report(report)),
+                    Ok(report) => parts.push(Answer::of_run(report)),
                     Err(e) => return Err((ErrorCode::of_dgs(e), e.to_string())),
                 }
             }
@@ -374,7 +349,7 @@ fn try_execute(
             match answered {
                 Ok((rows, report)) => {
                     note_trace(trace, name, &report);
-                    Response::Answer(answer_of(rows, &report))
+                    Response::Answer(Answer::of_report(rows, &report))
                 }
                 Err(e) => dgs_error(&e),
             }
@@ -397,7 +372,7 @@ fn try_execute(
                 .reports
                 .iter()
                 .map(|r| match r {
-                    Ok(report) => Ok(answer_of_report(report)),
+                    Ok(report) => Ok(Answer::of_run(report)),
                     Err(e) => Err((ErrorCode::of_dgs(e), e.to_string())),
                 })
                 .collect();
@@ -438,44 +413,18 @@ fn try_execute(
                     let dirty = shared.subs.on_delta(&name, &engine, &report);
                     note_sub_dirty(shared, dirty);
                     trace.session = name;
-                    Response::DeltaApplied(DeltaSummary {
-                        inserted: report.inserted as u64,
-                        deleted: report.deleted as u64,
-                        ignored: report.ignored as u64,
-                        crossing_inserted: report.crossing_inserted as u64,
-                        crossing_deleted: report.crossing_deleted as u64,
-                        virtuals_created: report.virtuals_created as u64,
-                        virtuals_retired: report.virtuals_retired as u64,
-                        maintained_entries: report.maintained_entries as u64,
-                        invalidated_entries: 0,
-                        revoked_pairs: report.revoked_pairs,
-                        generation: report.generation,
-                        resurrected_pairs: report.resurrected_pairs,
-                    })
+                    Response::DeltaApplied(DeltaSummary::of_report(&report))
                 }
                 Err(e) => dgs_error(&e),
             }
         }
         Request::CacheStats => {
             let (_, engine) = single_target(shared, route, "CACHE_STATS")?;
-            Response::CacheStats(engine.cache_stats().map(|s| WireCacheStats {
-                entries: s.entries as u64,
-                capacity: s.capacity as u64,
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                generation: s.generation,
-            }))
+            Response::CacheStats(engine.cache_stats().as_ref().map(WireCacheStats::of_stats))
         }
         Request::CompressionInfo => {
             let (_, engine) = single_target(shared, route, "COMPRESSION_INFO")?;
-            let active = engine.compression_active();
-            Response::CompressionInfo(engine.compression_note().map(|n| WireCompression {
-                classes: n.classes as u64,
-                ratio: n.ratio,
-                method: n.method.to_owned(),
-                active,
-            }))
+            Response::CompressionInfo(WireCompression::of_engine(&engine))
         }
         Request::LoadGraph { graph, options } => {
             let name = match &*route.lock() {

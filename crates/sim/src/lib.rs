@@ -35,7 +35,6 @@ pub mod match_relation;
 pub mod matchset;
 pub mod naive;
 pub mod preorder;
-pub mod reference;
 
 pub use bisim::{bisimulation_partition, BisimPartition};
 pub use boolean::boolean_matches;
@@ -45,4 +44,3 @@ pub use match_relation::{MatchRelation, SimResult};
 pub use matchset::{MatchSet, SetBits};
 pub use naive::naive_simulation;
 pub use preorder::SimPreorder;
-pub use reference::hashset_simulation;

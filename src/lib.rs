@@ -90,8 +90,8 @@ pub mod prelude {
         DgsClient, ServeAddr, ServeError, Server, ServerConfig, SessionOptions, WireAlgorithm,
     };
     pub use dgs_sim::{
-        boolean_matches, compress_bisim, compress_simeq, hashset_simulation, hhk_simulation,
-        naive_simulation, CompressedGraph, MatchRelation, MatchSet, SimPreorder,
+        boolean_matches, compress_bisim, compress_simeq, hhk_simulation, naive_simulation,
+        CompressedGraph, MatchRelation, MatchSet, SimPreorder,
     };
 }
 

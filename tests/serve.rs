@@ -2203,3 +2203,74 @@ fn trace_everything_ring_wraps_at_cap_and_ships_newest_first() {
     drop(client);
     handle.shutdown().expect("shutdown");
 }
+
+/// `dgsq query --updates` prints one story whether the session is
+/// local or a daemon's: the same update file, replayed once in process
+/// and once with `--remote` against a server built with the same
+/// `SessionOptions`, prints identical `delta[i]:` and `re-query:` lines.
+#[test]
+fn dgsq_replays_updates_alike_locally_and_remote() {
+    let dir = std::env::temp_dir().join(format!("dgs-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let g = random::community(600, 3000, 4, 0.05, 3, 5);
+    dgs::graph::io::write_graph(&g, std::fs::File::create(path("g.txt")).unwrap()).unwrap();
+    let qs = [
+        patterns::random_cyclic(2, 2, 3, 1),
+        patterns::random_cyclic(3, 5, 3, 2),
+    ];
+    for (i, q) in qs.iter().enumerate() {
+        let f = std::fs::File::create(path(&format!("q{i}.txt"))).unwrap();
+        dgs::graph::io::write_pattern(q, f).unwrap();
+    }
+    // Twelve edges leave, then come back.
+    let edges: Vec<_> = g.edges().take(12).collect();
+    let mut ops = String::new();
+    for sign in ["-", "+"] {
+        for (u, v) in &edges {
+            ops += &format!("{sign} {} {}\n", u.0, v.0);
+        }
+        ops += "\n";
+    }
+    std::fs::write(path("ops.txt"), ops).unwrap();
+
+    let options = SessionOptions::default();
+    let engine = options.engine_builder(&g).unwrap().build();
+    let handle = Server::bind(
+        &ServeAddr::parse("127.0.0.1:0").unwrap(),
+        engine,
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port")
+    .spawn();
+    let patterns = format!("{},{}", path("q0.txt"), path("q1.txt"));
+    let sites = options.sites.to_string();
+    let replay = |session: [&str; 2]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgsq"))
+            .args(["query", session[0], session[1], "--pattern", &patterns])
+            .args(["--updates", &path("ops.txt")])
+            .args(if session[0] == "--graph" {
+                vec!["--sites", &sites]
+            } else {
+                vec![]
+            })
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "dgsq exited {:?}: {stdout}",
+            out.status
+        );
+        let story = stdout
+            .lines()
+            .filter(|l| l.starts_with("delta[") || l.starts_with("  re-query:"));
+        story.map(str::to_owned).collect::<Vec<_>>()
+    };
+    let local = replay(["--graph", &path("g.txt")]);
+    let remote = replay(["--remote", &handle.addr().to_string()]);
+    assert_eq!(local.len(), 4, "{local:?}");
+    assert_eq!(local, remote);
+    handle.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
