@@ -381,9 +381,9 @@ impl PatternCache {
         out
     }
 
-    /// Drops every entry whose key starts with `prefix` (one handle's
-    /// generation), counting them as evictions. Entries stored by
-    /// other handles under other generations survive.
+    /// Drops every entry whose key starts with `prefix` (one
+    /// generation), counting them as evictions. Entries of other
+    /// generations survive.
     pub fn remove_with_prefix(&mut self, prefix: &[u32]) -> usize {
         let before = self.map.len();
         self.map.retain(|k, _| !k.starts_with(prefix));

@@ -132,11 +132,13 @@ pub struct DeltaReport {
     /// The engine's graph generation after this batch (fresh cache
     /// entries are keyed under it).
     pub generation: u64,
-    /// The generation this batch was applied *against*. Generations
-    /// come from a shared allocator and are strictly increasing but
-    /// not necessarily contiguous, so consumers chaining per-batch
-    /// diffs (live subscriptions) key on `prev_generation →
-    /// generation` edges instead of assuming `+1`.
+    /// The generation this batch was applied *against*: `generation −
+    /// 1` for a batch that changed the graph, `generation` for one
+    /// whose every op was already satisfied. A consumer of the
+    /// per-batch diffs (a live subscription) applies them only to
+    /// state at exactly this generation; a
+    /// [`SimEngine::cache_invalidate_all`](crate::SimEngine::cache_invalidate_all)
+    /// in between advances the generation without a batch.
     pub prev_generation: u64,
     /// Traffic and ops of the batch's one maintenance run (edge ops,
     /// falsifications, marks and candidacy rows are data messages;

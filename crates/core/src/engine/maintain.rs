@@ -1,5 +1,5 @@
 //! How a generation is replaced: [`SimEngine::apply_delta`] and
-//! [`SimEngine::cache_invalidate_all`], and what a handle carries
+//! [`SimEngine::cache_invalidate_all`], and what a session carries
 //! from one batch to the next.
 
 use super::snapshot::GenSnapshot;
@@ -26,7 +26,7 @@ struct MaintainedStates {
 }
 
 /// What [`SimEngine::apply_delta`] carries from one batch to the next
-/// under the writer lock; readers and engine clones see none of it.
+/// under the writer lock; readers see none of it.
 #[derive(Debug, Default)]
 pub(super) struct WriterState {
     /// Maintenance states of the delta-maintained cache entries, keyed
@@ -46,12 +46,10 @@ pub(super) struct WriterState {
 }
 
 impl SimEngine {
-    /// Drops every pattern-result cache entry **of this handle** (its
-    /// current generation) and moves it to a fresh generation, so
+    /// Drops every pattern-result cache entry of the current
+    /// generation and moves the session to the next generation, so
     /// nothing computed before this call can be served from the cache
-    /// again. Entries stored by diverged clones under their own
-    /// generations are untouched — each handle can only ever see its
-    /// own generation's entries.
+    /// again.
     ///
     /// Like [`Self::apply_delta`] this is a *writer*: it publishes a
     /// fresh snapshot and never blocks in-flight queries, which keep
@@ -65,7 +63,7 @@ impl SimEngine {
         }
         writer.entries.clear();
         let next = GenSnapshot {
-            generation: self.gen_alloc.fetch_add(1, Ordering::SeqCst),
+            generation: snap.generation + 1,
             frag: Arc::clone(&snap.frag),
             graph: snap.graph.clone(),
             facts: snap.facts.clone(),
@@ -129,11 +127,12 @@ impl SimEngine {
     /// entirely **off the read path** and published with a single
     /// pointer swap, so in-flight queries keep answering at the
     /// generation they loaded and never block behind this writer.
-    /// Concurrent writers on the same handle serialize against each
-    /// other. Its fragmentation is a copy of the current one, written
-    /// over the generation the last swap retired (**recycled**) when
-    /// nobody else — a reader, an engine clone, a caller of
-    /// [`Self::fragmentation`] — still held that, and cloned afresh
+    /// Concurrent writers on the session serialize against each
+    /// other, so each publishes the generation after its predecessor's.
+    /// Its fragmentation is a copy of the current one, written over the
+    /// generation the last swap retired (**recycled**) when nobody
+    /// else — a reader, a caller of [`Self::fragmentation`], the `Arc`
+    /// passed to [`Self::builder`] — still held that, and cloned afresh
     /// when somebody did. The graph mirror is derived lazily from it.
     /// Every maintained entry is kept in **one** maintenance run per
     /// batch — 4 quiescence rounds, 2 without insertions, whatever the
@@ -262,7 +261,9 @@ impl SimEngine {
         report.crossing_deleted = frag_stats.crossing_deletes;
         report.virtuals_created = frag_stats.virtuals_created;
         report.virtuals_retired = frag_stats.virtuals_retired;
-        let generation = self.gen_alloc.fetch_add(1, Ordering::SeqCst);
+        // The writer lock makes `snap` the newest generation: the next
+        // one is simply its successor.
+        let generation = snap.generation + 1;
         report.generation = generation;
         let next = Arc::new(GenSnapshot {
             generation,
@@ -399,7 +400,7 @@ impl SimEngine {
 
         // Publish: a single pointer swap makes the next generation the
         // one every subsequent query loads. The one it retires becomes
-        // the next batch's buffers if this handle was the last on it.
+        // the next batch's buffers if nobody else holds it.
         let retired = std::mem::replace(&mut *self.snap.lock(), next);
         drop(snap);
         writer.spare = Arc::into_inner(retired).and_then(|snap| Arc::into_inner(snap.frag));

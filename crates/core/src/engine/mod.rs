@@ -45,8 +45,8 @@
 //! ## Serving mode
 //!
 //! `SimEngine` is `Send + Sync`: one engine can be shared across
-//! threads (or cloned — clones share the same cache) and serve
-//! concurrent traffic. Three serving features stack on the session:
+//! threads and serve concurrent traffic. Three serving features stack
+//! on the session:
 //!
 //! * **Parallel batches** — [`SimEngine::query_batch`] fans the batch
 //!   out over a scoped worker pool (`min(cores, batch_len)` workers by
@@ -57,7 +57,7 @@
 //!   under a canonical pattern form (label-preserving renumbering, so
 //!   isomorphic re-submissions hit). A hit records
 //!   `metrics.cache_hits = 1` and **zero** messages. See
-//!   [`SimEngineBuilder::cache`] / [`SimEngineBuilder::cache_capacity`].
+//!   [`SimEngineBuilder::cache_capacity`].
 //! * **Compression-backed plans** — [`SimEngineBuilder::compress`]
 //!   builds the query-preserving quotient `Gc` (Fan et al., SIGMOD'12)
 //!   at session build time; when its ratio clears
@@ -86,9 +86,12 @@
 //! generation off the read path and publishes it with one pointer
 //! swap. Queries therefore never block behind a writer, and every
 //! answer is computed at exactly one generation — a concurrent delta
-//! can never tear a reader. `apply_delta` and
+//! can never tear a reader — which it names in
+//! [`RunReport::generation`]. `apply_delta` and
 //! [`SimEngine::cache_invalidate_all`] take `&self`; concurrent
-//! writers serialize against each other only.
+//! writers serialize against each other only, so a session's
+//! generations are one line: each writer publishes its predecessor's
+//! generation plus one.
 
 mod maintain;
 mod query;
@@ -172,6 +175,9 @@ pub struct RunReport {
     pub algorithm: &'static str,
     /// How the engine was chosen.
     pub plan: PlanExplanation,
+    /// The generation of the snapshot the answer was computed at (or,
+    /// for a cache hit, served from).
+    pub generation: u64,
     /// `∅`-of-`|Vq|` storage for [`answer`](Self::answer) when the
     /// query does not match; `None` when `answer` can alias
     /// `relation`.
@@ -184,6 +190,7 @@ impl RunReport {
         metrics: RunMetrics,
         algorithm: &'static str,
         plan: PlanExplanation,
+        generation: u64,
     ) -> Self {
         let is_match = relation.is_total();
         let empty = if is_match || relation.is_empty() {
@@ -197,6 +204,7 @@ impl RunReport {
             metrics,
             algorithm,
             plan,
+            generation,
             empty,
         }
     }
@@ -308,23 +316,9 @@ impl SimEngineBuilder<'_> {
         self
     }
 
-    /// Kill-switch for the pattern-result cache (default: **on** with
-    /// capacity 128). With the cache off, every query runs the
-    /// distributed protocol, which is what metric-sensitive
-    /// experiments want.
-    pub fn cache(mut self, enabled: bool) -> Self {
-        if enabled {
-            if self.cache_capacity == 0 {
-                self.cache_capacity = DEFAULT_CACHE_CAPACITY;
-            }
-        } else {
-            self.cache_capacity = 0;
-        }
-        self
-    }
-
-    /// Capacity of the pattern-result cache in entries (LRU;
-    /// `0` disables the cache entirely).
+    /// Capacity of the pattern-result cache in entries (LRU; default
+    /// 128). `0` disables the cache: every query runs the distributed
+    /// protocol, which is what metric-sensitive experiments want.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -416,25 +410,24 @@ impl SimEngineBuilder<'_> {
             executor: self.executor,
             cost: self.cost,
             cache: (self.cache_capacity > 0)
-                .then(|| Arc::new(Mutex::new(PatternCache::new(self.cache_capacity)))),
+                .then(|| Mutex::new(PatternCache::new(self.cache_capacity))),
             batch_workers: match self.batch_workers {
                 0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
                 n => n,
             },
             compression,
             writer: Mutex::new(WriterState::default()),
-            gen_alloc: Arc::new(AtomicU64::new(1)),
             cluster,
-            cluster_gen: Arc::new(AtomicU64::new(0)),
-            stats: Arc::new(EngineStats::default()),
+            cluster_gen: AtomicU64::new(0),
+            stats: EngineStats::default(),
         }
     }
 }
 
-/// Cumulative serving counters of one engine, shared by clones (one
-/// cell per hosted session no matter how many handles serve it). The
-/// serving layer scrapes these into its per-session metrics; the
-/// engine itself only ever increments.
+/// Cumulative serving counters of one engine (one cell per hosted
+/// session, however many threads serve it). The serving layer scrapes
+/// these into its per-session metrics; the engine itself only ever
+/// increments.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     queries: AtomicU64,
@@ -474,11 +467,12 @@ impl EngineStats {
 }
 
 /// A planned, cached, mutable query session over one fragmented graph.
-/// Clones share the result cache; [`SimEngine::apply_delta`] keeps the
-/// cached answers current instead of dropping them. Every
-/// delta moves the session to a fresh graph **generation**; cache
-/// entries are keyed under the generation they were computed at, so a
-/// stale hit is impossible even though clones share the cache.
+/// [`SimEngine::apply_delta`] keeps the cached answers current instead
+/// of dropping them. Every delta moves the session to the next graph
+/// **generation**; cache entries are keyed under the generation they
+/// were computed at, so a reader still on an older snapshot can never
+/// be served a newer generation's answer, nor a newer reader an older
+/// one.
 #[derive(Debug)]
 pub struct SimEngine {
     /// The current generation snapshot. The mutex is held only long
@@ -488,7 +482,7 @@ pub struct SimEngine {
     snap: Mutex<Arc<GenSnapshot>>,
     executor: ExecutorKind,
     cost: CostModel,
-    cache: Option<Arc<Mutex<PatternCache>>>,
+    cache: Option<Mutex<PatternCache>>,
     /// Worker threads for batches and intra-query legs: the builder's
     /// count, or one per available core, resolved once at build.
     batch_workers: usize,
@@ -498,48 +492,21 @@ pub struct SimEngine {
     compression: Option<(CompressionMethod, f64)>,
     /// Writer state: serializes [`Self::apply_delta`] /
     /// [`Self::cache_invalidate_all`] against each other (never
-    /// against readers) and holds what this handle carries from one
+    /// against readers) and holds what the session carries from one
     /// batch to the next.
     writer: Mutex<WriterState>,
-    /// Allocator of globally fresh generations, shared by clones so
-    /// two diverging handles can never collide on a generation.
-    gen_alloc: Arc<AtomicU64>,
     /// The socket cluster backing [`ExecutorKind::Socket`] sessions
-    /// ([`SimEngineBuilder::build_socket`]); clones share it (runs are
-    /// serialized on the cluster).
+    /// ([`SimEngineBuilder::build_socket`]; runs are serialized on the
+    /// cluster).
     cluster: Option<Arc<SocketCluster>>,
-    /// The generation the shared cluster was last bootstrapped with.
-    /// Socket dispatch requires an exact match, so a query whose
-    /// snapshot a concurrent delta has already re-shipped (or not yet
-    /// re-shipped) falls back to the in-process virtual executor
-    /// instead of computing on the wrong worker graph.
-    cluster_gen: Arc<AtomicU64>,
-    /// Cumulative serving counters, shared by clones.
-    stats: Arc<EngineStats>,
-}
-
-impl Clone for SimEngine {
-    /// Clones share the pattern-result cache, the generation allocator
-    /// and the (immutable) current snapshot; maintenance states are
-    /// **not** carried over (the clone rebuilds them from cached rows
-    /// at its next delta), and each handle publishes its own future
-    /// snapshots — a delta applied through one handle is invisible to
-    /// the other.
-    fn clone(&self) -> Self {
-        SimEngine {
-            snap: Mutex::new(self.snapshot()),
-            executor: self.executor,
-            cost: self.cost.clone(),
-            cache: self.cache.clone(),
-            batch_workers: self.batch_workers,
-            compression: self.compression,
-            writer: Mutex::new(WriterState::default()),
-            gen_alloc: Arc::clone(&self.gen_alloc),
-            cluster: self.cluster.clone(),
-            cluster_gen: Arc::clone(&self.cluster_gen),
-            stats: Arc::clone(&self.stats),
-        }
-    }
+    /// The generation the cluster was last bootstrapped with. Socket
+    /// dispatch requires an exact match, so a query whose snapshot a
+    /// concurrent delta has already re-shipped (or not yet re-shipped)
+    /// falls back to the in-process virtual executor instead of
+    /// computing on the wrong worker graph.
+    cluster_gen: AtomicU64,
+    /// Cumulative serving counters.
+    stats: EngineStats,
 }
 
 /// Compile-time proof that the session engine can be shared across
@@ -593,14 +560,14 @@ impl SimEngine {
         self.snapshot().graph()
     }
 
-    /// This handle's graph generation: bumped by every
-    /// [`Self::apply_delta`] and [`Self::cache_invalidate_all`].
+    /// The session's current graph generation: advanced by one by
+    /// every [`Self::apply_delta`] that changes the graph and by every
+    /// [`Self::cache_invalidate_all`].
     pub fn generation(&self) -> u64 {
         self.snapshot().generation
     }
 
-    /// Cumulative serving counters, shared with every clone of this
-    /// handle.
+    /// Cumulative serving counters of the session.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
     }
@@ -618,7 +585,7 @@ impl SimEngine {
     }
 
     /// Counters of the pattern-result cache; `None` when the cache is
-    /// disabled. `generation` reports this handle's current graph
+    /// disabled. `generation` reports the session's current graph
     /// generation so operators can observe invalidation churn.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| {

@@ -45,7 +45,7 @@ impl SimEngine {
         let (canon, hit) = self.cache_lookup(&snap, algorithm, q);
         if let (Some(canon), Some(cached)) = (&canon, hit) {
             self.stats.add_cache_hits(1);
-            return Ok(Self::report_from_cache(q, canon, &cached));
+            return Ok(Self::report_from_cache(&snap, q, canon, &cached));
         }
         // A single query gets the whole worker budget for intra-query
         // (per-fragment) parallelism.
@@ -146,7 +146,7 @@ impl SimEngine {
             let (canon, hit) = self.cache_lookup(&snap, algorithm, q);
             if let (Some(canon), Some(cached)) = (&canon, hit) {
                 self.stats.add_cache_hits(1);
-                slots[i] = Some(Ok(Self::report_from_cache(q, canon, &cached)));
+                slots[i] = Some(Ok(Self::report_from_cache(&snap, q, canon, &cached)));
             }
             canons.push(canon);
         }
@@ -280,7 +280,13 @@ impl SimEngine {
             Some(leg) => leg.graph.expand(&relation),
             None => relation,
         };
-        Ok(RunReport::assemble(relation, metrics, engine.name(), plan))
+        Ok(RunReport::assemble(
+            relation,
+            metrics,
+            engine.name(),
+            plan,
+            snap.generation,
+        ))
     }
 
     /// Canonicalizes `q` and probes the cache at `snap`'s generation.
@@ -309,6 +315,7 @@ impl SimEngine {
     /// out of a [`MatchRelation`], so they are sorted and distinct
     /// already.
     fn report_from_cache(
+        snap: &GenSnapshot,
         q: &Pattern,
         canon: &CanonicalPattern,
         cached: &CachedResult,
@@ -328,6 +335,7 @@ impl SimEngine {
             },
             cached.algorithm,
             plan,
+            snap.generation,
         )
     }
 

@@ -136,9 +136,8 @@ impl GenSnapshot {
 
     /// Prefixes a canonical pattern encoding with this snapshot's
     /// generation. Entries computed before a delta live under an older
-    /// generation and can never be served again from a newer snapshot
-    /// — the stale-hit guarantee clones rely on while sharing one
-    /// cache.
+    /// generation and can never be served again from a newer snapshot,
+    /// nor can a reader still on an older snapshot hit a newer one's.
     pub(super) fn gen_key(&self, canon_key: &[u32]) -> Vec<u32> {
         let mut key = Vec::with_capacity(2 + canon_key.len());
         key.push(self.generation as u32);

@@ -157,7 +157,7 @@ fn batch_amortizes_the_broadcast() {
     // re-queries each pattern individually after the batch.
     let assign = hash_partition(g.node_count(), 5, 9);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 5));
-    let engine = SimEngine::builder(&g, frag).cache(false).build();
+    let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
     let patterns: Vec<Pattern> = (0..10)
         .map(|i| patterns::random_cyclic(3, 6, 4, 100 + i))
         .collect();
@@ -282,17 +282,6 @@ fn compressed_boolean_run_warms_the_cache() {
 }
 
 #[test]
-fn clones_share_the_cache() {
-    let g = random::uniform(70, 280, 4, 24);
-    let engine = engine_for(&g, 3, 24);
-    let q = patterns::random_cyclic(3, 6, 4, 24);
-    engine.query(&q).unwrap();
-    let clone = engine.clone();
-    let warm = clone.query(&q).unwrap();
-    assert_eq!(warm.metrics.cache_hits, 1);
-}
-
-#[test]
 fn compressed_leg_answers_exactly_and_is_explained() {
     let g = random::uniform(120, 480, 3, 25);
     let assign = hash_partition(g.node_count(), 3, 25);
@@ -300,10 +289,10 @@ fn compressed_leg_answers_exactly_and_is_explained() {
     let engine = SimEngine::builder(&g, Arc::clone(&frag))
         .compress(CompressionMethod::SimEq)
         .compression_threshold(1.0)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     assert!(engine.compression_active());
-    let plain = SimEngine::builder(&g, frag).cache(false).build();
+    let plain = SimEngine::builder(&g, frag).cache_capacity(0).build();
     for seed in 0..4 {
         let q = patterns::random_cyclic(3, 6, 3, 250 + seed);
         let on_gc = engine.query(&q).unwrap();
@@ -329,7 +318,7 @@ fn compression_threshold_gates_the_leg() {
     let engine = SimEngine::builder(&g, frag)
         .compress(CompressionMethod::SimEq)
         .compression_threshold(0.01)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     assert!(!engine.compression_active());
     assert!(engine.compression_note().is_some());
@@ -604,27 +593,37 @@ fn cache_invalidate_all_moves_to_a_fresh_generation() {
 }
 
 #[test]
-fn clones_never_see_another_handles_generations() {
+fn every_answer_names_the_generation_it_was_computed_at() {
     let g = random::uniform(90, 360, 4, 35);
-    let assign = hash_partition(g.node_count(), 3, 35);
-    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-    let engine = SimEngine::builder(&g, frag).build();
-    let clone = engine.clone();
-    let q = patterns::random_cyclic(3, 6, 4, 35);
-    engine.query(&q).unwrap();
-    // Clone shares the cache and the generation, so it hits...
-    assert_eq!(clone.query(&q).unwrap().metrics.cache_hits, 1);
-    // ...until the original diverges by applying a delta.
+    let engine = engine_for(&g, 3, 35);
+    let (q0, q1) = (
+        patterns::random_cyclic(3, 6, 4, 35),
+        patterns::random_cyclic(3, 6, 4, 36),
+    );
+    let gen0 = engine.generation();
+    let miss = engine.query(&q0).unwrap();
+    assert_eq!((miss.metrics.cache_hits, miss.generation), (0, gen0));
+    let hit = engine.query(&q0).unwrap();
+    assert_eq!((hit.metrics.cache_hits, hit.generation), (1, gen0));
+
+    // A batch that changes the graph advances the generation by one,
+    // and the answers after it name the new one.
     let dels: Vec<_> = g.edges().take(8).collect();
-    engine.apply_delta(&GraphDelta::deletions(dels)).unwrap();
-    // The clone still answers on *its* (unmutated) graph...
-    let clone_hit = clone.query(&q).unwrap();
-    assert_eq!(clone_hit.metrics.cache_hits, 1);
-    assert_eq!(clone_hit.relation, hhk_simulation(&q, &g).relation);
-    // ...and the mutated handle serves the maintained answer.
-    let warm = engine.query(&q).unwrap();
-    assert_eq!(warm.metrics.cache_hits, 1);
-    assert_eq!(warm.relation, hhk_simulation(&q, &engine.graph()).relation);
+    let report = engine.apply_delta(&GraphDelta::deletions(dels)).unwrap();
+    assert_eq!(
+        (report.prev_generation, report.generation),
+        (gen0, gen0 + 1)
+    );
+    assert_eq!(engine.generation(), gen0 + 1);
+    let batch = engine.query_batch(&[q0.clone(), q1]);
+    let items: Vec<_> = batch.reports.iter().map(|r| r.as_ref().unwrap()).collect();
+    assert_eq!(items[0].metrics.cache_hits, 1, "the maintained entry");
+    assert_eq!(items[1].metrics.cache_hits, 0, "a fresh pattern");
+    assert!(items.iter().all(|r| r.generation == gen0 + 1));
+    assert_eq!(
+        items[0].relation,
+        hhk_simulation(&q0, &engine.graph()).relation
+    );
 }
 
 #[test]
@@ -635,7 +634,7 @@ fn compressed_leg_is_rebuilt_lazily_after_delta() {
     let engine = SimEngine::builder(&g, frag)
         .compress(CompressionMethod::SimEq)
         .compression_threshold(1.0)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     assert!(engine.compression_active());
     let dels: Vec<_> = g.edges().take(20).collect();
@@ -674,7 +673,7 @@ fn plan_is_the_plan_the_query_runs_with() {
             let engine = SimEngine::builder(&g, Arc::clone(&frag))
                 .compress(CompressionMethod::Bisim)
                 .compression_threshold(threshold)
-                .cache(false)
+                .cache_capacity(0)
                 .build();
             let dry = engine.plan(&q).unwrap();
             let ran = engine.query(&q).unwrap().plan;

@@ -39,8 +39,8 @@
 use dgs_core::SimEngine;
 use dgs_graph::io as gio;
 use dgs_net::LogLevel;
+use dgs_serve::flags::{self, num, Flags};
 use dgs_serve::{ServeAddr, Server, ServerConfig, SessionOptions};
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::exit;
@@ -48,6 +48,10 @@ use std::process::exit;
 fn fail(msg: &str) -> ! {
     eprintln!("dgsd: {msg}");
     exit(2);
+}
+
+fn or_fail<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| fail(&e))
 }
 
 const ALLOWED: &[&str] = &[
@@ -84,7 +88,7 @@ fn usage() -> ! {
 
 /// `dgsd --worker`: host sites of a remote coordinator's runs (the
 /// bind/announce/serve loop is shared with `dgsq worker`).
-fn run_worker(flags: &HashMap<String, String>) -> ! {
+fn run_worker(flags: &Flags) -> ! {
     let listen = flags
         .get("listen")
         .map(String::as_str)
@@ -94,41 +98,6 @@ fn run_worker(flags: &HashMap<String, String>) -> ! {
     }
     println!("dgsd-worker: shut down cleanly");
     exit(0);
-}
-
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .unwrap_or_else(|| fail(&format!("expected a --flag, got '{}'", args[i])));
-        if !ALLOWED.contains(&key) {
-            fail(&format!(
-                "unknown flag --{key} (allowed: {})",
-                ALLOWED
-                    .iter()
-                    .map(|f| format!("--{f}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ));
-        }
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| fail(&format!("--{key} requires a value")));
-        flags.insert(key.to_owned(), value.clone());
-        i += 2;
-    }
-    flags
-}
-
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("--{key}: cannot parse '{v}'"))),
-    }
 }
 
 /// Loads a graph file and builds one serving session from the shared
@@ -152,7 +121,7 @@ fn main() {
     }
     if let Some(pos) = args.iter().position(|a| a == "--worker") {
         args.remove(pos);
-        let flags = parse_flags(&args);
+        let flags = or_fail(flags::parse(&args, ALLOWED, &[]));
         for key in flags.keys() {
             if key != "listen" {
                 fail(&format!("--{key} does not apply in --worker mode"));
@@ -160,7 +129,7 @@ fn main() {
         }
         run_worker(&flags);
     }
-    let flags = parse_flags(&args);
+    let flags = or_fail(flags::parse(&args, ALLOWED, &[]));
     let listen = flags
         .get("listen")
         .unwrap_or_else(|| fail("--listen required"));
@@ -170,7 +139,7 @@ fn main() {
         .get("graph")
         .unwrap_or_else(|| fail("--graph required"));
 
-    let options = SessionOptions::from_flags(&flags).unwrap_or_else(|e| fail(&e));
+    let options = or_fail(SessionOptions::from_flags(&flags));
     let (g, engine) = build_engine(graph_path, &options);
     let k = options.sites;
 
@@ -192,17 +161,16 @@ fn main() {
         }),
     };
     let cfg = ServerConfig {
-        max_connections: num(&flags, "max-conns", 64),
-        drain_grace: std::time::Duration::from_millis(num(&flags, "grace", 5000)),
-        worker_threads: num(&flags, "workers", 0),
+        max_connections: or_fail(num(&flags, "max-conns", 64)),
+        drain_grace: std::time::Duration::from_millis(or_fail(num(&flags, "grace", 5000))),
+        worker_threads: or_fail(num(&flags, "workers", 0)),
         metrics_enabled,
         metrics_addr,
         // `--slow-ms 0` traces every request; omitting the flag
         // leaves capture off.
-        slow_ms: flags.get("slow-ms").map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail(&format!("--slow-ms: cannot parse '{v}'")))
-        }),
+        slow_ms: flags
+            .contains_key("slow-ms")
+            .then(|| or_fail(num(&flags, "slow-ms", 0))),
         log_level,
         ..ServerConfig::default()
     };

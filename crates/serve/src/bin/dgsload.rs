@@ -41,6 +41,7 @@
 //! plus delivery-latency percentiles.
 
 use dgs_graph::io as gio;
+use dgs_serve::flags::{self, num, Flags};
 use dgs_serve::{
     run_conn_sweep, run_load, run_subscribe, ConnSweepConfig, LoadConfig, LoadMode, ServeAddr,
     SubscribeConfig,
@@ -53,6 +54,10 @@ use std::process::exit;
 fn fail(msg: &str) -> ! {
     eprintln!("dgsload: {msg}");
     exit(2);
+}
+
+fn or_fail<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| fail(&e))
 }
 
 const ALLOWED: &[&str] = &[
@@ -94,15 +99,15 @@ fn usage() -> ! {
 }
 
 /// `dgsload --subscribe`: the live-subscription churn run.
-fn run_subscribe_mode(flags: &HashMap<String, String>, addr: ServeAddr) -> ! {
+fn run_subscribe_mode(flags: &Flags, addr: ServeAddr) -> ! {
     let cfg = SubscribeConfig {
         addr,
-        sessions: num(flags, "sessions", 2),
-        subscribers: num(flags, "subscribers", 2),
-        nodes: num(flags, "nodes", 600),
-        batches: num(flags, "batches", 40),
-        ops_per_batch: num(flags, "ops", 20),
-        seed: num(flags, "seed", 7),
+        sessions: or_fail(num(flags, "sessions", 2)),
+        subscribers: or_fail(num(flags, "subscribers", 2)),
+        nodes: or_fail(num(flags, "nodes", 600)),
+        batches: or_fail(num(flags, "batches", 40)),
+        ops_per_batch: or_fail(num(flags, "ops", 20)),
+        seed: or_fail(num(flags, "seed", 7)),
     };
     if cfg.sessions == 0 || cfg.subscribers == 0 || cfg.batches == 0 {
         fail("--sessions, --subscribers and --batches must be >= 1");
@@ -136,7 +141,7 @@ fn run_subscribe_mode(flags: &HashMap<String, String>, addr: ServeAddr) -> ! {
 }
 
 /// `dgsload --sweep`: the connection-count sweep.
-fn run_sweep_mode(flags: &HashMap<String, String>, addr: ServeAddr, spec: &str) -> ! {
+fn run_sweep_mode(flags: &Flags, addr: ServeAddr, spec: &str) -> ! {
     let steps: Vec<usize> = spec
         .split(',')
         .map(|s| {
@@ -151,9 +156,9 @@ fn run_sweep_mode(flags: &HashMap<String, String>, addr: ServeAddr, spec: &str) 
     let cfg = ConnSweepConfig {
         addr,
         steps,
-        rate: num(flags, "rate", 2000.0),
-        requests_per_step: num(flags, "requests", 4000),
-        active_senders: num(flags, "senders", 64),
+        rate: or_fail(num(flags, "rate", 2000.0)),
+        requests_per_step: or_fail(num(flags, "requests", 4000)),
+        active_senders: or_fail(num(flags, "senders", 64)),
     };
     if cfg.rate <= 0.0 {
         fail("--rate must be positive");
@@ -179,38 +184,7 @@ fn run_sweep_mode(flags: &HashMap<String, String>, addr: ServeAddr, spec: &str) 
 }
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a --flag, got '{}'", args[i]))?;
-        if !ALLOWED.contains(&key) {
-            return Err(format!(
-                "unknown flag --{key} (allowed: {})",
-                ALLOWED
-                    .iter()
-                    .map(|f| format!("--{f}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ));
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} requires a value"))?;
-        flags.insert(key.to_owned(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
-}
-
-fn num<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("--{key}: cannot parse '{v}'"))),
-    }
+    flags::parse(args, ALLOWED, &[])
 }
 
 fn ms(ns: u64) -> f64 {
@@ -229,13 +203,13 @@ fn main() {
     if let Some(spec) = flags.get("sweep") {
         run_sweep_mode(&flags, addr, spec);
     }
-    if num::<usize>(&flags, "subscribe", 0) != 0 {
+    if or_fail(num::<usize>(&flags, "subscribe", 0)) != 0 {
         run_subscribe_mode(&flags, addr);
     }
     let mode = match flags.get("mode").map(String::as_str).unwrap_or("closed") {
         "closed" => LoadMode::Closed,
         "open" => {
-            let rate: f64 = num(&flags, "rate", 100.0);
+            let rate: f64 = or_fail(num(&flags, "rate", 100.0));
             if rate <= 0.0 {
                 fail("--rate must be positive in open mode");
             }
@@ -258,16 +232,16 @@ fn main() {
 
     let cfg = LoadConfig {
         addr,
-        clients: num(&flags, "clients", 8),
-        requests_per_client: num(&flags, "requests", 50),
+        clients: or_fail(num(&flags, "clients", 8)),
+        requests_per_client: or_fail(num(&flags, "requests", 50)),
         mode,
-        delta_every: num(&flags, "deltas", 0),
-        batch_size: num(&flags, "batch", 1),
-        seed: num(&flags, "seed", 1),
+        delta_every: or_fail(num(&flags, "deltas", 0)),
+        batch_size: or_fail(num(&flags, "batch", 1)),
+        seed: or_fail(num(&flags, "seed", 1)),
         patterns,
         session: flags.get("session").cloned(),
-        pipeline: num(&flags, "pipeline", 1),
-        pings: num::<usize>(&flags, "ping", 0) != 0,
+        pipeline: or_fail(num(&flags, "pipeline", 1)),
+        pings: or_fail(num::<usize>(&flags, "ping", 0)) != 0,
     };
     if cfg.clients == 0 || cfg.requests_per_client == 0 {
         fail("--clients and --requests must be >= 1");

@@ -22,6 +22,7 @@
 //! | [`server`] | [`Server`]: readiness-loop daemon core (event thread + worker pool) with pipelining, admission control and drain shutdown |
 //! | [`client`] | [`DgsClient`]: the typed client — blocking calls or pipelined submit/await |
 //! | [`load`] | [`run_load`]: open-/closed-loop traffic generation |
+//! | [`flags`] | the `--key value` parser `dgsd`, `dgsload` and `dgsq` share |
 //!
 //! Queries never block behind a writer: every engine is
 //! snapshot-isolated (reads run against an immutable, atomically
@@ -68,6 +69,7 @@
 
 pub mod client;
 pub mod error;
+pub mod flags;
 pub mod load;
 pub mod poll;
 pub mod proto;

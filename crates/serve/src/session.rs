@@ -30,12 +30,13 @@
 //! single shard (and no union) supports per query node. Metrics are
 //! summed; the answer is labelled `fanout(k)` over the shard count.
 
+use crate::flags::{num, Flags};
 use crate::proto::{Answer, SessionInfo, SessionOptions, WireMetrics, WirePartitioner};
 use dgs_core::{CompressionMethod, SimEngine, SimEngineBuilder};
 use dgs_graph::Graph;
 use dgs_partition::{bfs_partition, hash_partition, ldg_partition, tree_partition, Fragmentation};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The session every connection starts routed to.
@@ -84,18 +85,7 @@ impl SessionOptions {
     /// The options spelled by `--sites K --partition hash|bfs|ldg|tree
     /// --seed S --cache N --compress simeq|bisim --compress-threshold
     /// X` (keys without the dashes); an absent flag keeps its default.
-    pub fn from_flags(flags: &HashMap<String, String>) -> Result<SessionOptions, String> {
-        fn num<T: std::str::FromStr>(
-            flags: &HashMap<String, String>,
-            key: &str,
-            default: T,
-        ) -> Result<T, String> {
-            let Some(v) = flags.get(key) else {
-                return Ok(default);
-            };
-            v.parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'"))
-        }
+    pub fn from_flags(flags: &Flags) -> Result<SessionOptions, String> {
         let default = SessionOptions::default();
         Ok(SessionOptions {
             sites: num(flags, "sites", default.sites)?,

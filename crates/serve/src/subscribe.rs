@@ -14,26 +14,35 @@
 //!
 //! The insertion-side maintenance protocol keeps every cached entry
 //! exact under *every* batch shape and reports the per-entry changes
-//! as [`MaintainedDiff`]s tagged with the entry's canonical pattern
-//! key. A subscription stores its pattern's canonical key and the
+//! as [`MaintainedDiff`](dgs_core::delta::MaintainedDiff)s tagged
+//! with the entry's canonical pattern key. A subscription stores its pattern's canonical key and the
 //! canonical→original node mapping, so consuming a maintained diff is
 //! a translation plus a few sorted-vec edits — no query, no protocol
-//! messages. Only when no diff matches (the entry was evicted from
-//! the result cache, or the digest chain broke) does the registry
-//! fall back to re-querying the engine and set-diffing against the
-//! subscription's rows.
+//! messages. Only when no diff applies (the entry was evicted from
+//! the result cache, or the subscription missed a generation) does
+//! the registry fall back to re-querying the engine and set-diffing
+//! against the subscription's rows.
 //!
 //! ## Ordering
 //!
-//! Engine generations are strictly increasing but **not contiguous**
-//! (they come from a shared allocator), and worker threads may enter
-//! `on_delta` out of publication order. Digests therefore chain on
-//! `prev_generation → generation` edges: a digest applies only when
-//! the session's cursor equals its `prev_generation`; out-of-order
-//! arrivals stash until their predecessor lands. A chain that stalls
-//! (an in-process writer bypassing the wire, a stash past its bound)
-//! resynchronizes by re-querying every subscription — the stream is
-//! self-healing, never silently wrong.
+//! A session's generations are one line: every batch that changes the
+//! graph publishes its predecessor's generation plus one. Each
+//! subscription remembers the generation its rows reflect — its
+//! snapshot's at `SUBSCRIBE`, then each step's — and worker threads,
+//! which may enter `on_delta` out of publication order, hand it each
+//! digest, judged against that generation alone:
+//!
+//! * a **late** digest (at or below it) is dropped;
+//! * the **next** one (applied against exactly it) applies the
+//!   pattern's maintained diff, or re-queries when the entry was not
+//!   maintained;
+//! * after a **gap** (an overtaken digest, an in-process writer,
+//!   `cache_invalidate_all`) the subscription re-queries and takes the
+//!   re-query's generation, so the digest the gap skipped arrives late
+//!   and is dropped.
+//!
+//! Pushed generations therefore strictly increase, nothing waits in a
+//! buffer, and the stream is self-healing, never silently wrong.
 //!
 //! ## Backpressure
 //!
@@ -46,19 +55,14 @@
 
 use crate::proto::{rows_of, MatchDiff, Response, SubEventKind, WireAlgorithm};
 use crate::wire::{encode_frame_into, CONN_LEVEL_ID};
-use dgs_core::delta::MaintainedDiff;
-use dgs_core::{DgsError, SimEngine};
+use dgs_core::{DeltaReport, DgsError, SimEngine};
 use dgs_graph::Pattern;
 use dgs_net::{Counter, Gauge};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Queued push frames per subscription before it overflows.
 pub(crate) const DEFAULT_SUB_QUEUE_MAX: usize = 64;
-
-/// Unprocessed digests per session before the registry stops waiting
-/// for the chain and resynchronizes by re-query.
-const STASH_MAX: usize = 4;
 
 /// One registered subscription.
 struct Subscription {
@@ -67,7 +71,8 @@ struct Subscription {
     pattern: Pattern,
     algorithm: WireAlgorithm,
     /// The pattern's canonical cache key — what
-    /// [`MaintainedDiff::canon_key`] is matched against.
+    /// [`dgs_core::delta::MaintainedDiff::canon_key`] is matched
+    /// against.
     canon_key: Vec<u32>,
     /// Original node index at each canonical position (diff vars
     /// speak canonical positions; rows are kept in the subscriber's
@@ -85,30 +90,13 @@ struct Subscription {
     dead: bool,
 }
 
-/// One delta's digest: the `prev → gen` edge plus the per-entry
-/// diffs.
-struct Digest {
-    generation: u64,
-    diffs: Vec<MaintainedDiff>,
-}
-
-/// Per-session chain state.
-#[derive(Default)]
-struct SessionChain {
-    ids: Vec<u64>,
-    /// The generation every live subscription of this session is at.
-    cursor: u64,
-    /// Digests that arrived ahead of their predecessor, keyed by
-    /// `prev_generation`.
-    stash: BTreeMap<u64, Digest>,
-}
-
 #[derive(Default)]
 struct Inner {
     next_id: u64,
     subs: HashMap<u64, Subscription>,
     by_conn: HashMap<u64, Vec<u64>>,
-    by_session: HashMap<String, SessionChain>,
+    /// The live subscriptions of each session.
+    by_session: HashMap<String, Vec<u64>>,
 }
 
 /// Subscription lifecycle handles into the server's metrics registry.
@@ -155,9 +143,10 @@ impl SubscriptionRegistry {
             .set(g.subs.values().filter(|s| !s.dead).count() as u64);
     }
 
-    /// Registers a subscription and snapshots its rows. The snapshot
-    /// query runs under the registry lock so no digest can slip
-    /// between the snapshot and the registration.
+    /// Registers a subscription and snapshots its rows, labelled with
+    /// the generation the snapshot query was answered at. The query
+    /// runs under the registry lock so no digest can slip between the
+    /// snapshot and the registration.
     pub fn subscribe(
         &self,
         conn_id: u64,
@@ -167,11 +156,6 @@ impl SubscriptionRegistry {
         algorithm: WireAlgorithm,
     ) -> Result<(u64, u64, Vec<Vec<u32>>), DgsError> {
         let mut g = self.inner.lock();
-        // Read the generation *before* the query: the rows may come
-        // from a newer snapshot if a writer publishes concurrently,
-        // in which case the next digest replays idempotently (sorted
-        // set edits check presence) instead of being missed.
-        let label = engine.generation();
         let report = engine.query_with(&algorithm.to_algorithm(), pattern)?;
         let rows = rows_of(&report.relation);
         let (canon_key, pos_of) = SimEngine::pattern_canon(pattern);
@@ -181,13 +165,8 @@ impl SubscriptionRegistry {
         }
         let id = g.next_id + 1;
         g.next_id = id;
-        let chain = g.by_session.entry(session.to_owned()).or_default();
-        let generation = label.max(chain.cursor);
-        if chain.ids.is_empty() {
-            chain.cursor = generation;
-            chain.stash.clear();
-        }
-        chain.ids.push(id);
+        let generation = report.generation;
+        g.by_session.entry(session.to_owned()).or_default().push(id);
         g.by_conn.entry(conn_id).or_default().push(id);
         g.subs.insert(
             id,
@@ -221,66 +200,15 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// Feeds one applied delta's digest into `session`'s chain and
-    /// processes everything that became ready. Returns the connection
-    /// ids that gained queued frames (the event loop drains them).
-    pub fn on_delta(
-        &self,
-        session: &str,
-        engine: &SimEngine,
-        report: &dgs_core::DeltaReport,
-    ) -> Vec<u64> {
+    /// Hands one applied delta's digest to every subscription of
+    /// `session` (see "Ordering" above). Returns the connection ids
+    /// that gained queued frames (the event loop drains them).
+    pub fn on_delta(&self, session: &str, engine: &SimEngine, report: &DeltaReport) -> Vec<u64> {
         let mut g = self.inner.lock();
-        let Some(chain) = g.by_session.get_mut(session) else {
-            return Vec::new();
-        };
-        if chain.ids.is_empty() {
-            return Vec::new();
-        }
-        if report.generation <= chain.cursor {
-            // A late-arriving digest for a generation the chain (or
-            // the subscriptions' snapshots) already covers.
-            return Vec::new();
-        }
-        chain.stash.insert(
-            report.prev_generation,
-            Digest {
-                generation: report.generation,
-                diffs: report.maintained_diffs.clone(),
-            },
-        );
+        let ids = g.by_session.get(session).cloned().unwrap_or_default();
         let mut dirty = Vec::new();
-        loop {
-            let session_chain = g.by_session.get_mut(session).expect("chain exists");
-            if let Some(digest) = session_chain.stash.remove(&session_chain.cursor) {
-                let gen = digest.generation;
-                let ids = session_chain.ids.clone();
-                session_chain.cursor = gen;
-                for id in ids {
-                    g.apply_digest(id, &digest, engine, self.max_queue, &self.obs, &mut dirty);
-                }
-            } else if g.by_session.get(session).expect("chain exists").stash.len() > STASH_MAX {
-                // The chain stalled (a writer bypassed the wire, or a
-                // digest was lost): resynchronize every subscription
-                // by re-query and restart the chain at the newest
-                // stashed generation.
-                let chain = g.by_session.get_mut(session).expect("chain exists");
-                let newest = chain
-                    .stash
-                    .values()
-                    .map(|d| d.generation)
-                    .max()
-                    .expect("stash nonempty");
-                chain.stash.clear();
-                chain.cursor = newest;
-                let ids = chain.ids.clone();
-                for id in ids {
-                    g.resync_sub(id, newest, engine, self.max_queue, &self.obs, &mut dirty);
-                }
-                break;
-            } else {
-                break;
-            }
+        for id in ids {
+            g.follow(id, report, engine, self.max_queue, &self.obs, &mut dirty);
         }
         self.sync_active(&g);
         dirty.sort_unstable();
@@ -293,11 +221,7 @@ impl SubscriptionRegistry {
     /// that gained frames.
     pub fn drop_session(&self, session: &str) -> Vec<u64> {
         let mut g = self.inner.lock();
-        let Some(chain) = g.by_session.get_mut(session) else {
-            return Vec::new();
-        };
-        let ids = std::mem::take(&mut chain.ids);
-        chain.stash.clear();
+        let ids = g.by_session.remove(session).unwrap_or_default();
         let mut dirty = Vec::new();
         for id in ids {
             g.kill_sub(id, SubEventKind::SessionDropped, &mut dirty);
@@ -410,8 +334,8 @@ impl Inner {
                     self.by_conn.remove(&sub.conn_id);
                 }
             }
-            if let Some(chain) = self.by_session.get_mut(&sub.session) {
-                chain.ids.retain(|&i| i != sub_id);
+            if let Some(ids) = self.by_session.get_mut(&sub.session) {
+                ids.retain(|&i| i != sub_id);
             }
         }
     }
@@ -441,7 +365,7 @@ impl Inner {
     }
 
     /// Terminates `sub_id` with `kind`, leaving the event as the only
-    /// queued frame, and stops tracking it in its session chain.
+    /// queued frame, and stops handing it its session's digests.
     fn kill_sub(&mut self, sub_id: u64, kind: SubEventKind, dirty: &mut Vec<u64>) {
         let session;
         {
@@ -458,33 +382,40 @@ impl Inner {
             dirty.push(sub.conn_id);
             session = sub.session.clone();
         }
-        if let Some(chain) = self.by_session.get_mut(&session) {
-            chain.ids.retain(|&i| i != sub_id);
+        if let Some(ids) = self.by_session.get_mut(&session) {
+            ids.retain(|&i| i != sub_id);
         }
     }
 
-    /// Applies one ready digest to one subscription: the matching
-    /// maintained diff when present (free), a re-query set-diff
-    /// otherwise.
-    fn apply_digest(
+    /// Moves one subscription past one digest by the three-way rule
+    /// of "Ordering": drop it when late, apply the pattern's
+    /// maintained diff when it is the next one, re-query otherwise
+    /// (and take the re-query's generation). A non-empty change is
+    /// queued as one `MATCH_DIFF` frame.
+    fn follow(
         &mut self,
         sub_id: u64,
-        digest: &Digest,
+        report: &DeltaReport,
         engine: &SimEngine,
         max_queue: usize,
         obs: &SubObs,
         dirty: &mut Vec<u64>,
     ) {
-        let Some(sub) = self.subs.get_mut(&sub_id) else {
+        let Some(sub) = self.subs.get_mut(&sub_id).filter(|sub| !sub.dead) else {
             return;
         };
-        if sub.dead || sub.generation >= digest.generation {
-            // The subscription's snapshot already covers this
-            // generation (it registered mid-chain).
+        if report.generation <= sub.generation {
             return;
         }
-        let matched = digest.diffs.iter().find(|d| d.canon_key == sub.canon_key);
-        let (added, removed) = match matched {
+        let maintained = (report.prev_generation == sub.generation)
+            .then(|| {
+                report
+                    .maintained_diffs
+                    .iter()
+                    .find(|d| d.canon_key == sub.canon_key)
+            })
+            .flatten();
+        let (generation, added, removed) = match maintained {
             Some(diff) => {
                 let mut added = Vec::new();
                 let mut removed = Vec::new();
@@ -504,74 +435,36 @@ impl Inner {
                         added.push((u, var.node));
                     }
                 }
-                sub.generation = digest.generation;
-                (added, removed)
+                (report.generation, added, removed)
             }
-            // No maintained entry for this pattern (evicted, or a
-            // non-Auto algorithm that never cached): re-query and
-            // set-diff. A cache hit when maintenance kept the entry; a
-            // recompute otherwise.
-            None => {
-                return self.resync_sub(sub_id, digest.generation, engine, max_queue, obs, dirty)
-            }
+            // No maintained diff applies (the entry was evicted, a
+            // non-Auto algorithm never cached, or a generation was
+            // missed): re-query and set-diff — a cache hit when
+            // maintenance kept the entry, a recompute otherwise.
+            None => match engine.query_with(&sub.algorithm.to_algorithm(), &sub.pattern) {
+                Ok(fresh) => {
+                    let rows = rows_of(&fresh.relation);
+                    let (added, removed) = rows_diff(&sub.rows, &rows);
+                    sub.rows = rows;
+                    (fresh.generation, added, removed)
+                }
+                // The engine refused the re-query (pattern no longer
+                // supported, executor failure): the stream can't stay
+                // exact — terminate it.
+                Err(_) => return self.kill_sub(sub_id, SubEventKind::Overflow, dirty),
+            },
         };
+        sub.generation = generation;
         if added.is_empty() && removed.is_empty() {
-            let sub = self.subs.get_mut(&sub_id).expect("sub exists");
-            sub.generation = digest.generation;
             return;
         }
         let frame = encode_push(&Response::MatchDiff(MatchDiff {
             sub_id,
-            generation: digest.generation,
+            generation,
             added,
             removed,
         }));
         self.enqueue(sub_id, frame, max_queue, obs, dirty);
-    }
-
-    /// Brings one subscription to `generation` without a maintained
-    /// diff (its entry was not maintained, or the chain stalled):
-    /// re-query and emit the set-diff against its rows.
-    fn resync_sub(
-        &mut self,
-        sub_id: u64,
-        generation: u64,
-        engine: &SimEngine,
-        max_queue: usize,
-        obs: &SubObs,
-        dirty: &mut Vec<u64>,
-    ) {
-        let Some(sub) = self.subs.get(&sub_id) else {
-            return;
-        };
-        if sub.dead {
-            return;
-        }
-        let algorithm = sub.algorithm;
-        let pattern = sub.pattern.clone();
-        match engine.query_with(&algorithm.to_algorithm(), &pattern) {
-            Ok(report) => {
-                let sub = self.subs.get_mut(&sub_id).expect("sub exists");
-                let fresh = rows_of(&report.relation);
-                let (added, removed) = rows_diff(&sub.rows, &fresh);
-                sub.rows = fresh;
-                sub.generation = generation;
-                if added.is_empty() && removed.is_empty() {
-                    return;
-                }
-                let frame = encode_push(&Response::MatchDiff(MatchDiff {
-                    sub_id,
-                    generation,
-                    added,
-                    removed,
-                }));
-                self.enqueue(sub_id, frame, max_queue, obs, dirty);
-            }
-            // The engine refused the re-query (pattern no longer
-            // supported, executor failure): the stream can't stay
-            // exact — terminate it.
-            Err(_) => self.kill_sub(sub_id, SubEventKind::Overflow, dirty),
-        }
     }
 }
 
@@ -672,16 +565,41 @@ mod tests {
         }
     }
 
+    /// Replays every queued `MATCH_DIFF` of connection 1 over `rows`,
+    /// checking that the pushed generations strictly increase.
+    fn replay_frames(reg: &SubscriptionRegistry, rows: &mut [Vec<u32>], after: u64) {
+        let mut last = after;
+        for f in reg.take_frames(1, 64) {
+            match decode_push(&f) {
+                Response::MatchDiff(d) => {
+                    assert!(
+                        d.generation > last,
+                        "generation {} after {last}",
+                        d.generation
+                    );
+                    last = d.generation;
+                    replay(rows, &d);
+                }
+                other => panic!("expected MATCH_DIFF, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
-    fn out_of_order_digests_stash_until_the_chain_connects() {
+    fn an_overtaken_digest_requeries_and_arrives_late() {
         let g = random::uniform(40, 140, 3, 31);
         let q = patterns::random_cyclic(3, 5, 3, 731);
         let engine = engine_for(&g, 2, 31);
         let (obs, _mreg) = live_obs();
         let reg = SubscriptionRegistry::with_obs(DEFAULT_SUB_QUEUE_MAX, obs.clone());
-        let (sub_id, _, snapshot) = reg
+        let (sub_id, label, snapshot) = reg
             .subscribe(1, "default", &engine, &q, WireAlgorithm::Auto)
             .expect("subscribe");
+        assert_eq!(
+            label,
+            engine.generation(),
+            "labelled with its snapshot's generation"
+        );
         assert_eq!(obs.active.get(), 1, "the gauge tracks the live sub");
 
         let dels: Vec<_> = g.edges().take(10).collect();
@@ -691,36 +609,31 @@ mod tests {
         let r2 = engine
             .apply_delta(&GraphDelta::insertions(dels.iter().copied()))
             .expect("delta 2");
+        assert_eq!(r2.prev_generation, r1.generation);
 
-        // The successor arrives first: it must stash, not apply.
-        assert!(reg.on_delta("default", &engine, &r2).is_empty());
-        assert!(!reg.has_frames(1));
-
-        // Its predecessor connects the chain and both drain in order.
-        reg.on_delta("default", &engine, &r1);
-        {
-            let inner = reg.inner.lock();
-            let chain = &inner.by_session["default"];
-            assert_eq!(chain.cursor, r2.generation);
-            assert!(chain.stash.is_empty());
-            assert_eq!(inner.subs[&sub_id].rows, fresh_rows(&engine, &q));
-        }
-
-        // A re-delivered digest for a covered generation is dropped.
+        // The successor overtakes its predecessor: a gap, so the
+        // subscription re-queries and takes the re-query's generation.
+        reg.on_delta("default", &engine, &r2);
+        let sub_generation = |reg: &SubscriptionRegistry| reg.inner.lock().subs[&sub_id].generation;
+        assert_eq!(sub_generation(&reg), r2.generation);
+        // The predecessor, and a re-delivery, arrive late: dropped.
         assert!(reg.on_delta("default", &engine, &r1).is_empty());
+        assert!(reg.on_delta("default", &engine, &r2).is_empty());
+        assert_eq!(sub_generation(&reg), r2.generation);
+
+        // The next digest applies the maintained diff: no query runs.
+        let queries = engine.stats().queries();
+        let r3 = engine
+            .apply_delta(&GraphDelta::deletions(g.edges().skip(10).take(6)))
+            .expect("delta 3");
+        reg.on_delta("default", &engine, &r3);
+        assert_eq!(engine.stats().queries(), queries);
+        assert_eq!(sub_generation(&reg), r3.generation);
 
         // Replaying the pushed diffs over the snapshot reproduces the
         // engine's current rows exactly.
         let mut rows = snapshot;
-        for f in reg.take_frames(1, 64) {
-            match decode_push(&f) {
-                Response::MatchDiff(d) => {
-                    assert_eq!(d.sub_id, sub_id);
-                    replay(&mut rows, &d);
-                }
-                other => panic!("expected MATCH_DIFF, got {other:?}"),
-            }
-        }
+        replay_frames(&reg, &mut rows, label);
         assert_eq!(rows, fresh_rows(&engine, &q));
         assert!(!reg.has_frames(1));
         assert_eq!(reg.live_count(), 1);
@@ -733,45 +646,50 @@ mod tests {
     }
 
     #[test]
-    fn stalled_chain_resynchronizes_by_requery() {
+    fn a_gap_requeries_and_takes_the_requerys_generation() {
         let g = random::uniform(40, 140, 3, 33);
         let q = patterns::random_cyclic(3, 5, 3, 733);
         let engine = engine_for(&g, 2, 33);
         let reg = SubscriptionRegistry::with_obs(DEFAULT_SUB_QUEUE_MAX, SubObs::default());
-        let (_, _, snapshot) = reg
+        let (sub_id, label, snapshot) = reg
             .subscribe(1, "default", &engine, &q, WireAlgorithm::Auto)
             .expect("subscribe");
 
-        // Apply a run of deltas but withhold the first digest: the
-        // chain can never connect. Past STASH_MAX the registry stops
-        // waiting and resynchronizes at the newest stashed generation.
+        // A digest withheld (an in-process writer bypassing the
+        // registry), then one whose predecessor is missing: the
+        // subscription re-queries at the engine's generation.
         let edges: Vec<_> = g.edges().collect();
-        let _withheld = engine
+        let withheld = engine
             .apply_delta(&GraphDelta::deletions(edges[..4].iter().copied()))
             .expect("withheld delta");
-        let mut newest = 0;
-        for c in 0..STASH_MAX + 1 {
-            let slice = &edges[4 + c * 3..4 + (c + 1) * 3];
-            let r = engine
-                .apply_delta(&GraphDelta::deletions(slice.iter().copied()))
-                .expect("delta");
-            newest = r.generation;
-            reg.on_delta("default", &engine, &r);
-        }
-        {
-            let inner = reg.inner.lock();
-            let chain = &inner.by_session["default"];
-            assert_eq!(chain.cursor, newest, "chain restarted at the newest digest");
-            assert!(chain.stash.is_empty());
-        }
+        let r = engine
+            .apply_delta(&GraphDelta::deletions(edges[4..7].iter().copied()))
+            .expect("delta");
+        let newer = engine
+            .apply_delta(&GraphDelta::deletions(edges[7..10].iter().copied()))
+            .expect("newer delta");
+        reg.on_delta("default", &engine, &r);
+        let sub_generation = |reg: &SubscriptionRegistry| reg.inner.lock().subs[&sub_id].generation;
+        assert_eq!(
+            sub_generation(&reg),
+            newer.generation,
+            "the re-query's generation"
+        );
+        assert!(reg.on_delta("default", &engine, &withheld).is_empty());
+        assert!(reg.on_delta("default", &engine, &newer).is_empty());
 
-        // The resync diff covers the withheld batch too.
+        // A generation moved without a batch is a gap too.
+        engine.cache_invalidate_all();
+        let after = engine
+            .apply_delta(&GraphDelta::deletions(edges[10..13].iter().copied()))
+            .expect("delta after invalidation");
+        assert_eq!(after.prev_generation, newer.generation + 1);
+        reg.on_delta("default", &engine, &after);
+        assert_eq!(sub_generation(&reg), after.generation);
+
+        // The re-query diffs cover the withheld batches too.
         let mut rows = snapshot;
-        for f in reg.take_frames(1, 64) {
-            if let Response::MatchDiff(d) = decode_push(&f) {
-                replay(&mut rows, &d);
-            }
-        }
+        replay_frames(&reg, &mut rows, label);
         assert_eq!(rows, fresh_rows(&engine, &q));
     }
 

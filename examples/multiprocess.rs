@@ -47,10 +47,10 @@ fn main() {
     );
 
     let virt = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .build();
     let sock = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn())
         .expect("socket cluster");
     {
@@ -82,7 +82,7 @@ fn main() {
 
     // Same again, through an adversarial transport.
     let chaotic = SimEngine::builder(&g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn().delivery(DeliveryPlan::heavy(13)))
         .expect("chaotic cluster");
     let mut dups = 0;

@@ -111,7 +111,7 @@ pub fn cmd_subscribe(flags: &Flags) {
     let path = get(flags, "pattern")
         .unwrap_or_else(|| fail("PATTERN file required (positional or --pattern FILE)"));
     let q = load_pattern(path);
-    let count: usize = num(flags, "count", 0);
+    let count: usize = or_fail(num(flags, "count", 0));
     let algo = wire_algorithm(flags);
     let mut client = connect_routed(flags);
     let (sub_id, generation, mut rows) = or_fail(client.subscribe(&q, algo));

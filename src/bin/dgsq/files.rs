@@ -14,10 +14,10 @@ use std::fs::File;
 pub fn cmd_generate(flags: &Flags) {
     use dgs::graph::generate::{dag, random, tree};
     let family = get(flags, "family").unwrap_or_else(|| fail("--family required"));
-    let n: usize = num(flags, "nodes", 10_000);
-    let m: usize = num(flags, "edges", 5 * n);
-    let labels: usize = num(flags, "labels", 15);
-    let seed: u64 = num(flags, "seed", 1);
+    let n: usize = or_fail(num(flags, "nodes", 10_000));
+    let m: usize = or_fail(num(flags, "edges", 5 * n));
+    let labels: usize = or_fail(num(flags, "labels", 15));
+    let seed: u64 = or_fail(num(flags, "seed", 1));
     let out = get(flags, "out");
     let remote = get(flags, "remote");
     if out.is_none() && remote.is_none() {

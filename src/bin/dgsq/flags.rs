@@ -1,21 +1,18 @@
 //! Flag handling and what every subcommand shares: loading files,
 //! reaching a daemon, failing with a named error.
 //!
-//! Unknown or misspelled `--flags` are rejected against a
-//! per-subcommand allowlist (exit status 2, offending flag named) —
-//! they used to be collected and silently ignored.
+//! Flags are parsed by `dgs::serve::flags` against a per-subcommand
+//! allowlist: an unknown or misspelled `--flag` exits with status 2,
+//! naming the offender.
 
 use dgs::graph::{io, Graph, Pattern};
+pub use dgs::serve::flags::{num, Flags};
 use dgs::serve::{
     DgsClient, ServeAddr, SessionOptions, WireAlgorithm, WireCacheStats, WireCompression,
 };
-use std::collections::HashMap;
 use std::fmt::Display;
 use std::fs::File;
 use std::io::BufReader;
-
-/// `--key value` pairs after the subcommand.
-pub type Flags = HashMap<String, String>;
 
 pub fn fail(msg: &str) -> ! {
     eprintln!("dgsq: {msg}");
@@ -53,79 +50,8 @@ pub fn allowed_flags(cmd: &str) -> Option<&'static str> {
     })
 }
 
-/// Parses `--key value` pairs after the subcommand.
-pub fn parse_flags(args: &[String]) -> Flags {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .unwrap_or_else(|| fail(&format!("expected a --flag, got '{}'", args[i])));
-        // Boolean flags take no value.
-        if matches!(key, "boolean" | "matches" | "metrics") {
-            flags.insert(key.to_owned(), "true".to_owned());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| fail(&format!("--{key} requires a value")));
-        flags.insert(key.to_owned(), value.clone());
-        i += 2;
-    }
-    flags
-}
-
-/// Rejects flags outside the subcommand's allowlist, naming the
-/// offender (and the nearest valid spelling when one is close).
-pub fn validate_flags(cmd: &str, flags: &Flags) {
-    let allowed: Vec<&str> = allowed_flags(cmd)
-        .unwrap_or("")
-        .split_whitespace()
-        .collect();
-    for key in flags.keys() {
-        if !allowed.contains(&key.as_str()) {
-            let hint = allowed
-                .iter()
-                .filter(|a| edit_distance(key, a) <= 2)
-                .min_by_key(|a| edit_distance(key, a))
-                .map(|a| format!(" (did you mean --{a}?)"))
-                .unwrap_or_default();
-            let allowed: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
-            fail(&format!(
-                "unknown flag --{key} for '{cmd}'{hint}; allowed: {}",
-                allowed.join(" ")
-            ));
-        }
-    }
-}
-
-/// Plain Levenshtein distance, small inputs only (flag names).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
-
 pub fn get<'a>(flags: &'a Flags, key: &str) -> Option<&'a str> {
     flags.get(key).map(String::as_str)
-}
-
-pub fn num<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("--{key}: cannot parse '{v}'"))),
-    }
 }
 
 /// Fails naming the first of `keys` (space-separated) that `flags`

@@ -36,7 +36,7 @@ mod files;
 mod flags;
 mod query;
 
-use flags::{allowed_flags, fail, get, parse_flags, validate_flags, Flags};
+use flags::{allowed_flags, fail, get, or_fail, Flags};
 
 fn usage() -> ! {
     eprintln!(
@@ -81,9 +81,9 @@ fn main() {
     // Reject an unknown command before flag validation — otherwise a
     // typo'd command reports a misleading "unknown flag ... allowed:"
     // message with an empty allowlist.
-    if allowed_flags(cmd).is_none() {
+    let Some(allowed) = allowed_flags(cmd) else {
         fail(&format!("unknown command '{cmd}'"));
-    }
+    };
     // `subscribe` takes its pattern file positionally (`dgsq subscribe
     // q.pat --remote ...`); fold it into the flag map before the
     // allowlist check so both spellings validate identically.
@@ -97,8 +97,10 @@ fn main() {
             }
         }
     }
-    let flags = parse_flags(&rest);
-    validate_flags(cmd, &flags);
+    let allowed: Vec<&str> = allowed.split_whitespace().collect();
+    let switches = ["boolean", "matches", "metrics"];
+    let flags = dgs::serve::flags::parse(&rest, &allowed, &switches);
+    let flags = or_fail(flags.map_err(|e| format!("{cmd}: {e}")));
     match cmd.as_str() {
         "generate" => files::cmd_generate(&flags),
         "query" => query::cmd_query(&flags),

@@ -34,7 +34,7 @@ use dgs::serve::{
 
 /// Where the stream runs.
 enum Target {
-    Local(SimEngine, Algorithm),
+    Local(Box<SimEngine>, Algorithm),
     Remote(DgsClient, WireAlgorithm),
 }
 
@@ -121,7 +121,7 @@ pub fn cmd_query(flags: &Flags) {
     } else {
         local(flags, &shapes)
     };
-    let repeat: usize = num(flags, "repeat", 1);
+    let repeat: usize = or_fail(num(flags, "repeat", 1));
     if flags.contains_key("boolean") {
         reject(
             flags,
@@ -237,7 +237,7 @@ fn local(flags: &Flags, shapes: &str) -> Target {
         _ => {} // socket: set by build_socket below
     }
     if flags.contains_key("parallel") {
-        builder = builder.batch_workers(num(flags, "parallel", 0));
+        builder = builder.batch_workers(or_fail(num(flags, "parallel", 0)));
     }
     let engine = if executor == "socket" {
         let cfg = if let Some(attach) = get(flags, "attach") {
@@ -245,7 +245,11 @@ fn local(flags: &Flags, shapes: &str) -> Target {
         } else {
             let exe = std::env::current_exe()
                 .unwrap_or_else(|e| fail(&format!("cannot locate my own executable: {e}")));
-            SocketConfig::spawn_local(exe, vec!["worker".into()], num(flags, "workers", 2))
+            SocketConfig::spawn_local(
+                exe,
+                vec!["worker".into()],
+                or_fail(num(flags, "workers", 2)),
+            )
         };
         let engine = builder
             .build_socket(cfg)
@@ -273,7 +277,7 @@ fn local(flags: &Flags, shapes: &str) -> Target {
     if let Some(c) = WireCompression::of_engine(&engine) {
         println!("compression: {}", gc_summary(&c));
     }
-    Target::Local(engine, algo)
+    Target::Local(Box::new(engine), algo)
 }
 
 /// Replays update batches against the session, re-running the query

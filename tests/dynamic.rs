@@ -183,7 +183,7 @@ fn assert_delta_equals_scratch(
     algorithms: &[Algorithm],
 ) {
     let frag2 = Arc::new(Fragmentation::build(g2, assign, k));
-    let scratch = SimEngine::builder(g2, frag2).cache(false).build();
+    let scratch = SimEngine::builder(g2, frag2).cache_capacity(0).build();
     for algo in algorithms {
         let a = engine.query_with(algo, q);
         let b = scratch.query_with(algo, q);
@@ -219,7 +219,7 @@ proptest! {
         let q = patterns::random_cyclic(3, 6, 4, seed ^ 0x51);
         let assign = hash_partition(n, k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = op_stream(&g, nops, false, seed ^ 0xD17A);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -242,7 +242,7 @@ proptest! {
         let q = patterns::random_dag_with_depth(3, 4, 2, 4, seed ^ 0x7E3);
         let assign = tree_partition(&g, k);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = op_stream(&g, nops, true, seed ^ 0x17EE);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -269,7 +269,7 @@ proptest! {
         let qc = ring_pattern(4, seed ^ 0xA2);
         let assign = hash_partition(n, k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = op_stream(&g, nops, false, seed ^ 0xDA6);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -297,7 +297,7 @@ proptest! {
         let q = patterns::random_cyclic(3, 6, 4, seed ^ 0x61);
         let assign = hash_partition(n, k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = insert_stream(&g, nops, seed ^ 0x1A5);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -321,7 +321,7 @@ proptest! {
         let q = patterns::random_dag_with_depth(3, 4, 2, 4, seed ^ 0x63);
         let assign = tree_partition(&g, k);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = insert_stream(&g, nops, seed ^ 0x1A7);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -345,7 +345,7 @@ proptest! {
         let qc = ring_pattern(4, seed ^ 0x66);
         let assign = hash_partition(n, k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let delta = insert_stream(&g, nops, seed ^ 0x1A9);
         engine.apply_delta(&delta).unwrap();
         let g2 = mutated(&g, &delta);
@@ -964,8 +964,8 @@ fn fragments_by_id(
 
 /// A retired generation's fragmentation becomes the next batch's
 /// buffers only when nobody else holds it. Held three ways across five
-/// batches — by a caller of `fragmentation()`, by a clone of the
-/// engine, by queries in flight on another thread — generation *g* is
+/// batches — by a caller of `fragmentation()`, by an engine built over
+/// that, by queries in flight on another thread — generation *g* is
 /// never written to; let go, the session goes back to recycling and
 /// stays exact. Nobody asks for the graph on the way, so what
 /// `graph()` returns at the end is derived from fifty batches of
@@ -1003,7 +1003,7 @@ fn a_held_generation_is_never_recycled() {
 
     let at_g = mirror.clone();
     let held = engine.fragmentation();
-    let clone = engine.clone();
+    let old = SimEngine::builder(&held.to_graph(), Arc::clone(&held)).build();
     let stop = AtomicBool::new(false);
     let (started, has_started) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
@@ -1034,14 +1034,14 @@ fn a_held_generation_is_never_recycled() {
     let rebuilt = Fragmentation::build(&at_g, &assign, k);
     assert_eq!(fragments_by_id(&held), fragments_by_id(&rebuilt));
     assert_eq!((held.vf(), held.ef()), (rebuilt.vf(), rebuilt.ef()));
-    assert!(*clone.graph() == at_g);
+    assert!(*old.graph() == at_g);
     for q in &qs {
-        // Evaluated on the clone's fragments, not served from the cache.
-        let cold = clone.query_with(&Algorithm::Dgpms, q).unwrap();
+        // Evaluated on the held fragments, not served from the cache.
+        let cold = old.query_with(&Algorithm::Dgpms, q).unwrap();
         assert_eq!(cold.relation, hhk_simulation(q, &at_g).relation);
     }
 
-    drop((held, clone));
+    drop((held, old));
     for _ in 8..50 {
         step(&mut mirror);
     }

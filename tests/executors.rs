@@ -67,14 +67,14 @@ fn trio(g: &Graph, assign: &[usize], k: usize) -> Trio {
     // must actually run the protocol.
     let virt = SimEngine::builder(g, Arc::clone(&frag))
         .executor(ExecutorKind::Virtual)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     let thr = SimEngine::builder(g, Arc::clone(&frag))
         .executor(ExecutorKind::Threaded)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     let sock = SimEngine::builder(g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn_cfg(2))
         .expect("socket cluster bootstrap");
     Trio { virt, thr, sock }
@@ -288,10 +288,10 @@ fn boolean_and_batch_on_socket() {
     let assign = hash_partition(g.node_count(), 3, 77);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
     let engine = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn_cfg(2))
         .unwrap();
-    let oracle_engine = SimEngine::builder(&g, frag).cache(false).build();
+    let oracle_engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
     let qs: Vec<Pattern> = (0..4)
         .map(|i| patterns::random_cyclic(3, 6, 4, 770 + i))
         .collect();
@@ -315,7 +315,7 @@ fn delta_rebootstraps_socket_workers() {
     let assign = hash_partition(g.node_count(), 3, 67);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
     let engine = SimEngine::builder(&g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn_cfg(2))
         .unwrap();
     let q = patterns::random_cyclic(3, 6, 4, 67);
@@ -367,14 +367,14 @@ fn chaos_transport_preserves_answers_over_real_sockets() {
     let assign = hash_partition(g.node_count(), 4, 9);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 4));
     let oracle_engine = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .build();
     let mut total_data = 0u64;
     let mut total_dup = 0u64;
     for plan_seed in 0..3u64 {
         let cfg = spawn_cfg(2).delivery(DeliveryPlan::heavy(plan_seed));
         let engine = SimEngine::builder(&g, Arc::clone(&frag))
-            .cache(false)
+            .cache_capacity(0)
             .build_socket(cfg)
             .unwrap();
         for qseed in 0..4 {
@@ -406,7 +406,7 @@ fn killed_worker_is_a_typed_error() {
     let assign = hash_partition(g.node_count(), 3, 13);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
     let engine = SimEngine::builder(&g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn_cfg(2).site_timeout(Duration::from_secs(10)))
         .unwrap();
     let q = patterns::random_cyclic(3, 5, 4, 13);
@@ -504,7 +504,7 @@ fn attach_mode_runs_against_external_workers() {
     let q = patterns::random_cyclic(3, 6, 4, 21);
     let oracle = hhk_simulation(&q, &g).relation;
     let engine = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(SocketConfig::attach(addrs.clone()))
         .unwrap();
     assert_eq!(engine.query(&q).unwrap().relation, oracle);
@@ -513,7 +513,7 @@ fn attach_mode_runs_against_external_workers() {
     // closes its connections but leaves them up for the next
     // coordinator (the two-terminal dgsd --worker flow).
     let engine2 = SimEngine::builder(&g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(SocketConfig::attach(addrs))
         .unwrap();
     assert_eq!(engine2.query(&q).unwrap().relation, oracle);
@@ -540,7 +540,7 @@ fn threaded_site_panic_is_typed_site_failed() {
     let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
     let engine = SimEngine::builder(&g, frag)
         .executor(ExecutorKind::Threaded)
-        .cache(false)
+        .cache_capacity(0)
         .build();
     // 65 query nodes: every site's Boolean gather handler panics on
     // the presence-bitmask limit.
@@ -572,7 +572,7 @@ fn baselines_are_gated_on_socket_sessions() {
     let assign = hash_partition(g.node_count(), 2, 55);
     let frag = Arc::new(Fragmentation::build(&g, &assign, 2));
     let engine = SimEngine::builder(&g, frag)
-        .cache(false)
+        .cache_capacity(0)
         .build_socket(spawn_cfg(1))
         .unwrap();
     let q = patterns::random_cyclic(3, 5, 4, 55);
@@ -655,7 +655,7 @@ fn intra_query_parallelism_is_bit_identical() {
     let build = |workers: usize, kind: ExecutorKind| {
         SimEngine::builder(&g, Arc::clone(&frag))
             .executor(kind)
-            .cache(false)
+            .cache_capacity(0)
             .batch_workers(workers)
             .build()
     };
@@ -704,7 +704,7 @@ fn intra_query_parallelism_is_bit_identical() {
     let report = thr.query_with(&Algorithm::dgpm(), &q).unwrap();
     assert_eq!(report.relation, oracle.relation);
     let sock = SimEngine::builder(&g, Arc::clone(&frag))
-        .cache(false)
+        .cache_capacity(0)
         .batch_workers(k)
         .build_socket(spawn_cfg(2))
         .expect("socket cluster bootstrap");

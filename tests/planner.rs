@@ -174,7 +174,7 @@ proptest! {
             ),
         };
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         for algorithm in [
             Algorithm::Auto,
             Algorithm::Dgpmd,

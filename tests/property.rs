@@ -423,7 +423,7 @@ proptest! {
     ) {
         let oracle = hashset_simulation(&q, &g);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
-        let engine = SimEngine::builder(&g, frag).cache(false).build();
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
         for algo in [
             Algorithm::dgpm(),
             Algorithm::Dgpmd,

@@ -1741,6 +1741,113 @@ fn live_subscription_streams_exact_diffs_under_churn() {
     handle.shutdown().expect("shutdown");
 }
 
+/// Two writer connections pipeline delta batches on one session while
+/// a third subscribes: the worker pool applies the batches and hands
+/// their digests to the subscription registry in whatever order the
+/// workers finish. One subscription follows a maintained entry; the
+/// other names an explicit engine, so every digest re-queries it and
+/// holds the registry while later digests queue up behind. Each
+/// subscriber's snapshot plus its diffs must equal a fresh query once
+/// the writers are done, and the generations pushed to it must
+/// strictly increase.
+#[test]
+fn concurrent_writers_keep_a_subscription_exact() {
+    const WRITERS: usize = 2;
+    const BATCHES: usize = 16;
+    let g = random::uniform(60, 220, 3, 41);
+    let cfg = ServerConfig {
+        worker_threads: 4,
+        ..ServerConfig::default()
+    };
+    let handle = spawn_server(&g, 3, 41, cfg);
+    let addr = handle.addr().clone();
+    let mut subscriber = DgsClient::connect(&addr).expect("connect");
+    subscriber
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let subs = [
+        (mixed_pattern(2, 3), WireAlgorithm::Auto),
+        (mixed_pattern(5, 3), WireAlgorithm::Dgpms),
+    ];
+    // Per subscription: its rows and the last generation pushed.
+    let mut streams: Vec<(u64, Vec<Vec<u32>>, u64)> = (subs.iter())
+        .map(|(q, algorithm)| {
+            let (id, generation, rows) = subscriber.subscribe(q, *algorithm).expect("subscribe");
+            assert!(rows.iter().any(|r| !r.is_empty()), "the pattern must match");
+            (id, rows, generation)
+        })
+        .collect();
+
+    // Every batch deletes edges and inserts non-edges no other batch
+    // touches, so the final graph does not depend on the order the
+    // batches apply in. Each writer submits all of its batches before
+    // awaiting any; the barrier releases both bursts at once.
+    let n = g.node_count() as u32;
+    let deletes: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u.0, v.0)).collect();
+    let present: std::collections::HashSet<_> = deletes.iter().copied().collect();
+    let inserts: Vec<(u32, u32)> = (0..n * n)
+        .map(|i| (i / n, (i * 7 + 3) % n))
+        .filter(|&(u, v)| u != v && !present.contains(&(u, v)))
+        .collect();
+    let barrier = std::sync::Barrier::new(WRITERS);
+    std::thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (addr, deletes, inserts, barrier) = (&addr, &deletes, &inserts, &barrier);
+            s.spawn(move || {
+                let mut c = DgsClient::connect(addr).expect("writer connect");
+                let ids: Vec<u64> = (0..BATCHES)
+                    .map(|b| {
+                        let i = w * BATCHES + b;
+                        let req = Request::ApplyDelta {
+                            insert_edges: inserts[i * 3..(i + 1) * 3].to_vec(),
+                            delete_edges: deletes[i * 3..(i + 1) * 3].to_vec(),
+                        };
+                        c.submit(&req).expect("submit")
+                    })
+                    .collect();
+                barrier.wait();
+                for id in ids {
+                    match c.await_response(id) {
+                        Ok(Response::DeltaApplied(_)) => {}
+                        other => panic!("writer {w}: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    // Every digest reached the registry before its batch was answered.
+    let engine = handle.engine();
+    let expected: Vec<Vec<Vec<u32>>> = (subs.iter())
+        .map(|(q, algorithm)| {
+            let report = engine.query_with(&algorithm.to_algorithm(), q);
+            rows_of(&report.expect("fresh").relation)
+        })
+        .collect();
+    let mut diffs = 0;
+    while streams.iter().zip(&expected).any(|(s, want)| s.1 != *want) {
+        match subscriber.next_event().expect("push") {
+            SubscriptionEvent::Diff(d) => {
+                let (_, rows, last_gen) = (streams.iter_mut())
+                    .find(|s| s.0 == d.sub_id)
+                    .expect("a diff for a subscription of this connection");
+                assert!(
+                    d.generation > *last_gen,
+                    "generation {} pushed after {last_gen}",
+                    d.generation
+                );
+                *last_gen = d.generation;
+                diffs += 1;
+                apply_diff(rows, &d);
+            }
+            other => panic!("unexpected push {other:?}"),
+        }
+    }
+    assert!(diffs > 0, "the churn produced at least one pushed diff");
+    drop(subscriber);
+    handle.shutdown().expect("shutdown");
+}
+
 /// Satellite: a live `Route::Many` that names a dropped session is
 /// *stale*, not broken — the next request gets a typed
 /// `NoSuchSession` (raw frames, so the regression pins the wire

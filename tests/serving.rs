@@ -196,10 +196,10 @@ fn compression_backed_plans_agree_across_families() {
         let compressed = SimEngine::builder(g, Arc::clone(&frag))
             .compress(CompressionMethod::SimEq)
             .compression_threshold(1.0)
-            .cache(false)
+            .cache_capacity(0)
             .build();
         assert!(compressed.compression_active(), "{family}: leg inactive");
-        let plain = SimEngine::builder(g, frag).cache(false).build();
+        let plain = SimEngine::builder(g, frag).cache_capacity(0).build();
         for i in 0..6 {
             let q = mixed_pattern(i, 4);
             let on_gc = compressed.query(&q).unwrap();
@@ -247,7 +247,7 @@ proptest! {
         let assign = hash_partition(g.node_count(), k, seed);
         let frag = Arc::new(Fragmentation::build(&g, &assign, k));
         let cached = SimEngine::builder(&g, Arc::clone(&frag)).build();
-        let uncached = SimEngine::builder(&g, frag).cache(false).build();
+        let uncached = SimEngine::builder(&g, frag).cache_capacity(0).build();
         let cold = cached.query(&q).unwrap();
         let warm = cached.query(&q).unwrap();
         let reference = uncached.query(&q).unwrap();
