@@ -34,8 +34,10 @@ pub(super) struct WriterState {
     /// the map itself is always current).
     entries: HashMap<Vec<u32>, MaintainedStates>,
     /// The last retired generation's fragmentation, if the swap found
-    /// nobody else holding it: the next generation's buffers.
-    spare: Option<Fragmentation>,
+    /// nobody else holding it, and the ops of the batch that retired
+    /// it: replayed, they bring it to the current generation, the
+    /// start of the next.
+    spare: Option<(Fragmentation, Vec<EdgeOp>)>,
     /// The session's one reverse adjacency per site, equal to the
     /// current snapshot's whenever it is `Some`: each batch's one
     /// maintenance run edits it in place for every entry
@@ -129,11 +131,15 @@ impl SimEngine {
     /// generation they loaded and never block behind this writer.
     /// Concurrent writers on the session serialize against each
     /// other, so each publishes the generation after its predecessor's.
-    /// Its fragmentation is a copy of the current one, written over the
-    /// generation the last swap retired (**recycled**) when nobody
-    /// else — a reader, a caller of [`Self::fragmentation`], the `Arc`
-    /// passed to [`Self::builder`] — still held that, and cloned afresh
-    /// when somebody did. The graph mirror is derived lazily from it.
+    /// Its fragmentation is the generation the last swap retired
+    /// (**recycled**), brought forward by replaying the batch that
+    /// retired it and then taking this one, when nobody else — a
+    /// reader, a caller of [`Self::fragmentation`], the `Arc` passed to
+    /// [`Self::builder`] — still held that; a batch then costs its own
+    /// change and the one before, not `|G|`. When somebody did, the
+    /// current fragmentation is cloned afresh
+    /// ([`EngineStats::generations_copied`](super::EngineStats::generations_copied)).
+    /// The graph mirror is derived lazily from it.
     /// Every maintained entry is kept in **one** maintenance run per
     /// batch — 4 quiescence rounds, 2 without insertions, whatever the
     /// number of entries — over the session's one reverse adjacency
@@ -241,21 +247,32 @@ impl SimEngine {
             }
         }
 
-        // Build the **next generation** entirely off the read path: a
-        // copy of the fragmentation with the ops applied — written
-        // over the last retired generation's buffers if the swap found
-        // them unshared, a deep clone (`clone_from` into an empty
-        // one) if not — no graph mirror, no facts and no compressed
-        // leg (all rebuilt lazily: a delete-heavy stream served from
-        // maintained entries never pays their `O(|G|)`).
+        // Build the **next generation** entirely off the read path: the
+        // fragmentation with the ops applied — no graph mirror, no facts
+        // and no compressed leg (all rebuilt lazily: a delete-heavy
+        // stream served from maintained entries never pays their
+        // `O(|G|)`). It is the spare brought to the current generation
+        // by the batch it missed or, without one — the first batches, a
+        // retired generation somebody held, a failed batch that took
+        // it — a clone of the current one; either way compacted in
+        // place as a clone would be.
         let ops: Vec<EdgeOp> = inserts
             .iter()
             .map(|&(u, v)| EdgeOp::Insert(u, v))
             .chain(deletes.iter().map(|&(u, v)| EdgeOp::Delete(u, v)))
             .collect();
-        let mut next_frag = writer.spare.take().unwrap_or_default();
-        next_frag.clone_from(&snap.frag);
+        let mut next_frag = match writer.spare.take() {
+            Some((mut spare, behind)) => {
+                spare.apply_delta(&behind);
+                spare
+            }
+            None => {
+                self.stats.add_generations_copied(1);
+                Fragmentation::clone(&snap.frag)
+            }
+        };
         let frag_stats = next_frag.apply_delta(&ops);
+        next_frag.compact();
         let next_frag = Arc::new(next_frag);
         report.crossing_inserted = frag_stats.crossing_inserts;
         report.crossing_deleted = frag_stats.crossing_deletes;
@@ -399,11 +416,13 @@ impl SimEngine {
         }
 
         // Publish: a single pointer swap makes the next generation the
-        // one every subsequent query loads. The one it retires becomes
-        // the next batch's buffers if nobody else holds it.
+        // one every subsequent query loads. The one it retires, with
+        // this batch's ops, starts the next batch if nobody else holds
+        // it.
         let retired = std::mem::replace(&mut *self.snap.lock(), next);
         drop(snap);
-        writer.spare = Arc::into_inner(retired).and_then(|snap| Arc::into_inner(snap.frag));
+        let retired = Arc::into_inner(retired).and_then(|snap| Arc::into_inner(snap.frag));
+        writer.spare = retired.map(|frag| (frag, ops));
         self.stats.add_deltas(1);
         Ok(report)
     }

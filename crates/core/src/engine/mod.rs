@@ -433,6 +433,7 @@ pub struct EngineStats {
     queries: AtomicU64,
     cache_hits: AtomicU64,
     deltas: AtomicU64,
+    generations_copied: AtomicU64,
 }
 
 impl EngineStats {
@@ -453,6 +454,16 @@ impl EngineStats {
         self.deltas.load(Ordering::Relaxed)
     }
 
+    /// Delta batches whose next generation started from a clone of the
+    /// current fragmentation rather than from the retired generation
+    /// replayed forward: the first batches of a session, a batch after
+    /// somebody held the retired generation across the swap, a batch
+    /// after a failed one. A steady churn copies none; one that keeps
+    /// copying pays `O(|G|)` a batch.
+    pub fn generations_copied(&self) -> u64 {
+        self.generations_copied.load(Ordering::Relaxed)
+    }
+
     fn add_queries(&self, n: u64) {
         self.queries.fetch_add(n, Ordering::Relaxed);
     }
@@ -463,6 +474,10 @@ impl EngineStats {
 
     fn add_deltas(&self, n: u64) {
         self.deltas.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn add_generations_copied(&self, n: u64) {
+        self.generations_copied.fetch_add(n, Ordering::Relaxed);
     }
 }
 

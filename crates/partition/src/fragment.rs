@@ -29,21 +29,23 @@
 //!
 //! ## Where a generation's bytes live
 //!
-//! A session builds each graph generation from a copy of the one
-//! before, so a fragment is laid out to be copied: successors,
-//! predecessors and in-node subscribers are one [`SpanLists`] each
-//! (`span_lists.rs`), and the label index's runs follow the
-//! successors' pool. A clone is a dozen `memcpy`s per fragment
-//! whatever `|Vi|`, or a compacting copy of a loose pool;
-//! the site assignment, which no delta touches, is shared behind an
-//! `Arc`.
-//!
-//! `clone_from` is hand-written for all three types: `self` ends up
-//! equal to `source.clone()` whatever it held before — more sites,
-//! fewer, larger fragments — and keeps its own buffers wherever they
-//! are large enough (a compacting copy allocates its pool afresh).
-//! `SimEngine::apply_delta` uses it to write the next generation over
-//! a retired one without touching the allocator.
+//! A session keeps two fragmentations: the current generation and the
+//! one it retired. It builds the next generation by replaying onto the
+//! retired one the batch that retired it and then the new batch —
+//! [`Fragmentation::apply_delta`] is deterministic, so that is the
+//! current generation with the batch applied, slot for slot — and
+//! clones the current one only when something else still holds the
+//! retired one. A fragment is therefore laid out to be edited in place:
+//! successors, predecessors and in-node subscribers are one
+//! [`SpanLists`] each (`span_lists.rs`), and the label index's runs
+//! follow the successors' pool. A list that outgrows its span moves to
+//! the end of the pool and leaves the span dead;
+//! [`Fragmentation::compact`] compacts a pool once dead spans and spare
+//! room outnumber its items, the rule a clone applies, so a
+//! fragmentation that only takes deltas stays as tight as a cloned one.
+//! A clone is a dozen `memcpy`s per fragment whatever `|Vi|`, or a
+//! compacting copy of a loose pool; the site assignment, which no delta
+//! touches, is shared behind an `Arc`.
 
 use crate::label_index::LabelIndex;
 use crate::span_lists::SpanLists;
@@ -146,26 +148,25 @@ pub struct Fragment {
 }
 
 impl Clone for Fragment {
+    /// Field by field; the label runs follow the successor lists, whose
+    /// copy compacts a loose pool.
     fn clone(&self) -> Self {
-        let mut copy = Fragment::default();
-        copy.clone_from(self);
-        copy
-    }
-
-    /// Buffer by buffer, so that each keeps the capacity it has.
-    fn clone_from(&mut self, source: &Self) {
-        (self.site, self.n_local, self.n_edges) = (source.site, source.n_local, source.n_edges);
-        self.global_ids.clone_from(&source.global_ids);
-        self.labels.clone_from(&source.labels);
-        self.out_adj.clone_from(&source.out_adj);
-        self.in_adj.clone_from(&source.in_adj);
-        self.in_nodes.clone_from(&source.in_nodes);
-        self.in_node_subscribers
-            .clone_from(&source.in_node_subscribers);
-        self.virtual_owners.clone_from(&source.virtual_owners);
-        self.index_of.clone_from(&source.index_of);
-        self.index
-            .copy_from(&source.index, &source.out_adj, &self.out_adj);
+        let mut index = self.index.clone();
+        if self.out_adj.is_loose() {
+            index.compact_along(&self.out_adj);
+        }
+        Fragment {
+            index,
+            out_adj: self.out_adj.clone(),
+            in_adj: self.in_adj.clone(),
+            in_node_subscribers: self.in_node_subscribers.clone(),
+            global_ids: self.global_ids.clone(),
+            labels: self.labels.clone(),
+            in_nodes: self.in_nodes.clone(),
+            virtual_owners: self.virtual_owners.clone(),
+            index_of: self.index_of.clone(),
+            ..*self
+        }
     }
 }
 
@@ -401,12 +402,24 @@ impl Fragment {
         }
         true
     }
+
+    /// Compacts each pool that dead spans and spare room have made
+    /// loose, by [`SpanLists::compact`]'s rule; the label runs move
+    /// with the successor lists. No slot moves.
+    fn compact(&mut self) {
+        if self.out_adj.is_loose() {
+            self.index.compact_along(&self.out_adj);
+        }
+        self.out_adj.compact();
+        self.in_adj.compact();
+        self.in_node_subscribers.compact();
+    }
 }
 
 /// A fragmentation `F = (F1, ..., Fn)` of a graph, plus the global
 /// quantities the paper's bounds are stated in (`|Vf|`, `|Ef|`,
 /// `|Fm|`).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Fragmentation {
     num_sites: usize,
     /// One site per global node; shared by a session's generations.
@@ -417,25 +430,6 @@ pub struct Fragmentation {
     crossing_in: Vec<u32>,
     vf: usize,
     ef: usize,
-}
-
-impl Clone for Fragmentation {
-    fn clone(&self) -> Self {
-        let mut copy = Fragmentation::default();
-        copy.clone_from(self);
-        copy
-    }
-
-    /// `Vec::clone_from` overwrites the fragments both sides have in
-    /// place ([`Fragment::clone_from`]) and clones or drops the rest.
-    fn clone_from(&mut self, source: &Self) {
-        self.num_sites = source.num_sites;
-        self.assignment = Arc::clone(&source.assignment);
-        self.fragments.clone_from(&source.fragments);
-        self.crossing_in.clone_from(&source.crossing_in);
-        self.vf = source.vf;
-        self.ef = source.ef;
-    }
 }
 
 impl Fragmentation {
@@ -615,6 +609,16 @@ impl Fragmentation {
             }
         }
         stats
+    }
+
+    /// Compacts every fragment's pools that deltas have left more
+    /// than twice their items, in place and by the rule a clone
+    /// applies, so a fragmentation that only ever takes deltas stays
+    /// as tight as a copied one. Every local index stays where it is.
+    pub fn compact(&mut self) {
+        for f in &mut self.fragments {
+            f.compact();
+        }
     }
 
     fn endpoints(&self, u: NodeId, v: NodeId) -> (SiteId, SiteId) {
@@ -1477,6 +1481,70 @@ mod delta_proptests {
                 );
             }
         }
+    }
+
+    /// The pool lengths of every fragment's lists.
+    fn pool_lens(f: &Fragmentation) -> Vec<[usize; 3]> {
+        let lens = f.fragments().iter().map(|frag| {
+            [
+                frag.out_adj.pool_len(),
+                frag.in_adj.pool_len(),
+                frag.in_node_subscribers.pool_len(),
+            ]
+        });
+        lens.collect()
+    }
+
+    /// The engine's rule for the next generation — replay onto the one
+    /// the last swap retired the batch that retired it, then the new
+    /// batch, then compact — builds what cloning the current one and
+    /// applying the batch builds, batch after batch, slot for slot;
+    /// also when a held retired generation (here every 97th) makes it
+    /// clone instead. Compacted pools hold at most twice their items,
+    /// and the label runs that moved with them are the ones a rebuilt
+    /// index lays out.
+    #[test]
+    fn replaying_onto_the_retired_generation_equals_a_clone() {
+        let (n, sites) = (40, 3);
+        let mut current = churned(0x5EED, n, sites, 0);
+        let mut edges: BTreeSet<(u32, u32)> = observe(&current)
+            .iter()
+            .flat_map(|site| site.2.iter().copied())
+            .collect();
+        let mut cloned = current.clone();
+        let mut spare: Option<(Fragmentation, Vec<EdgeOp>)> = None;
+        let (mut s, mut compactions) = (0xBA7C4_u64, 0);
+        for batch in 0..2_000 {
+            let size = 1 + (xorshift(&mut s) % 16) as usize;
+            let ops = random_ops(&mut s, n, &mut edges, size);
+            let mut next = match spare.take() {
+                Some((mut retired, behind)) => {
+                    retired.apply_delta(&behind);
+                    retired
+                }
+                None => current.clone(),
+            };
+            let stats = next.apply_delta(&ops);
+            let loose = pool_lens(&next);
+            next.compact();
+            compactions += usize::from(pool_lens(&next) != loose);
+            for f in next.fragments() {
+                assert!(!f.out_adj.is_loose() && !f.in_adj.is_loose());
+                assert!(!f.in_node_subscribers.is_loose());
+                let built = LabelIndex::build(&f.labels, &f.out_adj);
+                for idx in f.local_indices() {
+                    assert_eq!(f.successor_labels(idx), built.runs(&f.out_adj, idx));
+                }
+            }
+            let retired = std::mem::replace(&mut current, next);
+            spare = (batch % 97 != 0).then_some((retired, ops.clone()));
+
+            let mut copy = cloned.clone();
+            assert_eq!(copy.apply_delta(&ops), stats, "batch {batch}");
+            cloned = copy;
+            assert_same(&current, &cloned);
+        }
+        assert!(compactions > 50, "{compactions} compactions");
     }
 
     proptest! {

@@ -17,7 +17,7 @@ const NO_RUN: (Label, u16) = (Label(0), 0);
 
 /// A fragment's label index, a fact of the graph that no query
 /// changes.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct LabelIndex {
     /// Per label, the slots carrying it as one bit row of `words`
     /// words — the layout of a `MatchSet` row over the fragment, so a
@@ -151,20 +151,15 @@ impl LabelIndex {
         true
     }
 
-    /// Makes `self` a copy of `source`, whose lists were `from` and are
-    /// `to` now: the same layout unless the copy compacted them, back
-    /// to back in list order, and then the runs follow.
-    pub(crate) fn copy_from(&mut self, source: &Self, from: &SpanLists<u32>, to: &SpanLists<u32>) {
-        self.rows.clone_from(&source.rows);
-        self.words = source.words;
-        if to.pool_len() == from.pool_len() {
-            self.runs.clone_from(&source.runs);
-        } else {
-            self.runs = Vec::with_capacity(to.pool_len());
-            for idx in 0..from.len() {
-                self.runs.extend_from_slice(&source.runs[from.range(idx)]);
-            }
+    /// Lays the runs of lists `succ` out as the lists lie once
+    /// compacted, by [`SpanLists::compact`] or a copy: back to back in
+    /// list order, each at its exact size.
+    pub(crate) fn compact_along(&mut self, succ: &SpanLists<u32>) {
+        let mut runs = Vec::with_capacity(succ.items());
+        for idx in 0..succ.len() {
+            runs.extend_from_slice(&self.runs[succ.range(idx)]);
         }
+        self.runs = runs;
     }
 }
 

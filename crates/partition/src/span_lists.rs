@@ -1,15 +1,15 @@
 //! [`SpanLists`]: many short sorted lists in one pool, laid out to be
-//! copied.
+//! edited in place and copied whole.
 //!
 //! A fragment's successors, predecessors and in-node subscribers are
 //! one `SpanLists` each, a vector of `(start, len, cap)` spans into a
 //! single pool. [`SpanLists::push_list`] fills the pool in list order
 //! with `cap == len` (plain CSR); a delta edits a list in place, and a
 //! full list moves to the end of the pool with twice the room. The
-//! span it leaves is dead and never reused; the copy of a pool whose
-//! dead spans and spare room outnumber its items compacts it instead
-//! (the same rule [`SpanLists::compact`] applies in place), so a copied
-//! pool is at most twice its items.
+//! span it leaves is dead and never reused; once dead spans and spare
+//! room outnumber a pool's items, [`SpanLists::compact`] packs it in
+//! place, and a copy packs it instead of copying it as it is, so a pool
+//! stays at most twice its items.
 
 /// Many short sorted lists in one buffer: list `i` owns
 /// `pool[start..start + cap]`, whose first `len` entries are its
@@ -108,6 +108,12 @@ impl<T: Copy + Ord + Default> SpanLists<T> {
         true
     }
 
+    /// The number of items over all lists.
+    #[inline]
+    pub(crate) fn items(&self) -> usize {
+        self.items
+    }
+
     /// Where list `idx` lies in the pool: `start..start + len`.
     #[inline]
     pub(crate) fn range(&self, idx: usize) -> std::ops::Range<usize> {
@@ -159,63 +165,51 @@ impl<T: Clone> SpanLists<T> {
 
     /// Dead spans and spare room outnumber the items (the pool is more
     /// than twice them): the one rule for when a pool is compacted.
-    fn is_loose(&self) -> bool {
+    pub(crate) fn is_loose(&self) -> bool {
         self.pool.len() > 2 * self.items
     }
 
-    /// Makes `self` the lists of `source`, in a pool of its own at
-    /// exactly their size: every list back to back at its exact size,
-    /// as [`SpanLists::push_list`] lays them out.
-    fn compact_from(&mut self, source: &Self) {
-        self.spans.clear();
-        self.pool = Vec::with_capacity(source.items);
-        self.items = source.items;
-        for &(start, len, _) in &source.spans {
-            let at = self.pool.len() as u32;
-            self.pool
-                .extend_from_slice(&source.pool[start as usize..(start + len) as usize]);
-            self.spans.push((at, len, len));
-        }
-    }
-
     /// Compacts the pool in place by the rule a copy applies
-    /// ([`Clone::clone_from`]): once dead spans and spare room
-    /// outnumber the items. For lists that are edited in place and
-    /// never copied; either way a pool stays at most twice its items.
+    /// ([`Clone::clone`]): once dead spans and spare room outnumber the
+    /// items. Lists edited in place batch after batch stay at most
+    /// twice their items, as copied ones do.
     pub fn compact(&mut self) {
         if self.is_loose() {
-            let loose = SpanLists {
-                spans: std::mem::take(&mut self.spans),
-                pool: std::mem::take(&mut self.pool),
-                items: self.items,
-            };
-            self.compact_from(&loose);
+            self.pool = packed(&mut self.spans, &self.pool, self.items);
         }
     }
 }
 
-impl<T: Clone> Clone for SpanLists<T> {
-    fn clone(&self) -> Self {
-        let mut copy = SpanLists {
-            spans: Vec::new(),
-            pool: Vec::new(),
-            items: 0,
-        };
-        copy.clone_from(self);
-        copy
+/// The `items` items of the lists `spans` point at in `pool`, in a pool
+/// of their own at exactly their size: every list back to back at its
+/// exact size, as [`SpanLists::push_list`] lays them out, and `spans`
+/// pointing at them there.
+fn packed<T: Clone>(spans: &mut [(u32, u32, u32)], pool: &[T], items: usize) -> Vec<T> {
+    let mut packed = Vec::with_capacity(items);
+    for span in spans {
+        let (start, len, _) = *span;
+        *span = (packed.len() as u32, len, len);
+        packed.extend_from_slice(&pool[start as usize..(start + len) as usize]);
     }
+    packed
+}
 
+impl<T: Clone> Clone for SpanLists<T> {
     /// Two `memcpy`s while the pool holds at least half items; once
     /// dead spans and spare room outnumber the items, the copy
     /// compacts instead, into a pool of its own at the compacted size.
     /// Either way the copy's pool is at most twice its items.
-    fn clone_from(&mut self, source: &Self) {
-        if source.is_loose() {
-            self.compact_from(source);
+    fn clone(&self) -> Self {
+        let mut spans = self.spans.clone();
+        let pool = if self.is_loose() {
+            packed(&mut spans, &self.pool, self.items)
         } else {
-            self.spans.clone_from(&source.spans);
-            self.pool.clone_from(&source.pool);
-            self.items = source.items;
+            self.pool.clone()
+        };
+        SpanLists {
+            spans,
+            pool,
+            items: self.items,
         }
     }
 }

@@ -1048,6 +1048,65 @@ fn a_held_generation_is_never_recycled() {
     assert!(*engine.graph() == mirror);
 }
 
+/// A session builds each generation by replaying onto the one the last
+/// swap retired; it clones the current one only when it has no such
+/// spare. With the built fragmentation held by its caller, a steady
+/// churn copies the first two generations and no more. A caller
+/// holding `fragmentation()` across a swap costs exactly one copy more,
+/// and replay then resumes. Every replayed generation answers cold
+/// queries exactly, and the graph derived from the last one is the
+/// mirror.
+#[test]
+fn a_spare_is_replayed_and_only_a_held_generation_copied() {
+    let (n, k) = (300, 4);
+    let g = random::community(n, 5 * n, k, 0.1, 3, 5);
+    let assign = random::community_assignment(n, k);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, k));
+    let engine = SimEngine::builder(&g, Arc::clone(&frag)).build();
+    let qs = distinct_cyclic_patterns(4, 3, 5);
+    for q in &qs {
+        engine.query(q).unwrap();
+    }
+    let mut mirror = g.clone();
+    let mut churn = Churn::new(5);
+    let mut step = |mirror: &mut Graph| {
+        let delta = churn.batch(mirror, 6);
+        engine.apply_delta(&delta).unwrap();
+        *mirror = mutated(mirror, &delta);
+        for q in &qs {
+            let oracle = hhk_simulation(q, mirror).relation;
+            assert_eq!(engine.query(q).unwrap().relation, oracle);
+            let cold = engine.query_with(&Algorithm::Dgpms, q).unwrap();
+            assert_eq!(cold.relation, oracle);
+        }
+        engine.stats().generations_copied()
+    };
+    assert_eq!(step(&mut mirror), 1, "no spare yet");
+    assert_eq!(step(&mut mirror), 2, "the built generation is held");
+    for _ in 0..20 {
+        assert_eq!(step(&mut mirror), 2, "steady churn replays");
+    }
+
+    let held = engine.fragmentation();
+    let at_g = fragments_by_id(&held);
+    assert_eq!(step(&mut mirror), 2, "the spare is the generation before");
+    assert_eq!(step(&mut mirror), 3, "the held generation is copied");
+    assert_eq!(
+        fragments_by_id(&held),
+        at_g,
+        "a held generation is never written"
+    );
+    drop(held);
+    for _ in 0..10 {
+        assert_eq!(step(&mut mirror), 3, "replay resumes");
+    }
+    assert_eq!(
+        fragments_by_id(&frag),
+        fragments_by_id(&Fragmentation::build(&g, &assign, k))
+    );
+    assert!(*engine.graph() == mirror);
+}
+
 /// A batch is one maintenance run, however many entries it keeps: a
 /// mixed batch takes exactly the four quiescence rounds of `Deleting →
 /// Marking → Refining → Gathering` and a deletion-only one two, at one

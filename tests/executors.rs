@@ -41,10 +41,13 @@
 //!   executor's only by data-batch splitting — bounded by the total
 //!   shipped variable count.
 
+use dgs::core::remote::CoreWorkerHost;
 use dgs::graph::generate::{dag, patterns, random, tree};
+use dgs::net::socket::{run_worker, ErasedSite, WorkerHost};
 use dgs::net::{DeliveryPlan, ExecutorKind, RunMetrics, SocketConfig};
 use dgs::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -437,7 +440,9 @@ fn killed_worker_is_a_typed_error() {
 /// meets a dead worker — must be a no-op. It used to run maintenance
 /// first, which left every counter state one batch ahead of the rows
 /// it belongs to and orphan rows under a generation that was never
-/// published.
+/// published. A batch a live worker fails leaves the session usable:
+/// it costs the next batch one copy of the fragmentation, and the
+/// batches after it are exact.
 #[test]
 fn failed_delta_on_socket_session_is_a_noop() {
     let g = random::uniform(80, 320, 4, 13);
@@ -470,6 +475,96 @@ fn failed_delta_on_socket_session_is_a_noop() {
     let again = engine.query(&q).expect("the cached answer needs no worker");
     assert_eq!(again.metrics.cache_hits, 1);
     assert_eq!(again.relation, warm.relation);
+
+    // A live worker that rejects one bootstrap fails a batch the same
+    // way, after the batch has taken the retired generation it replays
+    // onto. The session stays usable: the next batch pays the one copy
+    // that costs, the one after replays again, and both are exact.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let reject = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&reject);
+    let worker = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().unwrap();
+        let mut host = RejectingHost {
+            host: CoreWorkerHost::new(),
+            reject: flag,
+        };
+        run_worker(conn, &mut host)
+    });
+    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+    let engine = SimEngine::builder(&g, frag)
+        .build_socket(SocketConfig::attach(vec![addr]))
+        .unwrap();
+    engine.query(&q).unwrap();
+    let dels: Vec<_> = g.edges().skip(8).take(16).collect();
+    let without = |gone: &[(NodeId, NodeId)]| {
+        let mut b = GraphBuilder::new();
+        for v in g.nodes() {
+            b.add_node(g.label(v));
+        }
+        for (u, v) in g.edges().filter(|e| !gone.contains(e)) {
+            b.add_edge(u, v);
+        }
+        b.build()
+    };
+    let exact_after = |batches: usize| {
+        engine
+            .apply_delta(&GraphDelta::deletions(
+                dels[4 * (batches - 1)..4 * batches].to_vec(),
+            ))
+            .unwrap();
+        let oracle = hhk_simulation(&q, &without(&dels[..4 * batches])).relation;
+        assert_eq!(engine.query(&q).unwrap().relation, oracle);
+        let cold = engine.query_with(&Algorithm::Dgpms, &q).unwrap();
+        assert_eq!(
+            cold.relation, oracle,
+            "the workers run the replayed generation"
+        );
+        engine.stats().generations_copied()
+    };
+    exact_after(1);
+    let copied = exact_after(2);
+    let generation = engine.generation();
+    reject.store(true, Ordering::SeqCst);
+    let err = engine
+        .apply_delta(&GraphDelta::deletions(dels[8..12].to_vec()))
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("rejected the session bootstrap"),
+        "{err}"
+    );
+    assert_eq!(engine.generation(), generation);
+    assert_eq!(engine.stats().generations_copied(), copied, "it replayed");
+    assert_eq!(exact_after(3), copied + 1, "no retired generation left");
+    assert_eq!(exact_after(4), copied + 1, "replay resumes");
+    drop(engine);
+    assert!(worker.join().unwrap().is_ok());
+}
+
+/// A worker that loads bootstraps as a real one does, except the one
+/// after `reject` is set, which it refuses.
+struct RejectingHost {
+    host: CoreWorkerHost,
+    reject: Arc<AtomicBool>,
+}
+
+impl WorkerHost for RejectingHost {
+    fn load(&mut self, blob: &[u8]) -> Result<(), String> {
+        if self.reject.swap(false, Ordering::SeqCst) {
+            return Err("refused".into());
+        }
+        self.host.load(blob)
+    }
+
+    fn build_site(
+        &self,
+        site: u32,
+        num_sites: usize,
+        spec: &[u8],
+    ) -> Result<Box<dyn ErasedSite>, String> {
+        self.host.build_site(site, num_sites, spec)
+    }
 }
 
 /// Attach mode: workers started independently (here: `dgsq worker`

@@ -1,13 +1,13 @@
 //! What a generation costs the allocator. A delta batch builds the
-//! next generation from a copy of the current fragmentation and runs
-//! one maintenance run for all cached entries; with fragment adjacency
-//! in pooled spans, the retired generation's buffers recycled and one
-//! reverse adjacency per site, the number of allocations a batch makes
-//! follows the batch and the entries — not the graph. Counts repeat
-//! exactly for one input, so this is evidence without a clock. Over a
-//! long churn, the bytes a session keeps follow the fragment slots the
-//! churn adds, not the number of batches: the reverse adjacency that
-//! maintenance edits in place is compacted like a copied pool.
+//! next generation by replaying the batch before it and its own onto
+//! the generation the last swap retired, and runs one maintenance run
+//! for all cached entries; with fragment adjacency in pooled spans
+//! edited in place and one reverse adjacency per site, the number of
+//! allocations a batch makes follows the batch and the entries — not
+//! the graph. Counts repeat exactly for one input, so this is evidence
+//! without a clock. Over a long churn, the bytes a session keeps follow
+//! the fragment slots the churn adds, not the number of batches: every
+//! pool edited in place is compacted like a copied one.
 
 use dgs::graph::generate::{patterns, random};
 use dgs::prelude::*;
