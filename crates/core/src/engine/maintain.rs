@@ -69,7 +69,6 @@ impl SimEngine {
             frag: Arc::clone(&snap.frag),
             graph: snap.graph.clone(),
             facts: snap.facts.clone(),
-            compressed: snap.compressed.clone(),
         };
         *self.snap.lock() = Arc::new(next);
     }
@@ -114,9 +113,6 @@ impl SimEngine {
     /// subscription pushes. Every entry maintains: the planner only
     /// short-circuits to `trivial-∅` where `∅` is the maximum
     /// relation, so no cached row is an answer convention.
-    ///
-    /// The compressed leg, if configured, is rebuilt by the first
-    /// query of the new generation that wants it.
     ///
     /// Ops already satisfied (inserting a present edge, deleting an
     /// absent one) are skipped and counted in
@@ -248,14 +244,14 @@ impl SimEngine {
         }
 
         // Build the **next generation** entirely off the read path: the
-        // fragmentation with the ops applied — no graph mirror, no facts
-        // and no compressed leg (all rebuilt lazily: a delete-heavy
-        // stream served from maintained entries never pays their
-        // `O(|G|)`). It is the spare brought to the current generation
-        // by the batch it missed or, without one — the first batches, a
-        // retired generation somebody held, a failed batch that took
-        // it — a clone of the current one; either way compacted in
-        // place as a clone would be.
+        // fragmentation with the ops applied — no graph mirror and no
+        // facts (both rebuilt lazily: a delete-heavy stream served from
+        // maintained entries never pays their `O(|G|)`). It is the
+        // spare brought to the current generation by the batch it missed
+        // or, without one — the first batches, a retired generation
+        // somebody held, a failed batch that took it — a clone of the
+        // current one; either way compacted in place as a clone would
+        // be.
         let ops: Vec<EdgeOp> = inserts
             .iter()
             .map(|&(u, v)| EdgeOp::Insert(u, v))
@@ -287,7 +283,6 @@ impl SimEngine {
             frag: Arc::clone(&next_frag),
             graph: OnceLock::new(),
             facts: OnceLock::new(),
-            compressed: OnceLock::new(),
         });
 
         // A socket session's workers were bootstrapped with the

@@ -31,21 +31,19 @@
 //!
 //! Every request takes the same steps, each written once (in
 //! `query.rs`): **probe** the pattern-result cache (`Auto` only);
-//! **plan** — pick the facts of the graph the run will see, `G`'s or
-//! the active compressed leg's, and plan once, the same call that
-//! answers [`SimEngine::plan`], so a dry run cannot disagree with a
-//! real one; **run** the chosen engine on the chosen fragmentation,
-//! expanding the relation when that was `Gc`'s; **charge** the query
-//! broadcast; **store** the relation. [`SimEngine::query_with`] is
-//! that sequence and [`SimEngine::query_boolean_with`] is
-//! `query_with` without the rows. [`SimEngine::query_batch_with`]
+//! **plan** once on the snapshot's facts, the same call that answers
+//! [`SimEngine::plan`], so a dry run cannot disagree with a real one;
+//! **run** the chosen engine on the snapshot's fragmentation;
+//! **charge** the query broadcast; **store** the relation.
+//! [`SimEngine::query_with`] is that sequence and
+//! [`SimEngine::query_boolean_with`] is `query_with` without the rows. [`SimEngine::query_batch_with`]
 //! runs plan → run per miss on a worker pool, between one probe pass
 //! and one store pass, and charges one broadcast for the batch.
 //!
 //! ## Serving mode
 //!
 //! `SimEngine` is `Send + Sync`: one engine can be shared across
-//! threads and serve concurrent traffic. Three serving features stack
+//! threads and serve concurrent traffic. Two serving features stack
 //! on the session:
 //!
 //! * **Parallel batches** — [`SimEngine::query_batch`] fans the batch
@@ -58,12 +56,12 @@
 //!   isomorphic re-submissions hit). A hit records
 //!   `metrics.cache_hits = 1` and **zero** messages. See
 //!   [`SimEngineBuilder::cache_capacity`].
-//! * **Compression-backed plans** — [`SimEngineBuilder::compress`]
-//!   builds the query-preserving quotient `Gc` (Fan et al., SIGMOD'12)
-//!   at session build time; when its ratio clears
-//!   [`SimEngineBuilder::compression_threshold`], `Auto` queries run on
-//!   `Gc` and the relation is decompressed back to `G`'s node ids,
-//!   with the leg recorded in [`PlanExplanation::compressed`].
+//!
+//! The engine plans and runs on the fragmented `G` itself. The §7
+//! compress-then-distribute pipeline is offline: build the quotient
+//! with `dgs_sim::compress_bisim` (or `compress_simeq`), open a plain
+//! session on `CompressedGraph::graph`, and map its relation back to
+//! `G` with `CompressedGraph::expand`.
 //!
 //! ## Dynamic graphs
 //!
@@ -74,14 +72,13 @@
 //! answers current through the distributed incremental update of
 //! [`crate::delta`] (the plan then carries
 //! [`PlanExplanation::incremental`]). Generation-tagged cache keys
-//! make stale hits impossible; the structural facts and the compressed
-//! leg refresh lazily.
+//! make stale hits impossible; the structural facts refresh lazily.
 //!
 //! ## Snapshot isolation
 //!
 //! The read path is **snapshot-isolated**: every query loads the
 //! current immutable generation snapshot (fragmentation + graph
-//! mirror + planner facts + compressed leg) with a single `Arc` clone
+//! mirror + planner facts) with a single `Arc` clone
 //! and runs entirely against it, while `apply_delta` builds the next
 //! generation off the read path and publishes it with one pointer
 //! swap. Queries therefore never block behind a writer, and every
@@ -101,14 +98,14 @@ mod tests;
 use crate::cache::{self, CacheStats, PatternCache};
 use crate::dgpm::DgpmConfig;
 use crate::error::DgsError;
-use crate::plan::{CompressedNote, EngineChoice, GraphFacts, PlanExplanation};
+use crate::plan::{EngineChoice, GraphFacts, PlanExplanation};
 use dgs_graph::{Graph, Pattern};
 use dgs_net::{CostModel, ExecutorKind, RunMetrics, SocketCluster, SocketConfig};
 use dgs_partition::Fragmentation;
 use dgs_sim::MatchRelation;
 use maintain::WriterState;
 use parking_lot::Mutex;
-use snapshot::{build_leg, GenSnapshot};
+use snapshot::GenSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -263,30 +260,6 @@ impl BatchReport {
     }
 }
 
-/// Which node equivalence backs the compressed leg of a session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompressionMethod {
-    /// Simulation equivalence — maximal merging, exact for every
-    /// simulation pattern, but `O(|V||E|)` time and `O(|V|²)` space to
-    /// build (see `dgs_sim::preorder`). The right choice for graphs up
-    /// to a few tens of thousands of nodes.
-    SimEq,
-    /// Bisimulation — near-linear build, merges a subset of what
-    /// simulation equivalence merges; the practical preprocessing for
-    /// big graphs.
-    Bisim,
-}
-
-impl CompressionMethod {
-    /// Short display name (`simeq` / `bisim`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CompressionMethod::SimEq => "simeq",
-            CompressionMethod::Bisim => "bisim",
-        }
-    }
-}
-
 /// Default capacity of the pattern-result cache.
 const DEFAULT_CACHE_CAPACITY: usize = 128;
 
@@ -298,8 +271,6 @@ pub struct SimEngineBuilder<'g> {
     cost: CostModel,
     cache_capacity: usize,
     batch_workers: usize,
-    compression: Option<CompressionMethod>,
-    compression_threshold: f64,
 }
 
 impl SimEngineBuilder<'_> {
@@ -334,33 +305,11 @@ impl SimEngineBuilder<'_> {
         self
     }
 
-    /// Builds the query-preserving compressed graph `Gc` at session
-    /// build time (default: off). [`Algorithm::Auto`] queries then run
-    /// on `Gc` whenever its compression ratio clears
-    /// [`Self::compression_threshold`], and the relation is
-    /// decompressed back to `G`'s node ids — exact for every
-    /// simulation pattern (see `dgs_sim::compress`).
-    pub fn compress(mut self, method: CompressionMethod) -> Self {
-        self.compression = Some(method);
-        self
-    }
-
-    /// Maximum `|Gc| / |G|` ratio at which the planner answers on the
-    /// compressed graph (default `0.5`); above it the leg is kept for
-    /// inspection but queries run on `G`. Set to `1.0` to always use
-    /// `Gc` when compression is enabled.
-    pub fn compression_threshold(mut self, threshold: f64) -> Self {
-        self.compression_threshold = threshold;
-        self
-    }
-
     /// Computes the structural facts and finalizes the engine. This is
     /// the once-per-session cost: `O(|V| + |E|)` for DAG-ness, the
     /// rooted-tree check, fragment connectivity and the SCC
-    /// condensation — plus, when [`Self::compress`] is on, the quotient
-    /// graph `Gc` and its fragmentation. The engine keeps its own copy
-    /// of the graph so the session can absorb
-    /// [`SimEngine::apply_delta`] batches later.
+    /// condensation. The engine keeps its own copy of the graph so the
+    /// session can absorb [`SimEngine::apply_delta`] batches later.
     pub fn build(self) -> SimEngine {
         self.build_with_cluster(None)
     }
@@ -374,11 +323,9 @@ impl SimEngineBuilder<'_> {
     /// wire into the same [`RunReport`] shape as the in-process
     /// executors.
     ///
-    /// In-process fallbacks (documented, not silent): the compressed
-    /// leg's quotient graph `Gc` is never shipped to the workers, so
-    /// compressed-leg runs use the virtual executor, as do the
-    /// distributed maintenance runs of [`SimEngine::apply_delta`]
-    /// (their per-site counter states must come back into the
+    /// In-process fallbacks (documented, not silent): the distributed
+    /// maintenance runs of [`SimEngine::apply_delta`] use the virtual
+    /// executor (their per-site counter states must come back into the
     /// session) — and every delta re-ships the session bootstrap so
     /// later socket runs execute against the mutated graph. The
     /// `Match`/`disHHK`/`dMes` baselines are not socket-remotable and
@@ -393,17 +340,11 @@ impl SimEngineBuilder<'_> {
 
     fn build_with_cluster(self, cluster: Option<Arc<SocketCluster>>) -> SimEngine {
         let facts = GraphFacts::compute(self.graph, &self.frag);
-        let compression = self
-            .compression
-            .map(|method| (method, self.compression_threshold));
-        let leg = compression
-            .map(|(method, threshold)| build_leg(self.graph, &self.frag, method, threshold));
         let snapshot = GenSnapshot {
             generation: 0,
             frag: self.frag,
             graph: OnceLock::from(Arc::new(self.graph.clone())),
             facts: OnceLock::from(Arc::new(facts)),
-            compressed: leg.map(OnceLock::from).unwrap_or_default(),
         };
         SimEngine {
             snap: Mutex::new(Arc::new(snapshot)),
@@ -415,7 +356,6 @@ impl SimEngineBuilder<'_> {
                 0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
                 n => n,
             },
-            compression,
             writer: Mutex::new(WriterState::default()),
             cluster,
             cluster_gen: AtomicU64::new(0),
@@ -501,10 +441,6 @@ pub struct SimEngine {
     /// Worker threads for batches and intra-query legs: the builder's
     /// count, or one per available core, resolved once at build.
     batch_workers: usize,
-    /// `(method, threshold)` of the compressed leg every generation
-    /// of this session builds on demand; `None` when compression is
-    /// off.
-    compression: Option<(CompressionMethod, f64)>,
     /// Writer state: serializes [`Self::apply_delta`] /
     /// [`Self::cache_invalidate_all`] against each other (never
     /// against readers) and holds what the session carries from one
@@ -544,8 +480,6 @@ impl SimEngine {
             cost: CostModel::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             batch_workers: 0,
-            compression: None,
-            compression_threshold: 0.5,
         }
     }
 
@@ -608,20 +542,6 @@ impl SimEngine {
             stats.generation = self.generation();
             stats
         })
-    }
-
-    /// The compressed leg built for the session, if any (lazily
-    /// rebuilt after graph deltas).
-    pub fn compression_note(&self) -> Option<CompressedNote> {
-        let leg = self.snapshot().compressed_leg(self.compression);
-        leg.map(|leg| leg.note())
-    }
-
-    /// Whether [`Algorithm::Auto`] queries currently answer on `Gc`
-    /// (a leg was built and its ratio cleared the threshold).
-    pub fn compression_active(&self) -> bool {
-        let leg = self.snapshot().compressed_leg(self.compression);
-        leg.is_some_and(|leg| leg.active)
     }
 
     /// The socket cluster backing this session, when built with

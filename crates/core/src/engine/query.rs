@@ -2,7 +2,7 @@
 //! each step written once and shared by the single-query, Boolean,
 //! batch and dry-run entry points.
 
-use super::snapshot::{CompressedLeg, GenSnapshot};
+use super::snapshot::GenSnapshot;
 use super::{Algorithm, BatchReport, BooleanReport, RunReport, SimEngine};
 use crate::cache::{self, CachedResult, CanonicalPattern};
 use crate::dgpm::{self, QueryMode};
@@ -19,11 +19,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 impl SimEngine {
-    /// Plans `q` without running it: which engine would serve it, on
-    /// `G` or on the compressed leg, and why — the plan
-    /// [`Self::query`] would run with, because it is the same call.
+    /// Plans `q` without running it: which engine would serve it and
+    /// why — the plan [`Self::query`] would run with, because it is the
+    /// same call.
     pub fn plan(&self, q: &Pattern) -> Result<PlanExplanation, DgsError> {
-        let (_, plan, _) = self.plan_for(&self.snapshot(), &Algorithm::Auto, q)?;
+        let (_, plan) = self.plan_for(&self.snapshot(), &Algorithm::Auto, q)?;
         Ok(plan)
     }
 
@@ -84,12 +84,12 @@ impl SimEngine {
         };
         self.stats.add_queries(1);
         let snap = self.snapshot();
-        let (engine, plan, _) = self.plan_for(&snap, algorithm, q)?;
+        let (engine, plan) = self.plan_for(&snap, algorithm, q)?;
         let intra = self.effective_workers(snap.frag.num_sites());
         let qa = Arc::new(q.clone());
         let (coord, sites) =
             dgpm::build_with_mode(&snap.frag, &qa, cfg.clone(), QueryMode::Boolean);
-        let o = self.drive(&snap, &snap.frag, engine.name(), intra, coord, sites)?;
+        let o = self.drive(&snap, engine.name(), intra, coord, sites)?;
         let is_match = o
             .coordinator
             .boolean
@@ -231,35 +231,20 @@ impl SimEngine {
         self.batch_workers.min(work).max(1)
     }
 
-    /// The planning stage, the only one that consults the compressed
-    /// leg for a query or calls the planner: the engine that runs,
-    /// why, and the leg when the run goes to `Gc`. An explicit request
-    /// is checked against `G`'s facts; an `Auto` one is planned on the
-    /// facts of the graph it will run on — the leg's when its ratio
-    /// cleared the threshold, `G`'s otherwise.
-    #[allow(clippy::type_complexity)]
+    /// The planning stage, the only one that calls the planner: the
+    /// engine that runs and why. An explicit request is checked
+    /// against the snapshot's facts; an `Auto` one is planned on them.
     fn plan_for(
         &self,
         snap: &GenSnapshot,
         algorithm: &Algorithm,
         q: &Pattern,
-    ) -> Result<(EngineChoice, PlanExplanation, Option<Arc<CompressedLeg>>), DgsError> {
+    ) -> Result<(EngineChoice, PlanExplanation), DgsError> {
         let qf = PatternFacts::compute(q);
-        if let Some(requested) = EngineChoice::requested_by(algorithm) {
-            let (engine, plan) = Planner.plan_explicit(requested, &snap.facts(), &qf)?;
-            return Ok((engine, plan, None));
+        match EngineChoice::requested_by(algorithm) {
+            Some(requested) => Planner.plan_explicit(requested, &snap.facts(), &qf),
+            None => Planner.plan(&snap.facts(), &qf),
         }
-        let leg = snap.compressed_leg(self.compression);
-        let facts = match &leg {
-            Some(leg) if leg.active => Arc::clone(&leg.facts),
-            _ => snap.facts(),
-        };
-        let (engine, mut plan) = Planner.plan(&facts, &qf)?;
-        if let Some(leg) = &leg {
-            plan.reasons.push(leg.reason());
-            plan.compressed = leg.active.then(|| leg.note());
-        }
-        Ok((engine, plan, leg.filter(|leg| leg.active)))
     }
 
     /// Plans and runs one query without the broadcast charge (the
@@ -272,14 +257,9 @@ impl SimEngine {
         q: &Pattern,
         intra: usize,
     ) -> Result<RunReport, DgsError> {
-        let (engine, plan, leg) = self.plan_for(snap, algorithm, q)?;
+        let (engine, plan) = self.plan_for(snap, algorithm, q)?;
         let qa = Arc::new(q.clone());
-        let frag = leg.as_ref().map_or(&snap.frag, |leg| &leg.frag);
-        let (relation, metrics) = self.run_resolved(snap, frag, &engine, &qa, intra)?;
-        let relation = match &leg {
-            Some(leg) => leg.graph.expand(&relation),
-            None => relation,
-        };
+        let (relation, metrics) = self.run_resolved(snap, &engine, &qa, intra)?;
         Ok(RunReport::assemble(
             relation,
             metrics,
@@ -360,14 +340,13 @@ impl SimEngine {
         );
     }
 
-    /// Runs one protocol under the session's executor, with typed
-    /// errors. Socket sessions dispatch to the bootstrapped cluster —
-    /// but only for the snapshot's session fragmentation at the
-    /// generation the cluster was last bootstrapped with: the
-    /// compressed leg's `Gc` was never shipped to the workers, and a
-    /// snapshot a concurrent delta has already (or not yet) re-shipped
-    /// must not run on the wrong worker graph — both fall back to the
-    /// in-process virtual executor.
+    /// Runs one protocol on the snapshot's fragmentation under the
+    /// session's executor, with typed errors. Socket sessions dispatch
+    /// to the bootstrapped cluster — but only at the generation the
+    /// cluster was last bootstrapped with: a snapshot a concurrent
+    /// delta has already (or not yet) re-shipped must not run on the
+    /// wrong worker graph, so it falls back to the in-process virtual
+    /// executor.
     /// `intra` is the intra-query worker budget: the virtual
     /// executor's Phase-1 site evaluations fan out over up to that
     /// many threads ([`dgs_net::try_run`]); reports stay
@@ -376,7 +355,6 @@ impl SimEngine {
     fn drive<M, C, S>(
         &self,
         snap: &GenSnapshot,
-        frag: &Arc<Fragmentation>,
         algorithm: &'static str,
         intra: usize,
         coordinator: C,
@@ -387,8 +365,7 @@ impl SimEngine {
         C: CoordinatorLogic<M> + Send,
         S: SiteLogic<M> + RemoteSpec + Send,
     {
-        let dispatchable = Arc::ptr_eq(frag, &snap.frag)
-            && self.cluster_gen.load(Ordering::SeqCst) == snap.generation;
+        let dispatchable = self.cluster_gen.load(Ordering::SeqCst) == snap.generation;
         let (kind, cluster) = match (self.executor, &self.cluster) {
             (ExecutorKind::Socket, Some(cl)) if dispatchable => (ExecutorKind::Socket, Some(&**cl)),
             (ExecutorKind::Socket, _) => (ExecutorKind::Virtual, None),
@@ -398,23 +375,23 @@ impl SimEngine {
             .map_err(|e| DgsError::from_exec(algorithm, e))
     }
 
-    /// Runs a resolved engine on `frag` and returns
-    /// `(relation, metrics)`.
+    /// Runs a resolved engine on the snapshot's fragmentation and
+    /// returns `(relation, metrics)`.
     fn run_resolved(
         &self,
         snap: &GenSnapshot,
-        frag: &Arc<Fragmentation>,
         engine: &EngineChoice,
         q: &Arc<Pattern>,
         intra: usize,
     ) -> Result<(MatchRelation, RunMetrics), DgsError> {
         use EngineChoice::*;
+        let frag = &snap.frag;
         // One shape per engine: build the actors, run them, take the
         // coordinator's answer.
         macro_rules! drive {
             ($build:expr) => {{
                 let (coord, sites) = $build;
-                let o = self.drive(snap, frag, engine.name(), intra, coord, sites)?;
+                let o = self.drive(snap, engine.name(), intra, coord, sites)?;
                 let answer = o
                     .coordinator
                     .answer

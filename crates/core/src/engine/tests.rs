@@ -262,73 +262,6 @@ fn boolean_queries_read_the_cache() {
 }
 
 #[test]
-fn compressed_boolean_run_warms_the_cache() {
-    let g = random::uniform(90, 360, 4, 29);
-    let assign = hash_partition(g.node_count(), 3, 29);
-    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-    let engine = SimEngine::builder(&g, frag)
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(1.0)
-        .build();
-    let q = patterns::random_cyclic(3, 6, 4, 29);
-    // The compressed leg answers Boolean queries via the
-    // data-selecting run, so the relation is cached...
-    let b = engine.query_boolean(&q).unwrap();
-    assert_eq!(b.metrics.cache_hits, 0);
-    // ...and the follow-up data-selecting query is a hit.
-    let warm = engine.query(&q).unwrap();
-    assert_eq!(warm.metrics.cache_hits, 1);
-    assert_eq!(warm.is_match, b.is_match);
-}
-
-#[test]
-fn compressed_leg_answers_exactly_and_is_explained() {
-    let g = random::uniform(120, 480, 3, 25);
-    let assign = hash_partition(g.node_count(), 3, 25);
-    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-    let engine = SimEngine::builder(&g, Arc::clone(&frag))
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(1.0)
-        .cache_capacity(0)
-        .build();
-    assert!(engine.compression_active());
-    let plain = SimEngine::builder(&g, frag).cache_capacity(0).build();
-    for seed in 0..4 {
-        let q = patterns::random_cyclic(3, 6, 3, 250 + seed);
-        let on_gc = engine.query(&q).unwrap();
-        let on_g = plain.query(&q).unwrap();
-        assert_eq!(on_gc.relation, on_g.relation, "seed {seed}");
-        let note = on_gc
-            .plan
-            .compressed
-            .as_ref()
-            .expect("compressed leg noted");
-        assert!(note.ratio <= 1.0);
-        assert!(on_gc.plan.to_string().contains("Gc"));
-    }
-}
-
-#[test]
-fn compression_threshold_gates_the_leg() {
-    // A graph with almost no simulation-equivalent redundancy:
-    // the ratio stays near 1, far above a strict threshold.
-    let g = random::uniform(100, 400, 4, 26);
-    let assign = hash_partition(g.node_count(), 3, 26);
-    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-    let engine = SimEngine::builder(&g, frag)
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(0.01)
-        .cache_capacity(0)
-        .build();
-    assert!(!engine.compression_active());
-    assert!(engine.compression_note().is_some());
-    let q = patterns::random_cyclic(3, 6, 4, 26);
-    let r = engine.query(&q).unwrap();
-    assert!(r.plan.compressed.is_none());
-    assert!(r.plan.to_string().contains("exceeds"));
-}
-
-#[test]
 fn parallel_batch_matches_single_worker() {
     let g = random::uniform(120, 480, 4, 27);
     let assign = hash_partition(g.node_count(), 4, 27);
@@ -627,26 +560,6 @@ fn every_answer_names_the_generation_it_was_computed_at() {
 }
 
 #[test]
-fn compressed_leg_is_rebuilt_lazily_after_delta() {
-    let g = random::uniform(100, 400, 3, 36);
-    let assign = hash_partition(g.node_count(), 3, 36);
-    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-    let engine = SimEngine::builder(&g, frag)
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(1.0)
-        .cache_capacity(0)
-        .build();
-    assert!(engine.compression_active());
-    let dels: Vec<_> = g.edges().take(20).collect();
-    engine.apply_delta(&GraphDelta::deletions(dels)).unwrap();
-    // The rebuilt leg answers exactly on the mutated graph.
-    let q = patterns::random_cyclic(3, 6, 3, 36);
-    let r = engine.query(&q).unwrap();
-    assert!(r.plan.compressed.is_some());
-    assert_eq!(r.relation, hhk_simulation(&q, &engine.graph()).relation);
-}
-
-#[test]
 fn plan_is_a_dry_run() {
     let g = tree::random_tree(80, 3, 11);
     let assign = tree_partition(&g, 3);
@@ -660,29 +573,19 @@ fn plan_is_a_dry_run() {
 
 #[test]
 fn plan_is_the_plan_the_query_runs_with() {
-    // A tree's bisimulation quotient is a DAG, not a tree: planned on
-    // `G`'s facts the dry run said dGPMt while the run, on `Gc`, said
-    // dGPMd. Both now come out of the same planning call — with the
-    // leg active (threshold 1.0) and with it built but over threshold.
+    // The dry run and the run come out of the same planning call, so
+    // they name the same engine for the same reasons.
     let q = patterns::path_pattern(2, &[dgs_graph::Label(0), dgs_graph::Label(1)]);
     for seed in 0..5 {
         let g = tree::random_tree(200, 4, seed);
         let assign = tree_partition(&g, 3);
         let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
-        for (threshold, said) in [(1.0, "clears threshold"), (0.0, "exceeds threshold")] {
-            let engine = SimEngine::builder(&g, Arc::clone(&frag))
-                .compress(CompressionMethod::Bisim)
-                .compression_threshold(threshold)
-                .cache_capacity(0)
-                .build();
-            let dry = engine.plan(&q).unwrap();
-            let ran = engine.query(&q).unwrap().plan;
-            assert_eq!(dry.algorithm, ran.algorithm, "seed {seed}");
-            assert_eq!(dry.compressed.is_some(), threshold == 1.0, "seed {seed}");
-            assert_eq!(dry.to_string(), ran.to_string(), "seed {seed}");
-            let leg_reason = dry.reasons.last().unwrap();
-            assert!(leg_reason.contains(said), "seed {seed}: {leg_reason}");
-        }
+        let engine = SimEngine::builder(&g, frag).cache_capacity(0).build();
+        let dry = engine.plan(&q).unwrap();
+        let ran = engine.query(&q).unwrap().plan;
+        assert_eq!(dry.algorithm, "dGPMt", "seed {seed}");
+        assert_eq!(dry.algorithm, ran.algorithm, "seed {seed}");
+        assert_eq!(dry.to_string(), ran.to_string(), "seed {seed}");
     }
 }
 

@@ -82,12 +82,8 @@ pub mod vars;
 pub use cache::CacheStats;
 pub use delta::{DeltaReport, GraphDelta, UpdateMsg};
 pub use engine::{
-    Algorithm, BatchReport, BooleanReport, CompressionMethod, EngineStats, RunReport, SimEngine,
-    SimEngineBuilder,
+    Algorithm, BatchReport, BooleanReport, EngineStats, RunReport, SimEngine, SimEngineBuilder,
 };
 pub use error::DgsError;
-pub use plan::{
-    CompressedNote, EngineChoice, GraphFacts, IncrementalNote, PatternFacts, PlanExplanation,
-    Planner,
-};
+pub use plan::{EngineChoice, GraphFacts, IncrementalNote, PatternFacts, PlanExplanation, Planner};
 pub use vars::Var;

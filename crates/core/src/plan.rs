@@ -36,9 +36,6 @@ pub struct GraphFacts {
     /// graphs this is the "connected subtree fragments" precondition
     /// of `dGPMt` (§5.2).
     pub fragments_connected: bool,
-    /// SCC condensation of the graph: component id per node, in
-    /// reverse topological order of the condensation.
-    pub scc_of: Vec<u32>,
     /// Number of strongly connected components.
     pub scc_count: usize,
     /// `|F|`.
@@ -50,7 +47,7 @@ impl GraphFacts {
     /// DAG-ness derived from the condensation (all SCCs trivial, no
     /// self-loop) instead of a second pass.
     pub fn compute(graph: &Graph, frag: &Fragmentation) -> Self {
-        let (scc_of, scc_count) = strongly_connected_components(graph);
+        let (_, scc_count) = strongly_connected_components(graph);
         let is_dag = scc_count == graph.node_count()
             && graph.nodes().all(|v| !graph.successors(v).contains(&v));
         GraphFacts {
@@ -59,7 +56,6 @@ impl GraphFacts {
             is_dag,
             is_rooted_tree: is_rooted_tree(graph),
             fragments_connected: frag.fragments().iter().all(|f| f.in_nodes().len() <= 1),
-            scc_of,
             scc_count,
             num_sites: frag.num_sites(),
         }
@@ -197,21 +193,6 @@ impl EngineChoice {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Planner;
 
-/// The compressed leg of a plan: the query was answered on the
-/// simulation-equivalence quotient `Gc` instead of `G`, and the
-/// relation decompressed back to `G`'s node ids (Fan et al.,
-/// *Query Preserving Graph Compression*, SIGMOD'12 — the companion
-/// technique §7 of the VLDB'14 paper points at).
-#[derive(Clone, Debug)]
-pub struct CompressedNote {
-    /// `|Gc| / |G|` in the paper's size measure (`|V| + |E|`).
-    pub ratio: f64,
-    /// Number of equivalence classes (nodes of `Gc`).
-    pub classes: usize,
-    /// Display name of the equivalence used (`simeq` / `bisim`).
-    pub method: &'static str,
-}
-
 /// The incremental leg of a plan: the answer was **maintained** under
 /// edge deletions and insertions by the distributed counter update
 /// (the paper's incremental `lEval`, §4.2, run site-by-site with
@@ -238,9 +219,6 @@ pub struct PlanExplanation {
     pub auto: bool,
     /// The facts that drove the decision, in decision order.
     pub reasons: Vec<String>,
-    /// Present when the engine ran on the compressed graph `Gc`
-    /// rather than `G` itself.
-    pub compressed: Option<CompressedNote>,
     /// Present when the answer was maintained incrementally under
     /// edge deletions rather than re-evaluated.
     pub incremental: Option<IncrementalNote>,
@@ -253,7 +231,6 @@ impl PlanExplanation {
             algorithm,
             auto: false,
             reasons: vec!["engine requested explicitly by the caller".into()],
-            compressed: None,
             incremental: None,
         }
     }
@@ -267,13 +244,6 @@ impl std::fmt::Display for PlanExplanation {
             self.algorithm,
             if self.auto { "auto" } else { "forced" },
         )?;
-        if let Some(c) = &self.compressed {
-            write!(
-                f,
-                ", on Gc via {}: {} classes, ratio {:.2}",
-                c.method, c.classes, c.ratio
-            )?;
-        }
         if let Some(i) = &self.incremental {
             write!(
                 f,
@@ -354,7 +324,6 @@ impl Planner {
             algorithm: choice.name(),
             auto: true,
             reasons,
-            compressed: None,
             incremental: None,
         };
         Ok((choice, plan))

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! dgsd --listen ADDR --graph FILE [--sites K] [--partition hash|bfs|ldg|tree]
-//!      [--seed S] [--cache N] [--compress simeq|bisim] [--compress-threshold X]
-//!      [--max-conns N] [--sessions NAME=FILE[,NAME=FILE...]] [--grace MS]
-//!      [--workers N]
+//!      [--seed S] [--cache N] [--max-conns N]
+//!      [--sessions NAME=FILE[,NAME=FILE...]] [--grace MS] [--workers N]
 //! ```
 //!
 //! The daemon runs one event thread multiplexing every connection
@@ -25,7 +24,7 @@
 //! The graph file may be text or binary (`dgsq convert`); binary is
 //! the format to cold-load big RMAT graphs from. The session is built
 //! once at startup exactly like `SimEngine::builder` in-process —
-//! structural facts, optional compression leg, pattern-result cache —
+//! structural facts, pattern-result cache —
 //! and then served to every connection as the `"default"` session.
 //! `--sessions` hosts additional named sessions (each built from its
 //! own graph file with the same sites/partition/cache options);
@@ -61,8 +60,6 @@ const ALLOWED: &[&str] = &[
     "partition",
     "seed",
     "cache",
-    "compress",
-    "compress-threshold",
     "max-conns",
     "sessions",
     "grace",
@@ -77,7 +74,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  dgsd --listen tcp:HOST:PORT|unix:/PATH.sock --graph FILE\n       \
          [--sites K] [--partition hash|bfs|ldg|tree] [--seed S]\n       \
-         [--cache N] [--compress simeq|bisim] [--compress-threshold X] [--max-conns N]\n       \
+         [--cache N] [--max-conns N]\n       \
          [--sessions NAME=FILE[,NAME=FILE...]] [--grace MS] [--workers N]\n       \
          [--metrics on|off] [--metrics-addr tcp:HOST:PORT] [--slow-ms MS]\n       \
          [--log-level error|warn|info|debug]\n  \
@@ -101,7 +98,7 @@ fn run_worker(flags: &Flags) -> ! {
 }
 
 /// Loads a graph file and builds one serving session from the shared
-/// CLI options (partitioner, cache, compression).
+/// CLI options (partitioner, cache).
 fn build_engine(graph_path: &str, options: &SessionOptions) -> (dgs_graph::Graph, SimEngine) {
     let f =
         File::open(graph_path).unwrap_or_else(|e| fail(&format!("cannot open {graph_path}: {e}")));
@@ -178,7 +175,7 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
 
     // Additional named sessions, each from its own graph file but
-    // sharing the partition/cache/compression options.
+    // sharing the partition/cache options.
     if let Some(spec) = flags.get("sessions") {
         let sessions = server.sessions();
         for entry in spec.split(',') {

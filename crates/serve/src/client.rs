@@ -23,8 +23,8 @@
 use crate::error::{ErrorCode, ServeError};
 use crate::proto::{
     frame, Answer, DeltaSummary, GraphInfo, MatchDiff, Request, Response, SessionInfo,
-    SessionOptions, SubEventKind, WireAlgorithm, WireCacheStats, WireCompression, WireMetrics,
-    WireTrace, WIRE_MAGIC, WIRE_VERSION,
+    SessionOptions, SubEventKind, WireAlgorithm, WireCacheStats, WireMetrics, WireTrace,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 use crate::transport::{Conn, ServeAddr};
 use crate::wire::{put_varint, split_request_id, write_frame, FrameReader, CONN_LEVEL_ID};
@@ -349,15 +349,6 @@ impl DgsClient {
         match self.request(&Request::CacheStats)? {
             Response::CacheStats(s) => Ok(s),
             _ => Self::unexpected("CACHE_STATS"),
-        }
-    }
-
-    /// The served session's compressed-leg summary (`None` when built
-    /// without compression).
-    pub fn compression_info(&mut self) -> Result<Option<WireCompression>, ServeError> {
-        match self.request(&Request::CompressionInfo)? {
-            Response::CompressionInfo(c) => Ok(c),
-            _ => Self::unexpected("COMPRESSION_INFO"),
         }
     }
 

@@ -3,7 +3,7 @@
 //! The network serving layer of dgs: everything the in-process
 //! [`SimEngine`](dgs_core::SimEngine) session offers —
 //! `query`/`query_batch` with plans and metrics, `apply_delta`,
-//! cache and compression stats, session replacement — carried over a
+//! cache stats, session replacement — carried over a
 //! hand-rolled, versioned, length-prefixed binary wire protocol on
 //! plain `std` TCP or Unix-domain sockets. No async runtime, no
 //! serialization crates: frames are `[u32 LE length][u8 type]
@@ -87,9 +87,9 @@ pub use load::{
 };
 pub use proto::{
     Answer, DeltaSummary, GraphInfo, MatchDiff, Request, Response, SessionInfo, SessionOptions,
-    SubEventKind, WireAlgorithm, WireCacheStats, WireCompression, WireMetrics, WirePartitioner,
-    WireTrace, WIRE_MAGIC, WIRE_VERSION,
+    SubEventKind, WireAlgorithm, WireCacheStats, WireMetrics, WirePartitioner, WireTrace,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use session::{merge_answers, Route, SessionManager, DEFAULT_SESSION, SIMEQ_MAX_NODES};
+pub use session::{merge_answers, Route, SessionManager, DEFAULT_SESSION};
 pub use transport::{Conn, Listener, ServeAddr};

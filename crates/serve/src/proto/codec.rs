@@ -91,53 +91,6 @@ fn get_patterns(r: &mut Reader<'_>) -> Result<Vec<Pattern>, FrameError> {
     (0..n).map(|_| get_pattern(r)).collect()
 }
 
-/// Not a field list: the compression method is one byte (0 none,
-/// 1 simeq, 2 bisim) and the threshold must be finite.
-impl Wire for SessionOptions {
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.sites.put(buf);
-        self.partitioner.put(buf);
-        self.seed.put(buf);
-        self.cache_capacity.put(buf);
-        let compression: u8 = match self.compression {
-            None => 0,
-            Some(CompressionMethod::SimEq) => 1,
-            Some(CompressionMethod::Bisim) => 2,
-        };
-        compression.put(buf);
-        self.compression_threshold.put(buf);
-    }
-
-    fn get(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        let sites = u16::get(r)?;
-        let partitioner = WirePartitioner::get(r)?;
-        let seed = u64::get(r)?;
-        let cache_capacity = u32::get(r)?;
-        let compression = match u8::get(r)? {
-            0 => None,
-            1 => Some(CompressionMethod::SimEq),
-            2 => Some(CompressionMethod::Bisim),
-            other => {
-                return Err(FrameError::corrupt(format!(
-                    "unknown compression byte {other}"
-                )));
-            }
-        };
-        let compression_threshold = f64::get(r)?;
-        if !compression_threshold.is_finite() {
-            return Err(FrameError::corrupt("compression threshold is not finite"));
-        }
-        Ok(SessionOptions {
-            sites,
-            partitioner,
-            seed,
-            cache_capacity,
-            compression,
-            compression_threshold,
-        })
-    }
-}
-
 /// A fixed `u16`; an unknown code reads as [`ErrorCode::Internal`].
 impl Wire for ErrorCode {
     fn put(&self, buf: &mut Vec<u8>) {
@@ -299,11 +252,11 @@ wire_struct!(WireCacheStats {
     generation,
 });
 
-wire_struct!(WireCompression {
-    classes,
-    ratio,
-    method,
-    active,
+wire_struct!(SessionOptions {
+    sites,
+    partitioner,
+    seed,
+    cache_capacity,
 });
 
 wire_struct!(SessionInfo {
@@ -331,7 +284,6 @@ pub mod frame {
         QUERY_BATCH = 0x13 => QueryBatch { algorithm, patterns as (put_patterns, get_patterns) },
         APPLY_DELTA = 0x14 => ApplyDelta { insert_edges, delete_edges },
         CACHE_STATS = 0x15 => CacheStats,
-        COMPRESSION_INFO = 0x16 => CompressionInfo,
         LOAD_GRAPH = 0x17 => LoadGraph { options, graph as (put_graph, get_graph) },
         SHUTDOWN = 0x18 => Shutdown,
         SESSION_CREATE = 0x19 => SessionCreate { name, options, graph as (put_graph, get_graph) },
@@ -352,7 +304,6 @@ pub mod frame {
         BATCH_ANSWER = 0x23 => BatchAnswer { items, total },
         DELTA_APPLIED = 0x24 => DeltaApplied(summary),
         CACHE_STATS_R = 0x25 => CacheStats(stats),
-        COMPRESSION_INFO_R = 0x26 => CompressionInfo(info),
         LOADED = 0x27 => Loaded { nodes, edges, sites },
         SHUTTING_DOWN = 0x28 => ShuttingDown,
         SESSION_CREATED = 0x29 => SessionCreated(info),
@@ -554,8 +505,51 @@ mod tests {
 
     #[test]
     fn unknown_frame_types_are_corrupt_not_panic() {
-        assert!(Request::decode(0xee, &[]).is_err());
-        assert!(Response::decode(0xee, &[]).is_err());
+        // 0x16/0x26 carried v4's compressed-leg summary; v5 leaves
+        // them unassigned.
+        for ty in [0xee, 0x16, 0x26] {
+            assert!(Request::decode(ty, &[]).is_err(), "{ty:#04x}");
+            assert!(Response::decode(ty, &[]).is_err(), "{ty:#04x}");
+        }
+    }
+
+    /// The `(type byte, name)` rows of the table under `heading` in
+    /// `docs/PROTOCOL.md`, in document order.
+    fn doc_table(doc: &str, heading: &str) -> Vec<(u8, String)> {
+        let rest = &doc[doc.find(heading).expect(heading)..];
+        rest.lines()
+            .skip_while(|l| !l.starts_with("| 0x"))
+            .take_while(|l| l.starts_with("| 0x"))
+            .map(|l| {
+                let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                let ty = u8::from_str_radix(cells[1].trim_start_matches("0x"), 16).expect(l);
+                let name = cells[2].split('`').nth(1).expect(l);
+                (ty, name.to_owned())
+            })
+            .collect()
+    }
+
+    /// The protocol document states the frame tables the codec
+    /// decodes: a frame the codec dropped or renamed fails here. The
+    /// doc names responses without the codec's `_R` suffixes, so only
+    /// their type bytes are compared.
+    #[test]
+    fn protocol_doc_tables_match_the_codec() {
+        let doc = include_str!("../../../../docs/PROTOCOL.md");
+        let title = doc.lines().next().unwrap();
+        assert!(title.contains(&format!("(v{WIRE_VERSION})")), "{title}");
+        let requests = doc_table(doc, "## Requests (client → server)");
+        let named: Vec<(u8, String)> = Request::NAMED_TAGS
+            .iter()
+            .map(|&(ty, name)| (ty, name.to_owned()))
+            .collect();
+        assert_eq!(requests, named);
+        let responses: Vec<u8> = doc_table(doc, "## Responses (server → client)")
+            .into_iter()
+            .map(|(ty, _)| ty)
+            .collect();
+        let named: Vec<u8> = Response::NAMED_TAGS.iter().map(|&(ty, _)| ty).collect();
+        assert_eq!(responses, named);
     }
 
     #[test]

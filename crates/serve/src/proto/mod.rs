@@ -4,8 +4,7 @@
 //! The protocol carries the whole `SimEngine` session surface:
 //! `QUERY`/`QUERY_BATCH` (answers ship the match relation, the plan
 //! explanation and the run metrics), `APPLY_DELTA`, `CACHE_STATS`,
-//! `COMPRESSION_INFO`, `GRAPH_INFO`, `LOAD_GRAPH` (session
-//! replacement), the `SESSION_*` frames (named-session hosting,
+//! `GRAPH_INFO`, `LOAD_GRAPH` (session replacement), the `SESSION_*` frames (named-session hosting,
 //! per-connection routing and query fan-out) and the `SHUTDOWN`
 //! admin frame. Graphs and patterns
 //! reuse the binary encoding of `dgs_graph::io` verbatim, so a file
@@ -20,9 +19,7 @@ mod codec;
 pub use codec::frame;
 
 use crate::error::ErrorCode;
-use dgs_core::{
-    Algorithm, BooleanReport, CacheStats, CompressionMethod, DeltaReport, RunReport, SimEngine,
-};
+use dgs_core::{Algorithm, BooleanReport, CacheStats, DeltaReport, RunReport};
 use dgs_graph::{Graph, NodeId, Pattern, QNodeId};
 use dgs_net::{MetricsSnapshot, RunMetrics};
 use dgs_sim::MatchRelation;
@@ -36,9 +33,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DGSW";
 /// frames of live match subscriptions travel under the reserved
 /// request id 0 and interleave with pipelined responses on the same
 /// connection. The handshake still negotiates: a client offering more
-/// is welcomed at this version, one offering less (the retired v1–v3)
+/// is welcomed at this version, one offering less (the retired v1–v4)
 /// gets a typed `Unsupported` error naming it, then the close.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// The engine selector as it travels on the wire (the names the CLI
 /// exposes; `DgpmConfig` details stay server-side defaults).
@@ -122,10 +119,6 @@ pub struct SessionOptions {
     pub seed: u64,
     /// Pattern-result cache capacity (`0` disables).
     pub cache_capacity: u32,
-    /// Compression method for the session's `Gc` leg, if any.
-    pub compression: Option<CompressionMethod>,
-    /// Ratio threshold below which `Auto` answers on `Gc`.
-    pub compression_threshold: f64,
 }
 
 impl Default for SessionOptions {
@@ -135,8 +128,6 @@ impl Default for SessionOptions {
             partitioner: WirePartitioner::Hash,
             seed: 1,
             cache_capacity: 128,
-            compression: None,
-            compression_threshold: 0.5,
         }
     }
 }
@@ -173,8 +164,6 @@ pub enum Request {
     },
     /// Counters of the pattern-result cache.
     CacheStats,
-    /// The session's compressed-leg summary.
-    CompressionInfo,
     /// Replace the routed session with a freshly built one (admin).
     LoadGraph {
         /// The new data graph.
@@ -490,27 +479,6 @@ impl WireCacheStats {
     }
 }
 
-/// Compressed-leg summary (`COMPRESSION_INFO`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireCompression {
-    pub classes: u64,
-    pub ratio: f64,
-    pub method: String,
-    pub active: bool,
-}
-
-impl WireCompression {
-    /// A session's compressed-leg summary, if it was built with one.
-    pub fn of_engine(engine: &SimEngine) -> Option<WireCompression> {
-        engine.compression_note().map(|n| WireCompression {
-            classes: n.classes as u64,
-            ratio: n.ratio,
-            method: n.method.to_owned(),
-            active: engine.compression_active(),
-        })
-    }
-}
-
 /// One hosted session as reported by `SESSION_LIST` /
 /// `SESSION_CREATED`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -541,8 +509,6 @@ pub enum Response {
     DeltaApplied(DeltaSummary),
     /// `None` when the session's cache is disabled.
     CacheStats(Option<WireCacheStats>),
-    /// `None` when the session was built without compression.
-    CompressionInfo(Option<WireCompression>),
     Loaded {
         nodes: u64,
         edges: u64,

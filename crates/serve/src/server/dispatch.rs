@@ -6,7 +6,7 @@ use super::{elapsed_ns, frame_name, refresh_gauges, Completion, Shared, SLOW_LOG
 use crate::error::ErrorCode;
 use crate::proto::{
     rows_of, Answer, DeltaSummary, GraphInfo, Request, Response, SessionOptions, WireCacheStats,
-    WireCompression, WireMetrics, WireTrace,
+    WireMetrics, WireTrace,
 };
 use crate::session::{merge_answers, merge_metrics, session_info, Route};
 use crate::wire::encode_frame_into;
@@ -421,10 +421,6 @@ fn try_execute(
         Request::CacheStats => {
             let (_, engine) = single_target(shared, route, "CACHE_STATS")?;
             Response::CacheStats(engine.cache_stats().as_ref().map(WireCacheStats::of_stats))
-        }
-        Request::CompressionInfo => {
-            let (_, engine) = single_target(shared, route, "COMPRESSION_INFO")?;
-            Response::CompressionInfo(WireCompression::of_engine(&engine))
         }
         Request::LoadGraph { graph, options } => {
             let name = match &*route.lock() {

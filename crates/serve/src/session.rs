@@ -32,7 +32,7 @@
 
 use crate::flags::{num, Flags};
 use crate::proto::{Answer, SessionInfo, SessionOptions, WireMetrics, WirePartitioner};
-use dgs_core::{CompressionMethod, SimEngine, SimEngineBuilder};
+use dgs_core::{SimEngine, SimEngineBuilder};
 use dgs_graph::Graph;
 use dgs_partition::{bfs_partition, hash_partition, ldg_partition, tree_partition, Fragmentation};
 use parking_lot::Mutex;
@@ -72,19 +72,13 @@ impl Route {
     }
 }
 
-/// The largest graph `simeq` compression is built for: its preorder
-/// holds 5 bytes per node pair (2 GB here), so a bigger request is
-/// refused before it allocates — `bisim` is the near-linear
-/// alternative.
-pub const SIMEQ_MAX_NODES: usize = 20_000;
-
 /// The one session recipe: `dgsd` and `dgsq` read the options off
 /// their flags, `LOAD_GRAPH`/`SESSION_CREATE` off the wire, and all of
 /// them build the session the same way.
 impl SessionOptions {
     /// The options spelled by `--sites K --partition hash|bfs|ldg|tree
-    /// --seed S --cache N --compress simeq|bisim --compress-threshold
-    /// X` (keys without the dashes); an absent flag keeps its default.
+    /// --seed S --cache N` (keys without the dashes); an absent flag
+    /// keeps its default.
     pub fn from_flags(flags: &Flags) -> Result<SessionOptions, String> {
         let default = SessionOptions::default();
         Ok(SessionOptions {
@@ -96,21 +90,13 @@ impl SessionOptions {
             },
             seed: num(flags, "seed", default.seed)?,
             cache_capacity: num(flags, "cache", default.cache_capacity)?,
-            compression: match flags.get("compress").map(String::as_str) {
-                None => None,
-                Some("simeq") => Some(CompressionMethod::SimEq),
-                Some("bisim") => Some(CompressionMethod::Bisim),
-                Some(other) => return Err(format!("unknown compression method '{other}'")),
-            },
-            compression_threshold: num(flags, "compress-threshold", default.compression_threshold)?,
         })
     }
 
     /// Partitions `graph`, fragments it and returns the builder of a
     /// session over it with these options applied — or the reason the
-    /// request cannot be served: no site, no node, or a `simeq` table
-    /// past [`SIMEQ_MAX_NODES`]. The caller adds what only it knows
-    /// (an executor, a socket cluster) and builds.
+    /// request cannot be served: no site or no node. The caller adds
+    /// what only it knows (an executor, a socket cluster) and builds.
     pub fn engine_builder<'g>(&self, graph: &'g Graph) -> Result<SimEngineBuilder<'g>, String> {
         let (n, k) = (graph.node_count(), usize::from(self.sites));
         if k == 0 {
@@ -119,12 +105,6 @@ impl SessionOptions {
         if n == 0 {
             return Err("graph has no nodes".into());
         }
-        if self.compression == Some(CompressionMethod::SimEq) && n > SIMEQ_MAX_NODES {
-            return Err(format!(
-                "simeq compression holds an O(|V|^2) table and is refused above \
-                 {SIMEQ_MAX_NODES} nodes; use bisim for a graph of {n}"
-            ));
-        }
         let assignment = match self.partitioner {
             WirePartitioner::Hash => hash_partition(n, k, self.seed),
             WirePartitioner::Bfs => bfs_partition(graph, k, self.seed),
@@ -132,14 +112,7 @@ impl SessionOptions {
             WirePartitioner::Tree => tree_partition(graph, k),
         };
         let frag = Arc::new(Fragmentation::build(graph, &assignment, k));
-        let mut builder =
-            SimEngine::builder(graph, frag).cache_capacity(self.cache_capacity as usize);
-        if let Some(method) = self.compression {
-            builder = builder
-                .compress(method)
-                .compression_threshold(self.compression_threshold);
-        }
-        Ok(builder)
+        Ok(SimEngine::builder(graph, frag).cache_capacity(self.cache_capacity as usize))
     }
 }
 

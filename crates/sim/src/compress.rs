@@ -132,6 +132,13 @@ impl CompressedGraph {
     }
 }
 
+/// The largest graph [`compress_simeq`] is asked to compress: its
+/// preorder holds two `O(|V|²)` tables, a `bool` and a `u32` counter
+/// per node pair (5 bytes, so 2 GB at this bound). Callers refuse a
+/// bigger graph before it allocates; [`compress_bisim`] is the
+/// near-linear alternative.
+pub const SIMEQ_MAX_NODES: usize = 20_000;
+
 /// Compresses `g` by **simulation equivalence** (maximal merging;
 /// `O(|V||E|)` time, `O(|V|²)` space — see [`crate::preorder`]).
 pub fn compress_simeq(g: &Graph) -> CompressedGraph {

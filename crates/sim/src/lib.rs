@@ -21,9 +21,9 @@
 //!   matches `Q`, and [`SimResult::answer`] applies the paper's
 //!   `Q(G) = ∅` convention when it does not).
 //!
-//! The quotient compression behind the engine's compressed leg rests
-//! on [`preorder::SimPreorder`] (the simulation preorder of `G` over
-//! itself) and [`bisim::bisimulation_partition`] (the \[6\]
+//! The quotient compression of §7's compress-then-distribute pipeline
+//! rests on [`preorder::SimPreorder`] (the simulation preorder of `G`
+//! over itself) and [`bisim::bisimulation_partition`] (the \[6\]
 //! equivalence); [`compress`] answers any pattern on the quotient
 //! graph, exactly.
 
@@ -38,7 +38,7 @@ pub mod preorder;
 
 pub use bisim::{bisimulation_partition, BisimPartition};
 pub use boolean::boolean_matches;
-pub use compress::{compress_bisim, compress_simeq, CompressedGraph};
+pub use compress::{compress_bisim, compress_simeq, CompressedGraph, SIMEQ_MAX_NODES};
 pub use hhk::hhk_simulation;
 pub use match_relation::{MatchRelation, SimResult};
 pub use matchset::{MatchSet, SetBits};

@@ -1,10 +1,10 @@
 //! Serving mode: one shared `SimEngine` under concurrent traffic.
 //!
-//! Builds a session over a labeled web-like graph with all three
-//! serving features on — the parallel batch pool, the pattern-result
-//! cache, and the compression-backed plan leg — then drives it from
-//! four client threads at once and shows that repeat and isomorphic
-//! submissions are served from cache with zero protocol messages.
+//! Builds a session over a labeled web-like graph with both serving
+//! features on — the parallel batch pool and the pattern-result
+//! cache — then drives it from four client threads at once and shows
+//! that repeat and isomorphic submissions are served from cache with
+//! zero protocol messages.
 //!
 //! ```text
 //! cargo run --example serving
@@ -20,20 +20,7 @@ fn main() {
 
     // One engine for the whole process: SimEngine is Send + Sync, so
     // threads share it by reference; the cache is shared too.
-    let engine = SimEngine::builder(&g, frag)
-        .cache_capacity(256)
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(1.0)
-        .build();
-    if let Some(note) = engine.compression_note() {
-        println!(
-            "compressed leg: {} classes via {}, ratio {:.3} (active: {})",
-            note.classes,
-            note.method,
-            note.ratio,
-            engine.compression_active()
-        );
-    }
+    let engine = SimEngine::builder(&g, frag).cache_capacity(256).build();
 
     // Four clients, each submitting its own mixed stream — with
     // overlapping patterns, so later clients hit entries cached by

@@ -3,8 +3,8 @@
 //!
 //! **Sessions**: a daemon hosts named sessions. `dgsq session` lists,
 //! creates (`--create NAME --graph FILE`, with the same
-//! sites/partition/cache/compress options as `generate --remote`) and
-//! drops them; `--session NAME` on `query`/`stats`/`compress` routes
+//! sites/partition/cache options as `generate --remote`) and drops
+//! them; `--session NAME` on `query`/`stats` routes
 //! the connection at that session instead of `"default"`, and on
 //! `generate --remote` loads the generated graph **as** that named
 //! session (creating or replacing it).
@@ -87,8 +87,11 @@ pub fn cmd_session(flags: &Flags) {
         );
         return;
     }
-    let building = "graph sites partition seed cache compress compress-threshold";
-    reject(flags, building, "only applies with --create");
+    reject(
+        flags,
+        "graph sites partition seed cache",
+        "only applies with --create",
+    );
     let infos = or_fail(client.session_list());
     println!("{} session(s) hosted:", infos.len());
     for s in infos {

@@ -1,6 +1,8 @@
 //! The graph-file commands: `generate`, `convert`, `compress` and
-//! `stats`, each with its `--remote` twin where the daemon holds the
-//! graph.
+//! `stats`; `generate` and `stats` have a `--remote` twin where the
+//! daemon holds the graph. `compress` is offline only: it writes the
+//! quotient a plain session then serves (§7's compress-then-distribute
+//! pipeline).
 //!
 //! Graphs and patterns load in either the line-oriented text format
 //! of `dgs_graph::io` or its binary twin (magic `DGSB`); `dgsq
@@ -25,11 +27,7 @@ pub fn cmd_generate(flags: &Flags) {
     }
     if remote.is_none() {
         let why = "only applies with --remote (it configures the daemon's new session)";
-        reject(
-            flags,
-            "sites partition cache compress compress-threshold session",
-            why,
-        );
+        reject(flags, "sites partition cache session", why);
     }
     let g = match family {
         "web" => random::web_like(n, m, labels, seed),
@@ -130,24 +128,18 @@ pub fn cmd_convert(flags: &Flags) {
 }
 
 pub fn cmd_compress(flags: &Flags) {
-    use dgs::serve::SIMEQ_MAX_NODES;
-    use dgs::sim::{compress_bisim, compress_simeq};
-    if flags.contains_key("remote") {
-        reject_local_only(flags, "graph method out");
-        match or_fail(connect_routed(flags).compression_info()) {
-            None => println!("daemon session was built without compression"),
-            Some(c) => println!("daemon session: {}", gc_summary(&c)),
-        }
-        return;
-    }
-    reject_session_without_remote(flags);
+    use dgs::sim::{compress_bisim, compress_simeq, SIMEQ_MAX_NODES};
     let path = get(flags, "graph").unwrap_or_else(|| fail("--graph required"));
     let g = load_graph(path);
     let method = get(flags, "method").unwrap_or("bisim");
     let c = match method {
         "simeq" => {
             if g.node_count() > SIMEQ_MAX_NODES {
-                fail("simeq compression holds an O(|V|^2) table; use --method bisim for graphs this large");
+                fail(&format!(
+                    "simeq compression holds an O(|V|^2) table and is refused above \
+                     {SIMEQ_MAX_NODES} nodes; use --method bisim for a graph of {}",
+                    g.node_count()
+                ));
             }
             compress_simeq(&g)
         }

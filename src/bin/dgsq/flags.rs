@@ -7,9 +7,7 @@
 
 use dgs::graph::{io, Graph, Pattern};
 pub use dgs::serve::flags::{num, Flags};
-use dgs::serve::{
-    DgsClient, ServeAddr, SessionOptions, WireAlgorithm, WireCacheStats, WireCompression,
-};
+use dgs::serve::{DgsClient, ServeAddr, SessionOptions, WireAlgorithm, WireCacheStats};
 use std::fmt::Display;
 use std::fs::File;
 use std::io::BufReader;
@@ -29,22 +27,17 @@ pub fn or_fail<T, E: Display>(r: Result<T, E>) -> T {
 /// flag must never be silently ignored.
 pub fn allowed_flags(cmd: &str) -> Option<&'static str> {
     Some(match cmd {
-        "generate" => {
-            "family nodes edges labels seed out remote sites partition cache compress \
-             compress-threshold session"
-        }
+        "generate" => "family nodes edges labels seed out remote sites partition cache session",
         "query" => {
             "graph pattern algorithm sites partition executor seed boolean matches cache \
-             compress compress-threshold parallel repeat updates remote workers attach session"
+             parallel repeat updates remote workers attach session"
         }
         "convert" => "in out format",
         "worker" => "listen",
-        "compress" => "graph method out remote session",
+        "compress" => "graph method out",
         "stats" => "graph remote session metrics",
         "trace" | "shutdown" => "remote",
-        "session" => {
-            "remote create drop graph sites partition seed cache compress compress-threshold"
-        }
+        "session" => "remote create drop graph sites partition seed cache",
         "subscribe" => "remote pattern session count algorithm",
         _ => return None,
     })
@@ -115,17 +108,6 @@ pub fn session_options(flags: &Flags) -> SessionOptions {
 pub fn wire_algorithm(flags: &Flags) -> WireAlgorithm {
     let name = get(flags, "algorithm").unwrap_or("auto");
     WireAlgorithm::parse(name).unwrap_or_else(|| fail(&format!("unknown algorithm '{name}'")))
-}
-
-/// A compressed leg, active or not.
-pub fn gc_summary(c: &WireCompression) -> String {
-    let state = if c.active {
-        "active — Auto answers on Gc"
-    } else {
-        "above threshold — answering on G"
-    };
-    let (classes, method, ratio) = (c.classes, &c.method, c.ratio);
-    format!("Gc has {classes} classes via {method} (ratio {ratio:.3}, {state})")
 }
 
 pub fn print_cache(s: &WireCacheStats) {

@@ -6,12 +6,11 @@
 //! dgsq query    --graph FILE --pattern FILE[,FILE...] [--algorithm auto|NAME] [--sites K]
 //!               [--partition hash|bfs|ldg|tree] [--executor virtual|threaded]
 //!               [--seed S] [--boolean] [--matches]
-//!               [--cache N] [--compress simeq|bisim] [--compress-threshold X]
-//!               [--parallel W] [--repeat R] [--updates OPS.txt]
+//!               [--cache N] [--parallel W] [--repeat R] [--updates OPS.txt]
 //! dgsq query    --remote ADDR --pattern FILE[,FILE...] [--algorithm NAME] [--boolean]
 //!               [--matches] [--repeat R] [--updates OPS.txt]
 //! dgsq convert  --in FILE --out FILE --format text|binary
-//! dgsq compress --graph FILE [--method simeq|bisim] [--out FILE]   (or --remote ADDR)
+//! dgsq compress --graph FILE [--method simeq|bisim] [--out FILE]
 //! dgsq stats    --graph FILE                                       (or --remote ADDR)
 //! dgsq session  --remote ADDR [--create NAME --graph FILE [--sites K] ...| --drop NAME]
 //! dgsq subscribe PATTERN --remote ADDR [--session NAME] [--count N] [--algorithm NAME]
@@ -20,13 +19,13 @@
 //! ```
 //!
 //! **Remote mode**: `--remote ADDR` (`tcp:host:port`, bare
-//! `host:port`, or `unix:/path.sock`) points any subcommand at a
-//! running `dgsd` daemon instead of doing the work in-process:
+//! `host:port`, or `unix:/path.sock`) points `query`, `generate` and
+//! `stats` at a running `dgsd` daemon instead of doing the work
+//! in-process:
 //! `query` sends patterns (and `--updates` batches) to the daemon's
 //! shared session, `generate` loads the generated graph into the
-//! daemon as a fresh session, `compress` reports the daemon session's
-//! compressed leg, `stats` prints the served graph/fragmentation
-//! summary, and `shutdown` stops the daemon.
+//! daemon as a fresh session, `stats` prints the served
+//! graph/fragmentation summary, and `shutdown` stops the daemon.
 //!
 //! Flags are `flags.rs`'s; `query` is `query.rs`'s, the graph-file
 //! commands are `files.rs`'s and the daemon's own `daemon.rs`'s.
@@ -45,10 +44,10 @@ fn usage() -> ! {
          (--out FILE | --remote ADDR [--sites K] [--partition P])\n  \
          dgsq query --graph FILE --pattern FILE[,FILE...] [--algorithm auto|dgpm|dgpm-nopt|dgpms|dgpmd|dgpmt|match|dishhk|dmes]\n             \
          [--sites K] [--partition hash|bfs|ldg|tree] [--executor virtual|threaded|socket] [--seed S] [--boolean] [--matches]\n             [--workers N | --attach HOST:PORT,...]\n             \
-         [--cache N] [--compress simeq|bisim] [--compress-threshold X] [--parallel W] [--repeat R] [--updates OPS.txt]\n  \
+         [--cache N] [--parallel W] [--repeat R] [--updates OPS.txt]\n  \
          dgsq query --remote ADDR --pattern FILE[,FILE...] [--algorithm NAME] [--boolean] [--matches] [--repeat R] [--updates OPS.txt]\n  \
          dgsq convert --in FILE --out FILE --format text|binary\n  \
-         dgsq compress --graph FILE [--method simeq|bisim] [--out FILE]  |  dgsq compress --remote ADDR\n  \
+         dgsq compress --graph FILE [--method simeq|bisim] [--out FILE]\n  \
          dgsq stats --graph FILE  |  dgsq stats --remote ADDR [--metrics]\n  \
          dgsq trace --remote ADDR   (dump the daemon's slow-query log)\n  \
          dgsq session --remote ADDR [--create NAME --graph FILE [--sites K] [--partition P] ... | --drop NAME]\n  \

@@ -28,9 +28,7 @@ use crate::flags::*;
 use dgs::core::{Algorithm, GraphDelta, SimEngine};
 use dgs::graph::{NodeId, Pattern};
 use dgs::net::{ExecutorKind, SocketConfig};
-use dgs::serve::{
-    Answer, DeltaSummary, DgsClient, WireAlgorithm, WireCacheStats, WireCompression, WireMetrics,
-};
+use dgs::serve::{Answer, DeltaSummary, DgsClient, WireAlgorithm, WireCacheStats, WireMetrics};
 
 /// Where the stream runs.
 enum Target {
@@ -201,9 +199,7 @@ pub fn cmd_query(flags: &Flags) {
 /// `query --remote`: the daemon's session, which was configured when
 /// `dgsd` started.
 fn remote(flags: &Flags, shapes: &str) -> Target {
-    let local_only =
-        "graph sites partition executor seed cache compress compress-threshold parallel";
-    reject_local_only(flags, local_only);
+    reject_local_only(flags, "graph sites partition executor seed cache parallel");
     let algo = wire_algorithm(flags);
     let mut client = connect_routed(flags);
     let info = or_fail(client.graph_info());
@@ -215,8 +211,7 @@ fn remote(flags: &Flags, shapes: &str) -> Target {
 }
 
 /// A session built here: the fragmented graph is loaded once, and
-/// queries reuse the cached structural facts (and, with --compress,
-/// the quotient Gc).
+/// queries reuse the cached structural facts.
 fn local(flags: &Flags, shapes: &str) -> Target {
     reject_session_without_remote(flags);
     let g = load_graph(get(flags, "graph").unwrap_or_else(|| fail("--graph required")));
@@ -274,9 +269,6 @@ fn local(flags: &Flags, shapes: &str) -> Target {
         frag.vf(),
         frag.ef(),
     );
-    if let Some(c) = WireCompression::of_engine(&engine) {
-        println!("compression: {}", gc_summary(&c));
-    }
     Target::Local(Box::new(engine), algo)
 }
 

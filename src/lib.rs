@@ -76,9 +76,9 @@ pub use dgs_sim as sim;
 /// The names most programs need.
 pub mod prelude {
     pub use dgs_core::{
-        Algorithm, BatchReport, BooleanReport, CacheStats, CompressedNote, CompressionMethod,
-        DeltaReport, DgsError, GraphDelta, GraphFacts, IncrementalNote, PatternFacts,
-        PlanExplanation, Planner, RunReport, SimEngine, UpdateMsg, Var,
+        Algorithm, BatchReport, BooleanReport, CacheStats, DeltaReport, DgsError, GraphDelta,
+        GraphFacts, IncrementalNote, PatternFacts, PlanExplanation, Planner, RunReport, SimEngine,
+        UpdateMsg, Var,
     };
     pub use dgs_graph::{Graph, GraphBuilder, Label, NodeId, Pattern, PatternBuilder, QNodeId};
     pub use dgs_net::{CostModel, ExecutorKind, LatencyHistogram, RunMetrics};

@@ -15,8 +15,7 @@ use dgs::serve::wire::{
 use dgs::serve::{
     run_conn_sweep, Answer, Conn, ConnSweepConfig, DgsClient, ErrorCode, MatchDiff, Request,
     Response, ServeError, Server, ServerConfig, SessionInfo, SessionOptions, SubEventKind,
-    SubscriptionEvent, WireAlgorithm, WireMetrics, WirePartitioner, WireTrace, SIMEQ_MAX_NODES,
-    WIRE_MAGIC,
+    SubscriptionEvent, WireAlgorithm, WireMetrics, WirePartitioner, WireTrace, WIRE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -116,7 +115,6 @@ fn all_requests() -> Vec<Request> {
             delete_edges: vec![(3, 3)],
         },
         Request::CacheStats,
-        Request::CompressionInfo,
         Request::LoadGraph {
             graph: g,
             options: SessionOptions {
@@ -124,8 +122,6 @@ fn all_requests() -> Vec<Request> {
                 partitioner: WirePartitioner::Bfs,
                 seed: 9,
                 cache_capacity: 7,
-                compression: Some(dgs::core::CompressionMethod::Bisim),
-                compression_threshold: 0.75,
             },
         },
         Request::Shutdown,
@@ -238,13 +234,6 @@ fn all_responses() -> Vec<Response> {
             misses: 4,
             evictions: 5,
             generation: 6,
-        })),
-        Response::CompressionInfo(None),
-        Response::CompressionInfo(Some(dgs::serve::WireCompression {
-            classes: 42,
-            ratio: 0.5,
-            method: "bisim".into(),
-            active: true,
         })),
         Response::Loaded {
             nodes: 10,
@@ -376,10 +365,9 @@ fn every_frame_encodes_to_its_pinned_bytes() {
         (0x13, 89, 0xeddc8efff9a80c6a),
         (0x14, 8, 0xab3cc41bd93a0c08),
         (0x15, 0, 0xaf63c84c8601ca90),
-        (0x16, 0, 0xaf63cb4c8601cfa9),
-        (0x17, 77, 0x2301e86deec0b1b3),
+        (0x17, 68, 0xa2a3c5fd1886932a),
         (0x18, 0, 0xaf63d54c8601e0a7),
-        (0x19, 71, 0xf3ae205cc90aa8e9),
+        (0x19, 62, 0x78ec371d3a33caba),
         (0x1a, 0, 0xaf63d74c8601e40d),
         (0x1b, 8, 0x0263284dd1d0e78f),
         (0x1c, 17, 0x8633c52d17d20f76),
@@ -396,8 +384,6 @@ fn every_frame_encodes_to_its_pinned_bytes() {
         (0x24, 12, 0x92e7df5354ab069b),
         (0x25, 1, 0x07b4ca07b4809b00),
         (0x25, 7, 0xbb3bd0feebd1a2c4),
-        (0x26, 1, 0x07befc07b489447b),
-        (0x26, 17, 0x370a7aff2dbdfe3d),
         (0x27, 4, 0x50abd93c43787f82),
         (0x28, 0, 0xaf63a54c86018f17),
         (0x3f, 14, 0xcdce4766d977ebd8),
@@ -670,10 +656,10 @@ fn raw_hello(addr: &ServeAddr, version: u8, extensions: &[u8]) -> Conn {
 
 /// [`raw_hello`] at the served version, with the `WELCOME` consumed.
 fn raw_connect(addr: &ServeAddr) -> Conn {
-    let mut conn = raw_hello(addr, 4, b"");
+    let mut conn = raw_hello(addr, 5, b"");
     let (ty, payload) = read_frame(&mut conn).expect("welcome").expect("welcome");
     assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload[4], 4);
+    assert_eq!(payload[4], 5);
     conn
 }
 
@@ -683,11 +669,11 @@ fn handshake_negotiates_down_and_rejects_garbage() {
     let handle = spawn_server(&g, 2, 5, ServerConfig::default());
     let addr = handle.addr().clone();
 
-    // A future client offering v9 gets our v4 back.
+    // A future client offering v9 gets our v5 back.
     let mut conn = raw_hello(&addr, 9, b"");
     let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload, [b'D', b'G', b'S', b'W', 4]);
+    assert_eq!(payload, [b'D', b'G', b'S', b'W', 5]);
 
     // Every request carries a varint id the response echoes. A
     // malformed request frame gets a typed error and the connection
@@ -719,17 +705,17 @@ fn handshake_negotiates_down_and_rejects_garbage() {
         other => panic!("expected Malformed error, got {other:?}"),
     }
 
-    // The retired dialects (v1–v3) are refused, not negotiated down
+    // The retired dialects (v1–v4) are refused, not negotiated down
     // to: one id-less typed `Unsupported` error naming the served
     // version, then the close.
-    for theirs in [3u8, 2, 1, 0] {
+    for theirs in [4u8, 3, 2, 1, 0] {
         let mut old = raw_hello(&addr, theirs, b"");
         let (ty, payload) = read_frame(&mut old).unwrap().unwrap();
         match Response::decode(ty, &payload).unwrap() {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::Unsupported, "v{theirs}");
                 assert_eq!(code.to_u16(), 2);
-                assert!(message.contains("v4"), "v{theirs}: {message}");
+                assert!(message.contains("v5"), "v{theirs}: {message}");
             }
             other => panic!("v{theirs}: expected a typed refusal, got {other:?}"),
         }
@@ -741,10 +727,10 @@ fn handshake_negotiates_down_and_rejects_garbage() {
 
     // HELLO with trailing extension bytes after the version is
     // tolerated (a future client's extensions), not rejected.
-    let mut conn4 = raw_hello(&addr, 4, b"future-extension");
+    let mut conn4 = raw_hello(&addr, 5, b"future-extension");
     let (ty, payload) = read_frame(&mut conn4).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME, "trailing HELLO bytes are tolerated");
-    assert_eq!(payload[4], 4);
+    assert_eq!(payload[4], 5);
 
     drop((conn, conn2, conn4));
     handle.shutdown().expect("shutdown");
@@ -780,54 +766,6 @@ fn load_graph_swaps_the_served_session() {
         let a = client.query(&q, WireAlgorithm::Auto).expect("query");
         assert_eq!(a.rows, rows_of(&want), "pattern {i} after session swap");
     }
-    drop(client);
-    handle.shutdown().expect("shutdown");
-}
-
-/// A wire request cannot ask for `simeq`'s `O(|V|²)` table: past the
-/// bound both session-building frames answer a typed error, the
-/// registry is what it was and the daemon keeps serving; `bisim` on
-/// the same graph is built.
-#[test]
-fn simeq_past_its_bound_is_refused_over_the_wire() {
-    let g = random::uniform(50, 150, 3, 11);
-    let handle = spawn_server(&g, 2, 11, ServerConfig::default());
-    let mut client = DgsClient::connect(handle.addr()).expect("connect");
-    let before = client.session_list().expect("list");
-
-    let big = dgs::graph::generate::tree::random_tree(SIMEQ_MAX_NODES + 1, 3, 5);
-    let with = |compression| SessionOptions {
-        compression: Some(compression),
-        ..SessionOptions::default()
-    };
-    let simeq = with(CompressionMethod::SimEq);
-    let refusals = [
-        client.session_create("big", &big, &simeq).map(|_| ()),
-        client.load_graph(&big, &simeq).map(|_| ()),
-    ];
-    for refusal in refusals {
-        match refusal.expect_err("simeq past the bound must be refused") {
-            ServeError::Remote { code, message } => {
-                assert_eq!(code, ErrorCode::Malformed);
-                assert!(message.contains("simeq"), "{message}");
-            }
-            other => panic!("expected a typed ERROR, got {other}"),
-        }
-    }
-    assert_eq!(client.session_list().expect("list"), before);
-    let q = mixed_pattern(0, 3);
-    let a = client
-        .query(&q, WireAlgorithm::Auto)
-        .expect("still serving");
-    assert_eq!(
-        a.rows,
-        rows_of(&handle.engine().query(&q).unwrap().relation)
-    );
-
-    let info = client
-        .session_create("big", &big, &with(CompressionMethod::Bisim))
-        .expect("bisim is built on the same graph");
-    assert_eq!(info.nodes, big.node_count() as u64);
     drop(client);
     handle.shutdown().expect("shutdown");
 }
@@ -1350,7 +1288,7 @@ fn rejected_clients_read_complete_busy_frames_across_shutdown() {
     // A burst of doomed dials, each sending HELLO without reading the
     // answer — their Busy frames are queued (or still unwritten) when
     // the shutdown lands.
-    let doomed: Vec<Conn> = (0..REJECTED).map(|_| raw_hello(&addr, 4, b"")).collect();
+    let doomed: Vec<Conn> = (0..REJECTED).map(|_| raw_hello(&addr, 5, b"")).collect();
     handle.shutdown().expect("shutdown");
     for (i, mut conn) in doomed.into_iter().enumerate() {
         let (ty, payload) = read_frame(&mut conn)
@@ -1518,7 +1456,7 @@ fn client_rejects_a_response_with_an_unknown_request_id() {
         let (ty, _) = read_frame(&mut s).expect("hello").expect("hello");
         assert_eq!(ty, frame::HELLO);
         let mut welcome = WIRE_MAGIC.to_vec();
-        welcome.push(4);
+        welcome.push(5);
         write_frame(&mut s, frame::WELCOME, &welcome).expect("welcome");
         let (_, payload) = read_frame(&mut s).expect("request").expect("request");
         let (id, _) = split_request_id(&payload).expect("id");
@@ -1940,7 +1878,7 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
 /// There is no "below v4" connection to SUBSCRIBE on any more: a v3
 /// HELLO is refused typed at the handshake and the socket closed, so a
 /// SUBSCRIBE behind it is never executed — while the same frame on a
-/// v4 connection of the same server subscribes.
+/// v5 connection of the same server subscribes.
 #[test]
 fn subscribe_from_a_retired_version_is_refused_at_the_handshake() {
     let g = random::uniform(30, 80, 3, 61);
@@ -1959,7 +1897,7 @@ fn subscribe_from_a_retired_version_is_refused_at_the_handshake() {
         Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::Unsupported);
             assert!(
-                message.contains("v4"),
+                message.contains("v5"),
                 "the refusal names the version: {message}"
             );
         }
@@ -2379,5 +2317,58 @@ fn dgsq_replays_updates_alike_locally_and_remote() {
     assert_eq!(local.len(), 4, "{local:?}");
     assert_eq!(local, remote);
     handle.shutdown().expect("shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// §7's compress-then-distribute pipeline runs offline: `dgsq compress
+/// --graph` writes the quotient a plain session then serves, `simeq`
+/// past [`dgs::sim::SIMEQ_MAX_NODES`] is refused before its `O(|V|²)`
+/// tables allocate, and there is no daemon-side leg to ask about.
+#[test]
+fn dgsq_compresses_offline_and_refuses_simeq_past_its_bound() {
+    let dir = std::env::temp_dir().join(format!("dgs-compress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let dgsq = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dgsq"))
+            .args(args)
+            .output()
+            .unwrap();
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
+
+    let g = dgs::graph::generate::tree::random_tree(300, 3, 7);
+    dgs::graph::io::write_graph(&g, std::fs::File::create(path("g.txt")).unwrap()).unwrap();
+    let (code, stdout, _) = dgsq(&[
+        "compress",
+        "--graph",
+        &path("g.txt"),
+        "--method",
+        "bisim",
+        "--out",
+        &path("gc.txt"),
+    ]);
+    assert_eq!(code, Some(0), "{stdout}");
+    let c = compress_bisim(&g);
+    let ratio = format!("({:.1}% of original;", 100.0 * c.ratio(g.size()));
+    assert!(stdout.contains(&ratio), "{stdout}");
+    let written = std::fs::File::open(path("gc.txt")).unwrap();
+    let gc = dgs::graph::io::read_graph_auto(std::io::BufReader::new(written)).unwrap();
+    assert_eq!(gc.node_count(), c.class_count());
+
+    let big = dgs::graph::generate::tree::random_tree(dgs::sim::SIMEQ_MAX_NODES + 1, 3, 5);
+    dgs::graph::io::write_graph(&big, std::fs::File::create(path("big.txt")).unwrap()).unwrap();
+    let (code, _, stderr) = dgsq(&["compress", "--graph", &path("big.txt"), "--method", "simeq"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    let bound = dgs::sim::SIMEQ_MAX_NODES.to_string();
+    assert!(
+        stderr.contains("simeq") && stderr.contains(&bound),
+        "{stderr}"
+    );
+
+    let (code, _, stderr) = dgsq(&["compress", "--remote", "127.0.0.1:1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --remote"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,12 +1,12 @@
 //! Concurrent-serving tests: one shared `SimEngine` under parallel
-//! traffic, the pattern-result cache, and compression-backed plans.
+//! traffic and the pattern-result cache.
 //!
 //! The stress test is meant to run with `RUST_TEST_THREADS`
 //! unconstrained and in release mode (see the `serving-release` CI
 //! job) so the 8 client threads really do hammer the engine
 //! concurrently.
 
-use dgs::graph::generate::{dag, patterns, random, rmat, tree};
+use dgs::graph::generate::{patterns, random};
 use dgs::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -34,14 +34,11 @@ fn mixed_pattern(i: usize, labels: usize) -> Pattern {
 fn shared_engine(g: &Graph, k: usize, seed: u64) -> SimEngine {
     let assign = hash_partition(g.node_count(), k, seed);
     let frag = Arc::new(Fragmentation::build(g, &assign, k));
-    SimEngine::builder(g, frag)
-        .compress(CompressionMethod::SimEq)
-        .compression_threshold(1.0)
-        .build()
+    SimEngine::builder(g, frag).build()
 }
 
-/// 8 threads × 50 mixed patterns against one shared engine (cache and
-/// compressed leg both on), every answer checked against the
+/// 8 threads × 50 mixed patterns against one shared engine (cache
+/// on), every answer checked against the
 /// centralized `hhk_simulation` oracle.
 #[test]
 fn stress_eight_threads_fifty_patterns_vs_oracle() {
@@ -174,51 +171,6 @@ fn parallel_batch_agrees_with_single_worker() {
     assert_eq!(a.total.control_bytes, b.total.control_bytes);
     assert_eq!(a.total.total_ops, b.total.total_ops);
     assert_eq!(a.total.cache_hits, b.total.cache_hits);
-}
-
-/// Engine-level compression conformance: for every generator family,
-/// `query` on the compression-backed plan equals `query` with
-/// compression disabled, and the report names the compressed leg.
-#[test]
-fn compression_backed_plans_agree_across_families() {
-    let families: Vec<(&str, Graph)> = vec![
-        ("tree", tree::random_tree(200, 4, 41)),
-        ("dag", dag::citation_like(180, 420, 4, 42)),
-        (
-            "rmat",
-            rmat::rmat(7, 400, 4, rmat::RmatParams::graph500(), 43),
-        ),
-        ("social", random::community(180, 640, 6, 0.1, 4, 44)),
-    ];
-    for (family, g) in &families {
-        let assign = hash_partition(g.node_count(), 3, 45);
-        let frag = Arc::new(Fragmentation::build(g, &assign, 3));
-        let compressed = SimEngine::builder(g, Arc::clone(&frag))
-            .compress(CompressionMethod::SimEq)
-            .compression_threshold(1.0)
-            .cache_capacity(0)
-            .build();
-        assert!(compressed.compression_active(), "{family}: leg inactive");
-        let plain = SimEngine::builder(g, frag).cache_capacity(0).build();
-        for i in 0..6 {
-            let q = mixed_pattern(i, 4);
-            let on_gc = compressed.query(&q).unwrap();
-            let on_g = plain.query(&q).unwrap();
-            assert_eq!(on_gc.relation, on_g.relation, "{family} query {i}");
-            assert_eq!(on_gc.is_match, on_g.is_match, "{family} query {i}");
-            let note = on_gc
-                .plan
-                .compressed
-                .as_ref()
-                .unwrap_or_else(|| panic!("{family} query {i}: no compressed leg in the plan"));
-            assert!(note.classes <= g.node_count());
-            assert!(note.ratio > 0.0 && note.ratio <= 1.0);
-            assert!(
-                on_gc.plan.to_string().contains("Gc"),
-                "{family} query {i}: plan must name the compressed leg"
-            );
-        }
-    }
 }
 
 /// Strategy for the cache property tests: a random workload plus a
