@@ -225,6 +225,9 @@ pub struct BooleanReport {
     pub algorithm: &'static str,
     /// How the engine was chosen.
     pub plan: PlanExplanation,
+    /// The generation of the snapshot the answer was computed at (or,
+    /// for a cache hit, served from).
+    pub generation: u64,
 }
 
 impl From<RunReport> for BooleanReport {
@@ -236,6 +239,7 @@ impl From<RunReport> for BooleanReport {
             metrics: report.metrics,
             algorithm: report.algorithm,
             plan: report.plan,
+            generation: report.generation,
         }
     }
 }
@@ -251,6 +255,8 @@ pub struct BatchReport {
     /// batched query broadcast (`|F|` control messages carrying every
     /// pattern), instead of one broadcast per query.
     pub total: RunMetrics,
+    /// The generation of the one snapshot the whole batch ran against.
+    pub generation: u64,
 }
 
 impl BatchReport {

@@ -104,6 +104,7 @@ impl SimEngine {
             metrics,
             algorithm: engine.name(),
             plan,
+            generation: snap.generation,
         })
     }
 
@@ -222,7 +223,11 @@ impl SimEngine {
         if !posted.is_empty() {
             Self::charge_broadcast(&mut total, &snap.frag, posted);
         }
-        BatchReport { reports, total }
+        BatchReport {
+            reports,
+            total,
+            generation: snap.generation,
+        }
     }
 
     /// The worker count resolved at build, never more than there is

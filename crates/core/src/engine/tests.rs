@@ -529,15 +529,19 @@ fn cache_invalidate_all_moves_to_a_fresh_generation() {
 fn every_answer_names_the_generation_it_was_computed_at() {
     let g = random::uniform(90, 360, 4, 35);
     let engine = engine_for(&g, 3, 35);
-    let (q0, q1) = (
+    let (q0, q1, q2) = (
         patterns::random_cyclic(3, 6, 4, 35),
         patterns::random_cyclic(3, 6, 4, 36),
+        patterns::random_cyclic(3, 6, 4, 37),
     );
     let gen0 = engine.generation();
     let miss = engine.query(&q0).unwrap();
     assert_eq!((miss.metrics.cache_hits, miss.generation), (0, gen0));
     let hit = engine.query(&q0).unwrap();
     assert_eq!((hit.metrics.cache_hits, hit.generation), (1, gen0));
+    assert_eq!(engine.query_boolean(&q2).unwrap().generation, gen0);
+    let flags = engine.query_boolean_with(&Algorithm::dgpm(), &q2).unwrap();
+    assert_eq!(flags.generation, gen0);
 
     // A batch that changes the graph advances the generation by one,
     // and the answers after it name the new one.
@@ -549,6 +553,7 @@ fn every_answer_names_the_generation_it_was_computed_at() {
     );
     assert_eq!(engine.generation(), gen0 + 1);
     let batch = engine.query_batch(&[q0.clone(), q1]);
+    assert_eq!(batch.generation, gen0 + 1);
     let items: Vec<_> = batch.reports.iter().map(|r| r.as_ref().unwrap()).collect();
     assert_eq!(items[0].metrics.cache_hits, 1, "the maintained entry");
     assert_eq!(items[1].metrics.cache_hits, 0, "a fresh pattern");
@@ -557,6 +562,9 @@ fn every_answer_names_the_generation_it_was_computed_at() {
         items[0].relation,
         hhk_simulation(&q0, &engine.graph()).relation
     );
+    assert_eq!(engine.query_boolean(&q2).unwrap().generation, gen0 + 1);
+    let flags = engine.query_boolean_with(&Algorithm::dgpm(), &q2).unwrap();
+    assert_eq!(flags.generation, gen0 + 1);
 }
 
 #[test]

@@ -28,7 +28,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Hard upper bound on a frame payload (64 MiB). Large graphs ship in
-/// one bootstrap/`LOAD_GRAPH` frame, so this is sized for tens of
+/// one bootstrap/`SESSION_CREATE` frame, so this is sized for tens of
 /// millions of varint-packed edges while still refusing nonsense
 /// lengths cheaply.
 pub const MAX_FRAME: u32 = 64 << 20;

@@ -352,25 +352,6 @@ impl DgsClient {
         }
     }
 
-    /// Replaces the served session with a freshly built one (admin).
-    pub fn load_graph(
-        &mut self,
-        graph: &Graph,
-        options: &SessionOptions,
-    ) -> Result<(u64, u64, u16), ServeError> {
-        match self.request(&Request::LoadGraph {
-            graph: graph.clone(),
-            options: options.clone(),
-        })? {
-            Response::Loaded {
-                nodes,
-                edges,
-                sites,
-            } => Ok((nodes, edges, sites)),
-            _ => Self::unexpected("LOAD_GRAPH"),
-        }
-    }
-
     /// Creates (or replaces) a named session on the server.
     pub fn session_create(
         &mut self,
@@ -407,15 +388,13 @@ impl DgsClient {
         }
     }
 
-    /// Points this connection at the named sessions: one name routes
-    /// every request there; several fan queries out with merged
-    /// answers; an **empty list** fans out over all hosted sessions.
-    /// Returns how many sessions the route resolves to right now.
-    pub fn session_route<S: AsRef<str>>(&mut self, sessions: &[S]) -> Result<u64, ServeError> {
+    /// Points this connection's later requests at the named session
+    /// ([`ErrorCode::NoSuchSession`] when the server does not host it).
+    pub fn session_route(&mut self, name: &str) -> Result<(), ServeError> {
         match self.request(&Request::SessionRoute {
-            sessions: sessions.iter().map(|s| s.as_ref().to_owned()).collect(),
+            name: name.to_owned(),
         })? {
-            Response::SessionRouted { sessions } => Ok(sessions),
+            Response::SessionRouted => Ok(()),
             _ => Self::unexpected("SESSION_ROUTE"),
         }
     }

@@ -3,7 +3,7 @@
 //! The network serving layer of dgs: everything the in-process
 //! [`SimEngine`](dgs_core::SimEngine) session offers —
 //! `query`/`query_batch` with plans and metrics, `apply_delta`,
-//! cache stats, session replacement — carried over a
+//! cache stats, named sessions — carried over a
 //! hand-rolled, versioned, length-prefixed binary wire protocol on
 //! plain `std` TCP or Unix-domain sockets. No async runtime, no
 //! serialization crates: frames are `[u32 LE length][u8 type]
@@ -18,7 +18,7 @@
 //! | [`proto`] | [`Request`]/[`Response`] frames, [`Answer`], version handshake |
 //! | [`transport`] | [`ServeAddr`] (`tcp:`/`unix:` spellings), stream + listener |
 //! | [`poll`] | the `poll(2)` readiness shim + self-pipe waker (std only) |
-//! | [`session`] | [`SessionManager`]: named sessions, routing, fan-out merge; the one session recipe ([`SessionOptions::engine_builder`]) |
+//! | [`session`] | [`SessionManager`]: named sessions, one per connection route; the one session recipe ([`SessionOptions::engine_builder`]) |
 //! | [`server`] | [`Server`]: readiness-loop daemon core (event thread + worker pool) with pipelining, admission control and drain shutdown |
 //! | [`client`] | [`DgsClient`]: the typed client — blocking calls or pipelined submit/await |
 //! | [`load`] | [`run_load`]: open-/closed-loop traffic generation |
@@ -28,8 +28,9 @@
 //! snapshot-isolated (reads run against an immutable, atomically
 //! swapped generation snapshot), and a daemon hosts many engines as
 //! named **sessions** — `SESSION_CREATE`/`SESSION_DROP` manage them,
-//! `SESSION_ROUTE` points a connection at one or fans queries out
-//! across several with per-query-node relation merge.
+//! and `SESSION_ROUTE` points a connection at one. Sites distribute a
+//! graph; sessions only keep graphs apart, so every answer is one
+//! session's.
 //!
 //! Two binaries ship with the crate: **`dgsd`**, the daemon, and
 //! **`dgsload`**, the traffic generator (throughput + p50/p95/p99
@@ -91,5 +92,5 @@ pub use proto::{
     WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
-pub use session::{merge_answers, Route, SessionManager, DEFAULT_SESSION};
+pub use session::{SessionManager, DEFAULT_SESSION};
 pub use transport::{Conn, Listener, ServeAddr};

@@ -166,7 +166,7 @@ fn run_subscriber(
         fail(&mut out);
         return out;
     };
-    if client.session_route(&[session]).is_err() {
+    if client.session_route(session).is_err() {
         fail(&mut out);
         return out;
     }
@@ -283,7 +283,7 @@ pub fn run_subscribe(cfg: &SubscribeConfig) -> Result<SubscribeReport, ServeErro
         while ready.load(Ordering::SeqCst) < total_subs {
             std::thread::sleep(Duration::from_millis(1));
         }
-        match admin.session_route(&[names[0].as_str()]) {
+        match admin.session_route(&names[0]) {
             Ok(_) => {
                 for _ in 0..cfg.batches {
                     let (insert_edges, delete_edges) = churn.next_batch(cfg.ops_per_batch.max(1));

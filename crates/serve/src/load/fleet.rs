@@ -124,7 +124,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ServeError> {
     let probe_info = {
         let mut probe = DgsClient::connect(&cfg.addr)?;
         if let Some(session) = &cfg.session {
-            probe.session_route(&[session.as_str()])?;
+            probe.session_route(session)?;
         }
         probe.graph_info()?
     };
@@ -189,7 +189,7 @@ fn run_client(
     if let Some(session) = &cfg.session {
         // A client that cannot reach its session fails its quota the
         // same way (every request would hit NoSuchSession anyway).
-        if client.session_route(&[session.as_str()]).is_err() {
+        if client.session_route(session).is_err() {
             out.failed_connect = true;
             out.errors = cfg.requests_per_client as u64;
             return out;

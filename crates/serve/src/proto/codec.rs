@@ -284,12 +284,11 @@ pub mod frame {
         QUERY_BATCH = 0x13 => QueryBatch { algorithm, patterns as (put_patterns, get_patterns) },
         APPLY_DELTA = 0x14 => ApplyDelta { insert_edges, delete_edges },
         CACHE_STATS = 0x15 => CacheStats,
-        LOAD_GRAPH = 0x17 => LoadGraph { options, graph as (put_graph, get_graph) },
         SHUTDOWN = 0x18 => Shutdown,
         SESSION_CREATE = 0x19 => SessionCreate { name, options, graph as (put_graph, get_graph) },
         SESSION_LIST = 0x1a => SessionList,
         SESSION_DROP = 0x1b => SessionDrop { name },
-        SESSION_ROUTE = 0x1c => SessionRoute { sessions },
+        SESSION_ROUTE = 0x1c => SessionRoute { name },
         SUBSCRIBE = 0x1d => Subscribe { algorithm, pattern as (put_pattern, get_pattern) },
         UNSUBSCRIBE = 0x1e => Unsubscribe { sub_id },
         METRICS = 0x1f => Metrics,
@@ -304,12 +303,11 @@ pub mod frame {
         BATCH_ANSWER = 0x23 => BatchAnswer { items, total },
         DELTA_APPLIED = 0x24 => DeltaApplied(summary),
         CACHE_STATS_R = 0x25 => CacheStats(stats),
-        LOADED = 0x27 => Loaded { nodes, edges, sites },
         SHUTTING_DOWN = 0x28 => ShuttingDown,
         SESSION_CREATED = 0x29 => SessionCreated(info),
         SESSION_LIST_R = 0x2a => Sessions(infos),
         SESSION_DROPPED = 0x2b => SessionDropped,
-        SESSION_ROUTED = 0x2c => SessionRouted { sessions },
+        SESSION_ROUTED = 0x2c => SessionRouted,
         SUBSCRIBED = 0x2d => Subscribed { sub_id, generation, rows as (encode_rows, decode_rows) },
         UNSUBSCRIBED = 0x2e => Unsubscribed,
         METRICS_R = 0x2f => Metrics(snapshot),
@@ -505,9 +503,9 @@ mod tests {
 
     #[test]
     fn unknown_frame_types_are_corrupt_not_panic() {
-        // 0x16/0x26 carried v4's compressed-leg summary; v5 leaves
-        // them unassigned.
-        for ty in [0xee, 0x16, 0x26] {
+        // 0x16/0x26 carried v4's compressed-leg summary and 0x17/0x27
+        // v5's second graph-hosting pair; v6 leaves them unassigned.
+        for ty in [0xee, 0x16, 0x26, 0x17, 0x27] {
             assert!(Request::decode(ty, &[]).is_err(), "{ty:#04x}");
             assert!(Response::decode(ty, &[]).is_err(), "{ty:#04x}");
         }

@@ -4,12 +4,11 @@
 //! The protocol carries the whole `SimEngine` session surface:
 //! `QUERY`/`QUERY_BATCH` (answers ship the match relation, the plan
 //! explanation and the run metrics), `APPLY_DELTA`, `CACHE_STATS`,
-//! `GRAPH_INFO`, `LOAD_GRAPH` (session replacement), the `SESSION_*` frames (named-session hosting,
-//! per-connection routing and query fan-out) and the `SHUTDOWN`
-//! admin frame. Graphs and patterns
-//! reuse the binary encoding of `dgs_graph::io` verbatim, so a file
-//! written by `dgsq convert` is byte-for-byte what `LOAD_GRAPH`
-//! ships.
+//! `GRAPH_INFO`, the `SESSION_*` frames (named-session hosting and
+//! per-connection routing) and the `SHUTDOWN` admin frame. Graphs and
+//! patterns reuse the binary encoding of `dgs_graph::io` verbatim, so
+//! a file written by `dgsq convert` is byte-for-byte what
+//! `SESSION_CREATE` ships.
 //!
 //! This module holds the message types; `codec.rs` states their
 //! payload layouts.
@@ -33,9 +32,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"DGSW";
 /// frames of live match subscriptions travel under the reserved
 /// request id 0 and interleave with pipelined responses on the same
 /// connection. The handshake still negotiates: a client offering more
-/// is welcomed at this version, one offering less (the retired v1–v4)
+/// is welcomed at this version, one offering less (the retired v1–v5)
 /// gets a typed `Unsupported` error naming it, then the close.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// The engine selector as it travels on the wire (the names the CLI
 /// exposes; `DgpmConfig` details stay server-side defaults).
@@ -85,7 +84,7 @@ impl WireAlgorithm {
     }
 }
 
-/// Partitioner selector for `LOAD_GRAPH`.
+/// Partitioner selector for `SESSION_CREATE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WirePartitioner {
     Hash,
@@ -107,7 +106,7 @@ impl WirePartitioner {
     }
 }
 
-/// Session knobs shipped with `LOAD_GRAPH` (mirrors the
+/// Session knobs shipped with `SESSION_CREATE` (mirrors the
 /// `SimEngineBuilder` surface the daemon exposes).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionOptions {
@@ -164,13 +163,6 @@ pub enum Request {
     },
     /// Counters of the pattern-result cache.
     CacheStats,
-    /// Replace the routed session with a freshly built one (admin).
-    LoadGraph {
-        /// The new data graph.
-        graph: Graph,
-        /// Session build options.
-        options: SessionOptions,
-    },
     /// Stop the daemon (admin).
     Shutdown,
     /// Create (or replace) a named session built from a shipped graph.
@@ -189,18 +181,15 @@ pub enum Request {
         /// The session to drop.
         name: String,
     },
-    /// Point this connection's subsequent requests at `sessions`:
-    /// one name routes to that session; several fan queries out
-    /// across them; an **empty** list fans out across every session
-    /// the server hosts at query time.
+    /// Point this connection's subsequent requests at the named
+    /// session.
     SessionRoute {
-        /// Target sessions (empty = all, resolved per request).
-        sessions: Vec<String>,
+        /// The target session.
+        name: String,
     },
-    /// Register a live match subscription on the routed session
-    /// (needs a single-session route). The response carries
-    /// the initial snapshot; the server then pushes `MATCH_DIFF`
-    /// frames as deltas apply.
+    /// Register a live match subscription on the routed session. The
+    /// response carries the initial snapshot; the server then pushes
+    /// `MATCH_DIFF` frames as deltas apply.
     Subscribe {
         /// The pattern to watch.
         pattern: Pattern,
@@ -509,11 +498,6 @@ pub enum Response {
     DeltaApplied(DeltaSummary),
     /// `None` when the session's cache is disabled.
     CacheStats(Option<WireCacheStats>),
-    Loaded {
-        nodes: u64,
-        edges: u64,
-        sites: u16,
-    },
     ShuttingDown,
     /// The created (or replaced) session's summary.
     SessionCreated(SessionInfo),
@@ -521,12 +505,8 @@ pub enum Response {
     Sessions(Vec<SessionInfo>),
     /// The named session is gone.
     SessionDropped,
-    /// The route was installed; `sessions` is how many sessions it
-    /// resolved to at install time (for the empty fan-out-all route,
-    /// the count hosted right now).
-    SessionRouted {
-        sessions: u64,
-    },
+    /// The route was installed.
+    SessionRouted,
     /// The subscription is live: its id, the generation of the
     /// initial snapshot, and the snapshot's match rows (one sorted
     /// list per query node, the submitted pattern's numbering). Every

@@ -1,6 +1,5 @@
 //! The worker pool: decode a request, run it against the routed
-//! session(s), encode the response and hand it back to the event
-//! thread.
+//! session, encode the response and hand it back to the event thread.
 
 use super::{elapsed_ns, frame_name, refresh_gauges, Completion, Shared, SLOW_LOG_CAP};
 use crate::error::ErrorCode;
@@ -8,10 +7,10 @@ use crate::proto::{
     rows_of, Answer, DeltaSummary, GraphInfo, Request, Response, SessionOptions, WireCacheStats,
     WireMetrics, WireTrace,
 };
-use crate::session::{merge_answers, merge_metrics, session_info, Route};
+use crate::session::session_info;
 use crate::wire::encode_frame_into;
-use dgs_core::{Algorithm, BooleanReport, DgsError, GraphDelta, SimEngine};
-use dgs_graph::{Graph, NodeId, Pattern};
+use dgs_core::{BooleanReport, DgsError, GraphDelta, SimEngine};
+use dgs_graph::{Graph, NodeId};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -31,17 +30,18 @@ struct TraceCapture {
 }
 
 /// Records what the slow-query log wants from a completed run.
-fn note_trace(trace: &mut TraceCapture, session: &str, report: &BooleanReport) {
-    trace.session = session.to_owned();
+fn note_trace(trace: &mut TraceCapture, session: String, report: &BooleanReport) {
+    trace.session = session;
     trace.algorithm = report.algorithm.to_owned();
     trace.plan = report.plan.to_string();
     trace.site_ops = report.metrics.site_ops.clone();
     trace.site_msgs = report.metrics.site_msgs.clone();
+    trace.generation = report.generation;
 }
 
 /// Pulls jobs until the queue closes: decode, execute, encode the
 /// response into a pooled frame buffer, hand it back, wake the
-/// poller. A panicking request (a shard bug, a pathological pattern)
+/// poller. A panicking request (an engine bug, a pathological pattern)
 /// becomes a typed `Internal` error instead of a dead worker.
 pub(super) fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.jobs.pop() {
@@ -150,123 +150,18 @@ fn no_such_session(name: &str) -> Response {
     }
 }
 
-fn single_target_only(what: &str, n: usize) -> Response {
-    Response::Error {
-        code: ErrorCode::Unsupported,
-        message: format!(
-            "{what} needs a single-session route, but this connection is routed to {n} sessions; \
-             SESSION_ROUTE to one session first"
-        ),
-    }
-}
-
-/// Resolves a route snapshot, mapping a missing session to its typed
-/// error (boxed: the happy path should not pay for the error
-/// variant's size).
-#[allow(clippy::type_complexity)]
-fn resolve(shared: &Shared, route: &Route) -> Result<Vec<(String, Arc<SimEngine>)>, Box<Response>> {
-    match shared.sessions.resolve(route) {
-        Ok(engines) if engines.is_empty() => Err(Box::new(Response::Error {
-            code: ErrorCode::NoSuchSession,
-            message: "no sessions are hosted (all were dropped)".into(),
-        })),
-        Ok(engines) => Ok(engines),
-        Err(name) => Err(Box::new(no_such_session(&name))),
-    }
-}
-
-/// The one session a request that needs a single target is routed to,
-/// or the typed refusal naming `what` asked.
-fn single_target(
+/// The session this connection is routed to, or the typed refusal
+/// when it was dropped after routing (boxed: the happy path should not
+/// pay for the error variant's size).
+fn routed_session(
     shared: &Shared,
-    route: &Mutex<Route>,
-    what: &str,
+    route: &Mutex<String>,
 ) -> Result<(String, Arc<SimEngine>), Box<Response>> {
-    let mut engines = resolve(shared, &route.lock().clone())?;
-    if engines.len() > 1 {
-        return Err(Box::new(single_target_only(what, engines.len())));
+    let name = route.lock().clone();
+    match shared.sessions.get(&name) {
+        Some(engine) => Ok((name, engine)),
+        None => Err(Box::new(no_such_session(&name))),
     }
-    Ok(engines.pop().expect("resolve answers at least one session"))
-}
-
-/// Runs `f` once per routed shard concurrently. A shard error — or a
-/// shard *panic*, which must answer a typed error rather than kill
-/// the connection — wins over the other shards' answers.
-fn fan_out<T, F>(engines: &[(String, Arc<SimEngine>)], f: F) -> Result<Vec<T>, Box<Response>>
-where
-    T: Send,
-    F: Fn(&SimEngine) -> Result<T, DgsError> + Sync,
-{
-    let joined: Vec<std::thread::Result<Result<T, DgsError>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = engines
-            .iter()
-            .map(|(_, engine)| s.spawn(|| f(engine)))
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut out = Vec::with_capacity(joined.len());
-    for (result, (name, _)) in joined.into_iter().zip(engines) {
-        match result {
-            Ok(Ok(v)) => out.push(v),
-            Ok(Err(e)) => return Err(Box::new(dgs_error(&e))),
-            Err(_) => {
-                return Err(Box::new(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("shard query panicked in session {name:?}"),
-                }));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Runs one data-selecting query on every routed shard concurrently
-/// and merges the relations (see [`crate::session::merge_answers`]).
-fn fan_out_query(
-    engines: &[(String, Arc<SimEngine>)],
-    algo: &Algorithm,
-    pattern: &Pattern,
-) -> Response {
-    match fan_out(engines, |engine| {
-        engine.query_with(algo, pattern).map(|r| Answer::of_run(&r))
-    }) {
-        Ok(parts) => Response::Answer(merge_answers(&parts)),
-        Err(resp) => *resp,
-    }
-}
-
-/// Runs a batch on every routed shard concurrently and merges
-/// item-wise; a shard error on an item wins over other shards'
-/// answers for it (partial unions would be silently wrong).
-fn fan_out_batch(
-    engines: &[(String, Arc<SimEngine>)],
-    algo: &Algorithm,
-    patterns: &[Pattern],
-) -> Response {
-    let shard_batches = match fan_out(
-        engines,
-        |engine| Ok(engine.query_batch_with(algo, patterns)),
-    ) {
-        Ok(batches) => batches,
-        Err(resp) => return *resp,
-    };
-    let mut total = WireMetrics::default();
-    for batch in &shard_batches {
-        merge_metrics(&mut total, &WireMetrics::of_run(&batch.total));
-    }
-    let items = (0..patterns.len())
-        .map(|i| {
-            let mut parts = Vec::with_capacity(shard_batches.len());
-            for batch in &shard_batches {
-                match &batch.reports[i] {
-                    Ok(report) => parts.push(Answer::of_run(report)),
-                    Err(e) => return Err((ErrorCode::of_dgs(e), e.to_string())),
-                }
-            }
-            Ok(merge_answers(&parts))
-        })
-        .collect();
-    Response::BatchAnswer { items, total }
 }
 
 /// Queues subscription push activity for the event loop: remembers
@@ -279,16 +174,16 @@ fn note_sub_dirty(shared: &Shared, dirty: Vec<u64>) {
     shared.wake.wake();
 }
 
-/// Runs one request against the routed session(s). `route` is the
-/// connection's shared route cell; barrier dispatch in the event loop
-/// guarantees `SESSION_ROUTE` never executes concurrently with other
-/// requests on the same connection. `conn_id` identifies the
-/// connection for subscription ownership. `trace` collects
-/// plan/per-site details for the slow-query log.
+/// Runs one request against the routed session. `route` is the
+/// connection's shared route cell, the routed session's name; barrier
+/// dispatch in the event loop guarantees `SESSION_ROUTE` never
+/// executes concurrently with other requests on the same connection.
+/// `conn_id` identifies the connection for subscription ownership.
+/// `trace` collects plan/per-site details for the slow-query log.
 fn execute(
     req: &Request,
     shared: &Shared,
-    route: &Mutex<Route>,
+    route: &Mutex<String>,
     conn_id: u64,
     trace: &mut TraceCapture,
 ) -> Response {
@@ -299,14 +194,14 @@ fn execute(
 fn try_execute(
     req: &Request,
     shared: &Shared,
-    route: &Mutex<Route>,
+    route: &Mutex<String>,
     conn_id: u64,
     trace: &mut TraceCapture,
 ) -> Result<Response, Box<Response>> {
     Ok(match req {
         Request::Ping => Response::Pong,
         Request::GraphInfo => {
-            let (_, engine) = single_target(shared, route, "GRAPH_INFO")?;
+            let (_, engine) = routed_session(shared, route)?;
             let g = engine.graph();
             let frag = engine.fragmentation();
             Response::GraphInfo(GraphInfo {
@@ -324,21 +219,8 @@ fn try_execute(
             algorithm,
             boolean,
         } => {
-            let engines = resolve(shared, &route.lock().clone())?;
+            let (name, engine) = routed_session(shared, route)?;
             let algo = algorithm.to_algorithm();
-            if engines.len() > 1 {
-                // Fan-out runs data-selecting even for Boolean
-                // queries: is_match must come from the *merged*
-                // relation's totality — OR-ing per-shard flags would
-                // claim matches no union supports per query node.
-                let mut resp = fan_out_query(&engines, &algo, pattern);
-                if let (true, Response::Answer(answer)) = (*boolean, &mut resp) {
-                    answer.rows = Vec::new();
-                }
-                return Ok(resp);
-            }
-            let (name, engine) = &engines[0];
-            trace.generation = engine.generation();
             let answered = if *boolean {
                 let report = engine.query_boolean_with(&algo, pattern);
                 report.map(|report| (Vec::new(), report))
@@ -358,14 +240,10 @@ fn try_execute(
             patterns,
             algorithm,
         } => {
-            let engines = resolve(shared, &route.lock().clone())?;
-            let algo = algorithm.to_algorithm();
-            if engines.len() > 1 {
-                return Ok(fan_out_batch(&engines, &algo, patterns));
-            }
-            let batch = engines[0].1.query_batch_with(&algo, patterns);
-            trace.session = engines[0].0.clone();
-            trace.generation = engines[0].1.generation();
+            let (name, engine) = routed_session(shared, route)?;
+            let batch = engine.query_batch_with(&algorithm.to_algorithm(), patterns);
+            trace.session = name;
+            trace.generation = batch.generation;
             trace.site_ops = batch.total.site_ops.clone();
             trace.site_msgs = batch.total.site_msgs.clone();
             let items = batch
@@ -385,7 +263,7 @@ fn try_execute(
             insert_edges,
             delete_edges,
         } => {
-            let (name, engine) = single_target(shared, route, "APPLY_DELTA")?;
+            let (name, engine) = routed_session(shared, route)?;
             let delta = GraphDelta {
                 insert_edges: insert_edges
                     .iter()
@@ -419,29 +297,8 @@ fn try_execute(
             }
         }
         Request::CacheStats => {
-            let (_, engine) = single_target(shared, route, "CACHE_STATS")?;
+            let (_, engine) = routed_session(shared, route)?;
             Response::CacheStats(engine.cache_stats().as_ref().map(WireCacheStats::of_stats))
-        }
-        Request::LoadGraph { graph, options } => {
-            let name = match &*route.lock() {
-                Route::Single(name) => name.clone(),
-                // The error names the *route's* target count, not the
-                // server-wide session count — Route::All resolves at
-                // request time, so only it consults the registry.
-                Route::Many(names) => {
-                    return Err(Box::new(single_target_only("LOAD_GRAPH", names.len())));
-                }
-                Route::All => {
-                    let hosted = shared.sessions.len();
-                    return Err(Box::new(single_target_only("LOAD_GRAPH", hosted)));
-                }
-            };
-            host_session(shared, &name, graph, options)?;
-            Response::Loaded {
-                nodes: graph.node_count() as u64,
-                edges: graph.edge_count() as u64,
-                sites: options.sites,
-            }
         }
         Request::SessionCreate {
             name,
@@ -462,22 +319,17 @@ fn try_execute(
                 no_such_session(name)
             }
         }
-        Request::SessionRoute { sessions } => {
-            let new_route = Route::of_names(sessions.clone());
-            // Named routes are validated now (typed error instead of a
-            // silently broken connection); Route::All re-resolves on
-            // every request by design.
-            match shared.sessions.resolve(&new_route) {
-                Ok(engines) => {
-                    let n = engines.len() as u64;
-                    *route.lock() = new_route;
-                    Response::SessionRouted { sessions: n }
-                }
-                Err(name) => no_such_session(&name),
+        Request::SessionRoute { name } => {
+            // Validated now: a typed error instead of a silently
+            // broken connection.
+            if shared.sessions.get(name).is_none() {
+                return Ok(no_such_session(name));
             }
+            name.clone_into(&mut route.lock());
+            Response::SessionRouted
         }
         Request::Subscribe { pattern, algorithm } => {
-            let (name, engine) = single_target(shared, route, "SUBSCRIBE")?;
+            let (name, engine) = routed_session(shared, route)?;
             match shared
                 .subs
                 .subscribe(conn_id, &name, &engine, pattern, *algorithm)
@@ -534,77 +386,4 @@ fn host_session(
     let engine = shared.sessions.insert(name, builder.build());
     note_sub_dirty(shared, shared.subs.drop_session(name));
     Ok(engine)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dgs_graph::generate::social::fig1;
-    use dgs_partition::Fragmentation;
-
-    fn shard_engines(n: usize) -> Vec<(String, Arc<SimEngine>)> {
-        (0..n)
-            .map(|i| {
-                let w = fig1();
-                let frag = Arc::new(Fragmentation::build(&w.graph, &w.assignment, 3));
-                (
-                    format!("shard{i}"),
-                    Arc::new(SimEngine::builder(&w.graph, frag).build()),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fan_out_answers_a_typed_error_when_a_shard_panics() {
-        let engines = shard_engines(3);
-        let mut calls = 0usize;
-        let calls_ptr = std::sync::atomic::AtomicUsize::new(0);
-        let result: Result<Vec<u32>, Box<Response>> = fan_out(&engines, |_| {
-            if calls_ptr.fetch_add(1, Ordering::SeqCst) == 1 {
-                panic!("injected shard failure");
-            }
-            Ok(7)
-        });
-        calls += calls_ptr.load(Ordering::SeqCst);
-        assert!(calls >= 2);
-        match result {
-            Err(resp) => match *resp {
-                Response::Error { code, message } => {
-                    assert_eq!(code, ErrorCode::Internal);
-                    assert!(message.contains("panicked"), "{message}");
-                    assert!(message.contains("shard"), "names the session: {message}");
-                }
-                other => panic!("expected Response::Error, got {other:?}"),
-            },
-            Ok(_) => panic!("a panicking shard must not produce an answer"),
-        }
-    }
-
-    #[test]
-    fn fan_out_typed_dgs_errors_win_over_panics_only_when_first() {
-        let engines = shard_engines(2);
-        let result: Result<Vec<u32>, Box<Response>> = fan_out(&engines, |_| {
-            Err(DgsError::Unsupported {
-                algorithm: "injected",
-                reason: "test".into(),
-            })
-        });
-        match result {
-            Err(resp) => match *resp {
-                Response::Error { code, .. } => assert_eq!(code, ErrorCode::Unsupported),
-                other => panic!("expected Response::Error, got {other:?}"),
-            },
-            Ok(_) => panic!("shard errors must propagate"),
-        }
-    }
-
-    #[test]
-    fn fan_out_collects_per_shard_values_in_engine_order() {
-        let engines = shard_engines(3);
-        let idx = std::sync::atomic::AtomicUsize::new(0);
-        let got: Vec<usize> =
-            fan_out(&engines, |_| Ok(idx.fetch_add(1, Ordering::SeqCst))).unwrap();
-        assert_eq!(got.len(), 3);
-    }
 }

@@ -8,7 +8,7 @@ use super::{Job, Shared};
 use crate::error::{ErrorCode, ServeError};
 use crate::poll::{PollSet, WakePipe};
 use crate::proto::{frame, Response, WIRE_MAGIC, WIRE_VERSION};
-use crate::session::Route;
+use crate::session::DEFAULT_SESSION;
 use crate::transport::{Conn, Listener};
 use crate::wire::{encode_frame_into, split_request_id, FrameBuffer, CONN_LEVEL_ID};
 use parking_lot::Mutex;
@@ -47,7 +47,8 @@ struct ConnState {
     /// A barrier frame (`SESSION_ROUTE`/`SHUTDOWN`) is executing;
     /// dispatch is paused until its completion releases it.
     barrier: bool,
-    route: Arc<Mutex<Route>>,
+    /// The session this connection's requests run against.
+    route: Arc<Mutex<String>>,
     /// No more reads; flush `out` and whatever is in flight, then
     /// close.
     closing: bool,
@@ -69,7 +70,7 @@ impl ConnState {
             pending: VecDeque::new(),
             in_flight: 0,
             barrier: false,
-            route: Arc::new(Mutex::new(Route::default())),
+            route: Arc::new(Mutex::new(DEFAULT_SESSION.to_owned())),
             closing: false,
             notified_shutdown: false,
         }

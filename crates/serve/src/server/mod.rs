@@ -44,7 +44,7 @@ mod metrics_http;
 
 use crate::poll::{WakeHandle, WakePipe};
 use crate::proto::{Request, WireTrace};
-use crate::session::{Route, SessionManager};
+use crate::session::SessionManager;
 use crate::subscribe::{SubObs, SubscriptionRegistry, DEFAULT_SUB_QUEUE_MAX};
 use crate::transport::{Listener, ServeAddr};
 use dgs_core::SimEngine;
@@ -112,9 +112,10 @@ impl Default for ServerConfig {
     }
 }
 
-// Workers oversubscribe cores: requests block on I/O-ish work
-// (scoped fan-out joins, delta maintenance) and a floor of 4 keeps a
-// short query from queueing behind slow writes even on a 1-core box.
+// Workers oversubscribe cores: a worker spends much of a request
+// waiting — on the intra-query and batch threads the engine spawns, on
+// socket-executor sites, on delta maintenance — and a floor of 4 keeps
+// a short query from queueing behind slow writes even on a 1-core box.
 fn default_workers() -> usize {
     (std::thread::available_parallelism()
         .map(|n| n.get())
@@ -124,14 +125,14 @@ fn default_workers() -> usize {
 }
 
 /// One decoded-enough request handed to the worker pool: the frame
-/// body stays raw so even `LOAD_GRAPH`-sized decodes happen off the
-/// event thread.
+/// body stays raw so even `SESSION_CREATE`-sized decodes happen off
+/// the event thread.
 struct Job {
     conn_id: u64,
     request_id: u64,
     ty: u8,
     body: Vec<u8>,
-    route: Arc<Mutex<Route>>,
+    route: Arc<Mutex<String>>,
     /// True for barrier frames (`SESSION_ROUTE`/`SHUTDOWN`): the
     /// completion reopens the connection's dispatch.
     release_barrier: bool,

@@ -1,37 +1,20 @@
-//! Named sessions and shard routing.
+//! Named sessions.
 //!
 //! A daemon hosts a set of named [`SimEngine`] sessions behind a
-//! [`SessionManager`]. Each connection carries a [`Route`] (default:
-//! the `"default"` session); `SESSION_ROUTE` points it at another
-//! session or fans queries out across several. The manager itself is
-//! a plain name → `Arc<SimEngine>` map behind a mutex held only for
-//! lookups and swaps — never across a query or a delta. The engines
-//! are snapshot-isolated internally, so handing out `Arc` clones is
-//! all the concurrency control the serve path needs: queries run
-//! against whatever generation snapshot is published, writers build
-//! the next generation off the read path.
-//!
-//! ## Fan-out semantics
-//!
-//! A fan-out route treats its sessions as **shards of one logical
-//! graph** (disjoint node-id spaces or not — the merge is a plain
-//! union). Graph simulation is preserved under disjoint union: the
-//! maximum simulation of `Q` in `G₁ ⊎ G₂` is exactly the union of the
-//! per-component maximum simulations, so merging per-shard relations
-//! row-wise (sorted union per query node) reproduces the whole-graph
-//! answer — provided each shard reports its maximum simulation, which
-//! every `Auto` answer is. An explicit `dGPMd`/`dGPMt` request for a
-//! cyclic pattern answers an acyclic shard with the `∅` convention
-//! instead, so its union keeps only the other shards' matches.
-//! `is_match` is recomputed from the *merged* rows — a query
-//! node matchless on every shard is matchless overall — which is why
-//! Boolean fan-out queries run data-selecting per shard first: OR-ing
-//! per-shard `is_match` flags would wrongly claim a match that no
-//! single shard (and no union) supports per query node. Metrics are
-//! summed; the answer is labelled `fanout(k)` over the shard count.
+//! [`SessionManager`]. Each connection is routed to exactly one of
+//! them (at first [`DEFAULT_SESSION`]); `SESSION_ROUTE` points it at
+//! another. Sessions only isolate graphs from one another: each is a
+//! whole graph `G`, distributed over its own sites, and an answer is
+//! always one session's maximum simulation at one of its generations.
+//! The manager itself is a plain name → `Arc<SimEngine>` map behind a
+//! mutex held only for lookups and swaps — never across a query or a
+//! delta. The engines are snapshot-isolated internally, so handing
+//! out `Arc` clones is all the concurrency control the serve path
+//! needs: queries run against whatever generation snapshot is
+//! published, writers build the next generation off the read path.
 
 use crate::flags::{num, Flags};
-use crate::proto::{Answer, SessionInfo, SessionOptions, WireMetrics, WirePartitioner};
+use crate::proto::{SessionInfo, SessionOptions, WirePartitioner};
 use dgs_core::{SimEngine, SimEngineBuilder};
 use dgs_graph::Graph;
 use dgs_partition::{bfs_partition, hash_partition, ldg_partition, tree_partition, Fragmentation};
@@ -42,39 +25,9 @@ use std::sync::Arc;
 /// The session every connection starts routed to.
 pub const DEFAULT_SESSION: &str = "default";
 
-/// Where a connection's requests go.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Route {
-    /// All requests hit this one session (admin frames included).
-    Single(String),
-    /// Queries fan out across these sessions; admin/write frames are
-    /// refused (they need a single target).
-    Many(Vec<String>),
-    /// Queries fan out across every hosted session, resolved at
-    /// request time.
-    All,
-}
-
-impl Default for Route {
-    fn default() -> Self {
-        Route::Single(DEFAULT_SESSION.to_owned())
-    }
-}
-
-impl Route {
-    /// The wire form (`SESSION_ROUTE`'s name list) of this route.
-    pub fn of_names(names: Vec<String>) -> Route {
-        match names.len() {
-            0 => Route::All,
-            1 => Route::Single(names.into_iter().next().unwrap()),
-            _ => Route::Many(names),
-        }
-    }
-}
-
 /// The one session recipe: `dgsd` and `dgsq` read the options off
-/// their flags, `LOAD_GRAPH`/`SESSION_CREATE` off the wire, and all of
-/// them build the session the same way.
+/// their flags, `SESSION_CREATE` off the wire, and all of them build
+/// the session the same way.
 impl SessionOptions {
     /// The options spelled by `--sites K --partition hash|bfs|ldg|tree
     /// --seed S --cache N` (keys without the dashes); an absent flag
@@ -152,16 +105,6 @@ impl SessionManager {
         self.sessions.lock().remove(name).is_some()
     }
 
-    /// Number of hosted sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.lock().len()
-    }
-
-    /// True when no session is hosted (every one was dropped).
-    pub fn is_empty(&self) -> bool {
-        self.sessions.lock().is_empty()
-    }
-
     /// Every hosted session, sorted by name.
     pub fn list(&self) -> Vec<(String, Arc<SimEngine>)> {
         self.sessions
@@ -169,29 +112,6 @@ impl SessionManager {
             .iter()
             .map(|(n, e)| (n.clone(), Arc::clone(e)))
             .collect()
-    }
-
-    /// The engines a route resolves to right now, sorted by name.
-    /// `Err` names the first missing session.
-    pub fn resolve(&self, route: &Route) -> Result<Vec<(String, Arc<SimEngine>)>, String> {
-        match route {
-            Route::Single(name) => match self.get(name) {
-                Some(e) => Ok(vec![(name.clone(), e)]),
-                None => Err(name.clone()),
-            },
-            Route::Many(names) => {
-                let map = self.sessions.lock();
-                let mut out = Vec::with_capacity(names.len());
-                for name in names {
-                    match map.get(name) {
-                        Some(e) => out.push((name.clone(), Arc::clone(e))),
-                        None => return Err(name.clone()),
-                    }
-                }
-                Ok(out)
-            }
-            Route::All => Ok(self.list()),
-        }
     }
 
     /// The `SESSION_LIST` summary of every hosted session.
@@ -212,101 +132,5 @@ pub fn session_info(name: &str, engine: &SimEngine) -> SessionInfo {
         edges: g.edge_count() as u64,
         sites: engine.fragmentation().num_sites() as u16,
         generation: engine.generation(),
-    }
-}
-
-/// Merges per-shard answers of **one** query into the disjoint-union
-/// answer: per-query-node sorted union of the shard rows, `is_match`
-/// recomputed from the merged rows, metrics summed.
-pub fn merge_answers(parts: &[Answer]) -> Answer {
-    let nq = parts.iter().map(|a| a.rows.len()).max().unwrap_or(0);
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nq];
-    let mut metrics = WireMetrics::default();
-    for part in parts {
-        for (u, row) in part.rows.iter().enumerate() {
-            rows[u].extend_from_slice(row);
-        }
-        merge_metrics(&mut metrics, &part.metrics);
-    }
-    for row in &mut rows {
-        row.sort_unstable();
-        row.dedup();
-    }
-    let is_match = nq > 0 && rows.iter().all(|r| !r.is_empty());
-    Answer {
-        rows,
-        is_match,
-        algorithm: format!("fanout({})", parts.len()),
-        plan: format!(
-            "fan-out over {} session(s): per-shard {}, rows merged as sorted unions",
-            parts.len(),
-            parts.first().map(|a| a.algorithm.as_str()).unwrap_or("-")
-        ),
-        metrics,
-    }
-}
-
-/// Field-wise sum (the wire metrics have no per-site vectors, so a
-/// plain add is exact).
-pub(crate) fn merge_metrics(total: &mut WireMetrics, part: &WireMetrics) {
-    total.data_bytes += part.data_bytes;
-    total.data_messages += part.data_messages;
-    total.control_bytes += part.control_bytes;
-    total.control_messages += part.control_messages;
-    total.result_bytes += part.result_bytes;
-    total.result_messages += part.result_messages;
-    total.total_ops += part.total_ops;
-    total.virtual_time_ns += part.virtual_time_ns;
-    total.quiescence_rounds += part.quiescence_rounds;
-    total.cache_hits += part.cache_hits;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn answer(rows: Vec<Vec<u32>>, is_match: bool) -> Answer {
-        Answer {
-            rows,
-            is_match,
-            algorithm: "dGPM".into(),
-            plan: "p".into(),
-            metrics: WireMetrics {
-                data_bytes: 10,
-                total_ops: 3,
-                ..WireMetrics::default()
-            },
-        }
-    }
-
-    #[test]
-    fn merge_unions_rows_and_recomputes_is_match() {
-        let a = answer(vec![vec![1, 5], vec![]], false);
-        let b = answer(vec![vec![5, 9], vec![2]], true);
-        let m = merge_answers(&[a, b]);
-        assert_eq!(m.rows, vec![vec![1, 5, 9], vec![2]]);
-        assert!(m.is_match, "union is total even though one shard isn't");
-        assert_eq!(m.metrics.data_bytes, 20);
-        assert_eq!(m.metrics.total_ops, 6);
-        assert!(m.algorithm.starts_with("fanout(2)"));
-    }
-
-    #[test]
-    fn merge_stays_matchless_when_a_row_is_empty_everywhere() {
-        let a = answer(vec![vec![1], vec![]], false);
-        let b = answer(vec![vec![2], vec![]], false);
-        let m = merge_answers(&[a, b]);
-        assert!(!m.is_match);
-        assert_eq!(m.rows[1], Vec::<u32>::new());
-    }
-
-    #[test]
-    fn route_of_names() {
-        assert_eq!(Route::of_names(vec![]), Route::All);
-        assert_eq!(Route::of_names(vec!["a".into()]), Route::Single("a".into()));
-        assert_eq!(
-            Route::of_names(vec!["a".into(), "b".into()]),
-            Route::Many(vec!["a".into(), "b".into()])
-        );
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::flags::*;
 use dgs::graph::io;
+use dgs::serve::DEFAULT_SESSION;
 use std::fs::File;
 
 pub fn cmd_generate(flags: &Flags) {
@@ -62,22 +63,14 @@ pub fn cmd_generate(flags: &Flags) {
         );
     }
     if remote.is_some() {
-        let mut client = connect(flags);
-        let options = session_options(flags);
-        if let Some(name) = get(flags, "session") {
-            // Load as (create or replace) a named session instead of
-            // swapping the daemon's default one.
-            let info = or_fail(client.session_create(name, &g, &options));
-            println!(
-                "loaded {family} graph into daemon session '{}': {} nodes, {} edges over {} sites",
-                info.name, info.nodes, info.edges, info.sites
-            );
-        } else {
-            let (nodes, edges, sites) = or_fail(client.load_graph(&g, &options));
-            println!(
-                "loaded {family} graph into daemon: {nodes} nodes, {edges} edges over {sites} sites"
-            );
-        }
+        // Creates (or replaces) the named session; without `--session`
+        // that is the one every connection starts routed to.
+        let name = get(flags, "session").unwrap_or(DEFAULT_SESSION);
+        let info = or_fail(connect(flags).session_create(name, &g, &session_options(flags)));
+        println!(
+            "loaded {family} graph into daemon session '{}': {} nodes, {} edges over {} sites",
+            info.name, info.nodes, info.edges, info.sites
+        );
     }
 }
 

@@ -77,7 +77,7 @@ pub fn connect(flags: &Flags) -> DgsClient {
 pub fn connect_routed(flags: &Flags) -> DgsClient {
     let mut client = connect(flags);
     if let Some(name) = get(flags, "session") {
-        or_fail(client.session_route(&[name]));
+        or_fail(client.session_route(name));
     }
     client
 }

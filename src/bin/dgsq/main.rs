@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dgsq generate --family web|citation|tree|community|rmat --nodes N [--edges M] [--labels L] [--seed S]
-//!               (--out FILE | --remote ADDR [--sites K] [--partition P])
+//!               (--out FILE | --remote ADDR [--session NAME] [--sites K] [--partition P])
 //! dgsq query    --graph FILE --pattern FILE[,FILE...] [--algorithm auto|NAME] [--sites K]
 //!               [--partition hash|bfs|ldg|tree] [--executor virtual|threaded]
 //!               [--seed S] [--boolean] [--matches]
@@ -23,8 +23,8 @@
 //! `stats` at a running `dgsd` daemon instead of doing the work
 //! in-process:
 //! `query` sends patterns (and `--updates` batches) to the daemon's
-//! shared session, `generate` loads the generated graph into the
-//! daemon as a fresh session, `stats` prints the served
+//! shared session, `generate` hosts the generated graph as the
+//! daemon's `default` session (or `--session NAME`), `stats` prints the served
 //! graph/fragmentation summary, and `shutdown` stops the daemon.
 //!
 //! Flags are `flags.rs`'s; `query` is `query.rs`'s, the graph-file
@@ -41,7 +41,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          dgsq generate --family web|citation|tree|community|rmat --nodes N [--edges M] [--labels L] [--seed S]\n           \
-         (--out FILE | --remote ADDR [--sites K] [--partition P])\n  \
+         (--out FILE | --remote ADDR [--session NAME] [--sites K] [--partition P])\n  \
          dgsq query --graph FILE --pattern FILE[,FILE...] [--algorithm auto|dgpm|dgpm-nopt|dgpms|dgpmd|dgpmt|match|dishhk|dmes]\n             \
          [--sites K] [--partition hash|bfs|ldg|tree] [--executor virtual|threaded|socket] [--seed S] [--boolean] [--matches]\n             [--workers N | --attach HOST:PORT,...]\n             \
          [--cache N] [--parallel W] [--repeat R] [--updates OPS.txt]\n  \

@@ -2,8 +2,9 @@
 //! never a panic), the end-to-end daemon with ≥ 8 concurrent clients
 //! mixing queries and deltas against an in-process `SimEngine`
 //! oracle, admission-control backpressure, version negotiation,
-//! session replacement, multi-session routing with fan-out merge,
-//! snapshot isolation under a delta storm, and drain-on-shutdown.
+//! session replacement through `SESSION_CREATE`, routing each
+//! connection to one named session, snapshot isolation under a delta
+//! storm, and drain-on-shutdown.
 
 use dgs::core::{GraphDelta, SimEngine};
 use dgs::graph::generate::{patterns, random};
@@ -15,7 +16,7 @@ use dgs::serve::wire::{
 use dgs::serve::{
     run_conn_sweep, Answer, Conn, ConnSweepConfig, DgsClient, ErrorCode, MatchDiff, Request,
     Response, ServeError, Server, ServerConfig, SessionInfo, SessionOptions, SubEventKind,
-    SubscriptionEvent, WireAlgorithm, WireMetrics, WirePartitioner, WireTrace, WIRE_MAGIC,
+    SubscriptionEvent, WireAlgorithm, WireMetrics, WireTrace, DEFAULT_SESSION, WIRE_MAGIC,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -47,24 +48,6 @@ fn spawn_server(g: &Graph, k: usize, seed: u64, cfg: ServerConfig) -> dgs::serve
         .spawn()
 }
 
-/// What a fan-out answer must contain: the per-query-node sorted
-/// dedup union of the shard relations (graph simulation distributes
-/// over disjoint union, so this *is* the combined graph's relation).
-fn fan_out_rows(parts: &[Vec<Vec<u32>>]) -> Vec<Vec<u32>> {
-    let nq = parts.iter().map(|p| p.len()).max().unwrap_or(0);
-    (0..nq)
-        .map(|u| {
-            let mut row: Vec<u32> = parts
-                .iter()
-                .flat_map(|p| p.get(u).into_iter().flatten().copied())
-                .collect();
-            row.sort_unstable();
-            row.dedup();
-            row
-        })
-        .collect()
-}
-
 // ---- codec: one roundtrip per frame type ------------------------------
 
 fn sample_answer(seed: u64) -> Answer {
@@ -92,7 +75,6 @@ fn sample_answer(seed: u64) -> Answer {
 }
 
 fn all_requests() -> Vec<Request> {
-    let g = random::uniform(12, 30, 3, 5);
     vec![
         Request::Ping,
         Request::GraphInfo,
@@ -115,15 +97,6 @@ fn all_requests() -> Vec<Request> {
             delete_edges: vec![(3, 3)],
         },
         Request::CacheStats,
-        Request::LoadGraph {
-            graph: g,
-            options: SessionOptions {
-                sites: 3,
-                partitioner: WirePartitioner::Bfs,
-                seed: 9,
-                cache_capacity: 7,
-            },
-        },
         Request::Shutdown,
         Request::SessionCreate {
             name: "shard-a".into(),
@@ -135,7 +108,7 @@ fn all_requests() -> Vec<Request> {
             name: "shard-a".into(),
         },
         Request::SessionRoute {
-            sessions: vec!["shard-a".into(), "shard-b".into()],
+            name: "shard-a".into(),
         },
         Request::Subscribe {
             pattern: mixed_pattern(2, 3),
@@ -235,11 +208,6 @@ fn all_responses() -> Vec<Response> {
             evictions: 5,
             generation: 6,
         })),
-        Response::Loaded {
-            nodes: 10,
-            edges: 20,
-            sites: 2,
-        },
         Response::ShuttingDown,
         Response::Error {
             code: ErrorCode::Busy,
@@ -269,7 +237,7 @@ fn all_responses() -> Vec<Response> {
             },
         ]),
         Response::SessionDropped,
-        Response::SessionRouted { sessions: 2 },
+        Response::SessionRouted,
         Response::Subscribed {
             sub_id: 5,
             generation: 17,
@@ -365,12 +333,11 @@ fn every_frame_encodes_to_its_pinned_bytes() {
         (0x13, 89, 0xeddc8efff9a80c6a),
         (0x14, 8, 0xab3cc41bd93a0c08),
         (0x15, 0, 0xaf63c84c8601ca90),
-        (0x17, 68, 0xa2a3c5fd1886932a),
         (0x18, 0, 0xaf63d54c8601e0a7),
         (0x19, 62, 0x78ec371d3a33caba),
         (0x1a, 0, 0xaf63d74c8601e40d),
         (0x1b, 8, 0x0263284dd1d0e78f),
-        (0x1c, 17, 0x8633c52d17d20f76),
+        (0x1c, 8, 0x566873b7b28954e6),
         (0x1d, 25, 0xf73ce5bd2614292c),
         (0x1e, 1, 0x087d7607b52b3cd1),
         (0x1f, 0, 0xaf63d24c8601db8e),
@@ -384,13 +351,12 @@ fn every_frame_encodes_to_its_pinned_bytes() {
         (0x24, 12, 0x92e7df5354ab069b),
         (0x25, 1, 0x07b4ca07b4809b00),
         (0x25, 7, 0xbb3bd0feebd1a2c4),
-        (0x27, 4, 0x50abd93c43787f82),
         (0x28, 0, 0xaf63a54c86018f17),
         (0x3f, 14, 0xcdce4766d977ebd8),
         (0x29, 13, 0x15b6f0941ef38d89),
         (0x2a, 28, 0x70423a7637104cf8),
         (0x2b, 0, 0xaf63a64c860190ca),
-        (0x2c, 1, 0x07d35e07b49a940b),
+        (0x2c, 0, 0xaf63a14c8601884b),
         (0x2d, 10, 0x62e6dfb64ddf0e89),
         (0x2e, 0, 0xaf63a34c86018bb1),
         (0x30, 13, 0xaf50bff86a0c04ca),
@@ -656,10 +622,10 @@ fn raw_hello(addr: &ServeAddr, version: u8, extensions: &[u8]) -> Conn {
 
 /// [`raw_hello`] at the served version, with the `WELCOME` consumed.
 fn raw_connect(addr: &ServeAddr) -> Conn {
-    let mut conn = raw_hello(addr, 5, b"");
+    let mut conn = raw_hello(addr, 6, b"");
     let (ty, payload) = read_frame(&mut conn).expect("welcome").expect("welcome");
     assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload[4], 5);
+    assert_eq!(payload[4], 6);
     conn
 }
 
@@ -669,11 +635,11 @@ fn handshake_negotiates_down_and_rejects_garbage() {
     let handle = spawn_server(&g, 2, 5, ServerConfig::default());
     let addr = handle.addr().clone();
 
-    // A future client offering v9 gets our v5 back.
+    // A future client offering v9 gets our v6 back.
     let mut conn = raw_hello(&addr, 9, b"");
     let (ty, payload) = read_frame(&mut conn).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME);
-    assert_eq!(payload, [b'D', b'G', b'S', b'W', 5]);
+    assert_eq!(payload, [b'D', b'G', b'S', b'W', 6]);
 
     // Every request carries a varint id the response echoes. A
     // malformed request frame gets a typed error and the connection
@@ -705,17 +671,17 @@ fn handshake_negotiates_down_and_rejects_garbage() {
         other => panic!("expected Malformed error, got {other:?}"),
     }
 
-    // The retired dialects (v1–v4) are refused, not negotiated down
+    // The retired dialects (v1–v5) are refused, not negotiated down
     // to: one id-less typed `Unsupported` error naming the served
     // version, then the close.
-    for theirs in [4u8, 3, 2, 1, 0] {
+    for theirs in [5u8, 4, 3, 2, 1, 0] {
         let mut old = raw_hello(&addr, theirs, b"");
         let (ty, payload) = read_frame(&mut old).unwrap().unwrap();
         match Response::decode(ty, &payload).unwrap() {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::Unsupported, "v{theirs}");
                 assert_eq!(code.to_u16(), 2);
-                assert!(message.contains("v5"), "v{theirs}: {message}");
+                assert!(message.contains("v6"), "v{theirs}: {message}");
             }
             other => panic!("v{theirs}: expected a typed refusal, got {other:?}"),
         }
@@ -727,17 +693,20 @@ fn handshake_negotiates_down_and_rejects_garbage() {
 
     // HELLO with trailing extension bytes after the version is
     // tolerated (a future client's extensions), not rejected.
-    let mut conn4 = raw_hello(&addr, 5, b"future-extension");
+    let mut conn4 = raw_hello(&addr, 6, b"future-extension");
     let (ty, payload) = read_frame(&mut conn4).unwrap().unwrap();
     assert_eq!(ty, frame::WELCOME, "trailing HELLO bytes are tolerated");
-    assert_eq!(payload[4], 5);
+    assert_eq!(payload[4], 6);
 
     drop((conn, conn2, conn4));
     handle.shutdown().expect("shutdown");
 }
 
+/// `SESSION_CREATE` on `default` replaces the session every connection
+/// starts routed to: a connection opened before the swap answers from
+/// the new graph on its next request.
 #[test]
-fn load_graph_swaps_the_served_session() {
+fn session_create_on_default_swaps_the_served_session() {
     let g1 = random::uniform(50, 150, 3, 11);
     let handle = spawn_server(&g1, 2, 11, ServerConfig::default());
     let mut client = DgsClient::connect(handle.addr()).expect("connect");
@@ -749,8 +718,19 @@ fn load_graph_swaps_the_served_session() {
         seed: 13,
         ..SessionOptions::default()
     };
-    let (nodes, edges, sites) = client.load_graph(&g2, &options).expect("load");
-    assert_eq!((nodes, edges, sites), (80, g2.edge_count() as u64, 3));
+    let mut admin = DgsClient::connect(handle.addr()).expect("connect");
+    let created = admin
+        .session_create(DEFAULT_SESSION, &g2, &options)
+        .expect("create");
+    assert_eq!(
+        (
+            created.name.as_str(),
+            created.nodes,
+            created.edges,
+            created.sites
+        ),
+        (DEFAULT_SESSION, 80, g2.edge_count() as u64, 3)
+    );
     let info = client.graph_info().unwrap();
     assert_eq!(info.nodes, 80);
     assert_eq!(info.sites, 3);
@@ -766,7 +746,7 @@ fn load_graph_swaps_the_served_session() {
         let a = client.query(&q, WireAlgorithm::Auto).expect("query");
         assert_eq!(a.rows, rows_of(&want), "pattern {i} after session swap");
     }
-    drop(client);
+    drop((client, admin));
     handle.shutdown().expect("shutdown");
 }
 
@@ -791,70 +771,14 @@ fn unix_socket_serving_works_end_to_end() {
     assert!(!path.exists(), "socket file cleaned up on shutdown");
 }
 
-// ---- multi-session routing + fan-out ----------------------------------
+// ---- multi-session routing ------------------------------------------
 
-/// A fan-out answer is the union of the shards' relations, which is the
-/// combined graph's relation only if every shard reports its maximum
-/// simulation. On an acyclic shard a cyclic pattern's cycle cannot
-/// match — but a pattern node that reaches no cycle of the pattern
-/// still can, and the union must keep those matches.
+/// Create/list/drop over the wire. A connection routed to one named
+/// session answers exactly like an identically configured in-process
+/// engine over that session's graph, and unknown names are typed
+/// `NoSuchSession`.
 #[test]
-fn fan_out_over_an_acyclic_shard_keeps_matches_outside_the_pattern_cycle() {
-    use dgs::graph::generate::dag;
-    const LABELS: usize = 3;
-    let acyclic = dag::citation_like(200, 500, LABELS, 7);
-    let cyclic = random::uniform(120, 600, LABELS, 8);
-    // c1 ⇄ c2, c2 → s: s reaches no cycle.
-    let mut qb = PatternBuilder::new();
-    let c1 = qb.add_node(Label(0));
-    let c2 = qb.add_node(Label(1));
-    let s = qb.add_node(Label(2));
-    qb.add_edge(c1, c2);
-    qb.add_edge(c2, c1);
-    qb.add_edge(c2, s);
-    let q = qb.build();
-    let shard_rows: Vec<Vec<Vec<u32>>> = [&acyclic, &cyclic]
-        .iter()
-        .map(|g| rows_of(&hhk_simulation(&q, g).relation))
-        .collect();
-    assert!(shard_rows[0][0].is_empty() && !shard_rows[0][2].is_empty());
-    assert!(
-        !shard_rows[1][0].is_empty(),
-        "the cycle matches on the cyclic shard"
-    );
-    let want = fan_out_rows(&shard_rows);
-
-    let handle = spawn_server(&cyclic, 2, 8, ServerConfig::default());
-    let mut client = DgsClient::connect(handle.addr()).expect("connect");
-    let options = SessionOptions {
-        sites: 2,
-        seed: 7,
-        ..SessionOptions::default()
-    };
-    client
-        .session_create("acyclic", &acyclic, &options)
-        .expect("create the acyclic shard");
-    client
-        .session_create("cyclic", &cyclic, &options)
-        .expect("create the cyclic shard");
-    assert_eq!(client.session_route(&["acyclic", "cyclic"]).unwrap(), 2);
-    for pass in ["cold", "cached"] {
-        let a = client
-            .query(&q, WireAlgorithm::Auto)
-            .expect("fan-out query");
-        assert_eq!(a.rows, want, "{pass} fan-out rows");
-    }
-    drop(client);
-    handle.shutdown().expect("shutdown");
-}
-
-/// Create/list/drop/route over the wire. Fan-out answers must be the
-/// per-query-node sorted dedup union of what identically configured
-/// per-shard oracles produce, single-target admin frames on a
-/// multi-session route fail with a typed `Unsupported`, and the empty
-/// ("all sessions") route re-resolves per request.
-#[test]
-fn multi_session_routing_and_fan_out_merge_match_per_shard_oracles() {
+fn multi_session_routing_matches_per_session_oracles() {
     const LABELS: usize = 3;
     let g0 = random::uniform(60, 180, LABELS, 21);
     let handle = spawn_server(&g0, 2, 21, ServerConfig::default());
@@ -877,90 +801,41 @@ fn multi_session_routing_and_fan_out_merge_match_per_shard_oracles() {
     client
         .session_create("shard-b", &gb, &options)
         .expect("create shard-b");
-    let names: Vec<String> = client
-        .session_list()
-        .expect("list")
-        .into_iter()
-        .map(|s| s.name)
-        .collect();
-    assert_eq!(names, ["default", "shard-a", "shard-b"]);
-
-    // Oracles built exactly like the server built its shards.
-    let oracle_a = build_engine(&ga, 2, 5);
-    let oracle_b = build_engine(&gb, 2, 5);
+    let names = |client: &mut DgsClient| -> Vec<String> {
+        let infos = client.session_list().expect("list");
+        infos.into_iter().map(|s| s.name).collect()
+    };
+    assert_eq!(names(&mut client), ["default", "shard-a", "shard-b"]);
 
     // A single-name route behaves like a dedicated server for that
-    // shard.
-    assert_eq!(client.session_route(&["shard-a"]).expect("route"), 1);
-    let q = mixed_pattern(1, LABELS);
-    let a = client.query(&q, WireAlgorithm::Auto).expect("routed query");
-    assert_eq!(a.rows, rows_of(&oracle_a.query(&q).unwrap().relation));
-
-    // Fan-out over both shards.
-    assert_eq!(client.session_route(&["shard-a", "shard-b"]).unwrap(), 2);
+    // session: oracles built exactly like the server built them.
     let pool: Vec<Pattern> = (0..6).map(|i| mixed_pattern(i, LABELS)).collect();
-    let expected: Vec<Vec<Vec<u32>>> = pool
-        .iter()
-        .map(|q| {
-            fan_out_rows(&[
-                rows_of(&oracle_a.query(q).unwrap().relation),
-                rows_of(&oracle_b.query(q).unwrap().relation),
-            ])
-        })
-        .collect();
-    for (qi, q) in pool.iter().enumerate() {
-        let a = client.query(q, WireAlgorithm::Auto).expect("fan-out query");
-        assert_eq!(a.rows, expected[qi], "fan-out pattern {qi}");
-        let total = !a.rows.is_empty() && a.rows.iter().all(|r| !r.is_empty());
-        assert_eq!(a.is_match, total, "is_match recomputed from the merge");
-        assert!(a.algorithm.starts_with("fanout"), "got {}", a.algorithm);
-    }
-    // Batches fan out item-wise.
-    let (items, _) = client
-        .query_batch(&pool, WireAlgorithm::Auto)
-        .expect("fan-out batch");
-    for (qi, item) in items.iter().enumerate() {
-        let a = item.as_ref().expect("batch item");
-        assert_eq!(a.rows, expected[qi], "batch item {qi}");
-    }
-    // Single-target frames refuse a two-session route, typed.
-    let delta = GraphDelta::insertions([(NodeId(0), NodeId(1))]);
-    for (what, err) in [
-        (
-            "GRAPH_INFO",
-            client.graph_info().err().map(|e| e.to_string()),
-        ),
-        (
-            "APPLY_DELTA",
-            client.apply_delta(&delta).err().map(|e| e.to_string()),
-        ),
-        (
-            "CACHE_STATS",
-            client.cache_stats().err().map(|e| e.to_string()),
-        ),
-    ] {
-        let msg = err.unwrap_or_else(|| panic!("{what} must fail on a fan-out route"));
-        assert!(msg.contains("single"), "{what}: {msg}");
+    for (name, g) in [("shard-a", &ga), ("shard-b", &gb)] {
+        let oracle = build_engine(g, 2, 5);
+        client.session_route(name).expect("route");
+        assert_eq!(client.graph_info().unwrap().nodes, g.node_count() as u64);
+        for (qi, q) in pool.iter().enumerate() {
+            let a = client.query(q, WireAlgorithm::Auto).expect("routed query");
+            let want = oracle.query(q).unwrap();
+            assert_eq!(a.rows, rows_of(&want.relation), "{name} pattern {qi}");
+            assert_eq!(a.is_match, want.is_match, "{name} pattern {qi}");
+        }
+        let (items, _) = client
+            .query_batch(&pool, WireAlgorithm::Auto)
+            .expect("routed batch");
+        for (qi, (item, q)) in items.iter().zip(&pool).enumerate() {
+            let a = item.as_ref().expect("batch item");
+            let want = rows_of(&oracle.query(q).unwrap().relation);
+            assert_eq!(a.rows, want, "{name} batch item {qi}");
+        }
     }
 
-    // The empty route means "all sessions", re-resolved per request:
-    // dropping a shard shrinks the fan-out without re-routing.
-    assert_eq!(client.session_route::<&str>(&[]).unwrap(), 3);
     client.session_drop("shard-b").expect("drop shard-b");
-    let oracle_0 = build_engine(&g0, 2, 21);
-    let q = mixed_pattern(2, LABELS);
-    let want = fan_out_rows(&[
-        rows_of(&oracle_0.query(&q).unwrap().relation),
-        rows_of(&oracle_a.query(&q).unwrap().relation),
-    ]);
-    let a = client
-        .query(&q, WireAlgorithm::Auto)
-        .expect("all-route query");
-    assert_eq!(a.rows, want, "all-route re-resolves after a drop");
+    assert_eq!(names(&mut client), ["default", "shard-a"]);
 
     // Unknown names are typed NoSuchSession — at route and drop time.
     for err in [
-        client.session_route(&["nope"]).err(),
+        client.session_route("nope").err(),
         client.session_drop("nope").err(),
     ] {
         match err {
@@ -1288,7 +1163,7 @@ fn rejected_clients_read_complete_busy_frames_across_shutdown() {
     // A burst of doomed dials, each sending HELLO without reading the
     // answer — their Busy frames are queued (or still unwritten) when
     // the shutdown lands.
-    let doomed: Vec<Conn> = (0..REJECTED).map(|_| raw_hello(&addr, 5, b"")).collect();
+    let doomed: Vec<Conn> = (0..REJECTED).map(|_| raw_hello(&addr, 6, b"")).collect();
     handle.shutdown().expect("shutdown");
     for (i, mut conn) in doomed.into_iter().enumerate() {
         let (ty, payload) = read_frame(&mut conn)
@@ -1300,41 +1175,6 @@ fn rejected_clients_read_complete_busy_frames_across_shutdown() {
         }
     }
     drop(admitted);
-}
-
-/// Satellite: `LOAD_GRAPH` on a multi-session route reports the
-/// *route's* width, not how many sessions the server happens to
-/// host. Three hosted sessions, a two-session route: the error must
-/// say 2.
-#[test]
-fn load_graph_on_a_multi_route_reports_the_route_width() {
-    let g = random::uniform(40, 120, 3, 13);
-    let handle = spawn_server(&g, 2, 13, ServerConfig::default());
-    let mut client = DgsClient::connect(handle.addr()).expect("connect");
-
-    let opts = SessionOptions::default();
-    client.session_create("a", &g, &opts).expect("session a");
-    client.session_create("b", &g, &opts).expect("session b");
-    assert_eq!(
-        client.session_route(&["default", "a"]).expect("route"),
-        2,
-        "route resolves to two sessions"
-    );
-    let err = client
-        .load_graph(&g, &opts)
-        .expect_err("LOAD_GRAPH must refuse a fan-out route");
-    match err {
-        ServeError::Remote { code, message } => {
-            assert_eq!(code, ErrorCode::Unsupported);
-            assert!(
-                message.contains("routed to 2 sessions"),
-                "error must count the route targets (2), not the hosted sessions (3): {message}"
-            );
-        }
-        other => panic!("expected Remote(Unsupported), got {other}"),
-    }
-    drop(client);
-    handle.shutdown().expect("shutdown");
 }
 
 /// Satellite: a read timeout that fires *mid-frame* (between the
@@ -1456,7 +1296,7 @@ fn client_rejects_a_response_with_an_unknown_request_id() {
         let (ty, _) = read_frame(&mut s).expect("hello").expect("hello");
         assert_eq!(ty, frame::HELLO);
         let mut welcome = WIRE_MAGIC.to_vec();
-        welcome.push(5);
+        welcome.push(6);
         write_frame(&mut s, frame::WELCOME, &welcome).expect("welcome");
         let (_, payload) = read_frame(&mut s).expect("request").expect("request");
         let (id, _) = split_request_id(&payload).expect("id");
@@ -1786,11 +1626,10 @@ fn concurrent_writers_keep_a_subscription_exact() {
     handle.shutdown().expect("shutdown");
 }
 
-/// Satellite: a live `Route::Many` that names a dropped session is
-/// *stale*, not broken — the next request gets a typed
-/// `NoSuchSession` (raw frames, so the regression pins the wire
-/// behaviour), and the dropped session's subscriptions end with a
-/// typed `SessionDropped` event.
+/// Satellite: a route to a dropped session is *stale*, not broken —
+/// the next request gets a typed `NoSuchSession` (raw frames, so the
+/// regression pins the wire behaviour), and the dropped session's
+/// subscriptions end with a typed `SessionDropped` event.
 #[test]
 fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
     let g = random::uniform(40, 120, 3, 51);
@@ -1804,7 +1643,7 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
     admin.session_create("a", &g, &opts).expect("session a");
     admin.session_create("b", &g, &opts).expect("session b");
 
-    // Raw client routed across ["default", "a"].
+    // Raw client routed to "a".
     let mut conn = raw_connect(handle.addr());
     let send = |conn: &mut Conn, id: u8, req: &Request| {
         let (ty, body) = req.encode();
@@ -1816,14 +1655,8 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
         assert_eq!(got, u64::from(id));
         Response::decode(ty, rest).unwrap()
     };
-    let routed = send(
-        &mut conn,
-        1,
-        &Request::SessionRoute {
-            sessions: vec!["default".into(), "a".into()],
-        },
-    );
-    assert_eq!(routed, Response::SessionRouted { sessions: 2 });
+    let routed = send(&mut conn, 1, &Request::SessionRoute { name: "a".into() });
+    assert_eq!(routed, Response::SessionRouted);
 
     admin.session_drop("a").expect("drop a");
 
@@ -1842,18 +1675,10 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
         other => panic!("expected NoSuchSession on the stale route, got {other:?}"),
     }
 
-    // SUBSCRIBE needs a single-session route; fan-out is refused typed.
-    let mut wide = DgsClient::connect(handle.addr()).expect("connect");
-    wide.session_route(&["default", "b"]).expect("route");
-    match wide.subscribe(&mixed_pattern(1, 3), WireAlgorithm::Auto) {
-        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Unsupported),
-        other => panic!("expected Unsupported on a fan-out SUBSCRIBE, got {other:?}"),
-    }
-
     // A subscription on "b" dies with a typed event when "b" drops,
-    // and the subscriber's stale single route answers typed too.
+    // and the subscriber's stale route answers typed too.
     let mut sub = DgsClient::connect(handle.addr()).expect("connect");
-    sub.session_route(&["b"]).expect("route b");
+    sub.session_route("b").expect("route b");
     let q = mixed_pattern(2, 3);
     let (sub_id, _, _) = sub.subscribe(&q, WireAlgorithm::Auto).expect("subscribe");
     assert_eq!(handle.live_subscriptions(), 1);
@@ -1868,17 +1693,17 @@ fn dropping_a_routed_session_is_typed_stale_and_terminates_its_subscriptions() {
     }
     match sub.query(&q, WireAlgorithm::Auto) {
         Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::NoSuchSession),
-        other => panic!("stale single route must answer typed, got {other:?}"),
+        other => panic!("a stale route must answer typed, got {other:?}"),
     }
 
-    drop((admin, conn, wide, sub));
+    drop((admin, conn, sub));
     handle.shutdown().expect("shutdown");
 }
 
 /// There is no "below v4" connection to SUBSCRIBE on any more: a v3
 /// HELLO is refused typed at the handshake and the socket closed, so a
 /// SUBSCRIBE behind it is never executed — while the same frame on a
-/// v5 connection of the same server subscribes.
+/// v6 connection of the same server subscribes.
 #[test]
 fn subscribe_from_a_retired_version_is_refused_at_the_handshake() {
     let g = random::uniform(30, 80, 3, 61);
@@ -1897,7 +1722,7 @@ fn subscribe_from_a_retired_version_is_refused_at_the_handshake() {
         Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::Unsupported);
             assert!(
-                message.contains("v5"),
+                message.contains("v6"),
                 "the refusal names the version: {message}"
             );
         }
