@@ -245,9 +245,9 @@ pub(crate) struct CachedResult {
 /// cache.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries currently held.
+    /// Entries the current generation holds.
     pub entries: usize,
-    /// Maximum entries held.
+    /// Maximum entries a generation holds.
     pub capacity: usize,
     /// Lookups served from the cache.
     pub hits: u64,
@@ -255,10 +255,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped by the LRU policy.
     pub evictions: u64,
-    /// The engine's current graph generation. Entries are keyed under
-    /// the generation they were computed at; every `apply_delta` or
-    /// `cache_invalidate_all` moves the engine to a fresh generation,
-    /// so a growing value is invalidation churn made observable.
+    /// The engine's current graph generation. Each generation holds
+    /// its own entries; every `apply_delta` or `cache_invalidate_all`
+    /// moves the engine to a fresh generation, so a growing value is
+    /// invalidation churn made observable.
     pub generation: u64,
 }
 
@@ -268,7 +268,9 @@ struct Entry {
     tick: u64,
 }
 
-/// An LRU map from canonical pattern encodings to cached answers.
+/// An LRU map from canonical pattern encodings to cached answers, one
+/// per generation. It counts nothing: the engine keeps the hit, miss
+/// and eviction counters of the whole session.
 ///
 /// Recency is tracked with a monotonic tick per entry plus a queue of
 /// `(tick, key)` touches; stale queue entries (whose tick no longer
@@ -280,9 +282,6 @@ pub(crate) struct PatternCache {
     map: HashMap<Vec<u32>, Entry>,
     queue: VecDeque<(u64, Vec<u32>)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl PatternCache {
@@ -292,28 +291,25 @@ impl PatternCache {
             map: HashMap::new(),
             queue: VecDeque::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
+    }
+
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
     }
 
     pub fn get(&mut self, key: &[u32]) -> Option<Arc<CachedResult>> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.tick = self.tick;
-                self.queue.push_back((self.tick, key.to_vec()));
-                self.hits += 1;
-                let hit = Arc::clone(&e.value);
-                self.compact();
-                Some(hit)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let e = self.map.get_mut(key)?;
+        e.tick = self.tick;
+        self.queue.push_back((self.tick, key.to_vec()));
+        let hit = Arc::clone(&e.value);
+        self.compact();
+        Some(hit)
     }
 
     /// Drops stale touches once the queue outgrows a small multiple of
@@ -328,10 +324,13 @@ impl PatternCache {
         }
     }
 
-    pub fn insert(&mut self, key: Vec<u32>, value: Arc<CachedResult>) {
+    /// Stores `value` under `key` and returns how many entries the LRU
+    /// dropped to make room.
+    pub fn insert(&mut self, key: Vec<u32>, value: Arc<CachedResult>) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 0;
         }
+        let mut evicted = 0;
         self.tick += 1;
         self.queue.push_back((self.tick, key.clone()));
         self.map.insert(
@@ -349,50 +348,24 @@ impl PatternCache {
             // entries are stale and skipped.
             if self.map.get(&k).is_some_and(|e| e.tick == t) {
                 self.map.remove(&k);
-                self.evictions += 1;
+                evicted += 1;
             }
         }
         self.compact();
+        evicted
     }
 
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.map.len(),
-            capacity: self.capacity,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            generation: 0,
-        }
-    }
-
-    /// Snapshots the entries whose key starts with `prefix` (the
-    /// engine's generation words) — the still-valid entries the
-    /// update subsystem promotes to incremental maintenance.
-    pub fn entries_with_prefix(&self, prefix: &[u32]) -> Vec<(Vec<u32>, Arc<CachedResult>)> {
+    /// Every entry, sorted by key — the answers the update subsystem
+    /// promotes to incremental maintenance, in a deterministic order.
+    pub fn entries(&self) -> Vec<(Vec<u32>, Arc<CachedResult>)> {
         let mut out: Vec<(Vec<u32>, Arc<CachedResult>)> = self
             .map
             .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
             .map(|(k, e)| (k.clone(), Arc::clone(&e.value)))
             .collect();
         // Deterministic order regardless of hash-map iteration.
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Drops every entry whose key starts with `prefix` (one
-    /// generation), counting them as evictions. Entries of other
-    /// generations survive.
-    pub fn remove_with_prefix(&mut self, prefix: &[u32]) -> usize {
-        let before = self.map.len();
-        self.map.retain(|k, _| !k.starts_with(prefix));
-        let removed = before - self.map.len();
-        self.evictions += removed as u64;
-        let map = &self.map;
-        self.queue
-            .retain(|(t, k)| map.get(k).is_some_and(|e| e.tick == *t));
-        removed
     }
 }
 
@@ -530,18 +503,14 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_touched() {
         let mut c = PatternCache::new(2);
-        c.insert(vec![1], dummy("a"));
-        c.insert(vec![2], dummy("b"));
+        assert_eq!(c.insert(vec![1], dummy("a")), 0);
+        assert_eq!(c.insert(vec![2], dummy("b")), 0);
         assert!(c.get(&[1]).is_some()); // refresh 1; 2 is now LRU
-        c.insert(vec![3], dummy("c"));
+        assert_eq!(c.insert(vec![3], dummy("c")), 1);
         assert!(c.get(&[2]).is_none(), "2 should have been evicted");
         assert!(c.get(&[1]).is_some());
         assert!(c.get(&[3]).is_some());
-        let s = c.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 1);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
@@ -559,21 +528,7 @@ mod tests {
             "queue grew to {} entries",
             c.queue.len()
         );
-        assert_eq!(c.stats().entries, 4);
-    }
-
-    #[test]
-    fn remove_with_prefix_spares_other_generations() {
-        let mut c = PatternCache::new(8);
-        // Generation prefix [0, 0] vs [1, 0].
-        c.insert(vec![0, 0, 7], dummy("a"));
-        c.insert(vec![0, 0, 8], dummy("b"));
-        c.insert(vec![1, 0, 7], dummy("c"));
-        assert_eq!(c.remove_with_prefix(&[0, 0]), 2);
-        assert!(c.get(&[0, 0, 7]).is_none());
-        assert!(c.get(&[0, 0, 8]).is_none());
-        assert_eq!(c.get(&[1, 0, 7]).unwrap().algorithm, "c");
-        assert_eq!(c.stats().evictions, 2);
+        assert_eq!(c.len(), 4);
     }
 
     #[test]
@@ -581,7 +536,7 @@ mod tests {
         let mut c = PatternCache::new(0);
         c.insert(vec![1], dummy("a"));
         assert!(c.get(&[1]).is_none());
-        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -609,8 +564,8 @@ mod tests {
     fn reinsert_overwrites_without_growth() {
         let mut c = PatternCache::new(4);
         c.insert(vec![1], dummy("a"));
-        c.insert(vec![1], dummy("b"));
-        assert_eq!(c.stats().entries, 1);
+        assert_eq!(c.insert(vec![1], dummy("b")), 0);
+        assert_eq!(c.len(), 1);
         assert_eq!(c.get(&[1]).unwrap().algorithm, "b");
     }
 }

@@ -169,8 +169,8 @@ impl DeltaReport {
 /// subscription layer forwards it without re-running the query.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MaintainedDiff {
-    /// Canonical pattern key of the maintained entry (the suffix of
-    /// its cache key, stable across generations).
+    /// Canonical pattern key of the maintained entry: its cache key in
+    /// every generation.
     pub canon_key: Vec<u32>,
     /// Pairs revoked from the match set, in canonical query-node
     /// numbering, ascending.

@@ -11,7 +11,7 @@ use crate::plan::IncrementalNote;
 use dgs_graph::Pattern;
 use dgs_net::{ExecutorKind, RunMetrics, SiteDeltaMetrics};
 use dgs_partition::{EdgeOp, Fragmentation, SpanLists};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -30,8 +30,8 @@ struct MaintainedStates {
 #[derive(Debug, Default)]
 pub(super) struct WriterState {
     /// Maintenance states of the delta-maintained cache entries, keyed
-    /// by canonical pattern encoding (without the generation prefix —
-    /// the map itself is always current).
+    /// by canonical pattern encoding like the current snapshot's cache:
+    /// the map is always current.
     entries: HashMap<Vec<u32>, MaintainedStates>,
     /// The last retired generation's fragmentation, if the swap found
     /// nobody else holding it, and the ops of the batch that retired
@@ -48,10 +48,9 @@ pub(super) struct WriterState {
 }
 
 impl SimEngine {
-    /// Drops every pattern-result cache entry of the current
-    /// generation and moves the session to the next generation, so
-    /// nothing computed before this call can be served from the cache
-    /// again.
+    /// Moves the session to the next generation with an empty
+    /// pattern-result cache, so nothing computed before this call can
+    /// be served from the cache again.
     ///
     /// Like [`Self::apply_delta`] this is a *writer*: it publishes a
     /// fresh snapshot and never blocks in-flight queries, which keep
@@ -60,15 +59,13 @@ impl SimEngine {
     pub fn cache_invalidate_all(&self) {
         let mut writer = self.writer.lock();
         let snap = self.snapshot();
-        if let Some(cache) = &self.cache {
-            cache.lock().remove_with_prefix(&snap.gen_key(&[]));
-        }
         writer.entries.clear();
         let next = GenSnapshot {
             generation: snap.generation + 1,
             frag: Arc::clone(&snap.frag),
             graph: snap.graph.clone(),
             facts: snap.facts.clone(),
+            cache: snap.successor_cache(),
         };
         *self.snap.lock() = Arc::new(next);
     }
@@ -83,9 +80,9 @@ impl SimEngine {
     ///   created/retired and in-node subscriptions added/dropped as
     ///   crossing edges appear and disappear.
     /// * **Every non-empty batch** keeps the cached answers *valid*:
-    ///   each current-generation cache entry is promoted to
-    ///   distributed incremental maintenance and re-stored under the
-    ///   fresh generation with [`PlanExplanation::incremental`](crate::PlanExplanation::incremental)
+    ///   each entry of the current generation's cache is promoted to
+    ///   distributed incremental maintenance and stored in the next
+    ///   generation's cache with [`PlanExplanation::incremental`](crate::PlanExplanation::incremental)
     ///   recording the leg. A follow-up query is a cache hit: zero
     ///   full re-evaluations. Promotion runs `lEval` on each pre-delta
     ///   fragment with the virtual pairs the cached rows exclude
@@ -207,39 +204,34 @@ impl SimEngine {
             self.stats.add_deltas(1);
             return Ok(report);
         }
-        let old_prefix = snap.gen_key(&[]);
 
-        // Promote current-generation cache entries to maintenance —
-        // every batch shape is maintainable — building missing
+        // Promote the current generation's cache entries to maintenance
+        // — every batch shape is maintainable — building missing
         // per-site states by running `lEval` on the *pre-delta*
         // fragments with the cached rows pinned.
-        let mut promoted: Vec<(Vec<u32>, Arc<CachedResult>)> = Vec::new();
-        if let Some(cache) = &self.cache {
-            let entries = cache.lock().entries_with_prefix(&old_prefix);
-            let live: HashSet<&[u32]> = entries.iter().map(|(k, _)| &k[2..]).collect();
-            // States whose entry the LRU evicted have no rows left
-            // to maintain.
-            writer.entries.retain(|k, _| live.contains(k.as_slice()));
-            // Only `Auto` answers are cached, and the planner answers
-            // every one with the maximum relation: each entry is a
-            // valid baseline for either direction of repair.
-            for (key, entry) in entries {
-                let canon_key = key[2..].to_vec();
-                if !writer.entries.contains_key(&canon_key) {
-                    let pattern = Arc::new(cache::decode_pattern(&canon_key));
-                    let sites = (0..snap.frag.num_sites())
-                        .map(|s| DeltaSiteState::promote(&snap.frag, s, &pattern, &entry.rows))
-                        .collect();
-                    writer.entries.insert(
-                        canon_key.clone(),
-                        MaintainedStates {
-                            pattern,
-                            sites,
-                            note: IncrementalNote::default(),
-                        },
-                    );
-                }
-                promoted.push((canon_key, entry));
+        let promoted: Vec<(Vec<u32>, Arc<CachedResult>)> =
+            (snap.cache.as_ref()).map_or_else(Vec::new, |c| c.lock().entries());
+        // States whose entry the LRU evicted have no rows left to
+        // maintain.
+        let live = |k: &Vec<u32>| promoted.binary_search_by(|(e, _)| e.cmp(k)).is_ok();
+        writer.entries.retain(|k, _| live(k));
+        // Only `Auto` answers are cached, and the planner answers every
+        // one with the maximum relation: each entry is a valid baseline
+        // for either direction of repair.
+        for (canon_key, entry) in &promoted {
+            if !writer.entries.contains_key(canon_key) {
+                let pattern = Arc::new(cache::decode_pattern(canon_key));
+                let sites = (0..snap.frag.num_sites())
+                    .map(|s| DeltaSiteState::promote(&snap.frag, s, &pattern, &entry.rows))
+                    .collect();
+                writer.entries.insert(
+                    canon_key.clone(),
+                    MaintainedStates {
+                        pattern,
+                        sites,
+                        note: IncrementalNote::default(),
+                    },
+                );
             }
         }
 
@@ -283,6 +275,7 @@ impl SimEngine {
             frag: Arc::clone(&next_frag),
             graph: OnceLock::new(),
             facts: OnceLock::new(),
+            cache: snap.successor_cache(),
         });
 
         // A socket session's workers were bootstrapped with the
@@ -391,9 +384,11 @@ impl SimEngine {
                     );
                 }
                 plan.incremental = Some(*note);
-                if let Some(cache) = &self.cache {
+                // The next generation's cache is as large as this one's,
+                // which held every promoted entry: nothing is evicted.
+                if let Some(cache) = &next.cache {
                     cache.lock().insert(
-                        next.gen_key(&canon_key),
+                        canon_key.clone(),
                         Arc::new(CachedResult {
                             rows,
                             algorithm: entry.algorithm,

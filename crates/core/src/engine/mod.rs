@@ -71,14 +71,15 @@
 //! and every batch — deletions, insertions or both — keeps cached
 //! answers current through the distributed incremental update of
 //! [`crate::delta`] (the plan then carries
-//! [`PlanExplanation::incremental`]). Generation-tagged cache keys
-//! make stale hits impossible; the structural facts refresh lazily.
+//! [`PlanExplanation::incremental`]). Each generation snapshot holds
+//! its own answers, so a stale hit is impossible; the structural facts
+//! refresh lazily.
 //!
 //! ## Snapshot isolation
 //!
 //! The read path is **snapshot-isolated**: every query loads the
 //! current immutable generation snapshot (fragmentation + graph
-//! mirror + planner facts) with a single `Arc` clone
+//! mirror + planner facts + cached answers) with a single `Arc` clone
 //! and runs entirely against it, while `apply_delta` builds the next
 //! generation off the read path and publishes it with one pointer
 //! swap. Queries therefore never block behind a writer, and every
@@ -293,9 +294,10 @@ impl SimEngineBuilder<'_> {
         self
     }
 
-    /// Capacity of the pattern-result cache in entries (LRU; default
-    /// 128). `0` disables the cache: every query runs the distributed
-    /// protocol, which is what metric-sensitive experiments want.
+    /// Capacity of the pattern-result cache in entries (LRU, one per
+    /// generation; default 128). `0` disables the cache: every query
+    /// runs the distributed protocol, which is what metric-sensitive
+    /// experiments want.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -351,13 +353,13 @@ impl SimEngineBuilder<'_> {
             frag: self.frag,
             graph: OnceLock::from(Arc::new(self.graph.clone())),
             facts: OnceLock::from(Arc::new(facts)),
+            cache: (self.cache_capacity > 0)
+                .then(|| Mutex::new(PatternCache::new(self.cache_capacity))),
         };
         SimEngine {
             snap: Mutex::new(Arc::new(snapshot)),
             executor: self.executor,
             cost: self.cost,
-            cache: (self.cache_capacity > 0)
-                .then(|| Mutex::new(PatternCache::new(self.cache_capacity))),
             batch_workers: match self.batch_workers {
                 0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
                 n => n,
@@ -373,11 +375,16 @@ impl SimEngineBuilder<'_> {
 /// Cumulative serving counters of one engine (one cell per hosted
 /// session, however many threads serve it). The serving layer scrapes
 /// these into its per-session metrics; the engine itself only ever
-/// increments.
+/// increments, and no generation swap resets them.
 #[derive(Debug, Default)]
 pub struct EngineStats {
     queries: AtomicU64,
     cache_hits: AtomicU64,
+    /// Cache probes that fell through to a protocol run
+    /// ([`CacheStats::misses`]).
+    cache_misses: AtomicU64,
+    /// Entries the LRU dropped for capacity ([`CacheStats::evictions`]).
+    cache_evictions: AtomicU64,
     deltas: AtomicU64,
     generations_copied: AtomicU64,
 }
@@ -418,6 +425,14 @@ impl EngineStats {
         self.cache_hits.fetch_add(n, Ordering::Relaxed);
     }
 
+    fn add_cache_misses(&self, n: u64) {
+        self.cache_misses.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn add_cache_evictions(&self, n: u64) {
+        self.cache_evictions.fetch_add(n, Ordering::Relaxed);
+    }
+
     fn add_deltas(&self, n: u64) {
         self.deltas.fetch_add(n, Ordering::Relaxed);
     }
@@ -430,9 +445,9 @@ impl EngineStats {
 /// A planned, cached, mutable query session over one fragmented graph.
 /// [`SimEngine::apply_delta`] keeps the cached answers current instead
 /// of dropping them. Every delta moves the session to the next graph
-/// **generation**; cache entries are keyed under the generation they
-/// were computed at, so a reader still on an older snapshot can never
-/// be served a newer generation's answer, nor a newer reader an older
+/// **generation**; each generation's snapshot holds the answers
+/// computed at it, so a reader still on an older snapshot can never be
+/// served a newer generation's answer, nor a newer reader an older
 /// one.
 #[derive(Debug)]
 pub struct SimEngine {
@@ -443,7 +458,6 @@ pub struct SimEngine {
     snap: Mutex<Arc<GenSnapshot>>,
     executor: ExecutorKind,
     cost: CostModel,
-    cache: Option<Mutex<PatternCache>>,
     /// Worker threads for batches and intra-query legs: the builder's
     /// count, or one per available core, resolved once at build.
     batch_workers: usize,
@@ -540,13 +554,20 @@ impl SimEngine {
     }
 
     /// Counters of the pattern-result cache; `None` when the cache is
-    /// disabled. `generation` reports the session's current graph
-    /// generation so operators can observe invalidation churn.
+    /// disabled. `entries` and `capacity` are the current generation's;
+    /// hits, misses and evictions are cumulative over the session.
+    /// `generation` reports the session's current graph generation so
+    /// operators can observe invalidation churn.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| {
-            let mut stats = c.lock().stats();
-            stats.generation = self.generation();
-            stats
+        let snap = self.snapshot();
+        let cache = snap.cache.as_ref()?.lock();
+        Some(CacheStats {
+            entries: cache.len(),
+            capacity: cache.capacity(),
+            hits: self.stats.cache_hits(),
+            misses: self.stats.cache_misses.load(Ordering::Relaxed),
+            evictions: self.stats.cache_evictions.load(Ordering::Relaxed),
+            generation: snap.generation,
         })
     }
 

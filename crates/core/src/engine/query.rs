@@ -44,7 +44,6 @@ impl SimEngine {
         let snap = self.snapshot();
         let (canon, hit) = self.cache_lookup(&snap, algorithm, q);
         if let (Some(canon), Some(cached)) = (&canon, hit) {
-            self.stats.add_cache_hits(1);
             return Ok(Self::report_from_cache(&snap, q, canon, &cached));
         }
         // A single query gets the whole worker budget for intra-query
@@ -146,7 +145,6 @@ impl SimEngine {
         for (i, q) in patterns.iter().enumerate() {
             let (canon, hit) = self.cache_lookup(&snap, algorithm, q);
             if let (Some(canon), Some(cached)) = (&canon, hit) {
-                self.stats.add_cache_hits(1);
                 slots[i] = Some(Ok(Self::report_from_cache(&snap, q, canon, &cached)));
             }
             canons.push(canon);
@@ -255,7 +253,7 @@ impl SimEngine {
     /// Plans and runs one query without the broadcast charge (the
     /// caller accounts it: per-query for [`Self::query_with`], once
     /// per batch for [`Self::query_batch_with`]).
-    fn run_one(
+    pub(super) fn run_one(
         &self,
         snap: &GenSnapshot,
         algorithm: &Algorithm,
@@ -274,23 +272,24 @@ impl SimEngine {
         ))
     }
 
-    /// Canonicalizes `q` and probes the cache at `snap`'s generation.
-    /// Returns `(None, None)` when caching does not apply (explicit
-    /// engine, or cache off).
-    fn cache_lookup(
+    /// Canonicalizes `q` and probes `snap`'s cache, counting the hit
+    /// or miss. Returns `(None, None)` when caching does not apply
+    /// (explicit engine, or cache off).
+    pub(super) fn cache_lookup(
         &self,
         snap: &GenSnapshot,
         algorithm: &Algorithm,
         q: &Pattern,
     ) -> (Option<CanonicalPattern>, Option<Arc<CachedResult>>) {
-        if !matches!(algorithm, Algorithm::Auto) {
-            return (None, None);
-        }
-        let Some(cache) = &self.cache else {
+        let (Algorithm::Auto, Some(cache)) = (algorithm, &snap.cache) else {
             return (None, None);
         };
         let canon = cache::canonicalize(q);
-        let hit = cache.lock().get(&snap.gen_key(&canon.key));
+        let hit = cache.lock().get(&canon.key);
+        match hit {
+            Some(_) => self.stats.add_cache_hits(1),
+            None => self.stats.add_cache_misses(1),
+        }
         (Some(canon), hit)
     }
 
@@ -324,10 +323,15 @@ impl SimEngine {
         )
     }
 
-    /// Stores a freshly computed answer under its canonical key at
-    /// `snap`'s generation, rows permuted into canonical node order.
-    fn cache_store(&self, snap: &GenSnapshot, canon: CanonicalPattern, report: &RunReport) {
-        let Some(cache) = &self.cache else {
+    /// Stores a freshly computed answer in `snap`'s cache under its
+    /// canonical key, rows permuted into canonical node order.
+    pub(super) fn cache_store(
+        &self,
+        snap: &GenSnapshot,
+        canon: CanonicalPattern,
+        report: &RunReport,
+    ) {
+        let Some(cache) = &snap.cache else {
             return;
         };
         let rows: Vec<Vec<dgs_graph::NodeId>> = canon
@@ -335,14 +339,15 @@ impl SimEngine {
             .iter()
             .map(|&u| report.relation.matches_of(dgs_graph::QNodeId(u)).to_vec())
             .collect();
-        cache.lock().insert(
-            snap.gen_key(&canon.key),
+        let evicted = cache.lock().insert(
+            canon.key,
             Arc::new(CachedResult {
                 rows: Arc::new(rows),
                 algorithm: report.algorithm,
                 plan: report.plan.clone(),
             }),
         );
+        self.stats.add_cache_evictions(evicted);
     }
 
     /// Runs one protocol on the snapshot's fragmentation under the

@@ -1,13 +1,16 @@
 //! What a generation is: the immutable [`GenSnapshot`] every query
 //! runs against.
 
+use crate::cache::PatternCache;
 use crate::plan::GraphFacts;
 use dgs_graph::Graph;
 use dgs_partition::Fragmentation;
+use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
 /// One immutable **generation** of a session: the fragmentation, the
-/// graph mirror and the planner facts as of one graph generation.
+/// graph mirror, the planner facts and the cached answers as of one
+/// graph generation.
 /// Queries load the current snapshot once (a single `Arc` clone under
 /// a short mutex) and run entirely against it;
 /// [`SimEngine::apply_delta`](super::SimEngine::apply_delta) builds
@@ -20,6 +23,11 @@ use std::sync::{Arc, OnceLock};
 /// it, once, for all of the snapshot's readers — so a delete-heavy
 /// stream served from maintained cache entries still never pays their
 /// `O(|G|)` cost.
+///
+/// The snapshot also holds its generation's answers, keyed by the
+/// canonical pattern alone: an answer's generation is the snapshot
+/// that holds it. A reader still on an older snapshot hits and stores
+/// that generation's answers only, and a newer reader never sees them.
 #[derive(Debug)]
 pub(super) struct GenSnapshot {
     pub(super) generation: u64,
@@ -29,6 +37,9 @@ pub(super) struct GenSnapshot {
     /// leaves no op log behind for it.
     pub(super) graph: OnceLock<Arc<Graph>>,
     pub(super) facts: OnceLock<Arc<GraphFacts>>,
+    /// The pattern-result cache of this generation; `None` when the
+    /// session's cache is off.
+    pub(super) cache: Option<Mutex<PatternCache>>,
 }
 
 impl GenSnapshot {
@@ -46,15 +57,9 @@ impl GenSnapshot {
         Arc::clone(self.facts.get_or_init(compute))
     }
 
-    /// Prefixes a canonical pattern encoding with this snapshot's
-    /// generation. Entries computed before a delta live under an older
-    /// generation and can never be served again from a newer snapshot,
-    /// nor can a reader still on an older snapshot hit a newer one's.
-    pub(super) fn gen_key(&self, canon_key: &[u32]) -> Vec<u32> {
-        let mut key = Vec::with_capacity(2 + canon_key.len());
-        key.push(self.generation as u32);
-        key.push((self.generation >> 32) as u32);
-        key.extend_from_slice(canon_key);
-        key
+    /// An empty cache of this generation's capacity, for the next one.
+    pub(super) fn successor_cache(&self) -> Option<Mutex<PatternCache>> {
+        let capacity = self.cache.as_ref()?.lock().capacity();
+        Some(Mutex::new(PatternCache::new(capacity)))
     }
 }

@@ -526,6 +526,79 @@ fn cache_invalidate_all_moves_to_a_fresh_generation() {
 }
 
 #[test]
+fn a_generation_holds_its_answers_once() {
+    let g = random::uniform(100, 400, 4, 38);
+    let assign = hash_partition(g.node_count(), 3, 38);
+    let frag = Arc::new(Fragmentation::build(&g, &assign, 3));
+    let engine = SimEngine::builder(&g, frag).cache_capacity(16).build();
+    let qs: Vec<Pattern> = (0..4)
+        .map(|i| patterns::random_cyclic(3, 6, 4, 40 + i))
+        .collect();
+    for q in &qs {
+        assert_eq!(engine.query(q).unwrap().metrics.cache_hits, 0);
+    }
+    assert_eq!(engine.cache_stats().unwrap().entries, 4);
+    // Six one-edge batches: each moves every answer to the next
+    // generation and leaves no copy behind in the one it retires.
+    for (u, v) in g.edges().take(6) {
+        let report = engine
+            .apply_delta(&GraphDelta::deletions([(u, v)]))
+            .unwrap();
+        assert_eq!(report.maintained_entries, 4);
+    }
+    let stats = engine.cache_stats().unwrap();
+    assert_eq!((stats.entries, stats.evictions), (4, 0));
+    assert_eq!(stats.generation, 6);
+    let graph = engine.graph();
+    for q in &qs {
+        let warm = engine.query(q).unwrap();
+        assert_eq!(warm.metrics.cache_hits, 1);
+        assert_eq!(warm.relation, hhk_simulation(q, &graph).relation);
+    }
+    // One counter per event, cumulative across the swaps.
+    let stats = engine.cache_stats().unwrap();
+    assert_eq!(stats.hits, engine.stats().cache_hits());
+    assert_eq!((stats.hits, stats.misses), (4, 4));
+}
+
+#[test]
+fn a_retired_generation_keeps_what_its_readers_store() {
+    let g = random::uniform(100, 400, 4, 39);
+    let engine = engine_for(&g, 3, 39);
+    let kept = patterns::random_cyclic(3, 6, 4, 39);
+    engine.query(&kept).unwrap();
+    let retired = engine.snapshot();
+    let (u, v) = g.edges().next().unwrap();
+    engine
+        .apply_delta(&GraphDelta::deletions([(u, v)]))
+        .unwrap();
+    let entries = engine.cache_stats().unwrap().entries;
+
+    // A reader still on the retired snapshot misses a fresh pattern,
+    // runs it there and stores the answer there.
+    let q = patterns::random_cyclic(3, 6, 4, 44);
+    let (canon, hit) = engine.cache_lookup(&retired, &Algorithm::Auto, &q);
+    assert!(hit.is_none());
+    let report = engine.run_one(&retired, &Algorithm::Auto, &q, 1).unwrap();
+    assert_eq!(report.generation, retired.generation);
+    engine.cache_store(&retired, canon.unwrap(), &report);
+    assert!(engine
+        .cache_lookup(&retired, &Algorithm::Auto, &q)
+        .1
+        .is_some());
+
+    // The current generation holds no copy of it and misses it.
+    assert_eq!(engine.cache_stats().unwrap().entries, entries);
+    let current = engine.query(&q).unwrap();
+    assert_eq!(current.metrics.cache_hits, 0);
+    assert_eq!(current.generation, retired.generation + 1);
+    assert_eq!(
+        current.relation,
+        hhk_simulation(&q, &engine.graph()).relation
+    );
+}
+
+#[test]
 fn every_answer_names_the_generation_it_was_computed_at() {
     let g = random::uniform(90, 360, 4, 35);
     let engine = engine_for(&g, 3, 35);

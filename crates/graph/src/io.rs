@@ -112,15 +112,25 @@ pub fn write_pattern<W: Write>(q: &Pattern, mut w: W) -> io::Result<()> {
     w.write_all(buf.as_bytes())
 }
 
+/// A text file's nodes and edges, checked against its header: the
+/// labels by node id, every id declared once, every edge in range.
 struct Parsed {
-    header: String,
-    nodes: Vec<(u32, u16)>,
+    labels: Vec<Label>,
     edges: Vec<(u32, u32)>,
-    declared_nodes: usize,
-    declared_edges: usize,
 }
 
-fn parse<R: Read>(r: R) -> Result<Parsed, ParseError> {
+/// The next whitespace-separated field of a text line, parsed.
+fn field<T: std::str::FromStr>(
+    parts: &mut std::str::SplitAsciiWhitespace<'_>,
+    line: usize,
+    what: &str,
+) -> Result<T, ParseError> {
+    (parts.next().and_then(|s| s.parse().ok()))
+        .ok_or_else(|| malformed(line, format!("bad {what}")))
+}
+
+/// Parses a text file whose header must read `kind`.
+fn parse<R: Read>(r: R, kind: &str) -> Result<Parsed, ParseError> {
     let reader = BufReader::new(r);
     let mut header: Option<(String, usize, usize)> = None;
     let mut nodes = Vec::new();
@@ -139,88 +149,63 @@ fn parse<R: Read>(r: R) -> Result<Parsed, ParseError> {
                 if header.is_some() {
                     return Err(malformed(lineno, "duplicate header"));
                 }
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad node count"))?;
-                let m: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad edge count"))?;
+                let n: usize = field(&mut parts, lineno, "node count")?;
+                let m: usize = field(&mut parts, lineno, "edge count")?;
                 header = Some((tag.to_owned(), n, m));
             }
             "n" => {
-                let id: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad node id"))?;
-                let label: u16 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad label"))?;
-                nodes.push((id, label));
+                let id: u32 = field(&mut parts, lineno, "node id")?;
+                nodes.push((id, field::<u16>(&mut parts, lineno, "label")?));
             }
             "e" => {
-                let u: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad edge source"))?;
-                let v: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(lineno, "bad edge target"))?;
-                edges.push((u, v));
+                let u: u32 = field(&mut parts, lineno, "edge source")?;
+                edges.push((u, field(&mut parts, lineno, "edge target")?));
             }
             other => return Err(malformed(lineno, format!("unknown tag {other:?}"))),
         }
     }
     let (header, declared_nodes, declared_edges) =
         header.ok_or_else(|| malformed(0, "missing header line"))?;
-    if nodes.len() != declared_nodes {
+    if header != kind {
         return Err(malformed(
-            0,
-            format!("declared {declared_nodes} nodes, found {}", nodes.len()),
+            1,
+            format!("expected {kind} header, got {header:?}"),
         ));
     }
-    Ok(Parsed {
-        header,
-        nodes,
-        edges,
-        declared_nodes,
-        declared_edges,
-    })
+    // Both counts must match what the file holds before anything is
+    // sized from them: a hostile header must not drive an allocation.
+    if nodes.len() != declared_nodes || edges.len() != declared_edges {
+        return Err(malformed(
+            0,
+            format!(
+                "declared {declared_nodes} nodes and {declared_edges} edges, found {} and {}",
+                nodes.len(),
+                edges.len()
+            ),
+        ));
+    }
+    let mut labels = vec![None; declared_nodes];
+    for (id, l) in nodes {
+        let slot = (labels.get_mut(id as usize))
+            .ok_or_else(|| malformed(0, format!("node id {id} out of range")))?;
+        *slot = Some(Label(l));
+    }
+    let labels = (labels.into_iter().collect::<Option<Vec<Label>>>())
+        .ok_or_else(|| malformed(0, "not all node ids declared"))?;
+    if let Some((u, v)) = (edges.iter()).find(|&&(u, v)| u.max(v) as usize >= declared_nodes) {
+        return Err(malformed(0, format!("edge ({u}, {v}) out of range")));
+    }
+    Ok(Parsed { labels, edges })
 }
 
 /// Reads a graph written by [`write_graph`].
 pub fn read_graph<R: Read>(r: R) -> Result<Graph, ParseError> {
-    let p = parse(r)?;
-    if p.header != "graph" {
-        return Err(malformed(
-            1,
-            format!("expected graph header, got {:?}", p.header),
-        ));
-    }
-    let mut labels = vec![Label(0); p.declared_nodes];
-    let mut seen = vec![false; p.declared_nodes];
-    for (id, l) in p.nodes {
-        let idx = id as usize;
-        if idx >= p.declared_nodes {
-            return Err(malformed(0, format!("node id {id} out of range")));
-        }
-        labels[idx] = Label(l);
-        seen[idx] = true;
-    }
-    if !seen.iter().all(|&s| s) {
-        return Err(malformed(0, "not all node ids declared"));
-    }
-    let mut b = GraphBuilder::with_capacity(p.declared_nodes, p.declared_edges);
-    for l in labels {
+    let p = parse(r, "graph")?;
+    let mut b = GraphBuilder::with_capacity(p.labels.len(), p.edges.len());
+    for l in p.labels {
         b.add_node(l);
     }
     for (u, v) in p.edges {
-        if u as usize >= p.declared_nodes || v as usize >= p.declared_nodes {
-            return Err(malformed(0, format!("edge ({u}, {v}) out of range")));
-        }
         b.add_edge(NodeId(u), NodeId(v));
     }
     Ok(b.build())
@@ -228,34 +213,19 @@ pub fn read_graph<R: Read>(r: R) -> Result<Graph, ParseError> {
 
 /// Reads a pattern written by [`write_pattern`].
 pub fn read_pattern<R: Read>(r: R) -> Result<Pattern, ParseError> {
-    let p = parse(r)?;
-    if p.header != "pattern" {
+    let p = parse(r, "pattern")?;
+    // The binary reader's bound: query node ids are `u16`.
+    if p.labels.len() > usize::from(u16::MAX) {
         return Err(malformed(
             1,
-            format!("expected pattern header, got {:?}", p.header),
+            format!("pattern with {} nodes exceeds u16 ids", p.labels.len()),
         ));
     }
-    let mut labels = vec![Label(0); p.declared_nodes];
-    let mut seen = vec![false; p.declared_nodes];
-    for (id, l) in p.nodes {
-        let idx = id as usize;
-        if idx >= p.declared_nodes {
-            return Err(malformed(0, format!("node id {id} out of range")));
-        }
-        labels[idx] = Label(l);
-        seen[idx] = true;
-    }
-    if !seen.iter().all(|&s| s) {
-        return Err(malformed(0, "not all node ids declared"));
-    }
     let mut b = PatternBuilder::new();
-    for l in labels {
+    for l in p.labels {
         b.add_node(l);
     }
     for (u, v) in p.edges {
-        if u as usize >= p.declared_nodes || v as usize >= p.declared_nodes {
-            return Err(malformed(0, format!("edge ({u}, {v}) out of range")));
-        }
         b.add_edge(QNodeId(u as u16), QNodeId(v as u16));
     }
     Ok(b.build())
@@ -704,6 +674,24 @@ mod tests {
             read_graph_binary(&buf[..]).unwrap_err(),
             ParseError::Corrupt { .. }
         ));
+    }
+
+    #[test]
+    fn text_corrupt_counts_rejected_without_huge_alloc() {
+        // An edge count no file holds must fail before it sizes a buffer.
+        let err = read_graph("graph 1 1000000000000000\nn 0 0\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("found 1 and 0"), "{err}");
+        // A declared count the edge lines do not reach is refused, as
+        // the binary reader refuses it.
+        let err = read_graph("graph 2 5\nn 0 0\nn 1 0\ne 0 1\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("5 edges, found 2 and 1"), "{err}");
+        // More pattern nodes than `u16` ids: a typed error, not a panic.
+        let mut text = String::from("pattern 70000 0\n");
+        for u in 0..70_000 {
+            writeln!(text, "n {u} 0").unwrap();
+        }
+        let err = read_pattern(text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("exceeds u16 ids"), "{err}");
     }
 
     #[test]

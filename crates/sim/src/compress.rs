@@ -42,8 +42,9 @@
 //! typically compress their sink-heavy periphery aggressively (every
 //! same-label sink is equivalent). [`compress_bisim`] offers the
 //! cheaper bisimulation-based variant ([`crate::bisim`]) that merges
-//! less but runs in near-linear time, the practical preprocessing for
-//! big fragments.
+//! less but needs no `|V|²` table: `O(depth · (|V| + |E|))` time, one
+//! full pass per level of bisimulation depth, the practical
+//! preprocessing for big fragments.
 
 use crate::hhk::hhk_simulation;
 use crate::match_relation::{MatchRelation, SimResult};
@@ -136,7 +137,7 @@ impl CompressedGraph {
 /// preorder holds two `O(|V|²)` tables, a `bool` and a `u32` counter
 /// per node pair (5 bytes, so 2 GB at this bound). Callers refuse a
 /// bigger graph before it allocates; [`compress_bisim`] is the
-/// near-linear alternative.
+/// alternative without the table.
 pub const SIMEQ_MAX_NODES: usize = 20_000;
 
 /// Compresses `g` by **simulation equivalence** (maximal merging;
@@ -147,8 +148,9 @@ pub fn compress_simeq(g: &Graph) -> CompressedGraph {
     CompressedGraph::from_classes(g, class_of, count)
 }
 
-/// Compresses `g` by **bisimulation** (near-linear time, merges a
-/// subset of what [`compress_simeq`] merges — see [`crate::bisim`]).
+/// Compresses `g` by **bisimulation** (`O(depth · (|V| + |E|))` time:
+/// one full pass per level of bisimulation depth; merges a subset of
+/// what [`compress_simeq`] merges — see [`crate::bisim`]).
 pub fn compress_bisim(g: &Graph) -> CompressedGraph {
     let p = crate::bisim::bisimulation_partition(g);
     CompressedGraph::from_classes(g, p.class_of.clone(), p.class_count)

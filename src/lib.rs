@@ -7,7 +7,8 @@
 //! `dGPM`, the DAG algorithm `dGPMd` (with `dGPMs`, the same
 //! rank-scheduled engine on cyclic patterns), the tree algorithm
 //! `dGPMt`, and the `Match`/`disHHK`/`dMes` baselines — all runnable on a real
-//! threaded cluster or a deterministic virtual-time cluster simulator.
+//! threaded cluster, on worker processes over sockets, or on a
+//! deterministic virtual-time cluster simulator.
 //!
 //! ## Quickstart
 //!
@@ -62,7 +63,7 @@
 //! | [`graph`] | `dgs-graph` | graphs, patterns, generators, graph algorithms |
 //! | [`partition`] | `dgs-partition` | fragments, partitioners, crossing-edge refinement |
 //! | [`sim`] | `dgs-sim` | centralized simulation (naive + HHK oracle, quotient compression) |
-//! | [`net`] | `dgs-net` | threaded & virtual-time cluster executors, PT/DS metrics |
+//! | [`net`] | `dgs-net` | threaded, socket & virtual-time cluster executors, PT/DS metrics |
 //! | [`core`] | `dgs-core` | `SimEngine`, `dGPM`, `dGPMd`/`dGPMs` (one engine), `dGPMt`, baselines |
 //! | [`serve`] | `dgs-serve` | wire protocol, `dgsd` daemon core, remote client, load generation |
 
